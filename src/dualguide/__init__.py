@@ -15,7 +15,6 @@ from .enhance import (
     enhance_lidar_grid,
     fuse_grids,
     pair_distance_weights,
-    split_fused,
 )
 from .errors import ConfigurationError, ContractError, DataFormatError
 from .geometry import (
@@ -33,7 +32,6 @@ from .grid import (
     BevGrid,
     ContextWeights,
     GridSpec,
-    add_at_cell,
     bilinear_sample,
     global_context_refine,
     grid_to_world,

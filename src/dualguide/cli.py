@@ -14,6 +14,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,12 +22,12 @@ import numpy as np
 from . import formats
 from .config import PipelineConfig, load_config
 from .errors import ConfigurationError, ContractError, DataFormatError
-from .losses import RunningMax, composite_loss, focal_loss, l1_loss
-from .matching import MatchConfig, match_pairs
+from .losses import RunningMax, composite_loss, focal_loss, l1_loss, pair_cosine_loss
 from .metrics import AXES, evaluate, stratified_eval, visibility_histogram, POINT_BUCKETS
-from .pipeline import run_fusion
+from .pipeline import build_projections, run_fusion, run_matching
 from .synth import (
     GAP_PROFILES,
+    Scene,
     energy_peak_detections,
     generate_scene,
     load_scene,
@@ -64,12 +65,13 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
     )
 
 
-def _sync_channels(config: PipelineConfig, scene) -> PipelineConfig:
+def _scene_and_config(args: argparse.Namespace) -> tuple[Scene, PipelineConfig]:
+    """The scene named by --scene and the config from the flags, sized to its grids."""
+    config = _config_from_args(args)
+    scene, _ = load_scene(args.scene)
     # Projections and context weights must size to the grids actually
     # loaded, not to whatever the config file assumed.
-    from dataclasses import replace
-
-    return replace(
+    return scene, replace(
         config,
         camera_channels=scene.camera_grid.spec.channels,
         lidar_channels=scene.lidar_grid.spec.channels,
@@ -93,13 +95,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuse.add_argument("--out", default=None, help="defaults to the scene directory")
     p_fuse.add_argument("--no-enhance", action="store_true",
                         help="fuse the raw grids (baseline), skipping enhancement")
-    p_fuse.add_argument("--threads", type=int, default=1)
     _add_config_flags(p_fuse)
 
     p_match = sub.add_parser("match", help="instance pair matching only")
     p_match.add_argument("--scene", default="scene/manifest.json")
     p_match.add_argument("--out", default=None, help="defaults to pairs.json next to the scene")
-    p_match.add_argument("--threads", type=int, default=1)
     _add_config_flags(p_match)
 
     p_eval = sub.add_parser("eval", help="stratified detection metrics")
@@ -124,7 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_loss.add_argument("--history", type=float, default=0.0,
                         help="running maximum of the cosine loss so far")
     p_loss.add_argument("--out", default=None)
-    p_loss.add_argument("--threads", type=int, default=1)
     _add_config_flags(p_loss)
 
     return parser
@@ -139,9 +138,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuse(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    scene, manifest = load_scene(args.scene)
-    config = _sync_channels(config, scene)
+    scene, config = _scene_and_config(args)
     out = Path(args.out) if args.out else Path(args.scene).parent
     out.mkdir(parents=True, exist_ok=True)
     result = run_fusion(
@@ -151,7 +148,6 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
         scene.lidar_proposals,
         config,
         enhance=not args.no_enhance,
-        threads=args.threads,
     )
     formats.save_grid(result.enhanced_camera, out / "enhanced_camera.bevg")
     formats.save_grid(result.enhanced_lidar, out / "enhanced_lidar.bevg")
@@ -166,21 +162,13 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
 
 
 def _cmd_match(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    scene, _ = load_scene(args.scene)
-    config = _sync_channels(config, scene)
-    from .grid import global_context_refine
-    from .instances import build_instances
-    from .pipeline import build_context_weights
-
-    refined = global_context_refine(scene.camera_grid, build_context_weights(config))
-    camera = build_instances(refined, scene.camera_proposals, config.gamma,
-                             config.sampling_strategy, args.threads)
-    lidar = build_instances(scene.lidar_grid, scene.lidar_proposals, config.gamma,
-                            config.sampling_strategy, args.threads)
-    pairs = match_pairs(lidar, camera, MatchConfig(config.eta, config.grouping_strategy))
+    scene, config = _scene_and_config(args)
+    stage = run_matching(
+        scene.camera_grid, scene.lidar_grid,
+        scene.camera_proposals, scene.lidar_proposals, config,
+    )
     out = Path(args.out) if args.out else Path(args.scene).parent / "pairs.json"
-    formats.save_pair_sets(pairs, out)
+    formats.save_pair_sets(stage.pairs, out)
     print(out)
     return 0
 
@@ -238,7 +226,6 @@ def _branch_loss(branch: dict) -> float:
 
 
 def _cmd_loss(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
     components = formats.load_json(args.components)
     try:
         l_head = _branch_loss(components["head"])
@@ -249,14 +236,17 @@ def _cmd_loss(args: argparse.Namespace) -> int:
 
     cosine = components.get("cosine")
     if args.scene:
-        scene, _ = load_scene(args.scene)
-        config = _sync_channels(config, scene)
-        result = run_fusion(
+        scene, config = _scene_and_config(args)
+        stage = run_matching(
             scene.camera_grid, scene.lidar_grid,
-            scene.camera_proposals, scene.lidar_proposals,
-            config, threads=args.threads,
+            scene.camera_proposals, scene.lidar_proposals, config,
         )
-        cosine = result.cosine
+        projections = build_projections(config)
+        cosine = pair_cosine_loss(
+            stage.pairs.easy, projections.lidar_squeeze, projections.camera_squeeze
+        )
+    else:
+        config = _config_from_args(args)
     total, history = composite_loss(
         l_head, l_lidar, l_camera, cosine,
         config.loss_weights(), RunningMax(args.history),

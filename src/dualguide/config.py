@@ -10,7 +10,7 @@ from .formats import load_json
 from .grid import GridSpec
 from .instances import SAMPLING_STRATEGIES
 from .losses import LossWeights
-from .taxonomy import GROUPING_STRATEGIES
+from .matching import MatchConfig
 
 
 @dataclass(frozen=True)
@@ -39,12 +39,9 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.gamma <= 1.0:
             raise ConfigurationError(f"gamma {self.gamma} outside [0, 1]")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ConfigurationError(f"eta {self.eta} outside [0, 1]")
+        self.match_config()  # validates eta and grouping_strategy
         if self.sampling_strategy not in SAMPLING_STRATEGIES:
             raise ConfigurationError(f"unknown sampling strategy {self.sampling_strategy!r}")
-        if self.grouping_strategy not in GROUPING_STRATEGIES:
-            raise ConfigurationError(f"unknown grouping strategy {self.grouping_strategy!r}")
         if self.camera_enhance_input not in ("original", "refined"):
             raise ConfigurationError(
                 f"camera_enhance_input must be original|refined, "
@@ -52,6 +49,9 @@ class PipelineConfig:
             )
         if len(self.lambdas) != 4:
             raise ConfigurationError("lambdas must have exactly four entries")
+
+    def match_config(self) -> MatchConfig:
+        return MatchConfig(self.eta, self.grouping_strategy)
 
     def camera_spec(self) -> GridSpec:
         return GridSpec(

@@ -131,18 +131,13 @@ def enhance_camera_grid(
         )
     enhanced = camera_grid.copy()
     spec = camera_grid.spec
-    for pair in easy_pairs:
-        coord = world_to_grid(member_of(pair, "camera").bev_center, spec)
-        sampled = bilinear_sample(camera_grid, coord)
-        update = sampled * proj.apply(member_of(pair, "lidar").raw)
-        cell = nearest_cell(coord, spec)
-        enhanced.data[cell] = camera_grid.data[cell] + update
-    for pair in camera_hard_pairs:
-        coord = world_to_grid(member_of(pair, "camera").bev_center, spec)
-        sampled = bilinear_sample(camera_grid, coord)
-        update = sampled * proj.apply(member_of(pair, "lidar").raw)
-        cell = nearest_cell(coord, spec)
-        enhanced.data[cell] = enhanced.data[cell] + update
+    for pairs, base in ((easy_pairs, camera_grid.data), (camera_hard_pairs, enhanced.data)):
+        for pair in pairs:
+            coord = world_to_grid(member_of(pair, "camera").bev_center, spec)
+            sampled = bilinear_sample(camera_grid, coord)
+            update = sampled * proj.apply(member_of(pair, "lidar").raw)
+            cell = nearest_cell(coord, spec)
+            enhanced.data[cell] = base[cell] + update
     return enhanced
 
 
@@ -189,26 +184,3 @@ def fuse_grids(camera_grid: BevGrid, lidar_grid: BevGrid) -> BevGrid:
     )
     return BevGrid(spec, np.concatenate([lidar_grid.data, camera_grid.data], axis=2))
 
-
-def split_fused(fused: BevGrid, lidar_channels: int) -> tuple[BevGrid, BevGrid]:
-    """Invert fuse_grids: recover the (lidar, camera) grids by channel slicing."""
-    if lidar_channels <= 0 or lidar_channels >= fused.spec.channels:
-        raise ConfigurationError(
-            f"lidar channel count {lidar_channels} incompatible with "
-            f"{fused.spec.channels} fused channels"
-        )
-    base = fused.spec
-    lidar_spec = GridSpec(
-        base.height_cells, base.width_cells, lidar_channels, base.x_range, base.y_range
-    )
-    camera_spec = GridSpec(
-        base.height_cells,
-        base.width_cells,
-        base.channels - lidar_channels,
-        base.x_range,
-        base.y_range,
-    )
-    return (
-        BevGrid(lidar_spec, fused.data[:, :, :lidar_channels].copy()),
-        BevGrid(camera_spec, fused.data[:, :, lidar_channels:].copy()),
-    )

@@ -79,6 +79,10 @@ def load_grid(path: str | Path) -> BevGrid:
             f"{path}: payload is {len(blob)} bytes, header implies {expected}"
         )
     data = np.frombuffer(blob, dtype="<f4", offset=_GRID_HEADER.size).reshape(h, w, c)
+    # Checked on the f32 view, before the f64 copy exists, to keep peak memory.
+    if not np.isfinite(data).all():
+        bad = int(np.count_nonzero(~np.isfinite(data)))
+        raise DataFormatError(f"{path}: {bad} non-finite grid values")
     spec = GridSpec(h, w, c, (x0, x1), (y0, y1))
     return BevGrid(spec, data.astype(np.float64))
 

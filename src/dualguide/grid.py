@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractError
+from .errors import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -54,11 +54,6 @@ class GridSpec:
             and self.x_range == other.x_range
             and self.y_range == other.y_range
         )
-
-
-def default_spec(channels: int) -> GridSpec:
-    """180x180 grid over [-54, 54]^2 m (0.6 m cells); the project default window."""
-    return GridSpec(180, 180, channels)
 
 
 @dataclass
@@ -116,7 +111,7 @@ def world_to_grid(point: tuple[float, float], spec: GridSpec) -> tuple[float, fl
     """Map world (x, y) meters to fractional (row, col) grid coordinates.
 
     Out-of-window points are allowed; the result then falls outside
-    [0, H-1] x [0, W-1].
+    [0, H-1] x [0, W-1]. x and y may also be numpy arrays.
     """
     x, y = point
     row = (y - spec.y_range[0]) / spec.cell_size_y - 0.5
@@ -125,7 +120,10 @@ def world_to_grid(point: tuple[float, float], spec: GridSpec) -> tuple[float, fl
 
 
 def grid_to_world(coord: tuple[float, float], spec: GridSpec) -> tuple[float, float]:
-    """Inverse of world_to_grid: fractional (row, col) back to world (x, y)."""
+    """Inverse of world_to_grid: fractional (row, col) back to world (x, y).
+
+    row and col may also be numpy arrays, of any shapes: x depends on col alone.
+    """
     row, col = coord
     x = (col + 0.5) * spec.cell_size_x + spec.x_range[0]
     y = (row + 0.5) * spec.cell_size_y + spec.y_range[0]
@@ -198,17 +196,3 @@ def global_context_refine(grid: BevGrid, weights: ContextWeights) -> BevGrid:
     context = np.asarray(weights.value_proj, dtype=np.float64) @ pooled
     return BevGrid(grid.spec, grid.data + context)
 
-
-def add_at_cell(grid: BevGrid, cell: tuple[int, int], vec: np.ndarray) -> BevGrid:
-    """Add a C-vector to one cell in place. Out-of-bounds cells are rejected."""
-    r, c = cell
-    h, w = grid.spec.height_cells, grid.spec.width_cells
-    if not (0 <= r < h and 0 <= c < w):
-        raise ContractError(f"cell {cell} outside {h}x{w} grid")
-    vec = np.asarray(vec, dtype=np.float64)
-    if vec.shape != (grid.spec.channels,):
-        raise ContractError(
-            f"vector length {vec.shape} does not match {grid.spec.channels} channels"
-        )
-    grid.data[r, c] += vec
-    return grid

@@ -124,24 +124,14 @@ def build_instances(
     proposals: list[Proposal],
     gamma: float,
     strategy: str = DEFAULT_STRATEGY,
-    threads: int = 1,
 ) -> list[InstanceFeature]:
     """Score-filter proposals, then extract an instance feature per survivor.
 
     Output preserves input order; out-of-window survivors are skipped.
-    `threads > 1` extracts in parallel with the same deterministic ordering.
     """
     survivors = filter_by_score(proposals, gamma)
     for p in survivors:
         if p.modality != survivors[0].modality:
             raise ConfigurationError("proposals for one grid must share a modality")
-    if threads > 1 and len(survivors) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            extracted = list(
-                pool.map(lambda p: extract_instance(grid, p, strategy), survivors)
-            )
-    else:
-        extracted = [extract_instance(grid, p, strategy) for p in survivors]
+    extracted = (extract_instance(grid, p, strategy) for p in survivors)
     return [inst for inst in extracted if inst is not None]

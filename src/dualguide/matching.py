@@ -163,8 +163,6 @@ def match_by_similarity(
 
 def filter_pairs_by_group(pairs: list[InstancePair], strategy: str) -> list[InstancePair]:
     """Keep pairs whose anchor and guide classes share a group; 'none' keeps all."""
-    if strategy == "none":
-        return list(pairs)
     return [
         p
         for p in pairs

@@ -143,10 +143,13 @@ def mean_ap(
     Classes absent from both detections and ground truth do not enter the
     mean; 0.0 when every class is absent.
     """
-    table = ap_table(dets, gts, classes, thresholds)
+    return _mean_of_table(ap_table(dets, gts, classes, thresholds))
+
+
+def _mean_of_table(table: dict[int, dict[float, float | None]]) -> float:
     per_class = []
-    for c in classes:
-        values = [v for v in table[c].values() if v is not None]
+    for row in table.values():
+        values = [v for v in row.values() if v is not None]
         if values:
             per_class.append(sum(values) / len(values))
     if not per_class:
@@ -290,7 +293,7 @@ def evaluate(
 ) -> BinMetrics:
     """Unstratified metrics over one detection/ground-truth set."""
     table = ap_table(dets, gts, classes)
-    m = mean_ap(dets, gts, classes) if (dets or gts) else None
+    m = _mean_of_table(table) if (dets or gts) else None
     rec = recall_at_iou(dets, gts) if gts else {t: None for t in IOU_THRESHOLDS}
     return BinMetrics("all", len(gts), len(dets), table, m, rec)
 
@@ -327,7 +330,7 @@ def stratified_eval(
                 len(bin_gts),
                 len(bin_dets),
                 table,
-                mean_ap(bin_dets, bin_gts, classes),
+                _mean_of_table(table),
                 recall_at_iou(bin_dets, bin_gts),
             )
         )

@@ -1,4 +1,8 @@
-"""End-to-end fusion: refine, extract instances, match, enhance, fuse."""
+"""End-to-end fusion: refine, extract instances, match, enhance, fuse.
+
+`run_matching` is the refine-extract-match front stage every CLI command
+shares; `run_fusion` runs it, then enhances and fuses.
+"""
 
 from __future__ import annotations
 
@@ -18,7 +22,7 @@ from .formats import load_projection
 from .grid import BevGrid, ContextWeights, global_context_refine
 from .instances import SAMPLES_PER_STRATEGY, InstanceFeature, Proposal, build_instances
 from .losses import pair_cosine_loss
-from .matching import MatchConfig, PairSets, match_pairs
+from .matching import PairSets, match_pairs
 
 
 @dataclass
@@ -31,14 +35,22 @@ class FusionProjections:
 
 
 @dataclass
-class FusionResult:
+class MatchStage:
+    """Output of the front stage: refined camera grid, instances and pairs."""
+
     refined_camera: BevGrid
+    camera_instances: list[InstanceFeature]
+    lidar_instances: list[InstanceFeature]
+    pairs: PairSets
+
+
+@dataclass
+class FusionResult(MatchStage):
+    """The front stage's output plus the enhanced and fused grids."""
+
     enhanced_camera: BevGrid
     enhanced_lidar: BevGrid
     fused: BevGrid
-    pairs: PairSets
-    lidar_instances: list[InstanceFeature]
-    camera_instances: list[InstanceFeature]
     cosine: float | None
 
 
@@ -76,6 +88,29 @@ def build_context_weights(config: PipelineConfig) -> ContextWeights:
     )
 
 
+def run_matching(
+    camera_grid: BevGrid,
+    lidar_grid: BevGrid,
+    camera_proposals: list[Proposal],
+    lidar_proposals: list[Proposal],
+    config: PipelineConfig = PipelineConfig(),
+) -> MatchStage:
+    """Front stage: refine the camera grid, extract instances, match pairs.
+
+    Camera instances are extracted from the context-refined camera grid, the
+    LiDAR side from its raw grid.
+    """
+    refined_camera = global_context_refine(camera_grid, build_context_weights(config))
+    camera_instances = build_instances(
+        refined_camera, camera_proposals, config.gamma, config.sampling_strategy
+    )
+    lidar_instances = build_instances(
+        lidar_grid, lidar_proposals, config.gamma, config.sampling_strategy
+    )
+    pairs = match_pairs(lidar_instances, camera_instances, config.match_config())
+    return MatchStage(refined_camera, camera_instances, lidar_instances, pairs)
+
+
 def run_fusion(
     camera_grid: BevGrid,
     lidar_grid: BevGrid,
@@ -83,36 +118,24 @@ def run_fusion(
     lidar_proposals: list[Proposal],
     config: PipelineConfig = PipelineConfig(),
     enhance: bool = True,
-    threads: int = 1,
 ) -> FusionResult:
     """Run the full fusion pipeline on in-memory inputs.
 
-    Camera instances are extracted from the context-refined camera grid, the
-    LiDAR side from its raw grid. With enhance=False the input grids are
+    `run_matching` supplies the pairs. With enhance=False the input grids are
     fused directly (the no-enhancement baseline); matching still runs so the
     pair sets and cosine value stay reportable.
     """
     projections = build_projections(config)
-    context = build_context_weights(config)
-    refined_camera = global_context_refine(camera_grid, context)
-
-    camera_instances = build_instances(
-        refined_camera, camera_proposals, config.gamma, config.sampling_strategy, threads
-    )
-    lidar_instances = build_instances(
-        lidar_grid, lidar_proposals, config.gamma, config.sampling_strategy, threads
-    )
-    pairs = match_pairs(
-        lidar_instances,
-        camera_instances,
-        MatchConfig(config.eta, config.grouping_strategy),
-    )
+    stage = run_matching(camera_grid, lidar_grid, camera_proposals, lidar_proposals, config)
+    pairs = stage.pairs
     cosine = pair_cosine_loss(
         pairs.easy, projections.lidar_squeeze, projections.camera_squeeze
     )
 
     if enhance:
-        enhance_source = camera_grid if config.camera_enhance_input == "original" else refined_camera
+        enhance_source = (
+            camera_grid if config.camera_enhance_input == "original" else stage.refined_camera
+        )
         enhanced_camera = enhance_camera_grid(
             enhance_source, pairs.easy, pairs.camera_hard, projections.lidar_squeeze
         )
@@ -124,12 +147,9 @@ def run_fusion(
         enhanced_lidar = lidar_grid.copy()
     fused = fuse_grids(enhanced_camera, enhanced_lidar)
     return FusionResult(
-        refined_camera=refined_camera,
+        **vars(stage),
         enhanced_camera=enhanced_camera,
         enhanced_lidar=enhanced_lidar,
         fused=fused,
-        pairs=pairs,
-        lidar_instances=lidar_instances,
-        camera_instances=camera_instances,
         cosine=cosine,
     )

@@ -46,7 +46,7 @@ from .formats import (
     save_proposals,
 )
 from .geometry import Box3D, box_axes
-from .grid import BevGrid
+from .grid import BevGrid, grid_to_world, world_to_grid
 from .instances import Proposal
 from .metrics import Annotation, Detection
 from .taxonomy import NUM_CLASSES
@@ -133,22 +133,14 @@ def _imprint(
     reach = 3.0 * max(sigma_u, sigma_v)
     cx, cy = center
 
-    row_lo = max(int(math.floor((cy - reach - spec.y_range[0]) / spec.cell_size_y - 0.5)), 0)
-    row_hi = min(
-        int(math.ceil((cy + reach - spec.y_range[0]) / spec.cell_size_y - 0.5)) + 1,
-        spec.height_cells,
-    )
-    col_lo = max(int(math.floor((cx - reach - spec.x_range[0]) / spec.cell_size_x - 0.5)), 0)
-    col_hi = min(
-        int(math.ceil((cx + reach - spec.x_range[0]) / spec.cell_size_x - 0.5)) + 1,
-        spec.width_cells,
-    )
+    lo = world_to_grid((cx - reach, cy - reach), spec)
+    hi = world_to_grid((cx + reach, cy + reach), spec)
+    row_lo, col_lo = (max(int(math.floor(v)), 0) for v in lo)
+    row_hi = min(int(math.ceil(hi[0])) + 1, spec.height_cells)
+    col_hi = min(int(math.ceil(hi[1])) + 1, spec.width_cells)
     if row_lo >= row_hi or col_lo >= col_hi:
         return
-    rows = np.arange(row_lo, row_hi)
-    cols = np.arange(col_lo, col_hi)
-    ys = (rows + 0.5) * spec.cell_size_y + spec.y_range[0]
-    xs = (cols + 0.5) * spec.cell_size_x + spec.x_range[0]
+    xs, ys = grid_to_world((np.arange(row_lo, row_hi), np.arange(col_lo, col_hi)), spec)
     dx = xs[None, :] - cx
     dy = ys[:, None] - cy
     du = dx * u[0] + dy * u[1]
@@ -459,14 +451,13 @@ def energy_peak_detections(
         order = order[:max_peaks]
     top = float(residual[rows, cols].max())
 
-    spec = grid.spec
     detections = []
     for idx in order:
         r, c = int(rows[idx]), int(cols[idx])
         cells = _support_region(residual, (r, c), 0.25 * residual[r, c])
-        weights = np.array([residual[cell] for cell in cells])
-        xs = np.array([(cell[1] + 0.5) * spec.cell_size_x + spec.x_range[0] for cell in cells])
-        ys = np.array([(cell[0] + 0.5) * spec.cell_size_y + spec.y_range[0] for cell in cells])
+        cell_rows, cell_cols = np.array(cells).T
+        weights = residual[cell_rows, cell_cols]
+        xs, ys = grid_to_world((cell_rows, cell_cols), grid.spec)
         wsum = weights.sum()
         cx = float((weights * xs).sum() / wsum)
         cy = float((weights * ys).sum() / wsum)

@@ -5,8 +5,11 @@ import json
 import pytest
 
 from dualguide.cli import main
+from dualguide.config import load_config
 from dualguide.formats import load_grid, save_grid
 from dualguide.grid import BevGrid, GridSpec
+from dualguide.pipeline import run_fusion
+from dualguide.synth import load_scene
 
 
 @pytest.fixture()
@@ -40,6 +43,20 @@ class TestExitCodes:
     def test_corrupt_manifest_is_data_error(self, workdir, capsys):
         (workdir / "manifest.json").write_text("{not json")
         assert main(["fuse", "--scene", "manifest.json"]) == 2
+
+    def test_out_of_range_eta_is_config_error(self, workdir, capsys):
+        assert main(["gen", "--eta", "2"]) == 2
+        assert "eta 2.0 outside [0, 1]" in capsys.readouterr().err
+
+    def test_non_finite_grid_is_data_error(self, workdir, capsys):
+        cfg = small_config(workdir)
+        assert main(["gen", "--seed", "1", "--objects", "4", "--config", cfg]) == 0
+        camera = load_grid(workdir / "scene" / "camera.bevg")
+        camera.data[10, 20, 3] = float("nan")
+        save_grid(camera, workdir / "scene" / "camera.bevg")
+        assert main(["fuse", "--config", cfg]) == 2
+        assert "camera.bevg" in capsys.readouterr().err
+        assert not (workdir / "scene" / "fused.bevg").exists()
 
     def test_mismatched_grid_window_is_data_error(self, workdir, capsys):
         cfg = small_config(workdir)
@@ -81,6 +98,15 @@ class TestCommandChain:
         for pair in pairs["easy"]:
             assert set(pair) == {"kind", "anchor_idx", "guide_idx", "similarity", "classes"}
             assert pair["similarity"] >= 0.7
+
+    def test_match_and_fuse_write_identical_pairs(self, workdir):
+        cfg = small_config(workdir)
+        main(["gen", "--seed", "9", "--objects", "10", "--config", cfg])
+        assert main(["match", "--config", cfg, "--out", "match_pairs.json"]) == 0
+        assert main(["fuse", "--config", cfg]) == 0
+        pairs = (workdir / "scene" / "pairs.json").read_bytes()
+        assert json.loads(pairs)["easy"]
+        assert (workdir / "match_pairs.json").read_bytes() == pairs
 
     def test_stats_reports_histogram(self, workdir, capsys):
         cfg = small_config(workdir)
@@ -159,6 +185,21 @@ class TestLossCommand:
                      "--config", cfg, "--out", "out.json"]) == 0
         report = json.loads((workdir / "out.json").read_text())
         assert report["cosine"] is None or 0.0 <= report["cosine"] <= 2.0
+
+    def test_scene_cosine_matches_run_fusion(self, workdir):
+        cfg = small_config(workdir)
+        main(["gen", "--seed", "8", "--objects", "8", "--config", cfg])
+        comp = {branch: {"cls_pred": [0.9], "cls_target": [1]}
+                for branch in ("head", "lidar", "camera")}
+        (workdir / "loss.json").write_text(json.dumps(comp))
+        assert main(["loss", "--components", "loss.json", "--scene", "scene/manifest.json",
+                     "--config", cfg, "--out", "out.json"]) == 0
+        report = json.loads((workdir / "out.json").read_text())
+        scene, _ = load_scene(workdir / "scene" / "manifest.json")
+        result = run_fusion(scene.camera_grid, scene.lidar_grid, scene.camera_proposals,
+                            scene.lidar_proposals, load_config(cfg))
+        assert result.cosine is not None
+        assert report["cosine"] == result.cosine
 
     def test_missing_section_is_data_error(self, workdir):
         (workdir / "loss.json").write_text(json.dumps({"head": {}}))

@@ -19,7 +19,6 @@ from dualguide.enhance import (
     member_of,
     nearest_cell,
     pair_distance_weights,
-    split_fused,
 )
 from dualguide.errors import ConfigurationError
 from dualguide.geometry import Box3D
@@ -426,16 +425,6 @@ class TestFuse:
         assert fused.spec.channels == 5
         assert np.array_equal(fused.data[:, :, :2], lidar.data)
         assert np.array_equal(fused.data[:, :, 2:], camera.data)
-
-    def test_split_inverts_fuse(self):
-        rng = np.random.default_rng(16)
-        spec_l = GridSpec(4, 4, 2, (0.0, 4.0), (0.0, 4.0))
-        spec_c = GridSpec(4, 4, 3, (0.0, 4.0), (0.0, 4.0))
-        lidar = BevGrid(spec_l, rng.normal(size=(4, 4, 2)))
-        camera = BevGrid(spec_c, rng.normal(size=(4, 4, 3)))
-        back_l, back_c = split_fused(fuse_grids(camera, lidar), 2)
-        assert np.array_equal(back_l.data, lidar.data)
-        assert np.array_equal(back_c.data, camera.data)
 
     def test_zero_grids_fuse_to_zero(self):
         spec = GridSpec(3, 3, 2, (0.0, 3.0), (0.0, 3.0))

@@ -71,6 +71,15 @@ class TestGridFormat:
         with pytest.raises(DataFormatError, match="bytes"):
             load_grid(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        grid = f32_grid(np.random.default_rng(3))
+        grid.data[1, 2, 0] = value
+        path = tmp_path / "g.bevg"
+        save_grid(grid, path)
+        with pytest.raises(DataFormatError, match=r"g\.bevg: 1 non-finite"):
+            load_grid(path)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "g.bevg"
         path.write_bytes(b"NOPE" + b"\x00" * 100)
@@ -204,3 +213,7 @@ class TestConfig:
             PipelineConfig(gamma=1.5)
         with pytest.raises(ConfigurationError):
             PipelineConfig(sampling_strategy="everything")
+        with pytest.raises(ConfigurationError, match=r"^eta 2.0 outside \[0, 1\]$"):
+            PipelineConfig(eta=2.0)
+        with pytest.raises(ConfigurationError, match=r"^unknown grouping strategy 'loose'$"):
+            PipelineConfig(grouping_strategy="loose")

@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from dualguide.errors import ConfigurationError, ContractError
+from dualguide.errors import ConfigurationError
 from dualguide.grid import (
     BevGrid,
     ContextWeights,
     GridSpec,
-    add_at_cell,
     bilinear_sample,
     global_context_refine,
     grid_to_world,
@@ -193,50 +192,3 @@ class TestGlobalContextRefine:
         with pytest.raises(ConfigurationError):
             global_context_refine(grid, ContextWeights(np.eye(4), np.zeros(4)))
 
-
-class TestAddAtCell:
-    def test_zero_vector_no_change(self):
-        grid = BevGrid.zeros(small_spec())
-        before = grid.data.copy()
-        add_at_cell(grid, (2, 3), np.zeros(3))
-        assert np.array_equal(grid.data, before)
-
-    def test_add_then_subtract_restores(self):
-        rng = np.random.default_rng(8)
-        grid = BevGrid(small_spec(), rng.normal(size=(6, 8, 3)))
-        before = grid.data.copy()
-        v = rng.normal(size=3)
-        add_at_cell(grid, (1, 1), v)
-        add_at_cell(grid, (1, 1), -v)
-        assert np.max(np.abs(grid.data - before)) <= 1e-12
-
-    def test_disjoint_adds_commute(self):
-        rng = np.random.default_rng(9)
-        base = rng.normal(size=(6, 8, 3))
-        v1, v2 = rng.normal(size=3), rng.normal(size=3)
-        g1 = BevGrid(small_spec(), base.copy())
-        add_at_cell(g1, (0, 0), v1)
-        add_at_cell(g1, (5, 7), v2)
-        g2 = BevGrid(small_spec(), base.copy())
-        add_at_cell(g2, (5, 7), v2)
-        add_at_cell(g2, (0, 0), v1)
-        assert np.array_equal(g1.data, g2.data)
-
-    def test_only_addressed_cell_changes(self):
-        rng = np.random.default_rng(10)
-        grid = BevGrid(small_spec(), rng.normal(size=(6, 8, 3)))
-        before = grid.data.copy()
-        add_at_cell(grid, (2, 4), np.ones(3))
-        diff = grid.data != before
-        assert diff[2, 4].all()
-        diff[2, 4] = False
-        assert not diff.any()
-
-    def test_out_of_bounds_rejected(self):
-        grid = BevGrid.zeros(small_spec())
-        with pytest.raises(ContractError):
-            add_at_cell(grid, (6, 0), np.zeros(3))
-        with pytest.raises(ContractError):
-            add_at_cell(grid, (0, -1), np.zeros(3))
-        with pytest.raises(ContractError):
-            add_at_cell(grid, (0, 0), np.zeros(4))

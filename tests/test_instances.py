@@ -176,16 +176,3 @@ class TestBuildInstances:
         proposals = [make_proposal(modality="camera"), make_proposal(x=2.0, modality="lidar")]
         with pytest.raises(ConfigurationError):
             build_instances(grid, proposals, 0.0)
-
-    def test_threaded_extraction_matches_serial(self):
-        rng = np.random.default_rng(4)
-        grid = BevGrid(make_spec(), rng.normal(size=(10, 10, 3)))
-        proposals = [
-            make_proposal(x=rng.uniform(1, 9), y=rng.uniform(1, 9), score=0.9)
-            for _ in range(12)
-        ]
-        serial = build_instances(grid, proposals, 0.5, threads=1)
-        threaded = build_instances(grid, proposals, 0.5, threads=4)
-        assert len(serial) == len(threaded)
-        for a, b in zip(serial, threaded):
-            assert np.array_equal(a.raw, b.raw)
