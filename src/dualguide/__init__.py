@@ -19,7 +19,6 @@ from .enhance import (
 from .errors import ConfigurationError, ContractError, DataFormatError
 from .geometry import (
     Box3D,
-    KeySamples,
     RotatedRect,
     center_distance_bev,
     key_samples,

@@ -12,6 +12,7 @@ x, y, z, w, l, h, yaw, vx, vy.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -31,6 +32,7 @@ PROJ_MAGIC = b"PROJ"
 
 _GRID_HEADER = struct.Struct("<4sIIIIdddd")
 _PROJ_HEADER = struct.Struct("<4sII")
+_BOX_KEYS = ("x", "y", "z", "w", "l", "h", "yaw", "vx", "vy")
 
 
 def save_grid(grid: BevGrid, path: str | Path) -> None:
@@ -130,12 +132,12 @@ def _box_to_record(box: Box3D) -> dict:
 
 
 def _box_from_record(rec: dict) -> Box3D:
-    return Box3D(
-        center=(rec["x"], rec["y"], rec["z"]),
-        size=(rec["w"], rec["l"], rec["h"]),
-        yaw=rec["yaw"],
-        velocity=(rec.get("vx", 0.0), rec.get("vy", 0.0)),
-    )
+    values = [rec[key] for key in _BOX_KEYS[:7]] + [rec.get("vx", 0.0), rec.get("vy", 0.0)]
+    for key, value in zip(_BOX_KEYS, values):
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+            raise ValueError(f"box field {key!r} must be a finite number, got {value!r}")
+    x, y, z, w, l, h, yaw, vx, vy = values
+    return Box3D(center=(x, y, z), size=(w, l, h), yaw=yaw, velocity=(vx, vy))
 
 
 def _write_jsonl(records: list[dict], path: str | Path) -> None:

@@ -2,13 +2,24 @@
 
 Box attribute layout is fixed project-wide as (x, y, z, w, l, h, yaw, vx, vy):
 w is the extent along the box heading axis, l the lateral extent, h vertical.
-The rotated-rectangle IoU uses exact convex polygon clipping so threshold
+
+Rotated-rectangle IoU has one kernel, `rotated_iou_pairs`, batched over
+aligned footprint pairs; `overlap_candidates` is the circumradius prune that
+picks which pairs of two footprint sets to send to it. The kernel runs
+Sutherland-Hodgman clipping on padded (pairs, vertex slot) arrays, one
+clip edge at a time, and the shoelace as one masked addition per vertex
+slot. Each IoU thus takes exactly the IEEE operations, in the same order,
+of clipping and summing that pair alone with scalar code (corners from libm
+`math.cos`/`math.sin`, no reordered reductions), so it is bit-identical to
+the scalar reference kept in the tests; the one difference is that the
+kernel caps that reference's rounding overshoot above 1. IoU threshold
 comparisons downstream are deterministic.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,74 +103,138 @@ def key_samples(rect: RotatedRect) -> KeySamples:
     )
 
 
+# Signs of the heading and lateral half-axes at each corner. Multiplying by
+# -1 is exact and c + (-x) == c - x in IEEE arithmetic, so the corners equal
+# the scalar (c +/- hw*u) +/- hl*v bit for bit.
+_CORNER_SIGNS_U = np.array([[1.0], [-1.0], [-1.0], [1.0]])
+_CORNER_SIGNS_V = np.array([[1.0], [1.0], [-1.0], [-1.0]])
+
+
+def footprint_corners(rects: Sequence[RotatedRect]) -> np.ndarray:
+    """(N, 4, 2) corners, each counter-clockwise from the (+w, +l) corner.
+
+    The axes u = (cos, sin) and v = (-sin, cos) come from libm `math.cos`
+    and `math.sin`, and each coordinate is `(c +/- hw*u) +/- hl*v`.
+    """
+    p = np.array(
+        [
+            (*r.center, r.extent[0] / 2.0, r.extent[1] / 2.0,
+             math.cos(r.yaw), math.sin(r.yaw), -math.sin(r.yaw), math.cos(r.yaw))
+            for r in rects
+        ],
+        dtype=np.float64,
+    ).reshape(len(rects), 8)
+    hu = (p[:, 2:3] * p[:, 4:6])[:, None, :]
+    hv = (p[:, 3:4] * p[:, 6:8])[:, None, :]
+    return (p[:, None, 0:2] + _CORNER_SIGNS_U * hu) + _CORNER_SIGNS_V * hv
+
+
 def rect_corners(rect: RotatedRect) -> np.ndarray:
     """4x2 corner array, counter-clockwise from the (+w, +l) corner."""
-    u, v = box_axes(rect.yaw)
-    hw, hl = rect.extent[0] / 2.0, rect.extent[1] / 2.0
-    c = np.array(rect.center)
-    return np.array(
-        [
-            c + hw * u + hl * v,
-            c - hw * u + hl * v,
-            c - hw * u - hl * v,
-            c + hw * u - hl * v,
-        ]
-    )
+    return footprint_corners([rect])[0]
 
 
-def _polygon_area(poly: list[tuple[float, float]]) -> float:
-    """Shoelace area of a counter-clockwise polygon."""
-    area = 0.0
-    n = len(poly)
-    for i in range(n):
-        x1, y1 = poly[i]
-        x2, y2 = poly[(i + 1) % n]
-        area += x1 * y2 - y1 * x2
-    return 0.5 * area
+def overlap_candidates(
+    a: Sequence[RotatedRect], b: Sequence[RotatedRect]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j), row-major, whose footprints a[i] and b[j] may overlap.
+
+    Footprints whose centers lie farther apart than the sum of their
+    circumradii cannot overlap, so every other pair has IoU 0.
+    """
+    if not a or not b:
+        empty = np.zeros(0, dtype=np.intp)
+        return empty, empty
+    ca = np.array([r.center for r in a], dtype=np.float64)
+    cb = np.array([r.center for r in b], dtype=np.float64)
+    ra = np.array([math.hypot(*r.extent) / 2.0 for r in a])
+    rb = np.array([math.hypot(*r.extent) / 2.0 for r in b])
+    dist2 = ((ca[:, None, :] - cb[None, :, :]) ** 2).sum(axis=2)
+    return np.nonzero(dist2 <= (ra[:, None] + rb[None, :]) ** 2)
 
 
-def _clip_polygon(
-    poly: list[tuple[float, float]], a: tuple[float, float], b: tuple[float, float]
-) -> list[tuple[float, float]]:
-    """Clip a convex polygon against the half-plane left of directed edge a->b."""
-    out: list[tuple[float, float]] = []
-    ex, ey = b[0] - a[0], b[1] - a[1]
+def _clip_step(
+    px: np.ndarray, py: np.ndarray, count: np.ndarray, edge_from: np.ndarray, edge_to: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Clip each row's polygon against the half-plane left of its edge.
 
-    def inside(p: tuple[float, float]) -> float:
-        return ex * (p[1] - a[1]) - ey * (p[0] - a[0])
+    Rows hold up to `count` vertices in padded (K, V) coordinate arrays.
+    Every vertex slot emits itself when inside, then the crossing point when
+    the edge to the next vertex strictly changes side, so the output keeps
+    the sequential Sutherland-Hodgman vertex order.
+    """
+    ax, ay = edge_from[:, :1], edge_from[:, 1:]
+    ex, ey = edge_to[:, :1] - ax, edge_to[:, 1:] - ay
+    s = ex * (py - ay) - ey * (px - ax)
+    slot = np.arange(px.shape[1])
+    valid = slot < count[:, None]
+    nxt = np.where(slot + 1 < count[:, None], slot + 1, 0)
+    sq = np.take_along_axis(s, nxt, axis=1)
+    keep = valid & (s >= 0.0)
+    cross = valid & (((s > 0.0) & (sq < 0.0)) | ((s < 0.0) & (sq > 0.0)))
+    end = np.cumsum(keep.astype(np.intp) + cross, axis=1)
+    new_count = end[:, -1]
+    ox = np.zeros((len(count), int(new_count.max())))
+    oy = np.zeros_like(ox)
 
-    n = len(poly)
-    for i in range(n):
-        p, q = poly[i], poly[(i + 1) % n]
-        sp, sq = inside(p), inside(q)
-        if sp >= 0.0:
-            out.append(p)
-        if (sp > 0.0 and sq < 0.0) or (sp < 0.0 and sq > 0.0):
-            t = sp / (sp - sq)
-            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
-    return out
+    r, k = np.nonzero(keep)
+    at = end[r, k] - 1 - cross[r, k]
+    ox[r, at] = px[r, k]
+    oy[r, at] = py[r, k]
+
+    r, k = np.nonzero(cross)
+    q = nxt[r, k]
+    sp = s[r, k]
+    t = sp / (sp - sq[r, k])
+    x0, y0 = px[r, k], py[r, k]
+    ox[r, end[r, k] - 1] = x0 + t * (px[r, q] - x0)
+    oy[r, end[r, k] - 1] = y0 + t * (py[r, q] - y0)
+    return ox, oy, new_count
 
 
-def intersection_area(a: RotatedRect, b: RotatedRect) -> float:
-    """Exact overlap area of two footprints via Sutherland-Hodgman clipping."""
-    poly = [tuple(p) for p in rect_corners(a)]
-    clip = [tuple(p) for p in rect_corners(b)]
-    for i in range(4):
-        if len(poly) < 3:
-            return 0.0
-        poly = _clip_polygon(poly, clip[i], clip[(i + 1) % 4])
-    if len(poly) < 3:
-        return 0.0
-    return abs(_polygon_area(poly))
+def _intersection_areas(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
+    """Overlap area of each (4, 2) subject/clip corner pair in two (K, 4, 2) arrays.
+
+    The subject is clipped by the clip polygon's four edges in turn; a row
+    left with fewer than three vertices has area 0. The shoelace sum runs
+    over vertex slots in order, one masked addition per slot.
+    """
+    px, py = subject[:, :, 0], subject[:, :, 1]
+    count = np.full(len(subject), 4)
+    for e in range(4):
+        count[count < 3] = 0
+        if not count.any():
+            return np.zeros(len(subject))
+        px, py, count = _clip_step(px, py, count, clip[:, e], clip[:, (e + 1) % 4])
+    count[count < 3] = 0
+
+    rows = np.arange(len(subject))
+    area = np.zeros(len(subject))
+    for k in range(px.shape[1]):
+        nxt = np.where(k + 1 < count, k + 1, 0)
+        term = px[:, k] * py[rows, nxt] - py[:, k] * px[rows, nxt]
+        area = np.where(k < count, area + term, area)
+    return np.abs(0.5 * area)
+
+
+def rotated_iou_pairs(a: Sequence[RotatedRect], b: Sequence[RotatedRect]) -> np.ndarray:
+    """IoU of each footprint pair (a[k], b[k]); 0 where the union has no area.
+
+    Values are capped at 1: on near-identical footprints the shoelace
+    rounding can make the overlap exceed a footprint's own area.
+    """
+    if len(a) != len(b):
+        raise ContractError(f"{len(a)} footprints paired with {len(b)}")
+    inter = _intersection_areas(footprint_corners(a), footprint_corners(b))
+    union = np.array([ra.area + rb.area for ra, rb in zip(a, b)], dtype=np.float64) - inter
+    iou = np.zeros(len(a))
+    np.divide(inter, union, out=iou, where=union > 0.0)
+    return np.minimum(iou, 1.0, out=iou)
 
 
 def rotated_iou_2d(a: RotatedRect, b: RotatedRect) -> float:
     """IoU of two oriented footprints; 0 when the union has no area."""
-    inter = intersection_area(a, b)
-    union = a.area + b.area - inter
-    if union <= 0.0:
-        return 0.0
-    return inter / union
+    return float(rotated_iou_pairs([a], [b])[0])
 
 
 def center_distance_bev(a: Box3D, b: Box3D) -> float:

@@ -11,13 +11,12 @@ class-group filter drops pairs whose two classes are implausible partners.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import RotatedRect, project_to_bev, rotated_iou_2d
+from .geometry import RotatedRect, overlap_candidates, project_to_bev, rotated_iou_pairs
 from .instances import InstanceFeature
 from .taxonomy import GROUPING_STRATEGIES, same_group
 
@@ -88,22 +87,13 @@ def match_by_overlap(
     """
     lrects = _footprints(lidar)
     crects = _footprints(camera)
-
-    # Prune candidate pairs by center distance: footprints farther apart
-    # than the sum of their circumradii cannot overlap.
-    candidates: list[tuple[float, int, int]] = []
-    if lidar and camera:
-        lcenters = np.array([r.center for r in lrects])
-        ccenters = np.array([r.center for r in crects])
-        lradius = np.array([math.hypot(*r.extent) / 2.0 for r in lrects])
-        cradius = np.array([math.hypot(*r.extent) / 2.0 for r in crects])
-        diff = lcenters[:, None, :] - ccenters[None, :, :]
-        dist2 = (diff**2).sum(axis=2)
-        reach = (lradius[:, None] + cradius[None, :]) ** 2
-        for i, j in zip(*np.nonzero(dist2 <= reach)):
-            iou = rotated_iou_2d(lrects[i], crects[j])
-            if iou >= eta:
-                candidates.append((iou, int(i), int(j)))
+    li, cj = overlap_candidates(lrects, crects)
+    ious = rotated_iou_pairs([lrects[i] for i in li], [crects[j] for j in cj])
+    candidates = [
+        (iou, i, j)
+        for iou, i, j in zip(ious.tolist(), li.tolist(), cj.tolist())
+        if iou >= eta
+    ]
 
     candidates.sort(key=lambda t: (-t[0], t[1], t[2]))
     used_lidar: set[int] = set()

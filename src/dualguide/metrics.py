@@ -18,9 +18,10 @@ from .errors import ContractError
 from .geometry import (
     Box3D,
     center_distance_bev,
+    overlap_candidates,
     points_in_box,
     project_to_bev,
-    rotated_iou_2d,
+    rotated_iou_pairs,
     volume,
 )
 from .taxonomy import NUM_CLASSES
@@ -173,25 +174,20 @@ def recall_at_iou(
     det_rects = [project_to_bev(d.box) for d in dets]
     gt_rects = [project_to_bev(g.box) for g in gts]
     order = _score_order(dets)
+    # Cells the circumradius prune skips stay 0, below every positive threshold.
+    di, gj = overlap_candidates(det_rects, gt_rects)
     iou = np.zeros((len(dets), len(gts)))
-    for i in range(len(dets)):
-        for j in range(len(gts)):
-            iou[i, j] = rotated_iou_2d(det_rects[i], gt_rects[j])
+    iou[di, gj] = rotated_iou_pairs([det_rects[i] for i in di], [gt_rects[j] for j in gj])
 
     recalls: dict[float, float | None] = {}
     for threshold in iou_thresholds:
-        used = [False] * len(gts)
+        used = np.zeros(len(gts), dtype=bool)
         matched = 0
         for i in order:
-            best_j = -1
-            best_iou = -1.0
-            for j in range(len(gts)):
-                if used[j] or iou[i, j] < threshold:
-                    continue
-                if iou[i, j] > best_iou:
-                    best_iou = iou[i, j]
-                    best_j = j
-            if best_j >= 0:
+            # argmax keeps the lowest index among equal IoUs.
+            open_iou = np.where(used | (iou[i] < threshold), -1.0, iou[i])
+            best_j = int(np.argmax(open_iou))
+            if open_iou[best_j] >= 0.0:
                 used[best_j] = True
                 matched += 1
         recalls[threshold] = matched / len(gts)

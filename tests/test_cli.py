@@ -58,6 +58,19 @@ class TestExitCodes:
         assert "camera.bevg" in capsys.readouterr().err
         assert not (workdir / "scene" / "fused.bevg").exists()
 
+    def test_non_finite_proposal_is_data_error(self, workdir, capsys):
+        cfg = small_config(workdir)
+        assert main(["gen", "--seed", "2", "--objects", "6", "--config", cfg]) == 0
+        path = workdir / "scene" / "lidar_proposals.jsonl"
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        records[0]["x"] = float("nan")
+        records[0]["score"] = 0.99
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert main(["fuse", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "lidar_proposals.jsonl: record 0" in err and "'x'" in err
+        assert not (workdir / "scene" / "fused.bevg").exists()
+
     def test_mismatched_grid_window_is_data_error(self, workdir, capsys):
         cfg = small_config(workdir)
         assert main(["gen", "--seed", "1", "--objects", "4", "--config", cfg]) == 0

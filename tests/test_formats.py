@@ -182,6 +182,22 @@ class TestJsonLines:
         with pytest.raises(DataFormatError):
             load_proposals(path)
 
+    @pytest.mark.parametrize("key, value", [("x", float("nan")), ("yaw", float("inf")),
+                                            ("vy", float("-inf")), ("w", "2.0")])
+    @pytest.mark.parametrize("save, load, item", [
+        (save_proposals, load_proposals, Proposal(Box3D((0, 1, 0.5), (1, 2, 1), 0.1), 0.5, 3, "lidar")),
+        (save_annotations, load_annotations, Annotation(Box3D((0, 1, 0.5), (1, 2, 1), 0.1), 3)),
+        (save_detections, load_detections, Detection(Box3D((0, 1, 0.5), (1, 2, 1), 0.1), 3, 0.75)),
+    ])
+    def test_non_finite_box_field_rejected(self, tmp_path, save, load, item, key, value):
+        path = tmp_path / "boxes.jsonl"
+        save([item, item], path)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        records[1][key] = value
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        with pytest.raises(DataFormatError, match=f"boxes.jsonl: record 1: box field '{key}'"):
+            load(path)
+
 
 class TestConfig:
     def test_defaults_match_reference_settings(self):

@@ -4,20 +4,92 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualguide.errors import ContractError
 from dualguide.geometry import (
     Box3D,
     RotatedRect,
     center_distance_bev,
+    footprint_corners,
     key_samples,
     normalize_yaw,
+    overlap_candidates,
     points_in_box,
     project_to_bev,
     rect_corners,
     rotated_iou_2d,
+    rotated_iou_pairs,
     volume,
 )
+
+
+def oracle_corners(rect: RotatedRect) -> np.ndarray:
+    """Scalar footprint corners: the reference the batched kernel must equal."""
+    u = np.array([math.cos(rect.yaw), math.sin(rect.yaw)])
+    v = np.array([-math.sin(rect.yaw), math.cos(rect.yaw)])
+    hw, hl = rect.extent[0] / 2.0, rect.extent[1] / 2.0
+    c = np.array(rect.center)
+    return np.array(
+        [
+            c + hw * u + hl * v,
+            c - hw * u + hl * v,
+            c - hw * u - hl * v,
+            c + hw * u - hl * v,
+        ]
+    )
+
+
+def oracle_polygon_area(poly: list[tuple[float, float]]) -> float:
+    """Shoelace area of a counter-clockwise polygon, summed vertex by vertex."""
+    area = 0.0
+    n = len(poly)
+    for i in range(n):
+        x1, y1 = poly[i]
+        x2, y2 = poly[(i + 1) % n]
+        area += x1 * y2 - y1 * x2
+    return 0.5 * area
+
+
+def oracle_clip_polygon(
+    poly: list[tuple[float, float]], a: tuple[float, float], b: tuple[float, float]
+) -> list[tuple[float, float]]:
+    """Clip a convex polygon against the half-plane left of directed edge a->b."""
+    out: list[tuple[float, float]] = []
+    ex, ey = b[0] - a[0], b[1] - a[1]
+
+    def inside(p: tuple[float, float]) -> float:
+        return ex * (p[1] - a[1]) - ey * (p[0] - a[0])
+
+    n = len(poly)
+    for i in range(n):
+        p, q = poly[i], poly[(i + 1) % n]
+        sp, sq = inside(p), inside(q)
+        if sp >= 0.0:
+            out.append(p)
+        if (sp > 0.0 and sq < 0.0) or (sp < 0.0 and sq > 0.0):
+            t = sp / (sp - sq)
+            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+    return out
+
+
+def oracle_iou(a: RotatedRect, b: RotatedRect) -> float:
+    """Scalar Sutherland-Hodgman rotated IoU, one pair at a time."""
+    poly = [tuple(p) for p in oracle_corners(a)]
+    clip = [tuple(p) for p in oracle_corners(b)]
+    inter = 0.0
+    for i in range(4):
+        if len(poly) < 3:
+            break
+        poly = oracle_clip_polygon(poly, clip[i], clip[(i + 1) % 4])
+    else:
+        if len(poly) >= 3:
+            inter = abs(oracle_polygon_area(poly))
+    union = a.area + b.area - inter
+    if union <= 0.0:
+        return 0.0
+    return inter / union
 
 
 def mc_iou(a: RotatedRect, b: RotatedRect, n: int, rng: np.random.Generator) -> float:
@@ -205,6 +277,159 @@ class TestRotatedIou:
             assert rotated_iou_2d(moved(a), moved(b)) == pytest.approx(
                 rotated_iou_2d(a, b), abs=1e-9
             )
+
+
+def touching_rect(rng: np.random.Generator, a: RotatedRect, corner: bool) -> RotatedRect:
+    """A footprint with a's heading placed against a's +w edge, or its (+w, +l) corner."""
+    w, l = rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0)
+    u = np.array([math.cos(a.yaw), math.sin(a.yaw)])
+    v = np.array([-math.sin(a.yaw), math.cos(a.yaw)])
+    along = (a.extent[0] + w) / 2.0
+    across = (a.extent[1] + l) / 2.0 if corner else rng.uniform(-0.5, 0.5)
+    center = np.array(a.center) + along * u + across * v
+    return RotatedRect((float(center[0]), float(center[1])), (w, l), a.yaw)
+
+
+def oracle_pair_set(rng: np.random.Generator, kind: str, n: int):
+    """n seeded footprint pairs of one kind, as two aligned lists."""
+    first, second = [], []
+    for _ in range(n):
+        a = random_rect(rng, yaw_zero=kind.endswith("axis_aligned"))
+        if kind == "random":
+            b = random_rect(rng)
+        elif kind == "near_coincident":
+            jx, jy = rng.normal(0.0, 0.05, size=2)
+            b = RotatedRect((a.center[0] + jx, a.center[1] + jy), a.extent, a.yaw)
+        elif kind == "identical":
+            b = a
+        elif kind.startswith("edge_touching"):
+            b = touching_rect(rng, a, corner=False)
+        elif kind.startswith("corner_touching"):
+            b = touching_rect(rng, a, corner=True)
+        else:  # disjoint
+            shift = 10.0 + rng.uniform(0.0, 5.0)
+            b = RotatedRect((a.center[0] + shift, a.center[1] - shift), a.extent, rng.uniform(-3, 3))
+        first.append(a)
+        second.append(b)
+    return first, second
+
+
+ORACLE_PAIR_KINDS = {
+    "random": 6000,
+    "near_coincident": 6000,
+    "identical": 2000,
+    "edge_touching": 1500,
+    "edge_touching_axis_aligned": 500,
+    "corner_touching": 1500,
+    "corner_touching_axis_aligned": 500,
+    "disjoint": 2000,
+}
+
+
+class TestBatchedKernel:
+    def test_bit_identical_to_scalar_oracle(self):
+        rng = np.random.default_rng(20)
+        total = 0
+        for kind, n in ORACLE_PAIR_KINDS.items():
+            first, second = oracle_pair_set(rng, kind, n)
+            expected = np.array([oracle_iou(a, b) for a, b in zip(first, second)])
+            # The kernel caps the oracle's rounding overshoot above 1.
+            assert np.array_equal(rotated_iou_pairs(first, second), np.minimum(expected, 1.0)), kind
+            total += n
+        assert total >= 20000
+
+    def test_pair_kinds_reach_their_geometry(self):
+        rng = np.random.default_rng(21)
+        ious = {
+            kind: rotated_iou_pairs(*oracle_pair_set(rng, kind, 200))
+            for kind in ORACLE_PAIR_KINDS
+        }
+        assert (ious["identical"] > 1.0 - 1e-12).all()
+        assert (ious["near_coincident"] > 0.5).all()
+        assert (ious["disjoint"] == 0.0).all()
+        for kind in ORACLE_PAIR_KINDS:
+            if "touching" in kind:
+                assert (ious[kind] < 1e-9).all()
+
+    def test_corners_bit_identical_to_scalar_oracle(self):
+        rng = np.random.default_rng(22)
+        rects = [random_rect(rng) for _ in range(500)]
+        expected = np.array([oracle_corners(r) for r in rects])
+        assert np.array_equal(footprint_corners(rects), expected)
+        assert np.array_equal(rect_corners(rects[0]), expected[0])
+
+    def test_scalar_call_is_one_element_batch(self):
+        rng = np.random.default_rng(23)
+        for _ in range(50):
+            a, b = random_rect(rng), random_rect(rng)
+            assert rotated_iou_2d(a, b) == oracle_iou(a, b)
+
+    def test_identical_footprints_never_exceed_one(self):
+        # The scalar oracle reads 1.0000000000000013 here.
+        rect = RotatedRect((0.0, 1.0), (0.1, 0.1), 0.0)
+        assert oracle_iou(rect, rect) > 1.0
+        assert rotated_iou_2d(rect, rect) == 1.0
+
+    def test_empty_and_mismatched_batches(self):
+        assert rotated_iou_pairs([], []).shape == (0,)
+        with pytest.raises(ContractError):
+            rotated_iou_pairs([random_rect(np.random.default_rng(24))], [])
+
+
+class TestOverlapCandidates:
+    def test_keeps_every_overlapping_pair_in_row_major_order(self):
+        rng = np.random.default_rng(25)
+        a = [random_rect(rng) for _ in range(40)]
+        b = [random_rect(rng) for _ in range(30)]
+        ia, ib = overlap_candidates(a, b)
+        kept = list(zip(ia.tolist(), ib.tolist()))
+        assert kept == sorted(kept)
+        assert 0 < len(kept) < len(a) * len(b)
+        for i in range(len(a)):
+            for j in range(len(b)):
+                if (i, j) not in kept:
+                    assert oracle_iou(a[i], b[j]) == 0.0
+
+    def test_empty_side(self):
+        rect = RotatedRect((0, 0), (1, 1), 0.0)
+        for a, b in (([], [rect]), ([rect], []), ([], [])):
+            ia, ib = overlap_candidates(a, b)
+            assert ia.shape == ib.shape == (0,)
+
+
+finite_rects = st.builds(
+    RotatedRect,
+    center=st.tuples(st.floats(-20, 20), st.floats(-20, 20)),
+    extent=st.tuples(st.floats(0.1, 10), st.floats(0.1, 10)),
+    yaw=st.floats(-math.pi, math.pi),
+)
+
+
+def shoelace_tolerance(*rects: RotatedRect) -> float:
+    """Rounding bound of an IoU whose shoelace sums absolute coordinates.
+
+    Each cross term carries an error of about eps * (|center| + radius)^2,
+    which is large next to a small footprint far from the origin.
+    """
+    eps = np.finfo(np.float64).eps
+    return max(
+        64 * eps * (math.hypot(*r.center) + math.hypot(*r.extent)) ** 2 / r.area for r in rects
+    )
+
+
+class TestIouProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(finite_rects, finite_rects)
+    def test_symmetric_and_in_unit_interval(self, a, b):
+        iou_ab, iou_ba = rotated_iou_pairs([a, b], [b, a])
+        assert 0.0 <= iou_ab <= 1.0
+        assert iou_ab == pytest.approx(iou_ba, abs=shoelace_tolerance(a, b))
+        assert iou_ab == min(oracle_iou(a, b), 1.0)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(finite_rects)
+    def test_identical_footprints_have_unit_iou(self, rect):
+        assert rotated_iou_2d(rect, rect) == pytest.approx(1.0, abs=shoelace_tolerance(rect))
 
 
 class TestCenterDistance:

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dualguide.geometry import Box3D
+from dualguide.geometry import Box3D, project_to_bev
 from dualguide.metrics import (
+    IOU_THRESHOLDS,
     Annotation,
     Detection,
     average_precision,
@@ -17,6 +20,8 @@ from dualguide.metrics import (
     stratified_eval,
     visibility_histogram,
 )
+
+from test_geometry import oracle_iou
 
 
 def gt(x, y, class_id=0, w=1.0, l=1.0, h=1.0, yaw=0.0, token=4, pts=10):
@@ -128,6 +133,59 @@ class TestMeanAp:
         assert mean_ap(MIXED_DETS, MIXED_GTS) == pytest.approx(expected)
 
 
+def dense_oracle_recall(dets, gts, thresholds):
+    """Class-agnostic greedy recall over the full scalar-oracle IoU matrix."""
+    iou = [
+        [oracle_iou(project_to_bev(d.box), project_to_bev(g.box)) for g in gts] for d in dets
+    ]
+    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+    recalls = {}
+    for threshold in thresholds:
+        used = [False] * len(gts)
+        matched = 0
+        for i in order:
+            best_j, best_iou = -1, -1.0
+            for j in range(len(gts)):
+                if used[j] or iou[i][j] < threshold:
+                    continue
+                if iou[i][j] > best_iou:
+                    best_iou, best_j = iou[i][j], j
+            if best_j >= 0:
+                used[best_j] = True
+                matched += 1
+        recalls[threshold] = matched / len(gts)
+    return recalls
+
+
+def seeded_recall_scene(seed):
+    """Ground truth plus jittered, exact and stray detections with tied scores."""
+    rng = np.random.default_rng(seed)
+
+    def box(x, y, w, l, yaw):
+        return Box3D((x, y, 0.5), (w, l, 1.0), yaw)
+
+    gts = [
+        Annotation(
+            box(*rng.uniform(-12, 12, 2), *rng.uniform(0.5, 4.0, 2), rng.uniform(-np.pi, np.pi)),
+            int(rng.integers(0, 10)),
+        )
+        for _ in range(int(rng.integers(1, 25)))
+    ]
+    dets = []
+    for g in gts:
+        (x, y, _), (w, l, _), yaw = g.box.center, g.box.size, g.box.yaw
+        for _ in range(int(rng.integers(0, 3))):
+            sigma = float(rng.choice([0.0, 0.05, 0.3, 1.0]))
+            jx, jy = rng.normal(0.0, sigma, 2) if sigma else (0.0, 0.0)
+            dets.append(box(x + jx, y + jy, w, l, yaw + rng.normal(0.0, sigma / 5)))
+    dets += [
+        box(*rng.uniform(-12, 12, 2), *rng.uniform(0.5, 4.0, 2), rng.uniform(-np.pi, np.pi))
+        for _ in range(int(rng.integers(0, 10)))
+    ]
+    scores = rng.choice([0.3, 0.5, 0.8, 0.9], size=len(dets))
+    return [Detection(b, 0, float(s)) for b, s in zip(dets, scores)], gts
+
+
 class TestRecallAtIou:
     def test_detections_equal_gt(self):
         gts = [gt(0, 0), gt(10, 0, w=2, l=2), gt(20, 5, yaw=0.7)]
@@ -135,6 +193,20 @@ class TestRecallAtIou:
                     w=g.box.size[0], l=g.box.size[1], yaw=g.box.yaw) for g in gts]
         recalls = recall_at_iou(dets, gts)
         assert all(v == 1.0 for v in recalls.values())
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_pruned_recall_equals_dense_oracle(self, seed):
+        dets, gts = seeded_recall_scene(seed)
+        assert recall_at_iou(dets, gts) == dense_oracle_recall(dets, gts, IOU_THRESHOLDS)
+
+    def test_equal_iou_ties_go_to_lowest_index(self):
+        # The first detection has IoU 1/3 with both; taking g0 leaves g1 for the second.
+        gts = [gt(1, 0, w=2, l=2), gt(-1, 0, w=2, l=2)]
+        dets = [det(0, 0, 0.9, w=2, l=2), det(-1.2, 0, 0.8, w=2, l=2)]
+        expected = {0.3: 1.0}
+        assert dense_oracle_recall(dets, gts, (0.3,)) == expected
+        assert recall_at_iou(dets, gts, (0.3,)) == expected
 
     def test_no_detections(self):
         recalls = recall_at_iou([], [gt(0, 0)])
