@@ -8,6 +8,11 @@ The LiDAR grid is enhanced at the four cells around each hard LiDAR
 instance center with the projected camera guide feature, weighted by the
 pair's normalized center distance; every write reads the original grid, so
 overlapping pairs are last-write-wins. Cells no pair addresses are untouched.
+
+Both enhancers take an optional `out` grid, numpy style: a separate buffer
+that already holds the source values, such as a channel view of
+`fuse_grids(source, ...)`, which they update in place. Without `out` they
+enhance a fresh copy.
 """
 
 from __future__ import annotations
@@ -110,11 +115,29 @@ def nearest_cell(coord: tuple[float, float], spec: GridSpec) -> tuple[int, int]:
     )
 
 
+def _enhancement_target(source: BevGrid, proj: Projection, out: BevGrid | None) -> BevGrid:
+    """The grid an enhancer writes: `out` once checked, else a copy of `source`."""
+    if proj.target_channels != source.spec.channels:
+        raise ConfigurationError(
+            f"projection target {proj.target_channels} != grid channels "
+            f"{source.spec.channels}"
+        )
+    if out is None:
+        return source.copy()
+    if out.spec != source.spec:
+        raise ConfigurationError(f"out grid {out.spec} != source grid {source.spec}")
+    # Writes into the source would change the base values later pairs read.
+    if np.shares_memory(out.data, source.data):
+        raise ConfigurationError("out grid shares memory with the source grid")
+    return out
+
+
 def enhance_camera_grid(
     camera_grid: BevGrid,
     easy_pairs: list[InstancePair],
     camera_hard_pairs: list[InstancePair],
     proj: Projection,
+    out: BevGrid | None = None,
 ) -> BevGrid:
     """Point-guided enhancement of the camera grid.
 
@@ -122,14 +145,10 @@ def enhance_camera_grid(
     instance center, scale element-wise by the projected LiDAR guide feature,
     and write base + product at the nearest cell. The base is the original
     grid value for easy pairs and the running enhanced value for camera-hard
-    pairs, which therefore accumulate.
+    pairs, which therefore accumulate. Returns `out` when given (see the
+    module docstring), else a new grid.
     """
-    if proj.target_channels != camera_grid.spec.channels:
-        raise ConfigurationError(
-            f"projection target {proj.target_channels} != grid channels "
-            f"{camera_grid.spec.channels}"
-        )
-    enhanced = camera_grid.copy()
+    enhanced = _enhancement_target(camera_grid, proj, out)
     spec = camera_grid.spec
     for pairs, base in ((easy_pairs, camera_grid.data), (camera_hard_pairs, enhanced.data)):
         for pair in pairs:
@@ -145,19 +164,16 @@ def enhance_lidar_grid(
     lidar_grid: BevGrid,
     lidar_hard_pairs: list[InstancePair],
     proj: Projection,
+    out: BevGrid | None = None,
 ) -> BevGrid:
     """Image-guided enhancement of the LiDAR grid.
 
     Each pair adds its distance-weighted projected camera guide feature to
     the four cells surrounding the hard LiDAR instance center. Writes read
-    the original grid, so pairs sharing a cell do not stack.
+    the original grid, so pairs sharing a cell do not stack. Returns `out`
+    when given (see the module docstring), else a new grid.
     """
-    if proj.target_channels != lidar_grid.spec.channels:
-        raise ConfigurationError(
-            f"projection target {proj.target_channels} != grid channels "
-            f"{lidar_grid.spec.channels}"
-        )
-    enhanced = lidar_grid.copy()
+    enhanced = _enhancement_target(lidar_grid, proj, out)
     spec = lidar_grid.spec
     weights = pair_distance_weights(lidar_hard_pairs)
     for pair, w in zip(lidar_hard_pairs, weights.weights):

@@ -31,12 +31,18 @@ GRID_VERSION = 1
 PROJ_MAGIC = b"PROJ"
 
 _GRID_HEADER = struct.Struct("<4sIIIIdddd")
+# save_grid converts and writes the payload this many bytes of f32 at a
+# time, so no full-grid f32 copy is ever held.
+_WRITE_BLOCK_BYTES = 1 << 20
 _PROJ_HEADER = struct.Struct("<4sII")
 _BOX_KEYS = ("x", "y", "z", "w", "l", "h", "yaw", "vx", "vy")
 
 
 def save_grid(grid: BevGrid, path: str | Path) -> None:
-    """Write a grid and its JSON header sidecar. Values are rounded to f32."""
+    """Write a grid and its JSON header sidecar. Values are rounded to f32.
+
+    `grid.data` may be any view; the payload streams out in blocks of rows.
+    """
     path = Path(path)
     spec = grid.spec
     header = _GRID_HEADER.pack(
@@ -50,7 +56,11 @@ def save_grid(grid: BevGrid, path: str | Path) -> None:
         spec.y_range[0],
         spec.y_range[1],
     )
-    path.write_bytes(header + grid.data.astype("<f4").tobytes())
+    rows_per_block = max(1, _WRITE_BLOCK_BYTES // (spec.width_cells * spec.channels * 4))
+    with path.open("wb") as f:
+        f.write(header)
+        for r in range(0, spec.height_cells, rows_per_block):
+            f.write(grid.data[r : r + rows_per_block].astype("<f4", order="C"))
     sidecar = {
         "magic": GRID_MAGIC.decode(),
         "version": GRID_VERSION,
@@ -110,11 +120,13 @@ def load_projection(path: str | Path) -> Projection:
         raise DataFormatError(
             f"{path}: payload is {len(blob)} bytes, header implies {expected}"
         )
-    matrix = np.frombuffer(blob, dtype="<f4", offset=_PROJ_HEADER.size, count=rows * cols)
-    bias = np.frombuffer(blob, dtype="<f4", offset=_PROJ_HEADER.size + rows * cols * 4)
-    return Projection(
-        matrix.astype(np.float64).reshape(rows, cols), bias.astype(np.float64)
-    )
+    values = np.frombuffer(blob, dtype="<f4", offset=_PROJ_HEADER.size)
+    # Checked on the f32 view, as in load_grid, so the message names the file.
+    bad = int(np.count_nonzero(~np.isfinite(values)))
+    if bad:
+        raise DataFormatError(f"{path}: {bad} non-finite projection values")
+    values = values.astype(np.float64)
+    return Projection(values[: rows * cols].reshape(rows, cols), values[rows * cols :])
 
 
 def _box_to_record(box: Box3D) -> dict:

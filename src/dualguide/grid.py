@@ -81,9 +81,6 @@ class BevGrid:
     def copy(self) -> "BevGrid":
         return BevGrid(self.spec, self.data.copy())
 
-    def all_finite(self) -> bool:
-        return bool(np.isfinite(self.data).all())
-
 
 @dataclass(frozen=True)
 class ContextWeights:

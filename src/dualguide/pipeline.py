@@ -1,7 +1,8 @@
 """End-to-end fusion: refine, extract instances, match, enhance, fuse.
 
 `run_matching` is the refine-extract-match front stage every CLI command
-shares; `run_fusion` runs it, then enhances and fuses.
+shares; `run_fusion` runs it, then enhances into channel views of the fused
+grid.
 """
 
 from __future__ import annotations
@@ -121,9 +122,12 @@ def run_fusion(
 ) -> FusionResult:
     """Run the full fusion pipeline on in-memory inputs.
 
-    `run_matching` supplies the pairs. With enhance=False the input grids are
-    fused directly (the no-enhancement baseline); matching still runs so the
-    pair sets and cosine value stay reportable.
+    `run_matching` supplies the pairs. The fused grid is allocated once,
+    LiDAR channels first, holding the LiDAR grid and the enhancement source;
+    `enhanced_lidar` and `enhanced_camera` are views of its two channel
+    slices, enhanced in place. With enhance=False the views keep the input
+    grids (the no-enhancement baseline); matching still runs so the pair
+    sets and cosine value stay reportable.
     """
     projections = build_projections(config)
     stage = run_matching(camera_grid, lidar_grid, camera_proposals, lidar_proposals, config)
@@ -132,20 +136,18 @@ def run_fusion(
         pairs.easy, projections.lidar_squeeze, projections.camera_squeeze
     )
 
+    source = camera_grid
+    if enhance and config.camera_enhance_input == "refined":
+        source = stage.refined_camera
+    fused = fuse_grids(source, lidar_grid)
+    c_lid = lidar_grid.spec.channels
+    enhanced_lidar = BevGrid(lidar_grid.spec, fused.data[:, :, :c_lid])
+    enhanced_camera = BevGrid(source.spec, fused.data[:, :, c_lid:])
     if enhance:
-        enhance_source = (
-            camera_grid if config.camera_enhance_input == "original" else stage.refined_camera
-        )
-        enhanced_camera = enhance_camera_grid(
-            enhance_source, pairs.easy, pairs.camera_hard, projections.lidar_squeeze
-        )
-        enhanced_lidar = enhance_lidar_grid(
-            lidar_grid, pairs.lidar_hard, projections.excitation
-        )
-    else:
-        enhanced_camera = camera_grid.copy()
-        enhanced_lidar = lidar_grid.copy()
-    fused = fuse_grids(enhanced_camera, enhanced_lidar)
+        enhance_camera_grid(source, pairs.easy, pairs.camera_hard,
+                            projections.lidar_squeeze, out=enhanced_camera)
+        enhance_lidar_grid(lidar_grid, pairs.lidar_hard, projections.excitation,
+                           out=enhanced_lidar)
     return FusionResult(
         **vars(stage),
         enhanced_camera=enhanced_camera,

@@ -416,6 +416,17 @@ def _support_region(residual: np.ndarray, peak: tuple[int, int], level: float,
     return cells
 
 
+def cell_energy(grid: BevGrid) -> np.ndarray:
+    """Per-cell L2 norm across channels, as an H x W array.
+
+    Computed row by row, so no full-grid squared temporary is held.
+    """
+    energy = np.empty((grid.spec.height_cells, grid.spec.width_cells))
+    for r, row in enumerate(grid.data):
+        energy[r] = np.sqrt((row**2).sum(axis=1))
+    return energy
+
+
 def energy_peak_detections(
     grid: BevGrid,
     max_peaks: int | None = None,
@@ -431,7 +442,7 @@ def energy_peak_detections(
     inverts the quarter-max cut of a Gaussian bump whose std is the half
     extent. Scores are residuals normalized by the scene maximum.
     """
-    energy = np.sqrt((grid.data**2).sum(axis=2))
+    energy = cell_energy(grid)
     h, w = energy.shape
     residual = np.maximum(energy - float(np.median(energy)), 0.0)
     padded = np.full((h + 2, w + 2), -np.inf)

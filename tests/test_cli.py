@@ -1,7 +1,9 @@
 """CLI subcommands, exit codes, and the documented command chain."""
 
 import json
+import struct
 
+import numpy as np
 import pytest
 
 from dualguide.cli import main
@@ -69,6 +71,22 @@ class TestExitCodes:
         assert main(["fuse", "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert "lidar_proposals.jsonl: record 0" in err and "'x'" in err
+        assert not (workdir / "scene" / "fused.bevg").exists()
+
+    def test_non_finite_projection_is_data_error(self, workdir, capsys):
+        cfg = small_config(workdir)
+        assert main(["gen", "--seed", "1", "--objects", "4", "--config", cfg]) == 0
+        # lidar_squeeze maps 5 key points x 7 LiDAR channels to 5 camera channels.
+        weights = np.zeros(5 * 35 + 5, dtype="<f4")
+        weights[3] = np.nan
+        (workdir / "squeeze.proj").write_bytes(
+            struct.pack("<4sII", b"PROJ", 5, 35) + weights.tobytes()
+        )
+        config = json.loads((workdir / "config.json").read_text())
+        config["lidar_squeeze_path"] = "squeeze.proj"
+        (workdir / "config.json").write_text(json.dumps(config))
+        assert main(["fuse", "--config", cfg]) == 2
+        assert "squeeze.proj: 1 non-finite projection values" in capsys.readouterr().err
         assert not (workdir / "scene" / "fused.bevg").exists()
 
     def test_mismatched_grid_window_is_data_error(self, workdir, capsys):

@@ -414,6 +414,62 @@ class TestLidarEnhancement:
         assert np.array_equal(a.data, b.data)
 
 
+def random_pairs(rng, make, n):
+    return [
+        make(
+            (rng.uniform(0.5, 7.5), rng.uniform(0.5, 7.5)),
+            (rng.uniform(0.5, 7.5), rng.uniform(0.5, 7.5)),
+            rng.normal(size=3),
+            rng.normal(size=3),
+        )
+        for _ in range(n)
+    ]
+
+
+def enhance_camera(grid, proj, rng, out=None):
+    easy = random_pairs(rng, easy_pair, 3)
+    hard = random_pairs(rng, camera_hard_pair, 3)
+    return enhance_camera_grid(grid, easy, hard, proj, out=out)
+
+
+def enhance_lidar(grid, proj, rng, out=None):
+    return enhance_lidar_grid(grid, random_pairs(rng, lidar_hard_pair, 4), proj, out=out)
+
+
+@pytest.mark.parametrize("enhance", [enhance_camera, enhance_lidar])
+class TestOutBuffer:
+    def test_channel_view_of_fused_grid_gets_the_copy_result(self, enhance):
+        rng = np.random.default_rng(16)
+        grid = small_grid(rng)
+        other = small_grid(rng)
+        proj = Projection(rng.normal(size=(3, 3)), rng.normal(size=3))
+        fused = fuse_grids(grid, other)  # other's channels first, then grid's
+        view = BevGrid(grid.spec, fused.data[:, :, 3:])
+        got = enhance(grid, proj, np.random.default_rng(17), out=view)
+        want = enhance(grid, proj, np.random.default_rng(17))
+        assert got is view
+        assert not np.array_equal(want.data, grid.data)
+        assert np.array_equal(fused.data[:, :, 3:], want.data)
+        assert np.array_equal(fused.data[:, :, :3], other.data)
+
+    def test_out_sharing_memory_with_source_rejected(self, enhance):
+        rng = np.random.default_rng(18)
+        grid = small_grid(rng)
+        before = grid.data.copy()
+        proj = Projection(rng.normal(size=(3, 3)), rng.normal(size=3))
+        for out in (grid, BevGrid(grid.spec, grid.data[:, :, :])):
+            with pytest.raises(ConfigurationError, match="shares memory"):
+                enhance(grid, proj, rng, out=out)
+        assert np.array_equal(grid.data, before)
+
+    def test_out_spec_mismatch_rejected(self, enhance):
+        rng = np.random.default_rng(19)
+        grid = small_grid(rng)
+        out = BevGrid.zeros(GridSpec(8, 8, 3, (0.0, 16.0), (0.0, 8.0)))
+        with pytest.raises(ConfigurationError, match="out grid"):
+            enhance(grid, Projection.identity(3), rng, out=out)
+
+
 class TestFuse:
     def test_channel_layout(self):
         rng = np.random.default_rng(15)

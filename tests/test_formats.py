@@ -2,10 +2,15 @@
 
 import json
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from dualguide import formats
 from dualguide.config import PipelineConfig, config_from_dict, load_config
 from dualguide.enhance import Projection
 from dualguide.errors import ConfigurationError, DataFormatError
@@ -108,6 +113,38 @@ class TestGridFormat:
         assert GRID_MAGIC == b"BEVG"
 
 
+@st.composite
+def grids_and_views(draw):
+    """A grid over a whole C-contiguous array, or over a channel slice of one."""
+    h, w, c = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    extra = draw(st.integers(0, 3))
+    values = draw(hnp.arrays(
+        np.float64, (h, w, c + extra),
+        elements=st.floats(-1e30, 1e30, allow_nan=False, allow_infinity=False),
+    ))
+    start = draw(st.integers(0, extra))
+    return BevGrid(GridSpec(h, w, c, (-2.0, 5.0), (0.0, 10.0)), values[:, :, start : start + c])
+
+
+class TestGridFormatProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(grids_and_views(), st.integers(1, 256))
+    def test_streamed_save_equals_whole_payload(self, tmp_path_factory, grid, block_bytes):
+        path = tmp_path_factory.mktemp("grid") / "g.bevg"
+        # Small blocks so that multi-block writes and ragged last blocks occur.
+        with mock.patch.object(formats, "_WRITE_BLOCK_BYTES", block_bytes):
+            save_grid(grid, path)
+        spec = grid.spec
+        header = struct.pack(
+            "<4sIIIIdddd", GRID_MAGIC, 1, spec.height_cells, spec.width_cells,
+            spec.channels, *spec.x_range, *spec.y_range,
+        )
+        assert path.read_bytes() == header + grid.data.astype("<f4").tobytes()
+        back = load_grid(path)
+        assert back.spec == spec
+        assert np.array_equal(back.data, grid.data.astype(np.float32).astype(np.float64))
+
+
 class TestProjectionFormat:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(6)
@@ -120,6 +157,14 @@ class TestProjectionFormat:
         back = load_projection(path)
         assert np.array_equal(back.matrix, proj.matrix)
         assert np.array_equal(back.bias, proj.bias)
+
+    def test_non_finite_weights_rejected(self, tmp_path):
+        path = tmp_path / "p.proj"
+        matrix = np.array([[1.0, np.nan, 0.0], [0.0, 1.0, 0.0]], dtype="<f4")
+        bias = np.array([np.inf, 0.0], dtype="<f4")
+        path.write_bytes(struct.pack("<4sII", b"PROJ", 2, 3) + matrix.tobytes() + bias.tobytes())
+        with pytest.raises(DataFormatError, match=r"p\.proj: 2 non-finite projection values"):
+            load_projection(path)
 
     def test_truncation_rejected(self, tmp_path):
         path = tmp_path / "p.proj"

@@ -1,5 +1,8 @@
 """End-to-end fusion pipeline wiring."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -87,11 +90,29 @@ class TestRunFusion:
         if result.pairs.easy:
             assert result.cosine is not None and 0.0 <= result.cosine <= 2.0
 
+    @pytest.mark.parametrize("enhance", [True, False])
+    def test_enhanced_grids_are_views_of_fused(self, scene, enhance):
+        result = run(scene, enhance=enhance)
+        assert np.shares_memory(result.enhanced_lidar.data, result.fused.data)
+        assert np.shares_memory(result.enhanced_camera.data, result.fused.data)
+
+    def test_peak_memory_is_fused_plus_refined_buffers(self, scene):
+        run(scene)  # first call pays one-off allocations (imports, caches)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            result = run(scene)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        budget = result.fused.data.nbytes + result.refined_camera.data.nbytes
+        assert peak <= 1.1 * budget
+
     def test_all_finite(self, scene):
         result = run(scene)
         for grid in (result.refined_camera, result.enhanced_camera,
                      result.enhanced_lidar, result.fused):
-            assert grid.all_finite()
+            assert np.isfinite(grid.data).all()
 
 
 class TestProjectionWiring:

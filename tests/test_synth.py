@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dualguide.config import PipelineConfig
+from dualguide.enhance import fuse_grids
 from dualguide.errors import DataFormatError
 from dualguide.formats import save_grid
 from dualguide.geometry import points_in_box, project_to_bev, rotated_iou_2d
@@ -13,6 +14,7 @@ from dualguide.instances import build_instances
 from dualguide.synth import (
     CLASS_SIZES,
     POINTS_PER_STRENGTH,
+    cell_energy,
     energy_peak_detections,
     generate_scene,
     load_scene,
@@ -153,6 +155,13 @@ class TestEnergyPeakDetector:
         assert scores == sorted(scores, reverse=True)
         assert scores[0] == 1.0
         assert all(0.0 < s <= 1.0 for s in scores)
+
+    def test_cell_energy_equals_full_grid_expression(self):
+        scene = generate_scene(SMALL, seed=16, n_objects=8)
+        fused = fuse_grids(scene.camera_grid, scene.lidar_grid)
+        camera_view = BevGrid(scene.camera_grid.spec, fused.data[:, :, SMALL.lidar_channels:])
+        for grid in (scene.camera_grid, fused, camera_view):
+            assert np.array_equal(cell_energy(grid), np.sqrt((grid.data**2).sum(axis=2)))
 
     def test_deterministic(self):
         scene = generate_scene(SMALL, seed=15, n_objects=6)
