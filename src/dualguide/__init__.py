@@ -21,7 +21,6 @@ from .geometry import (
     Box3D,
     RotatedRect,
     center_distance_bev,
-    key_samples,
     points_in_box,
     project_to_bev,
     rotated_iou_2d,
@@ -41,7 +40,6 @@ from .instances import (
     InstanceFeature,
     Proposal,
     build_instances,
-    extract_instance,
     filter_by_score,
 )
 from .losses import (

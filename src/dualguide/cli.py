@@ -31,6 +31,7 @@ from .synth import (
     energy_peak_detections,
     generate_scene,
     load_scene,
+    scene_paths,
     write_scene,
 )
 
@@ -174,7 +175,8 @@ def _cmd_match(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    scene, _ = load_scene(args.scene)
+    _, paths = scene_paths(args.scene, ("annotations",))
+    annotations = formats.load_annotations(paths["annotations"])
     if args.dets and args.peaks_from:
         raise ConfigurationError("pass either --dets or --peaks-from, not both")
     if args.dets:
@@ -190,10 +192,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         dets = energy_peak_detections(formats.load_grid(fused), args.max_peaks)
 
     if args.axis == "none":
-        report = {"axis": "none", "bins": [evaluate(dets, scene.annotations).to_dict()]}
-        text = f"n_gt={len(scene.annotations)} n_det={len(dets)} mAP={report['bins'][0]['mean_ap']}"
+        report = {"axis": "none", "bins": [evaluate(dets, annotations).to_dict()]}
+        text = f"n_gt={len(annotations)} n_det={len(dets)} mAP={report['bins'][0]['mean_ap']}"
     else:
-        strat = stratified_eval(dets, scene.annotations, args.axis)
+        strat = stratified_eval(dets, annotations, args.axis)
         report = strat.to_dict()
         text = strat.to_text()
     print(text)
@@ -203,8 +205,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    scene, _ = load_scene(args.scene)
-    table = visibility_histogram(scene.annotations, scene.points)
+    _, paths = scene_paths(args.scene, ("annotations", "points"))
+    points = np.load(paths["points"]) if "points" in paths else None
+    table = visibility_histogram(formats.load_annotations(paths["annotations"]), points)
     print(f"{'token':>6} " + "".join(f"{b:>8}" for b in POINT_BUCKETS))
     for token in (4, 3, 2, 1):
         print(f"{token:>6} " + "".join(f"{n:>8}" for n in table[token]))

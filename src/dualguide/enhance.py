@@ -150,13 +150,16 @@ def enhance_camera_grid(
     """
     enhanced = _enhancement_target(camera_grid, proj, out)
     spec = camera_grid.spec
-    for pairs, base in ((easy_pairs, camera_grid.data), (camera_hard_pairs, enhanced.data)):
-        for pair in pairs:
-            coord = world_to_grid(member_of(pair, "camera").bev_center, spec)
-            sampled = bilinear_sample(camera_grid, coord)
-            update = sampled * proj.apply(member_of(pair, "lidar").raw)
-            cell = nearest_cell(coord, spec)
-            enhanced.data[cell] = base[cell] + update
+    pairs = easy_pairs + camera_hard_pairs
+    centers = np.array([member_of(p, "camera").bev_center for p in pairs]).reshape(-1, 2)
+    rows, cols = world_to_grid((centers[:, 0], centers[:, 1]), spec)
+    # Every sample reads the source grid, which no write below touches.
+    sampled = bilinear_sample(camera_grid, (rows, cols))
+    for k, pair in enumerate(pairs):
+        base = camera_grid.data if k < len(easy_pairs) else enhanced.data
+        update = sampled[k] * proj.apply(member_of(pair, "lidar").raw)
+        cell = nearest_cell((rows[k], cols[k]), spec)
+        enhanced.data[cell] = base[cell] + update
     return enhanced
 
 

@@ -143,11 +143,17 @@ def _box_to_record(box: Box3D) -> dict:
     }
 
 
+def _finite(name: str, value):
+    """`value` when it is a finite JSON number (a bool is not one), else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
 def _box_from_record(rec: dict) -> Box3D:
     values = [rec[key] for key in _BOX_KEYS[:7]] + [rec.get("vx", 0.0), rec.get("vy", 0.0)]
     for key, value in zip(_BOX_KEYS, values):
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-            raise ValueError(f"box field {key!r} must be a finite number, got {value!r}")
+        _finite(f"box field {key!r}", value)
     x, y, z, w, l, h, yaw, vx, vy = values
     return Box3D(center=(x, y, z), size=(w, l, h), yaw=yaw, velocity=(vx, vy))
 
@@ -191,8 +197,8 @@ def load_proposals(path: str | Path) -> list[Proposal]:
             proposals.append(
                 Proposal(
                     box=_box_from_record(rec),
-                    score=rec["score"],
-                    class_id=rec["class_id"],
+                    score=_finite("score", rec["score"]),
+                    class_id=_finite("class_id", rec["class_id"]),
                     modality=rec["modality"],
                 )
             )
@@ -223,9 +229,9 @@ def load_annotations(path: str | Path) -> list[Annotation]:
             annotations.append(
                 Annotation(
                     box=_box_from_record(rec),
-                    class_id=rec["class_id"],
-                    visibility_token=rec["visibility_token"],
-                    num_lidar_pts=rec["num_lidar_pts"],
+                    class_id=_finite("class_id", rec["class_id"]),
+                    visibility_token=_finite("visibility_token", rec["visibility_token"]),
+                    num_lidar_pts=_finite("num_lidar_pts", rec["num_lidar_pts"]),
                 )
             )
         except (KeyError, ValueError) as exc:
@@ -250,8 +256,8 @@ def load_detections(path: str | Path) -> list[Detection]:
             detections.append(
                 Detection(
                     box=_box_from_record(rec),
-                    class_id=rec["class_id"],
-                    score=rec["score"],
+                    class_id=_finite("class_id", rec["class_id"]),
+                    score=_finite("score", rec["score"]),
                 )
             )
         except (KeyError, ValueError) as exc:

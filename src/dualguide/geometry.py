@@ -59,20 +59,6 @@ class RotatedRect:
         return self.extent[0] * self.extent[1]
 
 
-@dataclass(frozen=True)
-class KeySamples:
-    """Footprint center plus the midpoints of its four boundary lines (2D m)."""
-
-    center: tuple[float, float]
-    top: tuple[float, float]
-    bottom: tuple[float, float]
-    left: tuple[float, float]
-    right: tuple[float, float]
-
-    def ordered(self) -> list[tuple[float, float]]:
-        return [self.center, self.top, self.bottom, self.left, self.right]
-
-
 def project_to_bev(box: Box3D) -> RotatedRect:
     """Drop z and h: the box footprint on the ground plane."""
     return RotatedRect(
@@ -89,32 +75,28 @@ def box_axes(yaw: float) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
-def key_samples(rect: RotatedRect) -> KeySamples:
-    """Center and the four boundary-line midpoints of a footprint."""
-    cx, cy = rect.center
-    u, v = box_axes(rect.yaw)
-    hw, hl = rect.extent[0] / 2.0, rect.extent[1] / 2.0
-    return KeySamples(
-        center=(cx, cy),
-        top=(cx + hl * v[0], cy + hl * v[1]),
-        bottom=(cx - hl * v[0], cy - hl * v[1]),
-        left=(cx - hw * u[0], cy - hw * u[1]),
-        right=(cx + hw * u[0], cy + hw * u[1]),
-    )
+# Signs of the heading half-axis hw*u and the lateral half-axis hl*v at each
+# footprint key point: the center, the four corners counter-clockwise from
+# the (+w, +l) corner, then the top, bottom, left and right boundary
+# midpoints. Multiplying by -1, 0 or 1 is exact, c + (-x) == c - x and
+# adding a zero leaves a nonzero sum unchanged in IEEE arithmetic, so each
+# point equals the scalar c +/- hw*u, c +/- hl*v or (c +/- hw*u) +/- hl*v
+# bit for bit.
+KEY_POINT_SIGNS = np.array(
+    [
+        [0.0, 0.0],
+        [1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0],
+        [0.0, 1.0], [0.0, -1.0], [-1.0, 0.0], [1.0, 0.0],
+    ]
+)
+CORNER_SIGNS = KEY_POINT_SIGNS[1:5]
 
 
-# Signs of the heading and lateral half-axes at each corner. Multiplying by
-# -1 is exact and c + (-x) == c - x in IEEE arithmetic, so the corners equal
-# the scalar (c +/- hw*u) +/- hl*v bit for bit.
-_CORNER_SIGNS_U = np.array([[1.0], [-1.0], [-1.0], [1.0]])
-_CORNER_SIGNS_V = np.array([[1.0], [1.0], [-1.0], [-1.0]])
-
-
-def footprint_corners(rects: Sequence[RotatedRect]) -> np.ndarray:
-    """(N, 4, 2) corners, each counter-clockwise from the (+w, +l) corner.
+def footprint_points(rects: Sequence[RotatedRect], signs: np.ndarray) -> np.ndarray:
+    """(N, K, 2) key points of each footprint, one per row of a (K, 2) sign table.
 
     The axes u = (cos, sin) and v = (-sin, cos) come from libm `math.cos`
-    and `math.sin`, and each coordinate is `(c +/- hw*u) +/- hl*v`.
+    and `math.sin`, and point k is `(c + s_k0*hw*u) + s_k1*hl*v`.
     """
     p = np.array(
         [
@@ -126,12 +108,7 @@ def footprint_corners(rects: Sequence[RotatedRect]) -> np.ndarray:
     ).reshape(len(rects), 8)
     hu = (p[:, 2:3] * p[:, 4:6])[:, None, :]
     hv = (p[:, 3:4] * p[:, 6:8])[:, None, :]
-    return (p[:, None, 0:2] + _CORNER_SIGNS_U * hu) + _CORNER_SIGNS_V * hv
-
-
-def rect_corners(rect: RotatedRect) -> np.ndarray:
-    """4x2 corner array, counter-clockwise from the (+w, +l) corner."""
-    return footprint_corners([rect])[0]
+    return (p[:, None, 0:2] + signs[:, 0:1] * hu) + signs[:, 1:2] * hv
 
 
 def overlap_candidates(
@@ -225,7 +202,9 @@ def rotated_iou_pairs(a: Sequence[RotatedRect], b: Sequence[RotatedRect]) -> np.
     """
     if len(a) != len(b):
         raise ContractError(f"{len(a)} footprints paired with {len(b)}")
-    inter = _intersection_areas(footprint_corners(a), footprint_corners(b))
+    inter = _intersection_areas(
+        footprint_points(a, CORNER_SIGNS), footprint_points(b, CORNER_SIGNS)
+    )
     union = np.array([ra.area + rb.area for ra, rb in zip(a, b)], dtype=np.float64) - inter
     iou = np.zeros(len(a))
     np.divide(inter, union, out=iou, where=union > 0.0)

@@ -128,29 +128,42 @@ def grid_to_world(coord: tuple[float, float], spec: GridSpec) -> tuple[float, fl
 
 
 def bilinear_sample(grid: BevGrid, coord: tuple[float, float]) -> np.ndarray:
-    """Sample a C-vector at a fractional (row, col) by 4-cell bilinear blending.
+    """Sample C-vectors at fractional (row, col) coordinates by 4-cell blending.
 
-    Coordinates are clamped to [0, H-1] x [0, W-1] first (border replicate),
-    so any input is valid. Exact at integer coordinates.
+    row and col may be numbers or numpy arrays of one shape S; the result
+    is (*S, C). Coordinates are clamped to [0, H-1] x [0, W-1] first (border
+    replicate), so any finite input is valid. Exact at integer coordinates.
     """
     h, w = grid.spec.height_cells, grid.spec.width_cells
-    r = min(max(float(coord[0]), 0.0), float(h - 1))
-    c = min(max(float(coord[1]), 0.0), float(w - 1))
-    r0 = min(int(np.floor(r)), h - 2) if h > 1 else 0
-    c0 = min(int(np.floor(c)), w - 2) if w > 1 else 0
-    r1 = min(r0 + 1, h - 1)
-    c1 = min(c0 + 1, w - 1)
+    shape = np.shape(coord[0])
+    # Flat index arrays make every gather below a copy, even for one point.
+    r = np.asarray(coord[0], dtype=np.float64).reshape(-1)
+    c = np.asarray(coord[1], dtype=np.float64).reshape(-1)
+    # The scalar min(max(x, 0.0), top), including which zero it keeps.
+    r = np.where(r < 0.0, 0.0, r)
+    r = np.where(r > h - 1, float(h - 1), r)
+    c = np.where(c < 0.0, 0.0, c)
+    c = np.where(c > w - 1, float(w - 1), c)
+    # The top-left cell, one before the last so that cell + 1 exists; on a
+    # one-row (one-column) grid it is row (column) 0 and cell + 1 clamps to it.
+    r0 = np.minimum(np.floor(r).astype(np.intp), max(h - 2, 0))
+    c0 = np.minimum(np.floor(c).astype(np.intp), max(w - 2, 0))
+    r1 = np.minimum(r0 + 1, h - 1)
+    c1 = np.minimum(c0 + 1, w - 1)
     fr = r - r0
     fc = c - c0
     d = grid.data
     # Explicit 4-weight form; enhancement semantics depend on this exact
-    # expression order, so keep it as a flat weighted sum.
-    return (
-        (1.0 - fr) * (1.0 - fc) * d[r0, c0]
-        + (1.0 - fr) * fc * d[r0, c1]
-        + fr * (1.0 - fc) * d[r1, c0]
-        + fr * fc * d[r1, c1]
-    )
+    # expression order, so keep it as a flat weighted sum, accumulated left
+    # to right in place: ((w00*d00 + w01*d01) + w10*d10) + w11*d11.
+    out = d[r0, c0]
+    out *= ((1.0 - fr) * (1.0 - fc))[..., None]
+    for rows, cols, weight in ((r0, c1, (1.0 - fr) * fc), (r1, c0, fr * (1.0 - fc)),
+                               (r1, c1, fr * fc)):
+        term = d[rows, cols]
+        term *= weight[..., None]
+        out += term
+    return out.reshape(*shape, grid.spec.channels)
 
 
 def surrounding_cells(

@@ -3,6 +3,8 @@
 Each surviving proposal is projected to its ground-plane footprint, a set of
 key points is read off the footprint, every point is bilinear-sampled from
 the grid, and the samples are concatenated into one flat feature vector.
+All survivors' key points come from one `footprint_points` call and are
+sampled with one `bilinear_sample` call.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ContractError
-from .geometry import Box3D, key_samples, project_to_bev, rect_corners
+from .geometry import KEY_POINT_SIGNS, Box3D, footprint_points, project_to_bev
 from .grid import BevGrid, bilinear_sample, world_to_grid
 from .taxonomy import NUM_CLASSES
 
@@ -21,19 +23,17 @@ log = logging.getLogger(__name__)
 
 MODALITIES = ("lidar", "camera")
 
-SAMPLING_STRATEGIES = (
-    "center",
-    "center+vertices",
-    "center+boundary_mid",
-    "center+vertices+boundary_mid",
-)
-
-SAMPLES_PER_STRATEGY = {
-    "center": 1,
-    "center+vertices": 5,
-    "center+boundary_mid": 5,
-    "center+vertices+boundary_mid": 9,
+# Rows of geometry.KEY_POINT_SIGNS each strategy samples, in concatenation
+# order: center, then the four corners (counter-clockwise from the +w,+l
+# corner), then the top, bottom, left and right boundary midpoints.
+STRATEGY_KEY_POINTS = {
+    "center": (0,),
+    "center+vertices": (0, 1, 2, 3, 4),
+    "center+boundary_mid": (0, 5, 6, 7, 8),
+    "center+vertices+boundary_mid": (0, 1, 2, 3, 4, 5, 6, 7, 8),
 }
+SAMPLING_STRATEGIES = tuple(STRATEGY_KEY_POINTS)
+SAMPLES_PER_STRATEGY = {s: len(rows) for s, rows in STRATEGY_KEY_POINTS.items()}
 
 DEFAULT_STRATEGY = "center+boundary_mid"
 
@@ -62,7 +62,6 @@ class InstanceFeature:
 
     proposal: Proposal
     raw: np.ndarray
-    sampling_strategy: str
 
     @property
     def bev_center(self) -> tuple[float, float]:
@@ -74,51 +73,6 @@ def filter_by_score(proposals: list[Proposal], gamma: float) -> list[Proposal]:
     return [p for p in proposals if p.score >= gamma]
 
 
-def sample_points(box: Box3D, strategy: str) -> list[tuple[float, float]]:
-    """Key points of a box footprint in the strategy's fixed concatenation order.
-
-    Order: center, then the four corners (counter-clockwise from the +w,+l
-    corner) when the strategy includes vertices, then the four boundary
-    midpoints (top, bottom, left, right) when it includes them.
-    """
-    if strategy not in SAMPLING_STRATEGIES:
-        raise ConfigurationError(
-            f"unknown sampling strategy {strategy!r}; expected one of {SAMPLING_STRATEGIES}"
-        )
-    rect = project_to_bev(box)
-    ks = key_samples(rect)
-    points: list[tuple[float, float]] = [ks.center]
-    if "vertices" in strategy:
-        points.extend(tuple(p) for p in rect_corners(rect))
-    if "boundary_mid" in strategy:
-        points.extend([ks.top, ks.bottom, ks.left, ks.right])
-    return points
-
-
-def extract_instance(
-    grid: BevGrid, proposal: Proposal, strategy: str = DEFAULT_STRATEGY
-) -> InstanceFeature | None:
-    """Sample one proposal's key points and concatenate the features.
-
-    Returns None (with a log notice) when the box center falls outside the
-    grid window; a clamped sample there would read unrelated border cells.
-    """
-    x, y = proposal.box.center[0], proposal.box.center[1]
-    if not grid.spec.contains(x, y):
-        log.info(
-            "skipping %s proposal with center (%.2f, %.2f) outside grid window",
-            proposal.modality,
-            x,
-            y,
-        )
-        return None
-    parts = [
-        bilinear_sample(grid, world_to_grid(p, grid.spec))
-        for p in sample_points(proposal.box, strategy)
-    ]
-    return InstanceFeature(proposal, np.concatenate(parts), strategy)
-
-
 def build_instances(
     grid: BevGrid,
     proposals: list[Proposal],
@@ -127,11 +81,27 @@ def build_instances(
 ) -> list[InstanceFeature]:
     """Score-filter proposals, then extract an instance feature per survivor.
 
-    Output preserves input order; out-of-window survivors are skipped.
+    Output preserves input order. A survivor whose box center falls outside
+    the grid window is skipped with a log notice: a clamped sample there
+    would read unrelated border cells.
     """
+    if strategy not in STRATEGY_KEY_POINTS:
+        raise ConfigurationError(
+            f"unknown sampling strategy {strategy!r}; expected one of {SAMPLING_STRATEGIES}"
+        )
     survivors = filter_by_score(proposals, gamma)
+    kept = []
     for p in survivors:
         if p.modality != survivors[0].modality:
             raise ConfigurationError("proposals for one grid must share a modality")
-    extracted = (extract_instance(grid, p, strategy) for p in survivors)
-    return [inst for inst in extracted if inst is not None]
+        x, y = p.box.center[0], p.box.center[1]
+        if grid.spec.contains(x, y):
+            kept.append(p)
+        else:
+            log.info("skipping %s proposal with center (%.2f, %.2f) outside grid window",
+                     p.modality, x, y)
+    signs = KEY_POINT_SIGNS[list(STRATEGY_KEY_POINTS[strategy])]
+    points = footprint_points([project_to_bev(p.box) for p in kept], signs)
+    features = bilinear_sample(grid, world_to_grid((points[..., 0], points[..., 1]), grid.spec))
+    raws = features.reshape(len(kept), len(signs) * grid.spec.channels)
+    return [InstanceFeature(p, raw) for p, raw in zip(kept, raws)]

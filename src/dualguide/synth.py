@@ -333,18 +333,36 @@ def write_scene(scene: Scene, out_dir: str | Path, config: PipelineConfig, seed:
     return manifest_path
 
 
-def load_scene(manifest_path: str | Path) -> tuple[Scene, dict]:
-    """Load a scene from its manifest, checking files against the echoed spec."""
+def scene_paths(
+    manifest_path: str | Path, keys: tuple[str, ...]
+) -> tuple[dict, dict[str, Path]]:
+    """A scene manifest and the path of each named file it sets, checked to exist.
+
+    A key the manifest leaves unset, such as the optional "points", is left out.
+    """
     manifest_path = Path(manifest_path)
     manifest = load_json(manifest_path)
-    root = manifest_path.parent
+    paths = {}
+    for key in keys:
+        name = manifest["files"].get(key)
+        if name is None:
+            continue
+        path = manifest_path.parent / name
+        if not path.exists():
+            raise DataFormatError(f"manifest references missing file {name!r}")
+        paths[key] = path
+    return manifest, paths
+
+
+def load_scene(manifest_path: str | Path) -> tuple[Scene, dict]:
+    """Load a scene from its manifest, checking files against the echoed spec."""
+    manifest, paths = scene_paths(manifest_path, (
+        "camera_grid", "lidar_grid", "camera_proposals", "lidar_proposals",
+        "annotations", "points",
+    ))
     files = manifest["files"]
-    for key in ("camera_grid", "lidar_grid", "camera_proposals",
-                "lidar_proposals", "annotations"):
-        if not (root / files[key]).exists():
-            raise DataFormatError(f"manifest references missing file {files[key]!r}")
-    camera_grid = load_grid(root / files["camera_grid"])
-    lidar_grid = load_grid(root / files["lidar_grid"])
+    camera_grid = load_grid(paths["camera_grid"])
+    lidar_grid = load_grid(paths["lidar_grid"])
     echo = manifest["grid"]
     for grid, channels_key in ((camera_grid, "camera_channels"), (lidar_grid, "lidar_channels")):
         spec = grid.spec
@@ -359,9 +377,7 @@ def load_scene(manifest_path: str | Path) -> tuple[Scene, dict]:
                 f"grid header of {files['camera_grid']!r}/{files['lidar_grid']!r} "
                 "does not match the manifest's grid spec"
             )
-    points = None
-    if files.get("points"):
-        points = np.load(root / files["points"])
+    points = np.load(paths["points"]) if "points" in paths else None
     objects = [
         SceneObject(
             box=Box3D(
@@ -381,9 +397,9 @@ def load_scene(manifest_path: str | Path) -> tuple[Scene, dict]:
     scene = Scene(
         camera_grid,
         lidar_grid,
-        load_proposals(root / files["camera_proposals"]),
-        load_proposals(root / files["lidar_proposals"]),
-        load_annotations(root / files["annotations"]),
+        load_proposals(paths["camera_proposals"]),
+        load_proposals(paths["lidar_proposals"]),
+        load_annotations(paths["annotations"]),
         objects,
         points,
     )

@@ -73,6 +73,18 @@ class TestExitCodes:
         assert "lidar_proposals.jsonl: record 0" in err and "'x'" in err
         assert not (workdir / "scene" / "fused.bevg").exists()
 
+    def test_non_numeric_score_is_data_error(self, workdir, capsys):
+        cfg = small_config(workdir)
+        assert main(["gen", "--seed", "2", "--objects", "6", "--config", cfg]) == 0
+        path = workdir / "scene" / "lidar_proposals.jsonl"
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        records[1]["score"] = "0.9"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert main(["fuse", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "lidar_proposals.jsonl: record 1: score must be a finite number, got '0.9'" in err
+        assert not (workdir / "scene" / "fused.bevg").exists()
+
     def test_non_finite_projection_is_data_error(self, workdir, capsys):
         cfg = small_config(workdir)
         assert main(["gen", "--seed", "1", "--objects", "4", "--config", cfg]) == 0
@@ -160,6 +172,27 @@ class TestCommandChain:
         assert main(["eval", "--dets", "dets.jsonl", "--axis", "size", "--out", "r.json"]) == 0
         report = json.loads((workdir / "r.json").read_text())
         assert report["axis"] == "size"
+
+    def test_eval_and_stats_read_only_what_they_use(self, workdir, capsys):
+        cfg = small_config(workdir)
+        main(["gen", "--seed", "5", "--objects", "4", "--points", "--config", cfg])
+        from dualguide.formats import load_annotations, save_detections
+        from dualguide.metrics import Detection
+
+        anns = load_annotations(workdir / "scene" / "annotations.jsonl")
+        save_detections([Detection(a.box, a.class_id, 0.9) for a in anns], workdir / "dets.jsonl")
+        for name in ("camera.bevg", "lidar.bevg", "camera_proposals.jsonl"):
+            (workdir / "scene" / name).unlink()
+        assert main(["eval", "--dets", "dets.jsonl"]) == 0
+        assert main(["stats"]) == 0
+        (workdir / "scene" / "points.npy").unlink()
+        assert main(["eval", "--dets", "dets.jsonl"]) == 0
+        assert main(["stats"]) == 2
+        (workdir / "scene" / "annotations.jsonl").unlink()
+        assert main(["eval", "--dets", "dets.jsonl"]) == 2
+        err = capsys.readouterr().err
+        assert "manifest references missing file 'points.npy'" in err
+        assert "manifest references missing file 'annotations.jsonl'" in err
 
     def test_eval_without_detections_or_fused_grid_fails(self, workdir, capsys):
         cfg = small_config(workdir)

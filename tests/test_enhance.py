@@ -34,7 +34,7 @@ from dualguide.matching import (
 
 def make_instance(x, y, modality, raw, w=1.5, l=1.5):
     prop = Proposal(Box3D((x, y, 1.0), (w, l, 1.0), 0.0), 0.9, 0, modality)
-    return InstanceFeature(prop, np.asarray(raw, dtype=np.float64), "center")
+    return InstanceFeature(prop, np.asarray(raw, dtype=np.float64))
 
 
 def easy_pair(lidar_xy, camera_xy, lidar_raw, camera_raw):

@@ -243,6 +243,25 @@ class TestJsonLines:
         with pytest.raises(DataFormatError, match=f"boxes.jsonl: record 1: box field '{key}'"):
             load(path)
 
+    @pytest.mark.parametrize("value", ["1", None, True, float("nan")])
+    @pytest.mark.parametrize("save, load, item, key", [
+        (save_proposals, load_proposals, Proposal(Box3D((0, 1, 0.5), (1, 2, 1), 0.1), 0.5, 3, "lidar"), "score"),
+        (save_proposals, load_proposals, Proposal(Box3D((0, 1, 0.5), (1, 2, 1), 0.1), 0.5, 3, "lidar"), "class_id"),
+        (save_annotations, load_annotations, Annotation(Box3D((0, 1, 0.5), (1, 2, 1), 0.1), 3), "class_id"),
+        (save_annotations, load_annotations, Annotation(Box3D((0, 1, 0.5), (1, 2, 1), 0.1), 3), "visibility_token"),
+        (save_annotations, load_annotations, Annotation(Box3D((0, 1, 0.5), (1, 2, 1), 0.1), 3), "num_lidar_pts"),
+        (save_detections, load_detections, Detection(Box3D((0, 1, 0.5), (1, 2, 1), 0.1), 3, 0.75), "class_id"),
+        (save_detections, load_detections, Detection(Box3D((0, 1, 0.5), (1, 2, 1), 0.1), 3, 0.75), "score"),
+    ])
+    def test_non_numeric_field_rejected(self, tmp_path, save, load, item, key, value):
+        path = tmp_path / "records.jsonl"
+        save([item, item], path)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        records[1][key] = value
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        with pytest.raises(DataFormatError, match=f"records.jsonl: record 1: {key} must be a finite number"):
+            load(path)
+
 
 class TestConfig:
     def test_defaults_match_reference_settings(self):

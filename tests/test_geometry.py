@@ -9,20 +9,21 @@ from hypothesis import strategies as st
 
 from dualguide.errors import ContractError
 from dualguide.geometry import (
+    CORNER_SIGNS,
+    KEY_POINT_SIGNS,
     Box3D,
     RotatedRect,
     center_distance_bev,
-    footprint_corners,
-    key_samples,
+    footprint_points,
     normalize_yaw,
     overlap_candidates,
     points_in_box,
     project_to_bev,
-    rect_corners,
     rotated_iou_2d,
     rotated_iou_pairs,
     volume,
 )
+from dualguide.instances import STRATEGY_KEY_POINTS
 
 
 def oracle_corners(rect: RotatedRect) -> np.ndarray:
@@ -39,6 +40,36 @@ def oracle_corners(rect: RotatedRect) -> np.ndarray:
             c + hw * u - hl * v,
         ]
     )
+
+
+def oracle_key_samples(rect: RotatedRect) -> dict[str, tuple[float, float]]:
+    """Scalar footprint center and boundary-line midpoints, one coordinate at a time."""
+    cx, cy = rect.center
+    u = np.array([math.cos(rect.yaw), math.sin(rect.yaw)])
+    v = np.array([-math.sin(rect.yaw), math.cos(rect.yaw)])
+    hw, hl = rect.extent[0] / 2.0, rect.extent[1] / 2.0
+    return {
+        "center": (cx, cy),
+        "top": (cx + hl * v[0], cy + hl * v[1]),
+        "bottom": (cx - hl * v[0], cy - hl * v[1]),
+        "left": (cx - hw * u[0], cy - hw * u[1]),
+        "right": (cx + hw * u[0], cy + hw * u[1]),
+    }
+
+
+def oracle_strategy_points(rect: RotatedRect, strategy: str) -> np.ndarray:
+    """(K, 2) scalar key points of a footprint in a strategy's concatenation order.
+
+    Center, then the four corners when the strategy includes vertices, then
+    the top, bottom, left and right midpoints when it includes them.
+    """
+    ks = oracle_key_samples(rect)
+    points = [ks["center"]]
+    if "vertices" in strategy:
+        points.extend(tuple(p) for p in oracle_corners(rect))
+    if "boundary_mid" in strategy:
+        points.extend([ks["top"], ks["bottom"], ks["left"], ks["right"]])
+    return np.array(points)
 
 
 def oracle_polygon_area(poly: list[tuple[float, float]]) -> float:
@@ -94,7 +125,7 @@ def oracle_iou(a: RotatedRect, b: RotatedRect) -> float:
 
 def mc_iou(a: RotatedRect, b: RotatedRect, n: int, rng: np.random.Generator) -> float:
     """Monte-Carlo IoU: uniform samples over the bounding box of both rects."""
-    corners = np.vstack([rect_corners(a), rect_corners(b)])
+    corners = np.vstack([oracle_corners(a), oracle_corners(b)])
     lo, hi = corners.min(axis=0), corners.max(axis=0)
     pts = rng.uniform(lo, hi, size=(n, 2))
 
@@ -180,42 +211,60 @@ class TestProjectToBev:
             assert project_to_bev(box).area == pytest.approx(w * l)
 
 
-class TestKeySamples:
+def key_points(rect: RotatedRect) -> np.ndarray:
+    """All nine key points of one footprint, in KEY_POINT_SIGNS row order."""
+    return footprint_points([rect], KEY_POINT_SIGNS)[0]
+
+
+class TestKeyPoints:
     def test_axis_aligned_positions(self):
-        ks = key_samples(RotatedRect((0, 0), (2, 4), 0.0))
-        assert ks.center == (0, 0)
-        assert ks.left == pytest.approx((-1, 0))
-        assert ks.right == pytest.approx((1, 0))
-        assert ks.bottom == pytest.approx((0, -2))
-        assert ks.top == pytest.approx((0, 2))
+        pts = key_points(RotatedRect((0, 0), (2, 4), 0.0))
+        center, top, bottom, left, right = pts[0], pts[5], pts[6], pts[7], pts[8]
+        assert tuple(center) == (0, 0)
+        assert tuple(left) == pytest.approx((-1, 0))
+        assert tuple(right) == pytest.approx((1, 0))
+        assert tuple(bottom) == pytest.approx((0, -2))
+        assert tuple(top) == pytest.approx((0, 2))
 
     def test_quarter_turn_rotates_points(self):
-        ks = key_samples(RotatedRect((0, 0), (2, 4), math.pi / 2))
-        assert ks.right == pytest.approx((0, 1))
-        assert ks.top == pytest.approx((-2, 0))
+        pts = key_points(RotatedRect((0, 0), (2, 4), math.pi / 2))
+        assert tuple(pts[8]) == pytest.approx((0, 1))
+        assert tuple(pts[5]) == pytest.approx((-2, 0))
 
     def test_points_lie_on_or_inside_rect(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
             rect = random_rect(rng)
-            corners = rect_corners(rect)
-            for p in key_samples(rect).ordered():
+            corners = oracle_corners(rect)
+            for p in key_points(rect):
                 assert point_in_convex_polygon(p, corners)
 
     def test_midpoints_at_half_extent_from_center(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
             rect = random_rect(rng)
-            ks = key_samples(rect)
-            c = np.array(rect.center)
-            assert np.linalg.norm(np.array(ks.left) - c) == pytest.approx(rect.extent[0] / 2, abs=1e-9)
-            assert np.linalg.norm(np.array(ks.right) - c) == pytest.approx(rect.extent[0] / 2, abs=1e-9)
-            assert np.linalg.norm(np.array(ks.top) - c) == pytest.approx(rect.extent[1] / 2, abs=1e-9)
-            assert np.linalg.norm(np.array(ks.bottom) - c) == pytest.approx(rect.extent[1] / 2, abs=1e-9)
+            pts = key_points(rect)
+            dist = np.linalg.norm(pts[5:] - np.array(rect.center), axis=1)
+            half_w, half_l = rect.extent[0] / 2, rect.extent[1] / 2
+            assert dist == pytest.approx([half_l, half_l, half_w, half_w], abs=1e-9)
 
     def test_deterministic(self):
         rect = RotatedRect((1.3, -0.7), (1.9, 4.6), 0.83)
-        assert key_samples(rect) == key_samples(rect)
+        assert np.array_equal(key_points(rect), key_points(rect))
+
+    @pytest.mark.parametrize("strategy", list(STRATEGY_KEY_POINTS))
+    def test_bit_identical_to_scalar_oracle(self, strategy):
+        rng = np.random.default_rng(24)
+        rects = [random_rect(rng) for _ in range(300)]
+        rects += [random_rect(rng, yaw_zero=True) for _ in range(50)]
+        # Window-scale centers, where c +/- h*u rounds at a coarser step.
+        rects += [
+            RotatedRect((rng.uniform(-54, 54), rng.uniform(-54, 54)), r.extent, r.yaw)
+            for r in rects[:100]
+        ]
+        signs = KEY_POINT_SIGNS[list(STRATEGY_KEY_POINTS[strategy])]
+        expected = np.array([oracle_strategy_points(r, strategy) for r in rects])
+        assert np.array_equal(footprint_points(rects, signs), expected)
 
 
 class TestRotatedIou:
@@ -355,8 +404,7 @@ class TestBatchedKernel:
         rng = np.random.default_rng(22)
         rects = [random_rect(rng) for _ in range(500)]
         expected = np.array([oracle_corners(r) for r in rects])
-        assert np.array_equal(footprint_corners(rects), expected)
-        assert np.array_equal(rect_corners(rects[0]), expected[0])
+        assert np.array_equal(footprint_points(rects, CORNER_SIGNS), expected)
 
     def test_scalar_call_is_one_element_batch(self):
         rng = np.random.default_rng(23)

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dualguide.errors import ConfigurationError
 from dualguide.grid import (
@@ -15,9 +18,26 @@ from dualguide.grid import (
     world_to_grid,
 )
 
+from test_enhance import ref_bilinear
+
 
 def small_spec(h=6, w=8, c=3):
     return GridSpec(h, w, c, x_range=(0.0, float(w)), y_range=(0.0, float(h)))
+
+
+# Fractional, exact-integer and out-of-window coordinates.
+sample_coords = st.one_of(
+    st.floats(-20.0, 20.0, allow_nan=False), st.integers(-3, 7).map(float)
+)
+
+
+@st.composite
+def grids_and_points(draw):
+    """A grid of 1 to 4 rows and columns and up to 12 (row, col) points."""
+    h, w, c = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    data = draw(hnp.arrays(np.float64, (h, w, c), elements=st.floats(-1e3, 1e3)))
+    points = draw(st.lists(st.tuples(sample_coords, sample_coords), max_size=12))
+    return BevGrid(small_spec(h, w, c), data), points
 
 
 class TestGridSpec:
@@ -111,6 +131,23 @@ class TestBilinearSample:
             got = bilinear_sample(grid, (r, c))
             assert np.all(got >= corners.min(axis=0) - 1e-12)
             assert np.all(got <= corners.max(axis=0) + 1e-12)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(grids_and_points())
+    def test_arrays_bit_identical_to_scalar_reference(self, grid_points):
+        grid, points = grid_points
+        rows = np.array([p[0] for p in points], dtype=np.float64)
+        cols = np.array([p[1] for p in points], dtype=np.float64)
+        expected = [ref_bilinear(grid.data, grid.spec, p) for p in points]
+        got = bilinear_sample(grid, (rows, cols))
+        assert got.shape == (len(points), grid.spec.channels)
+        for k, ref in enumerate(expected):
+            assert got[k].tobytes() == ref.tobytes()
+        # Any coordinate shape: (n, 1) in, (n, 1, C) out, same values.
+        column = bilinear_sample(grid, (rows[:, None], cols[:, None]))
+        assert column.tobytes() == got.tobytes()
+        for p, ref in zip(points, expected):
+            assert bilinear_sample(grid, p).tobytes() == ref.tobytes()
 
     def test_out_of_range_clamps_to_border(self):
         spec = small_spec()

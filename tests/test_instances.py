@@ -1,22 +1,23 @@
 """Score filtering and key-point instance feature extraction."""
 
+import logging
 import math
 
 import numpy as np
 import pytest
 
 from dualguide.errors import ConfigurationError
-from dualguide.geometry import Box3D, key_samples, project_to_bev, rect_corners
-from dualguide.grid import BevGrid, GridSpec
+from dualguide.geometry import Box3D, project_to_bev
+from dualguide.grid import BevGrid, GridSpec, bilinear_sample, world_to_grid
 from dualguide.instances import (
     SAMPLES_PER_STRATEGY,
     SAMPLING_STRATEGIES,
     Proposal,
     build_instances,
-    extract_instance,
     filter_by_score,
-    sample_points,
 )
+
+from test_geometry import oracle_strategy_points
 
 
 def make_spec(c=3):
@@ -42,33 +43,48 @@ class TestScoreFilter:
         assert [p.score for p in filter_by_score(proposals, 1.0)] == [1.0]
 
 
-class TestSamplePoints:
-    def test_counts_per_strategy(self):
-        box = make_proposal().box
-        for strategy in SAMPLING_STRATEGIES:
-            assert len(sample_points(box, strategy)) == SAMPLES_PER_STRATEGY[strategy]
+def extract_one(grid, proposal, strategy="center+boundary_mid"):
+    """The instance of one proposal, or None when it is skipped."""
+    insts = build_instances(grid, [proposal], gamma=0.0, strategy=strategy)
+    return insts[0] if insts else None
 
-    def test_order_center_vertices_boundary(self):
-        box = make_proposal(yaw=0.4).box
-        pts = sample_points(box, "center+vertices+boundary_mid")
-        rect = project_to_bev(box)
-        ks = key_samples(rect)
-        corners = rect_corners(rect)
-        assert pts[0] == ks.center
-        for i in range(4):
-            assert pts[1 + i] == pytest.approx(tuple(corners[i]))
-        assert pts[5:] == [ks.top, ks.bottom, ks.left, ks.right]
 
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ConfigurationError):
-            sample_points(make_proposal().box, "corners_only")
+def reference_sample(grid, point):
+    """Scalar bilinear sample at a world point, weights summed in the kernel's order."""
+    spec = grid.spec
+    h, w = spec.height_cells, spec.width_cells
+    r = (point[1] - spec.y_range[0]) / spec.cell_size_y - 0.5
+    c = (point[0] - spec.x_range[0]) / spec.cell_size_x - 0.5
+    r = min(max(r, 0.0), float(h - 1))
+    c = min(max(c, 0.0), float(w - 1))
+    r0, c0 = min(int(math.floor(r)), h - 2), min(int(math.floor(c)), w - 2)
+    fr, fc = r - r0, c - c0
+    out = np.zeros(spec.channels)
+    for dr, dc, wgt in (
+        (0, 0, (1 - fr) * (1 - fc)),
+        (0, 1, (1 - fr) * fc),
+        (1, 0, fr * (1 - fc)),
+        (1, 1, fr * fc),
+    ):
+        out += wgt * grid.data[r0 + dr, c0 + dc]
+    return out
 
 
 class TestExtractInstance:
+    def test_feature_length_per_strategy(self):
+        grid = BevGrid.zeros(make_spec())
+        for strategy in SAMPLING_STRATEGIES:
+            inst = extract_one(grid, make_proposal(), strategy)
+            assert inst.raw.shape == (3 * SAMPLES_PER_STRATEGY[strategy],)
+
+    def test_unknown_strategy_rejected(self):
+        with pytest.raises(ConfigurationError, match="unknown sampling strategy 'corners_only'"):
+            build_instances(BevGrid.zeros(make_spec()), [make_proposal()], 0.0, "corners_only")
+
     def test_constant_grid_repeats_value(self):
         spec = make_spec()
         grid = BevGrid(spec, np.full((10, 10, 3), 2.5))
-        inst = extract_instance(grid, make_proposal(), "center+boundary_mid")
+        inst = extract_one(grid, make_proposal(), "center+boundary_mid")
         assert inst is not None
         assert inst.raw.shape == (15,)
         assert np.allclose(inst.raw, 2.5)
@@ -78,58 +94,47 @@ class TestExtractInstance:
         cols = np.tile(np.arange(10.0), (10, 1))[:, :, None]
         grid = BevGrid(spec, cols)
         # Axis-aligned box at (5, 5): key points at x = 5, 5, 5, 4, 6.
-        inst = extract_instance(grid, make_proposal(), "center+boundary_mid")
+        inst = extract_one(grid, make_proposal(), "center+boundary_mid")
         # column = x - 0.5 under this window (cell size 1, origin 0)
         assert np.allclose(inst.raw, [4.5, 4.5, 4.5, 3.5, 5.5], atol=1e-12)
 
-    def test_matches_per_point_reference(self):
+    @pytest.mark.parametrize("strategy", SAMPLING_STRATEGIES)
+    def test_matches_per_point_reference(self, strategy):
         rng = np.random.default_rng(0)
         spec = make_spec()
         grid = BevGrid(spec, rng.normal(size=(10, 10, 3)))
-        prop = make_proposal(x=4.2, y=6.1, yaw=0.7, w=1.8, l=3.1)
-        inst = extract_instance(grid, prop, "center+vertices+boundary_mid")
-
-        def sample_one(point):
-            r = (point[1] - spec.y_range[0]) / spec.cell_size_y - 0.5
-            c = (point[0] - spec.x_range[0]) / spec.cell_size_x - 0.5
-            r = min(max(r, 0.0), 9.0)
-            c = min(max(c, 0.0), 9.0)
-            r0, c0 = min(int(math.floor(r)), 8), min(int(math.floor(c)), 8)
-            fr, fc = r - r0, c - c0
-            out = np.zeros(3)
-            for dr, dc, wgt in (
-                (0, 0, (1 - fr) * (1 - fc)),
-                (0, 1, (1 - fr) * fc),
-                (1, 0, fr * (1 - fc)),
-                (1, 1, fr * fc),
-            ):
-                out += wgt * grid.data[r0 + dr, c0 + dc]
-            return out
-
-        expected = np.concatenate(
-            [sample_one(p) for p in sample_points(prop.box, "center+vertices+boundary_mid")]
-        )
-        assert np.allclose(inst.raw, expected, atol=1e-12)
+        proposals = [make_proposal(x=4.2, y=6.1, yaw=0.7, w=1.8, l=3.1)]
+        # Boxes near and across the window edge, whose key points clamp.
+        for _ in range(30):
+            x, y = rng.uniform(0.0, 10.0, size=2)
+            w, l = rng.uniform(0.3, 6.0, size=2)
+            proposals.append(make_proposal(x=x, y=y, w=w, l=l, yaw=rng.uniform(-3, 3)))
+        insts = build_instances(grid, proposals, 0.0, strategy)
+        assert len(insts) == len(proposals)
+        for inst, prop in zip(insts, proposals):
+            points = oracle_strategy_points(project_to_bev(prop.box), strategy)
+            expected = np.concatenate([reference_sample(grid, p) for p in points])
+            assert np.array_equal(inst.raw, expected)
 
     def test_repeated_extraction_bit_identical(self):
         rng = np.random.default_rng(1)
         grid = BevGrid(make_spec(), rng.normal(size=(10, 10, 3)))
         prop = make_proposal(x=3.3, y=7.7, yaw=-0.9)
-        a = extract_instance(grid, prop)
-        b = extract_instance(grid, prop)
+        a = extract_one(grid, prop)
+        b = extract_one(grid, prop)
         assert np.array_equal(a.raw, b.raw)
 
     def test_center_outside_window_skipped(self, caplog):
         grid = BevGrid.zeros(make_spec())
-        assert extract_instance(grid, make_proposal(x=11.0)) is None
+        with caplog.at_level(logging.INFO, logger="dualguide.instances"):
+            assert extract_one(grid, make_proposal(x=11.0)) is None
+        assert "camera proposal with center (11.00, 5.00) outside grid window" in caplog.text
 
     def test_center_only_equals_bilinear_at_center(self):
         rng = np.random.default_rng(2)
         grid = BevGrid(make_spec(), rng.normal(size=(10, 10, 3)))
-        from dualguide.grid import bilinear_sample, world_to_grid
-
         prop = make_proposal(x=2.7, y=8.1)
-        inst = extract_instance(grid, prop, "center")
+        inst = extract_one(grid, prop, "center")
         expected = bilinear_sample(grid, world_to_grid((2.7, 8.1), grid.spec))
         assert np.array_equal(inst.raw, expected)
 

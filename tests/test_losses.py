@@ -23,7 +23,7 @@ from dualguide.matching import PAIR_EASY, InstancePair
 def easy_pair(lidar_raw, camera_raw):
     def inst(modality, raw):
         prop = Proposal(Box3D((0, 0, 0), (1, 1, 1), 0.0), 0.9, 0, modality)
-        return InstanceFeature(prop, np.asarray(raw, dtype=np.float64), "center")
+        return InstanceFeature(prop, np.asarray(raw, dtype=np.float64))
 
     return InstancePair(inst("lidar", lidar_raw), inst("camera", camera_raw), PAIR_EASY, 0.9)
 

@@ -27,7 +27,7 @@ def make_instance(x, y, w=2.0, l=2.0, yaw=0.0, score=0.9, class_id=0,
     prop = Proposal(Box3D((x, y, 1.0), (w, l, 1.5), yaw), score, class_id, modality)
     if raw is None:
         raw = np.zeros(4)
-    return InstanceFeature(prop, np.asarray(raw, dtype=np.float64), "center")
+    return InstanceFeature(prop, np.asarray(raw, dtype=np.float64))
 
 
 def random_scene(rng, n_lidar, n_camera, span=12.0):
