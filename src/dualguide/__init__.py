@@ -14,7 +14,6 @@ from .enhance import (
     enhance_camera_grid,
     enhance_lidar_grid,
     fuse_grids,
-    pair_distance_weights,
 )
 from .errors import ConfigurationError, ContractError, DataFormatError
 from .geometry import (
@@ -23,7 +22,6 @@ from .geometry import (
     center_distance_bev,
     points_in_box,
     project_to_bev,
-    rotated_iou_2d,
     volume,
 )
 from .grid import (
@@ -40,7 +38,6 @@ from .instances import (
     InstanceFeature,
     Proposal,
     build_instances,
-    filter_by_score,
 )
 from .losses import (
     LossWeights,
@@ -54,14 +51,12 @@ from .matching import InstancePair, MatchConfig, PairSets, match_pairs
 from .metrics import (
     Annotation,
     Detection,
-    StratifiedReport,
-    average_precision,
     mean_ap,
     recall_at_iou,
     stratified_eval,
     visibility_histogram,
 )
-from .pipeline import FusionResult, run_fusion
+from .pipeline import run_fusion
 from .synth import Scene, energy_peak_detections, generate_scene, load_scene, write_scene
 
 __version__ = "0.1.0"

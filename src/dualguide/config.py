@@ -33,7 +33,7 @@ class PipelineConfig:
     excitation_path: str | None = None
     context_weights_seed: int = 1
     # Which camera grid the point-guided enhancement samples: the raw input
-    # ("original") or the context-refined one ("refined").
+    # ("original") or the raw input plus the global context vector ("refined").
     camera_enhance_input: str = "original"
 
     def __post_init__(self) -> None:

@@ -9,10 +9,9 @@ instance center with the projected camera guide feature, weighted by the
 pair's normalized center distance; every write reads the original grid, so
 overlapping pairs are last-write-wins. Cells no pair addresses are untouched.
 
-Both enhancers take an optional `out` grid, numpy style: a separate buffer
-that already holds the source values, such as a channel view of
-`fuse_grids(source, ...)`, which they update in place. Without `out` they
-enhance a fresh copy.
+Both enhancers update the grid they are given, which may be a channel view
+of a fused grid, and return it; copy the grid first to keep the input. Each
+reads an original value before any write changes it.
 """
 
 from __future__ import annotations
@@ -64,10 +63,6 @@ class Projection:
         return self.matrix @ raw + self.bias
 
     @classmethod
-    def identity(cls, n: int) -> "Projection":
-        return cls(np.eye(n), np.zeros(n))
-
-    @classmethod
     def seeded(cls, source_length: int, target_channels: int, seed: int) -> "Projection":
         """Deterministic uniform(-s, s) init with s = 1/sqrt(source_length)."""
         rng = np.random.default_rng(seed)
@@ -105,31 +100,19 @@ def pair_distance_weights(pairs: list[InstancePair]) -> PairWeights:
     return PairWeights(distances, [1.0 - (d - lo) / (hi - lo) for d in distances])
 
 
-def nearest_cell(coord: tuple[float, float], spec: GridSpec) -> tuple[int, int]:
-    """Nearest integer cell to a fractional (row, col): round half up, clamped."""
-    r = int(np.floor(coord[0] + 0.5))
-    c = int(np.floor(coord[1] + 0.5))
-    return (
-        min(max(r, 0), spec.height_cells - 1),
-        min(max(c, 0), spec.width_cells - 1),
-    )
+def nearest_cell(coord: tuple[float, float], spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest integer cells to fractional (row, col) arrays: round half up, clamped."""
+    r = np.clip(np.floor(np.asarray(coord[0]) + 0.5), 0, spec.height_cells - 1)
+    c = np.clip(np.floor(np.asarray(coord[1]) + 0.5), 0, spec.width_cells - 1)
+    return r.astype(np.intp), c.astype(np.intp)
 
 
-def _enhancement_target(source: BevGrid, proj: Projection, out: BevGrid | None) -> BevGrid:
-    """The grid an enhancer writes: `out` once checked, else a copy of `source`."""
-    if proj.target_channels != source.spec.channels:
+def _check_projection(grid: BevGrid, proj: Projection) -> None:
+    if proj.target_channels != grid.spec.channels:
         raise ConfigurationError(
             f"projection target {proj.target_channels} != grid channels "
-            f"{source.spec.channels}"
+            f"{grid.spec.channels}"
         )
-    if out is None:
-        return source.copy()
-    if out.spec != source.spec:
-        raise ConfigurationError(f"out grid {out.spec} != source grid {source.spec}")
-    # Writes into the source would change the base values later pairs read.
-    if np.shares_memory(out.data, source.data):
-        raise ConfigurationError("out grid shares memory with the source grid")
-    return out
 
 
 def enhance_camera_grid(
@@ -137,54 +120,59 @@ def enhance_camera_grid(
     easy_pairs: list[InstancePair],
     camera_hard_pairs: list[InstancePair],
     proj: Projection,
-    out: BevGrid | None = None,
 ) -> BevGrid:
-    """Point-guided enhancement of the camera grid.
+    """Point-guided enhancement of the camera grid, in place.
 
     For each pair, in sequence order: sample the original grid at the camera
     instance center, scale element-wise by the projected LiDAR guide feature,
     and write base + product at the nearest cell. The base is the original
     grid value for easy pairs and the running enhanced value for camera-hard
-    pairs, which therefore accumulate. Returns `out` when given (see the
-    module docstring), else a new grid.
+    pairs, which therefore accumulate. Returns `camera_grid`, updated.
     """
-    enhanced = _enhancement_target(camera_grid, proj, out)
+    _check_projection(camera_grid, proj)
     spec = camera_grid.spec
     pairs = easy_pairs + camera_hard_pairs
     centers = np.array([member_of(p, "camera").bev_center for p in pairs]).reshape(-1, 2)
     rows, cols = world_to_grid((centers[:, 0], centers[:, 1]), spec)
-    # Every sample reads the source grid, which no write below touches.
+    cell_rows, cell_cols = nearest_cell((rows, cols), spec)
+    n_easy = len(easy_pairs)
+    data = camera_grid.data
+    # The original values every write reads, gathered before the first write.
     sampled = bilinear_sample(camera_grid, (rows, cols))
+    easy_base = data[cell_rows[:n_easy], cell_cols[:n_easy]]
     for k, pair in enumerate(pairs):
-        base = camera_grid.data if k < len(easy_pairs) else enhanced.data
-        update = sampled[k] * proj.apply(member_of(pair, "lidar").raw)
-        cell = nearest_cell((rows[k], cols[k]), spec)
-        enhanced.data[cell] = base[cell] + update
-    return enhanced
+        cell = (cell_rows[k], cell_cols[k])
+        base = easy_base[k] if k < n_easy else data[cell]
+        data[cell] = base + sampled[k] * proj.apply(member_of(pair, "lidar").raw)
+    return camera_grid
 
 
 def enhance_lidar_grid(
     lidar_grid: BevGrid,
     lidar_hard_pairs: list[InstancePair],
     proj: Projection,
-    out: BevGrid | None = None,
 ) -> BevGrid:
-    """Image-guided enhancement of the LiDAR grid.
+    """Image-guided enhancement of the LiDAR grid, in place.
 
     Each pair adds its distance-weighted projected camera guide feature to
     the four cells surrounding the hard LiDAR instance center. Writes read
-    the original grid, so pairs sharing a cell do not stack. Returns `out`
-    when given (see the module docstring), else a new grid.
+    the original grid, so pairs sharing a cell do not stack. Returns
+    `lidar_grid`, updated.
     """
-    enhanced = _enhancement_target(lidar_grid, proj, out)
+    _check_projection(lidar_grid, proj)
     spec = lidar_grid.spec
     weights = pair_distance_weights(lidar_hard_pairs)
+    # Each write reads the original grid, so a cell ends as its original plus
+    # the last update addressed to it: write that alone, once per cell.
+    last_update = {}
     for pair, w in zip(lidar_hard_pairs, weights.weights):
         coord = world_to_grid(member_of(pair, "lidar").bev_center, spec)
         update = proj.apply(member_of(pair, "camera").raw) * w
         for cell in surrounding_cells(coord, spec):
-            enhanced.data[cell] = lidar_grid.data[cell] + update
-    return enhanced
+            last_update[cell] = update
+    for cell, update in last_update.items():
+        lidar_grid.data[cell] += update
+    return lidar_grid
 
 
 def fuse_grids(camera_grid: BevGrid, lidar_grid: BevGrid) -> BevGrid:

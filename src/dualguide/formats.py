@@ -150,6 +150,13 @@ def _finite(name: str, value):
     return value
 
 
+def _integral(name: str, value) -> int:
+    """`value` as an int when it is a finite, integral JSON number, else ValueError."""
+    if _finite(name, value) != int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _box_from_record(rec: dict) -> Box3D:
     values = [rec[key] for key in _BOX_KEYS[:7]] + [rec.get("vx", 0.0), rec.get("vy", 0.0)]
     for key, value in zip(_BOX_KEYS, values):
@@ -198,7 +205,7 @@ def load_proposals(path: str | Path) -> list[Proposal]:
                 Proposal(
                     box=_box_from_record(rec),
                     score=_finite("score", rec["score"]),
-                    class_id=_finite("class_id", rec["class_id"]),
+                    class_id=_integral("class_id", rec["class_id"]),
                     modality=rec["modality"],
                 )
             )
@@ -229,9 +236,9 @@ def load_annotations(path: str | Path) -> list[Annotation]:
             annotations.append(
                 Annotation(
                     box=_box_from_record(rec),
-                    class_id=_finite("class_id", rec["class_id"]),
-                    visibility_token=_finite("visibility_token", rec["visibility_token"]),
-                    num_lidar_pts=_finite("num_lidar_pts", rec["num_lidar_pts"]),
+                    class_id=_integral("class_id", rec["class_id"]),
+                    visibility_token=_integral("visibility_token", rec["visibility_token"]),
+                    num_lidar_pts=_integral("num_lidar_pts", rec["num_lidar_pts"]),
                 )
             )
         except (KeyError, ValueError) as exc:
@@ -256,7 +263,7 @@ def load_detections(path: str | Path) -> list[Detection]:
             detections.append(
                 Detection(
                     box=_box_from_record(rec),
-                    class_id=_finite("class_id", rec["class_id"]),
+                    class_id=_integral("class_id", rec["class_id"]),
                     score=_finite("score", rec["score"]),
                 )
             )

@@ -211,11 +211,6 @@ def rotated_iou_pairs(a: Sequence[RotatedRect], b: Sequence[RotatedRect]) -> np.
     return np.minimum(iou, 1.0, out=iou)
 
 
-def rotated_iou_2d(a: RotatedRect, b: RotatedRect) -> float:
-    """IoU of two oriented footprints; 0 when the union has no area."""
-    return float(rotated_iou_pairs([a], [b])[0])
-
-
 def center_distance_bev(a: Box3D, b: Box3D) -> float:
     """Euclidean distance between ground-plane centers."""
     return math.hypot(a.center[0] - b.center[0], a.center[1] - b.center[1])

@@ -127,12 +127,16 @@ def grid_to_world(coord: tuple[float, float], spec: GridSpec) -> tuple[float, fl
     return x, y
 
 
-def bilinear_sample(grid: BevGrid, coord: tuple[float, float]) -> np.ndarray:
+def bilinear_sample(
+    grid: BevGrid, coord: tuple[float, float], offset: np.ndarray | None = None
+) -> np.ndarray:
     """Sample C-vectors at fractional (row, col) coordinates by 4-cell blending.
 
     row and col may be numbers or numpy arrays of one shape S; the result
     is (*S, C). Coordinates are clamped to [0, H-1] x [0, W-1] first (border
     replicate), so any finite input is valid. Exact at integer coordinates.
+    An `offset` C-vector is added to each gathered corner before weighting,
+    which gives the same bits as sampling a grid holding `data + offset`.
     """
     h, w = grid.spec.height_cells, grid.spec.width_cells
     shape = np.shape(coord[0])
@@ -157,10 +161,14 @@ def bilinear_sample(grid: BevGrid, coord: tuple[float, float]) -> np.ndarray:
     # expression order, so keep it as a flat weighted sum, accumulated left
     # to right in place: ((w00*d00 + w01*d01) + w10*d10) + w11*d11.
     out = d[r0, c0]
+    if offset is not None:
+        out += offset
     out *= ((1.0 - fr) * (1.0 - fc))[..., None]
     for rows, cols, weight in ((r0, c1, (1.0 - fr) * fc), (r1, c0, fr * (1.0 - fc)),
                                (r1, c1, fr * fc)):
         term = d[rows, cols]
+        if offset is not None:
+            term += offset
         term *= weight[..., None]
         out += term
     return out.reshape(*shape, grid.spec.channels)
@@ -188,13 +196,13 @@ def surrounding_cells(
     return cells
 
 
-def global_context_refine(grid: BevGrid, weights: ContextWeights) -> BevGrid:
-    """Add a softmax-attended global context vector to every grid position.
+def global_context_refine(grid: BevGrid, weights: ContextWeights) -> np.ndarray:
+    """The softmax-attended global context C-vector of a grid.
 
     Each position contributes a scalar attention logit (key_proj . feature);
     the softmax-weighted sum of value-projected features forms one context
-    vector, broadcast-added to the whole map. Shape is preserved, and a zero
-    value projection makes this the identity.
+    vector. The refined grid, `grid.data + context`, is never built: callers
+    add the vector where a value needs it (`bilinear_sample`'s `offset`).
     """
     weights.validate(grid.spec.channels)
     flat = grid.data.reshape(-1, grid.spec.channels)
@@ -203,6 +211,4 @@ def global_context_refine(grid: BevGrid, weights: ContextWeights) -> BevGrid:
     attn = np.exp(logits)
     attn /= attn.sum()
     pooled = attn @ flat
-    context = np.asarray(weights.value_proj, dtype=np.float64) @ pooled
-    return BevGrid(grid.spec, grid.data + context)
-
+    return np.asarray(weights.value_proj, dtype=np.float64) @ pooled

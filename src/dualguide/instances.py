@@ -78,12 +78,14 @@ def build_instances(
     proposals: list[Proposal],
     gamma: float,
     strategy: str = DEFAULT_STRATEGY,
+    offset: np.ndarray | None = None,
 ) -> list[InstanceFeature]:
     """Score-filter proposals, then extract an instance feature per survivor.
 
     Output preserves input order. A survivor whose box center falls outside
     the grid window is skipped with a log notice: a clamped sample there
-    would read unrelated border cells.
+    would read unrelated border cells. `offset` goes to `bilinear_sample`:
+    the features are those of a grid holding `grid.data + offset`.
     """
     if strategy not in STRATEGY_KEY_POINTS:
         raise ConfigurationError(
@@ -102,6 +104,7 @@ def build_instances(
                      p.modality, x, y)
     signs = KEY_POINT_SIGNS[list(STRATEGY_KEY_POINTS[strategy])]
     points = footprint_points([project_to_bev(p.box) for p in kept], signs)
-    features = bilinear_sample(grid, world_to_grid((points[..., 0], points[..., 1]), grid.spec))
+    coords = world_to_grid((points[..., 0], points[..., 1]), grid.spec)
+    features = bilinear_sample(grid, coords, offset)
     raws = features.reshape(len(kept), len(signs) * grid.spec.channels)
     return [InstanceFeature(p, raw) for p, raw in zip(kept, raws)]

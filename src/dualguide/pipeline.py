@@ -1,8 +1,10 @@
 """End-to-end fusion: refine, extract instances, match, enhance, fuse.
 
 `run_matching` is the refine-extract-match front stage every CLI command
-shares; `run_fusion` runs it, then enhances into channel views of the fused
-grid.
+shares. The refine yields one context vector, not a grid: camera instances
+are sampled with it as an offset. `run_fusion` runs the front stage, copies
+both grids into one fused buffer, and enhances its two channel slices in
+place.
 """
 
 from __future__ import annotations
@@ -37,9 +39,9 @@ class FusionProjections:
 
 @dataclass
 class MatchStage:
-    """Output of the front stage: refined camera grid, instances and pairs."""
+    """Output of the front stage: camera context vector, instances and pairs."""
 
-    refined_camera: BevGrid
+    context: np.ndarray  # the refined camera grid is the raw grid + context
     camera_instances: list[InstanceFeature]
     lidar_instances: list[InstanceFeature]
     pairs: PairSets
@@ -99,17 +101,18 @@ def run_matching(
     """Front stage: refine the camera grid, extract instances, match pairs.
 
     Camera instances are extracted from the context-refined camera grid, the
-    LiDAR side from its raw grid.
+    LiDAR side from its raw grid. The LiDAR side takes no offset: adding 0.0
+    would turn a stored -0.0 into +0.0.
     """
-    refined_camera = global_context_refine(camera_grid, build_context_weights(config))
+    context = global_context_refine(camera_grid, build_context_weights(config))
     camera_instances = build_instances(
-        refined_camera, camera_proposals, config.gamma, config.sampling_strategy
+        camera_grid, camera_proposals, config.gamma, config.sampling_strategy, context
     )
     lidar_instances = build_instances(
         lidar_grid, lidar_proposals, config.gamma, config.sampling_strategy
     )
     pairs = match_pairs(lidar_instances, camera_instances, config.match_config())
-    return MatchStage(refined_camera, camera_instances, lidar_instances, pairs)
+    return MatchStage(context, camera_instances, lidar_instances, pairs)
 
 
 def run_fusion(
@@ -123,11 +126,13 @@ def run_fusion(
     """Run the full fusion pipeline on in-memory inputs.
 
     `run_matching` supplies the pairs. The fused grid is allocated once,
-    LiDAR channels first, holding the LiDAR grid and the enhancement source;
-    `enhanced_lidar` and `enhanced_camera` are views of its two channel
-    slices, enhanced in place. With enhance=False the views keep the input
-    grids (the no-enhancement baseline); matching still runs so the pair
-    sets and cosine value stay reportable.
+    LiDAR channels first, holding copies of both input grids, which stay
+    unchanged; `enhanced_lidar` and `enhanced_camera` are views of its two
+    channel slices, enhanced in place. With camera_enhance_input "refined"
+    the context vector is added to the camera slice first. With
+    enhance=False the views keep the input grids (the no-enhancement
+    baseline); matching still runs so the pair sets and cosine value stay
+    reportable.
     """
     projections = build_projections(config)
     stage = run_matching(camera_grid, lidar_grid, camera_proposals, lidar_proposals, config)
@@ -136,18 +141,16 @@ def run_fusion(
         pairs.easy, projections.lidar_squeeze, projections.camera_squeeze
     )
 
-    source = camera_grid
-    if enhance and config.camera_enhance_input == "refined":
-        source = stage.refined_camera
-    fused = fuse_grids(source, lidar_grid)
+    fused = fuse_grids(camera_grid, lidar_grid)
     c_lid = lidar_grid.spec.channels
     enhanced_lidar = BevGrid(lidar_grid.spec, fused.data[:, :, :c_lid])
-    enhanced_camera = BevGrid(source.spec, fused.data[:, :, c_lid:])
+    enhanced_camera = BevGrid(camera_grid.spec, fused.data[:, :, c_lid:])
     if enhance:
-        enhance_camera_grid(source, pairs.easy, pairs.camera_hard,
-                            projections.lidar_squeeze, out=enhanced_camera)
-        enhance_lidar_grid(lidar_grid, pairs.lidar_hard, projections.excitation,
-                           out=enhanced_lidar)
+        if config.camera_enhance_input == "refined":
+            enhanced_camera.data += stage.context
+        enhance_camera_grid(enhanced_camera, pairs.easy, pairs.camera_hard,
+                            projections.lidar_squeeze)
+        enhance_lidar_grid(enhanced_lidar, pairs.lidar_hard, projections.excitation)
     return FusionResult(
         **vars(stage),
         enhanced_camera=enhanced_camera,

@@ -19,7 +19,7 @@ from dualguide.enhance import (
     fuse_grids,
     pair_distance_weights,
 )
-from dualguide.geometry import Box3D, rotated_iou_2d
+from dualguide.geometry import Box3D
 from dualguide.grid import BevGrid, GridSpec
 from dualguide.instances import Proposal, build_instances
 from dualguide.losses import LossWeights, RunningMax, composite_loss, pair_cosine_loss
@@ -38,11 +38,12 @@ from dualguide.synth import energy_peak_detections, generate_scene
 from test_enhance import (
     camera_hard_pair,
     easy_pair,
+    identity,
     lidar_hard_pair,
     ref_camera_enhance,
     ref_lidar_enhance,
 )
-from test_geometry import aa_iou, mc_iou, random_rect
+from test_geometry import aa_iou, mc_iou, random_rect, rotated_iou_2d
 from test_losses import easy_pair as cosine_pair
 from test_matching import overlap_oracle, random_scene
 from test_metrics import (
@@ -145,10 +146,10 @@ def test_criterion_3_enhancement_transliteration():
             lidar_hard_pair(pt(), pt(), rng.normal(size=3), rng.normal(size=3))
             for _ in range(int(rng.integers(0, 5)))
         ]
-        cam_out = enhance_camera_grid(grid, easy, c_hard, proj)
+        cam_out = enhance_camera_grid(grid.copy(), easy, c_hard, proj)
         if not np.array_equal(cam_out.data, ref_camera_enhance(grid, easy, c_hard, proj)):
             ok = False
-        lid_out = enhance_lidar_grid(grid, l_hard, proj)
+        lid_out = enhance_lidar_grid(grid.copy(), l_hard, proj)
         if not np.array_equal(lid_out.data, ref_lidar_enhance(grid, l_hard, proj)):
             ok = False
     report(
@@ -178,7 +179,7 @@ def test_criterion_4_distance_weight_formula():
 
 
 def test_criterion_5_loss_suite():
-    proj = Projection.identity(2)
+    proj = identity(2)
     identical = pair_cosine_loss([cosine_pair([1.0, 2.0], [1.0, 2.0])], proj)
     orthogonal = pair_cosine_loss([cosine_pair([1.0, 0.0], [0.0, 1.0])], proj)
     antiparallel = pair_cosine_loss([cosine_pair([1.0, 1.0], [-1.0, -1.0])], proj)
@@ -338,9 +339,10 @@ def test_criterion_8_latency_budgets(tmp_path):
 
     squeeze = Projection.seeded(5 * 128, 80, 1)
     excite = Projection.seeded(5 * 80, 128, 2)
+    camera_copy, lidar_copy = camera_grid.copy(), lidar_grid.copy()
     t0 = time.perf_counter()
-    enhance_camera_grid(camera_grid, sets.easy, sets.camera_hard, squeeze)
-    enhance_lidar_grid(lidar_grid, sets.lidar_hard, excite)
+    enhance_camera_grid(camera_copy, sets.easy, sets.camera_hard, squeeze)
+    enhance_lidar_grid(lidar_copy, sets.lidar_hard, excite)
     enhance_ms = (time.perf_counter() - t0) * 1000
 
     from dualguide.cli import main

@@ -85,6 +85,32 @@ class TestExitCodes:
         assert "lidar_proposals.jsonl: record 1: score must be a finite number, got '0.9'" in err
         assert not (workdir / "scene" / "fused.bevg").exists()
 
+    def test_fractional_proposal_class_is_data_error(self, workdir, capsys):
+        cfg = small_config(workdir)
+        assert main(["gen", "--seed", "2", "--objects", "6", "--config", cfg]) == 0
+        path = workdir / "scene" / "lidar_proposals.jsonl"
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        records[0]["class_id"] = 3.5
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert main(["fuse", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "lidar_proposals.jsonl: record 0: class_id must be an integer, got 3.5" in err
+        assert not (workdir / "scene" / "fused.bevg").exists()
+
+    def test_fractional_detection_class_is_data_error(self, workdir, capsys):
+        assert main(["gen", "--seed", "2", "--objects", "6"]) == 0
+        path = workdir / "scene" / "annotations.jsonl"
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        index = next(i for i, r in enumerate(records) if r["class_id"] == 3)
+        records[index]["class_id"] = 3.5
+        for r in records:
+            r["score"] = 0.9
+        (workdir / "dets.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert main(["eval", "--dets", "dets.jsonl"]) == 2
+        err = capsys.readouterr().err
+        assert f"dets.jsonl: record {index}: class_id must be an integer, got 3.5" in err
+        assert not (workdir / "scene" / "report.json").exists()
+
     def test_non_finite_projection_is_data_error(self, workdir, capsys):
         cfg = small_config(workdir)
         assert main(["gen", "--seed", "1", "--objects", "4", "--config", cfg]) == 0

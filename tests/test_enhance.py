@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualguide.enhance import (
     Projection,
@@ -165,6 +167,10 @@ def ref_lidar_enhance(grid, pairs, proj):
     return enhanced
 
 
+def identity(n):
+    return Projection(np.eye(n), np.zeros(n))
+
+
 def small_grid(rng, c=3, n=8):
     spec = GridSpec(n, n, c, x_range=(0.0, float(n)), y_range=(0.0, float(n)))
     return BevGrid(spec, rng.normal(size=(n, n, c)))
@@ -172,7 +178,7 @@ def small_grid(rng, c=3, n=8):
 
 class TestProjection:
     def test_identity(self):
-        proj = Projection.identity(4)
+        proj = identity(4)
         v = np.array([1.0, -2.0, 0.5, 3.0])
         assert np.array_equal(proj.apply(v), v)
 
@@ -190,7 +196,7 @@ class TestProjection:
         assert np.allclose(proj.apply(v), expected, atol=1e-12)
 
     def test_source_length_enforced(self):
-        proj = Projection.identity(3)
+        proj = identity(3)
         with pytest.raises(ConfigurationError):
             proj.apply(np.ones(4))
 
@@ -244,14 +250,14 @@ class TestCameraEnhancement:
     def test_no_pairs_is_identity(self):
         rng = np.random.default_rng(2)
         grid = small_grid(rng)
-        out = enhance_camera_grid(grid, [], [], Projection.identity(3))
+        out = enhance_camera_grid(grid.copy(), [], [], identity(3))
         assert np.array_equal(out.data, grid.data)
 
     def test_single_pair_with_unit_guide(self):
         rng = np.random.default_rng(3)
         grid = small_grid(rng)
         pair = easy_pair((2.5, 3.5), (2.5, 3.5), np.ones(3), np.zeros(3))
-        out = enhance_camera_grid(grid, [pair], [], Projection.identity(3))
+        out = enhance_camera_grid(grid.copy(), [pair], [], identity(3))
         # Scaling by an all-ones guide adds exactly the sampled feature.
         from dualguide.grid import bilinear_sample, world_to_grid
 
@@ -284,29 +290,29 @@ class TestCameraEnhancement:
                 )
                 for _ in range(n_hard)
             ]
-            out = enhance_camera_grid(grid, easy, hard, proj)
+            out = enhance_camera_grid(grid.copy(), easy, hard, proj)
             expected = ref_camera_enhance(grid, easy, hard, proj)
             assert np.array_equal(out.data, expected)
 
     def test_overlapping_easy_pairs_do_not_compound(self):
         rng = np.random.default_rng(5)
         grid = small_grid(rng)
-        proj = Projection.identity(3)
+        proj = identity(3)
         # Two easy pairs landing on the same cell: the later write still
         # reads the original grid, so only the last survives.
         p1 = easy_pair((3.0, 3.0), (3.4, 3.4), np.full(3, 2.0), np.zeros(3))
         p2 = easy_pair((3.0, 3.0), (3.45, 3.45), np.full(3, 3.0), np.zeros(3))
-        out = enhance_camera_grid(grid, [p1, p2], [], proj)
+        out = enhance_camera_grid(grid.copy(), [p1, p2], [], proj)
         expected = ref_camera_enhance(grid, [p1, p2], [], proj)
         assert np.array_equal(out.data, expected)
 
     def test_hard_pairs_accumulate_on_shared_cell(self):
         rng = np.random.default_rng(6)
         grid = small_grid(rng)
-        proj = Projection.identity(3)
+        proj = identity(3)
         p1 = camera_hard_pair((4.4, 4.4), (0, 0), np.zeros(3), np.full(3, 1.0))
         p2 = camera_hard_pair((4.45, 4.45), (0, 0), np.zeros(3), np.full(3, 1.0))
-        out = enhance_camera_grid(grid, [], [p1, p2], proj)
+        out = enhance_camera_grid(grid.copy(), [], [p1, p2], proj)
         expected = ref_camera_enhance(grid, [], [p1, p2], proj)
         assert np.array_equal(out.data, expected)
         # Both updates must be present at the shared cell.
@@ -319,7 +325,7 @@ class TestCameraEnhancement:
         proj = Projection(np.zeros((3, 3)), np.zeros(3))
         easy = [easy_pair((2, 2), (2, 2), rng.normal(size=3), rng.normal(size=3))]
         hard = [camera_hard_pair((5, 5), (2, 2), rng.normal(size=3), rng.normal(size=3))]
-        out = enhance_camera_grid(grid, easy, hard, proj)
+        out = enhance_camera_grid(grid.copy(), easy, hard, proj)
         assert np.array_equal(out.data, grid.data)
 
     def test_only_addressed_cells_change(self):
@@ -332,7 +338,7 @@ class TestCameraEnhancement:
         hard = [
             camera_hard_pair((6.1, 1.7), (2.2, 2.8), rng.normal(size=3), rng.normal(size=3))
         ]
-        out = enhance_camera_grid(grid, easy, hard, proj)
+        out = enhance_camera_grid(grid.copy(), easy, hard, proj)
         addressed = set()
         for pair in easy + hard:
             coord = ref_world_to_grid(member_of(pair, "camera").bev_center, grid.spec)
@@ -343,14 +349,14 @@ class TestCameraEnhancement:
     def test_projection_channel_mismatch_rejected(self):
         grid = small_grid(np.random.default_rng(9))
         with pytest.raises(ConfigurationError):
-            enhance_camera_grid(grid, [], [], Projection.identity(4))
+            enhance_camera_grid(grid, [], [], identity(4))
 
 
 class TestLidarEnhancement:
     def test_no_pairs_is_identity(self):
         rng = np.random.default_rng(10)
         grid = small_grid(rng)
-        out = enhance_lidar_grid(grid, [], Projection.identity(3))
+        out = enhance_lidar_grid(grid.copy(), [], identity(3))
         assert np.array_equal(out.data, grid.data)
 
     def test_single_pair_adds_projected_guide_to_neighbors(self):
@@ -358,7 +364,7 @@ class TestLidarEnhancement:
         grid = small_grid(rng)
         guide_raw = rng.normal(size=3)
         pair = lidar_hard_pair((3.2, 4.7), (6.0, 6.0), np.zeros(3), guide_raw)
-        out = enhance_lidar_grid(grid, [pair], Projection.identity(3))
+        out = enhance_lidar_grid(grid.copy(), [pair], identity(3))
         coord = ref_world_to_grid((3.2, 4.7), grid.spec)
         for cell in ref_surrounding(coord, grid.spec):
             assert np.array_equal(out.data[cell], grid.data[cell] + guide_raw)
@@ -378,18 +384,18 @@ class TestLidarEnhancement:
                 )
                 for _ in range(n)
             ]
-            out = enhance_lidar_grid(grid, pairs, proj)
+            out = enhance_lidar_grid(grid.copy(), pairs, proj)
             expected = ref_lidar_enhance(grid, pairs, proj)
             assert np.array_equal(out.data, expected)
 
     def test_shared_cells_last_write_wins(self):
         rng = np.random.default_rng(13)
         grid = small_grid(rng)
-        proj = Projection.identity(3)
+        proj = identity(3)
         # Neighbor quadruples of these two centers overlap at cells (3, 3)..
         p1 = lidar_hard_pair((3.1, 3.1), (0.0, 0.0), np.zeros(3), np.full(3, 5.0))
         p2 = lidar_hard_pair((3.9, 3.9), (7.0, 7.0), np.zeros(3), np.full(3, 11.0))
-        out = enhance_lidar_grid(grid, [p1, p2], proj)
+        out = enhance_lidar_grid(grid.copy(), [p1, p2], proj)
         expected = ref_lidar_enhance(grid, [p1, p2], proj)
         assert np.array_equal(out.data, expected)
         # The shared cell holds the second pair's (weighted) value, not a sum.
@@ -409,8 +415,8 @@ class TestLidarEnhancement:
             lidar_hard_pair((2.5, 2.5), (5.0, 5.0), rng.normal(size=3), rng.normal(size=3)),
             lidar_hard_pair((5.5, 1.5), (1.0, 6.0), rng.normal(size=3), rng.normal(size=3)),
         ]
-        a = enhance_lidar_grid(grid, pairs, proj)
-        b = enhance_lidar_grid(grid, pairs, proj)
+        a = enhance_lidar_grid(grid.copy(), pairs, proj)
+        b = enhance_lidar_grid(grid.copy(), pairs, proj)
         assert np.array_equal(a.data, b.data)
 
 
@@ -426,48 +432,77 @@ def random_pairs(rng, make, n):
     ]
 
 
-def enhance_camera(grid, proj, rng, out=None):
+def enhance_camera(grid, proj, rng):
     easy = random_pairs(rng, easy_pair, 3)
     hard = random_pairs(rng, camera_hard_pair, 3)
-    return enhance_camera_grid(grid, easy, hard, proj, out=out)
+    return enhance_camera_grid(grid, easy, hard, proj)
 
 
-def enhance_lidar(grid, proj, rng, out=None):
-    return enhance_lidar_grid(grid, random_pairs(rng, lidar_hard_pair, 4), proj, out=out)
+def enhance_lidar(grid, proj, rng):
+    return enhance_lidar_grid(grid, random_pairs(rng, lidar_hard_pair, 4), proj)
 
 
 @pytest.mark.parametrize("enhance", [enhance_camera, enhance_lidar])
-class TestOutBuffer:
-    def test_channel_view_of_fused_grid_gets_the_copy_result(self, enhance):
-        rng = np.random.default_rng(16)
-        grid = small_grid(rng)
-        other = small_grid(rng)
-        proj = Projection(rng.normal(size=(3, 3)), rng.normal(size=3))
-        fused = fuse_grids(grid, other)  # other's channels first, then grid's
-        view = BevGrid(grid.spec, fused.data[:, :, 3:])
-        got = enhance(grid, proj, np.random.default_rng(17), out=view)
-        want = enhance(grid, proj, np.random.default_rng(17))
-        assert got is view
-        assert not np.array_equal(want.data, grid.data)
-        assert np.array_equal(fused.data[:, :, 3:], want.data)
-        assert np.array_equal(fused.data[:, :, :3], other.data)
+def test_enhancing_a_channel_view_of_a_fused_grid_changes_only_that_view(enhance):
+    rng = np.random.default_rng(16)
+    grid = small_grid(rng)
+    other = small_grid(rng)
+    proj = Projection(rng.normal(size=(3, 3)), rng.normal(size=3))
+    fused = fuse_grids(grid, other)  # other's channels first, then grid's
+    view = BevGrid(grid.spec, fused.data[:, :, 3:])
+    got = enhance(view, proj, np.random.default_rng(17))
+    want = enhance(grid.copy(), proj, np.random.default_rng(17))
+    assert got is view
+    assert not np.array_equal(want.data, grid.data)
+    assert np.array_equal(fused.data[:, :, 3:], want.data)
+    assert np.array_equal(fused.data[:, :, :3], other.data)
 
-    def test_out_sharing_memory_with_source_rejected(self, enhance):
-        rng = np.random.default_rng(18)
-        grid = small_grid(rng)
-        before = grid.data.copy()
-        proj = Projection(rng.normal(size=(3, 3)), rng.normal(size=3))
-        for out in (grid, BevGrid(grid.spec, grid.data[:, :, :])):
-            with pytest.raises(ConfigurationError, match="shares memory"):
-                enhance(grid, proj, rng, out=out)
-        assert np.array_equal(grid.data, before)
 
-    def test_out_spec_mismatch_rejected(self, enhance):
-        rng = np.random.default_rng(19)
-        grid = small_grid(rng)
-        out = BevGrid.zeros(GridSpec(8, 8, 3, (0.0, 16.0), (0.0, 8.0)))
-        with pytest.raises(ConfigurationError, match="out grid"):
-            enhance(grid, Projection.identity(3), rng, out=out)
+# Centers on a half-cell lattice that reaches one cell past every edge, so
+# the outer ones clamp, or in a 2 x 2-cell cluster, where writes collide.
+lattice = st.integers(-2, 18).map(lambda k: k * 0.5)
+cluster = st.sampled_from([3.0, 3.5, 4.0, 4.5])
+centers = st.one_of(st.tuples(lattice, lattice), st.tuples(cluster, cluster))
+raws = st.lists(st.floats(-4.0, 4.0), min_size=3, max_size=3)
+pair_args = st.tuples(centers, centers, raws, raws)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    easy=st.lists(pair_args, max_size=4),
+    hard=st.lists(pair_args, max_size=4),
+    lidar_hard=st.lists(pair_args, max_size=5),
+)
+@settings(max_examples=150, deadline=None)
+def test_in_place_enhancement_equals_references_and_touches_only_addressed_cells(
+    seed, easy, hard, lidar_hard
+):
+    rng = np.random.default_rng(seed)
+    grid = small_grid(rng)
+    proj = Projection(rng.normal(size=(3, 3)), rng.normal(size=3))
+    easy = [easy_pair(*args) for args in easy]
+    hard = [camera_hard_pair(*args) for args in hard]
+    lidar_hard = [lidar_hard_pair(*args) for args in lidar_hard]
+
+    def changed(data):
+        return set(zip(*np.nonzero((data != grid.data).any(axis=2))))
+
+    def center(pair, modality):
+        return ref_world_to_grid(member_of(pair, modality).bev_center, grid.spec)
+
+    camera = grid.copy()
+    assert enhance_camera_grid(camera, easy, hard, proj) is camera
+    assert np.array_equal(camera.data, ref_camera_enhance(grid, easy, hard, proj))
+    addressed = {ref_round_cell(center(p, "camera"), grid.spec) for p in easy + hard}
+    assert changed(camera.data) <= addressed
+
+    lidar = grid.copy()
+    assert enhance_lidar_grid(lidar, lidar_hard, proj) is lidar
+    assert np.array_equal(lidar.data, ref_lidar_enhance(grid, lidar_hard, proj))
+    addressed = {
+        cell for p in lidar_hard for cell in ref_surrounding(center(p, "lidar"), grid.spec)
+    }
+    assert changed(lidar.data) <= addressed
 
 
 class TestFuse:

@@ -168,7 +168,7 @@ class TestProjectionFormat:
 
     def test_truncation_rejected(self, tmp_path):
         path = tmp_path / "p.proj"
-        save_projection(Projection.identity(4), path)
+        save_projection(Projection(np.eye(4), np.zeros(4)), path)
         path.write_bytes(path.read_bytes()[:-4])
         with pytest.raises(DataFormatError):
             load_projection(path)
@@ -261,6 +261,26 @@ class TestJsonLines:
         path.write_text("".join(json.dumps(r) + "\n" for r in records))
         with pytest.raises(DataFormatError, match=f"records.jsonl: record 1: {key} must be a finite number"):
             load(path)
+
+    @pytest.mark.parametrize("save, load, item, key", [
+        (save_proposals, load_proposals, Proposal(Box3D((0, 1, 0.5), (1, 2, 1), 0.1), 0.5, 3, "lidar"), "class_id"),
+        (save_annotations, load_annotations, Annotation(Box3D((0, 1, 0.5), (1, 2, 1), 0.1), 3), "class_id"),
+        (save_annotations, load_annotations, Annotation(Box3D((0, 1, 0.5), (1, 2, 1), 0.1), 3), "visibility_token"),
+        (save_annotations, load_annotations, Annotation(Box3D((0, 1, 0.5), (1, 2, 1), 0.1), 3), "num_lidar_pts"),
+        (save_detections, load_detections, Detection(Box3D((0, 1, 0.5), (1, 2, 1), 0.1), 3, 0.75), "class_id"),
+    ])
+    def test_fractional_id_rejected_integral_float_stored_as_int(self, tmp_path, save, load, item, key):
+        path = tmp_path / "records.jsonl"
+        save([item, item], path)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        records[0][key] = 2.0
+        records[1][key] = 2.5
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        with pytest.raises(DataFormatError, match=f"records.jsonl: record 1: {key} must be an integer, got 2.5"):
+            load(path)
+        path.write_text(json.dumps(records[0]) + "\n")
+        value = getattr(load(path)[0], key)
+        assert value == 2 and type(value) is int
 
 
 class TestConfig:

@@ -19,11 +19,15 @@ from dualguide.geometry import (
     overlap_candidates,
     points_in_box,
     project_to_bev,
-    rotated_iou_2d,
     rotated_iou_pairs,
     volume,
 )
 from dualguide.instances import STRATEGY_KEY_POINTS
+
+
+def rotated_iou_2d(a: RotatedRect, b: RotatedRect) -> float:
+    """IoU of one footprint pair through the batched kernel."""
+    return float(rotated_iou_pairs([a], [b])[0])
 
 
 def oracle_corners(rect: RotatedRect) -> np.ndarray:

@@ -149,6 +149,26 @@ class TestBilinearSample:
         for p, ref in zip(points, expected):
             assert bilinear_sample(grid, p).tobytes() == ref.tobytes()
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(grids_and_points(), st.data())
+    def test_offset_bit_identical_to_sampling_the_shifted_grid(self, grid_points, data):
+        grid, points = grid_points
+        offset = data.draw(
+            hnp.arrays(np.float64, grid.spec.channels, elements=st.floats(-1e3, 1e3))
+        )
+        coord = (
+            np.array([p[0] for p in points], dtype=np.float64),
+            np.array([p[1] for p in points], dtype=np.float64),
+        )
+        shifted = BevGrid(grid.spec, grid.data + offset)
+        got = bilinear_sample(grid, coord, offset)
+        assert got.tobytes() == bilinear_sample(shifted, coord).tobytes()
+
+    def test_no_offset_keeps_a_stored_negative_zero(self):
+        grid = BevGrid(small_spec(1, 1, 1), np.array([[[-0.0]]]))
+        assert np.signbit(bilinear_sample(grid, (0.0, 0.0))[0])
+        assert not np.signbit(bilinear_sample(grid, (0.0, 0.0), np.zeros(1))[0])
+
     def test_out_of_range_clamps_to_border(self):
         spec = small_spec()
         rng = np.random.default_rng(3)
@@ -191,15 +211,15 @@ class TestGlobalContextRefine:
         rng = np.random.default_rng(5)
         grid = BevGrid(spec, rng.normal(size=(6, 8, 3)))
         weights = ContextWeights(np.zeros((3, 3)), rng.normal(size=3))
-        out = global_context_refine(grid, weights)
-        assert np.array_equal(out.data, grid.data)
+        context = global_context_refine(grid, weights)
+        assert np.array_equal(grid.data + context, grid.data)
 
     def test_single_position_identity_value_doubles(self):
         spec = GridSpec(1, 1, 3, (0.0, 1.0), (0.0, 1.0))
         grid = BevGrid(spec, np.array([[[1.0, -2.0, 0.5]]]))
         weights = ContextWeights(np.eye(3), np.array([0.3, -0.1, 2.0]))
-        out = global_context_refine(grid, weights)
-        assert np.allclose(out.data, 2.0 * grid.data, atol=1e-12)
+        context = global_context_refine(grid, weights)
+        assert np.allclose(grid.data + context, 2.0 * grid.data, atol=1e-12)
 
     def test_matches_explicit_loop_reference(self):
         spec = GridSpec(2, 2, 3, (0.0, 2.0), (0.0, 2.0))
@@ -219,9 +239,9 @@ class TestGlobalContextRefine:
             context += attn[p] * (weights.value_proj @ grid.data[r, c])
         expected = grid.data + context
 
-        out = global_context_refine(grid, weights)
-        assert np.allclose(out.data, expected, atol=1e-10)
-        assert out.data.shape == grid.data.shape
+        context = global_context_refine(grid, weights)
+        assert np.allclose(grid.data + context, expected, atol=1e-10)
+        assert context.shape == (3,)
 
     def test_dimension_mismatch_rejected(self):
         spec = small_spec()

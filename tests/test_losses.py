@@ -20,6 +20,10 @@ from dualguide.losses import (
 from dualguide.matching import PAIR_EASY, InstancePair
 
 
+def identity(n):
+    return Projection(np.eye(n), np.zeros(n))
+
+
 def easy_pair(lidar_raw, camera_raw):
     def inst(modality, raw):
         prop = Proposal(Box3D((0, 0, 0), (1, 1, 1), 0.0), 0.9, 0, modality)
@@ -85,23 +89,23 @@ class TestL1Loss:
 class TestPairCosineLoss:
     def test_identical_vectors_zero(self):
         pairs = [easy_pair([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) for _ in range(4)]
-        proj = Projection.identity(3)
+        proj = identity(3)
         assert pair_cosine_loss(pairs, proj) == pytest.approx(0.0, abs=1e-12)
 
     def test_orthogonal_vectors_one(self):
         pairs = [easy_pair([1.0, 0.0], [0.0, 1.0]), easy_pair([0.0, 2.0], [3.0, 0.0])]
-        proj = Projection.identity(2)
+        proj = identity(2)
         assert pair_cosine_loss(pairs, proj) == pytest.approx(1.0, abs=1e-12)
 
     def test_antiparallel_vectors_two(self):
         pairs = [easy_pair([1.0, 1.0], [-2.0, -2.0])]
-        proj = Projection.identity(2)
+        proj = identity(2)
         assert pair_cosine_loss(pairs, proj) == pytest.approx(2.0, abs=1e-12)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(3)
         base = [easy_pair(rng.normal(size=3), rng.normal(size=3)) for _ in range(5)]
-        proj = Projection.identity(3)
+        proj = identity(3)
         reference = pair_cosine_loss(base, proj)
         scaled = [
             easy_pair(np.asarray(p.anchor.raw) * 7.3, np.asarray(p.guide.raw) * 0.2)
@@ -111,7 +115,7 @@ class TestPairCosineLoss:
 
     def test_range(self):
         rng = np.random.default_rng(4)
-        proj = Projection.identity(4)
+        proj = identity(4)
         for _ in range(50):
             pairs = [
                 easy_pair(rng.normal(size=4), rng.normal(size=4)) for _ in range(3)
@@ -122,15 +126,15 @@ class TestPairCosineLoss:
     def test_distinct_projections_per_modality(self):
         # LiDAR raw is 4 long, camera raw 2 long; each side gets its own map.
         lidar_proj = Projection(np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]]), np.zeros(2))
-        camera_proj = Projection.identity(2)
+        camera_proj = identity(2)
         pair = easy_pair([1.0, 0.0, 9.0, 9.0], [1.0, 0.0])
         assert pair_cosine_loss([pair], lidar_proj, camera_proj) == pytest.approx(0.0, abs=1e-12)
 
     def test_empty_returns_none(self):
-        assert pair_cosine_loss([], Projection.identity(2)) is None
+        assert pair_cosine_loss([], identity(2)) is None
 
     def test_zero_norm_excluded(self, caplog):
-        proj = Projection.identity(2)
+        proj = identity(2)
         pairs = [easy_pair([0.0, 0.0], [1.0, 0.0]), easy_pair([1.0, 0.0], [1.0, 0.0])]
         with caplog.at_level("WARNING"):
             value = pair_cosine_loss(pairs, proj)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dualguide.errors import ConfigurationError
-from dualguide.geometry import Box3D, project_to_bev, rotated_iou_2d
+from dualguide.geometry import Box3D, project_to_bev
 from dualguide.instances import InstanceFeature, Proposal
 from dualguide.matching import (
     PAIR_CAMERA_HARD,
@@ -20,6 +20,8 @@ from dualguide.matching import (
     match_pairs,
 )
 from dualguide.taxonomy import CAR, PEDESTRIAN, TRAFFIC_CONE
+
+from test_geometry import rotated_iou_2d
 
 
 def make_instance(x, y, w=2.0, l=2.0, yaw=0.0, score=0.9, class_id=0,

@@ -2,13 +2,14 @@
 
 import gc
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dualguide.config import PipelineConfig
-from dualguide.enhance import fuse_grids
-from dualguide.grid import global_context_refine
+from dualguide.enhance import enhance_camera_grid, fuse_grids
+from dualguide.grid import BevGrid, global_context_refine
 from dualguide.instances import build_instances
 from dualguide.pipeline import build_context_weights, build_projections, run_fusion
 from dualguide.synth import generate_scene
@@ -56,7 +57,8 @@ class TestRunFusion:
 
     def test_camera_instances_come_from_refined_grid(self, scene):
         result = run(scene)
-        refined = global_context_refine(scene.camera_grid, build_context_weights(SMALL))
+        context = global_context_refine(scene.camera_grid, build_context_weights(SMALL))
+        refined = BevGrid(scene.camera_grid.spec, scene.camera_grid.data + context)
         expected = build_instances(
             refined, scene.camera_proposals, SMALL.gamma, SMALL.sampling_strategy
         )
@@ -78,12 +80,25 @@ class TestRunFusion:
         assert a.cosine == b.cosine
 
     def test_camera_enhance_input_refined_changes_result(self, scene):
-        from dataclasses import replace
-
         refined_cfg = replace(SMALL, camera_enhance_input="refined")
         a = run(scene)
         b = run(scene, config=refined_cfg)
         assert not np.array_equal(a.enhanced_camera.data, b.enhanced_camera.data)
+
+    def test_refined_input_enhances_raw_plus_context(self, scene):
+        config = replace(SMALL, camera_enhance_input="refined")
+        result = run(scene, config=config)
+        refined = BevGrid(scene.camera_grid.spec, scene.camera_grid.data + result.context)
+        want = enhance_camera_grid(refined, result.pairs.easy, result.pairs.camera_hard,
+                                   build_projections(config).lidar_squeeze)
+        assert np.array_equal(result.enhanced_camera.data, want.data)
+
+    @pytest.mark.parametrize("camera_enhance_input", ["original", "refined"])
+    def test_input_grids_stay_unchanged(self, scene, camera_enhance_input):
+        camera, lidar = scene.camera_grid.data.copy(), scene.lidar_grid.data.copy()
+        run(scene, config=replace(SMALL, camera_enhance_input=camera_enhance_input))
+        assert np.array_equal(scene.camera_grid.data, camera)
+        assert np.array_equal(scene.lidar_grid.data, lidar)
 
     def test_cosine_reported_when_pairs_exist(self, scene):
         result = run(scene)
@@ -96,7 +111,7 @@ class TestRunFusion:
         assert np.shares_memory(result.enhanced_lidar.data, result.fused.data)
         assert np.shares_memory(result.enhanced_camera.data, result.fused.data)
 
-    def test_peak_memory_is_fused_plus_refined_buffers(self, scene):
+    def test_peak_memory_is_the_fused_buffer(self, scene):
         run(scene)  # first call pays one-off allocations (imports, caches)
         gc.collect()
         tracemalloc.start()
@@ -105,13 +120,12 @@ class TestRunFusion:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        budget = result.fused.data.nbytes + result.refined_camera.data.nbytes
-        assert peak <= 1.1 * budget
+        assert peak <= 1.1 * result.fused.data.nbytes
 
     def test_all_finite(self, scene):
         result = run(scene)
-        for grid in (result.refined_camera, result.enhanced_camera,
-                     result.enhanced_lidar, result.fused):
+        assert np.isfinite(result.context).all()
+        for grid in (result.enhanced_camera, result.enhanced_lidar, result.fused):
             assert np.isfinite(grid.data).all()
 
 
@@ -124,8 +138,6 @@ class TestProjectionWiring:
         assert projections.excitation.matrix.shape == (7, k * 5)
 
     def test_weight_files_override_seeding(self, tmp_path):
-        from dataclasses import replace
-
         from dualguide.enhance import Projection
         from dualguide.formats import save_projection
 

@@ -7,7 +7,7 @@ from dualguide.config import PipelineConfig
 from dualguide.enhance import fuse_grids
 from dualguide.errors import DataFormatError
 from dualguide.formats import save_grid
-from dualguide.geometry import points_in_box, project_to_bev, rotated_iou_2d
+from dualguide.geometry import points_in_box, project_to_bev
 from dualguide.grid import BevGrid, GridSpec
 from dualguide.matching import MatchConfig, match_pairs
 from dualguide.instances import build_instances
@@ -20,6 +20,8 @@ from dualguide.synth import (
     load_scene,
     write_scene,
 )
+
+from test_geometry import rotated_iou_2d
 
 SMALL = PipelineConfig(
     height_cells=96,
