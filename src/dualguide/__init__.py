@@ -51,7 +51,6 @@ from .matching import InstancePair, MatchConfig, PairSets, match_pairs
 from .metrics import (
     Annotation,
     Detection,
-    mean_ap,
     recall_at_iou,
     stratified_eval,
     visibility_histogram,

@@ -23,10 +23,18 @@ from . import formats
 from .config import PipelineConfig, load_config
 from .errors import ConfigurationError, ContractError, DataFormatError
 from .losses import RunningMax, composite_loss, focal_loss, l1_loss, pair_cosine_loss
-from .metrics import AXES, evaluate, stratified_eval, visibility_histogram, POINT_BUCKETS
+from .metrics import (
+    AXES,
+    POINT_BUCKETS,
+    StratifiedReport,
+    evaluate,
+    stratified_eval,
+    visibility_histogram,
+)
 from .pipeline import build_projections, run_fusion, run_matching
 from .synth import (
     GAP_PROFILES,
+    READOUT_CLASS,
     Scene,
     energy_peak_detections,
     generate_scene,
@@ -181,26 +189,29 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         raise ConfigurationError("pass either --dets or --peaks-from, not both")
     if args.dets:
         dets = formats.load_detections(args.dets)
-    elif args.peaks_from:
-        dets = energy_peak_detections(formats.load_grid(args.peaks_from), args.max_peaks)
     else:
-        fused = Path(args.scene).parent / "fused.bevg"
-        if not fused.exists():
+        grid_path = args.peaks_from or Path(args.scene).parent / "fused.bevg"
+        if not args.peaks_from and not grid_path.exists():
             raise ConfigurationError(
                 "no detections: pass --dets or --peaks-from, or run fuse first"
             )
-        dets = energy_peak_detections(formats.load_grid(fused), args.max_peaks)
+        dets = energy_peak_detections(formats.load_grid(grid_path), args.max_peaks)
+        # The readout gives every detection one class, so AP is scored
+        # class-agnostically against annotations relabelled to that class.
+        annotations = [replace(a, class_id=READOUT_CLASS) for a in annotations]
+    class_agnostic = not args.dets
 
     if args.axis == "none":
-        report = {"axis": "none", "bins": [evaluate(dets, annotations).to_dict()]}
-        text = f"n_gt={len(annotations)} n_det={len(dets)} mAP={report['bins'][0]['mean_ap']}"
+        strat = StratifiedReport("none", [evaluate(dets, annotations)])
+        text = f"n_gt={len(annotations)} n_det={len(dets)} mAP={strat.bins[0].mean_ap}"
     else:
         strat = stratified_eval(dets, annotations, args.axis)
-        report = strat.to_dict()
         text = strat.to_text()
+    if class_agnostic:
+        text += "\nmAP is class-agnostic: readout detections carry no class"
     print(text)
     out = Path(args.out) if args.out else Path(args.scene).parent / "report.json"
-    formats.save_json(report, out)
+    formats.save_json({**strat.to_dict(), "class_agnostic": class_agnostic}, out)
     return 0
 
 

@@ -72,12 +72,6 @@ class Projection:
         return cls(matrix, bias)
 
 
-@dataclass(frozen=True)
-class PairWeights:
-    distances: list[float]
-    weights: list[float]
-
-
 def member_of(pair: InstancePair, modality: str) -> InstanceFeature:
     """The pair member from the given modality (each pair has exactly one)."""
     if modality == "camera":
@@ -85,19 +79,17 @@ def member_of(pair: InstancePair, modality: str) -> InstanceFeature:
     return pair.guide if pair.kind == PAIR_CAMERA_HARD else pair.anchor
 
 
-def pair_distance_weights(pairs: list[InstancePair]) -> PairWeights:
+def pair_distance_weights(pairs: list[InstancePair]) -> list[float]:
     """Min-max normalized closeness weights: 1 at the smallest center distance,
     0 at the largest, all 1.0 when the distances do not spread (single pair or
     all equal)."""
     distances = [
         center_distance_bev(p.anchor.proposal.box, p.guide.proposal.box) for p in pairs
     ]
-    if not distances:
-        return PairWeights([], [])
-    lo, hi = min(distances), max(distances)
+    lo, hi = min(distances, default=0.0), max(distances, default=0.0)
     if hi == lo:
-        return PairWeights(distances, [1.0] * len(distances))
-    return PairWeights(distances, [1.0 - (d - lo) / (hi - lo) for d in distances])
+        return [1.0] * len(distances)
+    return [1.0 - (d - lo) / (hi - lo) for d in distances]
 
 
 def nearest_cell(coord: tuple[float, float], spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -165,7 +157,7 @@ def enhance_lidar_grid(
     # Each write reads the original grid, so a cell ends as its original plus
     # the last update addressed to it: write that alone, once per cell.
     last_update = {}
-    for pair, w in zip(lidar_hard_pairs, weights.weights):
+    for pair, w in zip(lidar_hard_pairs, weights):
         coord = world_to_grid(member_of(pair, "lidar").bev_center, spec)
         update = proj.apply(member_of(pair, "camera").raw) * w
         for cell in surrounding_cells(coord, spec):

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .enhance import Projection
-from .errors import DataFormatError
+from .errors import ConfigurationError, DataFormatError
 from .geometry import Box3D
 from .grid import BevGrid, GridSpec
 from .instances import Proposal
@@ -85,6 +85,10 @@ def load_grid(path: str | Path) -> BevGrid:
         raise DataFormatError(
             f"{path}: unsupported grid version {version}, expected {GRID_VERSION}"
         )
+    try:
+        spec = GridSpec(h, w, c, (x0, x1), (y0, y1))
+    except ConfigurationError as exc:
+        raise DataFormatError(f"{path}: bad grid header: {exc}") from exc
     expected = _GRID_HEADER.size + h * w * c * 4
     if len(blob) != expected:
         raise DataFormatError(
@@ -95,7 +99,6 @@ def load_grid(path: str | Path) -> BevGrid:
     if not np.isfinite(data).all():
         bad = int(np.count_nonzero(~np.isfinite(data)))
         raise DataFormatError(f"{path}: {bad} non-finite grid values")
-    spec = GridSpec(h, w, c, (x0, x1), (y0, y1))
     return BevGrid(spec, data.astype(np.float64))
 
 
@@ -145,7 +148,12 @@ def _box_to_record(box: Box3D) -> dict:
 
 def _finite(name: str, value):
     """`value` when it is a finite JSON number (a bool is not one), else ValueError."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    try:
+        ok = ok and math.isfinite(value)
+    except OverflowError:  # an integer too large for a float64
+        ok = False
+    if not ok:
         raise ValueError(f"{name} must be a finite number, got {value!r}")
     return value
 
@@ -170,16 +178,37 @@ def _write_jsonl(records: list[dict], path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
-def _read_jsonl(path: str | Path) -> list[dict]:
+def _read_text(path: str | Path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
+def _load_jsonl(path: str | Path, build) -> list:
+    """`build(record)` for each record of a JSON-lines file, in order.
+
+    Every check of a record (JSON syntax, an object, the fields `build`
+    reads) fails with a DataFormatError naming the file and the line or
+    record.
+    """
     records = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         try:
             records.append(json.loads(line))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise DataFormatError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
-    return records
+    items = []
+    for i, rec in enumerate(records):
+        try:
+            if not isinstance(rec, dict):
+                raise ValueError(f"expected a JSON object, got {type(rec).__name__}")
+            items.append(build(rec))
+        except (KeyError, ValueError) as exc:
+            raise DataFormatError(f"{path}: record {i}: {exc}") from exc
+    return items
 
 
 def save_proposals(proposals: list[Proposal], path: str | Path) -> None:
@@ -198,20 +227,12 @@ def save_proposals(proposals: list[Proposal], path: str | Path) -> None:
 
 
 def load_proposals(path: str | Path) -> list[Proposal]:
-    proposals = []
-    for i, rec in enumerate(_read_jsonl(path)):
-        try:
-            proposals.append(
-                Proposal(
-                    box=_box_from_record(rec),
-                    score=_finite("score", rec["score"]),
-                    class_id=_integral("class_id", rec["class_id"]),
-                    modality=rec["modality"],
-                )
-            )
-        except (KeyError, ValueError) as exc:
-            raise DataFormatError(f"{path}: record {i}: {exc}") from exc
-    return proposals
+    return _load_jsonl(path, lambda rec: Proposal(
+        box=_box_from_record(rec),
+        score=_finite("score", rec["score"]),
+        class_id=_integral("class_id", rec["class_id"]),
+        modality=rec["modality"],
+    ))
 
 
 def save_annotations(annotations: list[Annotation], path: str | Path) -> None:
@@ -230,20 +251,12 @@ def save_annotations(annotations: list[Annotation], path: str | Path) -> None:
 
 
 def load_annotations(path: str | Path) -> list[Annotation]:
-    annotations = []
-    for i, rec in enumerate(_read_jsonl(path)):
-        try:
-            annotations.append(
-                Annotation(
-                    box=_box_from_record(rec),
-                    class_id=_integral("class_id", rec["class_id"]),
-                    visibility_token=_integral("visibility_token", rec["visibility_token"]),
-                    num_lidar_pts=_integral("num_lidar_pts", rec["num_lidar_pts"]),
-                )
-            )
-        except (KeyError, ValueError) as exc:
-            raise DataFormatError(f"{path}: record {i}: {exc}") from exc
-    return annotations
+    return _load_jsonl(path, lambda rec: Annotation(
+        box=_box_from_record(rec),
+        class_id=_integral("class_id", rec["class_id"]),
+        visibility_token=_integral("visibility_token", rec["visibility_token"]),
+        num_lidar_pts=_integral("num_lidar_pts", rec["num_lidar_pts"]),
+    ))
 
 
 def save_detections(detections: list[Detection], path: str | Path) -> None:
@@ -257,19 +270,11 @@ def save_detections(detections: list[Detection], path: str | Path) -> None:
 
 
 def load_detections(path: str | Path) -> list[Detection]:
-    detections = []
-    for i, rec in enumerate(_read_jsonl(path)):
-        try:
-            detections.append(
-                Detection(
-                    box=_box_from_record(rec),
-                    class_id=_integral("class_id", rec["class_id"]),
-                    score=_finite("score", rec["score"]),
-                )
-            )
-        except (KeyError, ValueError) as exc:
-            raise DataFormatError(f"{path}: record {i}: {exc}") from exc
-    return detections
+    return _load_jsonl(path, lambda rec: Detection(
+        box=_box_from_record(rec),
+        class_id=_integral("class_id", rec["class_id"]),
+        score=_finite("score", rec["score"]),
+    ))
 
 
 def _pair_to_record(pair: InstancePair) -> dict:
@@ -305,6 +310,6 @@ def save_json(obj: dict, path: str | Path) -> None:
 def load_json(path: str | Path) -> dict:
     path = Path(path)
     try:
-        return json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        return json.loads(_read_text(path))
+    except ValueError as exc:
         raise DataFormatError(f"{path}: invalid JSON ({exc})") from exc

@@ -9,6 +9,7 @@ Rows follow y, columns follow x.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,10 @@ class GridSpec:
     def __post_init__(self) -> None:
         if self.height_cells <= 0 or self.width_cells <= 0 or self.channels <= 0:
             raise ConfigurationError("grid dimensions must be positive")
+        if not all(map(math.isfinite, (*self.x_range, *self.y_range))):
+            raise ConfigurationError(
+                f"grid window must be finite, got x {self.x_range}, y {self.y_range}"
+            )
         if self.x_range[0] >= self.x_range[1] or self.y_range[0] >= self.y_range[1]:
             raise ConfigurationError("grid window must have positive extent")
 

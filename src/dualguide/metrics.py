@@ -1,11 +1,14 @@
 """Detection metrics: center-distance AP, rotated-IoU recall, stratified reports.
 
-AP matches detections to ground truth by BEV center distance (greedy in
-descending score, nearest unmatched ground truth within the threshold) and
-integrates the precision-recall curve with 101-point interpolation. Recall
-uses class-agnostic greedy rotated-IoU matching. Reports can be stratified
-by ego distance, visibility, or object size; the visibility axis masks only
-the ground truth while the other two mask both sides.
+AP and recall share one greedy matcher: detections in descending score
+each claim the unclaimed ground truth of highest affinity that clears a
+floor. AP matches within a class by BEV center distance (affinity -d, floor
+-t, so the nearest ground truth within t m; one distance matrix per class
+serves all four thresholds) and integrates the precision-recall curve with
+101-point interpolation. Recall matches class-agnostically by rotated IoU.
+Reports can be stratified by ego distance, visibility, or object size; the
+visibility axis masks only the ground truth while the other two mask both
+sides. `evaluate` is the one evaluator of a bin.
 """
 
 from __future__ import annotations
@@ -48,6 +51,8 @@ class Annotation:
     num_lidar_pts: int = 0
 
     def __post_init__(self) -> None:
+        if not 0 <= self.class_id < NUM_CLASSES:
+            raise ContractError(f"class_id {self.class_id} outside [0, {NUM_CLASSES - 1}]")
         if self.visibility_token not in (1, 2, 3, 4):
             raise ContractError(f"visibility token {self.visibility_token} not in 1..4")
         if self.num_lidar_pts < 0:
@@ -63,10 +68,58 @@ class Detection:
     def __post_init__(self) -> None:
         if not 0.0 <= self.score <= 1.0:
             raise ContractError(f"score {self.score} outside [0, 1]")
+        if not 0 <= self.class_id < NUM_CLASSES:
+            raise ContractError(f"class_id {self.class_id} outside [0, {NUM_CLASSES - 1}]")
 
 
 def _score_order(dets: list[Detection]) -> list[int]:
     return sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+
+
+def _greedy_hits(affinity: np.ndarray, order: list[int], floor: float) -> np.ndarray:
+    """Which detections, taken in `order`, claim a ground truth.
+
+    Each detection takes the unclaimed ground truth (column) of highest
+    affinity when that affinity is >= `floor`; argmax keeps the lowest index
+    among equal affinities. Returns one flag per entry of `order`.
+    """
+    used = np.zeros(affinity.shape[1], dtype=bool)
+    hits = np.zeros(len(order), dtype=bool)
+    for rank, i in enumerate(order):
+        open_affinity = np.where(used, -np.inf, affinity[i])
+        j = int(np.argmax(open_affinity))
+        if open_affinity[j] >= floor:
+            used[j] = hits[rank] = True
+    return hits
+
+
+def _interpolated_ap(hits: np.ndarray, n_gt: int) -> float:
+    """101-point interpolated AP of a ranked hit sequence."""
+    cum_tp = np.cumsum(hits)
+    precision = cum_tp / np.arange(1, len(hits) + 1)
+    recall = cum_tp / n_gt
+    # Ranks at recall >= r are a suffix (recall never falls): take suffix maxima, 0 past the end.
+    envelope = np.append(np.maximum.accumulate(precision[::-1])[::-1], 0.0)
+    ap = 0.0
+    for best in envelope[np.searchsorted(recall, np.linspace(0.0, 1.0, 101))].tolist():
+        ap += best
+    return ap / 101.0
+
+
+def _class_aps(
+    dets: list[Detection], gts: list[Annotation], class_id: int, thresholds: tuple[float, ...]
+) -> dict[float, float | None]:
+    """AP of one class at each center-distance threshold (see average_precision)."""
+    dets = [d for d in dets if d.class_id == class_id]
+    gts = [g for g in gts if g.class_id == class_id]
+    if not dets and not gts:
+        return {t: None for t in thresholds}
+    if not dets or not gts:
+        return {t: 0.0 for t in thresholds}
+    # One distance matrix serves every threshold; -d >= -t is exactly d <= t.
+    neg_dist = -np.array([[center_distance_bev(d.box, g.box) for g in gts] for d in dets])
+    order = _score_order(dets)
+    return {t: _interpolated_ap(_greedy_hits(neg_dist, order, -t), len(gts)) for t in thresholds}
 
 
 def average_precision(
@@ -81,70 +134,14 @@ def average_precision(
     (the class is skipped from means); 0.0 when ground truth is missing but
     detections exist, or no detection matches.
     """
-    cls_dets = [d for d in dets if d.class_id == class_id]
-    cls_gts = [g for g in gts if g.class_id == class_id]
-    if not cls_dets and not cls_gts:
-        return None
-    if not cls_gts or not cls_dets:
-        return 0.0
-
-    gt_used = [False] * len(cls_gts)
-    tp = np.zeros(len(cls_dets))
-    fp = np.zeros(len(cls_dets))
-    for rank, det_idx in enumerate(_score_order(cls_dets)):
-        det = cls_dets[det_idx]
-        best_dist = None
-        best_gt = -1
-        for gi, gt in enumerate(cls_gts):
-            if gt_used[gi]:
-                continue
-            dist = center_distance_bev(det.box, gt.box)
-            if dist <= dist_threshold and (best_dist is None or dist < best_dist):
-                best_dist = dist
-                best_gt = gi
-        if best_gt >= 0:
-            gt_used[best_gt] = True
-            tp[rank] = 1.0
-        else:
-            fp[rank] = 1.0
-
-    cum_tp = np.cumsum(tp)
-    cum_fp = np.cumsum(fp)
-    precision = cum_tp / (cum_tp + cum_fp)
-    recall = cum_tp / len(cls_gts)
-
-    ap = 0.0
-    for r in np.linspace(0.0, 1.0, 101):
-        mask = recall >= r
-        ap += float(precision[mask].max()) if mask.any() else 0.0
-    return ap / 101.0
+    return _class_aps(dets, gts, class_id, (dist_threshold,))[dist_threshold]
 
 
 def ap_table(
-    dets: list[Detection],
-    gts: list[Annotation],
-    classes: tuple[int, ...] = tuple(range(NUM_CLASSES)),
-    thresholds: tuple[float, ...] = DIST_THRESHOLDS,
+    dets: list[Detection], gts: list[Annotation]
 ) -> dict[int, dict[float, float | None]]:
     """Per-class, per-threshold AP values (None marks skipped classes)."""
-    return {
-        c: {t: average_precision(dets, gts, c, t) for t in thresholds}
-        for c in classes
-    }
-
-
-def mean_ap(
-    dets: list[Detection],
-    gts: list[Annotation],
-    classes: tuple[int, ...] = tuple(range(NUM_CLASSES)),
-    thresholds: tuple[float, ...] = DIST_THRESHOLDS,
-) -> float:
-    """Mean over classes of the mean AP over distance thresholds.
-
-    Classes absent from both detections and ground truth do not enter the
-    mean; 0.0 when every class is absent.
-    """
-    return _mean_of_table(ap_table(dets, gts, classes, thresholds))
+    return {c: _class_aps(dets, gts, c, DIST_THRESHOLDS) for c in range(NUM_CLASSES)}
 
 
 def _mean_of_table(table: dict[int, dict[float, float | None]]) -> float:
@@ -178,20 +175,7 @@ def recall_at_iou(
     di, gj = overlap_candidates(det_rects, gt_rects)
     iou = np.zeros((len(dets), len(gts)))
     iou[di, gj] = rotated_iou_pairs([det_rects[i] for i in di], [gt_rects[j] for j in gj])
-
-    recalls: dict[float, float | None] = {}
-    for threshold in iou_thresholds:
-        used = np.zeros(len(gts), dtype=bool)
-        matched = 0
-        for i in order:
-            # argmax keeps the lowest index among equal IoUs.
-            open_iou = np.where(used | (iou[i] < threshold), -1.0, iou[i])
-            best_j = int(np.argmax(open_iou))
-            if open_iou[best_j] >= 0.0:
-                used[best_j] = True
-                matched += 1
-        recalls[threshold] = matched / len(gts)
-    return recalls
+    return {t: int(_greedy_hits(iou, order, t).sum()) / len(gts) for t in iou_thresholds}
 
 
 def _ego_distance(box: Box3D) -> float:
@@ -282,24 +266,17 @@ class StratifiedReport:
         return "\n".join(lines)
 
 
-def evaluate(
-    dets: list[Detection],
-    gts: list[Annotation],
-    classes: tuple[int, ...] = tuple(range(NUM_CLASSES)),
-) -> BinMetrics:
-    """Unstratified metrics over one detection/ground-truth set."""
-    table = ap_table(dets, gts, classes)
-    m = _mean_of_table(table) if (dets or gts) else None
-    rec = recall_at_iou(dets, gts) if gts else {t: None for t in IOU_THRESHOLDS}
-    return BinMetrics("all", len(gts), len(dets), table, m, rec)
+def evaluate(dets: list[Detection], gts: list[Annotation], label: str = "all") -> BinMetrics:
+    """Metrics over one detection/ground-truth set; the one evaluator of a bin."""
+    if not dets and not gts:
+        return BinMetrics(label, 0, 0, {}, None, {t: None for t in IOU_THRESHOLDS})
+    table = ap_table(dets, gts)
+    return BinMetrics(
+        label, len(gts), len(dets), table, _mean_of_table(table), recall_at_iou(dets, gts)
+    )
 
 
-def stratified_eval(
-    dets: list[Detection],
-    gts: list[Annotation],
-    axis: str,
-    classes: tuple[int, ...] = tuple(range(NUM_CLASSES)),
-) -> StratifiedReport:
+def stratified_eval(dets: list[Detection], gts: list[Annotation], axis: str) -> StratifiedReport:
     """Per-bin metrics along one axis.
 
     The visibility axis evaluates the full detection set against each ground
@@ -311,26 +288,9 @@ def stratified_eval(
         det_bins = [list(dets) for _ in labels]
     else:
         det_bins = partition_items(dets, axis)
-
-    report = StratifiedReport(axis)
-    for label, bin_dets, bin_gts in zip(labels, det_bins, gt_bins):
-        if not bin_dets and not bin_gts:
-            report.bins.append(
-                BinMetrics(label, 0, 0, {}, None, {t: None for t in IOU_THRESHOLDS})
-            )
-            continue
-        table = ap_table(bin_dets, bin_gts, classes)
-        report.bins.append(
-            BinMetrics(
-                label,
-                len(bin_gts),
-                len(bin_dets),
-                table,
-                _mean_of_table(table),
-                recall_at_iou(bin_dets, bin_gts),
-            )
-        )
-    return report
+    return StratifiedReport(
+        axis, [evaluate(d, g, label) for label, d, g in zip(labels, det_bins, gt_bins)]
+    )
 
 
 def point_count_bucket(count: int) -> int:

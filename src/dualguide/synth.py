@@ -22,7 +22,8 @@ parts: after subtracting the median cell energy as a floor, strict local
 maxima become detections whose box is estimated from the quarter-maximum
 support region (flood-filled around the peak): the support's principal axes
 give the yaw, and extent = 2.4 * sqrt(eigenvalue) inverts the quarter-max
-cut of a Gaussian bump whose std is the half extent.
+cut of a Gaussian bump whose std is the half extent. It has no class
+head: every detection is labelled READOUT_CLASS.
 """
 
 from __future__ import annotations
@@ -52,6 +53,8 @@ from .metrics import Annotation, Detection
 from .taxonomy import NUM_CLASSES
 
 GAP_PROFILES = ("easy", "lidar-hole", "occluded", "mixed")
+# The one class the readout detector gives every detection.
+READOUT_CLASS = 0
 
 # Typical (heading extent, lateral extent, height) per class, in meters.
 CLASS_SIZES = (
@@ -508,7 +511,7 @@ def energy_peak_detections(
         detections.append(
             Detection(
                 box=Box3D(center=(cx, cy, 1.0), size=(extent_w, extent_l, 2.0), yaw=yaw),
-                class_id=0,
+                class_id=READOUT_CLASS,
                 score=float(residual[r, c] / top),
             )
         )

@@ -19,7 +19,7 @@ from dualguide.enhance import (
     fuse_grids,
     pair_distance_weights,
 )
-from dualguide.geometry import Box3D
+from dualguide.geometry import Box3D, center_distance_bev
 from dualguide.grid import BevGrid, GridSpec
 from dualguide.instances import Proposal, build_instances
 from dualguide.losses import LossWeights, RunningMax, composite_loss, pair_cosine_loss
@@ -165,16 +165,17 @@ def test_criterion_4_distance_weight_formula():
         lidar_hard_pair((0, 0), (4, 0), [1.0], [1.0]),
         lidar_hard_pair((0, 0), (6, 0), [1.0], [1.0]),
     ]
+    distances = [center_distance_bev(p.anchor.proposal.box, p.guide.proposal.box) for p in pairs]
     spread = pair_distance_weights(pairs)
-    exact = spread.weights == [1.0, 0.5, 0.0]
-    single = pair_distance_weights(pairs[:1]).weights == [1.0]
+    exact = distances == [2.0, 4.0, 6.0] and spread == [1.0, 0.5, 0.0]
+    single = pair_distance_weights(pairs[:1]) == [1.0]
     equal = pair_distance_weights(
         [lidar_hard_pair((0, 0), (3, 0), [1.0], [1.0]) for _ in range(4)]
-    ).weights == [1.0] * 4
+    ) == [1.0] * 4
     report(
         "criterion 4: min-max distance weights",
         exact and single and equal,
-        f"[2,4,6] -> {spread.weights}, degenerate all-1.0",
+        f"{distances} -> {spread}, degenerate all-1.0",
     )
 
 

@@ -136,6 +136,84 @@ class TestExitCodes:
         assert "manifest" in capsys.readouterr().err
 
 
+def edit_records(path, edit):
+    """Rewrite a JSON-lines file after `edit(records)` changes its parsed records."""
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    edit(records)
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+
+def annotations_as_detections(workdir):
+    """Write the scene's annotations, scored 0.9, as dets.jsonl."""
+    path = workdir / "scene" / "annotations.jsonl"
+    records = [{**json.loads(line), "score": 0.9} for line in path.read_text().splitlines()]
+    (workdir / "dets.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+
+
+def write_grid_header(path, h, w, c, x_range, y_range):
+    path.write_bytes(
+        struct.pack("<4sIIIIdddd", b"BEVG", 1, h, w, c, *x_range, *y_range)
+        + np.zeros(h * w * c, dtype="<f4").tobytes()
+    )
+
+
+class TestInputBoundary:
+    """Each bad input exits 2 naming the file (and the record), and writes no report."""
+
+    @pytest.fixture()
+    def scene(self, workdir):
+        assert main(["gen", "--seed", "2", "--objects", "6"]) == 0
+        annotations_as_detections(workdir)
+        return workdir / "scene"
+
+    def eval_fails(self, capsys, scene, *expected):
+        assert main(["eval", "--dets", "dets.jsonl"]) == 2
+        err = capsys.readouterr().err
+        assert all(text in err for text in expected), err
+        assert not (scene / "report.json").exists()
+
+    def test_integer_too_large_for_a_float(self, scene, capsys):
+        edit_records(scene / "annotations.jsonl", lambda r: r[3].update(num_lidar_pts=10**400))
+        self.eval_fails(
+            capsys, scene, "annotations.jsonl: record 3: num_lidar_pts must be a finite number"
+        )
+
+    @pytest.mark.parametrize("name", ["annotations.jsonl", "dets.jsonl"])
+    @pytest.mark.parametrize("class_id", [99, -1])
+    def test_class_id_out_of_range(self, scene, capsys, name, class_id):
+        path = scene / name if name == "annotations.jsonl" else scene.parent / name
+        edit_records(path, lambda r: r[1].update(class_id=class_id))
+        self.eval_fails(capsys, scene, f"{name}: record 1: class_id {class_id} outside [0, 9]")
+
+    def test_record_not_an_object(self, scene, capsys):
+        path = scene / "annotations.jsonl"
+        path.write_text(path.read_text() + "[1, 2, 3]\n")
+        self.eval_fails(
+            capsys, scene, "annotations.jsonl: record 6: expected a JSON object, got list"
+        )
+
+    @pytest.mark.parametrize("name", ["annotations.jsonl", "manifest.json"])
+    def test_bytes_not_utf8(self, scene, capsys, name):
+        path = scene / name
+        path.write_bytes(path.read_bytes().replace(b'"', b'"\xff', 1))
+        self.eval_fails(capsys, scene, f"{name}: not UTF-8 text")
+
+    def test_nan_window_bound_in_grid_header(self, workdir, capsys):
+        assert main(["gen", "--seed", "2", "--objects", "6"]) == 0
+        write_grid_header(workdir / "bad.bevg", 4, 4, 2, (0.0, float("nan")), (0.0, 4.0))
+        assert main(["eval", "--peaks-from", "bad.bevg"]) == 2
+        err = capsys.readouterr().err
+        assert "bad.bevg: bad grid header: grid window must be finite" in err
+        assert not (workdir / "scene" / "report.json").exists()
+
+    def test_zero_dimension_in_grid_header(self, workdir, capsys):
+        assert main(["gen", "--seed", "2", "--objects", "6"]) == 0
+        write_grid_header(workdir / "bad.bevg", 0, 4, 2, (0.0, 4.0), (0.0, 4.0))
+        assert main(["eval", "--peaks-from", "bad.bevg"]) == 2
+        err = capsys.readouterr().err
+        assert "bad.bevg: bad grid header: grid dimensions must be positive" in err
+
+
 class TestCommandChain:
     def test_gen_fuse_eval_default_paths(self, workdir, capsys):
         cfg = small_config(workdir)
@@ -219,6 +297,27 @@ class TestCommandChain:
         err = capsys.readouterr().err
         assert "manifest references missing file 'points.npy'" in err
         assert "manifest references missing file 'annotations.jsonl'" in err
+
+    def test_readout_eval_is_class_agnostic(self, workdir, capsys):
+        # The readout labels every peak class 0; scored class-aware, the
+        # annotations of other classes read as misses (mAP 0.0 at recall 1.0).
+        assert main(["gen", "--seed", "2", "--objects", "6"]) == 0
+        assert main(["fuse"]) == 0
+        capsys.readouterr()
+        assert main(["eval"]) == 0
+        assert "mAP is class-agnostic" in capsys.readouterr().out
+        report = json.loads((workdir / "scene" / "report.json").read_text())
+        assert report["class_agnostic"] is True
+        (only,) = report["bins"]
+        assert only["mean_ap"] == pytest.approx(0.8)
+        assert only["recall"]["0.3"] == 1.0
+        assert only["n_gt"] == 6
+        annotations_as_detections(workdir)
+        assert main(["eval", "--dets", "dets.jsonl"]) == 0
+        assert "class-agnostic" not in capsys.readouterr().out
+        report = json.loads((workdir / "scene" / "report.json").read_text())
+        assert report["class_agnostic"] is False
+        assert report["bins"][0]["mean_ap"] == 1.0
 
     def test_eval_without_detections_or_fused_grid_fails(self, workdir, capsys):
         cfg = small_config(workdir)

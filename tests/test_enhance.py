@@ -23,7 +23,7 @@ from dualguide.enhance import (
     pair_distance_weights,
 )
 from dualguide.errors import ConfigurationError
-from dualguide.geometry import Box3D
+from dualguide.geometry import Box3D, center_distance_bev
 from dualguide.grid import BevGrid, GridSpec
 from dualguide.instances import InstanceFeature, Proposal
 from dualguide.matching import (
@@ -215,20 +215,21 @@ class TestPairDistanceWeights:
             lidar_hard_pair((0, 0), (4, 0), [1.0], [1.0]),
             lidar_hard_pair((0, 0), (6, 0), [1.0], [1.0]),
         ]
-        pw = pair_distance_weights(pairs)
-        assert pw.distances == pytest.approx([2.0, 4.0, 6.0])
-        assert pw.weights == pytest.approx([1.0, 0.5, 0.0])
+        distances = [center_distance_bev(p.anchor.proposal.box, p.guide.proposal.box)
+                     for p in pairs]
+        assert distances == pytest.approx([2.0, 4.0, 6.0])
+        assert pair_distance_weights(pairs) == pytest.approx([1.0, 0.5, 0.0])
 
     def test_single_pair_degenerates_to_one(self):
         pairs = [lidar_hard_pair((0, 0), (3, 4), [1.0], [1.0])]
-        assert pair_distance_weights(pairs).weights == [1.0]
+        assert pair_distance_weights(pairs) == [1.0]
 
     def test_equal_distances_all_one(self):
         pairs = [
             lidar_hard_pair((0, 0), (0, 5), [1.0], [1.0]),
             lidar_hard_pair((1, 1), (1, 6), [1.0], [1.0]),
         ]
-        assert pair_distance_weights(pairs).weights == [1.0, 1.0]
+        assert pair_distance_weights(pairs) == [1.0, 1.0]
 
     def test_bounds_and_extremes(self):
         rng = np.random.default_rng(1)
@@ -236,14 +237,15 @@ class TestPairDistanceWeights:
             lidar_hard_pair((0, 0), (float(rng.uniform(1, 9)), 0), [1.0], [1.0])
             for _ in range(10)
         ]
-        pw = pair_distance_weights(pairs)
-        assert all(0.0 <= w <= 1.0 for w in pw.weights)
-        assert pw.weights[int(np.argmin(pw.distances))] == 1.0
-        assert pw.weights[int(np.argmax(pw.distances))] == 0.0
+        weights = pair_distance_weights(pairs)
+        distances = [center_distance_bev(p.anchor.proposal.box, p.guide.proposal.box)
+                     for p in pairs]
+        assert all(0.0 <= w <= 1.0 for w in weights)
+        assert weights[int(np.argmin(distances))] == 1.0
+        assert weights[int(np.argmax(distances))] == 0.0
 
     def test_empty(self):
-        pw = pair_distance_weights([])
-        assert pw.distances == [] and pw.weights == []
+        assert pair_distance_weights([]) == []
 
 
 class TestCameraEnhancement:
@@ -403,7 +405,7 @@ class TestLidarEnhancement:
         shared = set(ref_surrounding(ref_world_to_grid((3.1, 3.1), grid.spec), grid.spec))
         shared &= set(ref_surrounding(coord2, grid.spec))
         assert shared
-        weights = pair_distance_weights([p1, p2]).weights
+        weights = pair_distance_weights([p1, p2])
         for cell in shared:
             assert np.array_equal(out.data[cell], grid.data[cell] + np.full(3, 11.0) * weights[1])
 

@@ -19,6 +19,7 @@ from dualguide.formats import (
     load_annotations,
     load_detections,
     load_grid,
+    load_json,
     load_projection,
     load_proposals,
     save_annotations,
@@ -31,6 +32,7 @@ from dualguide.geometry import Box3D
 from dualguide.grid import BevGrid, GridSpec
 from dualguide.instances import Proposal
 from dualguide.metrics import Annotation, Detection
+from dualguide.synth import generate_scene, write_scene
 
 
 def f32_grid(rng, h=5, w=7, c=3):
@@ -143,6 +145,61 @@ class TestGridFormatProperties:
         back = load_grid(path)
         assert back.spec == spec
         assert np.array_equal(back.data, grid.data.astype(np.float32).astype(np.float64))
+
+
+def valid_input_files(out):
+    """One small valid file per loader, written under `out`."""
+    rng = np.random.default_rng(11)
+    config = PipelineConfig(height_cells=16, width_cells=16, x_range=(-19.2, 19.2),
+                            y_range=(-19.2, 19.2), camera_channels=2, lidar_channels=3)
+    scene = generate_scene(config, seed=3, n_objects=3)
+    manifest = write_scene(scene, out / "scene", config, 3, "mixed")
+    save_grid(f32_grid(rng, h=3, w=4, c=2), out / "g.bevg")
+    save_projection(Projection(rng.normal(size=(3, 4)), rng.normal(size=3)), out / "p.proj")
+    save_detections(
+        [Detection(a.box, a.class_id, 0.5) for a in scene.annotations], out / "d.jsonl"
+    )
+    return {
+        "grid": (load_grid, out / "g.bevg"),
+        "projection": (load_projection, out / "p.proj"),
+        "proposals": (load_proposals, out / "scene" / "lidar_proposals.jsonl"),
+        "annotations": (load_annotations, out / "scene" / "annotations.jsonl"),
+        "detections": (load_detections, out / "d.jsonl"),
+        "manifest": (load_json, manifest),
+    }
+
+
+class TestLoaderFuzz:
+    """Truncated or byte-flipped copies of valid files load or raise DataFormatError."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        return valid_input_files(tmp_path_factory.mktemp("valid"))
+
+    @pytest.mark.parametrize("kind", [
+        "grid", "projection", "proposals", "annotations", "detections", "manifest",
+    ])
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_loader_returns_or_raises_data_format_error(self, inputs, tmp_path_factory, kind,
+                                                        data):
+        load, path = inputs[kind]
+        blob = bytearray(path.read_bytes())
+        at = data.draw(st.integers(0, len(blob) - 1))
+        if data.draw(st.booleans()):
+            blob = blob[:at]
+        else:
+            blob[at] ^= data.draw(st.integers(1, 255))
+        garbled = tmp_path_factory.mktemp("fuzz") / path.name
+        garbled.write_bytes(bytes(blob))
+        try:
+            load(garbled)
+        except DataFormatError:
+            pass
+
+    def test_valid_inputs_load(self, inputs):
+        for load, path in inputs.values():
+            load(path)
 
 
 class TestProjectionFormat:

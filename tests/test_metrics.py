@@ -5,21 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualguide.geometry import Box3D, project_to_bev
+from dualguide.geometry import Box3D, center_distance_bev, project_to_bev
 from dualguide.metrics import (
+    DIST_THRESHOLDS,
     IOU_THRESHOLDS,
     Annotation,
     Detection,
+    ap_table,
     average_precision,
     bin_index,
     evaluate,
-    mean_ap,
     partition_items,
     point_count_bucket,
     recall_at_iou,
     stratified_eval,
     visibility_histogram,
 )
+from dualguide.taxonomy import NUM_CLASSES
 
 from test_geometry import oracle_iou
 
@@ -120,17 +122,130 @@ class TestMeanAp:
     def test_perfect_predictions(self):
         gts = [gt(0, 0, class_id=0), gt(5, 5, class_id=1)]
         dets = [det(0, 0, 1.0, class_id=0), det(5, 5, 1.0, class_id=1)]
-        assert mean_ap(dets, gts) == 1.0
+        assert evaluate(dets, gts).mean_ap == 1.0
 
     def test_no_detections(self):
-        assert mean_ap([], [gt(0, 0)]) == 0.0
+        assert evaluate([], [gt(0, 0)]).mean_ap == 0.0
 
     def test_mixed_scene_value(self):
         expected = (MIXED_AP_AT_2M + 3 * 56.0 / 101.0) / 4.0
         # thresholds 0.5/1/2/4: at 0.5 and above the same TP pattern holds
         aps = [average_precision(MIXED_DETS, MIXED_GTS, 0, t) for t in (0.5, 1.0, 2.0, 4.0)]
-        assert mean_ap(MIXED_DETS, MIXED_GTS) == pytest.approx(sum(aps) / 4.0)
-        assert mean_ap(MIXED_DETS, MIXED_GTS) == pytest.approx(expected)
+        assert evaluate(MIXED_DETS, MIXED_GTS).mean_ap == pytest.approx(sum(aps) / 4.0)
+        assert evaluate(MIXED_DETS, MIXED_GTS).mean_ap == pytest.approx(expected)
+
+    def test_no_data_is_the_no_data_bin(self):
+        empty = evaluate([], [])
+        assert empty.no_data and empty.ap == {} and empty.mean_ap is None
+        assert empty.recall == {t: None for t in IOU_THRESHOLDS}
+        near = stratified_eval([], [], "distance").bins[0]
+        assert near.to_dict() == evaluate([], [], "0-20m").to_dict()
+
+
+def oracle_average_precision(dets, gts, class_id, dist_threshold):
+    """The nested-loop AP: every distance recomputed for each detection and threshold."""
+    cls_dets = [d for d in dets if d.class_id == class_id]
+    cls_gts = [g for g in gts if g.class_id == class_id]
+    if not cls_dets and not cls_gts:
+        return None
+    if not cls_gts or not cls_dets:
+        return 0.0
+
+    gt_used = [False] * len(cls_gts)
+    tp = np.zeros(len(cls_dets))
+    fp = np.zeros(len(cls_dets))
+    order = sorted(range(len(cls_dets)), key=lambda i: (-cls_dets[i].score, i))
+    for rank, det_idx in enumerate(order):
+        det = cls_dets[det_idx]
+        best_dist = None
+        best_gt = -1
+        for gi, gt in enumerate(cls_gts):
+            if gt_used[gi]:
+                continue
+            dist = center_distance_bev(det.box, gt.box)
+            if dist <= dist_threshold and (best_dist is None or dist < best_dist):
+                best_dist = dist
+                best_gt = gi
+        if best_gt >= 0:
+            gt_used[best_gt] = True
+            tp[rank] = 1.0
+        else:
+            fp[rank] = 1.0
+
+    cum_tp = np.cumsum(tp)
+    cum_fp = np.cumsum(fp)
+    precision = cum_tp / (cum_tp + cum_fp)
+    recall = cum_tp / len(cls_gts)
+
+    ap = 0.0
+    for r in np.linspace(0.0, 1.0, 101):
+        mask = recall >= r
+        ap += float(precision[mask].max()) if mask.any() else 0.0
+    return ap / 101.0
+
+
+def seeded_ap_scene(seed):
+    """Multi-class ground truth; exact-threshold, tied, jittered, duplicate and stray detections.
+
+    Half the points sit on a half-metre lattice, so a detection offset by a
+    threshold along an axis lies exactly that far away. Each tie cluster
+    puts one detection exactly d m from two ground truths of its class.
+    """
+    rng = np.random.default_rng(seed)
+
+    def point():
+        if rng.uniform() < 0.5:
+            return tuple(float(v) for v in rng.integers(-6, 7, 2) * 0.5)
+        return tuple(float(v) for v in rng.uniform(-6, 6, 2))
+
+    gts = [gt(*point(), class_id=int(rng.integers(0, 4))) for _ in range(rng.integers(0, 16))]
+    dets = []
+    for _ in range(int(rng.integers(0, 3))):
+        (x, y), d, cls = point(), float(rng.choice(DIST_THRESHOLDS)), int(rng.integers(0, 4))
+        pair = [gt(x + d, y, class_id=cls), gt(x, y - d, class_id=cls)]
+        gts += pair if rng.uniform() < 0.5 else pair[::-1]
+        dets.append((x, y, cls))
+    for g in gts:
+        x, y = g.box.center[0], g.box.center[1]
+        for _ in range(int(rng.integers(0, 4))):
+            kind = int(rng.integers(0, 3))
+            if kind == 0:
+                offset = float(rng.choice(DIST_THRESHOLDS)) * float(rng.choice([-1.0, 1.0]))
+                dx, dy = (offset, 0.0) if rng.uniform() < 0.5 else (0.0, offset)
+            elif kind == 1:
+                dx, dy = (float(v) for v in rng.normal(0.0, float(rng.choice([0.3, 1.5])), 2))
+            else:
+                dx = dy = 0.0
+            cls = g.class_id if rng.uniform() < 0.8 else int(rng.integers(0, 4))
+            dets.append((x + dx, y + dy, cls))
+    dets += [(*point(), int(rng.integers(0, 4))) for _ in range(rng.integers(0, 6))]
+    if dets:
+        dets += [dets[int(i)] for i in rng.integers(0, len(dets), int(rng.integers(0, 4)))]
+    scores = rng.choice([0.3, 0.5, 0.8, 0.9], size=len(dets))
+    return [det(x, y, float(s), class_id=c) for (x, y, c), s in zip(dets, scores)], gts
+
+
+class TestApOracle:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_ap_table_equals_nested_loop_oracle(self, seed):
+        dets, gts = seeded_ap_scene(seed)
+        assert ap_table(dets, gts) == {
+            c: {t: oracle_average_precision(dets, gts, c, t) for t in DIST_THRESHOLDS}
+            for c in range(NUM_CLASSES)
+        }
+
+    def test_detection_exactly_at_threshold_matches(self):
+        for t in DIST_THRESHOLDS:
+            assert average_precision([det(2.0 + t, 1.0, 0.9)], [gt(2.0, 1.0)], 0, t) == 1.0
+            assert oracle_average_precision([det(2.0 + t, 1.0, 0.9)], [gt(2.0, 1.0)], 0, t) == 1.0
+
+    def test_equal_distance_ties_go_to_lowest_index(self):
+        # The first detection is 1 m from both; taking g0 leaves g1 for the second.
+        gts = [gt(1, 0), gt(-1, 0)]
+        dets = [det(0, 0, 0.9), det(-1.5, 0, 0.8)]
+        assert oracle_average_precision(dets, gts, 0, 1.0) == 1.0
+        assert average_precision(dets, gts, 0, 1.0) == 1.0
 
 
 def dense_oracle_recall(dets, gts, thresholds):
