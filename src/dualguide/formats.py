@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -31,9 +32,9 @@ GRID_VERSION = 1
 PROJ_MAGIC = b"PROJ"
 
 _GRID_HEADER = struct.Struct("<4sIIIIdddd")
-# save_grid converts and writes the payload this many bytes of f32 at a
-# time, so no full-grid f32 copy is ever held.
-_WRITE_BLOCK_BYTES = 1 << 20
+# save_grid and load_grid stream the payload in blocks of rows holding about
+# this many bytes of f32, so no full-grid f32 copy is ever held.
+_GRID_BLOCK_BYTES = 1 << 20
 _PROJ_HEADER = struct.Struct("<4sII")
 _BOX_KEYS = ("x", "y", "z", "w", "l", "h", "yaw", "vx", "vy")
 
@@ -56,7 +57,7 @@ def save_grid(grid: BevGrid, path: str | Path) -> None:
         spec.y_range[0],
         spec.y_range[1],
     )
-    rows_per_block = max(1, _WRITE_BLOCK_BYTES // (spec.width_cells * spec.channels * 4))
+    rows_per_block = _rows_per_block(spec)
     with path.open("wb") as f:
         f.write(header)
         for r in range(0, spec.height_cells, rows_per_block):
@@ -73,33 +74,47 @@ def save_grid(grid: BevGrid, path: str | Path) -> None:
     Path(str(path) + ".json").write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
 
 
+def _rows_per_block(spec: GridSpec) -> int:
+    return max(1, _GRID_BLOCK_BYTES // (spec.width_cells * spec.channels * 4))
+
+
 def load_grid(path: str | Path) -> BevGrid:
+    """Read a grid file into float64, checking its header, size and values.
+
+    The file size is checked against the header before the grid is
+    allocated, and the payload is read in blocks of rows straight into it.
+    """
     path = Path(path)
-    blob = path.read_bytes()
-    if len(blob) < _GRID_HEADER.size:
-        raise DataFormatError(f"{path}: truncated grid header")
-    magic, version, h, w, c, x0, x1, y0, y1 = _GRID_HEADER.unpack_from(blob)
-    if magic != GRID_MAGIC:
-        raise DataFormatError(f"{path}: bad magic {magic!r}, expected {GRID_MAGIC!r}")
-    if version != GRID_VERSION:
-        raise DataFormatError(
-            f"{path}: unsupported grid version {version}, expected {GRID_VERSION}"
-        )
-    try:
-        spec = GridSpec(h, w, c, (x0, x1), (y0, y1))
-    except ConfigurationError as exc:
-        raise DataFormatError(f"{path}: bad grid header: {exc}") from exc
-    expected = _GRID_HEADER.size + h * w * c * 4
-    if len(blob) != expected:
-        raise DataFormatError(
-            f"{path}: payload is {len(blob)} bytes, header implies {expected}"
-        )
-    data = np.frombuffer(blob, dtype="<f4", offset=_GRID_HEADER.size).reshape(h, w, c)
-    # Checked on the f32 view, before the f64 copy exists, to keep peak memory.
-    if not np.isfinite(data).all():
-        bad = int(np.count_nonzero(~np.isfinite(data)))
+    with path.open("rb") as f:
+        head = f.read(_GRID_HEADER.size)
+        if len(head) < _GRID_HEADER.size:
+            raise DataFormatError(f"{path}: truncated grid header")
+        magic, version, h, w, c, x0, x1, y0, y1 = _GRID_HEADER.unpack(head)
+        if magic != GRID_MAGIC:
+            raise DataFormatError(f"{path}: bad magic {magic!r}, expected {GRID_MAGIC!r}")
+        if version != GRID_VERSION:
+            raise DataFormatError(
+                f"{path}: unsupported grid version {version}, expected {GRID_VERSION}"
+            )
+        try:
+            spec = GridSpec(h, w, c, (x0, x1), (y0, y1))
+        except ConfigurationError as exc:
+            raise DataFormatError(f"{path}: bad grid header: {exc}") from exc
+        size = os.fstat(f.fileno()).st_size
+        expected = _GRID_HEADER.size + h * w * c * 4
+        if size != expected:
+            raise DataFormatError(f"{path}: payload is {size} bytes, header implies {expected}")
+        data = np.empty((h, w, c))
+        bad = 0
+        rows_per_block = _rows_per_block(spec)
+        for r in range(0, h, rows_per_block):
+            block = data[r : r + rows_per_block]
+            values = np.frombuffer(f.read(block.size * 4), dtype="<f4")
+            bad += values.size - int(np.count_nonzero(np.isfinite(values)))
+            block[...] = values.reshape(block.shape)
+    if bad:
         raise DataFormatError(f"{path}: {bad} non-finite grid values")
-    return BevGrid(spec, data.astype(np.float64))
+    return BevGrid(spec, data)
 
 
 def save_projection(proj: Projection, path: str | Path) -> None:

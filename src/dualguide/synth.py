@@ -20,10 +20,10 @@ trivially the top peaks of the fused grid.
 The readout detector turns a grid into detections without any learned
 parts: after subtracting the median cell energy as a floor, strict local
 maxima become detections whose box is estimated from the quarter-maximum
-support region (flood-filled around the peak): the support's principal axes
-give the yaw, and extent = 2.4 * sqrt(eigenvalue) inverts the quarter-max
-cut of a Gaussian bump whose std is the half extent. It has no class
-head: every detection is labelled READOUT_CLASS.
+support region (the connected region within 8 cells of the peak, computed for
+all peaks at once): its principal axes give the yaw, and extent = 2.4 *
+sqrt(eigenvalue) inverts the quarter-max cut of a Gaussian bump whose std is
+the half extent. It has no class head: every detection is READOUT_CLASS.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import PipelineConfig
 from .errors import ConfigurationError, DataFormatError
@@ -55,6 +56,13 @@ from .taxonomy import NUM_CLASSES
 GAP_PROFILES = ("easy", "lidar-hole", "occluded", "mixed")
 # The one class the readout detector gives every detection.
 READOUT_CLASS = 0
+# A readout peak has residual energy >= MIN_PEAK_ENERGY. Its support region is
+# the cells within SUPPORT_HALF_WIDTH rows and columns of it, 4-connected to it,
+# that reach SUPPORT_LEVEL x its residual. _PEAK_CHUNK peaks at a time bound memory.
+MIN_PEAK_ENERGY = 1e-6
+SUPPORT_HALF_WIDTH = 8
+SUPPORT_LEVEL = 0.25
+_PEAK_CHUNK = 128
 
 # Typical (heading extent, lateral extent, height) per class, in meters.
 CLASS_SIZES = (
@@ -341,15 +349,25 @@ def scene_paths(
 ) -> tuple[dict, dict[str, Path]]:
     """A scene manifest and the path of each named file it sets, checked to exist.
 
-    A key the manifest leaves unset, such as the optional "points", is left out.
+    Only "points" is optional: when the manifest leaves it unset it is left out.
     """
     manifest_path = Path(manifest_path)
     manifest = load_json(manifest_path)
+    if not isinstance(manifest, dict):
+        raise DataFormatError(
+            f"{manifest_path}: expected a JSON object, got {type(manifest).__name__}"
+        )
+    if not isinstance(manifest.get("files"), dict):
+        raise DataFormatError(f"{manifest_path}: no 'files' object")
     paths = {}
     for key in keys:
         name = manifest["files"].get(key)
-        if name is None:
+        if name is None and key == "points":
             continue
+        if not isinstance(name, str):
+            raise DataFormatError(
+                f"{manifest_path}: files entry {key!r} must be a file name, got {name!r}"
+            )
         path = manifest_path.parent / name
         if not path.exists():
             raise DataFormatError(f"manifest references missing file {name!r}")
@@ -364,17 +382,19 @@ def load_scene(manifest_path: str | Path) -> tuple[Scene, dict]:
         "annotations", "points",
     ))
     files = manifest["files"]
+    echo = manifest.get("grid")
+    if not isinstance(echo, dict):
+        raise DataFormatError(f"{manifest_path}: no 'grid' object")
     camera_grid = load_grid(paths["camera_grid"])
     lidar_grid = load_grid(paths["lidar_grid"])
-    echo = manifest["grid"]
     for grid, channels_key in ((camera_grid, "camera_channels"), (lidar_grid, "lidar_channels")):
         spec = grid.spec
         if (
-            spec.height_cells != echo["height_cells"]
-            or spec.width_cells != echo["width_cells"]
-            or list(spec.x_range) != list(echo["x_range"])
-            or list(spec.y_range) != list(echo["y_range"])
-            or spec.channels != echo[channels_key]
+            spec.height_cells != echo.get("height_cells")
+            or spec.width_cells != echo.get("width_cells")
+            or list(spec.x_range) != echo.get("x_range")
+            or list(spec.y_range) != echo.get("y_range")
+            or spec.channels != echo.get(channels_key)
         ):
             raise DataFormatError(
                 f"grid header of {files['camera_grid']!r}/{files['lidar_grid']!r} "
@@ -409,32 +429,6 @@ def load_scene(manifest_path: str | Path) -> tuple[Scene, dict]:
     return scene, manifest
 
 
-def _support_region(residual: np.ndarray, peak: tuple[int, int], level: float,
-                    half_width: int = 8) -> list[tuple[int, int]]:
-    """Cells >= level, flood-filled (4-connected) from the peak, window-limited."""
-    h, w = residual.shape
-    r0, c0 = peak
-    r_lo, r_hi = max(r0 - half_width, 0), min(r0 + half_width + 1, h)
-    c_lo, c_hi = max(c0 - half_width, 0), min(c0 + half_width + 1, w)
-    seen = {(r0, c0)}
-    stack = [(r0, c0)]
-    cells = []
-    while stack:
-        r, c = stack.pop()
-        cells.append((r, c))
-        for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-            nr, nc = r + dr, c + dc
-            if (
-                r_lo <= nr < r_hi
-                and c_lo <= nc < c_hi
-                and (nr, nc) not in seen
-                and residual[nr, nc] >= level
-            ):
-                seen.add((nr, nc))
-                stack.append((nr, nc))
-    return cells
-
-
 def cell_energy(grid: BevGrid) -> np.ndarray:
     """Per-cell L2 norm across channels, as an H x W array.
 
@@ -446,73 +440,83 @@ def cell_energy(grid: BevGrid) -> np.ndarray:
     return energy
 
 
-def energy_peak_detections(
-    grid: BevGrid,
-    max_peaks: int | None = None,
-    min_energy: float = 1e-6,
-) -> list[Detection]:
+def _grow_support(windows: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Mask of each window's cells >= its level and 4-connected to its center."""
+    inside = windows >= levels[:, None, None]
+    region = np.zeros_like(inside)
+    region[:, SUPPORT_HALF_WIDTH, SUPPORT_HALF_WIDTH] = True
+    while True:  # masked 4-neighbour dilation until nothing changes
+        grown = region.copy()
+        grown[:, 1:] |= region[:, :-1]
+        grown[:, :-1] |= region[:, 1:]
+        grown[:, :, 1:] |= region[:, :, :-1]
+        grown[:, :, :-1] |= region[:, :, 1:]
+        grown &= inside
+        if np.array_equal(grown, region):
+            return region
+        region = grown
+
+
+def energy_peak_detections(grid: BevGrid, max_peaks: int | None = None) -> list[Detection]:
     """Read detections off a grid as strict local maxima of feature energy.
 
     Energy is the per-cell L2 norm across channels, with the grid's median
-    energy subtracted as a floor. Peaks are ranked by residual energy, and
-    each yields a box read from its quarter-maximum support region: the
-    residual-weighted centroid gives the center, the support's principal
-    axes the yaw, and extent = 2.4 * sqrt(binary-PCA eigenvalue), which
-    inverts the quarter-max cut of a Gaussian bump whose std is the half
-    extent. Scores are residuals normalized by the scene maximum.
+    energy subtracted as a floor. Peaks are ranked by residual energy and
+    capped at `max_peaks` (0 keeps none). Each yields a box read from its
+    support region, found for all peaks at once: the residual-weighted
+    centroid gives the center, the support's principal axes the yaw, and
+    extent = 2.4 * sqrt(binary-PCA eigenvalue) inverts the quarter-max cut of
+    a Gaussian bump whose std is the half extent. Scores are residuals
+    normalized by the scene maximum.
     """
+    if max_peaks is not None and max_peaks < 0:
+        raise ConfigurationError(f"max_peaks must be >= 0, got {max_peaks}")
     energy = cell_energy(grid)
     h, w = energy.shape
+    k = SUPPORT_HALF_WIDTH
     residual = np.maximum(energy - float(np.median(energy)), 0.0)
-    padded = np.full((h + 2, w + 2), -np.inf)
-    padded[1:-1, 1:-1] = residual
-    center = padded[1:-1, 1:-1]
-    is_peak = residual >= min_energy
+    # Outside the grid is -inf: below every peak and every support level.
+    padded = np.full((h + 2 * k, w + 2 * k), -np.inf)
+    padded[k:-k, k:-k] = residual
+    is_peak = residual >= MIN_PEAK_ENERGY
     for dr in (-1, 0, 1):
         for dc in (-1, 0, 1):
-            if dr == 0 and dc == 0:
-                continue
-            is_peak &= center > padded[1 + dr : 1 + dr + h, 1 + dc : 1 + dc + w]
+            if dr or dc:
+                is_peak &= residual > padded[k + dr : k + dr + h, k + dc : k + dc + w]
     rows, cols = np.nonzero(is_peak)
     if rows.size == 0:
         return []
-    order = np.argsort(-residual[rows, cols], kind="stable")
-    if max_peaks is not None:
-        order = order[:max_peaks]
-    top = float(residual[rows, cols].max())
-
+    peaks = residual[rows, cols]
+    scores = peaks / peaks.max()
+    order = np.argsort(-peaks, kind="stable")[:max_peaks]
+    windows = sliding_window_view(padded, (2 * k + 1, 2 * k + 1))
+    offsets = np.arange(-k, k + 1)
     detections = []
-    for idx in order:
-        r, c = int(rows[idx]), int(cols[idx])
-        cells = _support_region(residual, (r, c), 0.25 * residual[r, c])
-        cell_rows, cell_cols = np.array(cells).T
-        weights = residual[cell_rows, cell_cols]
-        xs, ys = grid_to_world((cell_rows, cell_cols), grid.spec)
-        wsum = weights.sum()
-        cx = float((weights * xs).sum() / wsum)
-        cy = float((weights * ys).sum() / wsum)
-        if len(cells) < 2:
-            extent_w = extent_l = 0.5
-            yaw = 0.0
-        else:
-            dx = xs - xs.mean()
-            dy = ys - ys.mean()
-            cov = np.array(
-                [
-                    [float((dx * dx).mean()), float((dx * dy).mean())],
-                    [float((dx * dy).mean()), float((dy * dy).mean())],
-                ]
-            )
-            eigvals, eigvecs = np.linalg.eigh(cov)
-            principal = eigvecs[:, 1]
-            yaw = math.atan2(principal[1], principal[0])
-            extent_w = float(np.clip(2.4 * math.sqrt(max(eigvals[1], 0.0)), 0.5, 20.0))
-            extent_l = float(np.clip(2.4 * math.sqrt(max(eigvals[0], 0.0)), 0.5, 20.0))
-        detections.append(
-            Detection(
-                box=Box3D(center=(cx, cy, 1.0), size=(extent_w, extent_l, 2.0), yaw=yaw),
-                class_id=READOUT_CLASS,
-                score=float(residual[r, c] / top),
-            )
-        )
+    for start in range(0, len(order), _PEAK_CHUNK):
+        chunk = order[start : start + _PEAK_CHUNK]
+        r, c = rows[chunk], cols[chunk]
+        window = windows[r, c]
+        region = _grow_support(window, SUPPORT_LEVEL * peaks[chunk])
+        # x follows the window's columns and y its rows, so every sum over a
+        # region's cells is a sum over its column or row totals.
+        xs, ys = grid_to_world((r[:, None] + offsets, c[:, None] + offsets), grid.spec)
+        weights = np.where(region, window, 0.0)
+        wsum = weights.sum(axis=(1, 2))
+        cx = (weights.sum(axis=1) * xs).sum(axis=1) / wsum
+        cy = (weights.sum(axis=2) * ys).sum(axis=1) / wsum
+        n_col, n_row = region.sum(axis=1), region.sum(axis=2)
+        n = n_col.sum(axis=1)
+        dx = xs - (n_col * xs).sum(axis=1, keepdims=True) / n[:, None]
+        dy = ys - (n_row * ys).sum(axis=1, keepdims=True) / n[:, None]
+        cxx, cyy = (n_col * dx * dx).sum(axis=1) / n, (n_row * dy * dy).sum(axis=1) / n
+        cxy = np.einsum("pij,pi,pj->p", region, dy, dx) / n
+        eigvals, eigvecs = np.linalg.eigh(np.stack([cxx, cxy, cxy, cyy], 1).reshape(-1, 2, 2))
+        extents = np.clip(2.4 * np.sqrt(np.maximum(eigvals, 0.0)), 0.5, 20.0)
+        # A one-cell region has a zero covariance: smallest extents, and yaw 0.
+        yaws = np.where(n < 2, 0.0, np.arctan2(eigvecs[:, 1, 1], eigvecs[:, 0, 1]))
+        for x, y, (extent_l, extent_w), yaw, score in zip(
+            cx.tolist(), cy.tolist(), extents.tolist(), yaws.tolist(), scores[chunk].tolist()
+        ):
+            box = Box3D(center=(x, y, 1.0), size=(extent_w, extent_l, 2.0), yaw=yaw)
+            detections.append(Detection(box, READOUT_CLASS, score))
     return detections

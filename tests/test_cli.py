@@ -214,6 +214,55 @@ class TestInputBoundary:
         assert "bad.bevg: bad grid header: grid dimensions must be positive" in err
 
 
+def without(table, key):
+    return {k: v for k, v in table.items() if k != key}
+
+
+class TestManifestShape:
+    """A manifest of the wrong shape exits 2 naming the manifest."""
+
+    @pytest.fixture()
+    def manifest(self, workdir):
+        assert main(["gen", "--seed", "2", "--objects", "6"]) == 0
+        return workdir / "scene" / "manifest.json"
+
+    @pytest.mark.parametrize("command, edit, expected", [
+        ("eval", lambda m: without(m, "files"), "no 'files' object"),
+        ("eval", lambda m: {**m, "files": {**m["files"], "annotations": 5}},
+         "files entry 'annotations' must be a file name, got 5"),
+        ("eval", lambda m: [m], "expected a JSON object, got list"),
+        ("fuse", lambda m: without(m, "grid"), "no 'grid' object"),
+        ("fuse", lambda m: {**m, "files": without(m["files"], "lidar_grid")},
+         "files entry 'lidar_grid' must be a file name, got None"),
+        ("fuse", lambda m: {**m, "files": without(m["files"], "camera_proposals")},
+         "files entry 'camera_proposals' must be a file name, got None"),
+    ], ids=["no-files", "entry-not-a-name", "top-level-list", "no-grid", "no-lidar-grid",
+            "no-camera-proposals"])
+    def test_bad_shape_is_data_error(self, manifest, capsys, command, edit, expected):
+        manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
+        assert main([command]) == 2
+        err = capsys.readouterr().err
+        assert f"scene/manifest.json: {expected}" in err, err
+        assert not (manifest.parent / "report.json").exists()
+        assert not (manifest.parent / "fused.bevg").exists()
+
+    def test_points_entry_optional(self, manifest):
+        data = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps({**data, "files": without(data["files"], "points")}))
+        assert main(["stats"]) == 0
+
+
+class TestMaxPeaks:
+    def test_negative_cap_is_config_error(self, workdir, capsys):
+        assert main(["gen", "--seed", "2", "--objects", "6"]) == 0
+        assert main(["fuse"]) == 0
+        assert main(["eval", "--max-peaks", "-1"]) == 2
+        assert "max_peaks must be >= 0, got -1" in capsys.readouterr().err
+        assert not (workdir / "scene" / "report.json").exists()
+        assert main(["eval", "--max-peaks", "0"]) == 0
+        assert "n_det=0" in capsys.readouterr().out
+
+
 class TestCommandChain:
     def test_gen_fuse_eval_default_paths(self, workdir, capsys):
         cfg = small_config(workdir)

@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -114,6 +115,31 @@ class TestGridFormat:
     def test_magic_constant(self):
         assert GRID_MAGIC == b"BEVG"
 
+    def test_load_holds_no_full_grid_f32_copy(self, tmp_path):
+        # 180 x 180 x 104 cells: 27 MB of f64 against 1 MB blocks of f32.
+        spec = GridSpec(180, 180, 104, (-54.0, 54.0), (-54.0, 54.0))
+        path = tmp_path / "big.bevg"
+        save_grid(BevGrid(spec, np.ones((180, 180, 104))), path)
+        tracemalloc.start()
+        try:
+            grid = load_grid(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(grid.data, np.ones((180, 180, 104)))
+        assert peak <= 1.1 * grid.data.nbytes
+
+    @pytest.mark.parametrize("block_bytes", [1, 100, 1 << 20])
+    def test_non_finite_values_counted_across_blocks(self, tmp_path, block_bytes):
+        grid = f32_grid(np.random.default_rng(3), h=6)
+        grid.data[0, 0, 0] = grid.data[3, 6, 2] = np.nan
+        grid.data[5, 1, 1] = np.inf
+        path = tmp_path / "g.bevg"
+        save_grid(grid, path)
+        with mock.patch.object(formats, "_GRID_BLOCK_BYTES", block_bytes):
+            with pytest.raises(DataFormatError, match=r"g\.bevg: 3 non-finite grid values"):
+                load_grid(path)
+
 
 @st.composite
 def grids_and_views(draw):
@@ -133,16 +159,17 @@ class TestGridFormatProperties:
     @given(grids_and_views(), st.integers(1, 256))
     def test_streamed_save_equals_whole_payload(self, tmp_path_factory, grid, block_bytes):
         path = tmp_path_factory.mktemp("grid") / "g.bevg"
-        # Small blocks so that multi-block writes and ragged last blocks occur.
-        with mock.patch.object(formats, "_WRITE_BLOCK_BYTES", block_bytes):
+        # Small blocks so that multi-block writes and reads and ragged last
+        # blocks occur.
+        with mock.patch.object(formats, "_GRID_BLOCK_BYTES", block_bytes):
             save_grid(grid, path)
+            back = load_grid(path)
         spec = grid.spec
         header = struct.pack(
             "<4sIIIIdddd", GRID_MAGIC, 1, spec.height_cells, spec.width_cells,
             spec.channels, *spec.x_range, *spec.y_range,
         )
         assert path.read_bytes() == header + grid.data.astype("<f4").tobytes()
-        back = load_grid(path)
         assert back.spec == spec
         assert np.array_equal(back.data, grid.data.astype(np.float32).astype(np.float64))
 
@@ -200,6 +227,55 @@ class TestLoaderFuzz:
     def test_valid_inputs_load(self, inputs):
         for load, path in inputs.values():
             load(path)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def boxes(draw):
+    positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    return Box3D(
+        center=(draw(finite), draw(finite), draw(finite)),
+        size=(draw(positive), draw(positive), draw(positive)),
+        yaw=draw(st.floats(-1e3, 1e3)),
+        velocity=(draw(finite), draw(finite)),
+    )
+
+
+unit = st.floats(0.0, 1.0)
+class_ids = st.integers(0, 9)
+proposals = st.builds(Proposal, boxes(), unit, class_ids, st.sampled_from(["lidar", "camera"]))
+annotations = st.builds(Annotation, boxes(), class_ids, st.integers(1, 4), st.integers(0, 10**6))
+detections = st.builds(Detection, boxes(), class_ids, unit)
+
+
+class TestRoundTripProperties:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 6).flatmap(lambda rows: st.tuples(
+        hnp.arrays(np.float64, (rows, 5), elements=st.floats(-1e30, 1e30)),
+        hnp.arrays(np.float64, rows, elements=st.floats(-1e30, 1e30)),
+    )))
+    def test_projection_survives_save_load_rounded_to_f32(self, tmp_path_factory, weights):
+        matrix, bias = weights
+        path = tmp_path_factory.mktemp("proj") / "p.proj"
+        save_projection(Projection(matrix, bias), path)
+        back = load_projection(path)
+        assert np.array_equal(back.matrix, matrix.astype(np.float32).astype(np.float64))
+        assert np.array_equal(back.bias, bias.astype(np.float32).astype(np.float64))
+
+    @pytest.mark.parametrize("save, load, items", [
+        (save_proposals, load_proposals, proposals),
+        (save_annotations, load_annotations, annotations),
+        (save_detections, load_detections, detections),
+    ])
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_records_survive_save_load(self, tmp_path_factory, save, load, items, data):
+        records = data.draw(st.lists(items, max_size=5))
+        path = tmp_path_factory.mktemp("jsonl") / "records.jsonl"
+        save(records, path)
+        assert load(path) == records
 
 
 class TestProjectionFormat:

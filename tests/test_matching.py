@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualguide.errors import ConfigurationError
 from dualguide.geometry import Box3D, project_to_bev
@@ -328,3 +330,58 @@ class TestMatchPairs:
         assert [(p.anchor_idx, p.guide_idx, p.similarity) for p in a.easy] == [
             (p.anchor_idx, p.guide_idx, p.similarity) for p in b.easy
         ]
+
+
+@st.composite
+def matching_scenes(draw):
+    """LiDAR and camera instances, some camera boxes jittered copies of LiDAR ones."""
+    coord, extent = st.floats(0.0, 6.0), st.floats(0.5, 3.0)
+
+    def instance(modality, near=None):
+        if near is None:
+            x, y, w, l = draw(coord), draw(coord), draw(extent), draw(extent)
+            yaw = draw(st.floats(-math.pi, math.pi))
+        else:
+            box = near.proposal.box
+            jitter = st.floats(-0.3, 0.3)
+            x, y = box.center[0] + draw(jitter), box.center[1] + draw(jitter)
+            w, l = box.size[0] * draw(st.floats(0.8, 1.2)), box.size[1] * draw(st.floats(0.8, 1.2))
+            yaw = box.yaw + draw(jitter)
+        raw = draw(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
+        return make_instance(x, y, w, l, yaw, class_id=draw(st.integers(0, 9)),
+                             modality=modality, raw=raw)
+
+    lidar = [instance("lidar") for _ in range(draw(st.integers(0, 8)))]
+    camera = []
+    for _ in range(draw(st.integers(0, 8))):
+        near = draw(st.sampled_from(lidar)) if lidar and draw(st.booleans()) else None
+        camera.append(instance("camera", near))
+    return lidar, camera
+
+
+class TestMatchingProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(matching_scenes(), st.floats(0.05, 0.9))
+    def test_easy_pairs_one_to_one_and_indices_consistent(self, scene, eta):
+        lidar, camera = scene
+        sets = match_pairs(lidar, camera, MatchConfig(eta, "none"))
+        anchors = [p.anchor_idx for p in sets.easy]
+        guides = [p.guide_idx for p in sets.easy]
+        assert len(set(anchors)) == len(anchors) and len(set(guides)) == len(guides)
+        for p in sets.easy:
+            assert p.anchor is lidar[p.anchor_idx] and p.guide is camera[p.guide_idx]
+            iou = rotated_iou_2d(project_to_bev(p.anchor.proposal.box),
+                                 project_to_bev(p.guide.proposal.box))
+            assert p.similarity == iou >= eta
+        assert len(sets.easy) + sets.unmatched_lidar == len(lidar)
+        assert len(sets.easy) + sets.unmatched_camera == len(camera)
+        # Every unmatched instance links to the counterpart of an easy pair.
+        for hard, anchor_side, guide_side, matched, counterparts, unmatched in (
+            (sets.camera_hard, camera, lidar, guides, anchors, sets.unmatched_camera),
+            (sets.lidar_hard, lidar, camera, anchors, guides, sets.unmatched_lidar),
+        ):
+            assert len(hard) == (unmatched if sets.easy else 0)
+            assert len({p.anchor_idx for p in hard}) == len(hard)
+            for p in hard:
+                assert p.anchor is anchor_side[p.anchor_idx] and p.anchor_idx not in matched
+                assert p.guide is guide_side[p.guide_idx] and p.guide_idx in counterparts

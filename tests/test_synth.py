@@ -1,19 +1,28 @@
 """Scene generator determinism, bookkeeping, and the readout detector."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from numpy.lib.stride_tricks import sliding_window_view
 
 from dualguide.config import PipelineConfig
 from dualguide.enhance import fuse_grids
-from dualguide.errors import DataFormatError
+from dualguide.errors import ConfigurationError, DataFormatError
 from dualguide.formats import save_grid
-from dualguide.geometry import points_in_box, project_to_bev
-from dualguide.grid import BevGrid, GridSpec
+from dualguide.geometry import Box3D, points_in_box, project_to_bev
+from dualguide.grid import BevGrid, GridSpec, grid_to_world
 from dualguide.matching import MatchConfig, match_pairs
 from dualguide.instances import build_instances
+from dualguide.metrics import Detection
 from dualguide.synth import (
     CLASS_SIZES,
     POINTS_PER_STRENGTH,
+    READOUT_CLASS,
+    _grow_support,
     cell_energy,
     energy_peak_detections,
     generate_scene,
@@ -170,6 +179,151 @@ class TestEnergyPeakDetector:
         a = energy_peak_detections(scene.camera_grid)
         b = energy_peak_detections(scene.camera_grid)
         assert a == b
+
+
+def oracle_support_region(residual: np.ndarray, peak: tuple[int, int], level: float,
+                          half_width: int = 8) -> list[tuple[int, int]]:
+    """Cells >= level, flood-filled (4-connected) from the peak, window-limited."""
+    h, w = residual.shape
+    r0, c0 = peak
+    r_lo, r_hi = max(r0 - half_width, 0), min(r0 + half_width + 1, h)
+    c_lo, c_hi = max(c0 - half_width, 0), min(c0 + half_width + 1, w)
+    seen = {(r0, c0)}
+    stack = [(r0, c0)]
+    cells = []
+    while stack:
+        r, c = stack.pop()
+        cells.append((r, c))
+        for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+            nr, nc = r + dr, c + dc
+            if (
+                r_lo <= nr < r_hi
+                and c_lo <= nc < c_hi
+                and (nr, nc) not in seen
+                and residual[nr, nc] >= level
+            ):
+                seen.add((nr, nc))
+                stack.append((nr, nc))
+    return cells
+
+
+def oracle_peaks(grid, max_peaks=None, min_energy=1e-6):
+    """The residual, the ranked and capped peak rows and columns, and the top residual."""
+    energy = cell_energy(grid)
+    h, w = energy.shape
+    residual = np.maximum(energy - float(np.median(energy)), 0.0)
+    padded = np.full((h + 2, w + 2), -np.inf)
+    padded[1:-1, 1:-1] = residual
+    center = padded[1:-1, 1:-1]
+    is_peak = residual >= min_energy
+    for dr in (-1, 0, 1):
+        for dc in (-1, 0, 1):
+            if dr == 0 and dc == 0:
+                continue
+            is_peak &= center > padded[1 + dr : 1 + dr + h, 1 + dc : 1 + dc + w]
+    rows, cols = np.nonzero(is_peak)
+    if rows.size == 0:
+        return residual, rows, cols, None
+    order = np.argsort(-residual[rows, cols], kind="stable")
+    if max_peaks is not None:
+        order = order[:max_peaks]
+    top = float(residual[rows, cols].max())
+    return residual, rows[order], cols[order], top
+
+
+def oracle_detections(grid, max_peaks=None):
+    """The scalar readout: a flood fill, a centroid and a PCA per peak."""
+    residual, rows, cols, top = oracle_peaks(grid, max_peaks)
+    detections = []
+    for r, c in zip(rows.tolist(), cols.tolist()):
+        cells = oracle_support_region(residual, (r, c), 0.25 * residual[r, c])
+        cell_rows, cell_cols = np.array(cells).T
+        weights = residual[cell_rows, cell_cols]
+        xs, ys = grid_to_world((cell_rows, cell_cols), grid.spec)
+        wsum = weights.sum()
+        cx = float((weights * xs).sum() / wsum)
+        cy = float((weights * ys).sum() / wsum)
+        if len(cells) < 2:
+            extent_w = extent_l = 0.5
+            yaw = 0.0
+        else:
+            dx = xs - xs.mean()
+            dy = ys - ys.mean()
+            cov = np.array(
+                [
+                    [float((dx * dx).mean()), float((dx * dy).mean())],
+                    [float((dx * dy).mean()), float((dy * dy).mean())],
+                ]
+            )
+            eigvals, eigvecs = np.linalg.eigh(cov)
+            principal = eigvecs[:, 1]
+            yaw = math.atan2(principal[1], principal[0])
+            extent_w = float(np.clip(2.4 * math.sqrt(max(eigvals[1], 0.0)), 0.5, 20.0))
+            extent_l = float(np.clip(2.4 * math.sqrt(max(eigvals[0], 0.0)), 0.5, 20.0))
+        detections.append(
+            Detection(
+                box=Box3D(center=(cx, cy, 1.0), size=(extent_w, extent_l, 2.0), yaw=yaw),
+                class_id=READOUT_CLASS,
+                score=float(residual[r, c] / top),
+            )
+        )
+    return detections
+
+
+@st.composite
+def readout_grids(draw):
+    """Small grids whose peaks often sit near an edge; integer levels make plateaus."""
+    h, w, c = draw(st.integers(1, 24)), draw(st.integers(1, 24)), draw(st.integers(1, 2))
+    level = st.integers(0, 4).map(float) if draw(st.booleans()) else st.floats(0.0, 10.0)
+    data = draw(hnp.arrays(np.float64, (h, w, c), elements=level))
+    return BevGrid(GridSpec(h, w, c, (-0.6 * w, 0.0), (1.0, 1.0 + 0.5 * h)), data)
+
+
+def assert_matches_oracle(grid, max_peaks):
+    residual, rows, cols, _ = oracle_peaks(grid, max_peaks)
+    padded = np.pad(residual, 8, constant_values=-np.inf)
+    windows = sliding_window_view(padded, (17, 17))[rows, cols]
+    region = _grow_support(windows, 0.25 * residual[rows, cols])
+    for (r, c), mask in zip(zip(rows.tolist(), cols.tolist()), region):
+        cells = {(r - 8 + i, c - 8 + j) for i, j in np.argwhere(mask).tolist()}
+        assert cells == set(oracle_support_region(residual, (r, c), 0.25 * residual[r, c]))
+
+    got = energy_peak_detections(grid, max_peaks)
+    want = oracle_detections(grid, max_peaks)
+    assert len(got) == len(want) == len(rows)
+    for g, o in zip(got, want):
+        assert g.score == o.score and g.class_id == o.class_id
+        assert np.allclose(g.box.center, o.box.center, rtol=0.0, atol=1e-9)
+        assert np.allclose(g.box.size, o.box.size, rtol=0.0, atol=1e-9)
+        turn = (g.box.yaw - o.box.yaw) % math.pi
+        assert min(turn, math.pi - turn) <= 1e-9 or abs(o.box.size[0] - o.box.size[1]) <= 1e-9
+
+
+class TestReadoutOracle:
+    """The array readout against the scalar flood fill it replaced."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(readout_grids(), st.one_of(st.none(), st.integers(0, 12)))
+    def test_cells_and_boxes_match_scalar_readout(self, grid, max_peaks):
+        assert_matches_oracle(grid, max_peaks)
+
+    @pytest.mark.parametrize("seed", [12, 14])
+    def test_scene_grids_match_scalar_readout(self, seed):
+        scene = generate_scene(SMALL, seed=seed, n_objects=10)
+        fused = fuse_grids(scene.camera_grid, scene.lidar_grid)
+        for grid in (scene.camera_grid, scene.lidar_grid, fused):
+            assert_matches_oracle(grid, None)
+
+    def test_many_peaks_span_several_batches(self):
+        grid = BevGrid(GridSpec(60, 60, 2, (0.0, 36.0), (0.0, 36.0)),
+                       np.random.default_rng(0).normal(size=(60, 60, 2)))
+        assert_matches_oracle(grid, None)
+
+    def test_negative_cap_rejected_and_zero_keeps_none(self):
+        scene = generate_scene(SMALL, seed=13, n_objects=4)
+        with pytest.raises(ConfigurationError, match="max_peaks must be >= 0, got -1"):
+            energy_peak_detections(scene.camera_grid, max_peaks=-1)
+        assert energy_peak_detections(scene.camera_grid, max_peaks=0) == []
 
 
 class TestClassSizes:
