@@ -55,6 +55,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    """--config plus the five pipeline flags, for the commands that read them."""
     p.add_argument("--config", help="JSON config file; flags override its values")
     p.add_argument("--gamma", type=float, help="proposal score threshold")
     p.add_argument("--eta", type=float, help="overlap threshold for easy pairs")
@@ -66,11 +67,11 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
     return load_config(
         args.config,
-        gamma=getattr(args, "gamma", None),
-        eta=getattr(args, "eta", None),
-        sampling_strategy=getattr(args, "sampling_strategy", None),
-        grouping_strategy=getattr(args, "grouping_strategy", None),
-        projection_seed=getattr(args, "projection_seed", None),
+        gamma=args.gamma,
+        eta=args.eta,
+        sampling_strategy=args.sampling_strategy,
+        grouping_strategy=args.grouping_strategy,
+        projection_seed=args.projection_seed,
     )
 
 
@@ -97,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--objects", type=int, default=12)
     p_gen.add_argument("--profile", default="mixed", choices=GAP_PROFILES)
     p_gen.add_argument("--points", action="store_true", help="also write a point cloud")
-    _add_config_flags(p_gen)
+    p_gen.add_argument("--config", help="JSON config file; gen reads its grid size and depths")
 
     p_fuse = sub.add_parser("fuse", help="run the fusion pipeline on a scene")
     p_fuse.add_argument("--scene", default="scene/manifest.json")
@@ -119,7 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--max-peaks", dest="max_peaks", type=int, default=None)
     p_eval.add_argument("--axis", default="none", choices=("none",) + AXES)
     p_eval.add_argument("--out", default=None, help="report JSON path")
-    _add_config_flags(p_eval)
 
     p_stats = sub.add_parser("stats", help="visibility/point-count histogram")
     p_stats.add_argument("--scene", default="scene/manifest.json")
@@ -139,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+    config = load_config(args.config)
     scene = generate_scene(config, args.seed, args.objects, args.profile, args.points)
     manifest = write_scene(scene, args.out, config, args.seed, args.profile)
     print(manifest)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import ConfigurationError
@@ -10,7 +10,7 @@ from .formats import load_json
 from .grid import GridSpec
 from .instances import SAMPLING_STRATEGIES
 from .losses import LossWeights
-from .matching import MatchConfig
+from .taxonomy import GROUPING_STRATEGIES
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,6 @@ class PipelineConfig:
     camera_squeeze_path: str | None = None
     lidar_squeeze_path: str | None = None
     excitation_path: str | None = None
-    context_weights_seed: int = 1
     # Which camera grid the point-guided enhancement samples: the raw input
     # ("original") or the raw input plus the global context vector ("refined").
     camera_enhance_input: str = "original"
@@ -39,7 +38,10 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.gamma <= 1.0:
             raise ConfigurationError(f"gamma {self.gamma} outside [0, 1]")
-        self.match_config()  # validates eta and grouping_strategy
+        if not 0.0 <= self.eta <= 1.0:
+            raise ConfigurationError(f"eta {self.eta} outside [0, 1]")
+        if self.grouping_strategy not in GROUPING_STRATEGIES:
+            raise ConfigurationError(f"unknown grouping strategy {self.grouping_strategy!r}")
         if self.sampling_strategy not in SAMPLING_STRATEGIES:
             raise ConfigurationError(f"unknown sampling strategy {self.sampling_strategy!r}")
         if self.camera_enhance_input not in ("original", "refined"):
@@ -49,9 +51,6 @@ class PipelineConfig:
             )
         if len(self.lambdas) != 4:
             raise ConfigurationError("lambdas must have exactly four entries")
-
-    def match_config(self) -> MatchConfig:
-        return MatchConfig(self.eta, self.grouping_strategy)
 
     def camera_spec(self) -> GridSpec:
         return GridSpec(
@@ -68,13 +67,6 @@ class PipelineConfig:
     def loss_weights(self) -> LossWeights:
         l1, l2, l3, l4 = self.lambdas
         return LossWeights(l1, l2, l3, l4)
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["lambdas"] = list(self.lambdas)
-        d["x_range"] = list(self.x_range)
-        d["y_range"] = list(self.y_range)
-        return d
 
 
 def config_from_dict(data: dict) -> PipelineConfig:

@@ -180,7 +180,8 @@ def _integral(name: str, value) -> int:
     return int(value)
 
 
-def _box_from_record(rec: dict) -> Box3D:
+def box_from_record(rec: dict) -> Box3D:
+    """The box of a record; each field must be a finite number (vx, vy default to 0)."""
     values = [rec[key] for key in _BOX_KEYS[:7]] + [rec.get("vx", 0.0), rec.get("vy", 0.0)]
     for key, value in zip(_BOX_KEYS, values):
         _finite(f"box field {key!r}", value)
@@ -243,7 +244,7 @@ def save_proposals(proposals: list[Proposal], path: str | Path) -> None:
 
 def load_proposals(path: str | Path) -> list[Proposal]:
     return _load_jsonl(path, lambda rec: Proposal(
-        box=_box_from_record(rec),
+        box=box_from_record(rec),
         score=_finite("score", rec["score"]),
         class_id=_integral("class_id", rec["class_id"]),
         modality=rec["modality"],
@@ -267,7 +268,7 @@ def save_annotations(annotations: list[Annotation], path: str | Path) -> None:
 
 def load_annotations(path: str | Path) -> list[Annotation]:
     return _load_jsonl(path, lambda rec: Annotation(
-        box=_box_from_record(rec),
+        box=box_from_record(rec),
         class_id=_integral("class_id", rec["class_id"]),
         visibility_token=_integral("visibility_token", rec["visibility_token"]),
         num_lidar_pts=_integral("num_lidar_pts", rec["num_lidar_pts"]),
@@ -286,7 +287,7 @@ def save_detections(detections: list[Detection], path: str | Path) -> None:
 
 def load_detections(path: str | Path) -> list[Detection]:
     return _load_jsonl(path, lambda rec: Detection(
-        box=_box_from_record(rec),
+        box=box_from_record(rec),
         class_id=_integral("class_id", rec["class_id"]),
         score=_finite("score", rec["score"]),
     ))

@@ -18,25 +18,11 @@ import numpy as np
 from .errors import ConfigurationError
 from .geometry import RotatedRect, overlap_candidates, project_to_bev, rotated_iou_pairs
 from .instances import InstanceFeature
-from .taxonomy import GROUPING_STRATEGIES, same_group
+from .taxonomy import same_group
 
 PAIR_EASY = "easy"
 PAIR_CAMERA_HARD = "camera_hard"
 PAIR_LIDAR_HARD = "lidar_hard"
-
-
-@dataclass(frozen=True)
-class MatchConfig:
-    eta: float = 0.7
-    strategy: str = "cbgs_groups"
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.eta <= 1.0:
-            raise ConfigurationError(f"eta {self.eta} outside [0, 1]")
-        if self.strategy not in GROUPING_STRATEGIES:
-            raise ConfigurationError(
-                f"unknown grouping strategy {self.strategy!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -163,23 +149,23 @@ def filter_pairs_by_group(pairs: list[InstancePair], strategy: str) -> list[Inst
 def match_pairs(
     lidar: list[InstanceFeature],
     camera: list[InstanceFeature],
-    config: MatchConfig = MatchConfig(),
+    eta: float,
+    grouping_strategy: str,
 ) -> PairSets:
     """Run both matching stages and the class-group filter.
 
     Camera-hard pairs link unmatched camera instances to easy LiDAR guides;
     lidar-hard pairs are the mirror image. The class filter runs after pair
     construction so it cannot shrink the stage-2 candidate pool.
+    `PipelineConfig` checks eta and the grouping strategy.
     """
-    easy, um_lidar, um_camera, m_lidar, m_camera = match_by_overlap(
-        lidar, camera, config.eta
-    )
+    easy, um_lidar, um_camera, m_lidar, m_camera = match_by_overlap(lidar, camera, eta)
     camera_hard = match_by_similarity(um_camera, m_camera, m_lidar, PAIR_CAMERA_HARD)
     lidar_hard = match_by_similarity(um_lidar, m_lidar, m_camera, PAIR_LIDAR_HARD)
     return PairSets(
-        easy=filter_pairs_by_group(easy, config.strategy),
-        camera_hard=filter_pairs_by_group(camera_hard, config.strategy),
-        lidar_hard=filter_pairs_by_group(lidar_hard, config.strategy),
+        easy=filter_pairs_by_group(easy, grouping_strategy),
+        camera_hard=filter_pairs_by_group(camera_hard, grouping_strategy),
+        lidar_hard=filter_pairs_by_group(lidar_hard, grouping_strategy),
         unmatched_lidar=len(um_lidar),
         unmatched_camera=len(um_camera),
     )

@@ -13,6 +13,7 @@ sides. `evaluate` is the one evaluator of a bin.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,15 +33,20 @@ from .taxonomy import NUM_CLASSES
 DIST_THRESHOLDS = (0.5, 1.0, 2.0, 4.0)
 IOU_THRESHOLDS = (0.3, 0.5, 0.7)
 
-DISTANCE_BIN_EDGES = (0.0, 20.0, 40.0)
-DISTANCE_BIN_LABELS = ("0-20m", "20-40m", "40m+")
-SIZE_BIN_EDGES = (0.0, 10.0, 30.0)
-SIZE_BIN_LABELS = ("0-10m3", "10-30m3", "30m3+")
-VISIBILITY_BIN_LABELS = ("token=4", "token=1/2/3")
+# Per axis: the bin labels, each bin's lower edge, and the measure binned
+# (ego distance in m, 4 - visibility token, volume in m^3).
+AXIS_BINS = {
+    "distance": (
+        ("0-20m", "20-40m", "40m+"), (0.0, 20.0, 40.0),
+        lambda item: float(np.hypot(item.box.center[0], item.box.center[1])),
+    ),
+    "visibility": (("token=4", "token=1/2/3"), (0, 1), lambda item: 4 - item.visibility_token),
+    "size": (("0-10m3", "10-30m3", "30m3+"), (0.0, 10.0, 30.0), lambda item: volume(item.box)),
+}
+AXES = tuple(AXIS_BINS)
 
 POINT_BUCKETS = ("0", "1", "2-4", "5-9", "10-49", "50+")
-
-AXES = ("distance", "visibility", "size")
+POINT_BUCKET_EDGES = (0, 1, 2, 5, 10, 50)
 
 
 @dataclass(frozen=True)
@@ -178,38 +184,24 @@ def recall_at_iou(
     return {t: int(_greedy_hits(iou, order, t).sum()) / len(gts) for t in iou_thresholds}
 
 
-def _ego_distance(box: Box3D) -> float:
-    return float(np.hypot(box.center[0], box.center[1]))
+def _axis_bins(axis: str) -> tuple:
+    if axis not in AXIS_BINS:
+        raise ContractError(f"unknown axis {axis!r}; expected one of {AXES}")
+    return AXIS_BINS[axis]
 
 
 def bin_index(item: Annotation | Detection, axis: str) -> int:
-    """Which bin of the axis an item falls in."""
-    if axis == "distance":
-        d = _ego_distance(item.box)
-        return 2 if d >= DISTANCE_BIN_EDGES[2] else (1 if d >= DISTANCE_BIN_EDGES[1] else 0)
-    if axis == "size":
-        v = volume(item.box)
-        return 2 if v >= SIZE_BIN_EDGES[2] else (1 if v >= SIZE_BIN_EDGES[1] else 0)
-    if axis == "visibility":
-        if not isinstance(item, Annotation):
-            raise ContractError("visibility bins apply to annotations only")
-        return 0 if item.visibility_token == 4 else 1
-    raise ContractError(f"unknown axis {axis!r}; expected one of {AXES}")
-
-
-def axis_labels(axis: str) -> tuple[str, ...]:
-    if axis == "distance":
-        return DISTANCE_BIN_LABELS
-    if axis == "size":
-        return SIZE_BIN_LABELS
-    if axis == "visibility":
-        return VISIBILITY_BIN_LABELS
-    raise ContractError(f"unknown axis {axis!r}; expected one of {AXES}")
+    """Which bin of the axis an item falls in: the last whose lower edge it reaches."""
+    _, edges, measure = _axis_bins(axis)
+    if axis == "visibility" and not isinstance(item, Annotation):
+        raise ContractError("visibility bins apply to annotations only")
+    # lo=1: a value below the first edge still lands in the first bin.
+    return bisect_right(edges, measure(item), 1) - 1
 
 
 def partition_items(items: list, axis: str) -> list[list]:
     """Split items into the axis's bins; the bins partition the input exactly."""
-    bins: list[list] = [[] for _ in axis_labels(axis)]
+    bins: list[list] = [[] for _ in _axis_bins(axis)[0]]
     for item in items:
         bins[bin_index(item, axis)].append(item)
     return bins
@@ -282,7 +274,7 @@ def stratified_eval(dets: list[Detection], gts: list[Annotation], axis: str) -> 
     The visibility axis evaluates the full detection set against each ground
     truth subset; distance and size place detections into matching bins too.
     """
-    labels = axis_labels(axis)
+    labels = _axis_bins(axis)[0]
     gt_bins = partition_items(gts, axis)
     if axis == "visibility":
         det_bins = [list(dets) for _ in labels]
@@ -297,17 +289,7 @@ def point_count_bucket(count: int) -> int:
     """Bucket index for a per-annotation point count."""
     if count < 0:
         raise ContractError("point count must be >= 0")
-    if count == 0:
-        return 0
-    if count == 1:
-        return 1
-    if count <= 4:
-        return 2
-    if count <= 9:
-        return 3
-    if count <= 49:
-        return 4
-    return 5
+    return bisect_right(POINT_BUCKET_EDGES, count) - 1
 
 
 def visibility_histogram(

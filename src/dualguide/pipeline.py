@@ -27,6 +27,9 @@ from .instances import SAMPLES_PER_STRATEGY, InstanceFeature, Proposal, build_in
 from .losses import pair_cosine_loss
 from .matching import PairSets, match_pairs
 
+# Seed of the global-context weights; unlike the projections they have no file.
+CONTEXT_WEIGHTS_SEED = 1
+
 
 @dataclass
 class FusionProjections:
@@ -82,7 +85,7 @@ def build_projections(config: PipelineConfig) -> FusionProjections:
 
 def build_context_weights(config: PipelineConfig) -> ContextWeights:
     """Seeded uniform(-s, s) context weights with s = 1/sqrt(channels)."""
-    rng = np.random.default_rng(config.context_weights_seed)
+    rng = np.random.default_rng(CONTEXT_WEIGHTS_SEED)
     c = config.camera_channels
     s = 1.0 / np.sqrt(c)
     return ContextWeights(
@@ -111,7 +114,9 @@ def run_matching(
     lidar_instances = build_instances(
         lidar_grid, lidar_proposals, config.gamma, config.sampling_strategy
     )
-    pairs = match_pairs(lidar_instances, camera_instances, config.match_config())
+    pairs = match_pairs(
+        lidar_instances, camera_instances, config.eta, config.grouping_strategy
+    )
     return MatchStage(context, camera_instances, lidar_instances, pairs)
 
 

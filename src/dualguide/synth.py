@@ -36,8 +36,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import PipelineConfig
-from .errors import ConfigurationError, DataFormatError
+from .errors import ConfigurationError, ContractError, DataFormatError
 from .formats import (
+    box_from_record,
     load_annotations,
     load_grid,
     load_json,
@@ -200,6 +201,7 @@ def generate_scene(
 
     x0, x1 = camera_spec.x_range
     y0, y1 = camera_spec.y_range
+    n_clutter = int(round(n_objects * CLUTTER_PER_OBJECT))
 
     def place(radius: float) -> tuple[float, float]:
         margin = radius + 0.5
@@ -209,7 +211,11 @@ def generate_scene(
             if all(math.hypot(x - px, y - py) > radius + pr + 0.5 for px, py, pr in placed):
                 placed.append((x, y, radius))
                 return x, y
-        raise ConfigurationError("could not place scene element: window too crowded")
+        done = f"{len(placed)} of {n_objects} objects"
+        if len(placed) >= n_objects:  # objects are placed first, then clutter
+            done = (f"all {n_objects} objects and {len(placed) - n_objects} "
+                    f"of {n_clutter} clutter bumps")
+        raise ConfigurationError(f"window too crowded: placed {done} before it filled")
 
     for _ in range(n_objects):
         class_id = int(rng.integers(0, NUM_CLASSES))
@@ -268,7 +274,7 @@ def generate_scene(
             world[:, 2] = box.center[2] + local[:, 2]
             point_chunks.append(world)
 
-    for _ in range(int(round(n_objects * CLUTTER_PER_OBJECT))):
+    for _ in range(n_clutter):
         sigma = float(rng.uniform(*CLUTTER_SIGMA))
         cx, cy = place(2.0 * sigma)
         yaw = float(rng.uniform(-math.pi, math.pi))
@@ -401,22 +407,24 @@ def load_scene(manifest_path: str | Path) -> tuple[Scene, dict]:
                 "does not match the manifest's grid spec"
             )
     points = np.load(paths["points"]) if "points" in paths else None
-    objects = [
-        SceneObject(
-            box=Box3D(
-                center=(o["x"], o["y"], o["z"]),
-                size=(o["w"], o["l"], o["h"]),
-                yaw=o["yaw"],
-            ),
-            class_id=o["class_id"],
-            profile=o["profile"],
-            lidar_strength=o["lidar_strength"],
-            camera_strength=o["camera_strength"],
-            visibility_token=o["visibility_token"],
-            num_lidar_pts=o["num_lidar_pts"],
+    records = manifest.get("objects", [])
+    if not isinstance(records, list):
+        raise DataFormatError(
+            f"{manifest_path}: 'objects' must be a list, got {type(records).__name__}"
         )
-        for o in manifest.get("objects", [])
-    ]
+    objects = []
+    for i, o in enumerate(records):
+        try:
+            if not isinstance(o, dict):
+                raise ValueError(f"expected a JSON object, got {type(o).__name__}")
+            objects.append(SceneObject(
+                box_from_record(o), o["class_id"], o["profile"], o["lidar_strength"],
+                o["camera_strength"], o["visibility_token"], o["num_lidar_pts"],
+            ))
+        except KeyError as exc:
+            raise DataFormatError(f"{manifest_path}: object {i} has no field {exc}") from exc
+        except (ValueError, ContractError) as exc:
+            raise DataFormatError(f"{manifest_path}: object {i}: {exc}") from exc
     scene = Scene(
         camera_grid,
         lidar_grid,

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from .errors import ConfigurationError
-
 CLASS_NAMES: tuple[str, ...] = (
     "car",
     "truck",
@@ -22,42 +20,32 @@ NUM_CLASSES = len(CLASS_NAMES)
 CAR, TRUCK, CONSTRUCTION_VEHICLE, BUS, TRAILER, BARRIER, MOTORCYCLE, BICYCLE, \
     PEDESTRIAN, TRAFFIC_CONE = range(NUM_CLASSES)
 
-# Two-way split by how costly a collision with the object is: boundary
-# markers and people vs. everything vehicle-like.
-COLLISION_COST_GROUPS: tuple[frozenset[int], ...] = (
-    frozenset({BARRIER, PEDESTRIAN, TRAFFIC_CONE}),
-    frozenset({CAR, TRUCK, CONSTRUCTION_VEHICLE, BUS, TRAILER, MOTORCYCLE, BICYCLE}),
-)
+# Per grouping strategy, the class groups a pair's two classes must share;
+# None keeps every pair. "collision_cost" splits by how costly a collision
+# with the object is: boundary markers and people vs. everything
+# vehicle-like. "cbgs_groups" pairs classes of comparable shape and frequency.
+CLASS_GROUPS: dict[str, tuple[frozenset[int], ...] | None] = {
+    "collision_cost": (
+        frozenset({BARRIER, PEDESTRIAN, TRAFFIC_CONE}),
+        frozenset({CAR, TRUCK, CONSTRUCTION_VEHICLE, BUS, TRAILER, MOTORCYCLE, BICYCLE}),
+    ),
+    "cbgs_groups": (
+        frozenset({CAR}),
+        frozenset({TRUCK, CONSTRUCTION_VEHICLE}),
+        frozenset({BUS, TRAILER}),
+        frozenset({BARRIER}),
+        frozenset({MOTORCYCLE, BICYCLE}),
+        frozenset({PEDESTRIAN, TRAFFIC_CONE}),
+    ),
+    "none": None,
+}
 
-# Finer split pairing classes of comparable shape and frequency.
-CBGS_GROUPS: tuple[frozenset[int], ...] = (
-    frozenset({CAR}),
-    frozenset({TRUCK, CONSTRUCTION_VEHICLE}),
-    frozenset({BUS, TRAILER}),
-    frozenset({BARRIER}),
-    frozenset({MOTORCYCLE, BICYCLE}),
-    frozenset({PEDESTRIAN, TRAFFIC_CONE}),
-)
-
-GROUPING_STRATEGIES = ("collision_cost", "cbgs_groups", "none")
-
-
-def class_groups(strategy: str) -> tuple[frozenset[int], ...] | None:
-    """Group table for a strategy name; None means no grouping (keep all)."""
-    if strategy == "collision_cost":
-        return COLLISION_COST_GROUPS
-    if strategy == "cbgs_groups":
-        return CBGS_GROUPS
-    if strategy == "none":
-        return None
-    raise ConfigurationError(
-        f"unknown grouping strategy {strategy!r}; expected one of {GROUPING_STRATEGIES}"
-    )
+GROUPING_STRATEGIES = tuple(CLASS_GROUPS)
 
 
 def same_group(class_a: int, class_b: int, strategy: str) -> bool:
     """Whether two class ids fall in the same group under a strategy."""
-    groups = class_groups(strategy)
+    groups = CLASS_GROUPS[strategy]
     if groups is None:
         return True
     for group in groups:

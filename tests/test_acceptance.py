@@ -23,7 +23,7 @@ from dualguide.geometry import Box3D, center_distance_bev
 from dualguide.grid import BevGrid, GridSpec
 from dualguide.instances import Proposal, build_instances
 from dualguide.losses import LossWeights, RunningMax, composite_loss, pair_cosine_loss
-from dualguide.matching import MatchConfig, match_by_overlap, match_by_similarity, match_pairs
+from dualguide.matching import match_by_overlap, match_by_similarity, match_pairs
 from dualguide.metrics import (
     Annotation,
     Detection,
@@ -331,11 +331,10 @@ def test_criterion_8_latency_budgets(tmp_path):
             )
     camera_inst = build_instances(camera_grid, camera_props, 0.7)
     lidar_inst = build_instances(lidar_grid, lidar_props, 0.7)
-    config = MatchConfig(0.7, "cbgs_groups")
-    match_pairs(lidar_inst[:5], camera_inst[:5], config)  # warm-up
+    match_pairs(lidar_inst[:5], camera_inst[:5], 0.7, "cbgs_groups")  # warm-up
 
     t0 = time.perf_counter()
-    sets = match_pairs(lidar_inst, camera_inst, config)
+    sets = match_pairs(lidar_inst, camera_inst, 0.7, "cbgs_groups")
     match_ms = (time.perf_counter() - t0) * 1000
 
     squeeze = Projection.seeded(5 * 128, 80, 1)

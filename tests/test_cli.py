@@ -47,8 +47,26 @@ class TestExitCodes:
         assert main(["fuse", "--scene", "manifest.json"]) == 2
 
     def test_out_of_range_eta_is_config_error(self, workdir, capsys):
-        assert main(["gen", "--eta", "2"]) == 2
+        # The config is checked before the scene loads: there is no scene here.
+        assert main(["match", "--eta", "2"]) == 2
         assert "eta 2.0 outside [0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--gamma", "0.5"],
+        ["eval", "--config", "config.json"],
+        ["gen", "--eta", "0.5"],
+        ["gen", "--projection-seed", "3"],
+        ["stats", "--grouping-strategy", "none"],
+    ])
+    def test_flag_the_command_does_not_read_is_usage_error(self, workdir, capsys, argv):
+        assert main(argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_crowded_window_is_config_error(self, workdir, capsys):
+        assert main(["gen", "--seed", "0", "--objects", "120"]) == 2
+        err = capsys.readouterr().err
+        assert "window too crowded: placed 98 of 120 objects before it filled" in err
+        assert not (workdir / "scene").exists()
 
     def test_non_finite_grid_is_data_error(self, workdir, capsys):
         cfg = small_config(workdir)
@@ -236,8 +254,16 @@ class TestManifestShape:
          "files entry 'lidar_grid' must be a file name, got None"),
         ("fuse", lambda m: {**m, "files": without(m["files"], "camera_proposals")},
          "files entry 'camera_proposals' must be a file name, got None"),
+        ("fuse", lambda m: {**m, "objects": 5}, "'objects' must be a list, got int"),
+        ("match", lambda m: {**m, "objects": [without(m["objects"][0], "x"), *m["objects"][1:]]},
+         "object 0 has no field 'x'"),
+        ("match", lambda m: {**m, "objects": [*m["objects"][:2], 7]},
+         "object 2: expected a JSON object, got int"),
+        ("fuse", lambda m: {**m, "objects": [{**m["objects"][0], "yaw": "0.5"}]},
+         "object 0: box field 'yaw' must be a finite number, got '0.5'"),
     ], ids=["no-files", "entry-not-a-name", "top-level-list", "no-grid", "no-lidar-grid",
-            "no-camera-proposals"])
+            "no-camera-proposals", "objects-not-a-list", "object-without-x",
+            "object-not-an-object", "object-yaw-not-a-number"])
     def test_bad_shape_is_data_error(self, manifest, capsys, command, edit, expected):
         manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
         assert main([command]) == 2
@@ -245,6 +271,7 @@ class TestManifestShape:
         assert f"scene/manifest.json: {expected}" in err, err
         assert not (manifest.parent / "report.json").exists()
         assert not (manifest.parent / "fused.bevg").exists()
+        assert not (manifest.parent / "pairs.json").exists()
 
     def test_points_entry_optional(self, manifest):
         data = json.loads(manifest.read_text())

@@ -426,10 +426,6 @@ class TestConfig:
         assert config.grouping_strategy == "cbgs_groups"
         assert config.camera_spec().cell_size_x == pytest.approx(0.6)
 
-    def test_dict_roundtrip(self):
-        config = PipelineConfig(gamma=0.5, camera_channels=8)
-        assert config_from_dict(config.to_dict()) == config
-
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigurationError):
             config_from_dict({"gamme": 0.5})

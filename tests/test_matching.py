@@ -15,7 +15,6 @@ from dualguide.matching import (
     PAIR_EASY,
     PAIR_LIDAR_HARD,
     InstancePair,
-    MatchConfig,
     filter_pairs_by_group,
     match_by_overlap,
     match_by_similarity,
@@ -242,7 +241,7 @@ class TestGroupFilter:
 class TestMatchPairs:
     def test_empty_camera_side(self):
         lidar = [make_instance(0, 0), make_instance(5, 5)]
-        sets = match_pairs(lidar, [], MatchConfig(0.7, "none"))
+        sets = match_pairs(lidar, [], 0.7, "none")
         assert sets.easy == [] and sets.camera_hard == [] and sets.lidar_hard == []
         assert sets.unmatched_lidar == 2
 
@@ -252,7 +251,7 @@ class TestMatchPairs:
         camera = [
             make_instance(3.0 * i, 0, class_id=i % 3, modality="camera") for i in range(n)
         ]
-        sets = match_pairs(lidar, camera, MatchConfig(0.7, "cbgs_groups"))
+        sets = match_pairs(lidar, camera, 0.7, "cbgs_groups")
         assert len(sets.easy) == n
         assert sets.camera_hard == [] and sets.lidar_hard == []
 
@@ -270,7 +269,7 @@ class TestMatchPairs:
             make_instance(0.0, 20.0, modality="camera", raw=[0, 0, 1, 0.2]),    # C2 ~ C0
             make_instance(0.0, 30.0, modality="camera", raw=[0, 0, 0.2, 1]),    # C3 ~ C1
         ]
-        sets = match_pairs(lidar, camera, MatchConfig(0.5, "none"))
+        sets = match_pairs(lidar, camera, 0.5, "none")
         assert {(p.anchor_idx, p.guide_idx) for p in sets.easy} == {(0, 0), (1, 1)}
         # C2's features align with C0, whose easy LiDAR partner is L0.
         ch = {(p.anchor_idx, p.guide_idx) for p in sets.camera_hard}
@@ -284,7 +283,7 @@ class TestMatchPairs:
         rng = np.random.default_rng(16)
         for _ in range(30):
             lidar, camera = random_scene(rng, 6, 5)
-            sets = match_pairs(lidar, camera, MatchConfig(0.2, "none"))
+            sets = match_pairs(lidar, camera, 0.2, "none")
             n_easy = len(sets.easy)
             if n_easy > 0:
                 assert len(sets.camera_hard) == len(camera) - n_easy
@@ -296,13 +295,13 @@ class TestMatchPairs:
         rng = np.random.default_rng(17)
         for _ in range(20):
             lidar, camera = random_scene(rng, 6, 6)
-            sets_a = match_pairs(lidar, camera, MatchConfig(0.3, "none"))
+            sets_a = match_pairs(lidar, camera, 0.3, "none")
             perm_l = list(rng.permutation(len(lidar)))
             perm_c = list(rng.permutation(len(camera)))
             sets_b = match_pairs(
                 [lidar[i] for i in perm_l],
                 [camera[j] for j in perm_c],
-                MatchConfig(0.3, "none"),
+                0.3, "none",
             )
 
             def canonical(pairs):
@@ -325,8 +324,8 @@ class TestMatchPairs:
     def test_deterministic(self):
         rng = np.random.default_rng(18)
         lidar, camera = random_scene(rng, 7, 7)
-        a = match_pairs(lidar, camera, MatchConfig(0.3, "cbgs_groups"))
-        b = match_pairs(lidar, camera, MatchConfig(0.3, "cbgs_groups"))
+        a = match_pairs(lidar, camera, 0.3, "cbgs_groups")
+        b = match_pairs(lidar, camera, 0.3, "cbgs_groups")
         assert [(p.anchor_idx, p.guide_idx, p.similarity) for p in a.easy] == [
             (p.anchor_idx, p.guide_idx, p.similarity) for p in b.easy
         ]
@@ -364,7 +363,7 @@ class TestMatchingProperties:
     @given(matching_scenes(), st.floats(0.05, 0.9))
     def test_easy_pairs_one_to_one_and_indices_consistent(self, scene, eta):
         lidar, camera = scene
-        sets = match_pairs(lidar, camera, MatchConfig(eta, "none"))
+        sets = match_pairs(lidar, camera, eta, "none")
         anchors = [p.anchor_idx for p in sets.easy]
         guides = [p.guide_idx for p in sets.easy]
         assert len(set(anchors)) == len(anchors) and len(set(guides)) == len(guides)

@@ -15,7 +15,7 @@ from dualguide.errors import ConfigurationError, DataFormatError
 from dualguide.formats import save_grid
 from dualguide.geometry import Box3D, points_in_box, project_to_bev
 from dualguide.grid import BevGrid, GridSpec, grid_to_world
-from dualguide.matching import MatchConfig, match_pairs
+from dualguide.matching import match_pairs
 from dualguide.instances import build_instances
 from dualguide.metrics import Detection
 from dualguide.synth import (
@@ -70,7 +70,7 @@ class TestGenerateScene:
         scene = generate_scene(SMALL, seed=3, n_objects=10, gap_profile="easy")
         camera = build_instances(scene.camera_grid, scene.camera_proposals, 0.7)
         lidar = build_instances(scene.lidar_grid, scene.lidar_proposals, 0.7)
-        sets = match_pairs(lidar, camera, MatchConfig(0.7, "cbgs_groups"))
+        sets = match_pairs(lidar, camera, 0.7, "cbgs_groups")
         assert len(sets.easy) == 10
         assert sets.camera_hard == [] and sets.lidar_hard == []
 
@@ -98,6 +98,16 @@ class TestGenerateScene:
         for i in range(len(rects)):
             for j in range(i + 1, len(rects)):
                 assert rotated_iou_2d(rects[i], rects[j]) == 0.0
+
+    @pytest.mark.parametrize("seed, placed", [
+        (1, "placed 2 of 4 objects"),
+        (2, "placed all 4 objects and 3 of 4 clutter bumps"),
+    ])
+    def test_crowded_window_says_what_was_placed(self, seed, placed):
+        tiny = PipelineConfig(height_cells=32, width_cells=32, x_range=(-9.6, 9.6),
+                              y_range=(-9.6, 9.6), camera_channels=2, lidar_channels=2)
+        with pytest.raises(ConfigurationError, match=f"^window too crowded: {placed} before"):
+            generate_scene(tiny, seed=seed, n_objects=4)
 
     def test_points_match_stored_counts(self):
         scene = generate_scene(SMALL, seed=8, n_objects=10, with_points=True)
