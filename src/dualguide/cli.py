@@ -64,28 +64,20 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--projection-seed", dest="projection_seed", type=int)
 
 
+# Destinations of the five pipeline flags; only a scene's pipeline reads them.
+_PIPELINE_DESTS = (
+    "gamma", "eta", "sampling_strategy", "grouping_strategy", "projection_seed",
+)
+
+
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
-    return load_config(
-        args.config,
-        gamma=args.gamma,
-        eta=args.eta,
-        sampling_strategy=args.sampling_strategy,
-        grouping_strategy=args.grouping_strategy,
-        projection_seed=args.projection_seed,
-    )
+    return load_config(args.config, **{d: getattr(args, d) for d in _PIPELINE_DESTS})
 
 
 def _scene_and_config(args: argparse.Namespace) -> tuple[Scene, PipelineConfig]:
-    """The scene named by --scene and the config from the flags, sized to its grids."""
-    config = _config_from_args(args)
-    scene, _ = load_scene(args.scene)
-    # Projections and context weights must size to the grids actually
-    # loaded, not to whatever the config file assumed.
-    return scene, replace(
-        config,
-        camera_channels=scene.camera_grid.spec.channels,
-        lidar_channels=scene.lidar_grid.spec.channels,
-    )
+    """The scene named by --scene and the config from the flags."""
+    config = _config_from_args(args)  # checked before the scene loads
+    return load_scene(args.scene)[0], config
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -172,12 +164,12 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
 
 def _cmd_match(args: argparse.Namespace) -> int:
     scene, config = _scene_and_config(args)
-    stage = run_matching(
+    pairs = run_matching(
         scene.camera_grid, scene.lidar_grid,
         scene.camera_proposals, scene.lidar_proposals, config,
     )
     out = Path(args.out) if args.out else Path(args.scene).parent / "pairs.json"
-    formats.save_pair_sets(stage.pairs, out)
+    formats.save_pair_sets(pairs, out)
     print(out)
     return 0
 
@@ -251,13 +243,15 @@ def _cmd_loss(args: argparse.Namespace) -> int:
     cosine = components.get("cosine")
     if args.scene:
         scene, config = _scene_and_config(args)
-        stage = run_matching(
+        pairs = run_matching(
             scene.camera_grid, scene.lidar_grid,
             scene.camera_proposals, scene.lidar_proposals, config,
         )
-        projections = build_projections(config)
+        projections = build_projections(
+            config, scene.camera_grid.spec.channels, scene.lidar_grid.spec.channels
+        )
         cosine = pair_cosine_loss(
-            stage.pairs.easy, projections.lidar_squeeze, projections.camera_squeeze
+            pairs.easy, projections.lidar_squeeze, projections.camera_squeeze
         )
     else:
         config = _config_from_args(args)
@@ -302,6 +296,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "loss" and not args.scene:
+            for dest in _PIPELINE_DESTS:
+                if getattr(args, dest) is not None:
+                    parser.error(f"loss: --{dest.replace('_', '-')} needs --scene")
         return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return int(exc.code or 0)

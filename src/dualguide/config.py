@@ -8,7 +8,7 @@ from pathlib import Path
 from .errors import ConfigurationError
 from .formats import load_json
 from .grid import GridSpec
-from .instances import SAMPLING_STRATEGIES
+from .instances import DEFAULT_STRATEGY, SAMPLING_STRATEGIES
 from .losses import LossWeights
 from .taxonomy import GROUPING_STRATEGIES
 
@@ -18,12 +18,13 @@ class PipelineConfig:
     gamma: float = 0.7
     eta: float = 0.7
     lambdas: tuple[float, float, float, float] = (0.99, 1e-4, 1e-4, 1e-2)
-    sampling_strategy: str = "center+boundary_mid"
+    sampling_strategy: str = DEFAULT_STRATEGY
     grouping_strategy: str = "cbgs_groups"
     height_cells: int = 180
     width_cells: int = 180
     x_range: tuple[float, float] = (-54.0, 54.0)
     y_range: tuple[float, float] = (-54.0, 54.0)
+    # Grid depths `gen` writes; the pipeline reads depths from its grids.
     camera_channels: int = 16
     lidar_channels: int = 24
     projection_seed: int = 0
@@ -31,9 +32,6 @@ class PipelineConfig:
     camera_squeeze_path: str | None = None
     lidar_squeeze_path: str | None = None
     excitation_path: str | None = None
-    # Which camera grid the point-guided enhancement samples: the raw input
-    # ("original") or the raw input plus the global context vector ("refined").
-    camera_enhance_input: str = "original"
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.gamma <= 1.0:
@@ -44,11 +42,6 @@ class PipelineConfig:
             raise ConfigurationError(f"unknown grouping strategy {self.grouping_strategy!r}")
         if self.sampling_strategy not in SAMPLING_STRATEGIES:
             raise ConfigurationError(f"unknown sampling strategy {self.sampling_strategy!r}")
-        if self.camera_enhance_input not in ("original", "refined"):
-            raise ConfigurationError(
-                f"camera_enhance_input must be original|refined, "
-                f"got {self.camera_enhance_input!r}"
-            )
         if len(self.lambdas) != 4:
             raise ConfigurationError("lambdas must have exactly four entries")
 

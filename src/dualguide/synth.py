@@ -294,7 +294,16 @@ def generate_scene(
 
 def write_scene(scene: Scene, out_dir: str | Path, config: PipelineConfig, seed: int,
                 gap_profile: str) -> Path:
-    """Persist a scene and return the manifest path."""
+    """Persist a scene and return the manifest path.
+
+    The manifest echoes the config's grid specs, so they must be the scene's.
+    """
+    specs = (config.camera_spec(), config.lidar_spec())
+    if specs != (scene.camera_grid.spec, scene.lidar_grid.spec):
+        raise ConfigurationError(
+            f"config grid specs {specs} do not match the scene's "
+            f"{(scene.camera_grid.spec, scene.lidar_grid.spec)}"
+        )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_grid(scene.camera_grid, out / "camera.bevg")

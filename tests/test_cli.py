@@ -10,7 +10,8 @@ from dualguide.cli import main
 from dualguide.config import load_config
 from dualguide.formats import load_grid, save_grid
 from dualguide.grid import BevGrid, GridSpec
-from dualguide.pipeline import run_fusion
+from dualguide.losses import pair_cosine_loss
+from dualguide.pipeline import build_projections, run_fusion
 from dualguide.synth import load_scene
 
 
@@ -175,6 +176,13 @@ def write_grid_header(path, h, w, c, x_range, y_range):
     )
 
 
+def grid_payload(path):
+    """The f32 payload of a grid file as an (H, W, C) array, read past its header."""
+    header, raw = struct.Struct("<4sIIIIdddd"), path.read_bytes()
+    _, _, h, w, c, *_ = header.unpack_from(raw)
+    return np.frombuffer(raw, dtype="<f4", offset=header.size).reshape(h, w, c)
+
+
 class TestInputBoundary:
     """Each bad input exits 2 naming the file (and the record), and writes no report."""
 
@@ -331,6 +339,22 @@ class TestCommandChain:
         assert json.loads(pairs)["easy"]
         assert (workdir / "match_pairs.json").read_bytes() == pairs
 
+    def test_no_enhance_writes_the_raw_concatenation(self, workdir):
+        cfg = small_config(workdir)
+        main(["gen", "--seed", "9", "--objects", "10", "--config", cfg])
+        assert main(["fuse", "--config", cfg, "--out", "plain"]) == 0
+        assert main(["fuse", "--config", cfg, "--out", "raw", "--no-enhance"]) == 0
+        scene, raw = workdir / "scene", workdir / "raw"
+        lidar, camera = grid_payload(scene / "lidar.bevg"), grid_payload(scene / "camera.bevg")
+        assert np.array_equal(
+            grid_payload(raw / "fused.bevg"), np.concatenate([lidar, camera], axis=2)
+        )
+        assert np.array_equal(grid_payload(raw / "enhanced_lidar.bevg"), lidar)
+        assert np.array_equal(grid_payload(raw / "enhanced_camera.bevg"), camera)
+        pairs = (raw / "pairs.json").read_bytes()
+        assert json.loads(pairs)["easy"]
+        assert (workdir / "plain" / "pairs.json").read_bytes() == pairs
+
     def test_stats_reports_histogram(self, workdir, capsys):
         cfg = small_config(workdir)
         main(["gen", "--seed", "4", "--objects", "8", "--points", "--config", cfg])
@@ -461,10 +485,29 @@ class TestLossCommand:
                      "--config", cfg, "--out", "out.json"]) == 0
         report = json.loads((workdir / "out.json").read_text())
         scene, _ = load_scene(workdir / "scene" / "manifest.json")
+        config = load_config(cfg)
         result = run_fusion(scene.camera_grid, scene.lidar_grid, scene.camera_proposals,
-                            scene.lidar_proposals, load_config(cfg))
-        assert result.cosine is not None
-        assert report["cosine"] == result.cosine
+                            scene.lidar_proposals, config)
+        projections = build_projections(config, 5, 7)
+        cosine = pair_cosine_loss(
+            result.pairs.easy, projections.lidar_squeeze, projections.camera_squeeze
+        )
+        assert cosine is not None
+        assert report["cosine"] == cosine
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--gamma", "0.5"),
+        ("--eta", "0.5"),
+        ("--sampling-strategy", "center"),
+        ("--grouping-strategy", "none"),
+        ("--projection-seed", "3"),
+    ])
+    def test_pipeline_flag_without_scene_is_usage_error(self, workdir, capsys, flag, value):
+        comp = {branch: {"cls_pred": [0.9], "cls_target": [1]}
+                for branch in ("head", "lidar", "camera")}
+        (workdir / "loss.json").write_text(json.dumps(comp))
+        assert main(["loss", "--components", "loss.json", flag, value]) == 1
+        assert f"{flag} needs --scene" in capsys.readouterr().err
 
     def test_missing_section_is_data_error(self, workdir):
         (workdir / "loss.json").write_text(json.dumps({"head": {}}))

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from dualguide.config import PipelineConfig
-from dualguide.enhance import enhance_camera_grid, fuse_grids
+from dualguide.enhance import fuse_grids
+from dualguide.formats import pair_sets_to_dict
 from dualguide.grid import BevGrid, global_context_refine
 from dualguide.instances import build_instances
+from dualguide.matching import match_pairs
 from dualguide.pipeline import build_context_weights, build_projections, run_fusion
 from dualguide.synth import generate_scene
 
@@ -57,14 +59,24 @@ class TestRunFusion:
 
     def test_camera_instances_come_from_refined_grid(self, scene):
         result = run(scene)
-        context = global_context_refine(scene.camera_grid, build_context_weights(SMALL))
+        context = global_context_refine(
+            scene.camera_grid, build_context_weights(SMALL.camera_channels)
+        )
         refined = BevGrid(scene.camera_grid.spec, scene.camera_grid.data + context)
-        expected = build_instances(
+        camera = build_instances(
             refined, scene.camera_proposals, SMALL.gamma, SMALL.sampling_strategy
         )
-        assert len(result.camera_instances) == len(expected)
-        for got, want in zip(result.camera_instances, expected):
-            assert np.array_equal(got.raw, want.raw)
+        lidar = build_instances(
+            scene.lidar_grid, scene.lidar_proposals, SMALL.gamma, SMALL.sampling_strategy
+        )
+        pairs = result.pairs
+        members = [(p.guide, p.guide_idx) for p in pairs.easy + pairs.lidar_hard]
+        members += [(p.anchor, p.anchor_idx) for p in pairs.camera_hard]
+        assert members, "scene should produce pairs with camera members"
+        for got, idx in members:
+            assert np.array_equal(got.raw, camera[idx].raw)
+        want = match_pairs(lidar, camera, SMALL.eta, SMALL.grouping_strategy)
+        assert pair_sets_to_dict(pairs) == pair_sets_to_dict(want)
 
     def test_enhancement_changes_grids_when_pairs_exist(self, scene):
         result = run(scene)
@@ -77,33 +89,22 @@ class TestRunFusion:
         a = run(scene)
         b = run(scene)
         assert np.array_equal(a.fused.data, b.fused.data)
-        assert a.cosine == b.cosine
 
-    def test_camera_enhance_input_refined_changes_result(self, scene):
-        refined_cfg = replace(SMALL, camera_enhance_input="refined")
-        a = run(scene)
-        b = run(scene, config=refined_cfg)
-        assert not np.array_equal(a.enhanced_camera.data, b.enhanced_camera.data)
-
-    def test_refined_input_enhances_raw_plus_context(self, scene):
-        config = replace(SMALL, camera_enhance_input="refined")
-        result = run(scene, config=config)
-        refined = BevGrid(scene.camera_grid.spec, scene.camera_grid.data + result.context)
-        want = enhance_camera_grid(refined, result.pairs.easy, result.pairs.camera_hard,
-                                   build_projections(config).lidar_squeeze)
-        assert np.array_equal(result.enhanced_camera.data, want.data)
-
-    @pytest.mark.parametrize("camera_enhance_input", ["original", "refined"])
-    def test_input_grids_stay_unchanged(self, scene, camera_enhance_input):
+    def test_input_grids_stay_unchanged(self, scene):
         camera, lidar = scene.camera_grid.data.copy(), scene.lidar_grid.data.copy()
-        run(scene, config=replace(SMALL, camera_enhance_input=camera_enhance_input))
+        run(scene)
         assert np.array_equal(scene.camera_grid.data, camera)
         assert np.array_equal(scene.lidar_grid.data, lidar)
 
-    def test_cosine_reported_when_pairs_exist(self, scene):
-        result = run(scene)
-        if result.pairs.easy:
-            assert result.cosine is not None and 0.0 <= result.cosine <= 2.0
+    def test_sizes_come_from_the_grids_not_the_config(self, scene):
+        # A config whose generator depths disagree with the grids still runs,
+        # with weights sized from the grids.
+        want = run(scene)
+        got = run(scene, config=replace(SMALL, camera_channels=16, lidar_channels=24))
+        for a, b in ((got.enhanced_camera, want.enhanced_camera),
+                     (got.enhanced_lidar, want.enhanced_lidar), (got.fused, want.fused)):
+            assert a.spec == b.spec and np.array_equal(a.data, b.data)
+        assert pair_sets_to_dict(got.pairs) == pair_sets_to_dict(want.pairs)
 
     @pytest.mark.parametrize("enhance", [True, False])
     def test_enhanced_grids_are_views_of_fused(self, scene, enhance):
@@ -124,14 +125,17 @@ class TestRunFusion:
 
     def test_all_finite(self, scene):
         result = run(scene)
-        assert np.isfinite(result.context).all()
+        context = global_context_refine(
+            scene.camera_grid, build_context_weights(SMALL.camera_channels)
+        )
+        assert np.isfinite(context).all()
         for grid in (result.enhanced_camera, result.enhanced_lidar, result.fused):
             assert np.isfinite(grid.data).all()
 
 
 class TestProjectionWiring:
     def test_shapes_follow_strategy_and_channels(self):
-        projections = build_projections(SMALL)
+        projections = build_projections(SMALL, 5, 7)
         k = 5  # center+boundary_mid
         assert projections.lidar_squeeze.matrix.shape == (5, k * 7)
         assert projections.camera_squeeze.matrix.shape == (5, k * 5)
@@ -145,8 +149,9 @@ class TestProjectionWiring:
         path = tmp_path / "squeeze.proj"
         save_projection(proj, path)
         cfg = replace(SMALL, lidar_squeeze_path=str(path))
-        projections = build_projections(cfg)
+        projections = build_projections(cfg, 5, 7)
         assert np.array_equal(projections.lidar_squeeze.matrix, proj.matrix)
         assert np.array_equal(
-            projections.camera_squeeze.matrix, build_projections(SMALL).camera_squeeze.matrix
+            projections.camera_squeeze.matrix,
+            build_projections(SMALL, 5, 7).camera_squeeze.matrix,
         )

@@ -138,6 +138,14 @@ class TestSceneIo:
         with pytest.raises(DataFormatError, match="missing file"):
             load_scene(manifest_path)
 
+    def test_config_disagreeing_with_grids_writes_nothing(self, tmp_path):
+        # The manifest echoes the config's specs; a mismatch would write a
+        # scene that its own loader rejects.
+        scene = generate_scene(SMALL, seed=7, n_objects=3)
+        with pytest.raises(ConfigurationError, match="do not match the scene"):
+            write_scene(scene, tmp_path, PipelineConfig(), 7, "mixed")
+        assert list(tmp_path.iterdir()) == []
+
     def test_header_mismatch_rejected(self, tmp_path):
         scene = generate_scene(SMALL, seed=11, n_objects=3)
         manifest_path = write_scene(scene, tmp_path, SMALL, 11, "mixed")
