@@ -5,6 +5,11 @@ enhanced/fused grids plus the pair dump), match (pair matching only), eval
 (stratified metrics), stats (visibility/point-count histogram), loss (loss
 components from supplied arrays and an optional scene). Exit codes: 0 on
 success, 1 on usage errors, 2 on data/configuration errors.
+
+`fuse` holds one grid: it reads the LiDAR and camera grid files straight
+into the two channel slices of the fused buffer, then matches, enhances and
+saves from it. `eval`'s energy readout reads the energy map from the grid
+file in row blocks and never holds the grid.
 """
 
 from __future__ import annotations
@@ -31,14 +36,16 @@ from .metrics import (
     stratified_eval,
     visibility_histogram,
 )
-from .pipeline import build_projections, run_fusion, run_matching
+from .pipeline import build_projections, fuse_in_place, run_matching
 from .synth import (
     GAP_PROFILES,
     READOUT_CLASS,
     Scene,
     energy_peak_detections,
     generate_scene,
+    load_fused_scene,
     load_scene,
+    read_cell_energy,
     scene_paths,
     write_scene,
 )
@@ -139,12 +146,13 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuse(args: argparse.Namespace) -> int:
-    scene, config = _scene_and_config(args)
+    config = _config_from_args(args)  # checked before the scene loads
+    scene, fused = load_fused_scene(args.scene)
     out = Path(args.out) if args.out else Path(args.scene).parent
     out.mkdir(parents=True, exist_ok=True)
-    result = run_fusion(
-        scene.camera_grid,
-        scene.lidar_grid,
+    result = fuse_in_place(
+        fused,
+        scene.lidar_grid.spec.channels,
         scene.camera_proposals,
         scene.lidar_proposals,
         config,
@@ -187,7 +195,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             raise ConfigurationError(
                 "no detections: pass --dets or --peaks-from, or run fuse first"
             )
-        dets = energy_peak_detections(formats.load_grid(grid_path), args.max_peaks)
+        dets = energy_peak_detections(*read_cell_energy(grid_path), args.max_peaks)
         # The readout gives every detection one class, so AP is scored
         # class-agnostically against annotations relabelled to that class.
         annotations = [replace(a, class_id=READOUT_CLASS) for a in annotations]

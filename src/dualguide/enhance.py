@@ -16,7 +16,7 @@ reads an original value before any write changes it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -167,19 +167,32 @@ def enhance_lidar_grid(
     return lidar_grid
 
 
-def fuse_grids(camera_grid: BevGrid, lidar_grid: BevGrid) -> BevGrid:
-    """Channel-concatenate the two grids, LiDAR channels first."""
-    if not camera_grid.spec.same_window(lidar_grid.spec):
+def fused_spec(camera_spec: GridSpec, lidar_spec: GridSpec) -> GridSpec:
+    """The spec of the channel concatenation of two grids over one window."""
+    if not camera_spec.same_window(lidar_spec):
         raise ConfigurationError(
             "camera and lidar grids cover different windows: "
-            f"{camera_grid.spec} vs {lidar_grid.spec}"
+            f"{camera_spec} vs {lidar_spec}"
         )
-    spec = GridSpec(
-        lidar_grid.spec.height_cells,
-        lidar_grid.spec.width_cells,
-        lidar_grid.spec.channels + camera_grid.spec.channels,
-        lidar_grid.spec.x_range,
-        lidar_grid.spec.y_range,
+    return GridSpec(
+        lidar_spec.height_cells,
+        lidar_spec.width_cells,
+        lidar_spec.channels + camera_spec.channels,
+        lidar_spec.x_range,
+        lidar_spec.y_range,
     )
+
+
+def fuse_grids(camera_grid: BevGrid, lidar_grid: BevGrid) -> BevGrid:
+    """Channel-concatenate the two grids, LiDAR channels first."""
+    spec = fused_spec(camera_grid.spec, lidar_grid.spec)
     return BevGrid(spec, np.concatenate([lidar_grid.data, camera_grid.data], axis=2))
 
+
+def split_fused(fused: BevGrid, lidar_channels: int) -> tuple[BevGrid, BevGrid]:
+    """The camera and LiDAR grids of a fused grid, as views of its channel slices."""
+    camera_spec = replace(fused.spec, channels=fused.spec.channels - lidar_channels)
+    return (
+        BevGrid(camera_spec, fused.data[:, :, lidar_channels:]),
+        BevGrid(replace(fused.spec, channels=lidar_channels), fused.data[:, :, :lidar_channels]),
+    )

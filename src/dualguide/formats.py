@@ -3,7 +3,11 @@
 Grid files are little-endian: magic "BEVG", u32 version=1, u32 H, u32 W,
 u32 C, x_range and y_range as f64 pairs, then H*W*C f32 values row-major
 by (row, col, channel). A JSON sidecar (same path + ".json") mirrors the
-header for inspection. Projection files are magic "PROJ", u32 rows, u32
+header for inspection. `grid_blocks` is the one grid reader: it checks the
+header and the file size before anything is allocated, then yields the
+payload in f32 blocks of rows. `load_grid` fills a new f64 array from it,
+or a given f64 destination of the header's shape, such as a channel slice
+of a fused buffer. Projection files are magic "PROJ", u32 rows, u32
 cols, the f32 matrix row-major, then the f32 bias. Proposals and
 annotations are JSON-lines, one object per line, with the box laid out as
 x, y, z, w, l, h, yaw, vx, vy.
@@ -15,6 +19,7 @@ import json
 import math
 import os
 import struct
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +37,7 @@ GRID_VERSION = 1
 PROJ_MAGIC = b"PROJ"
 
 _GRID_HEADER = struct.Struct("<4sIIIIdddd")
-# save_grid and load_grid stream the payload in blocks of rows holding about
+# save_grid and grid_blocks stream the payload in blocks of rows holding about
 # this many bytes of f32, so no full-grid f32 copy is ever held.
 _GRID_BLOCK_BYTES = 1 << 20
 _PROJ_HEADER = struct.Struct("<4sII")
@@ -78,11 +83,15 @@ def _rows_per_block(spec: GridSpec) -> int:
     return max(1, _GRID_BLOCK_BYTES // (spec.width_cells * spec.channels * 4))
 
 
-def load_grid(path: str | Path) -> BevGrid:
-    """Read a grid file into float64, checking its header, size and values.
+def grid_blocks(path: str | Path) -> Iterator:
+    """Yield a grid file's spec, then its payload in blocks of rows.
 
-    The file size is checked against the header before the grid is
-    allocated, and the payload is read in blocks of rows straight into it.
+    The header (magic, version, values) and the file size it implies are
+    checked before the spec is yielded, so taking only the spec reads only
+    the header. Each block is `(first_row, values)`, `values` an f32 array
+    of shape (rows, W, C) that the next block overwrites. Non-finite values
+    raise a DataFormatError after the last block, so what a caller builds
+    from the blocks is valid only once the iteration has finished.
     """
     path = Path(path)
     with path.open("rb") as f:
@@ -104,17 +113,40 @@ def load_grid(path: str | Path) -> BevGrid:
         expected = _GRID_HEADER.size + h * w * c * 4
         if size != expected:
             raise DataFormatError(f"{path}: payload is {size} bytes, header implies {expected}")
-        data = np.empty((h, w, c))
+        yield spec
         bad = 0
         rows_per_block = _rows_per_block(spec)
+        buffer = np.empty((min(rows_per_block, h), w, c), dtype="<f4")
         for r in range(0, h, rows_per_block):
-            block = data[r : r + rows_per_block]
-            values = np.frombuffer(f.read(block.size * 4), dtype="<f4")
+            values = buffer[: min(rows_per_block, h - r)]
+            if f.readinto(values) != values.nbytes:  # the file shrank since the size check
+                raise DataFormatError(f"{path}: payload ends before row {r + len(values)}")
             bad += values.size - int(np.count_nonzero(np.isfinite(values)))
-            block[...] = values.reshape(block.shape)
+            yield r, values
     if bad:
         raise DataFormatError(f"{path}: {bad} non-finite grid values")
-    return BevGrid(spec, data)
+
+
+def load_grid(path: str | Path, out: np.ndarray | None = None) -> BevGrid:
+    """Read a grid file into float64, checking its header, size and values.
+
+    The file size is checked against the header before anything is
+    allocated, and the payload is read in blocks of rows straight into the
+    destination: a new array, or `out`, an f64 array (any view, such as a
+    channel slice of a fused buffer) of the header's shape.
+    """
+    blocks = grid_blocks(path)
+    spec = next(blocks)
+    shape = (spec.height_cells, spec.width_cells, spec.channels)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64:
+        raise DataFormatError(
+            f"{path}: header implies a {shape} grid, destination is {out.dtype} {out.shape}"
+        )
+    for r, values in blocks:
+        out[r : r + len(values)] = values
+    return BevGrid(spec, out)
 
 
 def save_projection(proj: Projection, path: str | Path) -> None:
@@ -139,7 +171,7 @@ def load_projection(path: str | Path) -> Projection:
             f"{path}: payload is {len(blob)} bytes, header implies {expected}"
         )
     values = np.frombuffer(blob, dtype="<f4", offset=_PROJ_HEADER.size)
-    # Checked on the f32 view, as in load_grid, so the message names the file.
+    # Checked on the f32 view, as in grid_blocks, so the message names the file.
     bad = int(np.count_nonzero(~np.isfinite(values)))
     if bad:
         raise DataFormatError(f"{path}: {bad} non-finite projection values")

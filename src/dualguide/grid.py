@@ -211,9 +211,11 @@ def global_context_refine(grid: BevGrid, weights: ContextWeights) -> np.ndarray:
     """
     weights.validate(grid.spec.channels)
     flat = grid.data.reshape(-1, grid.spec.channels)
-    logits = flat @ np.asarray(weights.key_proj, dtype=np.float64)
-    logits = logits - logits.max()
-    attn = np.exp(logits)
+    # The attention is computed in place in one H*W vector: a caller may
+    # hold little more than its grid.
+    attn = flat @ np.asarray(weights.key_proj, dtype=np.float64)
+    attn -= attn.max()
+    np.exp(attn, out=attn)
     attn /= attn.sum()
     pooled = attn @ flat
     return np.asarray(weights.value_proj, dtype=np.float64) @ pooled

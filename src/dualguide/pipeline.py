@@ -2,10 +2,13 @@
 
 `run_matching` is the refine-extract-match front stage every CLI command
 shares. The refine yields one context vector, not a grid: camera instances
-are sampled with it as an offset. `run_fusion` runs the front stage, copies
-both grids into one fused buffer, and enhances its two channel slices in
-place. Weight shapes follow the channel counts of the grids given, not the
-config's generator depths.
+are sampled with it as an offset. `fuse_in_place` takes one fused buffer,
+LiDAR channels first, runs the front stage on its two channel slices and
+enhances them in place. `run_fusion` copies two separate grids into a new
+fused buffer and hands it to `fuse_in_place`; the `fuse` command instead
+loads the grid files straight into the slices (`synth.load_fused_scene`),
+so it holds one buffer and makes no copy. Weight shapes follow the channel
+counts of the grids given, not the config's generator depths.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .enhance import (
     enhance_camera_grid,
     enhance_lidar_grid,
     fuse_grids,
+    split_fused,
 )
 from .formats import load_projection
 from .grid import BevGrid, ContextWeights, global_context_refine
@@ -122,20 +126,40 @@ def run_fusion(
 ) -> FusionResult:
     """Run the full fusion pipeline on in-memory inputs.
 
-    `run_matching` supplies the pairs. The fused grid is allocated once,
-    LiDAR channels first, holding copies of both input grids, which stay
-    unchanged; `enhanced_lidar` and `enhanced_camera` are views of its two
-    channel slices, enhanced in place. With enhance=False the views keep the
-    input grids (the no-enhancement baseline); matching still runs so the
-    pair sets stay reportable.
+    Copies both grids once into a new fused buffer, LiDAR channels first, and
+    runs `fuse_in_place` on it; the input grids stay unchanged.
     """
-    pairs = run_matching(camera_grid, lidar_grid, camera_proposals, lidar_proposals, config)
-    fused = fuse_grids(camera_grid, lidar_grid)
-    c_lid = lidar_grid.spec.channels
-    enhanced_lidar = BevGrid(lidar_grid.spec, fused.data[:, :, :c_lid])
-    enhanced_camera = BevGrid(camera_grid.spec, fused.data[:, :, c_lid:])
+    return fuse_in_place(
+        fuse_grids(camera_grid, lidar_grid), lidar_grid.spec.channels,
+        camera_proposals, lidar_proposals, config, enhance,
+    )
+
+
+def fuse_in_place(
+    fused: BevGrid,
+    lidar_channels: int,
+    camera_proposals: list[Proposal],
+    lidar_proposals: list[Proposal],
+    config: PipelineConfig = PipelineConfig(),
+    enhance: bool = True,
+) -> FusionResult:
+    """Match and enhance on the two channel slices of a fused grid.
+
+    `fused` holds the LiDAR grid in its first `lidar_channels` channels and
+    the camera grid in the rest. `run_matching` reads the two slices, then
+    both are enhanced in place; `enhanced_lidar` and `enhanced_camera` are
+    views of them. With enhance=False the slices keep the input grids (the
+    no-enhancement baseline); matching still runs so the pair sets stay
+    reportable.
+    """
+    enhanced_camera, enhanced_lidar = split_fused(fused, lidar_channels)
+    pairs = run_matching(
+        enhanced_camera, enhanced_lidar, camera_proposals, lidar_proposals, config
+    )
     if enhance:
-        projections = build_projections(config, camera_grid.spec.channels, c_lid)
+        projections = build_projections(
+            config, enhanced_camera.spec.channels, lidar_channels
+        )
         enhance_camera_grid(enhanced_camera, pairs.easy, pairs.camera_hard,
                             projections.lidar_squeeze)
         enhance_lidar_grid(enhanced_lidar, pairs.lidar_hard, projections.excitation)

@@ -17,13 +17,16 @@ grids with no proposal or annotation behind them. Clutter gives the readout
 detector genuine ranking competition, so single-modality objects are not
 trivially the top peaks of the fused grid.
 
-The readout detector turns a grid into detections without any learned
-parts: after subtracting the median cell energy as a floor, strict local
-maxima become detections whose box is estimated from the quarter-maximum
-support region (the connected region within 8 cells of the peak, computed for
-all peaks at once): its principal axes give the yaw, and extent = 2.4 *
-sqrt(eigenvalue) inverts the quarter-max cut of a Gaussian bump whose std is
-the half extent. It has no class head: every detection is READOUT_CLASS.
+The readout detector turns a grid's energy map (the per-cell L2 norm across
+channels: `cell_energy` of a grid in memory, or `read_cell_energy` of a grid
+file, read in row blocks without holding the grid) into detections without
+any learned parts: after subtracting the median cell energy as a floor,
+strict local maxima become detections whose box is estimated from the
+quarter-maximum support region (the connected region within 8 cells of the
+peak, computed for all peaks at once): its principal axes give the yaw, and
+extent = 2.4 * sqrt(eigenvalue) inverts the quarter-max cut of a Gaussian
+bump whose std is the half extent. It has no class head: every detection is
+READOUT_CLASS.
 """
 
 from __future__ import annotations
@@ -37,8 +40,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import PipelineConfig
 from .errors import ConfigurationError, ContractError, DataFormatError
+from .enhance import fused_spec, split_fused
 from .formats import (
     box_from_record,
+    grid_blocks,
     load_annotations,
     load_grid,
     load_json,
@@ -49,7 +54,7 @@ from .formats import (
     save_proposals,
 )
 from .geometry import Box3D, box_axes
-from .grid import BevGrid, grid_to_world, world_to_grid
+from .grid import BevGrid, GridSpec, grid_to_world, world_to_grid
 from .instances import Proposal
 from .metrics import Annotation, Detection
 from .taxonomy import NUM_CLASSES
@@ -390,20 +395,23 @@ def scene_paths(
     return manifest, paths
 
 
-def load_scene(manifest_path: str | Path) -> tuple[Scene, dict]:
-    """Load a scene from its manifest, checking files against the echoed spec."""
+def _scene_files(manifest_path: str | Path) -> tuple[dict, dict[str, Path], list[GridSpec]]:
+    """A scene's manifest, its file paths, and the camera and LiDAR grid specs.
+
+    The specs are read from the grid file headers alone and checked against
+    the manifest's grid echo before any payload is read or any grid
+    allocated; a mismatch names the file that disagrees.
+    """
     manifest, paths = scene_paths(manifest_path, (
         "camera_grid", "lidar_grid", "camera_proposals", "lidar_proposals",
         "annotations", "points",
     ))
-    files = manifest["files"]
     echo = manifest.get("grid")
     if not isinstance(echo, dict):
         raise DataFormatError(f"{manifest_path}: no 'grid' object")
-    camera_grid = load_grid(paths["camera_grid"])
-    lidar_grid = load_grid(paths["lidar_grid"])
-    for grid, channels_key in ((camera_grid, "camera_channels"), (lidar_grid, "lidar_channels")):
-        spec = grid.spec
+    specs = []
+    for key, channels_key in (("camera_grid", "camera_channels"), ("lidar_grid", "lidar_channels")):
+        spec = next(grid_blocks(paths[key]))  # the header alone
         if (
             spec.height_cells != echo.get("height_cells")
             or spec.width_cells != echo.get("width_cells")
@@ -412,9 +420,18 @@ def load_scene(manifest_path: str | Path) -> tuple[Scene, dict]:
             or spec.channels != echo.get(channels_key)
         ):
             raise DataFormatError(
-                f"grid header of {files['camera_grid']!r}/{files['lidar_grid']!r} "
+                f"grid header of {manifest['files'][key]!r} "
                 "does not match the manifest's grid spec"
             )
+        specs.append(spec)
+    return manifest, paths, specs
+
+
+def _scene(
+    manifest_path: str | Path, manifest: dict, paths: dict[str, Path],
+    camera_grid: BevGrid, lidar_grid: BevGrid,
+) -> Scene:
+    """The scene around two loaded grids: points, objects and the record files."""
     points = np.load(paths["points"]) if "points" in paths else None
     records = manifest.get("objects", [])
     if not isinstance(records, list):
@@ -434,7 +451,7 @@ def load_scene(manifest_path: str | Path) -> tuple[Scene, dict]:
             raise DataFormatError(f"{manifest_path}: object {i} has no field {exc}") from exc
         except (ValueError, ContractError) as exc:
             raise DataFormatError(f"{manifest_path}: object {i}: {exc}") from exc
-    scene = Scene(
+    return Scene(
         camera_grid,
         lidar_grid,
         load_proposals(paths["camera_proposals"]),
@@ -443,7 +460,42 @@ def load_scene(manifest_path: str | Path) -> tuple[Scene, dict]:
         objects,
         points,
     )
-    return scene, manifest
+
+
+def load_scene(manifest_path: str | Path) -> tuple[Scene, dict]:
+    """Load a scene from its manifest, checking files against the echoed spec."""
+    manifest, paths, _ = _scene_files(manifest_path)
+    camera_grid = load_grid(paths["camera_grid"])
+    lidar_grid = load_grid(paths["lidar_grid"])
+    return _scene(manifest_path, manifest, paths, camera_grid, lidar_grid), manifest
+
+
+def load_fused_scene(manifest_path: str | Path) -> tuple[Scene, BevGrid]:
+    """Load a scene with both grid files read straight into one fused grid.
+
+    The fused grid has the layout of `fuse_grids`, LiDAR channels first; the
+    scene's grids are views of its two channel slices. Checks and messages
+    are `load_scene`'s.
+    """
+    manifest, paths, (camera_spec, lidar_spec) = _scene_files(manifest_path)
+    spec = fused_spec(camera_spec, lidar_spec)
+    fused = BevGrid(spec, np.empty((spec.height_cells, spec.width_cells, spec.channels)))
+    camera_grid, lidar_grid = split_fused(fused, lidar_spec.channels)
+    load_grid(paths["camera_grid"], out=camera_grid.data)
+    load_grid(paths["lidar_grid"], out=lidar_grid.data)
+    return _scene(manifest_path, manifest, paths, camera_grid, lidar_grid), fused
+
+
+def _cell_energy(spec: GridSpec, blocks) -> np.ndarray:
+    """Per-cell L2 norm across channels from `(first_row, rows)` blocks.
+
+    Each row is squared in f64, so f32 rows give the energy of their f64 cast.
+    """
+    energy = np.empty((spec.height_cells, spec.width_cells))
+    for r, block in blocks:
+        for i, row in enumerate(block):
+            energy[r + i] = np.sqrt(np.square(row, dtype=np.float64).sum(axis=1))
+    return energy
 
 
 def cell_energy(grid: BevGrid) -> np.ndarray:
@@ -451,10 +503,18 @@ def cell_energy(grid: BevGrid) -> np.ndarray:
 
     Computed row by row, so no full-grid squared temporary is held.
     """
-    energy = np.empty((grid.spec.height_cells, grid.spec.width_cells))
-    for r, row in enumerate(grid.data):
-        energy[r] = np.sqrt((row**2).sum(axis=1))
-    return energy
+    return _cell_energy(grid.spec, [(0, grid.data)])
+
+
+def read_cell_energy(path: str | Path) -> tuple[np.ndarray, GridSpec]:
+    """`cell_energy` of a grid file and its spec, without holding the grid.
+
+    The payload is read in f32 blocks of rows with `load_grid`'s checks and
+    messages; the energy equals `cell_energy(load_grid(path))` bit for bit.
+    """
+    blocks = grid_blocks(path)
+    spec = next(blocks)
+    return _cell_energy(spec, blocks), spec
 
 
 def _grow_support(windows: np.ndarray, levels: np.ndarray) -> np.ndarray:
@@ -474,11 +534,14 @@ def _grow_support(windows: np.ndarray, levels: np.ndarray) -> np.ndarray:
         region = grown
 
 
-def energy_peak_detections(grid: BevGrid, max_peaks: int | None = None) -> list[Detection]:
-    """Read detections off a grid as strict local maxima of feature energy.
+def energy_peak_detections(
+    energy: np.ndarray, spec: GridSpec, max_peaks: int | None = None
+) -> list[Detection]:
+    """Read detections off a grid's energy map as strict local maxima.
 
-    Energy is the per-cell L2 norm across channels, with the grid's median
-    energy subtracted as a floor. Peaks are ranked by residual energy and
+    `energy` is the H x W per-cell L2 norm across channels (`cell_energy`,
+    or `read_cell_energy` of a file) over the window of `spec`. The map's
+    median is subtracted as a floor. Peaks are ranked by residual energy and
     capped at `max_peaks` (0 keeps none). Each yields a box read from its
     support region, found for all peaks at once: the residual-weighted
     centroid gives the center, the support's principal axes the yaw, and
@@ -488,7 +551,6 @@ def energy_peak_detections(grid: BevGrid, max_peaks: int | None = None) -> list[
     """
     if max_peaks is not None and max_peaks < 0:
         raise ConfigurationError(f"max_peaks must be >= 0, got {max_peaks}")
-    energy = cell_energy(grid)
     h, w = energy.shape
     k = SUPPORT_HALF_WIDTH
     residual = np.maximum(energy - float(np.median(energy)), 0.0)
@@ -516,7 +578,7 @@ def energy_peak_detections(grid: BevGrid, max_peaks: int | None = None) -> list[
         region = _grow_support(window, SUPPORT_LEVEL * peaks[chunk])
         # x follows the window's columns and y its rows, so every sum over a
         # region's cells is a sum over its column or row totals.
-        xs, ys = grid_to_world((r[:, None] + offsets, c[:, None] + offsets), grid.spec)
+        xs, ys = grid_to_world((r[:, None] + offsets, c[:, None] + offsets), spec)
         weights = np.where(region, window, 0.0)
         wsum = weights.sum(axis=(1, 2))
         cx = (weights.sum(axis=1) * xs).sum(axis=1) / wsum

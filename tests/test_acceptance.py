@@ -33,7 +33,7 @@ from dualguide.metrics import (
     visibility_histogram,
 )
 from dualguide.pipeline import run_fusion
-from dualguide.synth import energy_peak_detections, generate_scene
+from dualguide.synth import generate_scene
 
 from test_enhance import (
     camera_hard_pair,
@@ -52,6 +52,7 @@ from test_metrics import (
     MIXED_GTS,
     derive_ap_101,
 )
+from test_synth import readout
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -279,10 +280,10 @@ def test_criterion_7_enhancement_benefit():
         baseline = fuse_grids(scene.camera_grid, scene.lidar_grid)
         cap = len(scene.annotations)
         r_enh = recall_at_iou(
-            energy_peak_detections(enhanced, max_peaks=cap), scene.annotations, (0.3,)
+            readout(enhanced, max_peaks=cap), scene.annotations, (0.3,)
         )[0.3]
         r_base = recall_at_iou(
-            energy_peak_detections(baseline, max_peaks=cap), scene.annotations, (0.3,)
+            readout(baseline, max_peaks=cap), scene.annotations, (0.3,)
         )[0.3]
         deltas.append(r_enh - r_base)
         non_regressions += r_enh >= r_base

@@ -1,13 +1,16 @@
 """CLI subcommands, exit codes, and the documented command chain."""
 
+import gc
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dualguide.cli import main
 from dualguide.config import load_config
+from dualguide.errors import DataFormatError
 from dualguide.formats import load_grid, save_grid
 from dualguide.grid import BevGrid, GridSpec
 from dualguide.losses import pair_cosine_loss
@@ -239,6 +242,23 @@ class TestInputBoundary:
         err = capsys.readouterr().err
         assert "bad.bevg: bad grid header: grid dimensions must be positive" in err
 
+    @pytest.mark.parametrize("damage", ["truncated", "non-finite"])
+    def test_readout_file_gives_the_load_grid_message(self, workdir, capsys, damage):
+        assert main(["gen", "--seed", "2", "--objects", "6"]) == 0
+        path = workdir / "scene" / "camera.bevg"
+        if damage == "truncated":
+            path.write_bytes(path.read_bytes()[:-10])
+        else:
+            grid = load_grid(path)
+            grid.data[3, 4, 1] = grid.data[90, 2, 0] = float("nan")
+            save_grid(grid, path)
+        with pytest.raises(DataFormatError) as expected:
+            load_grid(path)
+        capsys.readouterr()
+        assert main(["eval", "--peaks-from", str(path)]) == 2
+        assert capsys.readouterr().err == f"dualguide: error: {expected.value}\n"
+        assert not (workdir / "scene" / "report.json").exists()
+
 
 def without(table, key):
     return {k: v for k, v in table.items() if k != key}
@@ -278,6 +298,23 @@ class TestManifestShape:
         err = capsys.readouterr().err
         assert f"scene/manifest.json: {expected}" in err, err
         assert not (manifest.parent / "report.json").exists()
+        assert not (manifest.parent / "fused.bevg").exists()
+        assert not (manifest.parent / "pairs.json").exists()
+
+    @pytest.mark.parametrize("command", ["fuse", "match"])
+    @pytest.mark.parametrize("key, name, other", [
+        ("camera_channels", "camera.bevg", "lidar.bevg"),
+        ("lidar_channels", "lidar.bevg", "camera.bevg"),
+    ])
+    def test_grid_header_mismatch_names_the_one_file(self, manifest, capsys, command, key,
+                                                     name, other):
+        data = json.loads(manifest.read_text())
+        data["grid"][key] += 1
+        manifest.write_text(json.dumps(data))
+        assert main([command]) == 2
+        err = capsys.readouterr().err
+        assert f"grid header of {name!r} does not match the manifest's grid spec" in err
+        assert other not in err
         assert not (manifest.parent / "fused.bevg").exists()
         assert not (manifest.parent / "pairs.json").exists()
 
@@ -512,6 +549,44 @@ class TestLossCommand:
     def test_missing_section_is_data_error(self, workdir):
         (workdir / "loss.json").write_text(json.dumps({"head": {}}))
         assert main(["loss", "--components", "loss.json"]) == 2
+
+
+def traced_peak(argv):
+    """The tracemalloc peak of `main(argv)`, after one untraced warm-up call."""
+    assert main(argv) == 0  # pays one-off allocations (imports, caches)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPeakMemory:
+    """`fuse` holds one fused grid; `eval`'s readout holds none."""
+
+    CHANNELS = {"camera_channels": 48, "lidar_channels": 80}
+    FUSED_BYTES = 128 * 128 * (48 + 80) * 8  # 16.8 MB of f64
+
+    @pytest.fixture(scope="class")
+    def manifest(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("deep")
+        config = root / "config.json"
+        config.write_text(json.dumps({
+            "height_cells": 128, "width_cells": 128,
+            "x_range": [-38.4, 38.4], "y_range": [-38.4, 38.4], **self.CHANNELS,
+        }))
+        assert main(["gen", "--seed", "4", "--objects", "12", "--config", str(config),
+                     "--out", str(root / "scene")]) == 0
+        return str(root / "scene" / "manifest.json")
+
+    def test_fuse_holds_one_fused_grid(self, manifest, capsys):
+        assert traced_peak(["fuse", "--scene", manifest]) <= 1.1 * self.FUSED_BYTES
+
+    def test_eval_readout_holds_no_grid(self, manifest, capsys):
+        assert main(["fuse", "--scene", manifest]) == 0
+        assert traced_peak(["eval", "--scene", manifest]) <= 0.25 * self.FUSED_BYTES
 
 
 class TestDeterminism:

@@ -79,6 +79,19 @@ class TestGridFormat:
         with pytest.raises(DataFormatError, match="bytes"):
             load_grid(path)
 
+    def test_file_shrinking_after_the_size_check_rejected(self, tmp_path):
+        # 200 KB of payload, past what the file object reads ahead with the header.
+        grid = f32_grid(np.random.default_rng(3), h=240, c=30)
+        path = tmp_path / "g.bevg"
+        save_grid(grid, path)
+        with mock.patch.object(formats, "_GRID_BLOCK_BYTES", 2 * 7 * 30 * 4):  # 2 rows a block
+            blocks = formats.grid_blocks(path)
+            next(blocks)
+            with path.open("r+b") as f:
+                f.truncate(path.stat().st_size - 10)
+            with pytest.raises(DataFormatError, match=r"g\.bevg: payload ends before row 240"):
+                list(blocks)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_rejected(self, tmp_path, value):
         grid = f32_grid(np.random.default_rng(3))
@@ -139,6 +152,27 @@ class TestGridFormat:
         with mock.patch.object(formats, "_GRID_BLOCK_BYTES", block_bytes):
             with pytest.raises(DataFormatError, match=r"g\.bevg: 3 non-finite grid values"):
                 load_grid(path)
+
+    def test_load_into_channel_slice_is_bit_identical(self, tmp_path):
+        grid = f32_grid(np.random.default_rng(6), h=9, c=4)
+        path = tmp_path / "g.bevg"
+        save_grid(grid, path)
+        fused = np.full((9, 7, 10), -7.0)
+        with mock.patch.object(formats, "_GRID_BLOCK_BYTES", 2 * 7 * 4 * 4):  # 5 blocks
+            loaded = load_grid(path, out=fused[:, :, 6:])
+        assert loaded.spec == grid.spec
+        assert np.shares_memory(loaded.data, fused)
+        assert np.array_equal(fused[:, :, 6:], load_grid(path).data)
+        assert (fused[:, :, :6] == -7.0).all()
+
+    @pytest.mark.parametrize("out", [np.empty((5, 7, 4)), np.empty((7, 5, 3)),
+                                     np.empty((5, 7, 3), dtype=np.float32)],
+                             ids=["channels", "window", "dtype"])
+    def test_wrong_destination_rejected_naming_the_file(self, tmp_path, out):
+        path = tmp_path / "g.bevg"
+        save_grid(f32_grid(np.random.default_rng(7)), path)
+        with pytest.raises(DataFormatError, match=r"g\.bevg: header implies a \(5, 7, 3\) grid"):
+            load_grid(path, out=out)
 
 
 @st.composite

@@ -10,7 +10,7 @@ import pytest
 from dualguide.config import PipelineConfig
 from dualguide.enhance import fuse_grids
 from dualguide.formats import pair_sets_to_dict
-from dualguide.grid import BevGrid, global_context_refine
+from dualguide.grid import BevGrid, GridSpec, global_context_refine
 from dualguide.instances import build_instances
 from dualguide.matching import match_pairs
 from dualguide.pipeline import build_context_weights, build_projections, run_fusion
@@ -131,6 +131,47 @@ class TestRunFusion:
         assert np.isfinite(context).all()
         for grid in (result.enhanced_camera, result.enhanced_lidar, result.fused):
             assert np.isfinite(grid.data).all()
+
+
+DEEP_SMALL = replace(SMALL, camera_channels=80, lidar_channels=128)
+
+
+def refine_case(seed):
+    """Camera and LiDAR grids: seeds 0-19 noise of several depths, 20-29 scenes."""
+    if seed >= 20:
+        scene = generate_scene((SMALL, DEEP_SMALL)[seed % 2], seed, 10, "mixed")
+        return scene.camera_grid, scene.lidar_grid
+    rng = np.random.default_rng(seed)
+    h, w = (int(n) for n in rng.integers(4, 72, size=2))
+    c_cam, c_lid = ((80, 128), (5, 7), (16, 24), (33, 1))[seed % 4]
+    spec = GridSpec(h, w, c_cam, (0.0, float(w)), (0.0, float(h)))
+    camera = BevGrid(spec, rng.normal(size=(h, w, c_cam)) * rng.uniform(0.1, 10.0))
+    lidar = BevGrid(replace(spec, channels=c_lid), rng.normal(size=(h, w, c_lid)))
+    return camera, lidar
+
+
+class TestRefineOnFusedSlice:
+    """The context of a camera slice of a fused grid is the contiguous grid's."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_equals_the_contiguous_refine(self, seed):
+        camera, lidar = refine_case(seed)
+        view = BevGrid(camera.spec, fuse_grids(camera, lidar).data[:, :, lidar.spec.channels:])
+        weights = build_context_weights(camera.spec.channels)
+        assert np.array_equal(global_context_refine(view, weights),
+                              global_context_refine(camera, weights))
+
+    def test_copies_nothing(self):
+        camera, lidar = refine_case(0)  # 80 camera channels of 208
+        view = BevGrid(camera.spec, fuse_grids(camera, lidar).data[:, :, 128:])
+        weights = build_context_weights(80)
+        tracemalloc.start()
+        try:
+            global_context_refine(view, weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.05 * view.data.nbytes
 
 
 class TestProjectionWiring:

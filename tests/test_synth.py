@@ -1,6 +1,9 @@
 """Scene generator determinism, bookkeeping, and the readout detector."""
 
+import json
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,8 +14,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from dualguide.config import PipelineConfig
 from dualguide.enhance import fuse_grids
+from dualguide import formats
 from dualguide.errors import ConfigurationError, DataFormatError
-from dualguide.formats import save_grid
+from dualguide.formats import load_grid, save_grid
 from dualguide.geometry import Box3D, points_in_box, project_to_bev
 from dualguide.grid import BevGrid, GridSpec, grid_to_world
 from dualguide.matching import match_pairs
@@ -26,7 +30,9 @@ from dualguide.synth import (
     cell_energy,
     energy_peak_detections,
     generate_scene,
+    load_fused_scene,
     load_scene,
+    read_cell_energy,
     write_scene,
 )
 
@@ -40,6 +46,11 @@ SMALL = PipelineConfig(
     camera_channels=6,
     lidar_channels=8,
 )
+
+
+def readout(grid, max_peaks=None):
+    """The energy readout of an in-memory grid."""
+    return energy_peak_detections(cell_energy(grid), grid.spec, max_peaks)
 
 
 class TestGenerateScene:
@@ -154,17 +165,62 @@ class TestSceneIo:
         with pytest.raises(DataFormatError, match="manifest"):
             load_scene(manifest_path)
 
+    @pytest.mark.parametrize("loader", [load_scene, load_fused_scene])
+    @pytest.mark.parametrize("key, name", [("camera_channels", "camera.bevg"),
+                                           ("lidar_channels", "lidar.bevg")])
+    def test_header_mismatch_names_the_one_file(self, tmp_path, loader, key, name):
+        scene = generate_scene(SMALL, seed=11, n_objects=3)
+        manifest_path = write_scene(scene, tmp_path, SMALL, 11, "mixed")
+        manifest = json.loads(manifest_path.read_text())
+        manifest["grid"][key] += 1
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(DataFormatError) as err:
+            loader(manifest_path)
+        assert str(err.value) == f"grid header of {name!r} does not match the manifest's grid spec"
+
+    @pytest.mark.parametrize("loader", [load_scene, load_fused_scene])
+    def test_huge_manifest_grid_fails_before_any_grid_is_allocated(self, tmp_path, loader):
+        scene = generate_scene(SMALL, seed=11, n_objects=3)
+        manifest_path = write_scene(scene, tmp_path, SMALL, 11, "mixed")
+        manifest = json.loads(manifest_path.read_text())
+        manifest["grid"].update(height_cells=100_000, width_cells=100_000)
+        manifest_path.write_text(json.dumps(manifest))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataFormatError, match="'camera.bevg' does not match"):
+                loader(manifest_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < scene.camera_grid.data.nbytes / 4
+
+    def test_fused_load_fills_the_slices_of_one_grid(self, tmp_path):
+        scene = generate_scene(SMALL, seed=9, n_objects=6, with_points=True)
+        manifest_path = write_scene(scene, tmp_path, SMALL, 9, "mixed")
+        contiguous, _ = load_scene(manifest_path)
+        fused_scene, fused = load_fused_scene(manifest_path)
+        assert np.array_equal(fused.data, fuse_grids(contiguous.camera_grid,
+                                                     contiguous.lidar_grid).data)
+        assert fused_scene.camera_grid.spec == contiguous.camera_grid.spec
+        assert fused_scene.lidar_grid.spec == contiguous.lidar_grid.spec
+        assert np.shares_memory(fused_scene.camera_grid.data, fused.data)
+        assert np.shares_memory(fused_scene.lidar_grid.data, fused.data)
+        assert fused_scene.camera_proposals == contiguous.camera_proposals
+        assert fused_scene.annotations == contiguous.annotations
+        assert fused_scene.objects == contiguous.objects
+        assert np.array_equal(fused_scene.points, contiguous.points)
+
 
 class TestEnergyPeakDetector:
     def test_empty_grid_yields_nothing(self):
         grid = BevGrid.zeros(SMALL.camera_spec())
-        assert energy_peak_detections(grid) == []
+        assert readout(grid) == []
 
     def test_single_object_recovered(self):
         # One object plus one clutter blob; some detection must cover the
         # object's footprint even when clutter takes the top slot.
         scene = generate_scene(SMALL, seed=12, n_objects=1, gap_profile="easy")
-        dets = energy_peak_detections(scene.camera_grid)
+        dets = readout(scene.camera_grid)
         ann = scene.annotations[0]
         best = max(
             rotated_iou_2d(project_to_bev(d.box), project_to_bev(ann.box)) for d in dets
@@ -174,12 +230,12 @@ class TestEnergyPeakDetector:
 
     def test_peak_cap_respected(self):
         scene = generate_scene(SMALL, seed=13, n_objects=8, gap_profile="easy")
-        dets = energy_peak_detections(scene.camera_grid, max_peaks=5)
+        dets = readout(scene.camera_grid, max_peaks=5)
         assert len(dets) <= 5
 
     def test_scores_sorted_and_normalized(self):
         scene = generate_scene(SMALL, seed=14, n_objects=8)
-        dets = energy_peak_detections(scene.lidar_grid)
+        dets = readout(scene.lidar_grid)
         scores = [d.score for d in dets]
         assert scores == sorted(scores, reverse=True)
         assert scores[0] == 1.0
@@ -194,9 +250,35 @@ class TestEnergyPeakDetector:
 
     def test_deterministic(self):
         scene = generate_scene(SMALL, seed=15, n_objects=6)
-        a = energy_peak_detections(scene.camera_grid)
-        b = energy_peak_detections(scene.camera_grid)
+        a = readout(scene.camera_grid)
+        b = readout(scene.camera_grid)
         assert a == b
+
+    def test_file_energy_equals_energy_of_the_loaded_grid(self, tmp_path):
+        scene = generate_scene(SMALL, seed=16, n_objects=8)
+        path = tmp_path / "fused.bevg"
+        save_grid(fuse_grids(scene.camera_grid, scene.lidar_grid), path)
+        # 96 rows of 96 x 14 f32 cells: blocks of 7 rows, the last one of 5.
+        with mock.patch.object(formats, "_GRID_BLOCK_BYTES", 7 * 96 * 14 * 4):
+            energy, spec = read_cell_energy(path)
+        grid = load_grid(path)
+        assert spec == grid.spec
+        assert np.array_equal(energy, cell_energy(grid))
+        assert readout(grid) == energy_peak_detections(energy, spec)
+
+    def test_file_energy_holds_no_grid(self, tmp_path):
+        # 180 x 180 x 104 cells: 27 MB of f64 against 1 MB blocks of f32.
+        spec = GridSpec(180, 180, 104, (-54.0, 54.0), (-54.0, 54.0))
+        path = tmp_path / "big.bevg"
+        save_grid(BevGrid(spec, np.ones((180, 180, 104))), path)
+        tracemalloc.start()
+        try:
+            energy, _ = read_cell_energy(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(energy, np.full((180, 180), math.sqrt(104)))
+        assert peak <= 0.1 * 180 * 180 * 104 * 8
 
 
 def oracle_support_region(residual: np.ndarray, peak: tuple[int, int], level: float,
@@ -306,7 +388,7 @@ def assert_matches_oracle(grid, max_peaks):
         cells = {(r - 8 + i, c - 8 + j) for i, j in np.argwhere(mask).tolist()}
         assert cells == set(oracle_support_region(residual, (r, c), 0.25 * residual[r, c]))
 
-    got = energy_peak_detections(grid, max_peaks)
+    got = readout(grid, max_peaks)
     want = oracle_detections(grid, max_peaks)
     assert len(got) == len(want) == len(rows)
     for g, o in zip(got, want):
@@ -340,8 +422,8 @@ class TestReadoutOracle:
     def test_negative_cap_rejected_and_zero_keeps_none(self):
         scene = generate_scene(SMALL, seed=13, n_objects=4)
         with pytest.raises(ConfigurationError, match="max_peaks must be >= 0, got -1"):
-            energy_peak_detections(scene.camera_grid, max_peaks=-1)
-        assert energy_peak_detections(scene.camera_grid, max_peaks=0) == []
+            readout(scene.camera_grid, max_peaks=-1)
+        assert readout(scene.camera_grid, max_peaks=0) == []
 
 
 class TestClassSizes:
