@@ -6,10 +6,11 @@ enhanced/fused grids plus the pair dump), match (pair matching only), eval
 components from supplied arrays and an optional scene). Exit codes: 0 on
 success, 1 on usage errors, 2 on data/configuration errors.
 
-`fuse` holds one grid: it reads the LiDAR and camera grid files straight
-into the two channel slices of the fused buffer, then matches, enhances and
-saves from it. `eval`'s energy readout reads the energy map from the grid
-file in row blocks and never holds the grid.
+`fuse`, `match` and `loss` load their scene with `synth.load_scene`, one
+contiguous array per grid. `fuse` enhances the two grids in place and
+streams `fused.bevg` from them, so it holds the camera and LiDAR grids and
+no concatenation. `eval`'s energy readout reads the energy map from the
+grid file in row blocks and never holds the grid.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .synth import (
     Scene,
     energy_peak_detections,
     generate_scene,
-    load_fused_scene,
     load_scene,
     read_cell_energy,
     scene_paths,
@@ -62,19 +62,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    """--config plus the five pipeline flags, for the commands that read them."""
+    """--config plus the four pipeline flags, for the commands that read them."""
     p.add_argument("--config", help="JSON config file; flags override its values")
     p.add_argument("--gamma", type=float, help="proposal score threshold")
     p.add_argument("--eta", type=float, help="overlap threshold for easy pairs")
     p.add_argument("--sampling-strategy", dest="sampling_strategy")
     p.add_argument("--grouping-strategy", dest="grouping_strategy")
-    p.add_argument("--projection-seed", dest="projection_seed", type=int)
 
 
-# Destinations of the five pipeline flags; only a scene's pipeline reads them.
-_PIPELINE_DESTS = (
-    "gamma", "eta", "sampling_strategy", "grouping_strategy", "projection_seed",
-)
+# Destinations of the four pipeline flags; only a scene's pipeline reads them.
+_PIPELINE_DESTS = ("gamma", "eta", "sampling_strategy", "grouping_strategy")
 
 
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
@@ -84,7 +81,7 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
 def _scene_and_config(args: argparse.Namespace) -> tuple[Scene, PipelineConfig]:
     """The scene named by --scene and the config from the flags."""
     config = _config_from_args(args)  # checked before the scene loads
-    return load_scene(args.scene)[0], config
+    return load_scene(args.scene), config
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -113,8 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="stratified detection metrics")
     p_eval.add_argument("--scene", default="scene/manifest.json")
-    p_eval.add_argument("--dets", help="detections JSON-lines file")
-    p_eval.add_argument("--peaks-from", dest="peaks_from",
+    source = p_eval.add_mutually_exclusive_group()
+    source.add_argument("--dets", help="detections JSON-lines file")
+    source.add_argument("--peaks-from", dest="peaks_from",
                         help="grid file to read detections from via energy peaks")
     p_eval.add_argument("--max-peaks", dest="max_peaks", type=int, default=None)
     p_eval.add_argument("--axis", default="none", choices=("none",) + AXES)
@@ -146,25 +144,20 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuse(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)  # checked before the scene loads
-    scene, fused = load_fused_scene(args.scene)
+    scene, config = _scene_and_config(args)
     out = Path(args.out) if args.out else Path(args.scene).parent
     out.mkdir(parents=True, exist_ok=True)
-    result = fuse_in_place(
-        fused,
-        scene.lidar_grid.spec.channels,
-        scene.camera_proposals,
-        scene.lidar_proposals,
-        config,
-        enhance=not args.no_enhance,
+    pairs = fuse_in_place(
+        scene.camera_grid, scene.lidar_grid, scene.camera_proposals, scene.lidar_proposals,
+        config, enhance=not args.no_enhance,
     )
-    formats.save_grid(result.enhanced_camera, out / "enhanced_camera.bevg")
-    formats.save_grid(result.enhanced_lidar, out / "enhanced_lidar.bevg")
-    formats.save_grid(result.fused, out / "fused.bevg")
-    formats.save_pair_sets(result.pairs, out / "pairs.json")
+    formats.save_grid(scene.camera_grid, out / "enhanced_camera.bevg")
+    formats.save_grid(scene.lidar_grid, out / "enhanced_lidar.bevg")
+    formats.save_grid(scene.lidar_grid, out / "fused.bevg", scene.camera_grid)
+    formats.save_pair_sets(pairs, out / "pairs.json")
     log.info(
         "fused %d easy / %d camera-hard / %d lidar-hard pairs",
-        len(result.pairs.easy), len(result.pairs.camera_hard), len(result.pairs.lidar_hard),
+        len(pairs.easy), len(pairs.camera_hard), len(pairs.lidar_hard),
     )
     print(out / "fused.bevg")
     return 0
@@ -185,8 +178,6 @@ def _cmd_match(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     _, paths = scene_paths(args.scene, ("annotations",))
     annotations = formats.load_annotations(paths["annotations"])
-    if args.dets and args.peaks_from:
-        raise ConfigurationError("pass either --dets or --peaks-from, not both")
     if args.dets:
         dets = formats.load_detections(args.dets)
     else:
@@ -217,7 +208,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     _, paths = scene_paths(args.scene, ("annotations", "points"))
-    points = np.load(paths["points"]) if "points" in paths else None
+    points = formats.load_points(paths["points"]) if "points" in paths else None
     table = visibility_histogram(formats.load_annotations(paths["annotations"]), points)
     print(f"{'token':>6} " + "".join(f"{b:>8}" for b in POINT_BUCKETS))
     for token in (4, 3, 2, 1):

@@ -5,12 +5,13 @@ u32 C, x_range and y_range as f64 pairs, then H*W*C f32 values row-major
 by (row, col, channel). A JSON sidecar (same path + ".json") mirrors the
 header for inspection. `grid_blocks` is the one grid reader: it checks the
 header and the file size before anything is allocated, then yields the
-payload in f32 blocks of rows. `load_grid` fills a new f64 array from it,
-or a given f64 destination of the header's shape, such as a channel slice
-of a fused buffer. Projection files are magic "PROJ", u32 rows, u32
-cols, the f32 matrix row-major, then the f32 bias. Proposals and
+payload in f32 blocks of rows; `load_grid` fills a new f64 array from it.
+`save_grid` writes one grid, or the channel concatenation of several, from
+their rows without building it. Projection files are magic "PROJ", u32
+rows, u32 cols, the f32 matrix row-major, then the f32 bias. Proposals and
 annotations are JSON-lines, one object per line, with the box laid out as
-x, y, z, w, l, h, yaw, vx, vy.
+x, y, z, w, l, h, yaw, vx, vy. A point cloud is an .npy file of finite
+floats of shape (N, 3), read by `load_points`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ import math
 import os
 import struct
 from collections.abc import Iterator
+from dataclasses import replace
 from pathlib import Path
+from tokenize import TokenError
 
 import numpy as np
 
@@ -44,35 +47,39 @@ _PROJ_HEADER = struct.Struct("<4sII")
 _BOX_KEYS = ("x", "y", "z", "w", "l", "h", "yaw", "vx", "vy")
 
 
-def save_grid(grid: BevGrid, path: str | Path) -> None:
-    """Write a grid and its JSON header sidecar. Values are rounded to f32.
+def save_grid(grid: BevGrid, path: str | Path, *more: BevGrid) -> None:
+    """Write the channel concatenation of `grid` and `more`, and its JSON sidecar.
 
-    `grid.data` may be any view; the payload streams out in blocks of rows.
+    Values are rounded to f32. The grids may be any views over one window;
+    their rows stream out through one reused f32 block, so the concatenation
+    is never built.
     """
     path = Path(path)
-    spec = grid.spec
-    header = _GRID_HEADER.pack(
-        GRID_MAGIC,
-        GRID_VERSION,
-        spec.height_cells,
-        spec.width_cells,
-        spec.channels,
-        spec.x_range[0],
-        spec.x_range[1],
-        spec.y_range[0],
-        spec.y_range[1],
-    )
+    grids = (grid, *more)
+    if not all(g.spec.same_window(grid.spec) for g in more):
+        raise ConfigurationError(
+            f"grids saved to {path} cover different windows: {[g.spec for g in grids]}"
+        )
+    spec = replace(grid.spec, channels=sum(g.spec.channels for g in grids))
+    h, w, c = spec.height_cells, spec.width_cells, spec.channels
     rows_per_block = _rows_per_block(spec)
+    buffer = np.empty((min(rows_per_block, h), w, c), dtype="<f4")
     with path.open("wb") as f:
-        f.write(header)
-        for r in range(0, spec.height_cells, rows_per_block):
-            f.write(grid.data[r : r + rows_per_block].astype("<f4", order="C"))
+        f.write(_GRID_HEADER.pack(GRID_MAGIC, GRID_VERSION, h, w, c, *spec.x_range,
+                                  *spec.y_range))
+        for r in range(0, h, rows_per_block):
+            block = buffer[: min(rows_per_block, h - r)]
+            first = 0
+            for g in grids:
+                block[:, :, first : first + g.spec.channels] = g.data[r : r + len(block)]
+                first += g.spec.channels
+            f.write(block)
     sidecar = {
         "magic": GRID_MAGIC.decode(),
         "version": GRID_VERSION,
-        "height_cells": spec.height_cells,
-        "width_cells": spec.width_cells,
-        "channels": spec.channels,
+        "height_cells": h,
+        "width_cells": w,
+        "channels": c,
         "x_range": list(spec.x_range),
         "y_range": list(spec.y_range),
     }
@@ -127,26 +134,19 @@ def grid_blocks(path: str | Path) -> Iterator:
         raise DataFormatError(f"{path}: {bad} non-finite grid values")
 
 
-def load_grid(path: str | Path, out: np.ndarray | None = None) -> BevGrid:
-    """Read a grid file into float64, checking its header, size and values.
+def load_grid(path: str | Path) -> BevGrid:
+    """Read a grid file into a new float64 array, checking its header, size and values.
 
     The file size is checked against the header before anything is
     allocated, and the payload is read in blocks of rows straight into the
-    destination: a new array, or `out`, an f64 array (any view, such as a
-    channel slice of a fused buffer) of the header's shape.
+    new array.
     """
     blocks = grid_blocks(path)
     spec = next(blocks)
-    shape = (spec.height_cells, spec.width_cells, spec.channels)
-    if out is None:
-        out = np.empty(shape)
-    elif out.shape != shape or out.dtype != np.float64:
-        raise DataFormatError(
-            f"{path}: header implies a {shape} grid, destination is {out.dtype} {out.shape}"
-        )
+    data = np.empty((spec.height_cells, spec.width_cells, spec.channels))
     for r, values in blocks:
-        out[r : r + len(values)] = values
-    return BevGrid(spec, out)
+        data[r : r + len(values)] = values
+    return BevGrid(spec, data)
 
 
 def save_projection(proj: Projection, path: str | Path) -> None:
@@ -177,6 +177,25 @@ def load_projection(path: str | Path) -> Projection:
         raise DataFormatError(f"{path}: {bad} non-finite projection values")
     values = values.astype(np.float64)
     return Projection(values[: rows * cols].reshape(rows, cols), values[rows * cols :])
+
+
+def load_points(path: str | Path) -> np.ndarray:
+    """Read a point cloud: an .npy file holding finite floats of shape (N, 3)."""
+    try:
+        # The .npy reader alone: no .npz archive and no pickled objects.
+        with open(path, "rb") as f:
+            points = np.lib.format.read_array(f, allow_pickle=False)
+    # Its header parser lets the last three escape on a damaged header.
+    except (ValueError, OSError, SyntaxError, TypeError, TokenError) as exc:
+        raise DataFormatError(f"{path}: not a point cloud ({exc})") from exc
+    if not np.issubdtype(points.dtype, np.floating) or points.ndim != 2 or points.shape[1] != 3:
+        raise DataFormatError(
+            f"{path}: expected floats of shape (N, 3), got {points.dtype} {points.shape}"
+        )
+    bad = int(np.count_nonzero(~np.isfinite(points)))
+    if bad:
+        raise DataFormatError(f"{path}: {bad} non-finite point coordinates")
+    return points
 
 
 def _box_to_record(box: Box3D) -> dict:

@@ -2,13 +2,14 @@
 
 `run_matching` is the refine-extract-match front stage every CLI command
 shares. The refine yields one context vector, not a grid: camera instances
-are sampled with it as an offset. `fuse_in_place` takes one fused buffer,
-LiDAR channels first, runs the front stage on its two channel slices and
-enhances them in place. `run_fusion` copies two separate grids into a new
-fused buffer and hands it to `fuse_in_place`; the `fuse` command instead
-loads the grid files straight into the slices (`synth.load_fused_scene`),
-so it holds one buffer and makes no copy. Weight shapes follow the channel
-counts of the grids given, not the config's generator depths.
+are sampled with it as an offset. `fuse_in_place` runs the front stage on
+any camera and LiDAR grid and then enhances both in place. The `fuse`
+command hands it the two grids `synth.load_scene` read and saves the fused
+grid from them (`formats.save_grid` streams the concatenation), so it makes
+no copy. `run_fusion` copies two grids once into a new fused buffer, LiDAR
+channels first, and hands `fuse_in_place` the buffer's two channel slices.
+Weight shapes follow the channel counts of the grids given, not the
+config's generator depths.
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ from .matching import PairSets, match_pairs
 
 # Seed of the global-context weights; unlike the projections they have no file.
 CONTEXT_WEIGHTS_SEED = 1
+# Seed of the seeded projections: lidar_squeeze takes it, camera_squeeze
+# PROJECTION_SEED + 1 and excitation PROJECTION_SEED + 2.
+PROJECTION_SEED = 0
 
 
 @dataclass
@@ -68,13 +72,13 @@ def build_projections(
     c_cam, c_lid = camera_channels, lidar_channels
     return FusionProjections(
         lidar_squeeze=load_or_seed(
-            config.lidar_squeeze_path, k * c_lid, c_cam, config.projection_seed
+            config.lidar_squeeze_path, k * c_lid, c_cam, PROJECTION_SEED
         ),
         camera_squeeze=load_or_seed(
-            config.camera_squeeze_path, k * c_cam, c_cam, config.projection_seed + 1
+            config.camera_squeeze_path, k * c_cam, c_cam, PROJECTION_SEED + 1
         ),
         excitation=load_or_seed(
-            config.excitation_path, k * c_cam, c_lid, config.projection_seed + 2
+            config.excitation_path, k * c_cam, c_lid, PROJECTION_SEED + 2
         ),
     )
 
@@ -127,40 +131,39 @@ def run_fusion(
     """Run the full fusion pipeline on in-memory inputs.
 
     Copies both grids once into a new fused buffer, LiDAR channels first, and
-    runs `fuse_in_place` on it; the input grids stay unchanged.
+    runs `fuse_in_place` on its two channel slices; the input grids stay
+    unchanged, and `enhanced_camera` and `enhanced_lidar` are views of `fused`.
     """
-    return fuse_in_place(
-        fuse_grids(camera_grid, lidar_grid), lidar_grid.spec.channels,
-        camera_proposals, lidar_proposals, config, enhance,
+    fused = fuse_grids(camera_grid, lidar_grid)
+    enhanced_camera, enhanced_lidar = split_fused(fused, lidar_grid.spec.channels)
+    pairs = fuse_in_place(
+        enhanced_camera, enhanced_lidar, camera_proposals, lidar_proposals, config, enhance
     )
+    return FusionResult(pairs, enhanced_camera, enhanced_lidar, fused)
 
 
 def fuse_in_place(
-    fused: BevGrid,
-    lidar_channels: int,
+    camera_grid: BevGrid,
+    lidar_grid: BevGrid,
     camera_proposals: list[Proposal],
     lidar_proposals: list[Proposal],
     config: PipelineConfig = PipelineConfig(),
     enhance: bool = True,
-) -> FusionResult:
-    """Match and enhance on the two channel slices of a fused grid.
+) -> PairSets:
+    """Match, then enhance both grids in place; returns the pair sets.
 
-    `fused` holds the LiDAR grid in its first `lidar_channels` channels and
-    the camera grid in the rest. `run_matching` reads the two slices, then
-    both are enhanced in place; `enhanced_lidar` and `enhanced_camera` are
-    views of them. With enhance=False the slices keep the input grids (the
-    no-enhancement baseline); matching still runs so the pair sets stay
-    reportable.
+    The grids may be any views, such as the channel slices of a fused
+    buffer. With enhance=False they keep their values (the no-enhancement
+    baseline); matching still runs so the pair sets stay reportable.
     """
-    enhanced_camera, enhanced_lidar = split_fused(fused, lidar_channels)
     pairs = run_matching(
-        enhanced_camera, enhanced_lidar, camera_proposals, lidar_proposals, config
+        camera_grid, lidar_grid, camera_proposals, lidar_proposals, config
     )
     if enhance:
         projections = build_projections(
-            config, enhanced_camera.spec.channels, lidar_channels
+            config, camera_grid.spec.channels, lidar_grid.spec.channels
         )
-        enhance_camera_grid(enhanced_camera, pairs.easy, pairs.camera_hard,
+        enhance_camera_grid(camera_grid, pairs.easy, pairs.camera_hard,
                             projections.lidar_squeeze)
-        enhance_lidar_grid(enhanced_lidar, pairs.lidar_hard, projections.excitation)
-    return FusionResult(pairs, enhanced_camera, enhanced_lidar, fused)
+        enhance_lidar_grid(lidar_grid, pairs.lidar_hard, projections.excitation)
+    return pairs

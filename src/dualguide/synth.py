@@ -27,6 +27,10 @@ peak, computed for all peaks at once): its principal axes give the yaw, and
 extent = 2.4 * sqrt(eigenvalue) inverts the quarter-max cut of a Gaussian
 bump whose std is the half extent. It has no class head: every detection is
 READOUT_CLASS.
+
+`load_scene` is the one scene loader. It checks both grid headers against
+the manifest's grid echo before any grid is allocated, then reads each grid
+into its own contiguous array.
 """
 
 from __future__ import annotations
@@ -40,13 +44,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import PipelineConfig
 from .errors import ConfigurationError, ContractError, DataFormatError
-from .enhance import fused_spec, split_fused
 from .formats import (
     box_from_record,
     grid_blocks,
     load_annotations,
     load_grid,
     load_json,
+    load_points,
     load_proposals,
     save_annotations,
     save_grid,
@@ -395,12 +399,12 @@ def scene_paths(
     return manifest, paths
 
 
-def _scene_files(manifest_path: str | Path) -> tuple[dict, dict[str, Path], list[GridSpec]]:
-    """A scene's manifest, its file paths, and the camera and LiDAR grid specs.
+def load_scene(manifest_path: str | Path) -> Scene:
+    """Load a scene from its manifest, checking its files against the manifest.
 
-    The specs are read from the grid file headers alone and checked against
-    the manifest's grid echo before any payload is read or any grid
-    allocated; a mismatch names the file that disagrees.
+    Both grid headers are checked against the manifest's grid echo before
+    any payload is read or any grid allocated; a mismatch names the file
+    that disagrees. Each grid is then read into its own contiguous array.
     """
     manifest, paths = scene_paths(manifest_path, (
         "camera_grid", "lidar_grid", "camera_proposals", "lidar_proposals",
@@ -409,7 +413,6 @@ def _scene_files(manifest_path: str | Path) -> tuple[dict, dict[str, Path], list
     echo = manifest.get("grid")
     if not isinstance(echo, dict):
         raise DataFormatError(f"{manifest_path}: no 'grid' object")
-    specs = []
     for key, channels_key in (("camera_grid", "camera_channels"), ("lidar_grid", "lidar_channels")):
         spec = next(grid_blocks(paths[key]))  # the header alone
         if (
@@ -423,16 +426,9 @@ def _scene_files(manifest_path: str | Path) -> tuple[dict, dict[str, Path], list
                 f"grid header of {manifest['files'][key]!r} "
                 "does not match the manifest's grid spec"
             )
-        specs.append(spec)
-    return manifest, paths, specs
-
-
-def _scene(
-    manifest_path: str | Path, manifest: dict, paths: dict[str, Path],
-    camera_grid: BevGrid, lidar_grid: BevGrid,
-) -> Scene:
-    """The scene around two loaded grids: points, objects and the record files."""
-    points = np.load(paths["points"]) if "points" in paths else None
+    camera_grid = load_grid(paths["camera_grid"])
+    lidar_grid = load_grid(paths["lidar_grid"])
+    points = load_points(paths["points"]) if "points" in paths else None
     records = manifest.get("objects", [])
     if not isinstance(records, list):
         raise DataFormatError(
@@ -460,30 +456,6 @@ def _scene(
         objects,
         points,
     )
-
-
-def load_scene(manifest_path: str | Path) -> tuple[Scene, dict]:
-    """Load a scene from its manifest, checking files against the echoed spec."""
-    manifest, paths, _ = _scene_files(manifest_path)
-    camera_grid = load_grid(paths["camera_grid"])
-    lidar_grid = load_grid(paths["lidar_grid"])
-    return _scene(manifest_path, manifest, paths, camera_grid, lidar_grid), manifest
-
-
-def load_fused_scene(manifest_path: str | Path) -> tuple[Scene, BevGrid]:
-    """Load a scene with both grid files read straight into one fused grid.
-
-    The fused grid has the layout of `fuse_grids`, LiDAR channels first; the
-    scene's grids are views of its two channel slices. Checks and messages
-    are `load_scene`'s.
-    """
-    manifest, paths, (camera_spec, lidar_spec) = _scene_files(manifest_path)
-    spec = fused_spec(camera_spec, lidar_spec)
-    fused = BevGrid(spec, np.empty((spec.height_cells, spec.width_cells, spec.channels)))
-    camera_grid, lidar_grid = split_fused(fused, lidar_spec.channels)
-    load_grid(paths["camera_grid"], out=camera_grid.data)
-    load_grid(paths["lidar_grid"], out=lidar_grid.data)
-    return _scene(manifest_path, manifest, paths, camera_grid, lidar_grid), fused
 
 
 def _cell_energy(spec: GridSpec, blocks) -> np.ndarray:

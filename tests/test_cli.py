@@ -66,6 +66,15 @@ class TestExitCodes:
         assert main(argv) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_removed_config_key_is_config_error(self, workdir, capsys):
+        (workdir / "config.json").write_text(json.dumps({"projection_seed": 3}))
+        assert main(["fuse", "--config", "config.json"]) == 2
+        assert "unknown config keys: ['projection_seed']" in capsys.readouterr().err
+
+    def test_dets_and_peaks_from_together_is_usage_error(self, workdir, capsys):
+        assert main(["eval", "--dets", "dets.jsonl", "--peaks-from", "fused.bevg"]) == 1
+        assert "not allowed with" in capsys.readouterr().err
+
     def test_crowded_window_is_config_error(self, workdir, capsys):
         assert main(["gen", "--seed", "0", "--objects", "120"]) == 2
         err = capsys.readouterr().err
@@ -258,6 +267,37 @@ class TestInputBoundary:
         assert main(["eval", "--peaks-from", str(path)]) == 2
         assert capsys.readouterr().err == f"dualguide: error: {expected.value}\n"
         assert not (workdir / "scene" / "report.json").exists()
+
+
+class TestPointCloud:
+    """A bad points.npy exits 2 naming the file, and no command writes its output."""
+
+    @pytest.fixture()
+    def points(self, workdir):
+        assert main(["gen", "--seed", "1", "--objects", "6", "--points"]) == 0
+        return workdir / "scene" / "points.npy"
+
+    @pytest.mark.parametrize("command", ["stats", "fuse"])
+    @pytest.mark.parametrize("damage, expected", [
+        ("garbage", "not a point cloud"),
+        ("two-columns", "expected floats of shape (N, 3), got float64"),
+        ("nan", "1 non-finite point coordinates"),
+    ], ids=["garbage", "two-columns", "nan"])
+    def test_bad_point_cloud_is_data_error(self, points, capsys, command, damage, expected):
+        if damage == "garbage":
+            points.write_bytes(bytes(range(256)) * 4)
+        else:
+            cloud = np.load(points)
+            if damage == "two-columns":
+                cloud = cloud[:, :2]
+            else:
+                cloud[2, 1] = np.nan
+            np.save(points, cloud)
+        assert main([command]) == 2
+        err = capsys.readouterr().err
+        assert f"points.npy: {expected}" in err, err
+        for name in ("pairs.json", "fused.bevg", "stats.json"):
+            assert not (points.parent / name).exists()
 
 
 def without(table, key):
@@ -521,7 +561,7 @@ class TestLossCommand:
         assert main(["loss", "--components", "loss.json", "--scene", "scene/manifest.json",
                      "--config", cfg, "--out", "out.json"]) == 0
         report = json.loads((workdir / "out.json").read_text())
-        scene, _ = load_scene(workdir / "scene" / "manifest.json")
+        scene = load_scene(workdir / "scene" / "manifest.json")
         config = load_config(cfg)
         result = run_fusion(scene.camera_grid, scene.lidar_grid, scene.camera_proposals,
                             scene.lidar_proposals, config)
@@ -537,7 +577,6 @@ class TestLossCommand:
         ("--eta", "0.5"),
         ("--sampling-strategy", "center"),
         ("--grouping-strategy", "none"),
-        ("--projection-seed", "3"),
     ])
     def test_pipeline_flag_without_scene_is_usage_error(self, workdir, capsys, flag, value):
         comp = {branch: {"cls_pred": [0.9], "cls_target": [1]}

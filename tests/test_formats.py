@@ -3,6 +3,7 @@
 import json
 import struct
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 
 from dualguide import formats
 from dualguide.config import PipelineConfig, config_from_dict, load_config
-from dualguide.enhance import Projection
+from dualguide.enhance import Projection, fuse_grids
 from dualguide.errors import ConfigurationError, DataFormatError
 from dualguide.formats import (
     GRID_MAGIC,
@@ -21,6 +22,7 @@ from dualguide.formats import (
     load_detections,
     load_grid,
     load_json,
+    load_points,
     load_projection,
     load_proposals,
     save_annotations,
@@ -153,26 +155,27 @@ class TestGridFormat:
             with pytest.raises(DataFormatError, match=r"g\.bevg: 3 non-finite grid values"):
                 load_grid(path)
 
-    def test_load_into_channel_slice_is_bit_identical(self, tmp_path):
-        grid = f32_grid(np.random.default_rng(6), h=9, c=4)
-        path = tmp_path / "g.bevg"
-        save_grid(grid, path)
-        fused = np.full((9, 7, 10), -7.0)
-        with mock.patch.object(formats, "_GRID_BLOCK_BYTES", 2 * 7 * 4 * 4):  # 5 blocks
-            loaded = load_grid(path, out=fused[:, :, 6:])
-        assert loaded.spec == grid.spec
-        assert np.shares_memory(loaded.data, fused)
-        assert np.array_equal(fused[:, :, 6:], load_grid(path).data)
-        assert (fused[:, :, :6] == -7.0).all()
+    @pytest.mark.parametrize("h", [1, 3, 4, 6, 9])
+    def test_concatenated_save_equals_saving_the_fused_grid(self, tmp_path, h):
+        rng = np.random.default_rng(h)
+        spec = GridSpec(h, 7, 3, (-2.0, 5.0), (0.0, 10.0))
+        camera = BevGrid(spec, rng.normal(size=(h, 7, 5))[:, :, 1:4])  # a strided view
+        lidar = BevGrid(replace(spec, channels=4), rng.normal(size=(h, 7, 4)))
+        # 7 columns x 7 channels of f32 at 4 rows per block: heights 6 and 9
+        # end in a short block, and heights up to 4 are one block.
+        with mock.patch.object(formats, "_GRID_BLOCK_BYTES", 4 * 7 * 7 * 4):
+            save_grid(lidar, tmp_path / "streamed.bevg", camera)
+            save_grid(fuse_grids(camera, lidar), tmp_path / "fused.bevg")
+        for suffix in ("", ".json"):
+            assert ((tmp_path / f"streamed.bevg{suffix}").read_bytes()
+                    == (tmp_path / f"fused.bevg{suffix}").read_bytes())
 
-    @pytest.mark.parametrize("out", [np.empty((5, 7, 4)), np.empty((7, 5, 3)),
-                                     np.empty((5, 7, 3), dtype=np.float32)],
-                             ids=["channels", "window", "dtype"])
-    def test_wrong_destination_rejected_naming_the_file(self, tmp_path, out):
-        path = tmp_path / "g.bevg"
-        save_grid(f32_grid(np.random.default_rng(7)), path)
-        with pytest.raises(DataFormatError, match=r"g\.bevg: header implies a \(5, 7, 3\) grid"):
-            load_grid(path, out=out)
+    def test_concatenated_save_rejects_different_windows(self, tmp_path):
+        grid = f32_grid(np.random.default_rng(8))
+        other = BevGrid.zeros(GridSpec(5, 7, 2, (-2.0, 6.0), (0.0, 10.0)))
+        with pytest.raises(ConfigurationError, match="cover different windows"):
+            save_grid(grid, tmp_path / "g.bevg", other)
+        assert list(tmp_path.iterdir()) == []
 
 
 @st.composite
@@ -220,6 +223,7 @@ def valid_input_files(out):
     save_detections(
         [Detection(a.box, a.class_id, 0.5) for a in scene.annotations], out / "d.jsonl"
     )
+    np.save(out / "points.npy", rng.normal(size=(6, 3)))
     return {
         "grid": (load_grid, out / "g.bevg"),
         "projection": (load_projection, out / "p.proj"),
@@ -227,6 +231,7 @@ def valid_input_files(out):
         "annotations": (load_annotations, out / "scene" / "annotations.jsonl"),
         "detections": (load_detections, out / "d.jsonl"),
         "manifest": (load_json, manifest),
+        "points": (load_points, out / "points.npy"),
     }
 
 
@@ -238,7 +243,7 @@ class TestLoaderFuzz:
         return valid_input_files(tmp_path_factory.mktemp("valid"))
 
     @pytest.mark.parametrize("kind", [
-        "grid", "projection", "proposals", "annotations", "detections", "manifest",
+        "grid", "projection", "proposals", "annotations", "detections", "manifest", "points",
     ])
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(data=st.data())

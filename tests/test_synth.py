@@ -30,7 +30,6 @@ from dualguide.synth import (
     cell_energy,
     energy_peak_detections,
     generate_scene,
-    load_fused_scene,
     load_scene,
     read_cell_energy,
     write_scene,
@@ -132,8 +131,8 @@ class TestSceneIo:
     def test_write_load_roundtrip(self, tmp_path):
         scene = generate_scene(SMALL, seed=9, n_objects=6, with_points=True)
         manifest_path = write_scene(scene, tmp_path, SMALL, 9, "mixed")
-        back, manifest = load_scene(manifest_path)
-        assert manifest["seed"] == 9
+        back = load_scene(manifest_path)
+        assert json.loads(manifest_path.read_text())["seed"] == 9
         assert back.camera_proposals == scene.camera_proposals
         assert back.lidar_proposals == scene.lidar_proposals
         assert back.annotations == scene.annotations
@@ -165,21 +164,19 @@ class TestSceneIo:
         with pytest.raises(DataFormatError, match="manifest"):
             load_scene(manifest_path)
 
-    @pytest.mark.parametrize("loader", [load_scene, load_fused_scene])
     @pytest.mark.parametrize("key, name", [("camera_channels", "camera.bevg"),
                                            ("lidar_channels", "lidar.bevg")])
-    def test_header_mismatch_names_the_one_file(self, tmp_path, loader, key, name):
+    def test_header_mismatch_names_the_one_file(self, tmp_path, key, name):
         scene = generate_scene(SMALL, seed=11, n_objects=3)
         manifest_path = write_scene(scene, tmp_path, SMALL, 11, "mixed")
         manifest = json.loads(manifest_path.read_text())
         manifest["grid"][key] += 1
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(DataFormatError) as err:
-            loader(manifest_path)
+            load_scene(manifest_path)
         assert str(err.value) == f"grid header of {name!r} does not match the manifest's grid spec"
 
-    @pytest.mark.parametrize("loader", [load_scene, load_fused_scene])
-    def test_huge_manifest_grid_fails_before_any_grid_is_allocated(self, tmp_path, loader):
+    def test_huge_manifest_grid_fails_before_any_grid_is_allocated(self, tmp_path):
         scene = generate_scene(SMALL, seed=11, n_objects=3)
         manifest_path = write_scene(scene, tmp_path, SMALL, 11, "mixed")
         manifest = json.loads(manifest_path.read_text())
@@ -188,27 +185,11 @@ class TestSceneIo:
         tracemalloc.start()
         try:
             with pytest.raises(DataFormatError, match="'camera.bevg' does not match"):
-                loader(manifest_path)
+                load_scene(manifest_path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < scene.camera_grid.data.nbytes / 4
-
-    def test_fused_load_fills_the_slices_of_one_grid(self, tmp_path):
-        scene = generate_scene(SMALL, seed=9, n_objects=6, with_points=True)
-        manifest_path = write_scene(scene, tmp_path, SMALL, 9, "mixed")
-        contiguous, _ = load_scene(manifest_path)
-        fused_scene, fused = load_fused_scene(manifest_path)
-        assert np.array_equal(fused.data, fuse_grids(contiguous.camera_grid,
-                                                     contiguous.lidar_grid).data)
-        assert fused_scene.camera_grid.spec == contiguous.camera_grid.spec
-        assert fused_scene.lidar_grid.spec == contiguous.lidar_grid.spec
-        assert np.shares_memory(fused_scene.camera_grid.data, fused.data)
-        assert np.shares_memory(fused_scene.lidar_grid.data, fused.data)
-        assert fused_scene.camera_proposals == contiguous.camera_proposals
-        assert fused_scene.annotations == contiguous.annotations
-        assert fused_scene.objects == contiguous.objects
-        assert np.array_equal(fused_scene.points, contiguous.points)
 
 
 class TestEnergyPeakDetector:
