@@ -7,11 +7,13 @@ header for inspection. `grid_blocks` is the one grid reader: it checks the
 header and the file size before anything is allocated, then yields the
 payload in f32 blocks of rows; `load_grid` fills a new f64 array from it.
 `save_grid` writes one grid, or the channel concatenation of several, from
-their rows without building it. Projection files are magic "PROJ", u32
-rows, u32 cols, the f32 matrix row-major, then the f32 bias. Proposals and
-annotations are JSON-lines, one object per line, with the box laid out as
-x, y, z, w, l, h, yaw, vx, vy. A point cloud is an .npy file of finite
-floats of shape (N, 3), read by `load_points`.
+their rows without building it. It replaces an existing file with a new one
+and never truncates it in place, so a hard link to the old file keeps the
+old bytes; a symlinked path is written at its target. Projection files are
+magic "PROJ", u32 rows, u32 cols, the f32 matrix row-major, then the f32
+bias. Proposals and annotations are JSON-lines, one object per line, with
+the box laid out as x, y, z, w, l, h, yaw, vx, vy. A point cloud is an .npy
+file of finite floats of shape (N, 3), read by `load_points`.
 """
 
 from __future__ import annotations
@@ -52,7 +54,9 @@ def save_grid(grid: BevGrid, path: str | Path, *more: BevGrid) -> None:
 
     Values are rounded to f32. The grids may be any views over one window;
     their rows stream out through one reused f32 block, so the concatenation
-    is never built.
+    is never built. An existing grid file is replaced by a new file, never
+    truncated in place: a hard link to the old file keeps its bytes, and a
+    symlinked `path` is written at the link's target.
     """
     path = Path(path)
     grids = (grid, *more)
@@ -64,7 +68,13 @@ def save_grid(grid: BevGrid, path: str | Path, *more: BevGrid) -> None:
     h, w, c = spec.height_cells, spec.width_cells, spec.channels
     rows_per_block = _rows_per_block(spec)
     buffer = np.empty((min(rows_per_block, h), w, c), dtype="<f4")
-    with path.open("wb") as f:
+    # A new file, never a truncated one: ext4 flushes a file truncated to zero
+    # and rewritten when it is closed, so the next truncate of it waits for
+    # that writeback. Unlinking also leaves a hard link to the old file, or a
+    # reader partway through it, with the old bytes.
+    target = Path(os.path.realpath(path))
+    target.unlink(missing_ok=True)
+    with target.open("wb") as f:
         f.write(_GRID_HEADER.pack(GRID_MAGIC, GRID_VERSION, h, w, c, *spec.x_range,
                                   *spec.y_range))
         for r in range(0, h, rows_per_block):
@@ -180,18 +190,34 @@ def load_projection(path: str | Path) -> Projection:
 
 
 def load_points(path: str | Path) -> np.ndarray:
-    """Read a point cloud: an .npy file holding finite floats of shape (N, 3)."""
+    """Read a point cloud: an .npy file holding finite floats of shape (N, 3).
+
+    The header's dtype and shape, and the file size they imply, are checked
+    before the payload is allocated, as `grid_blocks` does for grids.
+    """
     try:
         # The .npy reader alone: no .npz archive and no pickled objects.
         with open(path, "rb") as f:
+            version = np.lib.format.read_magic(f)
+            if version == (1, 0):
+                shape, _, dtype = np.lib.format.read_array_header_1_0(f)
+            elif version == (2, 0):
+                shape, _, dtype = np.lib.format.read_array_header_2_0(f)
+            else:  # 3.0 is written only for dtypes with non-latin-1 field names
+                raise ValueError(f"unsupported .npy version {version}")
+            if not np.issubdtype(dtype, np.floating) or len(shape) != 2 or shape[1] != 3:
+                raise DataFormatError(
+                    f"{path}: expected floats of shape (N, 3), got {dtype} {shape}"
+                )
+            size = os.fstat(f.fileno()).st_size
+            expected = f.tell() + math.prod(shape) * dtype.itemsize
+            if size != expected:
+                raise DataFormatError(f"{path}: file is {size} bytes, header implies {expected}")
+            f.seek(0)
             points = np.lib.format.read_array(f, allow_pickle=False)
     # Its header parser lets the last three escape on a damaged header.
     except (ValueError, OSError, SyntaxError, TypeError, TokenError) as exc:
         raise DataFormatError(f"{path}: not a point cloud ({exc})") from exc
-    if not np.issubdtype(points.dtype, np.floating) or points.ndim != 2 or points.shape[1] != 3:
-        raise DataFormatError(
-            f"{path}: expected floats of shape (N, 3), got {points.dtype} {points.shape}"
-        )
     bad = int(np.count_nonzero(~np.isfinite(points)))
     if bad:
         raise DataFormatError(f"{path}: {bad} non-finite point coordinates")

@@ -299,6 +299,23 @@ class TestPointCloud:
         for name in ("pairs.json", "fused.bevg", "stats.json"):
             assert not (points.parent / name).exists()
 
+    @pytest.mark.parametrize("command", ["stats", "fuse"])
+    def test_header_larger_than_the_file_fails_before_allocating(self, workdir, capsys,
+                                                                 command):
+        # Small grids, so that what fuse loads before the points stays small.
+        cfg = small_config(workdir)
+        assert main(["gen", "--seed", "1", "--objects", "6", "--points", "--config", cfg]) == 0
+        points = workdir / "scene" / "points.npy"
+        with points.open("wb") as f:
+            np.lib.format.write_array_header_1_0(
+                f, {"descr": "<f8", "fortran_order": False, "shape": (2_000_000, 3)}
+            )
+            f.write(np.zeros((6, 3)).tobytes())
+        assert points.stat().st_size == 272
+        argv = [command, "--config", cfg] if command == "fuse" else [command]
+        assert traced_peak(argv, code=2) < 1_000_000
+        assert "points.npy: file is 272 bytes, header implies 48000128" in capsys.readouterr().err
+
 
 def without(table, key):
     return {k: v for k, v in table.items() if k != key}
@@ -590,13 +607,13 @@ class TestLossCommand:
         assert main(["loss", "--components", "loss.json"]) == 2
 
 
-def traced_peak(argv):
+def traced_peak(argv, code=0):
     """The tracemalloc peak of `main(argv)`, after one untraced warm-up call."""
-    assert main(argv) == 0  # pays one-off allocations (imports, caches)
+    assert main(argv) == code  # pays one-off allocations (imports, caches)
     gc.collect()
     tracemalloc.start()
     try:
-        assert main(argv) == 0
+        assert main(argv) == code
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -648,3 +665,19 @@ class TestDeterminism:
             a = (workdir / "run_a" / "scene" / name).read_bytes()
             b = (workdir / "run_b" / "scene" / name).read_bytes()
             assert a == b, f"{name} differs between identical runs"
+
+    def test_gen_fuse_rerun_in_place_byte_identical(self, workdir):
+        cfg = small_config(workdir)
+        scene = workdir / "scene"
+
+        def gen_fuse():
+            assert main(["gen", "--seed", "7", "--objects", "10", "--config", cfg]) == 0
+            assert main(["fuse", "--config", cfg]) == 0
+            return {p.name: p.read_bytes() for p in scene.iterdir()}
+
+        first = gen_fuse()
+        # The link keeps the first fused.bevg, so its inode number is not reused.
+        (workdir / "first_fused.bevg").hardlink_to(scene / "fused.bevg")
+        assert gen_fuse() == first
+        assert (scene / "fused.bevg").stat().st_ino != (workdir / "first_fused.bevg").stat().st_ino
+        assert (workdir / "first_fused.bevg").read_bytes() == first["fused.bevg"]

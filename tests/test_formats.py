@@ -1,6 +1,7 @@
 """File format round-trips and corruption handling."""
 
 import json
+import os
 import struct
 import tracemalloc
 from dataclasses import replace
@@ -170,12 +171,43 @@ class TestGridFormat:
             assert ((tmp_path / f"streamed.bevg{suffix}").read_bytes()
                     == (tmp_path / f"fused.bevg{suffix}").read_bytes())
 
-    def test_concatenated_save_rejects_different_windows(self, tmp_path):
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_concatenated_save_rejects_different_windows(self, tmp_path, existing):
         grid = f32_grid(np.random.default_rng(8))
         other = BevGrid.zeros(GridSpec(5, 7, 2, (-2.0, 6.0), (0.0, 10.0)))
+        path = tmp_path / "g.bevg"
+        if existing:
+            save_grid(grid, path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         with pytest.raises(ConfigurationError, match="cover different windows"):
-            save_grid(grid, tmp_path / "g.bevg", other)
-        assert list(tmp_path.iterdir()) == []
+            save_grid(grid, path, other)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_save_over_a_grid_writes_a_new_file(self, tmp_path):
+        rng = np.random.default_rng(12)
+        path, fresh, link = tmp_path / "g.bevg", tmp_path / "fresh.bevg", tmp_path / "old.bevg"
+        save_grid(f32_grid(rng), path)
+        old_bytes = path.read_bytes()
+        os.link(path, link)  # also keeps the old inode's number from being reused
+        grid = f32_grid(rng, h=6)
+        save_grid(grid, path)
+        save_grid(grid, fresh)
+        assert path.read_bytes() == fresh.read_bytes()
+        assert path.stat().st_ino != link.stat().st_ino
+        assert link.read_bytes() == old_bytes
+
+    def test_save_through_a_symlink_writes_its_target(self, tmp_path):
+        rng = np.random.default_rng(13)
+        target = tmp_path / "data" / "g.bevg"
+        target.parent.mkdir()
+        save_grid(f32_grid(rng), target)
+        link = tmp_path / "link.bevg"
+        link.symlink_to("data/g.bevg")
+        grid = f32_grid(rng)
+        save_grid(grid, link)
+        save_grid(grid, tmp_path / "fresh.bevg")
+        assert link.is_symlink() and os.readlink(link) == "data/g.bevg"
+        assert target.read_bytes() == (tmp_path / "fresh.bevg").read_bytes()
 
 
 @st.composite
