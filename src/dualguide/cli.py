@@ -6,11 +6,13 @@ enhanced/fused grids plus the pair dump), match (pair matching only), eval
 components from supplied arrays and an optional scene). Exit codes: 0 on
 success, 1 on usage errors, 2 on data/configuration errors.
 
-`fuse`, `match` and `loss` load their scene with `synth.load_scene`, one
-contiguous array per grid. `fuse` enhances the two grids in place and
-streams `fused.bevg` from them, so it holds the camera and LiDAR grids and
-no concatenation. `eval`'s energy readout reads the energy map from the
-grid file in row blocks and never holds the grid.
+`gen` renders each grid file in row blocks while writing it
+(`synth.generate_scene_files`), so it never holds a grid. `fuse`, `match`
+and `loss` load their scene with `synth.load_scene`, one contiguous array
+per grid. `fuse` enhances the two grids in place and streams `fused.bevg`
+from them, so it holds the camera and LiDAR grids and no concatenation.
+`eval`'s energy readout reads the energy map from the grid file in row
+blocks and never holds the grid.
 """
 
 from __future__ import annotations
@@ -43,11 +45,10 @@ from .synth import (
     READOUT_CLASS,
     Scene,
     energy_peak_detections,
-    generate_scene,
+    generate_scene_files,
     load_scene,
     read_cell_energy,
     scene_paths,
-    write_scene,
 )
 
 log = logging.getLogger("dualguide")
@@ -137,8 +138,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    scene = generate_scene(config, args.seed, args.objects, args.profile, args.points)
-    manifest = write_scene(scene, args.out, config, args.seed, args.profile)
+    manifest = generate_scene_files(
+        config, args.seed, args.objects, args.profile, args.points, args.out
+    )
     print(manifest)
     return 0
 

@@ -2,18 +2,21 @@
 
 Grid files are little-endian: magic "BEVG", u32 version=1, u32 H, u32 W,
 u32 C, x_range and y_range as f64 pairs, then H*W*C f32 values row-major
-by (row, col, channel). A JSON sidecar (same path + ".json") mirrors the
-header for inspection. `grid_blocks` is the one grid reader: it checks the
-header and the file size before anything is allocated, then yields the
-payload in f32 blocks of rows; `load_grid` fills a new f64 array from it.
-`save_grid` writes one grid, or the channel concatenation of several, from
-their rows without building it. It replaces an existing file with a new one
-and never truncates it in place, so a hard link to the old file keeps the
-old bytes; a symlinked path is written at its target. Projection files are
-magic "PROJ", u32 rows, u32 cols, the f32 matrix row-major, then the f32
-bias. Proposals and annotations are JSON-lines, one object per line, with
-the box laid out as x, y, z, w, l, h, yaw, vx, vy. A point cloud is an .npy
-file of finite floats of shape (N, 3), read by `load_points`.
+by (row, col, channel). A JSON sidecar (the grid file's path + ".json")
+mirrors the header for inspection. `grid_blocks` is the one grid reader: it
+checks the header and the file size before anything is allocated, then
+yields the payload in f32 blocks of rows; `load_grid` fills a new f64 array
+from it. `write_grid` is the one grid writer: it asks a fill function for
+each f32 block of rows, so no full-grid copy is held. `save_grid` is that
+writer over the rows of one grid in memory, or of the channel concatenation
+of several, which it never builds. The writer replaces an existing file
+with a new one and never truncates it in place, so a hard link to the old
+file keeps the old bytes; a symlinked path is written at its target, and
+the sidecar beside the target. Projection files are magic "PROJ", u32 rows,
+u32 cols, the f32 matrix row-major, then the f32 bias. Proposals and
+annotations are JSON-lines, one object per line, with the box laid out as
+x, y, z, w, l, h, yaw, vx, vy. A point cloud is an .npy file of finite
+floats of shape (N, 3), read by `load_points`.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import json
 import math
 import os
 import struct
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import replace
 from pathlib import Path
 from tokenize import TokenError
@@ -42,7 +45,7 @@ GRID_VERSION = 1
 PROJ_MAGIC = b"PROJ"
 
 _GRID_HEADER = struct.Struct("<4sIIIIdddd")
-# save_grid and grid_blocks stream the payload in blocks of rows holding about
+# write_grid and grid_blocks stream the payload in blocks of rows holding about
 # this many bytes of f32, so no full-grid f32 copy is ever held.
 _GRID_BLOCK_BYTES = 1 << 20
 _PROJ_HEADER = struct.Struct("<4sII")
@@ -53,18 +56,37 @@ def save_grid(grid: BevGrid, path: str | Path, *more: BevGrid) -> None:
     """Write the channel concatenation of `grid` and `more`, and its JSON sidecar.
 
     Values are rounded to f32. The grids may be any views over one window;
-    their rows stream out through one reused f32 block, so the concatenation
-    is never built. An existing grid file is replaced by a new file, never
-    truncated in place: a hard link to the old file keeps its bytes, and a
-    symlinked `path` is written at the link's target.
+    their rows are copied into `write_grid`'s blocks, so the concatenation
+    is never built.
     """
-    path = Path(path)
     grids = (grid, *more)
     if not all(g.spec.same_window(grid.spec) for g in more):
         raise ConfigurationError(
             f"grids saved to {path} cover different windows: {[g.spec for g in grids]}"
         )
-    spec = replace(grid.spec, channels=sum(g.spec.channels for g in grids))
+
+    def copy_rows(first_row: int, block: np.ndarray) -> None:
+        first = 0
+        for g in grids:
+            rows = g.data[first_row : first_row + len(block)]
+            block[:, :, first : first + g.spec.channels] = rows
+            first += g.spec.channels
+
+    write_grid(replace(grid.spec, channels=sum(g.spec.channels for g in grids)), path, copy_rows)
+
+
+def write_grid(
+    spec: GridSpec, path: str | Path, fill: Callable[[int, np.ndarray], None]
+) -> None:
+    """Write a grid file of `spec` block by block, and its JSON sidecar.
+
+    `fill(first_row, block)` writes rows first_row onwards into `block`, an
+    f32 array of shape (rows, W, C) that is written and then reused for the
+    next rows, so no full-grid f32 copy is held. An existing grid file is
+    replaced by a new file, never truncated in place: a hard link to the old
+    file keeps its bytes. A symlinked `path` is written at the link's target,
+    and the sidecar (`<target>.json`) beside the target.
+    """
     h, w, c = spec.height_cells, spec.width_cells, spec.channels
     rows_per_block = _rows_per_block(spec)
     buffer = np.empty((min(rows_per_block, h), w, c), dtype="<f4")
@@ -79,10 +101,7 @@ def save_grid(grid: BevGrid, path: str | Path, *more: BevGrid) -> None:
                                   *spec.y_range))
         for r in range(0, h, rows_per_block):
             block = buffer[: min(rows_per_block, h - r)]
-            first = 0
-            for g in grids:
-                block[:, :, first : first + g.spec.channels] = g.data[r : r + len(block)]
-                first += g.spec.channels
+            fill(r, block)
             f.write(block)
     sidecar = {
         "magic": GRID_MAGIC.decode(),
@@ -93,7 +112,7 @@ def save_grid(grid: BevGrid, path: str | Path, *more: BevGrid) -> None:
         "x_range": list(spec.x_range),
         "y_range": list(spec.y_range),
     }
-    Path(str(path) + ".json").write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
+    Path(f"{target}.json").write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
 
 
 def _rows_per_block(spec: GridSpec) -> int:

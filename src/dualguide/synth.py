@@ -17,6 +17,16 @@ grids with no proposal or annotation behind them. Clutter gives the readout
 detector genuine ranking competition, so single-modality objects are not
 trivially the top peaks of the fused grid.
 
+Generation is placement, then rendering. `place_scene` draws the objects,
+proposals, annotations, points and clutter, and lists each grid's bumps in
+order: each bump's rows, columns and Gaussian, and its per-channel amplitude.
+`render_rows` adds the bumps into any block of a grid's rows; each cell gets
+the same additions in the same order whatever the block, so the bytes do not
+depend on the split. `generate_scene` renders each grid whole, in memory.
+`generate_scene_files` (the `gen` command) renders each grid file block by
+block into one reused f64 block while writing it, so no grid is ever held,
+and writes the same bytes as `write_scene(generate_scene(...))`.
+
 The readout detector turns a grid's energy map (the per-cell L2 norm across
 channels: `cell_energy` of a grid in memory, or `read_cell_energy` of a grid
 file, read in row blocks without holding the grid) into detections without
@@ -56,6 +66,7 @@ from .formats import (
     save_grid,
     save_json,
     save_proposals,
+    write_grid,
 )
 from .geometry import Box3D, box_axes
 from .grid import BevGrid, GridSpec, grid_to_world, world_to_grid
@@ -140,16 +151,28 @@ def _visibility_token(camera_strength: float) -> int:
     return 1
 
 
-def _imprint(
-    grid: BevGrid,
-    center: tuple[float, float],
-    sigma_u: float,
-    sigma_v: float,
-    yaw: float,
-    amplitude: np.ndarray,
-) -> None:
-    """Add amplitude * exp(-(du/su)^2/2 - (dv/sv)^2/2) around a footprint."""
-    spec = grid.spec
+@dataclass(frozen=True)
+class Bump:
+    """One Gaussian bump of a grid: `g[:, :, None] * amplitude` added at (row_lo, col_lo).
+
+    `g` is the bump's (rows, cols) Gaussian, already clipped to the window;
+    `amplitude` has one value per channel.
+    """
+
+    row_lo: int
+    col_lo: int
+    g: np.ndarray
+    amplitude: np.ndarray
+
+
+def _gaussian(
+    spec: GridSpec, center: tuple[float, float], sigma_u: float, sigma_v: float, yaw: float
+) -> tuple[int, int, np.ndarray]:
+    """exp(-(du/su)^2/2 - (dv/sv)^2/2) over the cells within 3 sigma of a footprint.
+
+    Returns the first row and column of those cells, clipped to the window,
+    and the Gaussian over them.
+    """
     u, v = box_axes(yaw)
     reach = 3.0 * max(sigma_u, sigma_v)
     cx, cy = center
@@ -159,31 +182,73 @@ def _imprint(
     row_lo, col_lo = (max(int(math.floor(v)), 0) for v in lo)
     row_hi = min(int(math.ceil(hi[0])) + 1, spec.height_cells)
     col_hi = min(int(math.ceil(hi[1])) + 1, spec.width_cells)
-    if row_lo >= row_hi or col_lo >= col_hi:
-        return
     xs, ys = grid_to_world((np.arange(row_lo, row_hi), np.arange(col_lo, col_hi)), spec)
     dx = xs[None, :] - cx
     dy = ys[:, None] - cy
     du = dx * u[0] + dy * u[1]
     dv = dx * v[0] + dy * v[1]
-    g = np.exp(-0.5 * ((du / sigma_u) ** 2 + (dv / sigma_v) ** 2))
-    grid.data[row_lo:row_hi, col_lo:col_hi] += g[:, :, None] * amplitude[None, None, :]
+    return row_lo, col_lo, np.exp(-0.5 * ((du / sigma_u) ** 2 + (dv / sigma_v) ** 2))
 
 
-def generate_scene(
+def render_rows(bumps: list[Bump], first_row: int, out: np.ndarray) -> None:
+    """Add, in order, each bump's share of the rows of the f64 block `out`.
+
+    `out` holds rows first_row .. first_row + len(out) of a grid. A cell gets
+    the same additions in the same order however the grid is split into
+    blocks, so rendering block by block equals one render over all rows,
+    bit for bit.
+    """
+    last_row = first_row + len(out)
+    pieces = []
+    for bump in bumps:
+        lo = max(bump.row_lo, first_row)
+        hi = min(bump.row_lo + len(bump.g), last_row)
+        if lo < hi:
+            g = bump.g[lo - bump.row_lo : hi - bump.row_lo]
+            pieces.append((lo - first_row, bump.col_lo, g, bump.amplitude))
+    if not pieces:
+        return
+    channels = out.shape[2]
+    scratch = np.empty(max(g.size for _, _, g, _ in pieces) * channels)
+    for row, col, g, amplitude in pieces:
+        rows, cols = g.shape
+        product = scratch[: g.size * channels].reshape(rows, cols, channels)
+        # g[:, :, None] * amplitude in about half the time of that broadcast
+        # multiply: einsum adds each product once to a zeroed output. Only a
+        # zero product's sign can differ, and adding a zero of either sign to
+        # a block that starts at +0.0 gives the same bits.
+        np.einsum("ij,k->ijk", g, amplitude, out=product)
+        out[row : row + rows, col : col + cols] += product
+
+
+@dataclass
+class Placement:
+    """A scene before its grids are rendered: its records, and each grid's bumps."""
+
+    camera_bumps: list[Bump]
+    lidar_bumps: list[Bump]
+    camera_proposals: list[Proposal]
+    lidar_proposals: list[Proposal]
+    annotations: list[Annotation]
+    objects: list[SceneObject]
+    points: np.ndarray | None
+
+
+def place_scene(
     config: PipelineConfig,
     seed: int,
     n_objects: int,
     gap_profile: str = "mixed",
     with_points: bool = False,
-) -> Scene:
-    """Deterministically synthesize one scene.
+) -> Placement:
+    """Deterministically place one scene's objects, records and bumps.
 
     Objects are rejection-placed so their footprint circumradii never
     overlap, which keeps ground-truth boxes disjoint and easy pairs
     one-to-one. Both modalities receive a proposal per object with a
     size-relative box jitter and score = strength plus noise, clamped.
-    Clutter bumps are placed last, clear of every object.
+    Clutter bumps are placed last, clear of every object. An object or
+    clutter bump has one Gaussian, shared by its bumps in the two grids.
     """
     if n_objects < 0:
         raise ConfigurationError("n_objects must be >= 0")
@@ -198,9 +263,8 @@ def generate_scene(
     lidar_base = rng.uniform(0.3, 1.0, size=(NUM_CLASSES, lidar_spec.channels))
     camera_base = rng.uniform(0.3, 1.0, size=(NUM_CLASSES, camera_spec.channels))
 
-    camera_grid = BevGrid.zeros(camera_spec)
-    lidar_grid = BevGrid.zeros(lidar_spec)
-
+    camera_bumps: list[Bump] = []
+    lidar_bumps: list[Bump] = []
     objects: list[SceneObject] = []
     camera_proposals: list[Proposal] = []
     lidar_proposals: list[Proposal] = []
@@ -243,8 +307,9 @@ def generate_scene(
 
         lidar_sig = lidar_base[class_id] + rng.normal(0.0, 0.05, lidar_spec.channels)
         camera_sig = camera_base[class_id] + rng.normal(0.0, 0.05, camera_spec.channels)
-        _imprint(lidar_grid, (x, y), w / 2.0, l / 2.0, yaw, lidar_strength * lidar_sig)
-        _imprint(camera_grid, (x, y), w / 2.0, l / 2.0, yaw, camera_strength * camera_sig)
+        gaussian = _gaussian(camera_spec, (x, y), w / 2.0, l / 2.0, yaw)
+        lidar_bumps.append(Bump(*gaussian, lidar_strength * lidar_sig))
+        camera_bumps.append(Bump(*gaussian, camera_strength * camera_sig))
 
         jitter_scale = 0.02 * min(w, l)
         for modality, strength, out in (
@@ -287,17 +352,36 @@ def generate_scene(
         sigma = float(rng.uniform(*CLUTTER_SIGMA))
         cx, cy = place(2.0 * sigma)
         yaw = float(rng.uniform(-math.pi, math.pi))
-        for grid in (lidar_grid, camera_grid):
+        gaussian = _gaussian(camera_spec, (cx, cy), sigma, sigma, yaw)
+        for bumps, spec in ((lidar_bumps, lidar_spec), (camera_bumps, camera_spec)):
             strength = float(rng.uniform(*CLUTTER_STRENGTH))
-            sig = rng.uniform(0.3, 1.0, size=grid.spec.channels)
-            _imprint(grid, (cx, cy), sigma, sigma, yaw, strength * sig)
+            sig = rng.uniform(0.3, 1.0, size=spec.channels)
+            bumps.append(Bump(*gaussian, strength * sig))
 
     points = None
     if with_points:
         points = np.concatenate(point_chunks, axis=0) if point_chunks else np.zeros((0, 3))
-    return Scene(
-        camera_grid, lidar_grid, camera_proposals, lidar_proposals,
+    return Placement(
+        camera_bumps, lidar_bumps, camera_proposals, lidar_proposals,
         annotations, objects, points,
+    )
+
+
+def generate_scene(
+    config: PipelineConfig,
+    seed: int,
+    n_objects: int,
+    gap_profile: str = "mixed",
+    with_points: bool = False,
+) -> Scene:
+    """Deterministically synthesize one scene: `place_scene`, then both grids rendered whole."""
+    placed = place_scene(config, seed, n_objects, gap_profile, with_points)
+    grids = [BevGrid.zeros(config.camera_spec()), BevGrid.zeros(config.lidar_spec())]
+    for grid, bumps in zip(grids, (placed.camera_bumps, placed.lidar_bumps)):
+        render_rows(bumps, 0, grid.data)
+    return Scene(
+        *grids, placed.camera_proposals, placed.lidar_proposals,
+        placed.annotations, placed.objects, placed.points,
     )
 
 
@@ -313,13 +397,69 @@ def write_scene(scene: Scene, out_dir: str | Path, config: PipelineConfig, seed:
             f"config grid specs {specs} do not match the scene's "
             f"{(scene.camera_grid.spec, scene.lidar_grid.spec)}"
         )
+    return _write_files(
+        scene, out_dir, config, seed, gap_profile,
+        lambda path: save_grid(scene.camera_grid, path),
+        lambda path: save_grid(scene.lidar_grid, path),
+    )
+
+
+def generate_scene_files(
+    config: PipelineConfig,
+    seed: int,
+    n_objects: int,
+    gap_profile: str,
+    with_points: bool,
+    out_dir: str | Path,
+) -> Path:
+    """Write `write_scene(generate_scene(...))`'s files, byte for byte, holding no grid.
+
+    The scene is placed before anything is created, so a crowded window
+    writes nothing. Each grid file is then rendered block by block into one
+    reused f64 block, which is rounded into the f32 block that is written.
+    """
+    placed = place_scene(config, seed, n_objects, gap_profile, with_points)
+    return _write_files(
+        placed, out_dir, config, seed, gap_profile,
+        lambda path: write_grid(config.camera_spec(), path, _render_fill(placed.camera_bumps)),
+        lambda path: write_grid(config.lidar_spec(), path, _render_fill(placed.lidar_bumps)),
+    )
+
+
+def _render_fill(bumps: list[Bump]):
+    """A `write_grid` fill that renders each f32 block's rows through one reused f64 block.
+
+    The f64 block has half the f32 block's rows, so it holds as many bytes.
+    """
+    scratch = None
+
+    def fill(first_row: int, block: np.ndarray) -> None:
+        nonlocal scratch
+        if scratch is None:  # the first block is the largest
+            scratch = np.empty(((len(block) + 1) // 2, *block.shape[1:]))
+        for r in range(0, len(block), len(scratch)):
+            out = scratch[: len(block) - r]
+            out.fill(0.0)
+            render_rows(bumps, first_row + r, out)
+            block[r : r + len(out)] = out
+
+    return fill
+
+
+def _write_files(records: Scene | Placement, out_dir: str | Path, config: PipelineConfig,
+                 seed: int, gap_profile: str, write_camera, write_lidar) -> Path:
+    """Write a scene's files and return the manifest path.
+
+    `write_camera(path)` and `write_lidar(path)` write the grid files; the
+    records (proposals, annotations, objects and points) come from `records`.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    save_grid(scene.camera_grid, out / "camera.bevg")
-    save_grid(scene.lidar_grid, out / "lidar.bevg")
-    save_proposals(scene.camera_proposals, out / "camera_proposals.jsonl")
-    save_proposals(scene.lidar_proposals, out / "lidar_proposals.jsonl")
-    save_annotations(scene.annotations, out / "annotations.jsonl")
+    write_camera(out / "camera.bevg")
+    write_lidar(out / "lidar.bevg")
+    save_proposals(records.camera_proposals, out / "camera_proposals.jsonl")
+    save_proposals(records.lidar_proposals, out / "lidar_proposals.jsonl")
+    save_annotations(records.annotations, out / "annotations.jsonl")
     files = {
         "camera_grid": "camera.bevg",
         "lidar_grid": "lidar.bevg",
@@ -328,13 +468,13 @@ def write_scene(scene: Scene, out_dir: str | Path, config: PipelineConfig, seed:
         "annotations": "annotations.jsonl",
         "points": None,
     }
-    if scene.points is not None:
-        np.save(out / "points.npy", scene.points)
+    if records.points is not None:
+        np.save(out / "points.npy", records.points)
         files["points"] = "points.npy"
     manifest = {
         "seed": seed,
         "gap_profile": gap_profile,
-        "n_objects": len(scene.objects),
+        "n_objects": len(records.objects),
         "grid": {
             "height_cells": config.height_cells,
             "width_cells": config.width_cells,
@@ -360,7 +500,7 @@ def write_scene(scene: Scene, out_dir: str | Path, config: PipelineConfig, seed:
                 "h": o.box.size[2],
                 "yaw": o.box.yaw,
             }
-            for o in scene.objects
+            for o in records.objects
         ],
     }
     manifest_path = out / "manifest.json"

@@ -4,6 +4,7 @@ import gc
 import json
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -620,22 +621,30 @@ def traced_peak(argv, code=0):
 
 
 class TestPeakMemory:
-    """`fuse` holds one fused grid; `eval`'s readout holds none."""
+    """`fuse` holds one fused grid; `gen` and `eval`'s readout hold none."""
 
     CHANNELS = {"camera_channels": 48, "lidar_channels": 80}
     FUSED_BYTES = 128 * 128 * (48 + 80) * 8  # 16.8 MB of f64
 
     @pytest.fixture(scope="class")
-    def manifest(self, tmp_path_factory):
+    def gen_argv(self, tmp_path_factory):
         root = tmp_path_factory.mktemp("deep")
         config = root / "config.json"
         config.write_text(json.dumps({
             "height_cells": 128, "width_cells": 128,
             "x_range": [-38.4, 38.4], "y_range": [-38.4, 38.4], **self.CHANNELS,
         }))
-        assert main(["gen", "--seed", "4", "--objects", "12", "--config", str(config),
-                     "--out", str(root / "scene")]) == 0
-        return str(root / "scene" / "manifest.json")
+        return ["gen", "--seed", "4", "--objects", "12", "--config", str(config),
+                "--out", str(root / "scene")]
+
+    @pytest.fixture(scope="class")
+    def manifest(self, gen_argv):
+        assert main(gen_argv) == 0
+        return str(Path(gen_argv[-1]) / "manifest.json")
+
+    def test_gen_holds_no_grid(self, gen_argv, capsys):
+        # Either f64 grid alone is 6.3 MB (camera) or 10.5 MB (LiDAR).
+        assert traced_peak(gen_argv) <= 0.25 * self.FUSED_BYTES
 
     def test_fuse_holds_one_fused_grid(self, manifest, capsys):
         assert traced_peak(["fuse", "--scene", manifest]) <= 1.1 * self.FUSED_BYTES

@@ -203,11 +203,16 @@ class TestGridFormat:
         save_grid(f32_grid(rng), target)
         link = tmp_path / "link.bevg"
         link.symlink_to("data/g.bevg")
-        grid = f32_grid(rng)
+        grid = f32_grid(rng, c=5)  # a sidecar describing the old grid would say 3
         save_grid(grid, link)
         save_grid(grid, tmp_path / "fresh.bevg")
         assert link.is_symlink() and os.readlink(link) == "data/g.bevg"
         assert target.read_bytes() == (tmp_path / "fresh.bevg").read_bytes()
+        # The sidecar goes beside the grid it describes, not beside the link.
+        assert ((tmp_path / "data" / "g.bevg.json").read_bytes()
+                == (tmp_path / "fresh.bevg.json").read_bytes())
+        assert json.loads((tmp_path / "data" / "g.bevg.json").read_text())["channels"] == 5
+        assert not (tmp_path / "link.bevg.json").exists()
 
 
 @st.composite

@@ -22,16 +22,20 @@ from dualguide.grid import BevGrid, GridSpec, grid_to_world
 from dualguide.matching import match_pairs
 from dualguide.instances import build_instances
 from dualguide.metrics import Detection
+from dualguide.cli import main
 from dualguide.synth import (
     CLASS_SIZES,
     POINTS_PER_STRENGTH,
     READOUT_CLASS,
+    Bump,
     _grow_support,
     cell_energy,
     energy_peak_detections,
     generate_scene,
     load_scene,
+    place_scene,
     read_cell_energy,
+    render_rows,
     write_scene,
 )
 
@@ -190,6 +194,100 @@ class TestSceneIo:
         finally:
             tracemalloc.stop()
         assert peak < scene.camera_grid.data.nbytes / 4
+
+
+def imprint_oracle(bumps, shape) -> np.ndarray:
+    """A grid rendered the way scenes were imprinted: one whole-bump add each."""
+    grid = np.zeros(shape)
+    for b in bumps:
+        rows, cols = b.g.shape
+        grid[b.row_lo : b.row_lo + rows, b.col_lo : b.col_lo + cols] += (
+            b.g[:, :, None] * b.amplitude[None, None, :]
+        )
+    return grid
+
+
+@st.composite
+def bumps_and_cuts(draw):
+    """Bumps over a small grid (clipped ones, empty ones, zeros), and row cuts."""
+    h, w, c = draw(st.integers(1, 12)), draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    bumps = []
+    for _ in range(draw(st.integers(0, 6))):
+        row_lo, col_lo = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
+        rows, cols = draw(st.integers(0, h - row_lo)), draw(st.integers(0, w - col_lo))
+        g = draw(hnp.arrays(np.float64, (rows, cols), elements=st.floats(0.0, 1.0)))
+        amplitude = draw(hnp.arrays(np.float64, c, elements=st.floats(-2.0, 2.0)))
+        bumps.append(Bump(row_lo, col_lo, g, amplitude))
+    cuts = sorted(draw(st.sets(st.integers(1, h - 1)))) if h > 1 else []
+    return (h, w, c), bumps, cuts
+
+
+class TestRenderRows:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(bumps_and_cuts())
+    def test_any_row_split_renders_the_same_bits(self, case):
+        shape, bumps, cuts = case
+        whole = np.zeros(shape)
+        render_rows(bumps, 0, whole)
+        assert whole.tobytes() == imprint_oracle(bumps, shape).tobytes()
+        split = np.zeros(shape)
+        for lo, hi in zip([0, *cuts], [*cuts, shape[0]]):
+            render_rows(bumps, lo, split[lo:hi])
+        assert split.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_scene_grids_equal_the_imprint_oracle(self, seed):
+        placed = place_scene(SMALL, seed, 10)
+        scene = generate_scene(SMALL, seed, 10)
+        for grid, bumps in ((scene.camera_grid, placed.camera_bumps),
+                            (scene.lidar_grid, placed.lidar_bumps)):
+            assert grid.data.tobytes() == imprint_oracle(bumps, grid.data.shape).tobytes()
+
+
+DEEP = PipelineConfig(camera_channels=80, lidar_channels=128)
+SMALL_ROW = 96 * 8 * 4  # bytes of one f32 row of a SMALL LiDAR grid
+
+
+class TestGenFiles:
+    """`gen` renders its grid files in row blocks, with `write_scene`'s bytes."""
+
+    @pytest.mark.parametrize("config, seed, n_objects, points, block_bytes", [
+        (SMALL, 0, 10, False, 5 * SMALL_ROW),
+        (SMALL, 1, 10, True, 7 * SMALL_ROW),
+        (SMALL, 2, 14, True, 16 * SMALL_ROW),
+        (PipelineConfig(), 3, 60, False, formats._GRID_BLOCK_BYTES),
+        (PipelineConfig(), 4, 60, True, formats._GRID_BLOCK_BYTES),
+        (DEEP, 5, 60, False, formats._GRID_BLOCK_BYTES),
+        (DEEP, 6, 12, True, formats._GRID_BLOCK_BYTES),
+    ])
+    def test_gen_writes_the_bytes_of_write_scene(self, tmp_path, config, seed, n_objects,
+                                                 points, block_bytes):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            "height_cells": config.height_cells, "width_cells": config.width_cells,
+            "x_range": list(config.x_range), "y_range": list(config.y_range),
+            "camera_channels": config.camera_channels, "lidar_channels": config.lidar_channels,
+        }))
+        argv = ["gen", "--seed", str(seed), "--objects", str(n_objects),
+                "--config", str(config_path), "--out", str(tmp_path / "gen")]
+        with mock.patch.object(formats, "_GRID_BLOCK_BYTES", block_bytes):
+            assert main(argv + ["--points"] * points) == 0
+            spec_rows = [formats._rows_per_block(spec)
+                         for spec in (config.camera_spec(), config.lidar_spec())]
+        scene = generate_scene(config, seed, n_objects, with_points=points)
+        write_scene(scene, tmp_path / "ref", config, seed, "mixed")
+        written = {p.name: p.read_bytes() for p in (tmp_path / "gen").iterdir()}
+        assert written == {p.name: p.read_bytes() for p in (tmp_path / "ref").iterdir()}
+        assert ("points.npy" in written) == points
+
+        # The case has bumps that row blocks cut and bumps that the window clips.
+        placed = place_scene(config, seed, n_objects, with_points=points)
+        h, w = config.height_cells, config.width_cells
+        for bumps, rows in zip((placed.camera_bumps, placed.lidar_bumps), spec_rows):
+            spans = [(b.row_lo, b.row_lo + b.g.shape[0]) for b in bumps]
+            assert any(lo // rows != (hi - 1) // rows for lo, hi in spans)
+            assert any(b.row_lo == 0 or b.col_lo == 0 or b.row_lo + b.g.shape[0] == h
+                       or b.col_lo + b.g.shape[1] == w for b in bumps)
 
 
 class TestEnergyPeakDetector:
