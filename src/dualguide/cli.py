@@ -301,6 +301,8 @@ def main(argv: list[str] | None = None) -> int:
             for dest in _PIPELINE_DESTS:
                 if getattr(args, dest) is not None:
                     parser.error(f"loss: --{dest.replace('_', '-')} needs --scene")
+        if args.command == "eval" and args.dets and args.max_peaks is not None:
+            parser.error("eval: --max-peaks caps the readout, which --dets replaces")
         return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -1,27 +1,26 @@
 """Detection metrics: center-distance AP, rotated-IoU recall, stratified reports.
 
-AP and recall share one greedy matcher: detections in descending score
-each claim the unclaimed ground truth of highest affinity that clears a
-floor. AP matches within a class by BEV center distance (affinity -d, floor
--t, so the nearest ground truth within t m; one distance matrix per class
-serves all four thresholds) and integrates the precision-recall curve with
-101-point interpolation. Recall matches class-agnostically by rotated IoU.
-Reports can be stratified by ego distance, visibility, or object size; the
-visibility axis masks only the ground truth while the other two mask both
-sides. `evaluate` is the one evaluator of a bin.
+A report computes its pairwise tables once and masks each bin out of them.
+One greedy matcher walks a table's candidates by detection score, then
+descending affinity, then ground-truth index: each detection claims its
+first unclaimed candidate that clears the floor. AP pairs same-class items
+by BEV center distance (affinity -d, floor -t) with 101-point interpolation;
+recall pairs items of any class by rotated IoU. The visibility axis masks
+only the ground truth; distance and size mask both sides.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ContractError
 from .geometry import (
     Box3D,
-    center_distance_bev,
     overlap_candidates,
     points_in_box,
     project_to_bev,
@@ -78,24 +77,25 @@ class Detection:
             raise ContractError(f"class_id {self.class_id} outside [0, {NUM_CLASSES - 1}]")
 
 
-def _score_order(dets: list[Detection]) -> list[int]:
-    return sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+def _sorted_candidates(rows: np.ndarray, cols: np.ndarray, affinity: np.ndarray) -> tuple:
+    """(row, col, affinity) candidates sorted by row, then -affinity, then col."""
+    order = np.lexsort((cols, -affinity, rows))
+    return rows[order], cols[order], affinity[order]
 
 
-def _greedy_hits(affinity: np.ndarray, order: list[int], floor: float) -> np.ndarray:
-    """Which detections, taken in `order`, claim a ground truth.
+def _greedy_hits(table: tuple, det_in: np.ndarray, gt_in: np.ndarray, floor: float) -> np.ndarray:
+    """Which detections (rows, in rank order) claim a ground truth (column).
 
-    Each detection takes the unclaimed ground truth (column) of highest
-    affinity when that affinity is >= `floor`; argmax keeps the lowest index
-    among equal affinities. Returns one flag per entry of `order`.
+    Walks the `_sorted_candidates` of masked-in rows and columns with affinity
+    >= `floor`: each row claims the column of its first unclaimed candidate.
     """
-    used = np.zeros(affinity.shape[1], dtype=bool)
-    hits = np.zeros(len(order), dtype=bool)
-    for rank, i in enumerate(order):
-        open_affinity = np.where(used, -np.inf, affinity[i])
-        j = int(np.argmax(open_affinity))
-        if open_affinity[j] >= floor:
-            used[j] = hits[rank] = True
+    rows, cols, affinity = table
+    keep = det_in[rows] & gt_in[cols] & (affinity >= floor)
+    hits, claimed, last = np.zeros(len(det_in), dtype=bool), set(), -1
+    for r, c in zip(rows[keep].tolist(), cols[keep].tolist()):
+        if r != last and c not in claimed:
+            claimed.add(c)
+            hits[r], last = True, r
     return hits
 
 
@@ -112,22 +112,6 @@ def _interpolated_ap(hits: np.ndarray, n_gt: int) -> float:
     return ap / 101.0
 
 
-def _class_aps(
-    dets: list[Detection], gts: list[Annotation], class_id: int, thresholds: tuple[float, ...]
-) -> dict[float, float | None]:
-    """AP of one class at each center-distance threshold (see average_precision)."""
-    dets = [d for d in dets if d.class_id == class_id]
-    gts = [g for g in gts if g.class_id == class_id]
-    if not dets and not gts:
-        return {t: None for t in thresholds}
-    if not dets or not gts:
-        return {t: 0.0 for t in thresholds}
-    # One distance matrix serves every threshold; -d >= -t is exactly d <= t.
-    neg_dist = -np.array([[center_distance_bev(d.box, g.box) for g in gts] for d in dets])
-    order = _score_order(dets)
-    return {t: _interpolated_ap(_greedy_hits(neg_dist, order, -t), len(gts)) for t in thresholds}
-
-
 def average_precision(
     dets: list[Detection],
     gts: list[Annotation],
@@ -140,14 +124,14 @@ def average_precision(
     (the class is skipped from means); 0.0 when ground truth is missing but
     detections exist, or no detection matches.
     """
-    return _class_aps(dets, gts, class_id, (dist_threshold,))[dist_threshold]
+    tables = _PairTables(dets, gts, dist_thresholds=(dist_threshold,))
+    return tables.class_aps(tables.all_dets, tables.all_gts)[class_id][dist_threshold]
 
 
-def ap_table(
-    dets: list[Detection], gts: list[Annotation]
-) -> dict[int, dict[float, float | None]]:
+def ap_table(dets: list[Detection], gts: list[Annotation]) -> dict[int, dict[float, float | None]]:
     """Per-class, per-threshold AP values (None marks skipped classes)."""
-    return {c: _class_aps(dets, gts, c, DIST_THRESHOLDS) for c in range(NUM_CLASSES)}
+    tables = _PairTables(dets, gts)
+    return tables.class_aps(tables.all_dets, tables.all_gts)
 
 
 def _mean_of_table(table: dict[int, dict[float, float | None]]) -> float:
@@ -172,16 +156,8 @@ def recall_at_iou(
     ground truth of highest IoU when that IoU clears the threshold. None is
     reported when there is no ground truth at all.
     """
-    if not gts:
-        return {t: None for t in iou_thresholds}
-    det_rects = [project_to_bev(d.box) for d in dets]
-    gt_rects = [project_to_bev(g.box) for g in gts]
-    order = _score_order(dets)
-    # Cells the circumradius prune skips stay 0, below every positive threshold.
-    di, gj = overlap_candidates(det_rects, gt_rects)
-    iou = np.zeros((len(dets), len(gts)))
-    iou[di, gj] = rotated_iou_pairs([det_rects[i] for i in di], [gt_rects[j] for j in gj])
-    return {t: int(_greedy_hits(iou, order, t).sum()) / len(gts) for t in iou_thresholds}
+    tables = _PairTables(dets, gts, iou_thresholds=iou_thresholds)
+    return tables.recalls(tables.all_dets, tables.all_gts)
 
 
 def _axis_bins(axis: str) -> tuple:
@@ -258,31 +234,94 @@ class StratifiedReport:
         return "\n".join(lines)
 
 
+class _PairTables:
+    """One report's pairwise tables, each built on first use.
+
+    Rows are the detections by descending score (index breaks ties), columns
+    the ground truths; each table keeps the pairs that can clear its floors.
+    """
+
+    def __init__(self, dets: list[Detection], gts: list[Annotation],
+                 dist_thresholds: tuple = DIST_THRESHOLDS, iou_thresholds: tuple = IOU_THRESHOLDS):
+        self.dets = sorted(dets, key=lambda d: -d.score)  # stable: index breaks ties
+        self.gts, self.dist_thresholds, self.iou_thresholds = gts, dist_thresholds, iou_thresholds
+        self.det_class = np.array([d.class_id for d in self.dets])
+        self.gt_class = np.array([g.class_id for g in gts])
+        self.all_dets, self.all_gts = np.ones(len(dets), dtype=bool), np.ones(len(gts), dtype=bool)
+
+    @cached_property
+    def dist(self) -> tuple:
+        det_xy = np.array([d.box.center[:2] for d in self.dets], dtype=np.float64).reshape(-1, 2)
+        gt_xy = np.array([g.box.center[:2] for g in self.gts], dtype=np.float64).reshape(-1, 2)
+        dx, dy = (np.subtract.outer(det_xy[:, k], gt_xy[:, k]) for k in (0, 1))
+        # No distance is below a coordinate difference, so this box keeps every pair in reach.
+        reach = max(self.dist_thresholds)
+        same = np.equal.outer(self.det_class, self.gt_class)
+        rows, cols = np.nonzero(same & (abs(dx) <= reach) & (abs(dy) <= reach))
+        # math.hypot as in center_distance_bev; np.hypot's bits are not guaranteed to match.
+        dist = np.array(list(map(math.hypot, dx[rows, cols].tolist(), dy[rows, cols].tolist())))
+        return _sorted_candidates(rows, cols, -dist)
+
+    @cached_property
+    def iou(self) -> tuple:
+        det_rects, gt_rects = ([project_to_bev(x.box) for x in xs] for xs in (self.dets, self.gts))
+        # Cells the circumradius prune skips stay 0, their IoU.
+        di, gj = overlap_candidates(det_rects, gt_rects)
+        iou = np.zeros((len(det_rects), len(gt_rects)))
+        iou[di, gj] = rotated_iou_pairs([det_rects[i] for i in di], [gt_rects[j] for j in gj])
+        rows, cols = np.nonzero(iou >= min(self.iou_thresholds, default=math.inf))
+        return _sorted_candidates(rows, cols, iou[rows, cols])
+
+    def class_aps(self, det_in: np.ndarray, gt_in: np.ndarray) -> dict:
+        """AP per class and distance threshold over the masked rows and columns.
+
+        Only same-class pairs are candidates, so one walk per threshold serves
+        every class; -d >= -t is exactly d <= t.
+        """
+        hits = {t: _greedy_hits(self.dist, det_in, gt_in, -t) for t in self.dist_thresholds}
+        table = {}
+        for c in range(NUM_CLASSES):
+            det_c = det_in & (self.det_class == c)
+            n_gt = int(np.count_nonzero(gt_in & (self.gt_class == c)))
+            if det_c.any() and n_gt:
+                table[c] = {t: _interpolated_ap(h[det_c], n_gt) for t, h in hits.items()}
+            else:
+                table[c] = dict.fromkeys(hits, 0.0 if det_c.any() or n_gt else None)
+        return table
+
+    def recalls(self, det_in: np.ndarray, gt_in: np.ndarray) -> dict:
+        """Recall per IoU threshold over the masked rows and columns; None without ground truth."""
+        n_gt = int(np.count_nonzero(gt_in))
+        hits = {t: _greedy_hits(self.iou, det_in, gt_in, t) for t in self.iou_thresholds if n_gt}
+        return {t: int(hits[t].sum()) / n_gt if n_gt else None for t in self.iou_thresholds}
+
+    def bin_metrics(self, det_in: np.ndarray, gt_in: np.ndarray, label: str) -> BinMetrics:
+        n_det, n_gt = int(np.count_nonzero(det_in)), int(np.count_nonzero(gt_in))
+        table = self.class_aps(det_in, gt_in) if n_det or n_gt else {}
+        mean_ap = _mean_of_table(table) if table else None
+        return BinMetrics(label, n_gt, n_det, table, mean_ap, self.recalls(det_in, gt_in))
+
+
 def evaluate(dets: list[Detection], gts: list[Annotation], label: str = "all") -> BinMetrics:
-    """Metrics over one detection/ground-truth set; the one evaluator of a bin."""
-    if not dets and not gts:
-        return BinMetrics(label, 0, 0, {}, None, {t: None for t in IOU_THRESHOLDS})
-    table = ap_table(dets, gts)
-    return BinMetrics(
-        label, len(gts), len(dets), table, _mean_of_table(table), recall_at_iou(dets, gts)
-    )
+    """Metrics over one detection/ground-truth set, as one bin."""
+    tables = _PairTables(dets, gts)
+    return tables.bin_metrics(tables.all_dets, tables.all_gts, label)
 
 
 def stratified_eval(dets: list[Detection], gts: list[Annotation], axis: str) -> StratifiedReport:
-    """Per-bin metrics along one axis.
+    """Per-bin metrics along one axis, each bin masked out of one set of tables.
 
     The visibility axis evaluates the full detection set against each ground
     truth subset; distance and size place detections into matching bins too.
     """
     labels = _axis_bins(axis)[0]
-    gt_bins = partition_items(gts, axis)
-    if axis == "visibility":
-        det_bins = [list(dets) for _ in labels]
-    else:
-        det_bins = partition_items(dets, axis)
-    return StratifiedReport(
-        axis, [evaluate(d, g, label) for label, d, g in zip(labels, det_bins, gt_bins)]
-    )
+    tables = _PairTables(dets, gts)
+    gt_bin = np.array([bin_index(g, axis) for g in gts])
+    det_bin = None if axis == "visibility" else np.array([bin_index(d, axis) for d in tables.dets])
+    return StratifiedReport(axis, [
+        tables.bin_metrics(tables.all_dets if det_bin is None else det_bin == k, gt_bin == k, label)
+        for k, label in enumerate(labels)
+    ])
 
 
 def point_count_bucket(count: int) -> int:

@@ -392,6 +392,14 @@ class TestMaxPeaks:
         assert main(["eval", "--max-peaks", "0"]) == 0
         assert "n_det=0" in capsys.readouterr().out
 
+    def test_cap_with_detection_file_is_usage_error(self, workdir, capsys):
+        assert main(["gen", "--seed", "2", "--objects", "6"]) == 0
+        annotations_as_detections(workdir)
+        for cap in ("3", "0"):
+            assert main(["eval", "--dets", "dets.jsonl", "--max-peaks", cap]) == 1
+            assert "--max-peaks caps the readout, which --dets replaces" in capsys.readouterr().err
+        assert not (workdir / "scene" / "report.json").exists()
+
 
 class TestCommandChain:
     def test_gen_fuse_eval_default_paths(self, workdir, capsys):

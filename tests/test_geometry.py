@@ -127,23 +127,35 @@ def oracle_iou(a: RotatedRect, b: RotatedRect) -> float:
     return inter / union
 
 
+# Rows per Monte-Carlo draw: each temporary of a block stays near cache size
+# (0.5 MB), where one (n, 2) draw of n = 10**6 made 8 MB ones.
+MC_BLOCK = 1 << 16
+
+
 def mc_iou(a: RotatedRect, b: RotatedRect, n: int, rng: np.random.Generator) -> float:
-    """Monte-Carlo IoU: uniform samples over the bounding box of both rects."""
+    """Monte-Carlo IoU: uniform samples over the bounding box of both rects.
+
+    The samples are drawn and tested in blocks of MC_BLOCK rows; the blocks
+    draw the same numbers, in the same order, as one (n, 2) draw would.
+    """
     corners = np.vstack([oracle_corners(a), oracle_corners(b)])
     lo, hi = corners.min(axis=0), corners.max(axis=0)
-    pts = rng.uniform(lo, hi, size=(n, 2))
 
-    def inside(rect: RotatedRect) -> np.ndarray:
-        rel = pts - np.array(rect.center)
+    def inside(x: np.ndarray, y: np.ndarray, rect: RotatedRect) -> np.ndarray:
+        rel_x, rel_y = x - rect.center[0], y - rect.center[1]
         cos_y, sin_y = math.cos(rect.yaw), math.sin(rect.yaw)
-        du = rel[:, 0] * cos_y + rel[:, 1] * sin_y
-        dv = -rel[:, 0] * sin_y + rel[:, 1] * cos_y
+        du = rel_x * cos_y + rel_y * sin_y
+        dv = -rel_x * sin_y + rel_y * cos_y
         return (np.abs(du) <= rect.extent[0] / 2.0) & (np.abs(dv) <= rect.extent[1] / 2.0)
 
-    in_a = inside(a)
-    in_b = inside(b)
+    hits = 0
+    for start in range(0, n, MC_BLOCK):
+        x, y = rng.uniform(lo, hi, size=(min(MC_BLOCK, n - start), 2)).T
+        in_a = inside(x, y, a)
+        # A sample outside a is outside the intersection, so only a's samples test b.
+        hits += int(np.count_nonzero(inside(x[in_a], y[in_a], b)))
     box_area = float(np.prod(hi - lo))
-    inter = box_area * float((in_a & in_b).mean())
+    inter = box_area * (hits / n)  # the mean of the inside-both mask
     union = a.area + b.area - inter
     return inter / union if union > 0 else 0.0
 

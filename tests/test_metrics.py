@@ -5,12 +5,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualguide.geometry import Box3D, center_distance_bev, project_to_bev
+from dualguide.geometry import (
+    Box3D,
+    center_distance_bev,
+    overlap_candidates,
+    project_to_bev,
+    rotated_iou_pairs,
+)
 from dualguide.metrics import (
+    AXES,
+    AXIS_BINS,
     DIST_THRESHOLDS,
     IOU_THRESHOLDS,
     Annotation,
+    BinMetrics,
     Detection,
+    StratifiedReport,
+    _greedy_hits,
+    _interpolated_ap,
+    _mean_of_table,
+    _sorted_candidates,
     ap_table,
     average_precision,
     bin_index,
@@ -323,6 +337,14 @@ class TestRecallAtIou:
         assert dense_oracle_recall(dets, gts, (0.3,)) == expected
         assert recall_at_iou(dets, gts, (0.3,)) == expected
 
+    def test_detection_exactly_at_threshold_matches(self):
+        # Overlap 1.5 of union 3.0: the clip and shoelace are exact on these corners.
+        gts = [gt(0.0, 0.0, w=1.5, l=1.5)]
+        dets = [det(0.5, 0.0, 0.9, w=1.5, l=1.5)]
+        assert dense_oracle_recall(dets, gts, (0.5,)) == {0.5: 1.0}
+        assert recall_at_iou(dets, gts, (0.5, 0.7)) == {0.5: 1.0, 0.7: 0.0}
+        assert evaluate(dets, gts).recall == {0.3: 1.0, 0.5: 1.0, 0.7: 0.0}
+
     def test_no_detections(self):
         recalls = recall_at_iou([], [gt(0, 0)])
         assert all(v == 0.0 for v in recalls.values())
@@ -400,6 +422,193 @@ class TestPartitioning:
             assert sum(len(b) for b in bins) == len(items)
             flattened = [id(x) for b in bins for x in b]
             assert sorted(flattened) == sorted(id(x) for x in items)
+
+
+def oracle_greedy_hits(affinity, order, floor):
+    """The per-row argmax greedy: which detections, taken in `order`, claim a ground truth.
+
+    Each detection takes the unclaimed ground truth (column) of highest
+    affinity when that affinity is >= `floor`; argmax keeps the lowest index
+    among equal affinities. Returns one flag per entry of `order`.
+    """
+    used = np.zeros(affinity.shape[1], dtype=bool)
+    hits = np.zeros(len(order), dtype=bool)
+    for rank, i in enumerate(order):
+        open_affinity = np.where(used, -np.inf, affinity[i])
+        j = int(np.argmax(open_affinity))
+        if open_affinity[j] >= floor:
+            used[j] = hits[rank] = True
+    return hits
+
+
+def oracle_evaluate(dets, gts, label="all"):
+    """The per-bin evaluator: a distance matrix per class and an IoU matrix, for this bin alone."""
+    if not dets and not gts:
+        return BinMetrics(label, 0, 0, {}, None, {t: None for t in IOU_THRESHOLDS})
+
+    def score_order(items):
+        return sorted(range(len(items)), key=lambda i: (-items[i].score, i))
+
+    table = {}
+    for c in range(NUM_CLASSES):
+        cls_dets = [d for d in dets if d.class_id == c]
+        cls_gts = [g for g in gts if g.class_id == c]
+        if not cls_dets and not cls_gts:
+            table[c] = {t: None for t in DIST_THRESHOLDS}
+        elif not cls_dets or not cls_gts:
+            table[c] = {t: 0.0 for t in DIST_THRESHOLDS}
+        else:
+            neg_dist = -np.array(
+                [[center_distance_bev(d.box, g.box) for g in cls_gts] for d in cls_dets]
+            )
+            order = score_order(cls_dets)
+            table[c] = {
+                t: _interpolated_ap(oracle_greedy_hits(neg_dist, order, -t), len(cls_gts))
+                for t in DIST_THRESHOLDS
+            }
+    if gts:
+        det_rects = [project_to_bev(d.box) for d in dets]
+        gt_rects = [project_to_bev(g.box) for g in gts]
+        di, gj = overlap_candidates(det_rects, gt_rects)
+        iou = np.zeros((len(dets), len(gts)))
+        iou[di, gj] = rotated_iou_pairs([det_rects[i] for i in di], [gt_rects[j] for j in gj])
+        order = score_order(dets)
+        recall = {
+            t: int(oracle_greedy_hits(iou, order, t).sum()) / len(gts) for t in IOU_THRESHOLDS
+        }
+    else:
+        recall = {t: None for t in IOU_THRESHOLDS}
+    return BinMetrics(label, len(gts), len(dets), table, _mean_of_table(table), recall)
+
+
+def oracle_stratified_eval(dets, gts, axis):
+    """`oracle_evaluate` on each bin of `partition_items`; visibility bins take every detection."""
+    labels = AXIS_BINS[axis][0]
+    gt_bins = partition_items(gts, axis)
+    if axis == "visibility":
+        det_bins = [list(dets) for _ in labels]
+    else:
+        det_bins = partition_items(dets, axis)
+    return StratifiedReport(
+        axis, [oracle_evaluate(d, g, label) for label, d, g in zip(labels, det_bins, gt_bins)]
+    )
+
+
+# Values of the greedy property's affinity tables: ties, -inf, and a floor
+# can equal any finite one.
+AFFINITY_VALUES = (-np.inf, -2.0, -1.0, -0.5, 0.0, 0.3, 0.5, 1.0)
+
+
+class TestGreedyHits:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_candidate_sort_equals_per_row_argmax(self, data):
+        n_rows, n_cols = data.draw(st.integers(0, 7)), data.draw(st.integers(0, 7))
+        cells = st.lists(st.sampled_from(AFFINITY_VALUES), min_size=n_cols, max_size=n_cols)
+        rows_of_cells = data.draw(st.lists(cells, min_size=n_rows, max_size=n_rows))
+        affinity = np.array(rows_of_cells, dtype=np.float64).reshape(n_rows, n_cols)
+        # Floors are finite, as every caller's is: a threshold of the table or not.
+        floor = data.draw(st.sampled_from(AFFINITY_VALUES[1:]) | st.floats(-3.0, 3.0))
+        det_in = np.array(data.draw(st.lists(st.booleans(), min_size=n_rows, max_size=n_rows)),
+                          dtype=bool)
+        gt_in = np.array(data.draw(st.lists(st.booleans(), min_size=n_cols, max_size=n_cols)),
+                         dtype=bool)
+
+        rows, cols = np.nonzero(np.ones(affinity.shape, dtype=bool))
+        table = _sorted_candidates(rows, cols, affinity[rows, cols])
+        got = _greedy_hits(table, det_in, gt_in, floor)
+        sub = affinity[np.ix_(det_in, gt_in)]
+        expected = (
+            oracle_greedy_hits(sub, range(len(sub)), floor) if sub.shape[1]
+            else np.zeros(len(sub), dtype=bool)
+        )
+        assert np.array_equal(got[det_in], expected)
+        assert not got[~det_in].any()
+
+
+def seeded_report_scene(seed):
+    """Ground truth across every axis's bins, and detections that test the matching rules.
+
+    Half the centers sit on a half-metre lattice, so bin edges (20 m, 40 m)
+    and thresholds are hit exactly and distances tie; each tie cluster puts
+    a detection exactly d m from two ground truths of its class. Sizes
+    include volumes on the 10 m^3 edge. Detections are exact, threshold-
+    offset or jittered copies (some of another class), strays and
+    duplicates, with scores from four values. A small reach leaves the far
+    distance bins empty.
+    """
+    rng = np.random.default_rng(seed)
+    reach = float(rng.choice([15.0, 35.0, 55.0]))
+    sizes = ((1.0, 1.0, 1.0), (2.0, 4.0, 1.5), (4.0, 4.0, 2.0), (1.0, 2.0, 5.0))
+
+    def point():
+        if rng.uniform() < 0.5:
+            return tuple(float(v) for v in rng.integers(-2 * reach, 2 * reach + 1, 2) * 0.5)
+        return tuple(float(v) for v in rng.uniform(-reach, reach, 2))
+
+    def box(x, y, size=None, yaw=None):
+        if size is None:
+            size = sizes[int(rng.integers(len(sizes)))] if rng.uniform() < 0.7 else tuple(
+                float(v) for v in rng.uniform(0.5, 4.0, 3))
+        if yaw is None:
+            yaw = 0.0 if rng.uniform() < 0.5 else float(rng.uniform(-np.pi, np.pi))
+        return Box3D((x, y, size[2] / 2), size, yaw)
+
+    def annotation(x, y, cls):
+        return Annotation(box(x, y), cls, int(rng.integers(1, 5)))
+
+    gts = [annotation(*point(), int(rng.integers(0, 4))) for _ in range(rng.integers(0, 20))]
+    dets = []
+    for _ in range(int(rng.integers(0, 3))):
+        (x, y), d, cls = point(), float(rng.choice(DIST_THRESHOLDS)), int(rng.integers(0, 4))
+        gts += [annotation(x + d, y, cls), annotation(x, y - d, cls)]
+        dets.append((box(x, y), cls))
+    for g in gts:
+        (x, y, _), size, yaw = g.box.center, g.box.size, g.box.yaw
+        for _ in range(int(rng.integers(0, 4))):
+            kind = int(rng.integers(0, 3))
+            if kind == 0:
+                offset = float(rng.choice(DIST_THRESHOLDS)) * float(rng.choice([-1.0, 1.0]))
+                dx, dy = (offset, 0.0) if rng.uniform() < 0.5 else (0.0, offset)
+            elif kind == 1:
+                dx, dy = (float(v) for v in rng.normal(0.0, float(rng.choice([0.3, 1.5])), 2))
+            else:
+                dx = dy = 0.0
+            cls = g.class_id if rng.uniform() < 0.8 else int(rng.integers(0, 4))
+            dets.append((box(x + dx, y + dy, size, yaw), cls))
+    dets += [(box(*point()), int(rng.integers(0, 4))) for _ in range(rng.integers(0, 6))]
+    if dets:
+        dets += [dets[int(i)] for i in rng.integers(0, len(dets), int(rng.integers(0, 4)))]
+    scores = rng.choice([0.3, 0.5, 0.8, 0.9], size=len(dets))
+    return [Detection(b, c, float(s)) for (b, c), s in zip(dets, scores)], gts
+
+
+class TestReportOracle:
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_stratified_eval_equals_per_bin_oracle(self, seed):
+        dets, gts = seeded_report_scene(seed)
+        for axis in AXES:
+            got = stratified_eval(dets, gts, axis).to_dict()
+            assert got == oracle_stratified_eval(dets, gts, axis).to_dict()
+        assert evaluate(dets, gts).to_dict() == oracle_evaluate(dets, gts).to_dict()
+
+    def test_generator_reaches_every_case(self):
+        """The property's scenes include empty bins, ties and cross-class detections."""
+        empty_bin = tied_scores = cross_class = far_bin = False
+        for seed in range(40):
+            dets, gts = seeded_report_scene(seed)
+            for axis in AXES:
+                bins = stratified_eval(dets, gts, axis).bins
+                empty_bin |= any(b.no_data for b in bins)
+                far_bin |= axis == "distance" and bins[2].n_gt > 0
+            scores = [d.score for d in dets]
+            tied_scores |= len(set(scores)) < len(scores)
+            cross_class |= any(
+                d.class_id != g.class_id and d.box.center == g.box.center
+                for d in dets for g in gts
+            )
+        assert empty_bin and tied_scores and cross_class and far_bin
 
 
 class TestStratifiedEval:
