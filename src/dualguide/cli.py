@@ -9,8 +9,10 @@ success, 1 on usage errors, 2 on data/configuration errors.
 `gen` renders each grid file in row blocks while writing it
 (`synth.generate_scene_files`), so it never holds a grid. `fuse`, `match`
 and `loss` load their scene with `synth.load_scene`, one contiguous array
-per grid. `fuse` enhances the two grids in place and streams `fused.bevg`
-from them, so it holds the camera and LiDAR grids and no concatenation.
+per grid. `fuse` matches and enhances the two grids in place
+(`pipeline.run_fusion`, or `pipeline.run_matching` alone under
+`--no-enhance`) and streams `fused.bevg` from them, so it holds the camera
+and LiDAR grids and no concatenation.
 `eval`'s energy readout reads the energy map from the grid file in row
 blocks and never holds the grid.
 """
@@ -39,7 +41,7 @@ from .metrics import (
     stratified_eval,
     visibility_histogram,
 )
-from .pipeline import build_projections, fuse_in_place, run_matching
+from .pipeline import build_projections, run_fusion, run_matching
 from .synth import (
     GAP_PROFILES,
     READOUT_CLASS,
@@ -149,9 +151,10 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
     scene, config = _scene_and_config(args)
     out = Path(args.out) if args.out else Path(args.scene).parent
     out.mkdir(parents=True, exist_ok=True)
-    pairs = fuse_in_place(
-        scene.camera_grid, scene.lidar_grid, scene.camera_proposals, scene.lidar_proposals,
-        config, enhance=not args.no_enhance,
+    fusion = run_matching if args.no_enhance else run_fusion
+    pairs = fusion(
+        scene.camera_grid, scene.lidar_grid,
+        scene.camera_proposals, scene.lidar_proposals, config,
     )
     formats.save_grid(scene.camera_grid, out / "enhanced_camera.bevg")
     formats.save_grid(scene.lidar_grid, out / "enhanced_lidar.bevg")

@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import ConfigurationError
-from .formats import load_json
+from .formats import _finite, _integral, load_json
 from .grid import GridSpec
 from .instances import DEFAULT_STRATEGY, SAMPLING_STRATEGIES
 from .losses import LossWeights
@@ -62,21 +62,53 @@ class PipelineConfig:
         return LossWeights(l1, l2, l3, l4)
 
 
+def _checked(key: str, value):
+    """`value` when it has the type of config field `key`, else ValueError.
+
+    Each field's default gives its type: a tuple takes a list of that many
+    finite numbers, a float a finite number, an int an integer, a string a
+    string, and None (a weight path) a string or null.
+    """
+    default = getattr(PipelineConfig, key)
+    if isinstance(default, tuple):
+        if not isinstance(value, (list, tuple)) or len(value) != len(default):
+            raise ValueError(f"{key} must be a list of {len(default)} numbers, got {value!r}")
+        return tuple(_finite(f"{key}[{i}]", v) for i, v in enumerate(value))
+    if isinstance(default, float):
+        return _finite(key, value)
+    if isinstance(default, int):
+        return _integral(key, value)
+    if not (isinstance(value, str) or (default is None and value is None)):
+        kind = "a string or null" if default is None else "a string"
+        raise ValueError(f"{key} must be {kind}, got {value!r}")
+    return value
+
+
 def config_from_dict(data: dict) -> PipelineConfig:
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"config must be a JSON object, got {data!r}")
     known = {f for f in PipelineConfig.__dataclass_fields__}
     unknown = set(data) - known
     if unknown:
         raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = dict(data)
-    for key in ("lambdas", "x_range", "y_range"):
-        if key in kwargs:
-            kwargs[key] = tuple(kwargs[key])
+    try:
+        kwargs = {key: _checked(key, value) for key, value in data.items()}
+    except ValueError as exc:
+        raise ConfigurationError(str(exc)) from exc
     return PipelineConfig(**kwargs)
 
 
 def load_config(path: str | Path | None, **overrides) -> PipelineConfig:
-    """Config from an optional JSON file, with non-None overrides applied."""
-    config = config_from_dict(load_json(path)) if path else PipelineConfig()
+    """Config from an optional JSON file, with non-None overrides applied.
+
+    An error in the file's values raises ConfigurationError naming the file.
+    """
+    config = PipelineConfig()
+    if path:
+        try:
+            config = config_from_dict(load_json(path))
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{path}: {exc}") from exc
     clean = {k: v for k, v in overrides.items() if v is not None}
     if clean:
         config = replace(config, **clean)

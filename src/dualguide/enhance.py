@@ -16,7 +16,7 @@ reads an original value before any write changes it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -188,11 +188,3 @@ def fuse_grids(camera_grid: BevGrid, lidar_grid: BevGrid) -> BevGrid:
     spec = fused_spec(camera_grid.spec, lidar_grid.spec)
     return BevGrid(spec, np.concatenate([lidar_grid.data, camera_grid.data], axis=2))
 
-
-def split_fused(fused: BevGrid, lidar_channels: int) -> tuple[BevGrid, BevGrid]:
-    """The camera and LiDAR grids of a fused grid, as views of its channel slices."""
-    camera_spec = replace(fused.spec, channels=fused.spec.channels - lidar_channels)
-    return (
-        BevGrid(camera_spec, fused.data[:, :, lidar_channels:]),
-        BevGrid(replace(fused.spec, channels=lidar_channels), fused.data[:, :, :lidar_channels]),
-    )

@@ -106,10 +106,9 @@ def _interpolated_ap(hits: np.ndarray, n_gt: int) -> float:
     recall = cum_tp / n_gt
     # Ranks at recall >= r are a suffix (recall never falls): take suffix maxima, 0 past the end.
     envelope = np.append(np.maximum.accumulate(precision[::-1])[::-1], 0.0)
-    ap = 0.0
-    for best in envelope[np.searchsorted(recall, np.linspace(0.0, 1.0, 101))].tolist():
-        ap += best
-    return ap / 101.0
+    # cumsum adds left to right like a running sum; np.sum's pairwise order would not.
+    best = envelope[np.searchsorted(recall, np.linspace(0.0, 1.0, 101))]
+    return float(np.cumsum(best)[-1]) / 101.0
 
 
 def average_precision(

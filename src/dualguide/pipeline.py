@@ -1,15 +1,13 @@
-"""End-to-end fusion: refine, extract instances, match, enhance, fuse.
+"""End-to-end fusion: refine, extract instances, match, enhance.
 
 `run_matching` is the refine-extract-match front stage every CLI command
-shares. The refine yields one context vector, not a grid: camera instances
-are sampled with it as an offset. `fuse_in_place` runs the front stage on
-any camera and LiDAR grid and then enhances both in place. The `fuse`
-command hands it the two grids `synth.load_scene` read and saves the fused
-grid from them (`formats.save_grid` streams the concatenation), so it makes
-no copy. `run_fusion` copies two grids once into a new fused buffer, LiDAR
-channels first, and hands `fuse_in_place` the buffer's two channel slices.
-Weight shapes follow the channel counts of the grids given, not the
-config's generator depths.
+shares (DIPM). The refine yields one context vector, not a grid: camera
+instances are sampled with it as an offset. `run_fusion` runs that stage on
+any camera and LiDAR grid and then enhances both in place (the dual-guided
+modules); it makes no copy. The `fuse` command hands it the two grids
+`synth.load_scene` read and streams the fused grid from them
+(`formats.save_grid` writes the concatenation). Weight shapes follow the
+channel counts of the grids given, not the config's generator depths.
 """
 
 from __future__ import annotations
@@ -20,13 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import PipelineConfig
-from .enhance import (
-    Projection,
-    enhance_camera_grid,
-    enhance_lidar_grid,
-    fuse_grids,
-    split_fused,
-)
+from .enhance import Projection, enhance_camera_grid, enhance_lidar_grid
 from .formats import load_projection
 from .grid import BevGrid, ContextWeights, global_context_refine
 from .instances import SAMPLES_PER_STRATEGY, Proposal, build_instances
@@ -46,16 +38,6 @@ class FusionProjections:
     lidar_squeeze: Projection   # lidar instance features -> camera channels
     camera_squeeze: Projection  # camera instance features -> camera channels
     excitation: Projection      # camera instance features -> lidar channels
-
-
-@dataclass
-class FusionResult:
-    """The pair sets plus the enhanced and fused grids."""
-
-    pairs: PairSets
-    enhanced_camera: BevGrid
-    enhanced_lidar: BevGrid
-    fused: BevGrid
 
 
 def build_projections(
@@ -126,44 +108,21 @@ def run_fusion(
     camera_proposals: list[Proposal],
     lidar_proposals: list[Proposal],
     config: PipelineConfig = PipelineConfig(),
-    enhance: bool = True,
-) -> FusionResult:
-    """Run the full fusion pipeline on in-memory inputs.
-
-    Copies both grids once into a new fused buffer, LiDAR channels first, and
-    runs `fuse_in_place` on its two channel slices; the input grids stay
-    unchanged, and `enhanced_camera` and `enhanced_lidar` are views of `fused`.
-    """
-    fused = fuse_grids(camera_grid, lidar_grid)
-    enhanced_camera, enhanced_lidar = split_fused(fused, lidar_grid.spec.channels)
-    pairs = fuse_in_place(
-        enhanced_camera, enhanced_lidar, camera_proposals, lidar_proposals, config, enhance
-    )
-    return FusionResult(pairs, enhanced_camera, enhanced_lidar, fused)
-
-
-def fuse_in_place(
-    camera_grid: BevGrid,
-    lidar_grid: BevGrid,
-    camera_proposals: list[Proposal],
-    lidar_proposals: list[Proposal],
-    config: PipelineConfig = PipelineConfig(),
-    enhance: bool = True,
 ) -> PairSets:
     """Match, then enhance both grids in place; returns the pair sets.
 
-    The grids may be any views, such as the channel slices of a fused
-    buffer. With enhance=False they keep their values (the no-enhancement
-    baseline); matching still runs so the pair sets stay reportable.
+    The grids may be contiguous arrays or channel views, such as the two
+    slices of a fused buffer. Pass `grid.copy()` to keep an input, and call
+    `enhance.fuse_grids(camera_grid, lidar_grid)` afterwards for the fused
+    grid.
     """
     pairs = run_matching(
         camera_grid, lidar_grid, camera_proposals, lidar_proposals, config
     )
-    if enhance:
-        projections = build_projections(
-            config, camera_grid.spec.channels, lidar_grid.spec.channels
-        )
-        enhance_camera_grid(camera_grid, pairs.easy, pairs.camera_hard,
-                            projections.lidar_squeeze)
-        enhance_lidar_grid(lidar_grid, pairs.lidar_hard, projections.excitation)
+    projections = build_projections(
+        config, camera_grid.spec.channels, lidar_grid.spec.channels
+    )
+    enhance_camera_grid(camera_grid, pairs.easy, pairs.camera_hard,
+                        projections.lidar_squeeze)
+    enhance_lidar_grid(lidar_grid, pairs.lidar_hard, projections.excitation)
     return pairs

@@ -273,11 +273,12 @@ def test_criterion_7_enhancement_benefit():
     non_regressions = 0
     for seed in range(20):
         scene = generate_scene(config, seed, 14, "mixed")
-        enhanced = run_fusion(
+        baseline = fuse_grids(scene.camera_grid, scene.lidar_grid)
+        run_fusion(
             scene.camera_grid, scene.lidar_grid,
             scene.camera_proposals, scene.lidar_proposals, config,
-        ).fused
-        baseline = fuse_grids(scene.camera_grid, scene.lidar_grid)
+        )
+        enhanced = fuse_grids(scene.camera_grid, scene.lidar_grid)
         cap = len(scene.annotations)
         r_enh = recall_at_iou(
             readout(enhanced, max_peaks=cap), scene.annotations, (0.3,)

@@ -72,6 +72,30 @@ class TestExitCodes:
         assert main(["fuse", "--config", "config.json"]) == 2
         assert "unknown config keys: ['projection_seed']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, values, message", [
+        ("gen", {"gamma": "x"}, "gamma must be a finite number, got 'x'"),
+        ("gen", {"eta": True}, "eta must be a finite number, got True"),
+        ("gen", {"lambdas": 5}, "lambdas must be a list of 4 numbers, got 5"),
+        ("gen", {"lambdas": [0.9, 0.1, None, 0.1]}, "lambdas[2] must be a finite number"),
+        ("gen", {"height_cells": 1.5}, "height_cells must be an integer, got 1.5"),
+        ("gen", {"camera_channels": "8"}, "camera_channels must be a finite number, got '8'"),
+        ("gen", {"x_range": [0, "a"]}, "x_range[1] must be a finite number, got 'a'"),
+        ("gen", {"y_range": [0, 1, 2]}, "y_range must be a list of 2 numbers"),
+        ("gen", {"grouping_strategy": 3}, "grouping_strategy must be a string, got 3"),
+        ("gen", {"excitation_path": 5}, "excitation_path must be a string or null, got 5"),
+        ("gen", [0.5], "config must be a JSON object, got [0.5]"),
+        ("match", {"height_cells": 1.5}, "height_cells must be an integer, got 1.5"),
+    ])
+    def test_config_value_of_the_wrong_type_is_config_error(
+        self, workdir, capsys, command, values, message
+    ):
+        if command == "match":  # a scene the command would otherwise run on
+            assert main(["gen", "--seed", "1", "--objects", "4",
+                         "--config", small_config(workdir)]) == 0
+        (workdir / "c.json").write_text(json.dumps(values))
+        assert main([command, "--config", "c.json"]) == 2
+        assert f"c.json: {message}" in capsys.readouterr().err
+
     def test_dets_and_peaks_from_together_is_usage_error(self, workdir, capsys):
         assert main(["eval", "--dets", "dets.jsonl", "--peaks-from", "fused.bevg"]) == 1
         assert "not allowed with" in capsys.readouterr().err
@@ -589,11 +613,11 @@ class TestLossCommand:
         report = json.loads((workdir / "out.json").read_text())
         scene = load_scene(workdir / "scene" / "manifest.json")
         config = load_config(cfg)
-        result = run_fusion(scene.camera_grid, scene.lidar_grid, scene.camera_proposals,
-                            scene.lidar_proposals, config)
+        pairs = run_fusion(scene.camera_grid, scene.lidar_grid, scene.camera_proposals,
+                           scene.lidar_proposals, config)
         projections = build_projections(config, 5, 7)
         cosine = pair_cosine_loss(
-            result.pairs.easy, projections.lidar_squeeze, projections.camera_squeeze
+            pairs.easy, projections.lidar_squeeze, projections.camera_squeeze
         )
         assert cosine is not None
         assert report["cosine"] == cosine

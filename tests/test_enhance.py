@@ -21,7 +21,6 @@ from dualguide.enhance import (
     member_of,
     nearest_cell,
     pair_distance_weights,
-    split_fused,
 )
 from dualguide.errors import ConfigurationError
 from dualguide.geometry import Box3D, center_distance_bev
@@ -519,10 +518,6 @@ class TestFuse:
         assert fused.spec.channels == 5
         assert np.array_equal(fused.data[:, :, :2], lidar.data)
         assert np.array_equal(fused.data[:, :, 2:], camera.data)
-        views = split_fused(fused, 2)
-        for view, grid in zip(views, (camera, lidar)):
-            assert view.spec == grid.spec and np.array_equal(view.data, grid.data)
-            assert np.shares_memory(view.data, fused.data)
 
     def test_zero_grids_fuse_to_zero(self):
         spec = GridSpec(3, 3, 2, (0.0, 3.0), (0.0, 3.0))

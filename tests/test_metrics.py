@@ -61,6 +61,18 @@ def derive_ap_101(tp_sequence, n_gt):
     return total / 101
 
 
+def oracle_interpolated_ap(hits, n_gt):
+    """101-point interpolated AP summed by a Python loop, left to right."""
+    cum_tp = np.cumsum(hits)
+    precision = cum_tp / np.arange(1, len(hits) + 1)
+    recall = cum_tp / n_gt
+    envelope = np.append(np.maximum.accumulate(precision[::-1])[::-1], 0.0)
+    ap = 0.0
+    for best in envelope[np.searchsorted(recall, np.linspace(0.0, 1.0, 101))].tolist():
+        ap += best
+    return ap / 101.0
+
+
 # The committed mixed scene: three ground-truth objects on a line and four
 # detections in descending score whose match pattern at threshold 2 m is
 # TP, FP, TP, FP (the last detection hits an already-claimed object).
@@ -122,6 +134,14 @@ class TestAveragePrecision:
             base = average_precision(dets, gts, 0, 2.0)
             doubled = average_precision(dets + dets, gts, 0, 2.0)
             assert doubled <= base + 1e-12
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.booleans(), min_size=1, max_size=300), st.integers(0, 40))
+    def test_interpolated_ap_equals_the_loop_sum(self, flags, extra_gt):
+        hits = np.array(flags, dtype=bool)
+        n_gt = max(1, int(hits.sum())) + extra_gt
+        got, want = _interpolated_ap(hits, n_gt), oracle_interpolated_ap(hits, n_gt)
+        assert type(got) is float and got.hex() == want.hex()
 
     def test_score_scaling_invariance(self):
         scaled = [
@@ -463,7 +483,8 @@ def oracle_evaluate(dets, gts, label="all"):
             )
             order = score_order(cls_dets)
             table[c] = {
-                t: _interpolated_ap(oracle_greedy_hits(neg_dist, order, -t), len(cls_gts))
+                t: oracle_interpolated_ap(oracle_greedy_hits(neg_dist, order, -t),
+                                          len(cls_gts))
                 for t in DIST_THRESHOLDS
             }
     if gts:

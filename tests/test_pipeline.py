@@ -13,7 +13,12 @@ from dualguide.formats import pair_sets_to_dict
 from dualguide.grid import BevGrid, GridSpec, global_context_refine
 from dualguide.instances import build_instances
 from dualguide.matching import match_pairs
-from dualguide.pipeline import build_context_weights, build_projections, run_fusion
+from dualguide.pipeline import (
+    build_context_weights,
+    build_projections,
+    run_fusion,
+    run_matching,
+)
 from dualguide.synth import generate_scene
 
 SMALL = PipelineConfig(
@@ -31,34 +36,24 @@ def scene():
     return generate_scene(SMALL, seed=21, n_objects=8, gap_profile="mixed")
 
 
-def run(scene, **kwargs):
-    return run_fusion(
-        scene.camera_grid,
-        scene.lidar_grid,
-        scene.camera_proposals,
-        scene.lidar_proposals,
-        kwargs.pop("config", SMALL),
-        **kwargs,
-    )
+def run(scene, config=SMALL):
+    """`run_fusion` on copies of the scene's grids: the pairs and the two enhanced grids."""
+    camera, lidar = scene.camera_grid.copy(), scene.lidar_grid.copy()
+    pairs = run_fusion(camera, lidar, scene.camera_proposals, scene.lidar_proposals, config)
+    return pairs, camera, lidar
 
 
 class TestRunFusion:
-    def test_fused_is_concat_of_enhanced(self, scene):
-        result = run(scene)
-        c_l = SMALL.lidar_channels
-        assert result.fused.spec.channels == SMALL.lidar_channels + SMALL.camera_channels
-        assert np.array_equal(result.fused.data[:, :, :c_l], result.enhanced_lidar.data)
-        assert np.array_equal(result.fused.data[:, :, c_l:], result.enhanced_camera.data)
-
-    def test_no_enhance_baseline_fuses_inputs(self, scene):
-        result = run(scene, enhance=False)
-        baseline = fuse_grids(scene.camera_grid, scene.lidar_grid)
-        assert np.array_equal(result.fused.data, baseline.data)
-        # Matching still ran so the pair sets stay reportable.
-        assert result.pairs is not None
+    def test_matching_alone_keeps_the_grids_and_gives_the_same_pairs(self, scene):
+        camera, lidar = scene.camera_grid.data.copy(), scene.lidar_grid.data.copy()
+        pairs = run_matching(scene.camera_grid, scene.lidar_grid, scene.camera_proposals,
+                             scene.lidar_proposals, SMALL)
+        assert np.array_equal(scene.camera_grid.data, camera)
+        assert np.array_equal(scene.lidar_grid.data, lidar)
+        assert pair_sets_to_dict(pairs) == pair_sets_to_dict(run(scene)[0])
 
     def test_camera_instances_come_from_refined_grid(self, scene):
-        result = run(scene)
+        pairs = run(scene)[0]
         context = global_context_refine(
             scene.camera_grid, build_context_weights(SMALL.camera_channels)
         )
@@ -69,7 +64,6 @@ class TestRunFusion:
         lidar = build_instances(
             scene.lidar_grid, scene.lidar_proposals, SMALL.gamma, SMALL.sampling_strategy
         )
-        pairs = result.pairs
         members = [(p.guide, p.guide_idx) for p in pairs.easy + pairs.lidar_hard]
         members += [(p.anchor, p.anchor_idx) for p in pairs.camera_hard]
         assert members, "scene should produce pairs with camera members"
@@ -79,67 +73,62 @@ class TestRunFusion:
         assert pair_sets_to_dict(pairs) == pair_sets_to_dict(want)
 
     def test_enhancement_changes_grids_when_pairs_exist(self, scene):
-        result = run(scene)
-        assert result.pairs.easy, "scene should produce easy pairs"
-        assert not np.array_equal(result.enhanced_camera.data, scene.camera_grid.data)
-        if result.pairs.lidar_hard:
-            assert not np.array_equal(result.enhanced_lidar.data, scene.lidar_grid.data)
+        pairs, camera, lidar = run(scene)
+        assert pairs.easy, "scene should produce easy pairs"
+        assert not np.array_equal(camera.data, scene.camera_grid.data)
+        if pairs.lidar_hard:
+            assert not np.array_equal(lidar.data, scene.lidar_grid.data)
 
     def test_deterministic(self, scene):
-        a = run(scene)
-        b = run(scene)
-        assert np.array_equal(a.fused.data, b.fused.data)
-
-    def test_input_grids_stay_unchanged(self, scene):
-        camera, lidar = scene.camera_grid.data.copy(), scene.lidar_grid.data.copy()
-        run(scene)
-        assert np.array_equal(scene.camera_grid.data, camera)
-        assert np.array_equal(scene.lidar_grid.data, lidar)
+        (_, *a), (_, *b) = run(scene), run(scene)
+        assert all(np.array_equal(x.data, y.data) for x, y in zip(a, b))
 
     def test_sizes_come_from_the_grids_not_the_config(self, scene):
         # A config whose generator depths disagree with the grids still runs,
         # with weights sized from the grids.
-        want = run(scene)
-        got = run(scene, config=replace(SMALL, camera_channels=16, lidar_channels=24))
-        for a, b in ((got.enhanced_camera, want.enhanced_camera),
-                     (got.enhanced_lidar, want.enhanced_lidar), (got.fused, want.fused)):
+        want_pairs, *want = run(scene)
+        got_pairs, *got = run(scene, config=replace(SMALL, camera_channels=16, lidar_channels=24))
+        for a, b in zip(got, want):
             assert a.spec == b.spec and np.array_equal(a.data, b.data)
-        assert pair_sets_to_dict(got.pairs) == pair_sets_to_dict(want.pairs)
+        assert pair_sets_to_dict(got_pairs) == pair_sets_to_dict(want_pairs)
 
-    @pytest.mark.parametrize("enhance", [True, False])
-    def test_enhanced_grids_are_views_of_fused(self, scene, enhance):
-        result = run(scene, enhance=enhance)
-        assert np.shares_memory(result.enhanced_lidar.data, result.fused.data)
-        assert np.shares_memory(result.enhanced_camera.data, result.fused.data)
-
-    def test_peak_memory_is_the_fused_buffer(self, scene):
-        run(scene)  # first call pays one-off allocations (imports, caches)
+    def test_allocates_no_grid(self, scene):
+        camera, lidar = scene.camera_grid.copy(), scene.lidar_grid.copy()
+        args = (scene.camera_proposals, scene.lidar_proposals, SMALL)
+        run_fusion(camera, lidar, *args)  # first call pays one-off allocations (imports, caches)
         gc.collect()
         tracemalloc.start()
         try:
-            result = run(scene)
+            run_fusion(camera, lidar, *args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.1 * result.fused.data.nbytes
+        # The refine's H x W attention vector is 1/12 of the two 5/7-channel
+        # grids; a copy of the smaller grid would be 5/12.
+        assert peak <= 0.25 * (camera.data.nbytes + lidar.data.nbytes)
 
     def test_all_finite(self, scene):
-        result = run(scene)
+        _, camera, lidar = run(scene)
         context = global_context_refine(
             scene.camera_grid, build_context_weights(SMALL.camera_channels)
         )
         assert np.isfinite(context).all()
-        for grid in (result.enhanced_camera, result.enhanced_lidar, result.fused):
+        for grid in (camera, lidar):
             assert np.isfinite(grid.data).all()
 
 
 DEEP_SMALL = replace(SMALL, camera_channels=80, lidar_channels=128)
 
 
+def case_config(seed):
+    """Scene seeds alternate 5/7 and 80/128 channels."""
+    return (SMALL, DEEP_SMALL)[seed % 2]
+
+
 def refine_case(seed):
     """Camera and LiDAR grids: seeds 0-19 noise of several depths, 20-29 scenes."""
     if seed >= 20:
-        scene = generate_scene((SMALL, DEEP_SMALL)[seed % 2], seed, 10, "mixed")
+        scene = generate_scene(case_config(seed), seed, 10, "mixed")
         return scene.camera_grid, scene.lidar_grid
     rng = np.random.default_rng(seed)
     h, w = (int(n) for n in rng.integers(4, 72, size=2))
@@ -172,6 +161,26 @@ class TestRefineOnFusedSlice:
         finally:
             tracemalloc.stop()
         assert peak <= 0.05 * view.data.nbytes
+
+
+class TestRunFusionOnFusedViews:
+    """`run_fusion` on the channel views of a fused buffer enhances the buffer
+    exactly as it enhances contiguous grids."""
+
+    @pytest.mark.parametrize("seed", range(20, 30))
+    def test_equals_the_contiguous_run(self, seed):
+        config = case_config(seed)
+        scene = generate_scene(config, seed, 10, "mixed")
+        args = (scene.camera_proposals, scene.lidar_proposals, config)
+        c_l = config.lidar_channels
+        fused = fuse_grids(scene.camera_grid, scene.lidar_grid)
+        raw = fused.data.copy()
+        got = run_fusion(BevGrid(scene.camera_grid.spec, fused.data[:, :, c_l:]),
+                         BevGrid(scene.lidar_grid.spec, fused.data[:, :, :c_l]), *args)
+        want = run_fusion(scene.camera_grid, scene.lidar_grid, *args)
+        assert pair_sets_to_dict(got) == pair_sets_to_dict(want)
+        assert fused.data.tobytes() == fuse_grids(scene.camera_grid, scene.lidar_grid).data.tobytes()
+        assert not np.array_equal(fused.data, raw), "the scene should enhance some cell"
 
 
 class TestProjectionWiring:
