@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ContractError
 from .formats import _finite, _integral, load_json
 from .grid import GridSpec
 from .instances import DEFAULT_STRATEGY, SAMPLING_STRATEGIES
@@ -44,6 +44,10 @@ class PipelineConfig:
             raise ConfigurationError(f"unknown sampling strategy {self.sampling_strategy!r}")
         if len(self.lambdas) != 4:
             raise ConfigurationError("lambdas must have exactly four entries")
+        try:
+            self.loss_weights()
+        except ContractError as exc:
+            raise ConfigurationError(str(exc)) from exc
 
     def camera_spec(self) -> GridSpec:
         return GridSpec(

@@ -112,7 +112,7 @@ def write_grid(
         "x_range": list(spec.x_range),
         "y_range": list(spec.y_range),
     }
-    Path(f"{target}.json").write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
+    save_json(sidecar, f"{target}.json")
 
 
 def _rows_per_block(spec: GridSpec) -> int:
@@ -410,9 +410,7 @@ def pair_sets_to_dict(sets: PairSets) -> dict:
 
 
 def save_pair_sets(sets: PairSets, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(pair_sets_to_dict(sets), sort_keys=True, indent=2) + "\n"
-    )
+    save_json(pair_sets_to_dict(sets), path)
 
 
 def save_json(obj: dict, path: str | Path) -> None:

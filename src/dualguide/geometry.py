@@ -3,9 +3,8 @@
 Box attribute layout is fixed project-wide as (x, y, z, w, l, h, yaw, vx, vy):
 w is the extent along the box heading axis, l the lateral extent, h vertical.
 
-Rotated-rectangle IoU has one kernel, `rotated_iou_pairs`, batched over
-aligned footprint pairs; `overlap_candidates` is the circumradius prune that
-picks which pairs of two footprint sets to send to it. The kernel runs
+Rotated-rectangle IoU has one call, `overlap_ious`: it prunes the pairs of
+two footprint sets by circumradius and scores the rest. The kernel runs
 Sutherland-Hodgman clipping on padded (pairs, vertex slot) arrays, one
 clip edge at a time, and the shoelace as one masked addition per vertex
 slot. Each IoU thus takes exactly the IEEE operations, in the same order,
@@ -111,25 +110,6 @@ def footprint_points(rects: Sequence[RotatedRect], signs: np.ndarray) -> np.ndar
     return (p[:, None, 0:2] + signs[:, 0:1] * hu) + signs[:, 1:2] * hv
 
 
-def overlap_candidates(
-    a: Sequence[RotatedRect], b: Sequence[RotatedRect]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i, j), row-major, whose footprints a[i] and b[j] may overlap.
-
-    Footprints whose centers lie farther apart than the sum of their
-    circumradii cannot overlap, so every other pair has IoU 0.
-    """
-    if not a or not b:
-        empty = np.zeros(0, dtype=np.intp)
-        return empty, empty
-    ca = np.array([r.center for r in a], dtype=np.float64)
-    cb = np.array([r.center for r in b], dtype=np.float64)
-    ra = np.array([math.hypot(*r.extent) / 2.0 for r in a])
-    rb = np.array([math.hypot(*r.extent) / 2.0 for r in b])
-    dist2 = ((ca[:, None, :] - cb[None, :, :]) ** 2).sum(axis=2)
-    return np.nonzero(dist2 <= (ra[:, None] + rb[None, :]) ** 2)
-
-
 def _clip_step(
     px: np.ndarray, py: np.ndarray, count: np.ndarray, edge_from: np.ndarray, edge_to: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -194,21 +174,35 @@ def _intersection_areas(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
     return np.abs(0.5 * area)
 
 
-def rotated_iou_pairs(a: Sequence[RotatedRect], b: Sequence[RotatedRect]) -> np.ndarray:
-    """IoU of each footprint pair (a[k], b[k]); 0 where the union has no area.
+def overlap_ious(
+    a: Sequence[RotatedRect], b: Sequence[RotatedRect]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(i, j, iou), row-major over the pairs whose footprints a[i] and b[j] may overlap.
 
-    Values are capped at 1: on near-identical footprints the shoelace
-    rounding can make the overlap exceed a footprint's own area.
+    Footprints whose centers lie farther apart than the sum of their
+    circumradii cannot overlap, so every pair left out has IoU 0. The IoU is
+    0 where the union has no area and is capped at 1: on near-identical
+    footprints the shoelace rounding can make the overlap exceed a
+    footprint's own area.
     """
-    if len(a) != len(b):
-        raise ContractError(f"{len(a)} footprints paired with {len(b)}")
+    if not a or not b:
+        empty = np.zeros(0, dtype=np.intp)
+        return empty, empty, np.zeros(0)
+    ca = np.array([r.center for r in a], dtype=np.float64)
+    cb = np.array([r.center for r in b], dtype=np.float64)
+    ra = np.array([math.hypot(*r.extent) / 2.0 for r in a])
+    rb = np.array([math.hypot(*r.extent) / 2.0 for r in b])
+    dist2 = ((ca[:, None, :] - cb[None, :, :]) ** 2).sum(axis=2)
+    i, j = np.nonzero(dist2 <= (ra[:, None] + rb[None, :]) ** 2)
     inter = _intersection_areas(
-        footprint_points(a, CORNER_SIGNS), footprint_points(b, CORNER_SIGNS)
+        footprint_points(a, CORNER_SIGNS)[i], footprint_points(b, CORNER_SIGNS)[j]
     )
-    union = np.array([ra.area + rb.area for ra, rb in zip(a, b)], dtype=np.float64) - inter
-    iou = np.zeros(len(a))
+    area_a = np.array([r.area for r in a], dtype=np.float64)
+    area_b = np.array([r.area for r in b], dtype=np.float64)
+    union = (area_a[i] + area_b[j]) - inter
+    iou = np.zeros(len(i))
     np.divide(inter, union, out=iou, where=union > 0.0)
-    return np.minimum(iou, 1.0, out=iou)
+    return i, j, np.minimum(iou, 1.0, out=iou)
 
 
 def center_distance_bev(a: Box3D, b: Box3D) -> float:

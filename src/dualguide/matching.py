@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import RotatedRect, overlap_candidates, project_to_bev, rotated_iou_pairs
+from .geometry import RotatedRect, overlap_ious, project_to_bev
 from .instances import InstanceFeature
 from .taxonomy import same_group
 
@@ -71,10 +71,7 @@ def match_by_overlap(
     matched_camera); the matched lists are index-aligned with the pair list,
     and every element carries its original instance-list index.
     """
-    lrects = _footprints(lidar)
-    crects = _footprints(camera)
-    li, cj = overlap_candidates(lrects, crects)
-    ious = rotated_iou_pairs([lrects[i] for i in li], [crects[j] for j in cj])
+    li, cj, ious = overlap_ious(_footprints(lidar), _footprints(camera))
     candidates = [
         (iou, i, j)
         for iou, i, j in zip(ious.tolist(), li.tolist(), cj.tolist())

@@ -19,14 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ContractError
-from .geometry import (
-    Box3D,
-    overlap_candidates,
-    points_in_box,
-    project_to_bev,
-    rotated_iou_pairs,
-    volume,
-)
+from .geometry import Box3D, overlap_ious, points_in_box, project_to_bev, volume
 from .taxonomy import NUM_CLASSES
 
 DIST_THRESHOLDS = (0.5, 1.0, 2.0, 4.0)
@@ -153,8 +146,10 @@ def recall_at_iou(
 
     Detections are consumed in descending score; each takes the unmatched
     ground truth of highest IoU when that IoU clears the threshold. None is
-    reported when there is no ground truth at all.
+    reported when there is no ground truth at all. Thresholds must be > 0.
     """
+    if not all(t > 0.0 for t in iou_thresholds):
+        raise ContractError(f"IoU thresholds must be > 0, got {iou_thresholds}")
     tables = _PairTables(dets, gts, iou_thresholds=iou_thresholds)
     return tables.recalls(tables.all_dets, tables.all_gts)
 
@@ -263,13 +258,11 @@ class _PairTables:
 
     @cached_property
     def iou(self) -> tuple:
-        det_rects, gt_rects = ([project_to_bev(x.box) for x in xs] for xs in (self.dets, self.gts))
-        # Cells the circumradius prune skips stay 0, their IoU.
-        di, gj = overlap_candidates(det_rects, gt_rects)
-        iou = np.zeros((len(det_rects), len(gt_rects)))
-        iou[di, gj] = rotated_iou_pairs([det_rects[i] for i in di], [gt_rects[j] for j in gj])
-        rows, cols = np.nonzero(iou >= min(self.iou_thresholds, default=math.inf))
-        return _sorted_candidates(rows, cols, iou[rows, cols])
+        # Pairs the circumradius prune leaves out have IoU 0, below every threshold.
+        rects = ([project_to_bev(x.box) for x in xs] for xs in (self.dets, self.gts))
+        rows, cols, iou = overlap_ious(*rects)
+        keep = iou >= min(self.iou_thresholds, default=math.inf)
+        return _sorted_candidates(rows[keep], cols[keep], iou[keep])
 
     def class_aps(self, det_in: np.ndarray, gt_in: np.ndarray) -> dict:
         """AP per class and distance threshold over the masked rows and columns.

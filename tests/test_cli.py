@@ -83,6 +83,7 @@ class TestExitCodes:
         ("gen", {"y_range": [0, 1, 2]}, "y_range must be a list of 2 numbers"),
         ("gen", {"grouping_strategy": 3}, "grouping_strategy must be a string, got 3"),
         ("gen", {"excitation_path": 5}, "excitation_path must be a string or null, got 5"),
+        ("gen", {"lambdas": [-1, 0, 0, 0]}, "loss weights must be finite and >= 0"),
         ("gen", [0.5], "config must be a JSON object, got [0.5]"),
         ("match", {"height_cells": 1.5}, "height_cells must be an integer, got 1.5"),
     ])

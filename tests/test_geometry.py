@@ -16,18 +16,31 @@ from dualguide.geometry import (
     center_distance_bev,
     footprint_points,
     normalize_yaw,
-    overlap_candidates,
+    overlap_ious,
     points_in_box,
     project_to_bev,
-    rotated_iou_pairs,
     volume,
 )
 from dualguide.instances import STRATEGY_KEY_POINTS
 
 
 def rotated_iou_2d(a: RotatedRect, b: RotatedRect) -> float:
-    """IoU of one footprint pair through the batched kernel."""
-    return float(rotated_iou_pairs([a], [b])[0])
+    """IoU of one footprint pair through `overlap_ious`; 0 when the prune drops it."""
+    iou = overlap_ious([a], [b])[2]
+    return float(iou[0]) if len(iou) else 0.0
+
+
+def aligned_ious(first: list[RotatedRect], second: list[RotatedRect]) -> np.ndarray:
+    """IoU of each pair (first[k], second[k]) through `overlap_ious`, 0 where it prunes the pair.
+
+    Each block of 32 pairs is scored as one cross product, of which the diagonal is kept.
+    """
+    block = 32
+    out = np.zeros(len(first))
+    for s in range(0, len(first), block):
+        i, j, iou = overlap_ious(first[s:s + block], second[s:s + block])
+        out[s + i[i == j]] = iou[i == j]
+    return out
 
 
 def oracle_corners(rect: RotatedRect) -> np.ndarray:
@@ -399,14 +412,14 @@ class TestBatchedKernel:
             first, second = oracle_pair_set(rng, kind, n)
             expected = np.array([oracle_iou(a, b) for a, b in zip(first, second)])
             # The kernel caps the oracle's rounding overshoot above 1.
-            assert np.array_equal(rotated_iou_pairs(first, second), np.minimum(expected, 1.0)), kind
+            assert np.array_equal(aligned_ious(first, second), np.minimum(expected, 1.0)), kind
             total += n
         assert total >= 20000
 
     def test_pair_kinds_reach_their_geometry(self):
         rng = np.random.default_rng(21)
         ious = {
-            kind: rotated_iou_pairs(*oracle_pair_set(rng, kind, 200))
+            kind: aligned_ious(*oracle_pair_set(rng, kind, 200))
             for kind in ORACLE_PAIR_KINDS
         }
         assert (ious["identical"] > 1.0 - 1e-12).all()
@@ -434,31 +447,21 @@ class TestBatchedKernel:
         assert oracle_iou(rect, rect) > 1.0
         assert rotated_iou_2d(rect, rect) == 1.0
 
-    def test_empty_and_mismatched_batches(self):
-        assert rotated_iou_pairs([], []).shape == (0,)
-        with pytest.raises(ContractError):
-            rotated_iou_pairs([random_rect(np.random.default_rng(24))], [])
 
+def assert_matches_oracle(a: list[RotatedRect], b: list[RotatedRect]) -> int:
+    """Check `overlap_ious(a, b)` against the scalar oracle; returns how many pairs it kept.
 
-class TestOverlapCandidates:
-    def test_keeps_every_overlapping_pair_in_row_major_order(self):
-        rng = np.random.default_rng(25)
-        a = [random_rect(rng) for _ in range(40)]
-        b = [random_rect(rng) for _ in range(30)]
-        ia, ib = overlap_candidates(a, b)
-        kept = list(zip(ia.tolist(), ib.tolist()))
-        assert kept == sorted(kept)
-        assert 0 < len(kept) < len(a) * len(b)
-        for i in range(len(a)):
-            for j in range(len(b)):
-                if (i, j) not in kept:
-                    assert oracle_iou(a[i], b[j]) == 0.0
-
-    def test_empty_side(self):
-        rect = RotatedRect((0, 0), (1, 1), 0.0)
-        for a, b in (([], [rect]), ([rect], []), ([], [])):
-            ia, ib = overlap_candidates(a, b)
-            assert ia.shape == ib.shape == (0,)
+    The pairs come in row-major order, each IoU equals the capped oracle's bit
+    for bit, and every pair left out has oracle IoU 0.
+    """
+    ia, ib, iou = overlap_ious(a, b)
+    kept = list(zip(ia.tolist(), ib.tolist()))
+    assert kept == sorted(set(kept))
+    expected = np.array([min(oracle_iou(a[i], b[j]), 1.0) for i, j in kept], dtype=np.float64)
+    assert iou.tobytes() == expected.tobytes()
+    left_out = {(i, j) for i in range(len(a)) for j in range(len(b))} - set(kept)
+    assert all(oracle_iou(a[i], b[j]) == 0.0 for i, j in left_out)
+    return len(kept)
 
 
 finite_rects = st.builds(
@@ -467,6 +470,26 @@ finite_rects = st.builds(
     extent=st.tuples(st.floats(0.1, 10), st.floats(0.1, 10)),
     yaw=st.floats(-math.pi, math.pi),
 )
+
+
+class TestOverlapIous:
+    def test_keeps_every_overlapping_pair_in_row_major_order(self):
+        rng = np.random.default_rng(25)
+        a = [random_rect(rng) for _ in range(40)]
+        b = [random_rect(rng) for _ in range(30)]
+        assert 0 < assert_matches_oracle(a, b) < len(a) * len(b)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(finite_rects, max_size=8), st.lists(finite_rects, max_size=8))
+    def test_random_footprint_sets_match_capped_oracle(self, a, b):
+        assert_matches_oracle(a, b)
+
+    def test_empty_side(self):
+        rect = RotatedRect((0, 0), (1, 1), 0.0)
+        for a, b in (([], [rect]), ([rect], []), ([], [])):
+            ia, ib, iou = overlap_ious(a, b)
+            assert ia.shape == ib.shape == iou.shape == (0,)
+            assert ia.dtype == ib.dtype == np.intp
 
 
 def shoelace_tolerance(*rects: RotatedRect) -> float:
@@ -485,7 +508,7 @@ class TestIouProperties:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(finite_rects, finite_rects)
     def test_symmetric_and_in_unit_interval(self, a, b):
-        iou_ab, iou_ba = rotated_iou_pairs([a, b], [b, a])
+        iou_ab, iou_ba = rotated_iou_2d(a, b), rotated_iou_2d(b, a)
         assert 0.0 <= iou_ab <= 1.0
         assert iou_ab == pytest.approx(iou_ba, abs=shoelace_tolerance(a, b))
         assert iou_ab == min(oracle_iou(a, b), 1.0)

@@ -5,13 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualguide.geometry import (
-    Box3D,
-    center_distance_bev,
-    overlap_candidates,
-    project_to_bev,
-    rotated_iou_pairs,
-)
+from dualguide.errors import ContractError
+from dualguide.geometry import Box3D, center_distance_bev, overlap_ious, project_to_bev
 from dualguide.metrics import (
     AXES,
     AXIS_BINS,
@@ -373,6 +368,12 @@ class TestRecallAtIou:
         recalls = recall_at_iou([det(0, 0, 0.9)], [])
         assert all(v is None for v in recalls.values())
 
+    @pytest.mark.parametrize("thresholds", [(0.0,), (0.5, -0.1), (float("nan"),)])
+    def test_non_positive_threshold_rejected(self, thresholds):
+        # A pair the circumradius prune leaves out has IoU 0, which only such a threshold clears.
+        with pytest.raises(ContractError, match="must be > 0"):
+            recall_at_iou([det(0, 0, 0.9)], [gt(5, 0)], thresholds)
+
     def test_partial_overlap_scene_hand_counted(self):
         gts = [gt(0, 0), gt(10, 0, w=2, l=2), gt(20, 0)]
         dets = [
@@ -488,11 +489,10 @@ def oracle_evaluate(dets, gts, label="all"):
                 for t in DIST_THRESHOLDS
             }
     if gts:
-        det_rects = [project_to_bev(d.box) for d in dets]
-        gt_rects = [project_to_bev(g.box) for g in gts]
-        di, gj = overlap_candidates(det_rects, gt_rects)
+        di, gj, pair_iou = overlap_ious([project_to_bev(d.box) for d in dets],
+                                        [project_to_bev(g.box) for g in gts])
         iou = np.zeros((len(dets), len(gts)))
-        iou[di, gj] = rotated_iou_pairs([det_rects[i] for i in di], [gt_rects[j] for j in gj])
+        iou[di, gj] = pair_iou
         order = score_order(dets)
         recall = {
             t: int(oracle_greedy_hits(iou, order, t).sum()) / len(gts) for t in IOU_THRESHOLDS
