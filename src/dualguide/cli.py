@@ -8,11 +8,14 @@ success, 1 on usage errors, 2 on data/configuration errors.
 
 `gen` renders each grid file in row blocks while writing it
 (`synth.generate_scene_files`), so it never holds a grid. `fuse`, `match`
-and `loss` load their scene with `synth.load_scene`, one contiguous array
-per grid. `fuse` matches and enhances the two grids in place
-(`pipeline.run_fusion`, or `pipeline.run_matching` alone under
-`--no-enhance`) and streams `fused.bevg` from them, so it holds the camera
-and LiDAR grids and no concatenation.
+and `loss` open their scene with `pipeline.open_scene`: the camera grid in
+one contiguous array, and of the LiDAR grid only the cells the front stage
+samples, gathered in one checked pass through a handle that stays open.
+`fuse` enhances the camera grid in place and takes the LiDAR updates as
+cell patches (`pipeline.run_enhancement`, or `pipeline.run_matching` alone
+under `--no-enhance`). It then streams the LiDAR rows through the same
+handle, patched, into `enhanced_lidar.bevg` and `fused.bevg`, so it holds
+the camera grid and no LiDAR grid or concatenation.
 `eval`'s energy readout reads the energy map from the grid file in row
 blocks and never holds the grid.
 """
@@ -41,14 +44,13 @@ from .metrics import (
     stratified_eval,
     visibility_histogram,
 )
-from .pipeline import build_projections, run_fusion, run_matching
+from .grid import BevGrid
+from .pipeline import build_projections, open_scene, run_enhancement, run_matching
 from .synth import (
     GAP_PROFILES,
     READOUT_CLASS,
-    Scene,
     energy_peak_detections,
     generate_scene_files,
-    load_scene,
     read_cell_energy,
     scene_paths,
 )
@@ -79,12 +81,6 @@ _PIPELINE_DESTS = ("gamma", "eta", "sampling_strategy", "grouping_strategy")
 
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
     return load_config(args.config, **{d: getattr(args, d) for d in _PIPELINE_DESTS})
-
-
-def _scene_and_config(args: argparse.Namespace) -> tuple[Scene, PipelineConfig]:
-    """The scene named by --scene and the config from the flags."""
-    config = _config_from_args(args)  # checked before the scene loads
-    return load_scene(args.scene), config
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -148,17 +144,20 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuse(args: argparse.Namespace) -> int:
-    scene, config = _scene_and_config(args)
-    out = Path(args.out) if args.out else Path(args.scene).parent
-    out.mkdir(parents=True, exist_ok=True)
-    fusion = run_matching if args.no_enhance else run_fusion
-    pairs = fusion(
-        scene.camera_grid, scene.lidar_grid,
-        scene.camera_proposals, scene.lidar_proposals, config,
-    )
-    formats.save_grid(scene.camera_grid, out / "enhanced_camera.bevg")
-    formats.save_grid(scene.lidar_grid, out / "enhanced_lidar.bevg")
-    formats.save_grid(scene.lidar_grid, out / "fused.bevg", scene.camera_grid)
+    config = _config_from_args(args)  # checked before the scene loads
+    with open_scene(args.scene, config) as scene:
+        out = Path(args.out) if args.out else Path(args.scene).parent
+        out.mkdir(parents=True, exist_ok=True)
+        camera, lidar = scene.camera_grid, scene.lidar_grid
+        inputs = (camera, lidar, scene.camera_proposals, scene.lidar_proposals, config)
+        if args.no_enhance:
+            pairs = run_matching(*inputs)
+        else:
+            pairs, patches = run_enhancement(*inputs)
+            lidar = BevGrid(lidar.spec, replace(lidar.data, patches=patches))
+        formats.save_grid(camera, out / "enhanced_camera.bevg")
+        formats.save_grid(lidar, out / "enhanced_lidar.bevg")
+        formats.save_grid(lidar, out / "fused.bevg", camera)
     formats.save_pair_sets(pairs, out / "pairs.json")
     log.info(
         "fused %d easy / %d camera-hard / %d lidar-hard pairs",
@@ -169,11 +168,10 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
 
 
 def _cmd_match(args: argparse.Namespace) -> int:
-    scene, config = _scene_and_config(args)
-    pairs = run_matching(
-        scene.camera_grid, scene.lidar_grid,
-        scene.camera_proposals, scene.lidar_proposals, config,
-    )
+    config = _config_from_args(args)
+    with open_scene(args.scene, config) as scene:
+        pairs = run_matching(scene.camera_grid, scene.lidar_grid,
+                             scene.camera_proposals, scene.lidar_proposals, config)
     out = Path(args.out) if args.out else Path(args.scene).parent / "pairs.json"
     formats.save_pair_sets(pairs, out)
     print(out)
@@ -245,20 +243,17 @@ def _cmd_loss(args: argparse.Namespace) -> int:
         raise DataFormatError(f"{args.components}: missing section {exc}") from exc
 
     cosine = components.get("cosine")
+    config = _config_from_args(args)
     if args.scene:
-        scene, config = _scene_and_config(args)
-        pairs = run_matching(
-            scene.camera_grid, scene.lidar_grid,
-            scene.camera_proposals, scene.lidar_proposals, config,
-        )
+        with open_scene(args.scene, config) as scene:
+            pairs = run_matching(scene.camera_grid, scene.lidar_grid,
+                                 scene.camera_proposals, scene.lidar_proposals, config)
         projections = build_projections(
             config, scene.camera_grid.spec.channels, scene.lidar_grid.spec.channels
         )
         cosine = pair_cosine_loss(
             pairs.easy, projections.lidar_squeeze, projections.camera_squeeze
         )
-    else:
-        config = _config_from_args(args)
     total, history = composite_loss(
         l_head, l_lidar, l_camera, cosine,
         config.loss_weights(), RunningMax(args.history),

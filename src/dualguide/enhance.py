@@ -9,9 +9,13 @@ instance center with the projected camera guide feature, weighted by the
 pair's normalized center distance; every write reads the original grid, so
 overlapping pairs are last-write-wins. Cells no pair addresses are untouched.
 
-Both enhancers update the grid they are given, which may be a channel view
-of a fused grid, and return it; copy the grid first to keep the input. Each
-reads an original value before any write changes it.
+`enhance_camera_grid` updates the grid it is given, which may be a channel
+view of a fused grid, and returns it; copy the grid first to keep the
+input. Each write reads an original value before any write changes it.
+`enhance_lidar_grid` reads no LiDAR value: it returns its updates as
+`CellPatches`, one per cell, which `CellPatches.apply` adds to a grid in
+memory or to any block of its rows, such as float32 rows streamed from its
+file.
 """
 
 from __future__ import annotations
@@ -99,12 +103,33 @@ def nearest_cell(coord: tuple[float, float], spec: GridSpec) -> tuple[np.ndarray
     return r.astype(np.intp), c.astype(np.intp)
 
 
-def _check_projection(grid: BevGrid, proj: Projection) -> None:
-    if proj.target_channels != grid.spec.channels:
+def _check_projection(spec: GridSpec, proj: Projection) -> None:
+    if proj.target_channels != spec.channels:
         raise ConfigurationError(
-            f"projection target {proj.target_channels} != grid channels "
-            f"{grid.spec.channels}"
+            f"projection target {proj.target_channels} != grid channels {spec.channels}"
         )
+
+
+@dataclass(frozen=True)
+class CellPatches:
+    """Additive updates to distinct cells of a grid, in row-major cell order.
+
+    Cell (rows[k], cols[k]) gains updates[k], a C-vector.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    updates: np.ndarray
+
+    def apply(self, block: np.ndarray, first_row: int = 0) -> None:
+        """Add the updates of the cells in `block`, the grid's rows first_row onwards.
+
+        Each sum is taken in float64 and stored in the block's dtype, so a
+        float32 block of file rows gets the bits a saved float64 grid gets.
+        """
+        i, j = np.searchsorted(self.rows, (first_row, first_row + len(block)))
+        rows, cols = self.rows[i:j] - first_row, self.cols[i:j]
+        block[rows, cols] = block[rows, cols] + self.updates[i:j]
 
 
 def enhance_camera_grid(
@@ -121,7 +146,7 @@ def enhance_camera_grid(
     grid value for easy pairs and the running enhanced value for camera-hard
     pairs, which therefore accumulate. Returns `camera_grid`, updated.
     """
-    _check_projection(camera_grid, proj)
+    _check_projection(camera_grid.spec, proj)
     spec = camera_grid.spec
     pairs = easy_pairs + camera_hard_pairs
     centers = np.array([member_of(p, "camera").bev_center for p in pairs]).reshape(-1, 2)
@@ -140,31 +165,30 @@ def enhance_camera_grid(
 
 
 def enhance_lidar_grid(
-    lidar_grid: BevGrid,
+    spec: GridSpec,
     lidar_hard_pairs: list[InstancePair],
     proj: Projection,
-) -> BevGrid:
-    """Image-guided enhancement of the LiDAR grid, in place.
+) -> CellPatches:
+    """Image-guided enhancement of a LiDAR grid of `spec`, as cell patches.
 
     Each pair adds its distance-weighted projected camera guide feature to
     the four cells surrounding the hard LiDAR instance center. Writes read
-    the original grid, so pairs sharing a cell do not stack. Returns
-    `lidar_grid`, updated.
+    the original grid, so pairs sharing a cell do not stack: a cell ends as
+    its original plus the last update addressed to it, and that update is
+    its patch.
     """
-    _check_projection(lidar_grid, proj)
-    spec = lidar_grid.spec
+    _check_projection(spec, proj)
     weights = pair_distance_weights(lidar_hard_pairs)
-    # Each write reads the original grid, so a cell ends as its original plus
-    # the last update addressed to it: write that alone, once per cell.
     last_update = {}
     for pair, w in zip(lidar_hard_pairs, weights):
         coord = world_to_grid(member_of(pair, "lidar").bev_center, spec)
         update = proj.apply(member_of(pair, "camera").raw) * w
         for cell in surrounding_cells(coord, spec):
             last_update[cell] = update
-    for cell, update in last_update.items():
-        lidar_grid.data[cell] += update
-    return lidar_grid
+    cells = sorted(last_update)
+    rows, cols = np.array(cells, dtype=np.intp).reshape(-1, 2).T
+    updates = np.array([last_update[cell] for cell in cells]).reshape(-1, spec.channels)
+    return CellPatches(rows, cols, updates)
 
 
 def fused_spec(camera_spec: GridSpec, lidar_spec: GridSpec) -> GridSpec:

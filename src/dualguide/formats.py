@@ -5,11 +5,13 @@ u32 C, x_range and y_range as f64 pairs, then H*W*C f32 values row-major
 by (row, col, channel). A JSON sidecar (the grid file's path + ".json")
 mirrors the header for inspection. `grid_blocks` is the one grid reader: it
 checks the header and the file size before anything is allocated, then
-yields the payload in f32 blocks of rows; `load_grid` fills a new f64 array
-from it. `write_grid` is the one grid writer: it asks a fill function for
-each f32 block of rows, so no full-grid copy is held. `save_grid` is that
-writer over the rows of one grid in memory, or of the channel concatenation
-of several, which it never builds. The writer replaces an existing file
+yields the payload in f32 blocks of rows, from a path or an open handle;
+`load_grid` fills a new f64 array from it, and `read_grid_rows` reads rows
+again through an open handle. `write_grid` is the one grid writer: it asks
+a fill function for each f32 block of rows, so no full-grid copy is held.
+`save_grid` is that writer over the rows of one grid, or of the channel
+concatenation of several, which it never builds; a grid's rows may come
+from memory or, for a gathered grid, from its file. The writer replaces an existing file
 with a new one and never truncates it in place, so a hard link to the old
 file keeps the old bytes; a symlinked path is written at its target, and
 the sidecar beside the target. Projection files are magic "PROJ", u32 rows,
@@ -26,9 +28,11 @@ import math
 import os
 import struct
 from collections.abc import Callable, Iterator
+from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 from tokenize import TokenError
+from typing import BinaryIO
 
 import numpy as np
 
@@ -119,18 +123,22 @@ def _rows_per_block(spec: GridSpec) -> int:
     return max(1, _GRID_BLOCK_BYTES // (spec.width_cells * spec.channels * 4))
 
 
-def grid_blocks(path: str | Path) -> Iterator:
+def grid_blocks(source: str | Path | BinaryIO) -> Iterator:
     """Yield a grid file's spec, then its payload in blocks of rows.
 
-    The header (magic, version, values) and the file size it implies are
-    checked before the spec is yielded, so taking only the spec reads only
-    the header. Each block is `(first_row, values)`, `values` an f32 array
-    of shape (rows, W, C) that the next block overwrites. Non-finite values
-    raise a DataFormatError after the last block, so what a caller builds
-    from the blocks is valid only once the iteration has finished.
+    `source` is a path, or a grid file open for binary reading, which is
+    read from its start and left open. The header (magic, version, values)
+    and the file size it implies are checked before the spec is yielded,
+    so taking only the spec reads only the header. Each block is
+    `(first_row, values)`, `values` an f32 array of shape (rows, W, C) that
+    the next block overwrites. Non-finite values raise a DataFormatError
+    after the last block, so what a caller builds from the blocks is valid
+    only once the iteration has finished.
     """
-    path = Path(path)
-    with path.open("rb") as f:
+    opened = nullcontext(source) if hasattr(source, "readinto") else open(source, "rb")
+    with opened as f:
+        path = Path(f.name)
+        f.seek(0)
         head = f.read(_GRID_HEADER.size)
         if len(head) < _GRID_HEADER.size:
             raise DataFormatError(f"{path}: truncated grid header")
@@ -161,6 +169,17 @@ def grid_blocks(path: str | Path) -> Iterator:
             yield r, values
     if bad:
         raise DataFormatError(f"{path}: {bad} non-finite grid values")
+
+
+def read_grid_rows(f: BinaryIO, spec: GridSpec, first_row: int, out: np.ndarray) -> None:
+    """Read rows first_row onwards of an open grid file of `spec` into `out`.
+
+    `out` is a contiguous f32 array of shape (rows, W, C). A file that ends
+    before them raises DataFormatError.
+    """
+    f.seek(_GRID_HEADER.size + first_row * spec.width_cells * spec.channels * 4)
+    if f.readinto(out) != out.nbytes:
+        raise DataFormatError(f"{Path(f.name)}: payload ends before row {first_row + len(out)}")
 
 
 def load_grid(path: str | Path) -> BevGrid:

@@ -10,11 +10,12 @@ Rows follow y, columns follow x.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ContractError
 
 
 @dataclass(frozen=True)
@@ -61,19 +62,68 @@ class GridSpec:
         )
 
 
+@dataclass(frozen=True)
+class GatheredCells:
+    """Some cells of an H x W x C grid, held without the grid.
+
+    `cells[rows, cols]`, for integer arrays, reads the gathered cells as the
+    grid's array would: a new float64 array of shape (N, C). Reading a cell
+    that was not gathered raises ContractError. `cells[a:b]` reads rows
+    a..b-1 whole, in float32, through `read_rows(first_row, out)` and adds
+    `patches` (an `enhance.CellPatches`) to them, so `formats.save_grid`
+    streams the patched grid.
+    """
+
+    shape: tuple[int, int, int]
+    slots: np.ndarray = field(repr=False)   # (H, W): row of `values`, -1 if not gathered
+    values: np.ndarray = field(repr=False)  # (N, C) float64
+    read_rows: Callable[[int, np.ndarray], None] = field(repr=False)
+    patches: object = None
+
+    @classmethod
+    def gather(cls, spec: GridSpec, rows: np.ndarray, cols: np.ndarray, blocks,
+               read_rows: Callable[[int, np.ndarray], None]) -> "GatheredCells":
+        """Gather cells (rows[k], cols[k]) from every `(first_row, values)` row block."""
+        shape = (spec.height_cells, spec.width_cells, spec.channels)
+        flat = np.unique(np.ravel_multi_index((rows, cols), shape[:2]))
+        slots = np.full(shape[:2], -1, dtype=np.int32)
+        slots.flat[flat] = np.arange(len(flat))
+        values = np.empty((len(flat), spec.channels))
+        cell_rows, cell_cols = np.divmod(flat, spec.width_cells)
+        for first, block in blocks:
+            i, j = np.searchsorted(cell_rows, (first, first + len(block)))
+            values[i:j] = block[cell_rows[i:j] - first, cell_cols[i:j]]
+        return cls(shape, slots, values, read_rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            first, stop, _ = index.indices(self.shape[0])
+            out = np.empty((stop - first, *self.shape[1:]), dtype="<f4")
+            self.read_rows(first, out)
+            if self.patches is not None:
+                self.patches.apply(out, first)
+            return out
+        slots = self.slots[index]
+        if (slots < 0).any():
+            raise ContractError("read of a grid cell that was not gathered")
+        return self.values[slots]
+
+
 @dataclass
 class BevGrid:
-    """Dense H x W x C feature map over a GridSpec window.
+    """H x W x C feature map over a GridSpec window.
 
-    `data` is float64 in memory (file storage rounds to float32, see formats).
+    `data` is a dense float64 array (file storage rounds to float32, see
+    formats), or `GatheredCells` for a grid read only at some cells.
     """
 
     spec: GridSpec
-    data: np.ndarray = field(repr=False)
+    data: np.ndarray | GatheredCells = field(repr=False)
 
     def __post_init__(self) -> None:
         expected = (self.spec.height_cells, self.spec.width_cells, self.spec.channels)
-        self.data = np.asarray(self.data, dtype=np.float64)
+        if not isinstance(self.data, GatheredCells):
+            self.data = np.asarray(self.data, dtype=np.float64)
         if self.data.shape != expected:
             raise ConfigurationError(
                 f"grid data shape {self.data.shape} does not match spec {expected}"
@@ -132,20 +182,15 @@ def grid_to_world(coord: tuple[float, float], spec: GridSpec) -> tuple[float, fl
     return x, y
 
 
-def bilinear_sample(
-    grid: BevGrid, coord: tuple[float, float], offset: np.ndarray | None = None
-) -> np.ndarray:
-    """Sample C-vectors at fractional (row, col) coordinates by 4-cell blending.
+def bilinear_corners(coord: tuple[float, float], spec: GridSpec) -> tuple[np.ndarray, ...]:
+    """The cells and fractions `bilinear_sample` blends at (row, col) coordinates.
 
-    row and col may be numbers or numpy arrays of one shape S; the result
-    is (*S, C). Coordinates are clamped to [0, H-1] x [0, W-1] first (border
-    replicate), so any finite input is valid. Exact at integer coordinates.
-    An `offset` C-vector is added to each gathered corner before weighting,
-    which gives the same bits as sampling a grid holding `data + offset`.
+    Returns flat arrays (r0, c0, r1, c1, fr, fc): the four corner cells are
+    (r0, c0), (r0, c1), (r1, c0) and (r1, c1), and fr, fc the fractional
+    offsets from (r0, c0) after the clamp.
     """
-    h, w = grid.spec.height_cells, grid.spec.width_cells
-    shape = np.shape(coord[0])
-    # Flat index arrays make every gather below a copy, even for one point.
+    h, w = spec.height_cells, spec.width_cells
+    # Flat index arrays make every gather by them a copy, even for one point.
     r = np.asarray(coord[0], dtype=np.float64).reshape(-1)
     c = np.asarray(coord[1], dtype=np.float64).reshape(-1)
     # The scalar min(max(x, 0.0), top), including which zero it keeps.
@@ -157,10 +202,24 @@ def bilinear_sample(
     # one-row (one-column) grid it is row (column) 0 and cell + 1 clamps to it.
     r0 = np.minimum(np.floor(r).astype(np.intp), max(h - 2, 0))
     c0 = np.minimum(np.floor(c).astype(np.intp), max(w - 2, 0))
-    r1 = np.minimum(r0 + 1, h - 1)
-    c1 = np.minimum(c0 + 1, w - 1)
-    fr = r - r0
-    fc = c - c0
+    return r0, c0, np.minimum(r0 + 1, h - 1), np.minimum(c0 + 1, w - 1), r - r0, c - c0
+
+
+def bilinear_sample(
+    grid: BevGrid, coord: tuple[float, float], offset: np.ndarray | None = None
+) -> np.ndarray:
+    """Sample C-vectors at fractional (row, col) coordinates by 4-cell blending.
+
+    row and col may be numbers or numpy arrays of one shape S; the result
+    is (*S, C). Coordinates are clamped to [0, H-1] x [0, W-1] first (border
+    replicate), so any finite input is valid. Exact at integer coordinates.
+    An `offset` C-vector is added to each gathered corner before weighting,
+    which gives the same bits as sampling a grid holding `data + offset`.
+    The grid's data may be a dense array or `GatheredCells` holding the
+    corners (`bilinear_corners`).
+    """
+    shape = np.shape(coord[0])
+    r0, c0, r1, c1, fr, fc = bilinear_corners(coord, grid.spec)
     d = grid.data
     # Explicit 4-weight form; enhancement semantics depend on this exact
     # expression order, so keep it as a flat weighted sum, accumulated left

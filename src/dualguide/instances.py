@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractError
 from .geometry import KEY_POINT_SIGNS, Box3D, footprint_points, project_to_bev
-from .grid import BevGrid, bilinear_sample, world_to_grid
+from .grid import BevGrid, GridSpec, bilinear_sample, world_to_grid
 from .taxonomy import NUM_CLASSES
 
 log = logging.getLogger(__name__)
@@ -73,6 +73,31 @@ def filter_by_score(proposals: list[Proposal], gamma: float) -> list[Proposal]:
     return [p for p in proposals if p.score >= gamma]
 
 
+def key_point_coords(
+    spec: GridSpec, proposals: list[Proposal], gamma: float, strategy: str = DEFAULT_STRATEGY
+) -> tuple[list[Proposal], list[Proposal], tuple[np.ndarray, np.ndarray]]:
+    """The proposals `build_instances` keeps and skips, and the kept key points' coordinates.
+
+    The coordinates are (row, col) grid arrays of shape (len(kept), K), K
+    the strategy's key-point count. A survivor of the score filter whose
+    box center falls outside the grid window is skipped: a clamped sample
+    there would read unrelated border cells.
+    """
+    if strategy not in STRATEGY_KEY_POINTS:
+        raise ConfigurationError(
+            f"unknown sampling strategy {strategy!r}; expected one of {SAMPLING_STRATEGIES}"
+        )
+    survivors = filter_by_score(proposals, gamma)
+    kept, skipped = [], []
+    for p in survivors:
+        if p.modality != survivors[0].modality:
+            raise ConfigurationError("proposals for one grid must share a modality")
+        (kept if spec.contains(p.box.center[0], p.box.center[1]) else skipped).append(p)
+    signs = KEY_POINT_SIGNS[list(STRATEGY_KEY_POINTS[strategy])]
+    points = footprint_points([project_to_bev(p.box) for p in kept], signs)
+    return kept, skipped, world_to_grid((points[..., 0], points[..., 1]), spec)
+
+
 def build_instances(
     grid: BevGrid,
     proposals: list[Proposal],
@@ -82,29 +107,15 @@ def build_instances(
 ) -> list[InstanceFeature]:
     """Score-filter proposals, then extract an instance feature per survivor.
 
-    Output preserves input order. A survivor whose box center falls outside
-    the grid window is skipped with a log notice: a clamped sample there
-    would read unrelated border cells. `offset` goes to `bilinear_sample`:
-    the features are those of a grid holding `grid.data + offset`.
+    Output preserves input order; survivors outside the grid window are
+    skipped with a log notice (`key_point_coords`). `offset` goes to
+    `bilinear_sample`: the features are those of a grid holding
+    `grid.data + offset`.
     """
-    if strategy not in STRATEGY_KEY_POINTS:
-        raise ConfigurationError(
-            f"unknown sampling strategy {strategy!r}; expected one of {SAMPLING_STRATEGIES}"
-        )
-    survivors = filter_by_score(proposals, gamma)
-    kept = []
-    for p in survivors:
-        if p.modality != survivors[0].modality:
-            raise ConfigurationError("proposals for one grid must share a modality")
-        x, y = p.box.center[0], p.box.center[1]
-        if grid.spec.contains(x, y):
-            kept.append(p)
-        else:
-            log.info("skipping %s proposal with center (%.2f, %.2f) outside grid window",
-                     p.modality, x, y)
-    signs = KEY_POINT_SIGNS[list(STRATEGY_KEY_POINTS[strategy])]
-    points = footprint_points([project_to_bev(p.box) for p in kept], signs)
-    coords = world_to_grid((points[..., 0], points[..., 1]), grid.spec)
+    kept, skipped, coords = key_point_coords(grid.spec, proposals, gamma, strategy)
+    for p in skipped:
+        log.info("skipping %s proposal with center (%.2f, %.2f) outside grid window",
+                 p.modality, p.box.center[0], p.box.center[1])
     features = bilinear_sample(grid, coords, offset)
-    raws = features.reshape(len(kept), len(signs) * grid.spec.channels)
+    raws = features.reshape(len(kept), np.shape(coords[0])[1] * grid.spec.channels)
     return [InstanceFeature(p, raw) for p, raw in zip(kept, raws)]

@@ -1,12 +1,13 @@
 """Two-stage instance pair matching.
 
 Stage 1 pairs LiDAR and camera instances whose footprints overlap strongly
-(IoU >= eta), greedily in descending IoU with one-to-one assignment: these
-are the easy pairs. Stage 2 takes each instance left unmatched and links it,
-by maximum feature dot product against the matched instances of its own
-modality, to the cross-modal counterpart of its most similar easy instance:
-these are the hard pairs, named for the modality that struggled. A final
-class-group filter drops pairs whose two classes are implausible partners.
+(IoU >= eta, and IoU > 0 even at eta 0), greedily in descending IoU with
+one-to-one assignment: these are the easy pairs. Stage 2 takes each
+instance left unmatched and links it, by maximum feature dot product against
+the matched instances of its own modality, to the cross-modal counterpart of
+its most similar easy instance: these are the hard pairs, named for the
+modality that struggled. A final class-group filter drops pairs whose two
+classes are implausible partners.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ def match_by_overlap(
     candidates = [
         (iou, i, j)
         for iou, i, j in zip(ious.tolist(), li.tolist(), cj.tolist())
-        if iou >= eta
+        if iou >= eta and iou > 0.0  # disjoint footprints never pair, even at eta 0
     ]
 
     candidates.sort(key=lambda t: (-t[0], t[1], t[2]))

@@ -2,27 +2,41 @@
 
 `run_matching` is the refine-extract-match front stage every CLI command
 shares (DIPM). The refine yields one context vector, not a grid: camera
-instances are sampled with it as an offset. `run_fusion` runs that stage on
-any camera and LiDAR grid and then enhances both in place (the dual-guided
-modules); it makes no copy. The `fuse` command hands it the two grids
-`synth.load_scene` read and streams the fused grid from them
-(`formats.save_grid` writes the concatenation). Weight shapes follow the
-channel counts of the grids given, not the config's generator depths.
+instances are sampled with it as an offset. `run_enhancement` runs that
+stage and then the dual-guided modules: it enhances the camera grid in
+place and returns the LiDAR grid's updates as cell patches. It reads the
+LiDAR grid only at the key points and never writes it. `run_fusion` adds
+the patches to the dense LiDAR grid it is given; it makes no copy. Weight
+shapes follow the channel counts of the grids given, not the config's
+generator depths.
+
+The CLI never loads the LiDAR grid. `open_scene` loads the scene as
+`synth.load_scene` checks it, but gathers only the LiDAR cells the front
+stage samples (`gather_lidar`: the bilinear corners of the key points of
+the score-filtered, in-window LiDAR proposals) in one checked f32 pass
+through a handle it keeps open. `fuse` streams the LiDAR rows again through
+that handle, with the patches added, into `enhanced_lidar.bevg` and
+`fused.bevg`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
 from .config import PipelineConfig
-from .enhance import Projection, enhance_camera_grid, enhance_lidar_grid
-from .formats import load_projection
-from .grid import BevGrid, ContextWeights, global_context_refine
-from .instances import SAMPLES_PER_STRATEGY, Proposal, build_instances
+from .enhance import CellPatches, Projection, enhance_camera_grid, enhance_lidar_grid
+from .formats import grid_blocks, load_projection, read_grid_rows
+from .grid import BevGrid, ContextWeights, GatheredCells, bilinear_corners, global_context_refine
+from .instances import SAMPLES_PER_STRATEGY, Proposal, build_instances, key_point_coords
 from .matching import PairSets, match_pairs
+from .synth import Scene, load_scene
 
 # Seed of the global-context weights; unlike the projections they have no file.
 CONTEXT_WEIGHTS_SEED = 1
@@ -102,6 +116,27 @@ def run_matching(
     )
 
 
+def run_enhancement(
+    camera_grid: BevGrid,
+    lidar_grid: BevGrid,
+    camera_proposals: list[Proposal],
+    lidar_proposals: list[Proposal],
+    config: PipelineConfig = PipelineConfig(),
+) -> tuple[PairSets, CellPatches]:
+    """Match, enhance the camera grid in place, and return the LiDAR grid's patches.
+
+    The LiDAR grid is only sampled at its key points, so it may be
+    `gather_lidar`'s. Returns the pair sets and the LiDAR cell patches.
+    """
+    pairs = run_matching(camera_grid, lidar_grid, camera_proposals, lidar_proposals, config)
+    projections = build_projections(
+        config, camera_grid.spec.channels, lidar_grid.spec.channels
+    )
+    enhance_camera_grid(camera_grid, pairs.easy, pairs.camera_hard,
+                        projections.lidar_squeeze)
+    return pairs, enhance_lidar_grid(lidar_grid.spec, pairs.lidar_hard, projections.excitation)
+
+
 def run_fusion(
     camera_grid: BevGrid,
     lidar_grid: BevGrid,
@@ -116,13 +151,41 @@ def run_fusion(
     `enhance.fuse_grids(camera_grid, lidar_grid)` afterwards for the fused
     grid.
     """
-    pairs = run_matching(
+    pairs, patches = run_enhancement(
         camera_grid, lidar_grid, camera_proposals, lidar_proposals, config
     )
-    projections = build_projections(
-        config, camera_grid.spec.channels, lidar_grid.spec.channels
-    )
-    enhance_camera_grid(camera_grid, pairs.easy, pairs.camera_hard,
-                        projections.lidar_squeeze)
-    enhance_lidar_grid(lidar_grid, pairs.lidar_hard, projections.excitation)
+    patches.apply(lidar_grid.data)
     return pairs
+
+
+def gather_lidar(
+    lidar_file: BinaryIO, lidar_proposals: list[Proposal], config: PipelineConfig
+) -> BevGrid:
+    """The LiDAR grid of an open grid file, holding the cells `run_matching` reads.
+
+    One f32 pass over the file (`formats.grid_blocks`, with its size and
+    non-finite checks) gathers the bilinear corners of the key points of
+    the proposals `build_instances` keeps under `config`. Rows read later
+    (`data[a:b]`) come through the same handle.
+    """
+    blocks = grid_blocks(lidar_file)
+    spec = next(blocks)
+    *_, coords = key_point_coords(spec, lidar_proposals, config.gamma, config.sampling_strategy)
+    r0, c0, r1, c1, _, _ = bilinear_corners(coords, spec)
+    rows, cols = np.concatenate([r0, r0, r1, r1]), np.concatenate([c0, c1, c0, c1])
+    read_rows = partial(read_grid_rows, lidar_file, spec)
+    return BevGrid(spec, GatheredCells.gather(spec, rows, cols, blocks, read_rows))
+
+
+@contextmanager
+def open_scene(manifest_path: str | Path, config: PipelineConfig) -> Iterator[Scene]:
+    """The scene `synth.load_scene` reads, with its LiDAR grid gathered for `config`.
+
+    Every check of `load_scene` is made. The LiDAR file is read through one
+    handle (`gather_lidar`), which stays open until the block exits.
+    """
+    with ExitStack() as files:
+        def read_lidar(path: Path, proposals: list[Proposal]) -> BevGrid:
+            return gather_lidar(files.enter_context(path.open("rb")), proposals, config)
+
+        yield load_scene(manifest_path, read_lidar)

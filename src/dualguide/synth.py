@@ -40,12 +40,14 @@ READOUT_CLASS.
 
 `load_scene` is the one scene loader. It checks both grid headers against
 the manifest's grid echo before any grid is allocated, then reads each grid
-into its own contiguous array.
+into its own contiguous array, or the LiDAR grid as its caller asks: the
+CLI gathers only the cells the pipeline samples (`pipeline.open_scene`).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -539,12 +541,17 @@ def scene_paths(
     return manifest, paths
 
 
-def load_scene(manifest_path: str | Path) -> Scene:
+def load_scene(
+    manifest_path: str | Path,
+    read_lidar: Callable[[Path, list[Proposal]], BevGrid] | None = None,
+) -> Scene:
     """Load a scene from its manifest, checking its files against the manifest.
 
     Both grid headers are checked against the manifest's grid echo before
     any payload is read or any grid allocated; a mismatch names the file
-    that disagrees. Each grid is then read into its own contiguous array.
+    that disagrees. Each grid is then read into its own contiguous array,
+    or the LiDAR grid by `read_lidar(path, lidar_proposals)` when given
+    (`pipeline.open_scene` gathers only the cells the pipeline samples).
     """
     manifest, paths = scene_paths(manifest_path, (
         "camera_grid", "lidar_grid", "camera_proposals", "lidar_proposals",
@@ -566,8 +573,13 @@ def load_scene(manifest_path: str | Path) -> Scene:
                 f"grid header of {manifest['files'][key]!r} "
                 "does not match the manifest's grid spec"
             )
+    camera_proposals = load_proposals(paths["camera_proposals"])
+    lidar_proposals = load_proposals(paths["lidar_proposals"])
     camera_grid = load_grid(paths["camera_grid"])
-    lidar_grid = load_grid(paths["lidar_grid"])
+    if read_lidar is None:
+        lidar_grid = load_grid(paths["lidar_grid"])
+    else:
+        lidar_grid = read_lidar(paths["lidar_grid"], lidar_proposals)
     points = load_points(paths["points"]) if "points" in paths else None
     records = manifest.get("objects", [])
     if not isinstance(records, list):
@@ -590,8 +602,8 @@ def load_scene(manifest_path: str | Path) -> Scene:
     return Scene(
         camera_grid,
         lidar_grid,
-        load_proposals(paths["camera_proposals"]),
-        load_proposals(paths["lidar_proposals"]),
+        camera_proposals,
+        lidar_proposals,
         load_annotations(paths["annotations"]),
         objects,
         points,

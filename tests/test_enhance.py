@@ -171,6 +171,13 @@ def identity(n):
     return Projection(np.eye(n), np.zeros(n))
 
 
+def lidar_enhanced(grid, pairs, proj):
+    """A copy of `grid` with `enhance_lidar_grid`'s patches applied."""
+    out = grid.copy()
+    enhance_lidar_grid(grid.spec, pairs, proj).apply(out.data)
+    return out
+
+
 def small_grid(rng, c=3, n=8):
     spec = GridSpec(n, n, c, x_range=(0.0, float(n)), y_range=(0.0, float(n)))
     return BevGrid(spec, rng.normal(size=(n, n, c)))
@@ -358,7 +365,7 @@ class TestLidarEnhancement:
     def test_no_pairs_is_identity(self):
         rng = np.random.default_rng(10)
         grid = small_grid(rng)
-        out = enhance_lidar_grid(grid.copy(), [], identity(3))
+        out = lidar_enhanced(grid, [], identity(3))
         assert np.array_equal(out.data, grid.data)
 
     def test_single_pair_adds_projected_guide_to_neighbors(self):
@@ -366,7 +373,7 @@ class TestLidarEnhancement:
         grid = small_grid(rng)
         guide_raw = rng.normal(size=3)
         pair = lidar_hard_pair((3.2, 4.7), (6.0, 6.0), np.zeros(3), guide_raw)
-        out = enhance_lidar_grid(grid.copy(), [pair], identity(3))
+        out = lidar_enhanced(grid, [pair], identity(3))
         coord = ref_world_to_grid((3.2, 4.7), grid.spec)
         for cell in ref_surrounding(coord, grid.spec):
             assert np.array_equal(out.data[cell], grid.data[cell] + guide_raw)
@@ -386,7 +393,7 @@ class TestLidarEnhancement:
                 )
                 for _ in range(n)
             ]
-            out = enhance_lidar_grid(grid.copy(), pairs, proj)
+            out = lidar_enhanced(grid, pairs, proj)
             expected = ref_lidar_enhance(grid, pairs, proj)
             assert np.array_equal(out.data, expected)
 
@@ -397,7 +404,7 @@ class TestLidarEnhancement:
         # Neighbor quadruples of these two centers overlap at cells (3, 3)..
         p1 = lidar_hard_pair((3.1, 3.1), (0.0, 0.0), np.zeros(3), np.full(3, 5.0))
         p2 = lidar_hard_pair((3.9, 3.9), (7.0, 7.0), np.zeros(3), np.full(3, 11.0))
-        out = enhance_lidar_grid(grid.copy(), [p1, p2], proj)
+        out = lidar_enhanced(grid, [p1, p2], proj)
         expected = ref_lidar_enhance(grid, [p1, p2], proj)
         assert np.array_equal(out.data, expected)
         # The shared cell holds the second pair's (weighted) value, not a sum.
@@ -417,8 +424,8 @@ class TestLidarEnhancement:
             lidar_hard_pair((2.5, 2.5), (5.0, 5.0), rng.normal(size=3), rng.normal(size=3)),
             lidar_hard_pair((5.5, 1.5), (1.0, 6.0), rng.normal(size=3), rng.normal(size=3)),
         ]
-        a = enhance_lidar_grid(grid.copy(), pairs, proj)
-        b = enhance_lidar_grid(grid.copy(), pairs, proj)
+        a = lidar_enhanced(grid, pairs, proj)
+        b = lidar_enhanced(grid, pairs, proj)
         assert np.array_equal(a.data, b.data)
 
 
@@ -441,7 +448,8 @@ def enhance_camera(grid, proj, rng):
 
 
 def enhance_lidar(grid, proj, rng):
-    return enhance_lidar_grid(grid, random_pairs(rng, lidar_hard_pair, 4), proj)
+    enhance_lidar_grid(grid.spec, random_pairs(rng, lidar_hard_pair, 4), proj).apply(grid.data)
+    return grid
 
 
 @pytest.mark.parametrize("enhance", [enhance_camera, enhance_lidar])
@@ -499,7 +507,9 @@ def test_in_place_enhancement_equals_references_and_touches_only_addressed_cells
     assert changed(camera.data) <= addressed
 
     lidar = grid.copy()
-    assert enhance_lidar_grid(lidar, lidar_hard, proj) is lidar
+    patches = enhance_lidar_grid(grid.spec, lidar_hard, proj)
+    assert len(set(zip(patches.rows.tolist(), patches.cols.tolist()))) == len(patches.rows)
+    patches.apply(lidar.data)
     assert np.array_equal(lidar.data, ref_lidar_enhance(grid, lidar_hard, proj))
     addressed = {
         cell for p in lidar_hard for cell in ref_surrounding(center(p, "lidar"), grid.spec)

@@ -1,0 +1,232 @@
+"""`fuse`, `match` and `loss --scene` read the LiDAR grid at its gathered cells.
+
+The CLI never loads `lidar.bevg`: it gathers the cells the front stage
+samples in one checked pass, takes the LiDAR enhancement as cell patches,
+and streams the patched rows through the same handle. Every artifact must
+equal the dense library path's: `load_scene` -> `run_fusion` (or
+`run_matching`) -> `save_grid` x3 -> `save_pair_sets`.
+"""
+
+import json
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dualguide.cli import main
+from dualguide.config import PipelineConfig
+from dualguide.enhance import CellPatches
+from dualguide.errors import ContractError, DataFormatError
+from dualguide.formats import load_grid, save_grid, save_pair_sets
+from dualguide.geometry import Box3D
+from dualguide.grid import (
+    BevGrid,
+    GatheredCells,
+    GridSpec,
+    bilinear_corners,
+    surrounding_cells,
+    world_to_grid,
+)
+from dualguide.instances import Proposal, key_point_coords
+from dualguide.pipeline import run_fusion, run_matching
+from dualguide.synth import Scene, load_scene, write_scene
+
+from test_cli import traced_peak
+
+HEADER_BYTES = struct.calcsize("<4sIIIIdddd")
+FUSE_ARTIFACTS = ("enhanced_camera.bevg", "enhanced_lidar.bevg", "fused.bevg", "pairs.json")
+DEEP = {"camera_channels": 80, "lidar_channels": 128}
+
+
+def dense_artifacts(manifest, out, config, enhance=True):
+    """The dense library path: both grids loaded whole, enhanced, saved."""
+    scene = load_scene(manifest)
+    run = run_fusion if enhance else run_matching
+    pairs = run(scene.camera_grid, scene.lidar_grid, scene.camera_proposals,
+                scene.lidar_proposals, config)
+    out.mkdir(parents=True)
+    save_grid(scene.camera_grid, out / "enhanced_camera.bevg")
+    save_grid(scene.lidar_grid, out / "enhanced_lidar.bevg")
+    save_grid(scene.lidar_grid, out / "fused.bevg", scene.camera_grid)
+    save_pair_sets(pairs, out / "pairs.json")
+    return pairs
+
+
+def assert_cli_matches_dense(manifest, root, flags=(), config=PipelineConfig()):
+    """`fuse` and `match` under `flags` write the dense path's bytes; returns its pairs."""
+    pairs = dense_artifacts(manifest, root / "dense", config, "--no-enhance" not in flags)
+    match_flags = [f for f in flags if f != "--no-enhance"]
+    assert main(["fuse", "--scene", str(manifest), "--out", str(root / "cli"), *flags]) == 0
+    assert main(["match", "--scene", str(manifest), "--out", str(root / "match.json"),
+                 *match_flags]) == 0
+    for name in FUSE_ARTIFACTS:
+        assert (root / "cli" / name).read_bytes() == (root / "dense" / name).read_bytes(), name
+    assert (root / "match.json").read_bytes() == (root / "dense" / "pairs.json").read_bytes()
+    return pairs
+
+
+@pytest.mark.parametrize("channels", [{}, DEEP], ids=["default-depth", "80-128"])
+@pytest.mark.parametrize("seed", range(10))
+def test_generated_scenes_match_the_dense_path(tmp_path, capsys, seed, channels):
+    argv = ["gen", "--seed", str(seed), "--objects", "12", "--out", str(tmp_path / "scene")]
+    if channels:
+        (tmp_path / "deep.json").write_text(json.dumps(channels))
+        argv += ["--config", str(tmp_path / "deep.json")]
+    assert main(argv) == 0
+    assert_cli_matches_dense(tmp_path / "scene" / "manifest.json", tmp_path)
+
+
+# A 16 x 16-cell window of 1 m cells with hand-placed proposals.
+SMALL = PipelineConfig(height_cells=16, width_cells=16, x_range=(-8.0, 8.0),
+                       y_range=(-8.0, 8.0), camera_channels=3, lidar_channels=5)
+# Two LiDAR-only boxes less than a cell apart: both become LiDAR-hard pairs
+# whose four surrounding cells overlap.
+CLOSE_PAIR = ((0.3, 2.2), (0.6, 2.4))
+
+
+def proposal(x, y, size, score, modality):
+    return Proposal(Box3D((x, y, 1.0), (size, size, 1.5), 0.3), score, 0, modality)
+
+
+@pytest.fixture()
+def handmade(tmp_path):
+    """A scene with easy, camera-hard and LiDAR-hard pairs, edge boxes and -0.0 values.
+
+    Camera proposals score 0.96 and LiDAR ones 0.9, so gamma 0.95 filters
+    out every LiDAR proposal and keeps the camera ones.
+    """
+    rng = np.random.default_rng(5)
+    camera = BevGrid(SMALL.camera_spec(), rng.normal(size=(16, 16, 3)))
+    lidar_data = rng.normal(size=(16, 16, 5))
+    lidar_data[lidar_data > 1.2] = -0.0
+    lidar = BevGrid(SMALL.lidar_spec(), lidar_data)
+    easy = [(-4.0, -4.0, 2.0), (3.0, -3.0, 2.0), (-7.7, 7.7, 3.0)]
+    camera_props = [proposal(x, y, s, 0.96, "camera") for x, y, s in easy]
+    camera_props.append(proposal(-2.0, 5.0, 1.5, 0.96, "camera"))
+    lidar_props = [proposal(x, y, s, 0.9, "lidar") for x, y, s in easy]
+    lidar_props += [proposal(x, y, 1.0, 0.9, "lidar") for x, y in CLOSE_PAIR]
+    # Key points past the window edge clamp; a center outside it is skipped.
+    lidar_props += [proposal(7.6, 7.6, 3.0, 0.9, "lidar"), proposal(9.0, 0.0, 1.0, 0.9, "lidar")]
+    scene = Scene(camera, lidar, camera_props, lidar_props, [], [])
+    return write_scene(scene, tmp_path / "scene", SMALL, 0, "mixed")
+
+
+def test_handmade_scene_matches_the_dense_path(handmade, tmp_path):
+    pairs = assert_cli_matches_dense(handmade, tmp_path)
+    spec = SMALL.lidar_spec()
+    cells = [
+        set(surrounding_cells(world_to_grid(p.anchor.bev_center, spec), spec))
+        for p in pairs.lidar_hard
+    ]
+    centers = {p.anchor.bev_center for p in pairs.lidar_hard}
+    assert {(x, y) for x, y in CLOSE_PAIR} <= centers
+    assert any(a & b for i, a in enumerate(cells) for b in cells[i + 1:])
+    assert (7.6, 7.6) in centers
+    # The stored -0.0 values reach the artifacts.
+    fused = np.fromfile(tmp_path / "cli" / "fused.bevg", dtype="<u4", offset=HEADER_BYTES)
+    assert np.count_nonzero(fused == 0x80000000) > 0
+
+
+@pytest.mark.parametrize("flags, config", [
+    (("--no-enhance",), PipelineConfig()),
+    (("--sampling-strategy", "center+vertices+boundary_mid"),
+     PipelineConfig(sampling_strategy="center+vertices+boundary_mid")),
+    (("--gamma", "0.95"), PipelineConfig(gamma=0.95)),
+], ids=["no-enhance", "all-key-points", "no-lidar-survivor"])
+def test_handmade_variants_match_the_dense_path(handmade, tmp_path, flags, config):
+    pairs = assert_cli_matches_dense(handmade, tmp_path, flags, config)
+    if config.gamma == 0.95:
+        assert pairs.unmatched_lidar == 0 and pairs.unmatched_camera == 4
+
+
+def test_symlinked_output_does_not_feed_back_into_the_lidar_read(handmade, tmp_path):
+    # Writing enhanced_lidar.bevg replaces the scene's lidar.bevg through the
+    # link; fused.bevg must still come from the original LiDAR values.
+    assert main(["fuse", "--scene", str(handmade), "--out", str(tmp_path / "plain")]) == 0
+    assert json.loads((tmp_path / "plain" / "pairs.json").read_text())["lidar_hard"]
+    linked = tmp_path / "linked"
+    linked.mkdir()
+    (linked / "enhanced_lidar.bevg").symlink_to(handmade.parent / "lidar.bevg")
+    assert main(["fuse", "--scene", str(handmade), "--out", str(linked)]) == 0
+    for name in ("fused.bevg", "pairs.json"):
+        assert (linked / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+    assert (handmade.parent / "lidar.bevg").read_bytes() == (
+        (tmp_path / "plain" / "enhanced_lidar.bevg").read_bytes()
+    )
+
+
+@pytest.mark.parametrize("command", ["fuse", "match"])
+def test_nan_at_a_cell_no_key_point_reads_fails_before_writing(handmade, tmp_path, capsys,
+                                                              command):
+    spec = SMALL.lidar_spec()
+    scene = load_scene(handmade)
+    *_, coords = key_point_coords(spec, scene.lidar_proposals, 0.7)
+    r0, c0, r1, c1, _, _ = bilinear_corners(coords, spec)
+    read = set(zip(np.concatenate([r0, r0, r1, r1]).tolist(),
+                   np.concatenate([c0, c1, c0, c1]).tolist()))
+    cell = (0, 15)
+    assert cell not in read
+    path = handmade.parent / "lidar.bevg"
+    raw = bytearray(path.read_bytes())
+    offset = HEADER_BYTES + ((cell[0] * 16 + cell[1]) * 5 + 2) * 4
+    raw[offset:offset + 4] = np.float32("nan").tobytes()
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DataFormatError) as loaded:
+        load_grid(path)
+    out = tmp_path / "out"
+    assert main([command, "--scene", str(handmade), "--out", str(out)]) == 2
+    assert f"dualguide: error: {loaded.value}" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (handmade.parent / "pairs.json").exists()
+
+
+class TestPeakMemory:
+    """Neither command holds the LiDAR grid: a deep one costs them little."""
+
+    LIDAR_F64_BYTES = 96 * 96 * 256 * 8  # 18.9 MB; the camera grid is 0.3 MB
+
+    @pytest.fixture(scope="class")
+    def manifest(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("deep-lidar")
+        config = root / "config.json"
+        config.write_text(json.dumps({
+            "height_cells": 96, "width_cells": 96, "x_range": [-28.8, 28.8],
+            "y_range": [-28.8, 28.8], "camera_channels": 4, "lidar_channels": 256,
+        }))
+        assert main(["gen", "--seed", "3", "--objects", "12", "--config", str(config),
+                     "--out", str(root / "scene")]) == 0
+        return str(root / "scene" / "manifest.json")
+
+    @pytest.mark.parametrize("command", ["fuse", "match"])
+    def test_peak_is_below_half_the_lidar_grid(self, manifest, capsys, command):
+        assert traced_peak([command, "--scene", manifest]) < 0.5 * self.LIDAR_F64_BYTES
+
+
+def test_reading_a_cell_that_was_not_gathered_raises():
+    spec = GridSpec(4, 4, 2, (0.0, 4.0), (0.0, 4.0))
+    data = np.arange(32, dtype="<f4").reshape(4, 4, 2)
+    cells = GatheredCells.gather(spec, np.array([1, 2]), np.array([3, 0]),
+                                 [(0, data[:3]), (3, data[3:])], None)
+    assert np.array_equal(cells[np.array([2, 1]), np.array([0, 3])], data[[2, 1], [0, 3]])
+    with pytest.raises(ContractError):
+        cells[np.array([1]), np.array([2])]
+
+
+@given(seed=st.integers(0, 2**32 - 1), rows_per_block=st.integers(1, 6))
+@settings(max_examples=60, deadline=None)
+def test_patches_on_f32_row_blocks_equal_the_saved_f64_grid(seed, rows_per_block):
+    rng = np.random.default_rng(seed)
+    grid = rng.normal(size=(6, 5, 3)).astype("<f4")
+    grid[rng.random(size=grid.shape) < 0.2] = -0.0
+    cells = sorted({(int(r), int(c)) for r, c in rng.integers(0, [6, 5], size=(8, 2))})
+    rows, cols = np.array(cells).T
+    updates = rng.normal(size=(len(cells), 3)) * 10.0 ** rng.integers(-8, 3)
+    patches = CellPatches(rows, cols, updates)
+    dense = grid.astype(np.float64)
+    patches.apply(dense)
+    blocks = grid.copy()
+    for first in range(0, 6, rows_per_block):
+        patches.apply(blocks[first:first + rows_per_block], first)
+    assert blocks.tobytes() == dense.astype("<f4").tobytes()

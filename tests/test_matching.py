@@ -93,6 +93,16 @@ class TestOverlapMatching:
         assert pairs == []
         assert len(um_l) == 1 and len(um_c) == 1
 
+    @pytest.mark.parametrize("gap", [1.2, 2.0])
+    def test_disjoint_footprints_never_pair_at_eta_zero(self, gap):
+        # 1 x 1 m footprints: at 1.2 m apart the circumradius prune keeps the
+        # pair and its IoU reads 0.0; at 2.0 m apart the prune drops it.
+        lidar = [make_instance(0.0, 0.0, w=1.0, l=1.0)]
+        camera = [make_instance(gap, 0.0, w=1.0, l=1.0, modality="camera")]
+        pairs, um_l, um_c, _, _ = match_by_overlap(lidar, camera, 0.0)
+        assert pairs == []
+        assert len(um_l) == 1 and len(um_c) == 1
+
     def test_greedy_resolves_contention(self):
         # L1 overlaps C0 more than L0 does; greedy hands C0 to L1 and
         # leaves L0 its second choice C1.
