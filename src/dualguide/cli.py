@@ -11,11 +11,13 @@ success, 1 on usage errors, 2 on data/configuration errors.
 and `loss` open their scene with `pipeline.open_scene`: the camera grid in
 one contiguous array, and of the LiDAR grid only the cells the front stage
 samples, gathered in one checked pass through a handle that stays open.
-`fuse` enhances the camera grid in place and takes the LiDAR updates as
-cell patches (`pipeline.run_enhancement`, or `pipeline.run_matching` alone
-under `--no-enhance`). It then streams the LiDAR rows through the same
-handle, patched, into `enhanced_lidar.bevg` and `fused.bevg`, so it holds
-the camera grid and no LiDAR grid or concatenation.
+`fuse` enhances the camera grid and the gathered LiDAR cells in place
+(`pipeline.run_fusion`, or `pipeline.run_matching` alone under
+`--no-enhance`). It then streams the LiDAR rows through the same handle,
+with the written cells rounded in, into `enhanced_lidar.bevg` and
+`fused.bevg`, so it holds the camera grid and no LiDAR grid or
+concatenation. `fuse` and `match` refuse, before writing anything, an
+output that is the scene's manifest or a file it lists.
 `eval`'s energy readout reads the energy map from the grid file in row
 blocks and never holds the grid.
 """
@@ -44,11 +46,11 @@ from .metrics import (
     stratified_eval,
     visibility_histogram,
 )
-from .grid import BevGrid
-from .pipeline import build_projections, open_scene, run_enhancement, run_matching
+from .pipeline import build_projections, open_scene, run_fusion, run_matching
 from .synth import (
     GAP_PROFILES,
     READOUT_CLASS,
+    SCENE_FILES,
     energy_peak_detections,
     generate_scene_files,
     read_cell_energy,
@@ -134,6 +136,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The files `fuse` writes into its output directory.
+FUSE_OUTPUTS = ("enhanced_camera.bevg", "enhanced_lidar.bevg", "fused.bevg", "pairs.json")
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     manifest = generate_scene_files(
@@ -143,18 +149,32 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_outputs(manifest: str, outputs: list[Path]) -> None:
+    """Refuse an output that is the same file as the manifest or a file it lists.
+
+    A grid output's sidecar, written beside the grid's realpath, counts too.
+    """
+    def file_id(path: Path) -> tuple[int, int]:
+        st = path.stat()
+        return st.st_dev, st.st_ino
+
+    _, paths = scene_paths(manifest, SCENE_FILES)
+    inputs = {file_id(p): p for p in (Path(manifest), *paths.values())}
+    sidecars = [Path(f"{os.path.realpath(p)}.json") for p in outputs if p.suffix == ".bevg"]
+    for path in outputs + sidecars:
+        if path.exists() and file_id(path) in inputs:
+            raise ConfigurationError(f"output {path} is the scene's input {inputs[file_id(path)]}")
+
+
 def _cmd_fuse(args: argparse.Namespace) -> int:
     config = _config_from_args(args)  # checked before the scene loads
+    out = Path(args.out) if args.out else Path(args.scene).parent
+    _check_outputs(args.scene, [out / name for name in FUSE_OUTPUTS])
     with open_scene(args.scene, config) as scene:
-        out = Path(args.out) if args.out else Path(args.scene).parent
         out.mkdir(parents=True, exist_ok=True)
         camera, lidar = scene.camera_grid, scene.lidar_grid
-        inputs = (camera, lidar, scene.camera_proposals, scene.lidar_proposals, config)
-        if args.no_enhance:
-            pairs = run_matching(*inputs)
-        else:
-            pairs, patches = run_enhancement(*inputs)
-            lidar = BevGrid(lidar.spec, replace(lidar.data, patches=patches))
+        run = run_matching if args.no_enhance else run_fusion
+        pairs = run(camera, lidar, scene.camera_proposals, scene.lidar_proposals, config)
         formats.save_grid(camera, out / "enhanced_camera.bevg")
         formats.save_grid(lidar, out / "enhanced_lidar.bevg")
         formats.save_grid(lidar, out / "fused.bevg", camera)
@@ -169,10 +189,11 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
 
 def _cmd_match(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
+    out = Path(args.out) if args.out else Path(args.scene).parent / "pairs.json"
+    _check_outputs(args.scene, [out])
     with open_scene(args.scene, config) as scene:
         pairs = run_matching(scene.camera_grid, scene.lidar_grid,
                              scene.camera_proposals, scene.lidar_proposals, config)
-    out = Path(args.out) if args.out else Path(args.scene).parent / "pairs.json"
     formats.save_pair_sets(pairs, out)
     print(out)
     return 0

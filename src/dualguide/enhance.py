@@ -9,13 +9,11 @@ instance center with the projected camera guide feature, weighted by the
 pair's normalized center distance; every write reads the original grid, so
 overlapping pairs are last-write-wins. Cells no pair addresses are untouched.
 
-`enhance_camera_grid` updates the grid it is given, which may be a channel
-view of a fused grid, and returns it; copy the grid first to keep the
-input. Each write reads an original value before any write changes it.
-`enhance_lidar_grid` reads no LiDAR value: it returns its updates as
-`CellPatches`, one per cell, which `CellPatches.apply` adds to a grid in
-memory or to any block of its rows, such as float32 rows streamed from its
-file.
+Both enhancers update the grid they are given, which may be a channel view
+of a fused grid, and return it; copy the grid first to keep the input.
+Each reads an original value before any write changes it. The LiDAR grid
+may also be `pipeline.gather_lidar`'s gathered cells: the cells around a
+LiDAR instance center are among the corners its center key point samples.
 """
 
 from __future__ import annotations
@@ -110,28 +108,6 @@ def _check_projection(spec: GridSpec, proj: Projection) -> None:
         )
 
 
-@dataclass(frozen=True)
-class CellPatches:
-    """Additive updates to distinct cells of a grid, in row-major cell order.
-
-    Cell (rows[k], cols[k]) gains updates[k], a C-vector.
-    """
-
-    rows: np.ndarray
-    cols: np.ndarray
-    updates: np.ndarray
-
-    def apply(self, block: np.ndarray, first_row: int = 0) -> None:
-        """Add the updates of the cells in `block`, the grid's rows first_row onwards.
-
-        Each sum is taken in float64 and stored in the block's dtype, so a
-        float32 block of file rows gets the bits a saved float64 grid gets.
-        """
-        i, j = np.searchsorted(self.rows, (first_row, first_row + len(block)))
-        rows, cols = self.rows[i:j] - first_row, self.cols[i:j]
-        block[rows, cols] = block[rows, cols] + self.updates[i:j]
-
-
 def enhance_camera_grid(
     camera_grid: BevGrid,
     easy_pairs: list[InstancePair],
@@ -165,18 +141,19 @@ def enhance_camera_grid(
 
 
 def enhance_lidar_grid(
-    spec: GridSpec,
+    lidar_grid: BevGrid,
     lidar_hard_pairs: list[InstancePair],
     proj: Projection,
-) -> CellPatches:
-    """Image-guided enhancement of a LiDAR grid of `spec`, as cell patches.
+) -> BevGrid:
+    """Image-guided enhancement of the LiDAR grid, in place.
 
     Each pair adds its distance-weighted projected camera guide feature to
     the four cells surrounding the hard LiDAR instance center. Writes read
     the original grid, so pairs sharing a cell do not stack: a cell ends as
-    its original plus the last update addressed to it, and that update is
-    its patch.
+    its original plus the last update addressed to it, written once.
+    Returns `lidar_grid`, updated.
     """
+    spec = lidar_grid.spec
     _check_projection(spec, proj)
     weights = pair_distance_weights(lidar_hard_pairs)
     last_update = {}
@@ -185,10 +162,11 @@ def enhance_lidar_grid(
         update = proj.apply(member_of(pair, "camera").raw) * w
         for cell in surrounding_cells(coord, spec):
             last_update[cell] = update
-    cells = sorted(last_update)
-    rows, cols = np.array(cells, dtype=np.intp).reshape(-1, 2).T
-    updates = np.array([last_update[cell] for cell in cells]).reshape(-1, spec.channels)
-    return CellPatches(rows, cols, updates)
+    cells = tuple(np.array(list(last_update), dtype=np.intp).reshape(-1, 2).T)
+    updates = np.array(list(last_update.values())).reshape(-1, spec.channels)
+    data = lidar_grid.data
+    data[cells] = data[cells] + updates
+    return lidar_grid
 
 
 def fused_spec(camera_spec: GridSpec, lidar_spec: GridSpec) -> GridSpec:

@@ -62,23 +62,24 @@ class GridSpec:
         )
 
 
-@dataclass(frozen=True)
+@dataclass
 class GatheredCells:
     """Some cells of an H x W x C grid, held without the grid.
 
     `cells[rows, cols]`, for integer arrays, reads the gathered cells as the
-    grid's array would: a new float64 array of shape (N, C). Reading a cell
-    that was not gathered raises ContractError. `cells[a:b]` reads rows
-    a..b-1 whole, in float32, through `read_rows(first_row, out)` and adds
-    `patches` (an `enhance.CellPatches`) to them, so `formats.save_grid`
-    streams the patched grid.
+    grid's array would: a new float64 array of shape (N, C), and
+    `cells[rows, cols] = values` writes them. Reading or writing a cell that
+    was not gathered raises ContractError. `cells[a:b]` reads rows a..b-1
+    whole, in float32, through `read_rows(first_row, out)`, with the written
+    cells rounded in, so `formats.save_grid` streams the written grid.
     """
 
     shape: tuple[int, int, int]
     slots: np.ndarray = field(repr=False)   # (H, W): row of `values`, -1 if not gathered
     values: np.ndarray = field(repr=False)  # (N, C) float64
     read_rows: Callable[[int, np.ndarray], None] = field(repr=False)
-    patches: object = None
+    # Flat (row-major) indices of the written cells, ascending.
+    written: np.ndarray = field(default_factory=lambda: np.empty(0, np.intp), repr=False)
 
     @classmethod
     def gather(cls, spec: GridSpec, rows: np.ndarray, cols: np.ndarray, blocks,
@@ -95,18 +96,27 @@ class GatheredCells:
             values[i:j] = block[cell_rows[i:j] - first, cell_cols[i:j]]
         return cls(shape, slots, values, read_rows)
 
+    def _slots(self, index) -> np.ndarray:
+        slots = self.slots[index]
+        if (slots < 0).any():
+            raise ContractError("access to a grid cell that was not gathered")
+        return slots
+
     def __getitem__(self, index):
         if isinstance(index, slice):
             first, stop, _ = index.indices(self.shape[0])
             out = np.empty((stop - first, *self.shape[1:]), dtype="<f4")
             self.read_rows(first, out)
-            if self.patches is not None:
-                self.patches.apply(out, first)
+            width = self.shape[1]
+            i, j = np.searchsorted(self.written, (first * width, stop * width))
+            rows, cols = np.divmod(self.written[i:j], width)
+            out[rows - first, cols] = self.values[self.slots[rows, cols]]
             return out
-        slots = self.slots[index]
-        if (slots < 0).any():
-            raise ContractError("read of a grid cell that was not gathered")
-        return self.values[slots]
+        return self.values[self._slots(index)]
+
+    def __setitem__(self, index, values) -> None:
+        self.values[self._slots(index)] = values
+        self.written = np.union1d(self.written, np.ravel_multi_index(index, self.shape[:2]))
 
 
 @dataclass

@@ -2,21 +2,18 @@
 
 `run_matching` is the refine-extract-match front stage every CLI command
 shares (DIPM). The refine yields one context vector, not a grid: camera
-instances are sampled with it as an offset. `run_enhancement` runs that
-stage and then the dual-guided modules: it enhances the camera grid in
-place and returns the LiDAR grid's updates as cell patches. It reads the
-LiDAR grid only at the key points and never writes it. `run_fusion` adds
-the patches to the dense LiDAR grid it is given; it makes no copy. Weight
-shapes follow the channel counts of the grids given, not the config's
-generator depths.
+instances are sampled with it as an offset. `run_fusion` runs that stage
+and then the dual-guided modules, which enhance both grids in place; it
+makes no copy. Weight shapes follow the channel counts of the grids given,
+not the config's generator depths.
 
 The CLI never loads the LiDAR grid. `open_scene` loads the scene as
 `synth.load_scene` checks it, but gathers only the LiDAR cells the front
 stage samples (`gather_lidar`: the bilinear corners of the key points of
 the score-filtered, in-window LiDAR proposals) in one checked f32 pass
-through a handle it keeps open. `fuse` streams the LiDAR rows again through
-that handle, with the patches added, into `enhanced_lidar.bevg` and
-`fused.bevg`.
+through a handle it keeps open. The LiDAR enhancement writes those cells,
+and `fuse` streams the LiDAR rows again through that handle, with the
+written cells rounded in, into `enhanced_lidar.bevg` and `fused.bevg`.
 """
 
 from __future__ import annotations
@@ -31,7 +28,7 @@ from typing import BinaryIO
 import numpy as np
 
 from .config import PipelineConfig
-from .enhance import CellPatches, Projection, enhance_camera_grid, enhance_lidar_grid
+from .enhance import Projection, enhance_camera_grid, enhance_lidar_grid
 from .formats import grid_blocks, load_projection, read_grid_rows
 from .grid import BevGrid, ContextWeights, GatheredCells, bilinear_corners, global_context_refine
 from .instances import SAMPLES_PER_STRATEGY, Proposal, build_instances, key_point_coords
@@ -116,27 +113,6 @@ def run_matching(
     )
 
 
-def run_enhancement(
-    camera_grid: BevGrid,
-    lidar_grid: BevGrid,
-    camera_proposals: list[Proposal],
-    lidar_proposals: list[Proposal],
-    config: PipelineConfig = PipelineConfig(),
-) -> tuple[PairSets, CellPatches]:
-    """Match, enhance the camera grid in place, and return the LiDAR grid's patches.
-
-    The LiDAR grid is only sampled at its key points, so it may be
-    `gather_lidar`'s. Returns the pair sets and the LiDAR cell patches.
-    """
-    pairs = run_matching(camera_grid, lidar_grid, camera_proposals, lidar_proposals, config)
-    projections = build_projections(
-        config, camera_grid.spec.channels, lidar_grid.spec.channels
-    )
-    enhance_camera_grid(camera_grid, pairs.easy, pairs.camera_hard,
-                        projections.lidar_squeeze)
-    return pairs, enhance_lidar_grid(lidar_grid.spec, pairs.lidar_hard, projections.excitation)
-
-
 def run_fusion(
     camera_grid: BevGrid,
     lidar_grid: BevGrid,
@@ -147,14 +123,18 @@ def run_fusion(
     """Match, then enhance both grids in place; returns the pair sets.
 
     The grids may be contiguous arrays or channel views, such as the two
-    slices of a fused buffer. Pass `grid.copy()` to keep an input, and call
+    slices of a fused buffer, and the LiDAR grid may be `gather_lidar`'s.
+    Pass `grid.copy()` to keep an input, and call
     `enhance.fuse_grids(camera_grid, lidar_grid)` afterwards for the fused
     grid.
     """
-    pairs, patches = run_enhancement(
-        camera_grid, lidar_grid, camera_proposals, lidar_proposals, config
+    pairs = run_matching(camera_grid, lidar_grid, camera_proposals, lidar_proposals, config)
+    projections = build_projections(
+        config, camera_grid.spec.channels, lidar_grid.spec.channels
     )
-    patches.apply(lidar_grid.data)
+    enhance_camera_grid(camera_grid, pairs.easy, pairs.camera_hard,
+                        projections.lidar_squeeze)
+    enhance_lidar_grid(lidar_grid, pairs.lidar_hard, projections.excitation)
     return pairs
 
 
@@ -166,7 +146,8 @@ def gather_lidar(
     One f32 pass over the file (`formats.grid_blocks`, with its size and
     non-finite checks) gathers the bilinear corners of the key points of
     the proposals `build_instances` keeps under `config`. Rows read later
-    (`data[a:b]`) come through the same handle.
+    (`data[a:b]`) come through the same handle, with the cells written
+    since (`enhance_lidar_grid`) rounded in.
     """
     blocks = grid_blocks(lidar_file)
     spec = next(blocks)

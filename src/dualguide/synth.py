@@ -510,6 +510,11 @@ def _write_files(records: Scene | Placement, out_dir: str | Path, config: Pipeli
     return manifest_path
 
 
+# The `files` entries of a scene manifest that `load_scene` reads.
+SCENE_FILES = ("camera_grid", "lidar_grid", "camera_proposals", "lidar_proposals",
+               "annotations", "points")
+
+
 def scene_paths(
     manifest_path: str | Path, keys: tuple[str, ...]
 ) -> tuple[dict, dict[str, Path]]:
@@ -553,10 +558,7 @@ def load_scene(
     or the LiDAR grid by `read_lidar(path, lidar_proposals)` when given
     (`pipeline.open_scene` gathers only the cells the pipeline samples).
     """
-    manifest, paths = scene_paths(manifest_path, (
-        "camera_grid", "lidar_grid", "camera_proposals", "lidar_proposals",
-        "annotations", "points",
-    ))
+    manifest, paths = scene_paths(manifest_path, SCENE_FILES)
     echo = manifest.get("grid")
     if not isinstance(echo, dict):
         raise DataFormatError(f"{manifest_path}: no 'grid' object")

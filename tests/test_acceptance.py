@@ -150,8 +150,7 @@ def test_criterion_3_enhancement_transliteration():
         cam_out = enhance_camera_grid(grid.copy(), easy, c_hard, proj)
         if not np.array_equal(cam_out.data, ref_camera_enhance(grid, easy, c_hard, proj)):
             ok = False
-        lid_out = grid.copy()
-        enhance_lidar_grid(grid.spec, l_hard, proj).apply(lid_out.data)
+        lid_out = enhance_lidar_grid(grid.copy(), l_hard, proj)
         if not np.array_equal(lid_out.data, ref_lidar_enhance(grid, l_hard, proj)):
             ok = False
     report(
@@ -345,7 +344,7 @@ def test_criterion_8_latency_budgets(tmp_path):
     camera_copy, lidar_copy = camera_grid.copy(), lidar_grid.copy()
     t0 = time.perf_counter()
     enhance_camera_grid(camera_copy, sets.easy, sets.camera_hard, squeeze)
-    enhance_lidar_grid(lidar_copy.spec, sets.lidar_hard, excite).apply(lidar_copy.data)
+    enhance_lidar_grid(lidar_copy, sets.lidar_hard, excite)
     enhance_ms = (time.perf_counter() - t0) * 1000
 
     from dualguide.cli import main

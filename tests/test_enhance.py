@@ -172,10 +172,8 @@ def identity(n):
 
 
 def lidar_enhanced(grid, pairs, proj):
-    """A copy of `grid` with `enhance_lidar_grid`'s patches applied."""
-    out = grid.copy()
-    enhance_lidar_grid(grid.spec, pairs, proj).apply(out.data)
-    return out
+    """A copy of `grid`, enhanced by `enhance_lidar_grid`."""
+    return enhance_lidar_grid(grid.copy(), pairs, proj)
 
 
 def small_grid(rng, c=3, n=8):
@@ -448,8 +446,7 @@ def enhance_camera(grid, proj, rng):
 
 
 def enhance_lidar(grid, proj, rng):
-    enhance_lidar_grid(grid.spec, random_pairs(rng, lidar_hard_pair, 4), proj).apply(grid.data)
-    return grid
+    return enhance_lidar_grid(grid, random_pairs(rng, lidar_hard_pair, 4), proj)
 
 
 @pytest.mark.parametrize("enhance", [enhance_camera, enhance_lidar])
@@ -507,9 +504,7 @@ def test_in_place_enhancement_equals_references_and_touches_only_addressed_cells
     assert changed(camera.data) <= addressed
 
     lidar = grid.copy()
-    patches = enhance_lidar_grid(grid.spec, lidar_hard, proj)
-    assert len(set(zip(patches.rows.tolist(), patches.cols.tolist()))) == len(patches.rows)
-    patches.apply(lidar.data)
+    assert enhance_lidar_grid(lidar, lidar_hard, proj) is lidar
     assert np.array_equal(lidar.data, ref_lidar_enhance(grid, lidar_hard, proj))
     addressed = {
         cell for p in lidar_hard for cell in ref_surrounding(center(p, "lidar"), grid.spec)

@@ -1,13 +1,14 @@
 """`fuse`, `match` and `loss --scene` read the LiDAR grid at its gathered cells.
 
 The CLI never loads `lidar.bevg`: it gathers the cells the front stage
-samples in one checked pass, takes the LiDAR enhancement as cell patches,
-and streams the patched rows through the same handle. Every artifact must
-equal the dense library path's: `load_scene` -> `run_fusion` (or
-`run_matching`) -> `save_grid` x3 -> `save_pair_sets`.
+samples in one checked pass, writes the LiDAR enhancement into them, and
+streams the rows, with the written cells rounded in, through the same
+handle. Every artifact must equal the dense library path's: `load_scene`
+-> `run_fusion` (or `run_matching`) -> `save_grid` x3 -> `save_pair_sets`.
 """
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -17,7 +18,6 @@ from hypothesis import strategies as st
 
 from dualguide.cli import main
 from dualguide.config import PipelineConfig
-from dualguide.enhance import CellPatches
 from dualguide.errors import ContractError, DataFormatError
 from dualguide.formats import load_grid, save_grid, save_pair_sets
 from dualguide.geometry import Box3D
@@ -29,7 +29,7 @@ from dualguide.grid import (
     surrounding_cells,
     world_to_grid,
 )
-from dualguide.instances import Proposal, key_point_coords
+from dualguide.instances import STRATEGY_KEY_POINTS, Proposal, key_point_coords
 from dualguide.pipeline import run_fusion, run_matching
 from dualguide.synth import Scene, load_scene, write_scene
 
@@ -141,20 +141,40 @@ def test_handmade_variants_match_the_dense_path(handmade, tmp_path, flags, confi
         assert pairs.unmatched_lidar == 0 and pairs.unmatched_camera == 4
 
 
-def test_symlinked_output_does_not_feed_back_into_the_lidar_read(handmade, tmp_path):
-    # Writing enhanced_lidar.bevg replaces the scene's lidar.bevg through the
-    # link; fused.bevg must still come from the original LiDAR values.
-    assert main(["fuse", "--scene", str(handmade), "--out", str(tmp_path / "plain")]) == 0
-    assert json.loads((tmp_path / "plain" / "pairs.json").read_text())["lidar_hard"]
+def test_symlinked_output_does_not_feed_back_into_the_lidar_read(handmade, tmp_path, capsys):
+    # Writing enhanced_lidar.bevg through the link would replace the scene's
+    # lidar.bevg with enhanced values: fuse refuses before writing anything.
+    lidar = handmade.parent / "lidar.bevg"
+    before = lidar.read_bytes()
     linked = tmp_path / "linked"
     linked.mkdir()
-    (linked / "enhanced_lidar.bevg").symlink_to(handmade.parent / "lidar.bevg")
-    assert main(["fuse", "--scene", str(handmade), "--out", str(linked)]) == 0
-    for name in ("fused.bevg", "pairs.json"):
-        assert (linked / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
-    assert (handmade.parent / "lidar.bevg").read_bytes() == (
-        (tmp_path / "plain" / "enhanced_lidar.bevg").read_bytes()
-    )
+    (linked / "enhanced_lidar.bevg").symlink_to(lidar)
+    assert main(["fuse", "--scene", str(handmade), "--out", str(linked)]) == 2
+    err = capsys.readouterr().err
+    assert str(linked / "enhanced_lidar.bevg") in err and str(lidar) in err
+    assert lidar.read_bytes() == before
+    assert [p.name for p in linked.iterdir()] == ["enhanced_lidar.bevg"]
+
+
+@pytest.mark.parametrize("command, output, scene_file", [
+    ("match", "pairs.json", "annotations.jsonl"),
+    ("fuse", "fused.bevg.json", "manifest.json"),
+    ("fuse", "pairs.json", "camera_proposals.jsonl"),
+], ids=["match-out", "fuse-sidecar", "fuse-pairs"])
+def test_an_output_hard_linked_to_a_scene_file_fails_before_writing(
+    handmade, tmp_path, capsys, command, output, scene_file
+):
+    scene_file = handmade.parent / scene_file
+    before = {p.name: p.read_bytes() for p in handmade.parent.iterdir()}
+    out = tmp_path / "out"
+    out.mkdir()
+    os.link(scene_file, out / output)
+    target = out / output if command == "match" else out
+    assert main([command, "--scene", str(handmade), "--out", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert str(out / output) in err and str(scene_file) in err
+    assert {p.name: p.read_bytes() for p in handmade.parent.iterdir()} == before
+    assert [p.name for p in out.iterdir()] == [output]
 
 
 @pytest.mark.parametrize("command", ["fuse", "match"])
@@ -212,21 +232,67 @@ def test_reading_a_cell_that_was_not_gathered_raises():
     assert np.array_equal(cells[np.array([2, 1]), np.array([0, 3])], data[[2, 1], [0, 3]])
     with pytest.raises(ContractError):
         cells[np.array([1]), np.array([2])]
+    # A write with one cell that was not gathered writes none of them.
+    with pytest.raises(ContractError):
+        cells[np.array([1, 1]), np.array([3, 2])] = np.zeros((2, 2))
+    assert np.array_equal(cells[np.array([1]), np.array([3])], data[[1], [3]])
 
 
 @given(seed=st.integers(0, 2**32 - 1), rows_per_block=st.integers(1, 6))
 @settings(max_examples=60, deadline=None)
-def test_patches_on_f32_row_blocks_equal_the_saved_f64_grid(seed, rows_per_block):
+def test_writes_read_back_in_f32_row_blocks_equal_the_saved_f64_grid(seed, rows_per_block):
     rng = np.random.default_rng(seed)
     grid = rng.normal(size=(6, 5, 3)).astype("<f4")
     grid[rng.random(size=grid.shape) < 0.2] = -0.0
-    cells = sorted({(int(r), int(c)) for r, c in rng.integers(0, [6, 5], size=(8, 2))})
-    rows, cols = np.array(cells).T
-    updates = rng.normal(size=(len(cells), 3)) * 10.0 ** rng.integers(-8, 3)
-    patches = CellPatches(rows, cols, updates)
+    spec = GridSpec(6, 5, 3, (0.0, 5.0), (0.0, 6.0))
+    gathered = np.unique(rng.integers(0, [6, 5], size=(12, 2)), axis=0)
+
+    def read_rows(first, out):
+        out[...] = grid[first:first + len(out)]
+
+    cells = GatheredCells.gather(spec, *gathered.T, [(0, grid)], read_rows)
     dense = grid.astype(np.float64)
-    patches.apply(dense)
-    blocks = grid.copy()
-    for first in range(0, 6, rows_per_block):
-        patches.apply(blocks[first:first + rows_per_block], first)
-    assert blocks.tobytes() == dense.astype("<f4").tobytes()
+    # Two writes, to random subsets of the gathered cells, which may overlap.
+    for _ in range(2):
+        rows, cols = gathered[rng.random(len(gathered)) < 0.5].T
+        updates = rng.normal(size=(len(rows), 3)) * 10.0 ** rng.integers(-8, 3)
+        dense[rows, cols] = dense[rows, cols] + updates
+        cells[rows, cols] = cells[rows, cols] + updates
+    blocks = [cells[first:first + rows_per_block] for first in range(0, 6, rows_per_block)]
+    assert np.concatenate(blocks).tobytes() == dense.astype("<f4").tobytes()
+
+
+# A window of 1 to 6 cells a side, 1 x N and N x 1 included, of power-of-two
+# cells from an integer origin, so that half-cell steps are exact.
+windows = st.tuples(
+    st.one_of(
+        st.tuples(st.just(1), st.integers(1, 6)),
+        st.tuples(st.integers(1, 6), st.just(1)),
+        st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    ),
+    st.sampled_from([0.25, 0.5, 1.0, 2.0]),
+    st.tuples(st.integers(-8, 8), st.integers(-8, 8)),
+)
+# A position in cells from the window's low edge, clamped to its high edge:
+# a half-cell step (the window edges, cell centers at exact-integer grid
+# coordinates, cell borders) or anything between.
+steps = st.one_of(st.integers(0, 12).map(lambda k: k / 2), st.floats(0.0, 6.0))
+
+
+@given(window=windows, u=steps, v=steps, strategy=st.sampled_from(sorted(STRATEGY_KEY_POINTS)),
+       yaw=st.floats(-4.0, 4.0), size=st.floats(0.1, 6.0))
+@settings(max_examples=300, deadline=None)
+def test_every_lidar_write_cell_is_a_gathered_corner(window, u, v, strategy, yaw, size):
+    (h, w), cell, (x0, y0) = window
+    spec = GridSpec(h, w, 1, (x0, x0 + w * cell), (y0, y0 + h * cell))
+    x, y = x0 + min(u, w) * cell, y0 + min(v, h) * cell
+    assert spec.contains(x, y)
+    p = Proposal(Box3D((x, y, 1.0), (size, size / 2, 1.5), yaw), 0.9, 0, "lidar")
+    (kept,), _, coords = key_point_coords(spec, [p], 0.7, strategy)
+    center = world_to_grid((x, y), spec)
+    # Every strategy samples the footprint center first, at the center's coordinates.
+    assert (coords[0][0, 0], coords[1][0, 0]) == center
+    r0, c0, r1, c1, _, _ = bilinear_corners(coords, spec)
+    corners = set(zip(np.concatenate([r0, r0, r1, r1]).tolist(),
+                      np.concatenate([c0, c1, c0, c1]).tolist()))
+    assert set(surrounding_cells(center, spec)) <= corners
