@@ -13,11 +13,14 @@ one contiguous array, and of the LiDAR grid only the cells the front stage
 samples, gathered in one checked pass through a handle that stays open.
 `fuse` enhances the camera grid and the gathered LiDAR cells in place
 (`pipeline.run_fusion`, or `pipeline.run_matching` alone under
-`--no-enhance`). It then streams the LiDAR rows through the same handle,
-with the written cells rounded in, into `enhanced_lidar.bevg` and
-`fused.bevg`, so it holds the camera grid and no LiDAR grid or
-concatenation. `fuse` and `match` refuse, before writing anything, an
-output that is the scene's manifest or a file it lists.
+`--no-enhance`). It then writes `enhanced_camera.bevg`,
+`enhanced_lidar.bevg` and `fused.bevg` in one pass over row blocks
+(`formats.save_grid`): each block's camera rows are cast once, and its
+LiDAR rows read once through the same handle, with the written cells
+rounded in and their values checked. So it holds the camera grid and no
+LiDAR grid or concatenation, and reads `lidar.bevg` twice. Every command
+that takes a scene parses its manifest once, and refuses, before writing
+anything, an output that is the manifest or a file it lists.
 `eval`'s energy readout reads the energy map from the grid file in row
 blocks and never holds the grid.
 """
@@ -149,35 +152,43 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_outputs(manifest: str, outputs: list[Path]) -> None:
-    """Refuse an output that is the same file as the manifest or a file it lists.
+def _check_outputs(
+    manifest: str, outputs: list[Path], keys: tuple[str, ...] = SCENE_FILES
+) -> tuple[dict, dict[str, Path]]:
+    """`scene_paths(manifest, keys)`, once no output is the manifest or a file it lists.
 
+    An output that is the same file as one of them raises ConfigurationError.
     A grid output's sidecar, written beside the grid's realpath, counts too.
     """
     def file_id(path: Path) -> tuple[int, int]:
         st = path.stat()
         return st.st_dev, st.st_ino
 
-    _, paths = scene_paths(manifest, SCENE_FILES)
-    inputs = {file_id(p): p for p in (Path(manifest), *paths.values())}
+    parsed = scene_paths(manifest, keys)
+    listed = [Path(manifest).parent / name for name in parsed[0]["files"].values()
+              if isinstance(name, str)]
+    inputs = {file_id(p): p for p in (Path(manifest), *listed) if p.exists()}
     sidecars = [Path(f"{os.path.realpath(p)}.json") for p in outputs if p.suffix == ".bevg"]
     for path in outputs + sidecars:
         if path.exists() and file_id(path) in inputs:
             raise ConfigurationError(f"output {path} is the scene's input {inputs[file_id(path)]}")
+    return parsed
 
 
 def _cmd_fuse(args: argparse.Namespace) -> int:
     config = _config_from_args(args)  # checked before the scene loads
     out = Path(args.out) if args.out else Path(args.scene).parent
-    _check_outputs(args.scene, [out / name for name in FUSE_OUTPUTS])
-    with open_scene(args.scene, config) as scene:
+    parsed = _check_outputs(args.scene, [out / name for name in FUSE_OUTPUTS])
+    with open_scene(args.scene, config, parsed) as scene:
         out.mkdir(parents=True, exist_ok=True)
         camera, lidar = scene.camera_grid, scene.lidar_grid
         run = run_matching if args.no_enhance else run_fusion
         pairs = run(camera, lidar, scene.camera_proposals, scene.lidar_proposals, config)
-        formats.save_grid(camera, out / "enhanced_camera.bevg")
-        formats.save_grid(lidar, out / "enhanced_lidar.bevg")
-        formats.save_grid(lidar, out / "fused.bevg", camera)
+        formats.save_grid([
+            (camera, out / "enhanced_camera.bevg"),
+            (lidar, out / "enhanced_lidar.bevg"),
+            (lidar, camera, out / "fused.bevg"),
+        ])
     formats.save_pair_sets(pairs, out / "pairs.json")
     log.info(
         "fused %d easy / %d camera-hard / %d lidar-hard pairs",
@@ -190,8 +201,8 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
 def _cmd_match(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     out = Path(args.out) if args.out else Path(args.scene).parent / "pairs.json"
-    _check_outputs(args.scene, [out])
-    with open_scene(args.scene, config) as scene:
+    parsed = _check_outputs(args.scene, [out])
+    with open_scene(args.scene, config, parsed) as scene:
         pairs = run_matching(scene.camera_grid, scene.lidar_grid,
                              scene.camera_proposals, scene.lidar_proposals, config)
     formats.save_pair_sets(pairs, out)
@@ -200,7 +211,8 @@ def _cmd_match(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    _, paths = scene_paths(args.scene, ("annotations",))
+    out = Path(args.out) if args.out else Path(args.scene).parent / "report.json"
+    _, paths = _check_outputs(args.scene, [out], ("annotations",))
     annotations = formats.load_annotations(paths["annotations"])
     if args.dets:
         dets = formats.load_detections(args.dets)
@@ -225,19 +237,18 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if class_agnostic:
         text += "\nmAP is class-agnostic: readout detections carry no class"
     print(text)
-    out = Path(args.out) if args.out else Path(args.scene).parent / "report.json"
     formats.save_json({**strat.to_dict(), "class_agnostic": class_agnostic}, out)
     return 0
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    _, paths = scene_paths(args.scene, ("annotations", "points"))
+    out = Path(args.out) if args.out else Path(args.scene).parent / "stats.json"
+    _, paths = _check_outputs(args.scene, [out], ("annotations", "points"))
     points = formats.load_points(paths["points"]) if "points" in paths else None
     table = visibility_histogram(formats.load_annotations(paths["annotations"]), points)
     print(f"{'token':>6} " + "".join(f"{b:>8}" for b in POINT_BUCKETS))
     for token in (4, 3, 2, 1):
         print(f"{token:>6} " + "".join(f"{n:>8}" for n in table[token]))
-    out = Path(args.out) if args.out else Path(args.scene).parent / "stats.json"
     formats.save_json(
         {"buckets": list(POINT_BUCKETS), "counts": {str(t): table[t] for t in table}},
         out,
@@ -266,7 +277,8 @@ def _cmd_loss(args: argparse.Namespace) -> int:
     cosine = components.get("cosine")
     config = _config_from_args(args)
     if args.scene:
-        with open_scene(args.scene, config) as scene:
+        parsed = _check_outputs(args.scene, [Path(args.out)] if args.out else [])
+        with open_scene(args.scene, config, parsed) as scene:
             pairs = run_matching(scene.camera_grid, scene.lidar_grid,
                                  scene.camera_proposals, scene.lidar_proposals, config)
         projections = build_projections(

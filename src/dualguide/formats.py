@@ -7,14 +7,17 @@ mirrors the header for inspection. `grid_blocks` is the one grid reader: it
 checks the header and the file size before anything is allocated, then
 yields the payload in f32 blocks of rows, from a path or an open handle;
 `load_grid` fills a new f64 array from it, and `read_grid_rows` reads rows
-again through an open handle. `write_grid` is the one grid writer: it asks
-a fill function for each f32 block of rows, so no full-grid copy is held.
-`save_grid` is that writer over the rows of one grid, or of the channel
-concatenation of several, which it never builds; a grid's rows may come
-from memory or, for a gathered grid, from its file. The writer replaces an existing file
-with a new one and never truncates it in place, so a hard link to the old
-file keeps the old bytes; a symlinked path is written at its target, and
-the sidecar beside the target. Projection files are magic "PROJ", u32 rows,
+again through an open handle, checking their values. `write_grid` is the
+one grid writer: it writes one or more files of one height in a single
+pass, asking a fill function for each f32 block of rows of all of them, so
+no full-grid copy is held. `save_grid` is that writer over grids: each file
+holds one grid or the channel concatenation of several, which is never
+built, and each grid's rows are made once per block (cast from memory, or
+read from its file for a gathered grid) and copied into every file that
+holds them. The writer replaces an existing file with a new one and never
+truncates it in place, so a hard link to the old file keeps the old bytes;
+a symlinked path is written at its target, and the sidecar beside the
+target. Projection files are magic "PROJ", u32 rows,
 u32 cols, the f32 matrix row-major, then the f32 bias. Proposals and
 annotations are JSON-lines, one object per line, with the box laid out as
 x, y, z, w, l, h, yaw, vx, vy. A point cloud is an .npy file of finite
@@ -27,8 +30,8 @@ import json
 import math
 import os
 import struct
-from collections.abc import Callable, Iterator
-from contextlib import nullcontext
+from collections.abc import Callable, Iterator, Sequence
+from contextlib import ExitStack, nullcontext
 from dataclasses import replace
 from pathlib import Path
 from tokenize import TokenError
@@ -39,7 +42,7 @@ import numpy as np
 from .enhance import Projection
 from .errors import ConfigurationError, DataFormatError
 from .geometry import Box3D
-from .grid import BevGrid, GridSpec
+from .grid import BevGrid, GatheredCells, GridSpec
 from .instances import Proposal
 from .matching import InstancePair, PairSets
 from .metrics import Annotation, Detection
@@ -50,77 +53,122 @@ PROJ_MAGIC = b"PROJ"
 
 _GRID_HEADER = struct.Struct("<4sIIIIdddd")
 # write_grid and grid_blocks stream the payload in blocks of rows holding about
-# this many bytes of f32, so no full-grid f32 copy is ever held.
+# this many bytes of f32 (across all of write_grid's files), so no full-grid
+# f32 copy is ever held.
 _GRID_BLOCK_BYTES = 1 << 20
 _PROJ_HEADER = struct.Struct("<4sII")
 _BOX_KEYS = ("x", "y", "z", "w", "l", "h", "yaw", "vx", "vy")
 
 
-def save_grid(grid: BevGrid, path: str | Path, *more: BevGrid) -> None:
-    """Write the channel concatenation of `grid` and `more`, and its JSON sidecar.
+def save_grid(outputs: Sequence[tuple]) -> None:
+    """Write grid files and their JSON sidecars in one pass over row blocks.
 
-    Values are rounded to f32. The grids may be any views over one window;
-    their rows are copied into `write_grid`'s blocks, so the concatenation
-    is never built.
+    Each output is `(*grids, path)`: its file holds the channel concatenation
+    of its grids, which is never built. Values are rounded to f32. The grids
+    may be any views over one window, dense or gathered (`GatheredCells`).
+    Each block's rows are made once per grid, straight into an output's
+    block: a dense grid is cast, and a gathered grid read through its open
+    handle with the written cells rounded in. The other outputs that hold
+    the grid copy them from there.
     """
-    grids = (grid, *more)
-    if not all(g.spec.same_window(grid.spec) for g in more):
+    layouts = [(output[:-1], output[-1]) for output in outputs]
+    grids = list({id(g): g for gs, _ in layouts for g in gs}.values())
+    if not all(g.spec.same_window(grids[0].spec) for g in grids):
         raise ConfigurationError(
-            f"grids saved to {path} cover different windows: {[g.spec for g in grids]}"
+            f"grids saved to {', '.join(str(p) for _, p in layouts)} cover different "
+            f"windows: {[g.spec for g in grids]}"
         )
-
-    def copy_rows(first_row: int, block: np.ndarray) -> None:
+    # Each grid's rows are made at its channels in the first output holding
+    # it, one that is the grid alone first. A gathered grid is read from its
+    # file in whole rows, so with no such output it takes a block of its own.
+    home: dict[int, tuple[int, int] | None] = {}
+    for k, (gs, _) in sorted(enumerate(layouts), key=lambda output: len(output[1][0]) > 1):
         first = 0
-        for g in grids:
-            rows = g.data[first_row : first_row + len(block)]
-            block[:, :, first : first + g.spec.channels] = rows
+        for g in gs:
+            if id(g) not in home:
+                shared = isinstance(g.data, GatheredCells) and len(gs) > 1
+                home[id(g)] = None if shared else (k, first)
             first += g.spec.channels
+    own: dict[int, np.ndarray] = {}
 
-    write_grid(replace(grid.spec, channels=sum(g.spec.channels for g in grids)), path, copy_rows)
+    def fill(first_row: int, blocks: list[np.ndarray]) -> None:
+        n, made = len(blocks[0]), {}
+        for g in grids:
+            if home[id(g)] is None:
+                if id(g) not in own:  # the first block is the largest
+                    own[id(g)] = np.empty((n, g.spec.width_cells, g.spec.channels), dtype="<f4")
+                rows = own[id(g)][:n]
+            else:
+                k, first = home[id(g)]
+                rows = blocks[k][:, :, first : first + g.spec.channels]
+            if isinstance(g.data, GatheredCells):
+                g.data.read_into(first_row, rows)
+            else:
+                rows[...] = g.data[first_row : first_row + n]
+            made[id(g)] = rows
+        for k, ((gs, _), block) in enumerate(zip(layouts, blocks)):
+            first = 0
+            for g in gs:
+                if home[id(g)] != (k, first):
+                    block[:, :, first : first + g.spec.channels] = made[id(g)]
+                first += g.spec.channels
+
+    write_grid([(replace(gs[0].spec, channels=sum(g.spec.channels for g in gs)), path)
+                for gs, path in layouts], fill)
 
 
 def write_grid(
-    spec: GridSpec, path: str | Path, fill: Callable[[int, np.ndarray], None]
+    outputs: Sequence[tuple[GridSpec, str | Path]],
+    fill: Callable[[int, list[np.ndarray]], None],
 ) -> None:
-    """Write a grid file of `spec` block by block, and its JSON sidecar.
+    """Write grid files of one height block by block, each with its JSON sidecar.
 
-    `fill(first_row, block)` writes rows first_row onwards into `block`, an
-    f32 array of shape (rows, W, C) that is written and then reused for the
+    Each output is `(spec, path)`. `fill(first_row, blocks)` writes rows
+    first_row onwards of output k into `blocks[k]`, an f32 array of shape
+    (rows, W, C) of its spec. The blocks hold the same rows, about
+    `_GRID_BLOCK_BYTES` together; each is written and then reused for the
     next rows, so no full-grid f32 copy is held. An existing grid file is
     replaced by a new file, never truncated in place: a hard link to the old
     file keeps its bytes. A symlinked `path` is written at the link's target,
-    and the sidecar (`<target>.json`) beside the target.
+    and the sidecar (`<target>.json`) beside the target. The outputs are
+    created in order and their sidecars written in order after the pass, so
+    every file ends as separate writes in that order would leave it.
     """
-    h, w, c = spec.height_cells, spec.width_cells, spec.channels
-    rows_per_block = _rows_per_block(spec)
-    buffer = np.empty((min(rows_per_block, h), w, c), dtype="<f4")
-    # A new file, never a truncated one: ext4 flushes a file truncated to zero
-    # and rewritten when it is closed, so the next truncate of it waits for
-    # that writeback. Unlinking also leaves a hard link to the old file, or a
-    # reader partway through it, with the old bytes.
-    target = Path(os.path.realpath(path))
-    target.unlink(missing_ok=True)
-    with target.open("wb") as f:
-        f.write(_GRID_HEADER.pack(GRID_MAGIC, GRID_VERSION, h, w, c, *spec.x_range,
-                                  *spec.y_range))
+    h = outputs[0][0].height_cells
+    rows_per_block = _rows_per_block(*(spec for spec, _ in outputs))
+    buffers = [np.empty((min(rows_per_block, h), spec.width_cells, spec.channels), dtype="<f4")
+               for spec, _ in outputs]
+    targets = []
+    with ExitStack() as files:
+        for spec, path in outputs:
+            # A new file, never a truncated one: ext4 flushes a file truncated
+            # to zero and rewritten when it is closed, so the next truncate of
+            # it waits for that writeback. Unlinking also leaves a hard link to
+            # the old file, or a reader partway through it, with the old bytes.
+            target = os.path.realpath(path)
+            Path(target).unlink(missing_ok=True)
+            f = files.enter_context(open(target, "wb"))
+            f.write(_GRID_HEADER.pack(GRID_MAGIC, GRID_VERSION, h, spec.width_cells,
+                                      spec.channels, *spec.x_range, *spec.y_range))
+            targets.append((target, f))
         for r in range(0, h, rows_per_block):
-            block = buffer[: min(rows_per_block, h - r)]
-            fill(r, block)
-            f.write(block)
-    sidecar = {
-        "magic": GRID_MAGIC.decode(),
-        "version": GRID_VERSION,
-        "height_cells": h,
-        "width_cells": w,
-        "channels": c,
-        "x_range": list(spec.x_range),
-        "y_range": list(spec.y_range),
-    }
-    save_json(sidecar, f"{target}.json")
+            blocks = [buffer[: min(rows_per_block, h - r)] for buffer in buffers]
+            fill(r, blocks)
+            for (_, f), block in zip(targets, blocks):
+                f.write(block)
+    for k, ((spec, _), (target, _)) in enumerate(zip(outputs, targets)):
+        sidecar = f"{target}.json"
+        # Written apart, a later output would replace a sidecar at its target.
+        if os.path.realpath(sidecar) in [t for t, _ in targets[k + 1 :]]:
+            continue
+        save_json({"magic": GRID_MAGIC.decode(), "version": GRID_VERSION, "height_cells": h,
+                   "width_cells": spec.width_cells, "channels": spec.channels,
+                   "x_range": list(spec.x_range), "y_range": list(spec.y_range)}, sidecar)
 
 
-def _rows_per_block(spec: GridSpec) -> int:
-    return max(1, _GRID_BLOCK_BYTES // (spec.width_cells * spec.channels * 4))
+def _rows_per_block(*specs: GridSpec) -> int:
+    """Rows of a block that holds about `_GRID_BLOCK_BYTES` of f32 across `specs`."""
+    return max(1, _GRID_BLOCK_BYTES // sum(s.width_cells * s.channels * 4 for s in specs))
 
 
 def grid_blocks(source: str | Path | BinaryIO) -> Iterator:
@@ -175,11 +223,15 @@ def read_grid_rows(f: BinaryIO, spec: GridSpec, first_row: int, out: np.ndarray)
     """Read rows first_row onwards of an open grid file of `spec` into `out`.
 
     `out` is a contiguous f32 array of shape (rows, W, C). A file that ends
-    before them raises DataFormatError.
+    before them, or non-finite values among them, raise DataFormatError, the
+    latter with `load_grid`'s message for the rows read.
     """
     f.seek(_GRID_HEADER.size + first_row * spec.width_cells * spec.channels * 4)
     if f.readinto(out) != out.nbytes:
         raise DataFormatError(f"{Path(f.name)}: payload ends before row {first_row + len(out)}")
+    bad = out.size - int(np.count_nonzero(np.isfinite(out)))
+    if bad:
+        raise DataFormatError(f"{Path(f.name)}: {bad} non-finite grid values")
 
 
 def load_grid(path: str | Path) -> BevGrid:

@@ -69,9 +69,9 @@ class GatheredCells:
     `cells[rows, cols]`, for integer arrays, reads the gathered cells as the
     grid's array would: a new float64 array of shape (N, C), and
     `cells[rows, cols] = values` writes them. Reading or writing a cell that
-    was not gathered raises ContractError. `cells[a:b]` reads rows a..b-1
-    whole, in float32, through `read_rows(first_row, out)`, with the written
-    cells rounded in, so `formats.save_grid` streams the written grid.
+    was not gathered raises ContractError. `read_into` reads whole rows in
+    float32 through `read_rows(first_row, out)`, with the written cells
+    rounded in, so `formats.save_grid` streams the written grid.
     """
 
     shape: tuple[int, int, int]
@@ -102,21 +102,23 @@ class GatheredCells:
             raise ContractError("access to a grid cell that was not gathered")
         return slots
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            first, stop, _ = index.indices(self.shape[0])
-            out = np.empty((stop - first, *self.shape[1:]), dtype="<f4")
-            self.read_rows(first, out)
-            width = self.shape[1]
-            i, j = np.searchsorted(self.written, (first * width, stop * width))
-            rows, cols = np.divmod(self.written[i:j], width)
-            out[rows - first, cols] = self.values[self.slots[rows, cols]]
-            return out
+    def __getitem__(self, index) -> np.ndarray:
         return self.values[self._slots(index)]
 
     def __setitem__(self, index, values) -> None:
         self.values[self._slots(index)] = values
         self.written = np.union1d(self.written, np.ravel_multi_index(index, self.shape[:2]))
+
+    def read_into(self, first_row: int, out: np.ndarray) -> None:
+        """Read rows first_row onwards into `out`, a contiguous f32 (rows, W, C) array.
+
+        The rows come through `read_rows`, with the written cells rounded in.
+        """
+        self.read_rows(first_row, out)
+        width = self.shape[1]
+        i, j = np.searchsorted(self.written, (first_row * width, (first_row + len(out)) * width))
+        rows, cols = np.divmod(self.written[i:j], width)
+        out[rows - first_row, cols] = self.values[self.slots[rows, cols]]
 
 
 @dataclass

@@ -12,8 +12,8 @@ The CLI never loads the LiDAR grid. `open_scene` loads the scene as
 stage samples (`gather_lidar`: the bilinear corners of the key points of
 the score-filtered, in-window LiDAR proposals) in one checked f32 pass
 through a handle it keeps open. The LiDAR enhancement writes those cells,
-and `fuse` streams the LiDAR rows again through that handle, with the
-written cells rounded in, into `enhanced_lidar.bevg` and `fused.bevg`.
+and `fuse` reads the LiDAR rows once more through that handle, with the
+written cells rounded in, in the one pass that writes its grid files.
 """
 
 from __future__ import annotations
@@ -146,7 +146,7 @@ def gather_lidar(
     One f32 pass over the file (`formats.grid_blocks`, with its size and
     non-finite checks) gathers the bilinear corners of the key points of
     the proposals `build_instances` keeps under `config`. Rows read later
-    (`data[a:b]`) come through the same handle, with the cells written
+    (`data.read_into`) come through the same handle, with the cells written
     since (`enhance_lidar_grid`) rounded in.
     """
     blocks = grid_blocks(lidar_file)
@@ -159,14 +159,16 @@ def gather_lidar(
 
 
 @contextmanager
-def open_scene(manifest_path: str | Path, config: PipelineConfig) -> Iterator[Scene]:
+def open_scene(manifest_path: str | Path, config: PipelineConfig,
+               parsed: tuple[dict, dict[str, Path]] | None = None) -> Iterator[Scene]:
     """The scene `synth.load_scene` reads, with its LiDAR grid gathered for `config`.
 
-    Every check of `load_scene` is made. The LiDAR file is read through one
-    handle (`gather_lidar`), which stays open until the block exits.
+    Every check of `load_scene` is made, on its `parsed` manifest if given.
+    The LiDAR file is read through one handle (`gather_lidar`), which stays
+    open until the block exits.
     """
     with ExitStack() as files:
         def read_lidar(path: Path, proposals: list[Proposal]) -> BevGrid:
             return gather_lidar(files.enter_context(path.open("rb")), proposals, config)
 
-        yield load_scene(manifest_path, read_lidar)
+        yield load_scene(manifest_path, read_lidar, parsed)

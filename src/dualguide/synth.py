@@ -401,8 +401,8 @@ def write_scene(scene: Scene, out_dir: str | Path, config: PipelineConfig, seed:
         )
     return _write_files(
         scene, out_dir, config, seed, gap_profile,
-        lambda path: save_grid(scene.camera_grid, path),
-        lambda path: save_grid(scene.lidar_grid, path),
+        lambda path: save_grid([(scene.camera_grid, path)]),
+        lambda path: save_grid([(scene.lidar_grid, path)]),
     )
 
 
@@ -423,20 +423,21 @@ def generate_scene_files(
     placed = place_scene(config, seed, n_objects, gap_profile, with_points)
     return _write_files(
         placed, out_dir, config, seed, gap_profile,
-        lambda path: write_grid(config.camera_spec(), path, _render_fill(placed.camera_bumps)),
-        lambda path: write_grid(config.lidar_spec(), path, _render_fill(placed.lidar_bumps)),
+        lambda path: write_grid([(config.camera_spec(), path)], _render_fill(placed.camera_bumps)),
+        lambda path: write_grid([(config.lidar_spec(), path)], _render_fill(placed.lidar_bumps)),
     )
 
 
 def _render_fill(bumps: list[Bump]):
-    """A `write_grid` fill that renders each f32 block's rows through one reused f64 block.
+    """A one-output `write_grid` fill: each f32 block's rows, rendered through one f64 block.
 
     The f64 block has half the f32 block's rows, so it holds as many bytes.
     """
     scratch = None
 
-    def fill(first_row: int, block: np.ndarray) -> None:
+    def fill(first_row: int, blocks: list[np.ndarray]) -> None:
         nonlocal scratch
+        (block,) = blocks
         if scratch is None:  # the first block is the largest
             scratch = np.empty(((len(block) + 1) // 2, *block.shape[1:]))
         for r in range(0, len(block), len(scratch)):
@@ -549,6 +550,7 @@ def scene_paths(
 def load_scene(
     manifest_path: str | Path,
     read_lidar: Callable[[Path, list[Proposal]], BevGrid] | None = None,
+    parsed: tuple[dict, dict[str, Path]] | None = None,
 ) -> Scene:
     """Load a scene from its manifest, checking its files against the manifest.
 
@@ -557,8 +559,10 @@ def load_scene(
     that disagrees. Each grid is then read into its own contiguous array,
     or the LiDAR grid by `read_lidar(path, lidar_proposals)` when given
     (`pipeline.open_scene` gathers only the cells the pipeline samples).
+    `parsed` is `scene_paths(manifest_path, SCENE_FILES)` when the caller has
+    read it already.
     """
-    manifest, paths = scene_paths(manifest_path, SCENE_FILES)
+    manifest, paths = parsed or scene_paths(manifest_path, SCENE_FILES)
     echo = manifest.get("grid")
     if not isinstance(echo, dict):
         raise DataFormatError(f"{manifest_path}: no 'grid' object")

@@ -112,7 +112,7 @@ class TestExitCodes:
         assert main(["gen", "--seed", "1", "--objects", "4", "--config", cfg]) == 0
         camera = load_grid(workdir / "scene" / "camera.bevg")
         camera.data[10, 20, 3] = float("nan")
-        save_grid(camera, workdir / "scene" / "camera.bevg")
+        save_grid([(camera, workdir / "scene" / "camera.bevg")])
         assert main(["fuse", "--config", cfg]) == 2
         assert "camera.bevg" in capsys.readouterr().err
         assert not (workdir / "scene" / "fused.bevg").exists()
@@ -188,7 +188,7 @@ class TestExitCodes:
         cfg = small_config(workdir)
         assert main(["gen", "--seed", "1", "--objects", "4", "--config", cfg]) == 0
         wrong = BevGrid.zeros(GridSpec(64, 64, 5, (0.0, 38.4), (-19.2, 19.2)))
-        save_grid(wrong, workdir / "scene" / "camera.bevg")
+        save_grid([(wrong, workdir / "scene" / "camera.bevg")])
         assert main(["fuse", "--scene", "scene/manifest.json", "--config", cfg]) == 2
         assert "manifest" in capsys.readouterr().err
 
@@ -286,7 +286,7 @@ class TestInputBoundary:
         else:
             grid = load_grid(path)
             grid.data[3, 4, 1] = grid.data[90, 2, 0] = float("nan")
-            save_grid(grid, path)
+            save_grid([(grid, path)])
         with pytest.raises(DataFormatError) as expected:
             load_grid(path)
         capsys.readouterr()

@@ -5,6 +5,7 @@ import os
 import struct
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -33,7 +34,7 @@ from dualguide.formats import (
     save_proposals,
 )
 from dualguide.geometry import Box3D
-from dualguide.grid import BevGrid, GridSpec
+from dualguide.grid import BevGrid, GatheredCells, GridSpec
 from dualguide.instances import Proposal
 from dualguide.metrics import Annotation, Detection
 from dualguide.synth import generate_scene, write_scene
@@ -49,7 +50,7 @@ class TestGridFormat:
     def test_roundtrip_bitwise(self, tmp_path):
         grid = f32_grid(np.random.default_rng(0))
         path = tmp_path / "g.bevg"
-        save_grid(grid, path)
+        save_grid([(grid, path)])
         back = load_grid(path)
         assert back.spec == grid.spec
         assert np.array_equal(back.data, grid.data)
@@ -59,14 +60,14 @@ class TestGridFormat:
         spec = GridSpec(4, 4, 2, (0.0, 4.0), (0.0, 4.0))
         grid = BevGrid(spec, rng.normal(size=(4, 4, 2)))  # not f32-representable
         p1, p2 = tmp_path / "a.bevg", tmp_path / "b.bevg"
-        save_grid(grid, p1)
-        save_grid(load_grid(p1), p2)
+        save_grid([(grid, p1)])
+        save_grid([(load_grid(p1), p2)])
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_sidecar_mirrors_header(self, tmp_path):
         grid = f32_grid(np.random.default_rng(2))
         path = tmp_path / "g.bevg"
-        save_grid(grid, path)
+        save_grid([(grid, path)])
         sidecar = json.loads((tmp_path / "g.bevg.json").read_text())
         assert sidecar["height_cells"] == grid.spec.height_cells
         assert sidecar["width_cells"] == grid.spec.width_cells
@@ -76,7 +77,7 @@ class TestGridFormat:
     def test_truncated_file_rejected(self, tmp_path):
         grid = f32_grid(np.random.default_rng(3))
         path = tmp_path / "g.bevg"
-        save_grid(grid, path)
+        save_grid([(grid, path)])
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) - 10])
         with pytest.raises(DataFormatError, match="bytes"):
@@ -86,7 +87,7 @@ class TestGridFormat:
         # 200 KB of payload, past what the file object reads ahead with the header.
         grid = f32_grid(np.random.default_rng(3), h=240, c=30)
         path = tmp_path / "g.bevg"
-        save_grid(grid, path)
+        save_grid([(grid, path)])
         with mock.patch.object(formats, "_GRID_BLOCK_BYTES", 2 * 7 * 30 * 4):  # 2 rows a block
             blocks = formats.grid_blocks(path)
             next(blocks)
@@ -100,7 +101,7 @@ class TestGridFormat:
         grid = f32_grid(np.random.default_rng(3))
         grid.data[1, 2, 0] = value
         path = tmp_path / "g.bevg"
-        save_grid(grid, path)
+        save_grid([(grid, path)])
         with pytest.raises(DataFormatError, match=r"g\.bevg: 1 non-finite"):
             load_grid(path)
 
@@ -113,7 +114,7 @@ class TestGridFormat:
     def test_version_mismatch_rejected(self, tmp_path):
         grid = f32_grid(np.random.default_rng(4))
         path = tmp_path / "g.bevg"
-        save_grid(grid, path)
+        save_grid([(grid, path)])
         blob = bytearray(path.read_bytes())
         blob[4:8] = struct.pack("<I", 99)
         path.write_bytes(bytes(blob))
@@ -123,7 +124,7 @@ class TestGridFormat:
     def test_trailing_garbage_rejected(self, tmp_path):
         grid = f32_grid(np.random.default_rng(5))
         path = tmp_path / "g.bevg"
-        save_grid(grid, path)
+        save_grid([(grid, path)])
         path.write_bytes(path.read_bytes() + b"xx")
         with pytest.raises(DataFormatError):
             load_grid(path)
@@ -135,7 +136,7 @@ class TestGridFormat:
         # 180 x 180 x 104 cells: 27 MB of f64 against 1 MB blocks of f32.
         spec = GridSpec(180, 180, 104, (-54.0, 54.0), (-54.0, 54.0))
         path = tmp_path / "big.bevg"
-        save_grid(BevGrid(spec, np.ones((180, 180, 104))), path)
+        save_grid([(BevGrid(spec, np.ones((180, 180, 104))), path)])
         tracemalloc.start()
         try:
             grid = load_grid(path)
@@ -151,7 +152,7 @@ class TestGridFormat:
         grid.data[0, 0, 0] = grid.data[3, 6, 2] = np.nan
         grid.data[5, 1, 1] = np.inf
         path = tmp_path / "g.bevg"
-        save_grid(grid, path)
+        save_grid([(grid, path)])
         with mock.patch.object(formats, "_GRID_BLOCK_BYTES", block_bytes):
             with pytest.raises(DataFormatError, match=r"g\.bevg: 3 non-finite grid values"):
                 load_grid(path)
@@ -165,8 +166,8 @@ class TestGridFormat:
         # 7 columns x 7 channels of f32 at 4 rows per block: heights 6 and 9
         # end in a short block, and heights up to 4 are one block.
         with mock.patch.object(formats, "_GRID_BLOCK_BYTES", 4 * 7 * 7 * 4):
-            save_grid(lidar, tmp_path / "streamed.bevg", camera)
-            save_grid(fuse_grids(camera, lidar), tmp_path / "fused.bevg")
+            save_grid([(lidar, camera, tmp_path / "streamed.bevg")])
+            save_grid([(fuse_grids(camera, lidar), tmp_path / "fused.bevg")])
         for suffix in ("", ".json"):
             assert ((tmp_path / f"streamed.bevg{suffix}").read_bytes()
                     == (tmp_path / f"fused.bevg{suffix}").read_bytes())
@@ -177,21 +178,21 @@ class TestGridFormat:
         other = BevGrid.zeros(GridSpec(5, 7, 2, (-2.0, 6.0), (0.0, 10.0)))
         path = tmp_path / "g.bevg"
         if existing:
-            save_grid(grid, path)
+            save_grid([(grid, path)])
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         with pytest.raises(ConfigurationError, match="cover different windows"):
-            save_grid(grid, path, other)
+            save_grid([(grid, other, path)])
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_save_over_a_grid_writes_a_new_file(self, tmp_path):
         rng = np.random.default_rng(12)
         path, fresh, link = tmp_path / "g.bevg", tmp_path / "fresh.bevg", tmp_path / "old.bevg"
-        save_grid(f32_grid(rng), path)
+        save_grid([(f32_grid(rng), path)])
         old_bytes = path.read_bytes()
         os.link(path, link)  # also keeps the old inode's number from being reused
         grid = f32_grid(rng, h=6)
-        save_grid(grid, path)
-        save_grid(grid, fresh)
+        save_grid([(grid, path)])
+        save_grid([(grid, fresh)])
         assert path.read_bytes() == fresh.read_bytes()
         assert path.stat().st_ino != link.stat().st_ino
         assert link.read_bytes() == old_bytes
@@ -200,12 +201,12 @@ class TestGridFormat:
         rng = np.random.default_rng(13)
         target = tmp_path / "data" / "g.bevg"
         target.parent.mkdir()
-        save_grid(f32_grid(rng), target)
+        save_grid([(f32_grid(rng), target)])
         link = tmp_path / "link.bevg"
         link.symlink_to("data/g.bevg")
         grid = f32_grid(rng, c=5)  # a sidecar describing the old grid would say 3
-        save_grid(grid, link)
-        save_grid(grid, tmp_path / "fresh.bevg")
+        save_grid([(grid, link)])
+        save_grid([(grid, tmp_path / "fresh.bevg")])
         assert link.is_symlink() and os.readlink(link) == "data/g.bevg"
         assert target.read_bytes() == (tmp_path / "fresh.bevg").read_bytes()
         # The sidecar goes beside the grid it describes, not beside the link.
@@ -236,7 +237,7 @@ class TestGridFormatProperties:
         # Small blocks so that multi-block writes and reads and ragged last
         # blocks occur.
         with mock.patch.object(formats, "_GRID_BLOCK_BYTES", block_bytes):
-            save_grid(grid, path)
+            save_grid([(grid, path)])
             back = load_grid(path)
         spec = grid.spec
         header = struct.pack(
@@ -248,6 +249,73 @@ class TestGridFormatProperties:
         assert np.array_equal(back.data, grid.data.astype(np.float32).astype(np.float64))
 
 
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_one_pass_equals_separate_saves(self, tmp_path_factory, data):
+        """Several outputs in one pass leave each file and sidecar as separate saves would.
+
+        The outputs draw on dense grids, channel views and a gathered grid
+        with written cells, at block heights down to one row; the separate
+        saves take the gathered grid's dense twin. Two of the names resolve
+        to one realpath (a symlink, or a name given twice), and one is
+        another output's sidecar.
+        """
+        root = tmp_path_factory.mktemp("outputs")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        h, w = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+        window = GridSpec(h, w, 1, (-2.0, 5.0), (0.0, 10.0))
+
+        def values(c):
+            v = rng.normal(size=(h, w, c)) * 10.0 ** rng.integers(-3, 4)
+            v[rng.random(size=v.shape) < 0.2] = -0.0
+            return v
+
+        grids = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            c, extra = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 2))
+            start = data.draw(st.integers(0, extra))
+            grids.append(BevGrid(replace(window, channels=c),
+                                 values(c + extra)[:, :, start : start + c]))
+        source = root / "source.bevg"
+        save_grid([(BevGrid(replace(window, channels=3), values(3)), source)])
+        with open(source, "rb") as f:
+            blocks = formats.grid_blocks(f)
+            spec = next(blocks)
+            cells = np.unique(rng.integers(0, [h, w], size=(6, 2)), axis=0)
+            gathered = GatheredCells.gather(spec, *cells.T, blocks,
+                                            partial(formats.read_grid_rows, f, spec))
+            twin = load_grid(source)  # the dense grid the gathered one stands for
+            rows, cols = cells[rng.random(len(cells)) < 0.5].T
+            updates = rng.normal(size=(len(rows), 3))
+            gathered[rows, cols] = gathered[rows, cols] + updates
+            twin.data[rows, cols] = twin.data[rows, cols] + updates
+            grids.append(BevGrid(spec, gathered))
+
+            names = ["a.bevg", "b.bevg", "link.bevg", "a.bevg.json"]
+            outputs = data.draw(st.lists(st.tuples(
+                st.lists(st.sampled_from(grids), min_size=1, max_size=3),
+                st.sampled_from(names),
+            ), min_size=1, max_size=4))
+            row_bytes = sum(w * sum(g.spec.channels for g in gs) * 4 for gs, _ in outputs)
+            block_bytes = data.draw(st.integers(1, 2 * h * row_bytes))
+            written = {}
+            for side in ("one", "apart"):
+                out = root / side
+                out.mkdir()
+                (out / "link.bevg").symlink_to("a.bevg")
+                with mock.patch.object(formats, "_GRID_BLOCK_BYTES", block_bytes):
+                    if side == "one":
+                        save_grid([(*gs, out / name) for gs, name in outputs])
+                    else:
+                        for gs, name in outputs:
+                            save_grid([(*(twin if g is grids[-1] else g for g in gs), out / name)])
+                written[side] = {
+                    p.name: os.readlink(p) if p.is_symlink() else p.read_bytes()
+                    for p in out.iterdir()
+                }
+        assert written["one"] == written["apart"]
+
+
 def valid_input_files(out):
     """One small valid file per loader, written under `out`."""
     rng = np.random.default_rng(11)
@@ -255,7 +323,7 @@ def valid_input_files(out):
                             y_range=(-19.2, 19.2), camera_channels=2, lidar_channels=3)
     scene = generate_scene(config, seed=3, n_objects=3)
     manifest = write_scene(scene, out / "scene", config, 3, "mixed")
-    save_grid(f32_grid(rng, h=3, w=4, c=2), out / "g.bevg")
+    save_grid([(f32_grid(rng, h=3, w=4, c=2), out / "g.bevg")])
     save_projection(Projection(rng.normal(size=(3, 4)), rng.normal(size=3)), out / "p.proj")
     save_detections(
         [Detection(a.box, a.class_id, 0.5) for a in scene.annotations], out / "d.jsonl"

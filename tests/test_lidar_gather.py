@@ -10,12 +10,14 @@ handle. Every artifact must equal the dense library path's: `load_scene`
 import json
 import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualguide import cli, formats, pipeline, synth
 from dualguide.cli import main
 from dualguide.config import PipelineConfig
 from dualguide.errors import ContractError, DataFormatError
@@ -47,9 +49,9 @@ def dense_artifacts(manifest, out, config, enhance=True):
     pairs = run(scene.camera_grid, scene.lidar_grid, scene.camera_proposals,
                 scene.lidar_proposals, config)
     out.mkdir(parents=True)
-    save_grid(scene.camera_grid, out / "enhanced_camera.bevg")
-    save_grid(scene.lidar_grid, out / "enhanced_lidar.bevg")
-    save_grid(scene.lidar_grid, out / "fused.bevg", scene.camera_grid)
+    save_grid([(scene.camera_grid, out / "enhanced_camera.bevg")])
+    save_grid([(scene.lidar_grid, out / "enhanced_lidar.bevg")])
+    save_grid([(scene.lidar_grid, scene.camera_grid, out / "fused.bevg")])
     save_pair_sets(pairs, out / "pairs.json")
     return pairs
 
@@ -202,6 +204,96 @@ def test_nan_at_a_cell_no_key_point_reads_fails_before_writing(handmade, tmp_pat
     assert not (handmade.parent / "pairs.json").exists()
 
 
+@pytest.mark.parametrize("command, scene_file", [
+    ("eval", "annotations.jsonl"),
+    ("stats", "manifest.json"),
+    ("loss", "lidar_proposals.jsonl"),
+])
+def test_a_report_hard_linked_to_a_scene_file_fails_before_writing(
+    handmade, tmp_path, capsys, command, scene_file
+):
+    (tmp_path / "dets.jsonl").write_text("")
+    (tmp_path / "loss.json").write_text(json.dumps(
+        {b: {"cls_pred": [0.9], "cls_target": [1]} for b in ("head", "lidar", "camera")}
+    ))
+    flags = {"eval": ["--dets", str(tmp_path / "dets.jsonl")], "stats": [],
+             "loss": ["--components", str(tmp_path / "loss.json")]}[command]
+    scene_file = handmade.parent / scene_file
+    before = {p.name: p.read_bytes() for p in handmade.parent.iterdir()}
+    out = tmp_path / "out"
+    out.mkdir()
+    os.link(scene_file, out / "report.json")
+    argv = [command, "--scene", str(handmade), *flags, "--out", str(out / "report.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(out / "report.json") in err and str(scene_file) in err
+    assert {p.name: p.read_bytes() for p in handmade.parent.iterdir()} == before
+
+
+@pytest.mark.parametrize("command, passes", [("fuse", 2), ("match", 1)])
+def test_lidar_payload_is_read_once_per_pass(handmade, tmp_path, monkeypatch, capsys,
+                                             command, passes):
+    # fuse gathers and then writes its three grid files in one pass.
+    lidar = handmade.parent / "lidar.bevg"
+    rows = []
+
+    def counted_blocks(grid_blocks):
+        def blocks(source):
+            it = grid_blocks(source)
+            yield next(it)
+            for first, values in it:
+                if Path(getattr(source, "name", source)) == lidar:
+                    rows.append(len(values))
+                yield first, values
+        return blocks
+
+    def counted_rows(f, spec, first_row, out):
+        formats.read_grid_rows(f, spec, first_row, out)
+        if Path(f.name) == lidar:
+            rows.append(len(out))
+
+    for module in (formats, pipeline, synth):
+        monkeypatch.setattr(module, "grid_blocks", counted_blocks(module.grid_blocks))
+    monkeypatch.setattr(pipeline, "read_grid_rows", counted_rows)
+    assert main([command, "--scene", str(handmade), "--out", str(tmp_path / "out")]) == 0
+    assert sum(rows) == passes * SMALL.height_cells
+
+
+@pytest.mark.parametrize("command", ["fuse", "match"])
+def test_the_manifest_is_parsed_once(handmade, tmp_path, monkeypatch, capsys, command):
+    calls, scene_paths = [], synth.scene_paths
+
+    def counted(*args):
+        calls.append(args)
+        return scene_paths(*args)
+
+    monkeypatch.setattr(cli, "scene_paths", counted)
+    monkeypatch.setattr(synth, "scene_paths", counted)
+    assert main([command, "--scene", str(handmade), "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+
+
+def test_a_lidar_value_made_non_finite_before_the_write_pass_fails(
+    handmade, tmp_path, monkeypatch, capsys
+):
+    # The file is rewritten in place after the gather, so only the write
+    # pass can see the NaN.
+    path = handmade.parent / "lidar.bevg"
+
+    def fuse_then_damage(*args):
+        pairs = run_fusion(*args)
+        with open(path, "r+b") as f:
+            f.seek(HEADER_BYTES + ((3 * 16 + 4) * 5 + 2) * 4)
+            f.write(np.float32("nan").tobytes())
+        return pairs
+
+    monkeypatch.setattr(cli, "run_fusion", fuse_then_damage)
+    assert main(["fuse", "--scene", str(handmade), "--out", str(tmp_path / "out")]) == 2
+    with pytest.raises(DataFormatError) as loaded:
+        load_grid(path)
+    assert f"dualguide: error: {loaded.value}" in capsys.readouterr().err
+
+
 class TestPeakMemory:
     """Neither command holds the LiDAR grid: a deep one costs them little."""
 
@@ -258,7 +350,10 @@ def test_writes_read_back_in_f32_row_blocks_equal_the_saved_f64_grid(seed, rows_
         updates = rng.normal(size=(len(rows), 3)) * 10.0 ** rng.integers(-8, 3)
         dense[rows, cols] = dense[rows, cols] + updates
         cells[rows, cols] = cells[rows, cols] + updates
-    blocks = [cells[first:first + rows_per_block] for first in range(0, 6, rows_per_block)]
+    blocks = [np.empty((min(rows_per_block, 6 - first), 5, 3), "<f4")
+              for first in range(0, 6, rows_per_block)]
+    for first, block in zip(range(0, 6, rows_per_block), blocks):
+        cells.read_into(first, block)
     assert np.concatenate(blocks).tobytes() == dense.astype("<f4").tobytes()
 
 

@@ -164,7 +164,7 @@ class TestSceneIo:
         scene = generate_scene(SMALL, seed=11, n_objects=3)
         manifest_path = write_scene(scene, tmp_path, SMALL, 11, "mixed")
         wrong = BevGrid.zeros(GridSpec(10, 10, 6, (0.0, 6.0), (0.0, 6.0)))
-        save_grid(wrong, tmp_path / "camera.bevg")
+        save_grid([(wrong, tmp_path / "camera.bevg")])
         with pytest.raises(DataFormatError, match="manifest"):
             load_scene(manifest_path)
 
@@ -336,7 +336,7 @@ class TestEnergyPeakDetector:
     def test_file_energy_equals_energy_of_the_loaded_grid(self, tmp_path):
         scene = generate_scene(SMALL, seed=16, n_objects=8)
         path = tmp_path / "fused.bevg"
-        save_grid(fuse_grids(scene.camera_grid, scene.lidar_grid), path)
+        save_grid([(fuse_grids(scene.camera_grid, scene.lidar_grid), path)])
         # 96 rows of 96 x 14 f32 cells: blocks of 7 rows, the last one of 5.
         with mock.patch.object(formats, "_GRID_BLOCK_BYTES", 7 * 96 * 14 * 4):
             energy, spec = read_cell_energy(path)
@@ -349,7 +349,7 @@ class TestEnergyPeakDetector:
         # 180 x 180 x 104 cells: 27 MB of f64 against 1 MB blocks of f32.
         spec = GridSpec(180, 180, 104, (-54.0, 54.0), (-54.0, 54.0))
         path = tmp_path / "big.bevg"
-        save_grid(BevGrid(spec, np.ones((180, 180, 104))), path)
+        save_grid([(BevGrid(spec, np.ones((180, 180, 104))), path)])
         tracemalloc.start()
         try:
             energy, _ = read_cell_energy(path)
