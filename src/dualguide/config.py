@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 
 from .errors import ConfigurationError, ContractError
@@ -17,7 +17,7 @@ from .taxonomy import GROUPING_STRATEGIES
 class PipelineConfig:
     gamma: float = 0.7
     eta: float = 0.7
-    lambdas: tuple[float, float, float, float] = (0.99, 1e-4, 1e-4, 1e-2)
+    lambdas: tuple[float, float, float, float] = astuple(LossWeights())
     sampling_strategy: str = DEFAULT_STRATEGY
     grouping_strategy: str = "cbgs_groups"
     height_cells: int = 180
@@ -62,8 +62,7 @@ class PipelineConfig:
         )
 
     def loss_weights(self) -> LossWeights:
-        l1, l2, l3, l4 = self.lambdas
-        return LossWeights(l1, l2, l3, l4)
+        return LossWeights(*self.lambdas)
 
 
 def _checked(key: str, value):

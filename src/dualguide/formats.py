@@ -17,11 +17,13 @@ read from its file for a gathered grid) and copied into every file that
 holds them. The writer replaces an existing file with a new one and never
 truncates it in place, so a hard link to the old file keeps the old bytes;
 a symlinked path is written at its target, and the sidecar beside the
-target. Projection files are magic "PROJ", u32 rows,
-u32 cols, the f32 matrix row-major, then the f32 bias. Proposals and
-annotations are JSON-lines, one object per line, with the box laid out as
-x, y, z, w, l, h, yaw, vx, vy. A point cloud is an .npy file of finite
-floats of shape (N, 3), read by `load_points`.
+target. Projection files are magic "PROJ", u32 rows, u32 cols, the f32
+matrix row-major, then the f32 bias. A point cloud is an .npy file of
+finite floats of shape (N, 3), read by `load_points`. Proposals,
+annotations and detections are JSON-lines, one object per line, and a
+scene manifest lists its objects: each record is a box (x, y, z, w, l, h,
+yaw, vx, vy; an object has no vx, vy), then its kind's `*_FIELDS` table.
+`read_records` is the one reader of all four kinds, `to_records` the one writer.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ _GRID_HEADER = struct.Struct("<4sIIIIdddd")
 _GRID_BLOCK_BYTES = 1 << 20
 _PROJ_HEADER = struct.Struct("<4sII")
 _BOX_KEYS = ("x", "y", "z", "w", "l", "h", "yaw", "vx", "vy")
+_BOX_NAMES = tuple(f"box field {key!r}" for key in _BOX_KEYS)
 
 
 def save_grid(outputs: Sequence[tuple]) -> None:
@@ -314,22 +317,10 @@ def load_points(path: str | Path) -> np.ndarray:
     return points
 
 
-def _box_to_record(box: Box3D) -> dict:
-    return {
-        "x": box.center[0],
-        "y": box.center[1],
-        "z": box.center[2],
-        "w": box.size[0],
-        "l": box.size[1],
-        "h": box.size[2],
-        "yaw": box.yaw,
-        "vx": box.velocity[0],
-        "vy": box.velocity[1],
-    }
-
-
 def _finite(name: str, value):
     """`value` when it is a finite JSON number (a bool is not one), else ValueError."""
+    if type(value) is float and value - value == 0.0:  # the common case, at half the cost
+        return value
     ok = isinstance(value, (int, float)) and not isinstance(value, bool)
     try:
         ok = ok and math.isfinite(value)
@@ -347,15 +338,6 @@ def _integral(name: str, value) -> int:
     return int(value)
 
 
-def box_from_record(rec: dict) -> Box3D:
-    """The box of a record; each field must be a finite number (vx, vy default to 0)."""
-    values = [rec[key] for key in _BOX_KEYS[:7]] + [rec.get("vx", 0.0), rec.get("vy", 0.0)]
-    for key, value in zip(_BOX_KEYS, values):
-        _finite(f"box field {key!r}", value)
-    x, y, z, w, l, h, yaw, vx, vy = values
-    return Box3D(center=(x, y, z), size=(w, l, h), yaw=yaw, velocity=(vx, vy))
-
-
 def _write_jsonl(records: list[dict], path: str | Path) -> None:
     lines = [json.dumps(rec, sort_keys=True) for rec in records]
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
@@ -368,96 +350,93 @@ def _read_text(path: str | Path) -> str:
         raise DataFormatError(f"{path}: not UTF-8 text ({exc})") from exc
 
 
-def _load_jsonl(path: str | Path, build) -> list:
-    """`build(record)` for each record of a JSON-lines file, in order.
+def _string(name: str, value) -> str:
+    """`value` when it is a JSON string, else ValueError."""
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string, got {value!r}")
+    return value
 
-    Every check of a record (JSON syntax, an object, the fields `build`
-    reads) fails with a DataFormatError naming the file and the line or
-    record.
+
+# Each record kind's fields after its box, in the order of its dataclass's
+# fields (the reader builds items positionally), each with its check.
+PROPOSAL_FIELDS = (("score", _finite), ("class_id", _integral), ("modality", _string))
+ANNOTATION_FIELDS = (
+    ("class_id", _integral), ("visibility_token", _integral), ("num_lidar_pts", _integral))
+DETECTION_FIELDS = (("class_id", _integral), ("score", _finite))
+# A manifest object (`synth.SceneObject`); its box is written without vx and vy.
+OBJECT_FIELDS = (
+    ("class_id", _integral), ("profile", _string), ("lidar_strength", _finite),
+    ("camera_strength", _finite), ("visibility_token", _integral), ("num_lidar_pts", _integral))
+
+
+def read_records(build: Callable, fields: tuple, path: str | Path,
+                 objects: list | None = None) -> list:
+    """`build(box, *values)` for each record of the JSON-lines file at `path`, in order.
+
+    Given `objects`, the records are those manifest objects, parsed from the
+    manifest at `path`. Box fields must be finite numbers (vx and vy default
+    to 0), and `fields` checks the rest. Every check (JSON syntax, an object,
+    each field, then `build`'s own) fails with a DataFormatError naming the
+    file and the line, or the `record` or `object` and its index.
     """
-    records = []
-    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            records.append(json.loads(line))
-        except ValueError as exc:
-            raise DataFormatError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
+    if objects is None:
+        label, records = "record", []
+        for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
+            try:
+                if line.strip():
+                    records.append(json.loads(line))
+            except ValueError as exc:
+                raise DataFormatError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
+    else:
+        label, records = "object", objects
     items = []
     for i, rec in enumerate(records):
         try:
             if not isinstance(rec, dict):
                 raise ValueError(f"expected a JSON object, got {type(rec).__name__}")
-            items.append(build(rec))
-        except (KeyError, ValueError) as exc:
-            raise DataFormatError(f"{path}: record {i}: {exc}") from exc
+            box = [rec[key] for key in _BOX_KEYS[:7]] + [rec.get("vx", 0.0), rec.get("vy", 0.0)]
+            x, y, z, w, l, h, yaw, vx, vy = map(_finite, _BOX_NAMES, box)
+            items.append(build(Box3D((x, y, z), (w, l, h), yaw, (vx, vy)),
+                               *[check(name, rec[name]) for name, check in fields]))
+        except KeyError as exc:
+            raise DataFormatError(f"{path}: {label} {i} has no field {exc}") from exc
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: {label} {i}: {exc}") from exc
     return items
 
 
+def to_records(items: list, fields: tuple) -> list[dict]:
+    """The record of each item: its box's keys, then `fields`."""
+    keys = _BOX_KEYS[:7] if fields is OBJECT_FIELDS else _BOX_KEYS
+    return [
+        {**dict(zip(keys, (*item.box.center, *item.box.size, item.box.yaw, *item.box.velocity))),
+         **{name: getattr(item, name) for name, _ in fields}}
+        for item in items
+    ]
+
+
 def save_proposals(proposals: list[Proposal], path: str | Path) -> None:
-    _write_jsonl(
-        [
-            {
-                **_box_to_record(p.box),
-                "score": p.score,
-                "class_id": p.class_id,
-                "modality": p.modality,
-            }
-            for p in proposals
-        ],
-        path,
-    )
+    _write_jsonl(to_records(proposals, PROPOSAL_FIELDS), path)
 
 
 def load_proposals(path: str | Path) -> list[Proposal]:
-    return _load_jsonl(path, lambda rec: Proposal(
-        box=box_from_record(rec),
-        score=_finite("score", rec["score"]),
-        class_id=_integral("class_id", rec["class_id"]),
-        modality=rec["modality"],
-    ))
+    return read_records(Proposal, PROPOSAL_FIELDS, path)
 
 
 def save_annotations(annotations: list[Annotation], path: str | Path) -> None:
-    _write_jsonl(
-        [
-            {
-                **_box_to_record(a.box),
-                "class_id": a.class_id,
-                "visibility_token": a.visibility_token,
-                "num_lidar_pts": a.num_lidar_pts,
-            }
-            for a in annotations
-        ],
-        path,
-    )
+    _write_jsonl(to_records(annotations, ANNOTATION_FIELDS), path)
 
 
 def load_annotations(path: str | Path) -> list[Annotation]:
-    return _load_jsonl(path, lambda rec: Annotation(
-        box=box_from_record(rec),
-        class_id=_integral("class_id", rec["class_id"]),
-        visibility_token=_integral("visibility_token", rec["visibility_token"]),
-        num_lidar_pts=_integral("num_lidar_pts", rec["num_lidar_pts"]),
-    ))
+    return read_records(Annotation, ANNOTATION_FIELDS, path)
 
 
 def save_detections(detections: list[Detection], path: str | Path) -> None:
-    _write_jsonl(
-        [
-            {**_box_to_record(d.box), "class_id": d.class_id, "score": d.score}
-            for d in detections
-        ],
-        path,
-    )
+    _write_jsonl(to_records(detections, DETECTION_FIELDS), path)
 
 
 def load_detections(path: str | Path) -> list[Detection]:
-    return _load_jsonl(path, lambda rec: Detection(
-        box=box_from_record(rec),
-        class_id=_integral("class_id", rec["class_id"]),
-        score=_finite("score", rec["score"]),
-    ))
+    return read_records(Detection, DETECTION_FIELDS, path)
 
 
 def _pair_to_record(pair: InstancePair) -> dict:

@@ -146,6 +146,8 @@ class BevGrid:
         return cls(spec, np.zeros((spec.height_cells, spec.width_cells, spec.channels)))
 
     def copy(self) -> "BevGrid":
+        if isinstance(self.data, GatheredCells):
+            raise ContractError("only a dense grid copies, not a gathered one")
         return BevGrid(self.spec, self.data.copy())
 
 

@@ -124,9 +124,9 @@ def run_fusion(
 
     The grids may be contiguous arrays or channel views, such as the two
     slices of a fused buffer, and the LiDAR grid may be `gather_lidar`'s.
-    Pass `grid.copy()` to keep an input, and call
-    `enhance.fuse_grids(camera_grid, lidar_grid)` afterwards for the fused
-    grid.
+    Pass `grid.copy()` to keep a dense input (a gathered grid does not copy),
+    and call `enhance.fuse_grids(camera_grid, lidar_grid)` afterwards for
+    the fused grid.
     """
     pairs = run_matching(camera_grid, lidar_grid, camera_proposals, lidar_proposals, config)
     projections = build_projections(

@@ -57,17 +57,19 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .config import PipelineConfig
 from .errors import ConfigurationError, ContractError, DataFormatError
 from .formats import (
-    box_from_record,
+    OBJECT_FIELDS,
     grid_blocks,
     load_annotations,
     load_grid,
     load_json,
     load_points,
     load_proposals,
+    read_records,
     save_annotations,
     save_grid,
     save_json,
     save_proposals,
+    to_records,
     write_grid,
 )
 from .geometry import Box3D, box_axes
@@ -118,6 +120,15 @@ class SceneObject:
     camera_strength: float
     visibility_token: int
     num_lidar_pts: int
+
+    def __post_init__(self) -> None:
+        # Its annotation checks the class id, visibility token and point count.
+        Annotation(self.box, self.class_id, self.visibility_token, self.num_lidar_pts)
+        if self.profile not in GAP_PROFILES[:3]:
+            raise ContractError(f"profile {self.profile!r} not in {GAP_PROFILES[:3]}")
+        for name in ("lidar_strength", "camera_strength"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ContractError(f"{name} {getattr(self, name)} outside [0, 1]")
 
 
 @dataclass
@@ -487,24 +498,7 @@ def _write_files(records: Scene | Placement, out_dir: str | Path, config: Pipeli
             "lidar_channels": config.lidar_channels,
         },
         "files": files,
-        "objects": [
-            {
-                "class_id": o.class_id,
-                "profile": o.profile,
-                "lidar_strength": o.lidar_strength,
-                "camera_strength": o.camera_strength,
-                "visibility_token": o.visibility_token,
-                "num_lidar_pts": o.num_lidar_pts,
-                "x": o.box.center[0],
-                "y": o.box.center[1],
-                "z": o.box.center[2],
-                "w": o.box.size[0],
-                "l": o.box.size[1],
-                "h": o.box.size[2],
-                "yaw": o.box.yaw,
-            }
-            for o in records.objects
-        ],
+        "objects": to_records(records.objects, OBJECT_FIELDS),
     }
     manifest_path = out / "manifest.json"
     save_json(manifest, manifest_path)
@@ -589,22 +583,9 @@ def load_scene(
     points = load_points(paths["points"]) if "points" in paths else None
     records = manifest.get("objects", [])
     if not isinstance(records, list):
-        raise DataFormatError(
-            f"{manifest_path}: 'objects' must be a list, got {type(records).__name__}"
-        )
-    objects = []
-    for i, o in enumerate(records):
-        try:
-            if not isinstance(o, dict):
-                raise ValueError(f"expected a JSON object, got {type(o).__name__}")
-            objects.append(SceneObject(
-                box_from_record(o), o["class_id"], o["profile"], o["lidar_strength"],
-                o["camera_strength"], o["visibility_token"], o["num_lidar_pts"],
-            ))
-        except KeyError as exc:
-            raise DataFormatError(f"{manifest_path}: object {i} has no field {exc}") from exc
-        except (ValueError, ContractError) as exc:
-            raise DataFormatError(f"{manifest_path}: object {i}: {exc}") from exc
+        raise DataFormatError(f"{manifest_path}: 'objects' must be a list, "
+                              f"got {type(records).__name__}")
+    objects = read_records(SceneObject, OBJECT_FIELDS, manifest_path, records)
     return Scene(
         camera_grid,
         lidar_grid,

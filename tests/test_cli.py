@@ -347,6 +347,11 @@ def without(table, key):
     return {k: v for k, v in table.items() if k != key}
 
 
+def first_object(**fields):
+    """A manifest edit that keeps the first object alone, with `fields` set."""
+    return lambda m: {**m, "objects": [{**m["objects"][0], **fields}]}
+
+
 class TestManifestShape:
     """A manifest of the wrong shape exits 2 naming the manifest."""
 
@@ -370,11 +375,33 @@ class TestManifestShape:
          "object 0 has no field 'x'"),
         ("match", lambda m: {**m, "objects": [*m["objects"][:2], 7]},
          "object 2: expected a JSON object, got int"),
-        ("fuse", lambda m: {**m, "objects": [{**m["objects"][0], "yaw": "0.5"}]},
+        ("fuse", first_object(yaw="0.5"),
          "object 0: box field 'yaw' must be a finite number, got '0.5'"),
+        ("match", first_object(class_id="car"),
+         "object 0: class_id must be a finite number, got 'car'"),
+        ("fuse", first_object(class_id=10),
+         "object 0: class_id 10 outside [0, 9]"),
+        ("match", first_object(lidar_strength=float("nan")),
+         "object 0: lidar_strength must be a finite number, got nan"),
+        ("fuse", first_object(camera_strength=1.5),
+         "object 0: camera_strength 1.5 outside [0, 1]"),
+        ("match", first_object(profile=[1]),
+         "object 0: profile must be a string, got [1]"),
+        ("fuse", first_object(profile="mixed"),
+         "object 0: profile 'mixed' not in ('easy', 'lidar-hole', 'occluded')"),
+        ("match", first_object(visibility_token=9.5),
+         "object 0: visibility_token must be an integer, got 9.5"),
+        ("fuse", first_object(visibility_token=0),
+         "object 0: visibility token 0 not in 1..4"),
+        ("match", first_object(num_lidar_pts=-3),
+         "object 0: num_lidar_pts must be >= 0"),
     ], ids=["no-files", "entry-not-a-name", "top-level-list", "no-grid", "no-lidar-grid",
             "no-camera-proposals", "objects-not-a-list", "object-without-x",
-            "object-not-an-object", "object-yaw-not-a-number"])
+            "object-not-an-object", "object-yaw-not-a-number", "object-class-not-a-number",
+            "object-class-out-of-range", "object-strength-nan", "object-strength-above-1",
+            "object-profile-not-a-string", "object-profile-unknown",
+            "object-token-not-an-integer", "object-token-out-of-range",
+            "object-negative-point-count"])
     def test_bad_shape_is_data_error(self, manifest, capsys, command, edit, expected):
         manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
         assert main([command]) == 2

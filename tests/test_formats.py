@@ -4,7 +4,7 @@ import json
 import os
 import struct
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import partial
 from unittest import mock
 
@@ -19,7 +19,11 @@ from dualguide.config import PipelineConfig, config_from_dict, load_config
 from dualguide.enhance import Projection, fuse_grids
 from dualguide.errors import ConfigurationError, DataFormatError
 from dualguide.formats import (
+    ANNOTATION_FIELDS,
+    DETECTION_FIELDS,
     GRID_MAGIC,
+    OBJECT_FIELDS,
+    PROPOSAL_FIELDS,
     load_annotations,
     load_detections,
     load_grid,
@@ -27,17 +31,20 @@ from dualguide.formats import (
     load_points,
     load_projection,
     load_proposals,
+    read_records,
     save_annotations,
     save_detections,
     save_grid,
+    save_json,
     save_projection,
     save_proposals,
+    to_records,
 )
 from dualguide.geometry import Box3D
 from dualguide.grid import BevGrid, GatheredCells, GridSpec
 from dualguide.instances import Proposal
 from dualguide.metrics import Annotation, Detection
-from dualguide.synth import generate_scene, write_scene
+from dualguide.synth import SceneObject, generate_scene, write_scene
 
 
 def f32_grid(rng, h=5, w=7, c=3):
@@ -377,13 +384,13 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def boxes(draw):
+def boxes(draw, velocity=True):
     positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
     return Box3D(
         center=(draw(finite), draw(finite), draw(finite)),
         size=(draw(positive), draw(positive), draw(positive)),
         yaw=draw(st.floats(-1e3, 1e3)),
-        velocity=(draw(finite), draw(finite)),
+        velocity=(draw(finite), draw(finite)) if velocity else (0.0, 0.0),
     )
 
 
@@ -392,6 +399,48 @@ class_ids = st.integers(0, 9)
 proposals = st.builds(Proposal, boxes(), unit, class_ids, st.sampled_from(["lidar", "camera"]))
 annotations = st.builds(Annotation, boxes(), class_ids, st.integers(1, 4), st.integers(0, 10**6))
 detections = st.builds(Detection, boxes(), class_ids, unit)
+scene_objects = st.builds(SceneObject, boxes(velocity=False), class_ids,
+                          st.sampled_from(["easy", "lidar-hole", "occluded"]), unit, unit,
+                          st.integers(1, 4), st.integers(0, 10**6))
+
+
+def save_objects(objects, path):
+    """Manifest objects, written as `write_scene` writes them."""
+    save_json({"objects": to_records(objects, OBJECT_FIELDS)}, path)
+
+
+def load_objects(path):
+    """Manifest objects, read as `load_scene` reads them."""
+    return read_records(SceneObject, OBJECT_FIELDS, path, load_json(path)["objects"])
+
+
+def write_reference_records(records, path):
+    path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+
+
+def reference_box(box):
+    return {"x": box.center[0], "y": box.center[1], "z": box.center[2], "w": box.size[0],
+            "l": box.size[1], "h": box.size[2], "yaw": box.yaw, "vx": box.velocity[0],
+            "vy": box.velocity[1]}
+
+
+# The per-kind writers the one record writer replaced, keyed by its entry points.
+REFERENCE_WRITERS = {
+    save_proposals: lambda items, path: write_reference_records([
+        {**reference_box(p.box), "score": p.score, "class_id": p.class_id,
+         "modality": p.modality} for p in items], path),
+    save_annotations: lambda items, path: write_reference_records([
+        {**reference_box(a.box), "class_id": a.class_id, "visibility_token": a.visibility_token,
+         "num_lidar_pts": a.num_lidar_pts} for a in items], path),
+    save_detections: lambda items, path: write_reference_records([
+        {**reference_box(d.box), "class_id": d.class_id, "score": d.score} for d in items], path),
+    save_objects: lambda items, path: save_json({"objects": [
+        {"class_id": o.class_id, "profile": o.profile, "lidar_strength": o.lidar_strength,
+         "camera_strength": o.camera_strength, "visibility_token": o.visibility_token,
+         "num_lidar_pts": o.num_lidar_pts,
+         **{k: v for k, v in reference_box(o.box).items() if k not in ("vx", "vy")}}
+        for o in items]}, path),
+}
 
 
 class TestRoundTripProperties:
@@ -412,14 +461,18 @@ class TestRoundTripProperties:
         (save_proposals, load_proposals, proposals),
         (save_annotations, load_annotations, annotations),
         (save_detections, load_detections, detections),
+        (save_objects, load_objects, scene_objects),
     ])
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
     def test_records_survive_save_load(self, tmp_path_factory, save, load, items, data):
+        """The writer writes the reference writer's text, and the reader reads it back."""
         records = data.draw(st.lists(items, max_size=5))
-        path = tmp_path_factory.mktemp("jsonl") / "records.jsonl"
-        save(records, path)
-        assert load(path) == records
+        root = tmp_path_factory.mktemp("records")
+        save(records, root / "records")
+        REFERENCE_WRITERS[save](records, root / "reference")
+        assert (root / "records").read_text() == (root / "reference").read_text()
+        assert load(root / "records") == records
 
 
 class TestProjectionFormat:
@@ -501,8 +554,16 @@ class TestJsonLines:
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps({"x": 1.0, "y": 2.0}) + "\n")
-        with pytest.raises(DataFormatError):
+        with pytest.raises(DataFormatError, match="bad.jsonl: record 0 has no field 'z'"):
             load_proposals(path)
+
+    @pytest.mark.parametrize("table, cls", [
+        (PROPOSAL_FIELDS, Proposal), (ANNOTATION_FIELDS, Annotation),
+        (DETECTION_FIELDS, Detection), (OBJECT_FIELDS, SceneObject),
+    ])
+    def test_field_table_names_the_dataclass_fields_after_the_box(self, table, cls):
+        # The reader builds each item positionally from its table.
+        assert [f.name for f in fields(cls)] == ["box", *(name for name, _ in table)]
 
     @pytest.mark.parametrize("key, value", [("x", float("nan")), ("yaw", float("inf")),
                                             ("vy", float("-inf")), ("w", "2.0")])

@@ -330,6 +330,15 @@ def test_reading_a_cell_that_was_not_gathered_raises():
     assert np.array_equal(cells[np.array([1]), np.array([3])], data[[1], [3]])
 
 
+def test_copying_a_gathered_grid_is_a_contract_error(handmade):
+    scene = load_scene(handmade)
+    assert np.array_equal(scene.lidar_grid.copy().data, scene.lidar_grid.data)
+    with open(handmade.parent / "lidar.bevg", "rb") as f:
+        gathered = pipeline.gather_lidar(f, scene.lidar_proposals, SMALL)
+        with pytest.raises(ContractError, match="only a dense grid copies"):
+            gathered.copy()
+
+
 @given(seed=st.integers(0, 2**32 - 1), rows_per_block=st.integers(1, 6))
 @settings(max_examples=60, deadline=None)
 def test_writes_read_back_in_f32_row_blocks_equal_the_saved_f64_grid(seed, rows_per_block):
