@@ -15,14 +15,14 @@ samples, gathered in one checked pass through a handle that stays open.
 (`pipeline.run_fusion`, or `pipeline.run_matching` alone under
 `--no-enhance`). It then writes `enhanced_camera.bevg`,
 `enhanced_lidar.bevg` and `fused.bevg` in one pass over row blocks
-(`formats.save_grid`): each block's camera rows are cast once, and its
-LiDAR rows read once through the same handle, with the written cells
-rounded in and their values checked. So it holds the camera grid and no
-LiDAR grid or concatenation, and reads `lidar.bevg` twice. Every command
-that takes a scene parses its manifest once, and refuses, before writing
-anything, an output that is the manifest or a file it lists.
-`eval`'s energy readout reads the energy map from the grid file in row
-blocks and never holds the grid.
+(`formats.save_grid`): each block's camera rows are cast once, and its LiDAR
+rows read once through the same handle, with the written cells rounded in
+and their values checked. So it holds the camera grid and no LiDAR grid or
+concatenation, and reads `lidar.bevg` twice. Every command that takes a
+scene parses its manifest once, and every command refuses, before writing
+anything, an output that is one of its inputs (a scene file, `eval`'s
+detections or grid, `loss`'s components). `eval`'s energy readout reads the
+energy map from the grid file in row blocks and never holds the grid.
 """
 
 from __future__ import annotations
@@ -152,26 +152,27 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_outputs(
-    manifest: str, outputs: list[Path], keys: tuple[str, ...] = SCENE_FILES
-) -> tuple[dict, dict[str, Path]]:
-    """`scene_paths(manifest, keys)`, once no output is the manifest or a file it lists.
+def _check_outputs(manifest: str | None, outputs: list[Path], inputs: tuple[Path, ...] = (),
+                   keys: tuple[str, ...] = SCENE_FILES) -> tuple[dict, dict[str, Path]] | None:
+    """`scene_paths(manifest, keys)` (None without a manifest), once no output is an input.
 
-    An output that is the same file as one of them raises ConfigurationError.
-    A grid output's sidecar, written beside the grid's realpath, counts too.
+    The inputs are `inputs`, the manifest and the files it lists. An output
+    that is the same file as one raises ConfigurationError. A grid output's
+    sidecar, written beside the grid's realpath, counts too.
     """
     def file_id(path: Path) -> tuple[int, int]:
         st = path.stat()
         return st.st_dev, st.st_ino
 
-    parsed = scene_paths(manifest, keys)
-    listed = [Path(manifest).parent / name for name in parsed[0]["files"].values()
-              if isinstance(name, str)]
-    inputs = {file_id(p): p for p in (Path(manifest), *listed) if p.exists()}
+    parsed = scene_paths(manifest, keys) if manifest else None
+    if parsed:
+        names = [name for name in parsed[0]["files"].values() if isinstance(name, str)]
+        inputs += (Path(manifest), *(Path(manifest).parent / name for name in names))
+    inputs = {file_id(p): p for p in inputs if p.exists()}
     sidecars = [Path(f"{os.path.realpath(p)}.json") for p in outputs if p.suffix == ".bevg"]
     for path in outputs + sidecars:
         if path.exists() and file_id(path) in inputs:
-            raise ConfigurationError(f"output {path} is the scene's input {inputs[file_id(path)]}")
+            raise ConfigurationError(f"output {path} is the input {inputs[file_id(path)]}")
     return parsed
 
 
@@ -212,17 +213,17 @@ def _cmd_match(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     out = Path(args.out) if args.out else Path(args.scene).parent / "report.json"
-    _, paths = _check_outputs(args.scene, [out], ("annotations",))
+    source = Path(args.dets or args.peaks_from or Path(args.scene).parent / "fused.bevg")
+    _, paths = _check_outputs(args.scene, [out], (source,), ("annotations",))
     annotations = formats.load_annotations(paths["annotations"])
     if args.dets:
-        dets = formats.load_detections(args.dets)
+        dets = formats.load_detections(source)
     else:
-        grid_path = args.peaks_from or Path(args.scene).parent / "fused.bevg"
-        if not args.peaks_from and not grid_path.exists():
+        if not args.peaks_from and not source.exists():
             raise ConfigurationError(
                 "no detections: pass --dets or --peaks-from, or run fuse first"
             )
-        dets = energy_peak_detections(*read_cell_energy(grid_path), args.max_peaks)
+        dets = energy_peak_detections(*read_cell_energy(source), args.max_peaks)
         # The readout gives every detection one class, so AP is scored
         # class-agnostically against annotations relabelled to that class.
         annotations = [replace(a, class_id=READOUT_CLASS) for a in annotations]
@@ -243,7 +244,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     out = Path(args.out) if args.out else Path(args.scene).parent / "stats.json"
-    _, paths = _check_outputs(args.scene, [out], ("annotations", "points"))
+    _, paths = _check_outputs(args.scene, [out], keys=("annotations", "points"))
     points = formats.load_points(paths["points"]) if "points" in paths else None
     table = visibility_histogram(formats.load_annotations(paths["annotations"]), points)
     print(f"{'token':>6} " + "".join(f"{b:>8}" for b in POINT_BUCKETS))
@@ -256,28 +257,47 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _branch_loss(branch: dict) -> float:
+def _loss_array(key: str, value) -> np.ndarray:
+    """`value` as an array when it is a non-empty array of finite numbers, else ValueError."""
+    try:
+        array = np.array(value)
+    except ValueError:  # a ragged list
+        array = np.array(None)
+    if array.dtype.kind not in "iuf" or not array.size or not np.isfinite(array).all():
+        raise ValueError(f"{key} must be a non-empty array of finite numbers")
+    return array
+
+
+def _branch_loss(name: str, branch) -> float:
+    if not isinstance(branch, dict):
+        raise ValueError(f"section {name!r} must be a JSON object")
     value = 0.0
-    if "cls_pred" in branch:
-        value += focal_loss(np.array(branch["cls_pred"]), np.array(branch["cls_target"]))
-    if "box_pred" in branch:
-        value += l1_loss(np.array(branch["box_pred"]), np.array(branch["box_target"]))
+    for kind, loss in (("cls", focal_loss), ("box", l1_loss)):
+        if f"{kind}_pred" in branch:
+            value += loss(*(_loss_array(f"{name}.{kind}_{part}", branch.get(f"{kind}_{part}"))
+                            for part in ("pred", "target")))
     return value
 
 
 def _cmd_loss(args: argparse.Namespace) -> int:
+    if not (np.isfinite(args.history) and args.history >= 0):  # the cosine loss is in [0, 2]
+        raise ConfigurationError(f"--history must be a finite number >= 0, got {args.history}")
+    config = _config_from_args(args)
+    outputs = [Path(args.out)] if args.out else []
+    parsed = _check_outputs(args.scene, outputs, (Path(args.components),))
     components = formats.load_json(args.components)
     try:
-        l_head = _branch_loss(components["head"])
-        l_lidar = _branch_loss(components["lidar"])
-        l_camera = _branch_loss(components["camera"])
+        if not isinstance(components, dict):
+            raise ValueError("expected a JSON object")
+        l_head, l_lidar, l_camera = (_branch_loss(name, components[name])
+                                     for name in ("head", "lidar", "camera"))
+        cosine = components.get("cosine")
+        cosine = cosine if cosine is None else formats._finite("cosine", cosine)
     except KeyError as exc:
         raise DataFormatError(f"{args.components}: missing section {exc}") from exc
-
-    cosine = components.get("cosine")
-    config = _config_from_args(args)
+    except (ContractError, ValueError) as exc:  # ContractError: pred and target shapes differ
+        raise DataFormatError(f"{args.components}: {exc}") from exc
     if args.scene:
-        parsed = _check_outputs(args.scene, [Path(args.out)] if args.out else [])
         with open_scene(args.scene, config, parsed) as scene:
             pairs = run_matching(scene.camera_grid, scene.lidar_grid,
                                  scene.camera_proposals, scene.lidar_proposals, config)

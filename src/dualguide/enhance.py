@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .geometry import center_distance_bev
-from .grid import BevGrid, GridSpec, bilinear_sample, surrounding_cells, world_to_grid
+from .grid import BevGrid, GridSpec, bilinear_sample, concat_spec, surrounding_cells, world_to_grid
 from .instances import InstanceFeature
 from .matching import PAIR_CAMERA_HARD, InstancePair
 
@@ -169,24 +169,8 @@ def enhance_lidar_grid(
     return lidar_grid
 
 
-def fused_spec(camera_spec: GridSpec, lidar_spec: GridSpec) -> GridSpec:
-    """The spec of the channel concatenation of two grids over one window."""
-    if not camera_spec.same_window(lidar_spec):
-        raise ConfigurationError(
-            "camera and lidar grids cover different windows: "
-            f"{camera_spec} vs {lidar_spec}"
-        )
-    return GridSpec(
-        lidar_spec.height_cells,
-        lidar_spec.width_cells,
-        lidar_spec.channels + camera_spec.channels,
-        lidar_spec.x_range,
-        lidar_spec.y_range,
-    )
-
-
 def fuse_grids(camera_grid: BevGrid, lidar_grid: BevGrid) -> BevGrid:
     """Channel-concatenate the two grids, LiDAR channels first."""
-    spec = fused_spec(camera_grid.spec, lidar_grid.spec)
+    spec = concat_spec([lidar_grid.spec, camera_grid.spec])
     return BevGrid(spec, np.concatenate([lidar_grid.data, camera_grid.data], axis=2))
 

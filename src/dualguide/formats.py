@@ -7,23 +7,24 @@ mirrors the header for inspection. `grid_blocks` is the one grid reader: it
 checks the header and the file size before anything is allocated, then
 yields the payload in f32 blocks of rows, from a path or an open handle;
 `load_grid` fills a new f64 array from it, and `read_grid_rows` reads rows
-again through an open handle, checking their values. `write_grid` is the
-one grid writer: it writes one or more files of one height in a single
-pass, asking a fill function for each f32 block of rows of all of them, so
-no full-grid copy is held. `save_grid` is that writer over grids: each file
-holds one grid or the channel concatenation of several, which is never
-built, and each grid's rows are made once per block (cast from memory, or
-read from its file for a gathered grid) and copied into every file that
-holds them. The writer replaces an existing file with a new one and never
-truncates it in place, so a hard link to the old file keeps the old bytes;
-a symlinked path is written at its target, and the sidecar beside the
-target. Projection files are magic "PROJ", u32 rows, u32 cols, the f32
-matrix row-major, then the f32 bias. A point cloud is an .npy file of
-finite floats of shape (N, 3), read by `load_points`. Proposals,
-annotations and detections are JSON-lines, one object per line, and a
-scene manifest lists its objects: each record is a box (x, y, z, w, l, h,
-yaw, vx, vy; an object has no vx, vy), then its kind's `*_FIELDS` table.
-`read_records` is the one reader of all four kinds, `to_records` the one writer.
+again through an open handle, checking their values. `write_grid` is the one
+grid writer: it writes one or more files of one height in a single pass,
+asking a fill function for each file's f32 rows of each block, so no
+full-grid copy is held. `save_grid` is that writer over grids: each file
+holds one grid or the channel concatenation of several, which is never built
+whole. Each grid's rows are made once per block, into an f32 block of its
+own (cast, or read from its file if gathered); a file of one grid writes
+that block, and a file of several their concatenation, joined into one more
+block. The writer replaces an existing file with a new one and never
+truncates it in place, so a hard link to the old file keeps the old bytes; a
+symlinked path is written at its target, and the sidecar beside the target.
+Projection files are magic "PROJ", u32 rows, u32 cols, the f32 matrix
+row-major, then the f32 bias. A point cloud is an .npy file of finite floats
+of shape (N, 3), read by `load_points`. Proposals, annotations and
+detections are JSON-lines, one object per line, and a scene manifest lists
+its objects: each record is a box (x, y, z, w, l, h, yaw, vx, vy; an object
+has no vx, vy), then its kind's `*_FIELDS` table. `read_records` is the one
+reader of all four kinds, `to_records` the one writer.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ import os
 import struct
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import ExitStack, nullcontext
-from dataclasses import replace
 from pathlib import Path
 from tokenize import TokenError
 from typing import BinaryIO
@@ -44,7 +44,7 @@ import numpy as np
 from .enhance import Projection
 from .errors import ConfigurationError, DataFormatError
 from .geometry import Box3D
-from .grid import BevGrid, GatheredCells, GridSpec
+from .grid import BevGrid, GatheredCells, GridSpec, concat_spec
 from .instances import Proposal
 from .matching import InstancePair, PairSets
 from .metrics import Annotation, Detection
@@ -67,80 +67,60 @@ def save_grid(outputs: Sequence[tuple]) -> None:
     """Write grid files and their JSON sidecars in one pass over row blocks.
 
     Each output is `(*grids, path)`: its file holds the channel concatenation
-    of its grids, which is never built. Values are rounded to f32. The grids
-    may be any views over one window, dense or gathered (`GatheredCells`).
-    Each block's rows are made once per grid, straight into an output's
-    block: a dense grid is cast, and a gathered grid read through its open
-    handle with the written cells rounded in. The other outputs that hold
-    the grid copy them from there.
+    of its grids. Values are rounded to f32. The grids may be any views over
+    one window, dense or gathered (`GatheredCells`). Each grid's rows are made
+    once per block, into an f32 block of its own: a dense grid is cast, and a
+    gathered grid read through its open handle with the written cells rounded
+    in. An output of one grid writes that block, and an output of several
+    their concatenation, joined into one more block.
     """
     layouts = [(output[:-1], output[-1]) for output in outputs]
     grids = list({id(g): g for gs, _ in layouts for g in gs}.values())
-    if not all(g.spec.same_window(grids[0].spec) for g in grids):
-        raise ConfigurationError(
-            f"grids saved to {', '.join(str(p) for _, p in layouts)} cover different "
-            f"windows: {[g.spec for g in grids]}"
-        )
-    # Each grid's rows are made at its channels in the first output holding
-    # it, one that is the grid alone first. A gathered grid is read from its
-    # file in whole rows, so with no such output it takes a block of its own.
-    home: dict[int, tuple[int, int] | None] = {}
-    for k, (gs, _) in sorted(enumerate(layouts), key=lambda output: len(output[1][0]) > 1):
-        first = 0
-        for g in gs:
-            if id(g) not in home:
-                shared = isinstance(g.data, GatheredCells) and len(gs) > 1
-                home[id(g)] = None if shared else (k, first)
-            first += g.spec.channels
-    own: dict[int, np.ndarray] = {}
+    concat_spec([g.spec for g in grids])  # every output covers one window
+    specs = [concat_spec([g.spec for g in gs]) for gs, _ in layouts]
+    blocks: dict = {}  # by grid id, and by ("joined", k) for output k of several grids
 
-    def fill(first_row: int, blocks: list[np.ndarray]) -> None:
-        n, made = len(blocks[0]), {}
+    def block(key, n: int, spec: GridSpec) -> np.ndarray:
+        if key not in blocks:  # the first block is the largest
+            blocks[key] = np.empty((n, spec.width_cells, spec.channels), dtype="<f4")
+        return blocks[key][:n]
+
+    def fill(first_row: int, n: int) -> list[np.ndarray]:
         for g in grids:
-            if home[id(g)] is None:
-                if id(g) not in own:  # the first block is the largest
-                    own[id(g)] = np.empty((n, g.spec.width_cells, g.spec.channels), dtype="<f4")
-                rows = own[id(g)][:n]
-            else:
-                k, first = home[id(g)]
-                rows = blocks[k][:, :, first : first + g.spec.channels]
+            rows = block(id(g), n, g.spec)
             if isinstance(g.data, GatheredCells):
                 g.data.read_into(first_row, rows)
             else:
                 rows[...] = g.data[first_row : first_row + n]
-            made[id(g)] = rows
-        for k, ((gs, _), block) in enumerate(zip(layouts, blocks)):
-            first = 0
-            for g in gs:
-                if home[id(g)] != (k, first):
-                    block[:, :, first : first + g.spec.channels] = made[id(g)]
-                first += g.spec.channels
+        out = []
+        for k, ((gs, _), spec) in enumerate(zip(layouts, specs)):
+            parts = [block(id(g), n, g.spec) for g in gs]
+            out.append(parts[0] if len(parts) == 1 else
+                       np.concatenate(parts, axis=2, out=block(("joined", k), n, spec)))
+        return out
 
-    write_grid([(replace(gs[0].spec, channels=sum(g.spec.channels for g in gs)), path)
-                for gs, path in layouts], fill)
+    write_grid([(spec, path) for spec, (_, path) in zip(specs, layouts)], fill)
 
 
 def write_grid(
     outputs: Sequence[tuple[GridSpec, str | Path]],
-    fill: Callable[[int, list[np.ndarray]], None],
+    fill: Callable[[int, int], list[np.ndarray]],
 ) -> None:
     """Write grid files of one height block by block, each with its JSON sidecar.
 
-    Each output is `(spec, path)`. `fill(first_row, blocks)` writes rows
-    first_row onwards of output k into `blocks[k]`, an f32 array of shape
-    (rows, W, C) of its spec. The blocks hold the same rows, about
-    `_GRID_BLOCK_BYTES` together; each is written and then reused for the
-    next rows, so no full-grid f32 copy is held. An existing grid file is
-    replaced by a new file, never truncated in place: a hard link to the old
-    file keeps its bytes. A symlinked `path` is written at the link's target,
-    and the sidecar (`<target>.json`) beside the target. The outputs are
-    created in order and their sidecars written in order after the pass, so
-    every file ends as separate writes in that order would leave it.
+    Each output is `(spec, path)`. `fill(first_row, rows)` returns each
+    output's rows first_row onwards, a contiguous f32 array of shape
+    (rows, W, C) of its spec. The blocks hold about `_GRID_BLOCK_BYTES`
+    together, so no full-grid f32 copy is held, and the caller may reuse its
+    arrays for the next rows. An existing grid file is replaced by a new
+    file, never truncated in place: a hard link to the old file keeps its
+    bytes. A symlinked `path` is written at the link's target, and the
+    sidecar (`<target>.json`) beside the target. The outputs are created in
+    order and their sidecars written in order after the pass, so every file
+    ends as separate writes in that order would leave it.
     """
     h = outputs[0][0].height_cells
     rows_per_block = _rows_per_block(*(spec for spec, _ in outputs))
-    buffers = [np.empty((min(rows_per_block, h), spec.width_cells, spec.channels), dtype="<f4")
-               for spec, _ in outputs]
     targets = []
     with ExitStack() as files:
         for spec, path in outputs:
@@ -155,10 +135,8 @@ def write_grid(
                                       spec.channels, *spec.x_range, *spec.y_range))
             targets.append((target, f))
         for r in range(0, h, rows_per_block):
-            blocks = [buffer[: min(rows_per_block, h - r)] for buffer in buffers]
-            fill(r, blocks)
-            for (_, f), block in zip(targets, blocks):
-                f.write(block)
+            for (_, f), rows in zip(targets, fill(r, min(rows_per_block, h - r))):
+                f.write(rows)
     for k, ((spec, _), (target, _)) in enumerate(zip(outputs, targets)):
         sidecar = f"{target}.json"
         # Written apart, a later output would replace a sidecar at its target.

@@ -10,8 +10,8 @@ Rows follow y, columns follow x.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -62,6 +62,13 @@ class GridSpec:
         )
 
 
+def concat_spec(specs: Sequence[GridSpec]) -> GridSpec:
+    """The spec of the channel concatenation of grids over one window, in order."""
+    if not all(spec.same_window(specs[0]) for spec in specs):
+        raise ConfigurationError(f"grids cover different windows: {list(specs)}")
+    return replace(specs[0], channels=sum(spec.channels for spec in specs))
+
+
 @dataclass
 class GatheredCells:
     """Some cells of an H x W x C grid, held without the grid.
@@ -71,7 +78,7 @@ class GatheredCells:
     `cells[rows, cols] = values` writes them. Reading or writing a cell that
     was not gathered raises ContractError. `read_into` reads whole rows in
     float32 through `read_rows(first_row, out)`, with the written cells
-    rounded in, so `formats.save_grid` streams the written grid.
+    rounded in: `formats.save_grid` makes the grid's f32 rows so, once per block.
     """
 
     shape: tuple[int, int, int]

@@ -263,8 +263,8 @@ def place_scene(
     Clutter bumps are placed last, clear of every object. An object or
     clutter bump has one Gaussian, shared by its bumps in the two grids.
     """
-    if n_objects < 0:
-        raise ConfigurationError("n_objects must be >= 0")
+    if n_objects < 0 or seed < 0:
+        raise ConfigurationError(f"n_objects and seed must be >= 0, got {n_objects} and {seed}")
     if gap_profile not in GAP_PROFILES:
         raise ConfigurationError(
             f"unknown gap profile {gap_profile!r}; expected one of {GAP_PROFILES}"
@@ -432,30 +432,32 @@ def generate_scene_files(
     reused f64 block, which is rounded into the f32 block that is written.
     """
     placed = place_scene(config, seed, n_objects, gap_profile, with_points)
+    camera, lidar = config.camera_spec(), config.lidar_spec()
     return _write_files(
         placed, out_dir, config, seed, gap_profile,
-        lambda path: write_grid([(config.camera_spec(), path)], _render_fill(placed.camera_bumps)),
-        lambda path: write_grid([(config.lidar_spec(), path)], _render_fill(placed.lidar_bumps)),
+        lambda path: write_grid([(camera, path)], _render_fill(camera, placed.camera_bumps)),
+        lambda path: write_grid([(lidar, path)], _render_fill(lidar, placed.lidar_bumps)),
     )
 
 
-def _render_fill(bumps: list[Bump]):
+def _render_fill(spec: GridSpec, bumps: list[Bump]):
     """A one-output `write_grid` fill: each f32 block's rows, rendered through one f64 block.
 
     The f64 block has half the f32 block's rows, so it holds as many bytes.
     """
-    scratch = None
+    block = scratch = None
 
-    def fill(first_row: int, blocks: list[np.ndarray]) -> None:
-        nonlocal scratch
-        (block,) = blocks
-        if scratch is None:  # the first block is the largest
-            scratch = np.empty(((len(block) + 1) // 2, *block.shape[1:]))
-        for r in range(0, len(block), len(scratch)):
-            out = scratch[: len(block) - r]
+    def fill(first_row: int, n: int) -> list[np.ndarray]:
+        nonlocal block, scratch
+        if block is None:  # the first block is the largest
+            block = np.empty((n, spec.width_cells, spec.channels), dtype="<f4")
+            scratch = np.empty(((n + 1) // 2, spec.width_cells, spec.channels))
+        for r in range(0, n, len(scratch)):
+            out = scratch[: n - r]
             out.fill(0.0)
             render_rows(bumps, first_row + r, out)
             block[r : r + len(out)] = out
+        return [block[:n]]
 
     return fill
 

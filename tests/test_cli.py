@@ -107,6 +107,11 @@ class TestExitCodes:
         assert "window too crowded: placed 98 of 120 objects before it filled" in err
         assert not (workdir / "scene").exists()
 
+    def test_negative_seed_is_config_error(self, workdir, capsys):
+        assert main(["gen", "--seed", "-1"]) == 2
+        assert "seed must be >= 0, got 12 and -1" in capsys.readouterr().err
+        assert not (workdir / "scene").exists()
+
     def test_non_finite_grid_is_data_error(self, workdir, capsys):
         cfg = small_config(workdir)
         assert main(["gen", "--seed", "1", "--objects", "4", "--config", cfg]) == 0
@@ -666,6 +671,39 @@ class TestLossCommand:
     def test_missing_section_is_data_error(self, workdir):
         (workdir / "loss.json").write_text(json.dumps({"head": {}}))
         assert main(["loss", "--components", "loss.json"]) == 2
+
+    @pytest.mark.parametrize("edit, key", [
+        (lambda c: [c], "expected a JSON object"),
+        (lambda c: {**c, "head": [1]}, "section 'head' must be a JSON object"),
+        (lambda c: {**c, "camera": {"cls_pred": ["a"], "cls_target": [1]}}, "camera.cls_pred"),
+        (lambda c: {**c, "lidar": {"box_pred": [float("nan")], "box_target": [0.0]}},
+         "lidar.box_pred"),
+        (lambda c: {**c, "head": {"cls_pred": [0.9, 0.1], "cls_target": [[1], [0, 1]]}},
+         "head.cls_target"),
+        (lambda c: {**c, "head": {"cls_pred": [0.9]}}, "head.cls_target"),
+        (lambda c: {**c, "cosine": "x"}, "cosine must be a finite number"),
+        (lambda c: {**c, "cosine": float("nan")}, "cosine must be a finite number"),
+    ], ids=["top-level-list", "section-list", "string-pred", "nan-pred", "ragged-target",
+            "no-target", "string-cosine", "nan-cosine"])
+    def test_bad_components_are_data_errors(self, workdir, capsys, edit, key):
+        # json.dumps writes a NaN as JSON's NaN literal, which json.loads accepts.
+        comp = {branch: {"cls_pred": [0.9], "cls_target": [1]}
+                for branch in ("head", "lidar", "camera")}
+        (workdir / "loss.json").write_text(json.dumps(edit(comp)))
+        assert main(["loss", "--components", "loss.json", "--out", "out.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("dualguide: error: loss.json: ") and key in err
+        assert not (workdir / "out.json").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
+    def test_history_must_be_finite_and_non_negative(self, workdir, capsys, value):
+        comp = {branch: {"cls_pred": [0.9], "cls_target": [1]}
+                for branch in ("head", "lidar", "camera")}
+        (workdir / "loss.json").write_text(json.dumps(comp))
+        argv = ["loss", "--components", "loss.json", f"--history={value}", "--out", "out.json"]
+        assert main(argv) == 2
+        assert "--history must be a finite number >= 0" in capsys.readouterr().err
+        assert not (workdir / "out.json").exists()
 
 
 def traced_peak(argv, code=0):

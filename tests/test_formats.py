@@ -265,7 +265,8 @@ class TestGridFormatProperties:
         with written cells, at block heights down to one row; the separate
         saves take the gathered grid's dense twin. Two of the names resolve
         to one realpath (a symlink, or a name given twice), and one is
-        another output's sidecar.
+        another output's sidecar. The one pass reads each of the gathered
+        grid's rows from its file once if an output holds it, else never.
         """
         root = tmp_path_factory.mktemp("outputs")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -297,6 +298,13 @@ class TestGridFormatProperties:
             gathered[rows, cols] = gathered[rows, cols] + updates
             twin.data[rows, cols] = twin.data[rows, cols] + updates
             grids.append(BevGrid(spec, gathered))
+            rows_read = []
+
+            def counted(first_row, out, read=gathered.read_rows):
+                rows_read.append(len(out))
+                read(first_row, out)
+
+            gathered.read_rows = counted
 
             names = ["a.bevg", "b.bevg", "link.bevg", "a.bevg.json"]
             outputs = data.draw(st.lists(st.tuples(
@@ -321,6 +329,8 @@ class TestGridFormatProperties:
                     for p in out.iterdir()
                 }
         assert written["one"] == written["apart"]
+        holds = any(g is grids[-1] for gs, _ in outputs for g in gs)
+        assert sum(rows_read) == (h if holds else 0)
 
 
 def valid_input_files(out):

@@ -230,6 +230,34 @@ def test_a_report_hard_linked_to_a_scene_file_fails_before_writing(
     assert {p.name: p.read_bytes() for p in handmade.parent.iterdir()} == before
 
 
+@pytest.mark.parametrize("argv, output", [
+    (["eval", "--peaks-from", "{scene}/fused.bevg"], "{scene}/fused.bevg"),
+    (["eval"], "{scene}/fused.bevg"),  # the default readout grid
+    (["eval", "--dets", "{tmp}/dets.jsonl"], "{tmp}/dets.jsonl"),
+    (["loss", "--components", "{tmp}/loss.json"], "{tmp}/loss.json"),
+    (["loss", "--components", "{tmp}/loss.json", "--scene", "{manifest}"], "{tmp}/loss.json"),
+], ids=["eval-peaks-from", "eval-default-grid", "eval-dets", "loss", "loss-scene"])
+def test_an_output_that_is_a_command_input_fails_before_writing(handmade, tmp_path, capsys,
+                                                                argv, output):
+    # Inputs that are not scene files: the detections or readout grid, the components.
+    assert main(["fuse", "--scene", str(handmade)]) == 0
+    (tmp_path / "dets.jsonl").write_text("")
+    (tmp_path / "loss.json").write_text(json.dumps(
+        {b: {"cls_pred": [0.9], "cls_target": [1]} for b in ("head", "lidar", "camera")}
+    ))
+    names = {"scene": handmade.parent, "tmp": tmp_path, "manifest": handmade}
+    output = output.format(**names)
+    argv = [arg.format(**names) for arg in argv] + ["--out", output]
+    if argv[0] == "eval":
+        argv += ["--scene", str(handmade)]
+    files = [*handmade.parent.iterdir(), tmp_path / "dets.jsonl", tmp_path / "loss.json"]
+    before = {p: p.read_bytes() for p in files}
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert f"output {output} is the input {output}" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in files} == before
+
+
 @pytest.mark.parametrize("command, passes", [("fuse", 2), ("match", 1)])
 def test_lidar_payload_is_read_once_per_pass(handmade, tmp_path, monkeypatch, capsys,
                                              command, passes):
