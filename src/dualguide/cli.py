@@ -6,11 +6,13 @@ enhanced/fused grids plus the pair dump), match (pair matching only), eval
 components from supplied arrays and an optional scene). Exit codes: 0 on
 success, 1 on usage errors, 2 on data/configuration errors.
 
-`gen` renders each grid file in row blocks while writing it
-(`synth.generate_scene_files`), so it never holds a grid. `fuse`, `match`
-and `loss` open their scene with `pipeline.open_scene`: the camera grid in
-one contiguous array, and of the LiDAR grid only the cells the front stage
-samples, gathered in one checked pass through a handle that stays open.
+`gen` places its scene (`synth.place_scene`) and writes it with the
+library's one scene writer, `synth.write_scene`: `formats.save_grid` renders
+each grid file in row blocks while writing it, so `gen` never holds a grid.
+`fuse`, `match` and `loss` open their scene with `pipeline.open_scene`: the
+camera grid in one contiguous array, and of the LiDAR grid only the cells
+the front stage samples, gathered in one checked pass through a handle that
+stays open.
 `fuse` enhances the camera grid and the gathered LiDAR cells in place
 (`pipeline.run_fusion`, or `pipeline.run_matching` alone under
 `--no-enhance`). It then writes `enhanced_camera.bevg`,
@@ -55,9 +57,10 @@ from .synth import (
     READOUT_CLASS,
     SCENE_FILES,
     energy_peak_detections,
-    generate_scene_files,
+    place_scene,
     read_cell_energy,
     scene_paths,
+    write_scene,
 )
 
 log = logging.getLogger("dualguide")
@@ -145,10 +148,8 @@ FUSE_OUTPUTS = ("enhanced_camera.bevg", "enhanced_lidar.bevg", "fused.bevg", "pa
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    manifest = generate_scene_files(
-        config, args.seed, args.objects, args.profile, args.points, args.out
-    )
-    print(manifest)
+    scene = place_scene(config, args.seed, args.objects, args.profile, args.points)
+    print(write_scene(scene, args.out, config, args.seed, args.profile))
     return 0
 
 
@@ -289,10 +290,12 @@ def _cmd_loss(args: argparse.Namespace) -> int:
     try:
         if not isinstance(components, dict):
             raise ValueError("expected a JSON object")
-        l_head, l_lidar, l_camera = (_branch_loss(name, components[name])
-                                     for name in ("head", "lidar", "camera"))
+        with np.errstate(over="ignore"):  # finite inputs may overflow: refused below
+            l_head, l_lidar, l_camera = (_branch_loss(name, components[name])
+                                         for name in ("head", "lidar", "camera"))
         cosine = components.get("cosine")
-        cosine = cosine if cosine is None else formats._finite("cosine", cosine)
+        if cosine is not None and not 0 <= formats._finite("cosine", cosine) <= 2:
+            raise ValueError(f"cosine must be in [0, 2], the cosine loss's range, got {cosine}")
     except KeyError as exc:
         raise DataFormatError(f"{args.components}: missing section {exc}") from exc
     except (ContractError, ValueError) as exc:  # ContractError: pred and target shapes differ
@@ -321,6 +324,9 @@ def _cmd_loss(args: argparse.Namespace) -> int:
         "lambdas": list(config.lambdas),
         "total": total,
     }
+    for key in ("head", "lidar", "camera", "total"):
+        if not np.isfinite(report[key]):
+            raise DataFormatError(f"{args.components}: {key} overflows to {report[key]}")
     print(json.dumps(report, sort_keys=True))
     if args.out:
         formats.save_json(report, args.out)

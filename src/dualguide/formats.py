@@ -7,13 +7,13 @@ mirrors the header for inspection. `grid_blocks` is the one grid reader: it
 checks the header and the file size before anything is allocated, then
 yields the payload in f32 blocks of rows, from a path or an open handle;
 `load_grid` fills a new f64 array from it, and `read_grid_rows` reads rows
-again through an open handle, checking their values. `write_grid` is the one
-grid writer: it writes one or more files of one height in a single pass,
-asking a fill function for each file's f32 rows of each block, so no
-full-grid copy is held. `save_grid` is that writer over grids: each file
-holds one grid or the channel concatenation of several, which is never built
-whole. Each grid's rows are made once per block, into an f32 block of its
-own (cast, or read from its file if gathered); a file of one grid writes
+again through an open handle, checking their values. `save_grid` is the one
+grid writer: it writes one or more files of one window in a single pass over
+row blocks, so no full-grid copy is held. Each file holds one grid or the
+channel concatenation of several, which is never built whole. A grid is a
+dense array or a row source with `read_into` (gathered LiDAR cells, or
+rendered bumps), and each grid's rows are made once per block, into an f32
+block of its own (cast, or read from the source); a file of one grid writes
 that block, and a file of several their concatenation, joined into one more
 block. The writer replaces an existing file with a new one and never
 truncates it in place, so a hard link to the old file keeps the old bytes; a
@@ -44,7 +44,7 @@ import numpy as np
 from .enhance import Projection
 from .errors import ConfigurationError, DataFormatError
 from .geometry import Box3D
-from .grid import BevGrid, GatheredCells, GridSpec, concat_spec
+from .grid import BevGrid, GridSpec, concat_spec
 from .instances import Proposal
 from .matching import InstancePair, PairSets
 from .metrics import Annotation, Detection
@@ -54,8 +54,8 @@ GRID_VERSION = 1
 PROJ_MAGIC = b"PROJ"
 
 _GRID_HEADER = struct.Struct("<4sIIIIdddd")
-# write_grid and grid_blocks stream the payload in blocks of rows holding about
-# this many bytes of f32 (across all of write_grid's files), so no full-grid
+# save_grid and grid_blocks stream the payload in blocks of rows holding about
+# this many bytes of f32 (across all of save_grid's files), so no full-grid
 # f32 copy is ever held.
 _GRID_BLOCK_BYTES = 1 << 20
 _PROJ_HEADER = struct.Struct("<4sII")
@@ -64,66 +64,38 @@ _BOX_NAMES = tuple(f"box field {key!r}" for key in _BOX_KEYS)
 
 
 def save_grid(outputs: Sequence[tuple]) -> None:
-    """Write grid files and their JSON sidecars in one pass over row blocks.
+    """Write grid files of one window and their JSON sidecars in one pass over row blocks.
 
     Each output is `(*grids, path)`: its file holds the channel concatenation
-    of its grids. Values are rounded to f32. The grids may be any views over
-    one window, dense or gathered (`GatheredCells`). Each grid's rows are made
-    once per block, into an f32 block of its own: a dense grid is cast, and a
-    gathered grid read through its open handle with the written cells rounded
-    in. An output of one grid writes that block, and an output of several
-    their concatenation, joined into one more block.
+    of its grids, with values rounded to f32. A grid's data is a dense array
+    or a row source with `read_into` (`grid.GatheredCells`,
+    `synth.RenderedRows`). Each grid's rows are made once per block into an
+    f32 block of its own: a dense array is cast, and a row source reads into
+    it. An output of one grid writes that block, and an output of several
+    their concatenation, joined into one more block. The blocks hold about
+    `_GRID_BLOCK_BYTES` together, so no full-grid f32 copy is held. An
+    existing grid file is replaced by a new file, never truncated in place:
+    a hard link to the old file keeps its bytes. A symlinked path is written
+    at the link's target, and the sidecar (`<target>.json`) beside the
+    target. The outputs are created in order and their sidecars written in
+    order after the pass, so every file ends as separate saves in that order
+    would leave it.
     """
     layouts = [(output[:-1], output[-1]) for output in outputs]
     grids = list({id(g): g for gs, _ in layouts for g in gs}.values())
-    concat_spec([g.spec for g in grids])  # every output covers one window
+    window = concat_spec([g.spec for g in grids])  # every output covers one window
     specs = [concat_spec([g.spec for g in gs]) for gs, _ in layouts]
-    blocks: dict = {}  # by grid id, and by ("joined", k) for output k of several grids
+    h = window.height_cells
+    rows_per_block = _rows_per_block(*specs)
 
-    def block(key, n: int, spec: GridSpec) -> np.ndarray:
-        if key not in blocks:  # the first block is the largest
-            blocks[key] = np.empty((n, spec.width_cells, spec.channels), dtype="<f4")
-        return blocks[key][:n]
+    def f32_block(spec: GridSpec) -> np.ndarray:
+        return np.empty((min(rows_per_block, h), spec.width_cells, spec.channels), dtype="<f4")
 
-    def fill(first_row: int, n: int) -> list[np.ndarray]:
-        for g in grids:
-            rows = block(id(g), n, g.spec)
-            if isinstance(g.data, GatheredCells):
-                g.data.read_into(first_row, rows)
-            else:
-                rows[...] = g.data[first_row : first_row + n]
-        out = []
-        for k, ((gs, _), spec) in enumerate(zip(layouts, specs)):
-            parts = [block(id(g), n, g.spec) for g in gs]
-            out.append(parts[0] if len(parts) == 1 else
-                       np.concatenate(parts, axis=2, out=block(("joined", k), n, spec)))
-        return out
-
-    write_grid([(spec, path) for spec, (_, path) in zip(specs, layouts)], fill)
-
-
-def write_grid(
-    outputs: Sequence[tuple[GridSpec, str | Path]],
-    fill: Callable[[int, int], list[np.ndarray]],
-) -> None:
-    """Write grid files of one height block by block, each with its JSON sidecar.
-
-    Each output is `(spec, path)`. `fill(first_row, rows)` returns each
-    output's rows first_row onwards, a contiguous f32 array of shape
-    (rows, W, C) of its spec. The blocks hold about `_GRID_BLOCK_BYTES`
-    together, so no full-grid f32 copy is held, and the caller may reuse its
-    arrays for the next rows. An existing grid file is replaced by a new
-    file, never truncated in place: a hard link to the old file keeps its
-    bytes. A symlinked `path` is written at the link's target, and the
-    sidecar (`<target>.json`) beside the target. The outputs are created in
-    order and their sidecars written in order after the pass, so every file
-    ends as separate writes in that order would leave it.
-    """
-    h = outputs[0][0].height_cells
-    rows_per_block = _rows_per_block(*(spec for spec, _ in outputs))
+    blocks = {id(g): f32_block(g.spec) for g in grids}
+    joined = [f32_block(spec) if len(gs) > 1 else None for (gs, _), spec in zip(layouts, specs)]
     targets = []
     with ExitStack() as files:
-        for spec, path in outputs:
+        for spec, (_, path) in zip(specs, layouts):
             # A new file, never a truncated one: ext4 flushes a file truncated
             # to zero and rewritten when it is closed, so the next truncate of
             # it waits for that writeback. Unlinking also leaves a hard link to
@@ -135,9 +107,16 @@ def write_grid(
                                       spec.channels, *spec.x_range, *spec.y_range))
             targets.append((target, f))
         for r in range(0, h, rows_per_block):
-            for (_, f), rows in zip(targets, fill(r, min(rows_per_block, h - r))):
-                f.write(rows)
-    for k, ((spec, _), (target, _)) in enumerate(zip(outputs, targets)):
+            n = min(rows_per_block, h - r)
+            for g in grids:
+                if isinstance(g.data, np.ndarray):
+                    blocks[id(g)][:n] = g.data[r : r + n]
+                else:
+                    g.data.read_into(r, blocks[id(g)][:n])
+            for (gs, _), (_, f), out in zip(layouts, targets, joined):
+                parts = [blocks[id(g)][:n] for g in gs]
+                f.write(parts[0] if out is None else np.concatenate(parts, axis=2, out=out[:n]))
+    for k, (spec, (target, _)) in enumerate(zip(specs, targets)):
         sidecar = f"{target}.json"
         # Written apart, a later output would replace a sidecar at its target.
         if os.path.realpath(sidecar) in [t for t, _ in targets[k + 1 :]]:

@@ -76,9 +76,10 @@ class GatheredCells:
     `cells[rows, cols]`, for integer arrays, reads the gathered cells as the
     grid's array would: a new float64 array of shape (N, C), and
     `cells[rows, cols] = values` writes them. Reading or writing a cell that
-    was not gathered raises ContractError. `read_into` reads whole rows in
-    float32 through `read_rows(first_row, out)`, with the written cells
-    rounded in: `formats.save_grid` makes the grid's f32 rows so, once per block.
+    was not gathered raises ContractError. As a `BevGrid`'s data it is a row
+    source: `read_into` reads whole rows in float32 through
+    `read_rows(first_row, out)`, with the written cells rounded in, and
+    `formats.save_grid` makes the grid's f32 rows so, once per block.
     """
 
     shape: tuple[int, int, int]
@@ -133,15 +134,17 @@ class BevGrid:
     """H x W x C feature map over a GridSpec window.
 
     `data` is a dense float64 array (file storage rounds to float32, see
-    formats), or `GatheredCells` for a grid read only at some cells.
+    formats), or a row source of that shape, read only in float32 rows
+    through `read_into(first_row, out)`: `GatheredCells` for a grid read
+    only at some cells, or `synth.RenderedRows` for bumps not yet rendered.
     """
 
     spec: GridSpec
-    data: np.ndarray | GatheredCells = field(repr=False)
+    data: np.ndarray = field(repr=False)  # or a row source
 
     def __post_init__(self) -> None:
         expected = (self.spec.height_cells, self.spec.width_cells, self.spec.channels)
-        if not isinstance(self.data, GatheredCells):
+        if not hasattr(self.data, "read_into"):
             self.data = np.asarray(self.data, dtype=np.float64)
         if self.data.shape != expected:
             raise ConfigurationError(
@@ -153,8 +156,8 @@ class BevGrid:
         return cls(spec, np.zeros((spec.height_cells, spec.width_cells, spec.channels)))
 
     def copy(self) -> "BevGrid":
-        if isinstance(self.data, GatheredCells):
-            raise ContractError("only a dense grid copies, not a gathered one")
+        if not isinstance(self.data, np.ndarray):
+            raise ContractError("only a dense grid copies, not a row source")
         return BevGrid(self.spec, self.data.copy())
 
 

@@ -18,14 +18,16 @@ detector genuine ranking competition, so single-modality objects are not
 trivially the top peaks of the fused grid.
 
 Generation is placement, then rendering. `place_scene` draws the objects,
-proposals, annotations, points and clutter, and lists each grid's bumps in
-order: each bump's rows, columns and Gaussian, and its per-channel amplitude.
-`render_rows` adds the bumps into any block of a grid's rows; each cell gets
-the same additions in the same order whatever the block, so the bytes do not
-depend on the split. `generate_scene` renders each grid whole, in memory.
-`generate_scene_files` (the `gen` command) renders each grid file block by
-block into one reused f64 block while writing it, so no grid is ever held,
-and writes the same bytes as `write_scene(generate_scene(...))`.
+proposals, annotations, points and clutter, and returns them as a `Scene`
+whose two grids are `RenderedRows`: each grid's bumps in order (each bump's
+rows, columns and Gaussian, and its per-channel amplitude), rendered only
+when rows are read. `render_rows` adds the bumps into any block of a grid's
+rows; each cell gets the same additions in the same order whatever the
+block, so the bytes do not depend on the split. `write_scene` is the one
+scene writer: `gen` writes `write_scene(place_scene(...))`, whose grid files
+`formats.save_grid` renders block by block, so no grid is ever held.
+`generate_scene` renders the same scene's grids whole, in memory, and
+writes the same bytes.
 
 The readout detector turns a grid's energy map (the per-cell L2 norm across
 channels: `cell_energy` of a grid in memory, or `read_cell_energy` of a grid
@@ -48,7 +50,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -70,7 +72,6 @@ from .formats import (
     save_json,
     save_proposals,
     to_records,
-    write_grid,
 )
 from .geometry import Box3D, box_axes
 from .grid import BevGrid, GridSpec, grid_to_world, world_to_grid
@@ -235,16 +236,29 @@ def render_rows(bumps: list[Bump], first_row: int, out: np.ndarray) -> None:
 
 
 @dataclass
-class Placement:
-    """A scene before its grids are rendered: its records, and each grid's bumps."""
+class RenderedRows:
+    """A grid of bumps, read only in f32 rows through `read_into`; never held whole.
 
-    camera_bumps: list[Bump]
-    lidar_bumps: list[Bump]
-    camera_proposals: list[Proposal]
-    lidar_proposals: list[Proposal]
-    annotations: list[Annotation]
-    objects: list[SceneObject]
-    points: np.ndarray | None
+    `shape` is the grid's (H, W, C), and `bumps` are added in order. Reads
+    render through one f64 block of half the rows of the first read, made
+    then and reused; a read that reaches the last row lets it go.
+    """
+
+    shape: tuple[int, int, int]
+    bumps: list[Bump] = field(repr=False)
+    scratch: np.ndarray | None = field(default=None, repr=False)
+
+    def read_into(self, first_row: int, out: np.ndarray) -> None:
+        """Render rows first_row onwards into `out`, a contiguous f32 (rows, W, C) array."""
+        if self.scratch is None:  # as many bytes as `out`
+            self.scratch = np.empty(((len(out) + 1) // 2, *self.shape[1:]))
+        for r in range(0, len(out), len(self.scratch)):
+            block = self.scratch[: len(out) - r]
+            block.fill(0.0)
+            render_rows(self.bumps, first_row + r, block)
+            out[r : r + len(block)] = block
+        if first_row + len(out) == self.shape[0]:
+            self.scratch = None
 
 
 def place_scene(
@@ -253,8 +267,8 @@ def place_scene(
     n_objects: int,
     gap_profile: str = "mixed",
     with_points: bool = False,
-) -> Placement:
-    """Deterministically place one scene's objects, records and bumps.
+) -> Scene:
+    """Deterministically place one scene: its records, and its grids as `RenderedRows`.
 
     Objects are rejection-placed so their footprint circumradii never
     overlap, which keeps ground-truth boxes disjoint and easy pairs
@@ -374,10 +388,10 @@ def place_scene(
     points = None
     if with_points:
         points = np.concatenate(point_chunks, axis=0) if point_chunks else np.zeros((0, 3))
-    return Placement(
-        camera_bumps, lidar_bumps, camera_proposals, lidar_proposals,
-        annotations, objects, points,
-    )
+    grids = [BevGrid(spec, RenderedRows((spec.height_cells, spec.width_cells, spec.channels),
+                                        bumps))
+             for spec, bumps in ((camera_spec, camera_bumps), (lidar_spec, lidar_bumps))]
+    return Scene(*grids, camera_proposals, lidar_proposals, annotations, objects, points)
 
 
 def generate_scene(
@@ -388,14 +402,15 @@ def generate_scene(
     with_points: bool = False,
 ) -> Scene:
     """Deterministically synthesize one scene: `place_scene`, then both grids rendered whole."""
-    placed = place_scene(config, seed, n_objects, gap_profile, with_points)
-    grids = [BevGrid.zeros(config.camera_spec()), BevGrid.zeros(config.lidar_spec())]
-    for grid, bumps in zip(grids, (placed.camera_bumps, placed.lidar_bumps)):
-        render_rows(bumps, 0, grid.data)
-    return Scene(
-        *grids, placed.camera_proposals, placed.lidar_proposals,
-        placed.annotations, placed.objects, placed.points,
-    )
+    scene = place_scene(config, seed, n_objects, gap_profile, with_points)
+
+    def whole(grid: BevGrid) -> BevGrid:
+        data = np.zeros(grid.data.shape)
+        render_rows(grid.data.bumps, 0, data)
+        return BevGrid(grid.spec, data)
+
+    return replace(scene, camera_grid=whole(scene.camera_grid),
+                   lidar_grid=whole(scene.lidar_grid))
 
 
 def write_scene(scene: Scene, out_dir: str | Path, config: PipelineConfig, seed: int,
@@ -403,6 +418,8 @@ def write_scene(scene: Scene, out_dir: str | Path, config: PipelineConfig, seed:
     """Persist a scene and return the manifest path.
 
     The manifest echoes the config's grid specs, so they must be the scene's.
+    Each grid file is one `save_grid` call, so a scene from `place_scene` is
+    rendered block by block as it is written.
     """
     specs = (config.camera_spec(), config.lidar_spec())
     if specs != (scene.camera_grid.spec, scene.lidar_grid.spec):
@@ -410,72 +427,13 @@ def write_scene(scene: Scene, out_dir: str | Path, config: PipelineConfig, seed:
             f"config grid specs {specs} do not match the scene's "
             f"{(scene.camera_grid.spec, scene.lidar_grid.spec)}"
         )
-    return _write_files(
-        scene, out_dir, config, seed, gap_profile,
-        lambda path: save_grid([(scene.camera_grid, path)]),
-        lambda path: save_grid([(scene.lidar_grid, path)]),
-    )
-
-
-def generate_scene_files(
-    config: PipelineConfig,
-    seed: int,
-    n_objects: int,
-    gap_profile: str,
-    with_points: bool,
-    out_dir: str | Path,
-) -> Path:
-    """Write `write_scene(generate_scene(...))`'s files, byte for byte, holding no grid.
-
-    The scene is placed before anything is created, so a crowded window
-    writes nothing. Each grid file is then rendered block by block into one
-    reused f64 block, which is rounded into the f32 block that is written.
-    """
-    placed = place_scene(config, seed, n_objects, gap_profile, with_points)
-    camera, lidar = config.camera_spec(), config.lidar_spec()
-    return _write_files(
-        placed, out_dir, config, seed, gap_profile,
-        lambda path: write_grid([(camera, path)], _render_fill(camera, placed.camera_bumps)),
-        lambda path: write_grid([(lidar, path)], _render_fill(lidar, placed.lidar_bumps)),
-    )
-
-
-def _render_fill(spec: GridSpec, bumps: list[Bump]):
-    """A one-output `write_grid` fill: each f32 block's rows, rendered through one f64 block.
-
-    The f64 block has half the f32 block's rows, so it holds as many bytes.
-    """
-    block = scratch = None
-
-    def fill(first_row: int, n: int) -> list[np.ndarray]:
-        nonlocal block, scratch
-        if block is None:  # the first block is the largest
-            block = np.empty((n, spec.width_cells, spec.channels), dtype="<f4")
-            scratch = np.empty(((n + 1) // 2, spec.width_cells, spec.channels))
-        for r in range(0, n, len(scratch)):
-            out = scratch[: n - r]
-            out.fill(0.0)
-            render_rows(bumps, first_row + r, out)
-            block[r : r + len(out)] = out
-        return [block[:n]]
-
-    return fill
-
-
-def _write_files(records: Scene | Placement, out_dir: str | Path, config: PipelineConfig,
-                 seed: int, gap_profile: str, write_camera, write_lidar) -> Path:
-    """Write a scene's files and return the manifest path.
-
-    `write_camera(path)` and `write_lidar(path)` write the grid files; the
-    records (proposals, annotations, objects and points) come from `records`.
-    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_camera(out / "camera.bevg")
-    write_lidar(out / "lidar.bevg")
-    save_proposals(records.camera_proposals, out / "camera_proposals.jsonl")
-    save_proposals(records.lidar_proposals, out / "lidar_proposals.jsonl")
-    save_annotations(records.annotations, out / "annotations.jsonl")
+    save_grid([(scene.camera_grid, out / "camera.bevg")])
+    save_grid([(scene.lidar_grid, out / "lidar.bevg")])
+    save_proposals(scene.camera_proposals, out / "camera_proposals.jsonl")
+    save_proposals(scene.lidar_proposals, out / "lidar_proposals.jsonl")
+    save_annotations(scene.annotations, out / "annotations.jsonl")
     files = {
         "camera_grid": "camera.bevg",
         "lidar_grid": "lidar.bevg",
@@ -484,13 +442,13 @@ def _write_files(records: Scene | Placement, out_dir: str | Path, config: Pipeli
         "annotations": "annotations.jsonl",
         "points": None,
     }
-    if records.points is not None:
-        np.save(out / "points.npy", records.points)
+    if scene.points is not None:
+        np.save(out / "points.npy", scene.points)
         files["points"] = "points.npy"
     manifest = {
         "seed": seed,
         "gap_profile": gap_profile,
-        "n_objects": len(records.objects),
+        "n_objects": len(scene.objects),
         "grid": {
             "height_cells": config.height_cells,
             "width_cells": config.width_cells,
@@ -500,7 +458,7 @@ def _write_files(records: Scene | Placement, out_dir: str | Path, config: Pipeli
             "lidar_channels": config.lidar_channels,
         },
         "files": files,
-        "objects": to_records(records.objects, OBJECT_FIELDS),
+        "objects": to_records(scene.objects, OBJECT_FIELDS),
     }
     manifest_path = out / "manifest.json"
     save_json(manifest, manifest_path)

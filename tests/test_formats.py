@@ -44,7 +44,14 @@ from dualguide.geometry import Box3D
 from dualguide.grid import BevGrid, GatheredCells, GridSpec
 from dualguide.instances import Proposal
 from dualguide.metrics import Annotation, Detection
-from dualguide.synth import SceneObject, generate_scene, write_scene
+from dualguide.synth import (
+    Bump,
+    RenderedRows,
+    SceneObject,
+    generate_scene,
+    render_rows,
+    write_scene,
+)
 
 
 def f32_grid(rng, h=5, w=7, c=3):
@@ -261,12 +268,14 @@ class TestGridFormatProperties:
     def test_one_pass_equals_separate_saves(self, tmp_path_factory, data):
         """Several outputs in one pass leave each file and sidecar as separate saves would.
 
-        The outputs draw on dense grids, channel views and a gathered grid
-        with written cells, at block heights down to one row; the separate
-        saves take the gathered grid's dense twin. Two of the names resolve
-        to one realpath (a symlink, or a name given twice), and one is
-        another output's sidecar. The one pass reads each of the gathered
-        grid's rows from its file once if an output holds it, else never.
+        The outputs draw on dense grids, channel views, a grid of rendered
+        bumps and a gathered grid with written cells, at block heights down
+        to one row, so that blocks cut bumps; the separate saves take the
+        dense twins of the last two. Two of the names resolve to one realpath
+        (a symlink, or a name given twice), and one is another output's
+        sidecar. The one pass reads each of the gathered grid's rows from its
+        file once if an output holds it, else never, and the rendered grid
+        lets its scratch block go.
         """
         root = tmp_path_factory.mktemp("outputs")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -284,6 +293,16 @@ class TestGridFormatProperties:
             start = data.draw(st.integers(0, extra))
             grids.append(BevGrid(replace(window, channels=c),
                                  values(c + extra)[:, :, start : start + c]))
+        bumps = []
+        for _ in range(data.draw(st.integers(0, 4))):
+            row_lo, col_lo = data.draw(st.integers(0, h - 1)), data.draw(st.integers(0, w - 1))
+            g = rng.random((data.draw(st.integers(0, h - row_lo)),
+                            data.draw(st.integers(0, w - col_lo))))
+            bumps.append(Bump(row_lo, col_lo, g, rng.normal(size=2) * 10.0 ** rng.integers(-3, 4)))
+        rendered = BevGrid(replace(window, channels=2), RenderedRows((h, w, 2), bumps))
+        grids.append(rendered)
+        twins = {id(rendered): BevGrid(rendered.spec, np.zeros((h, w, 2)))}
+        render_rows(bumps, 0, twins[id(rendered)].data)
         source = root / "source.bevg"
         save_grid([(BevGrid(replace(window, channels=3), values(3)), source)])
         with open(source, "rb") as f:
@@ -298,6 +317,7 @@ class TestGridFormatProperties:
             gathered[rows, cols] = gathered[rows, cols] + updates
             twin.data[rows, cols] = twin.data[rows, cols] + updates
             grids.append(BevGrid(spec, gathered))
+            twins[id(grids[-1])] = twin
             rows_read = []
 
             def counted(first_row, out, read=gathered.read_rows):
@@ -323,7 +343,7 @@ class TestGridFormatProperties:
                         save_grid([(*gs, out / name) for gs, name in outputs])
                     else:
                         for gs, name in outputs:
-                            save_grid([(*(twin if g is grids[-1] else g for g in gs), out / name)])
+                            save_grid([(*(twins.get(id(g), g) for g in gs), out / name)])
                 written[side] = {
                     p.name: os.readlink(p) if p.is_symlink() else p.read_bytes()
                     for p in out.iterdir()
@@ -331,6 +351,7 @@ class TestGridFormatProperties:
         assert written["one"] == written["apart"]
         holds = any(g is grids[-1] for gs, _ in outputs for g in gs)
         assert sum(rows_read) == (h if holds else 0)
+        assert rendered.data.scratch is None
 
 
 def valid_input_files(out):

@@ -15,7 +15,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from dualguide.config import PipelineConfig
 from dualguide.enhance import fuse_grids
 from dualguide import formats
-from dualguide.errors import ConfigurationError, DataFormatError
+from dualguide.errors import ConfigurationError, ContractError, DataFormatError
 from dualguide.formats import load_grid, save_grid
 from dualguide.geometry import Box3D, points_in_box, project_to_bev
 from dualguide.grid import BevGrid, GridSpec, grid_to_world
@@ -239,9 +239,11 @@ class TestRenderRows:
     def test_scene_grids_equal_the_imprint_oracle(self, seed):
         placed = place_scene(SMALL, seed, 10)
         scene = generate_scene(SMALL, seed, 10)
-        for grid, bumps in ((scene.camera_grid, placed.camera_bumps),
-                            (scene.lidar_grid, placed.lidar_bumps)):
+        for grid, bumps in ((scene.camera_grid, placed.camera_grid.data.bumps),
+                            (scene.lidar_grid, placed.lidar_grid.data.bumps)):
             assert grid.data.tobytes() == imprint_oracle(bumps, grid.data.shape).tobytes()
+        with pytest.raises(ContractError, match="only a dense grid copies"):
+            placed.camera_grid.copy()  # its rows are rendered only as they are read
 
 
 DEEP = PipelineConfig(camera_channels=80, lidar_channels=128)
@@ -283,7 +285,8 @@ class TestGenFiles:
         # The case has bumps that row blocks cut and bumps that the window clips.
         placed = place_scene(config, seed, n_objects, with_points=points)
         h, w = config.height_cells, config.width_cells
-        for bumps, rows in zip((placed.camera_bumps, placed.lidar_bumps), spec_rows):
+        for bumps, rows in zip((placed.camera_grid.data.bumps, placed.lidar_grid.data.bumps),
+                               spec_rows):
             spans = [(b.row_lo, b.row_lo + b.g.shape[0]) for b in bumps]
             assert any(lo // rows != (hi - 1) // rows for lo, hi in spans)
             assert any(b.row_lo == 0 or b.col_lo == 0 or b.row_lo + b.g.shape[0] == h
