@@ -324,9 +324,12 @@ def _cmd_loss(args: argparse.Namespace) -> int:
         "lambdas": list(config.lambdas),
         "total": total,
     }
-    for key in ("head", "lidar", "camera", "total"):
+    for key in ("head", "lidar", "camera"):
         if not np.isfinite(report[key]):
             raise DataFormatError(f"{args.components}: {key} overflows to {report[key]}")
+    if not np.isfinite(total):  # every term is finite, so the weights overflow it
+        raise ConfigurationError(f"{args.config or 'default config'}: lambdas "
+                                 f"{report['lambdas']} overflow the total to {total}")
     print(json.dumps(report, sort_keys=True))
     if args.out:
         formats.save_json(report, args.out)

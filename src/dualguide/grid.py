@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
+from typing import Protocol
 
 import numpy as np
 
@@ -67,6 +68,14 @@ def concat_spec(specs: Sequence[GridSpec]) -> GridSpec:
     if not all(spec.same_window(specs[0]) for spec in specs):
         raise ConfigurationError(f"grids cover different windows: {list(specs)}")
     return replace(specs[0], channels=sum(spec.channels for spec in specs))
+
+
+class RowSource(Protocol):
+    """A grid read only in float32 rows: `GatheredCells` or `synth.RenderedRows`."""
+
+    shape: tuple[int, int, int]
+
+    def read_into(self, first_row: int, out: np.ndarray) -> None: ...
 
 
 @dataclass
@@ -134,13 +143,13 @@ class BevGrid:
     """H x W x C feature map over a GridSpec window.
 
     `data` is a dense float64 array (file storage rounds to float32, see
-    formats), or a row source of that shape, read only in float32 rows
+    formats), or a `RowSource` of that shape, read only in float32 rows
     through `read_into(first_row, out)`: `GatheredCells` for a grid read
     only at some cells, or `synth.RenderedRows` for bumps not yet rendered.
     """
 
     spec: GridSpec
-    data: np.ndarray = field(repr=False)  # or a row source
+    data: np.ndarray | RowSource = field(repr=False)
 
     def __post_init__(self) -> None:
         expected = (self.spec.height_cells, self.spec.width_cells, self.spec.channels)

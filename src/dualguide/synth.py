@@ -239,26 +239,21 @@ def render_rows(bumps: list[Bump], first_row: int, out: np.ndarray) -> None:
 class RenderedRows:
     """A grid of bumps, read only in f32 rows through `read_into`; never held whole.
 
-    `shape` is the grid's (H, W, C), and `bumps` are added in order. Reads
-    render through one f64 block of half the rows of the first read, made
-    then and reused; a read that reaches the last row lets it go.
+    `shape` is the grid's (H, W, C), and `bumps` are added in order. A read
+    renders through an f64 block of half its rows, as many bytes as `out`.
     """
 
     shape: tuple[int, int, int]
     bumps: list[Bump] = field(repr=False)
-    scratch: np.ndarray | None = field(default=None, repr=False)
 
     def read_into(self, first_row: int, out: np.ndarray) -> None:
         """Render rows first_row onwards into `out`, a contiguous f32 (rows, W, C) array."""
-        if self.scratch is None:  # as many bytes as `out`
-            self.scratch = np.empty(((len(out) + 1) // 2, *self.shape[1:]))
-        for r in range(0, len(out), len(self.scratch)):
-            block = self.scratch[: len(out) - r]
+        scratch = np.empty(((len(out) + 1) // 2, *self.shape[1:]))
+        for r in range(0, len(out), len(scratch)):
+            block = scratch[: len(out) - r]
             block.fill(0.0)
             render_rows(self.bumps, first_row + r, block)
             out[r : r + len(block)] = block
-        if first_row + len(out) == self.shape[0]:
-            self.scratch = None
 
 
 def place_scene(

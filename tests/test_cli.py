@@ -673,43 +673,51 @@ class TestLossCommand:
         (workdir / "loss.json").write_text(json.dumps({"head": {}}))
         assert main(["loss", "--components", "loss.json"]) == 2
 
-    @pytest.mark.parametrize("edit, key, config", [
-        (lambda c: [c], "expected a JSON object", None),
-        (lambda c: {**c, "head": [1]}, "section 'head' must be a JSON object", None),
-        (lambda c: {**c, "camera": {"cls_pred": ["a"], "cls_target": [1]}}, "camera.cls_pred",
-         None),
+    @pytest.mark.parametrize("edit, key", [
+        (lambda c: [c], "expected a JSON object"),
+        (lambda c: {**c, "head": [1]}, "section 'head' must be a JSON object"),
+        (lambda c: {**c, "camera": {"cls_pred": ["a"], "cls_target": [1]}}, "camera.cls_pred"),
         (lambda c: {**c, "lidar": {"box_pred": [float("nan")], "box_target": [0.0]}},
-         "lidar.box_pred", None),
+         "lidar.box_pred"),
         (lambda c: {**c, "head": {"cls_pred": [0.9, 0.1], "cls_target": [[1], [0, 1]]}},
-         "head.cls_target", None),
-        (lambda c: {**c, "head": {"cls_pred": [0.9]}}, "head.cls_target", None),
-        (lambda c: {**c, "cosine": "x"}, "cosine must be a finite number", None),
-        (lambda c: {**c, "cosine": float("nan")}, "cosine must be a finite number", None),
-        (lambda c: {**c, "cosine": -5}, "cosine must be in [0, 2]", None),
-        (lambda c: {**c, "cosine": 2.5}, "cosine must be in [0, 2]", None),
-        # Finite inputs whose L1 term, or whose weighted total, overflows.
+         "head.cls_target"),
+        (lambda c: {**c, "head": {"cls_pred": [0.9]}}, "head.cls_target"),
+        (lambda c: {**c, "cosine": "x"}, "cosine must be a finite number"),
+        (lambda c: {**c, "cosine": float("nan")}, "cosine must be a finite number"),
+        (lambda c: {**c, "cosine": -5}, "cosine must be in [0, 2]"),
+        (lambda c: {**c, "cosine": 2.5}, "cosine must be in [0, 2]"),
+        # Finite inputs whose L1 term overflows.
         (lambda c: {**c, "head": {"box_pred": [1e308], "box_target": [-1e308]}},
-         "head overflows to inf", None),
-        (lambda c: {**c, "lidar": {"box_pred": [2.0], "box_target": [0.0]}},
-         "total overflows to inf", {"lambdas": [1e308, 1e308, 1, 1]}),
+         "head overflows to inf"),
     ], ids=["top-level-list", "section-list", "string-pred", "nan-pred", "ragged-target",
             "no-target", "string-cosine", "nan-cosine", "negative-cosine", "cosine-above-2",
-            "l1-overflow", "total-overflow"])
-    def test_bad_components_are_data_errors(self, workdir, capsys, edit, key, config):
+            "l1-overflow"])
+    def test_bad_components_are_data_errors(self, workdir, capsys, edit, key):
         # json.dumps writes a NaN as JSON's NaN literal, which json.loads accepts.
         comp = {branch: {"cls_pred": [0.9], "cls_target": [1]}
                 for branch in ("head", "lidar", "camera")}
         (workdir / "loss.json").write_text(json.dumps(edit(comp)))
-        argv = ["loss", "--components", "loss.json", "--out", "out.json"]
-        if config:
-            (workdir / "config.json").write_text(json.dumps(config))
-            argv += ["--config", "config.json"]
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # numpy's overflow warning fails the case
-            assert main(argv) == 2
+            assert main(["loss", "--components", "loss.json", "--out", "out.json"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("dualguide: error: loss.json: ") and key in err
         assert len(err.splitlines()) == 1
+        assert not (workdir / "out.json").exists()
+
+    def test_overflowing_lambdas_are_config_errors(self, workdir, capsys):
+        # Every component is finite, so the message names the config, not the components.
+        comp = {branch: {"box_pred": [2.0], "box_target": [0.0]}
+                for branch in ("head", "lidar", "camera")}
+        (workdir / "loss.json").write_text(json.dumps(comp))
+        (workdir / "config.json").write_text(json.dumps({"lambdas": [1e308, 1e308, 1, 1]}))
+        argv = ["loss", "--components", "loss.json", "--config", "config.json", "--out", "out.json"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("dualguide: error: config.json: lambdas [1e+308, 1e+308, 1, 1]")
+        assert "overflow the total to inf" in err and len(err.splitlines()) == 1
         assert not (workdir / "out.json").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])

@@ -274,8 +274,7 @@ class TestGridFormatProperties:
         dense twins of the last two. Two of the names resolve to one realpath
         (a symlink, or a name given twice), and one is another output's
         sidecar. The one pass reads each of the gathered grid's rows from its
-        file once if an output holds it, else never, and the rendered grid
-        lets its scratch block go.
+        file once if an output holds it, else never.
         """
         root = tmp_path_factory.mktemp("outputs")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -351,7 +350,6 @@ class TestGridFormatProperties:
         assert written["one"] == written["apart"]
         holds = any(g is grids[-1] for gs, _ in outputs for g in gs)
         assert sum(rows_read) == (h if holds else 0)
-        assert rendered.data.scratch is None
 
 
 def valid_input_files(out):
