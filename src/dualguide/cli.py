@@ -4,7 +4,9 @@ Subcommands: gen (synthesize a scene), fuse (run the full pipeline and write
 enhanced/fused grids plus the pair dump), match (pair matching only), eval
 (stratified metrics), stats (visibility/point-count histogram), loss (loss
 components from supplied arrays and an optional scene). Exit codes: 0 on
-success, 1 on usage errors, 2 on data/configuration errors.
+success, 1 on usage errors, 2 in one line on data/configuration errors and
+on any failed file operation: a missing path, a directory where a file is
+read, a file where `--out` names a directory, or a failed write.
 
 `gen` places its scene (`synth.place_scene`) and writes it with the
 library's one scene writer, `synth.write_scene`: `formats.save_grid` renders
@@ -366,8 +368,7 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (DataFormatError, ConfigurationError, ContractError, FileNotFoundError,
-            KeyError) as exc:
+    except (DataFormatError, ConfigurationError, ContractError, OSError, KeyError) as exc:
         print(f"dualguide: error: {exc}", file=sys.stderr)
         return 2
 

@@ -48,6 +48,7 @@ class PipelineConfig:
             self.loss_weights()
         except ContractError as exc:
             raise ConfigurationError(str(exc)) from exc
+        self.camera_spec(), self.lidar_spec()  # GridSpec checks the grid fields
 
     def camera_spec(self) -> GridSpec:
         return GridSpec(

@@ -2,9 +2,11 @@
 
 Box attribute layout is fixed project-wide as (x, y, z, w, l, h, yaw, vx, vy):
 w is the extent along the box heading axis, l the lateral extent, h vertical.
+`footprint_points` and `overlap_ious` take the `Box3D`s their callers hold
+and read each box set once, of each box only x, y, w, l and yaw.
 
 Rotated-rectangle IoU has one call, `overlap_ious`: it prunes the pairs of
-two footprint sets by circumradius and scores the rest. The kernel runs
+two box sets' footprints by circumradius and scores the rest. The kernel runs
 Sutherland-Hodgman clipping on padded (pairs, vertex slot) arrays, one
 clip edge at a time, and the shoelace as one masked addition per vertex
 slot. Each IoU thus takes exactly the IEEE operations, in the same order,
@@ -47,26 +49,6 @@ class Box3D:
         object.__setattr__(self, "yaw", normalize_yaw(self.yaw))
 
 
-@dataclass(frozen=True)
-class RotatedRect:
-    center: tuple[float, float]
-    extent: tuple[float, float]  # (w, l)
-    yaw: float
-
-    @property
-    def area(self) -> float:
-        return self.extent[0] * self.extent[1]
-
-
-def project_to_bev(box: Box3D) -> RotatedRect:
-    """Drop z and h: the box footprint on the ground plane."""
-    return RotatedRect(
-        center=(box.center[0], box.center[1]),
-        extent=(box.size[0], box.size[1]),
-        yaw=box.yaw,
-    )
-
-
 def box_axes(yaw: float) -> tuple[np.ndarray, np.ndarray]:
     """Unit heading axis and lateral axis of a footprint with the given yaw."""
     u = np.array([math.cos(yaw), math.sin(yaw)])
@@ -91,23 +73,27 @@ KEY_POINT_SIGNS = np.array(
 CORNER_SIGNS = KEY_POINT_SIGNS[1:5]
 
 
-def footprint_points(rects: Sequence[RotatedRect], signs: np.ndarray) -> np.ndarray:
-    """(N, K, 2) key points of each footprint, one per row of a (K, 2) sign table.
+def _plane_rows(boxes: Sequence[Box3D]) -> np.ndarray:
+    """(N, 6) rows x, y, w, l, and libm `math.cos`/`math.sin` of yaw, one row per box."""
+    rows = [(*b.center[:2], *b.size[:2], math.cos(b.yaw), math.sin(b.yaw)) for b in boxes]
+    return np.array(rows, dtype=np.float64).reshape(len(boxes), 6)
 
-    The axes u = (cos, sin) and v = (-sin, cos) come from libm `math.cos`
-    and `math.sin`, and point k is `(c + s_k0*hw*u) + s_k1*hl*v`.
+
+def _row_points(rows: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """`footprint_points` of the boxes `_plane_rows` read into `rows`."""
+    hu = ((rows[:, 2:3] / 2.0) * rows[:, 4:6])[:, None, :]
+    hv = ((rows[:, 3:4] / 2.0) * np.stack([-rows[:, 5], rows[:, 4]], axis=1))[:, None, :]
+    return (rows[:, None, 0:2] + signs[:, 0:1] * hu) + signs[:, 1:2] * hv
+
+
+def footprint_points(boxes: Sequence[Box3D], signs: np.ndarray) -> np.ndarray:
+    """(N, K, 2) footprint key points of each box, one per row of a (K, 2) sign table.
+
+    Only x, y, w, l and yaw are read. With hw = w / 2.0, hl = l / 2.0 and
+    the axes u = (cos, sin) and v = (-sin, cos) from libm `math.cos` and
+    `math.sin`, point k is `(c + s_k0*hw*u) + s_k1*hl*v`.
     """
-    p = np.array(
-        [
-            (*r.center, r.extent[0] / 2.0, r.extent[1] / 2.0,
-             math.cos(r.yaw), math.sin(r.yaw), -math.sin(r.yaw), math.cos(r.yaw))
-            for r in rects
-        ],
-        dtype=np.float64,
-    ).reshape(len(rects), 8)
-    hu = (p[:, 2:3] * p[:, 4:6])[:, None, :]
-    hv = (p[:, 3:4] * p[:, 6:8])[:, None, :]
-    return (p[:, None, 0:2] + signs[:, 0:1] * hu) + signs[:, 1:2] * hv
+    return _row_points(_plane_rows(boxes), signs)
 
 
 def _clip_step(
@@ -175,31 +161,25 @@ def _intersection_areas(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
 
 
 def overlap_ious(
-    a: Sequence[RotatedRect], b: Sequence[RotatedRect]
+    a: Sequence[Box3D], b: Sequence[Box3D]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(i, j, iou), row-major over the pairs whose footprints a[i] and b[j] may overlap.
 
     Footprints whose centers lie farther apart than the sum of their
-    circumradii cannot overlap, so every pair left out has IoU 0. The IoU is
-    0 where the union has no area and is capped at 1: on near-identical
-    footprints the shoelace rounding can make the overlap exceed a
-    footprint's own area.
+    circumradii, `math.hypot(w, l) / 2.0`, cannot overlap, so every pair
+    left out has IoU 0. The areas are w * l. The IoU is 0 where the union
+    has no area and is capped at 1: on near-identical footprints the
+    shoelace rounding can make the overlap exceed a footprint's own area.
     """
     if not a or not b:
         empty = np.zeros(0, dtype=np.intp)
         return empty, empty, np.zeros(0)
-    ca = np.array([r.center for r in a], dtype=np.float64)
-    cb = np.array([r.center for r in b], dtype=np.float64)
-    ra = np.array([math.hypot(*r.extent) / 2.0 for r in a])
-    rb = np.array([math.hypot(*r.extent) / 2.0 for r in b])
-    dist2 = ((ca[:, None, :] - cb[None, :, :]) ** 2).sum(axis=2)
+    fa, fb = _plane_rows(a), _plane_rows(b)
+    ra, rb = (np.array([math.hypot(w, l) / 2.0 for w, l in f[:, 2:4].tolist()]) for f in (fa, fb))
+    dist2 = ((fa[:, None, 0:2] - fb[None, :, 0:2]) ** 2).sum(axis=2)
     i, j = np.nonzero(dist2 <= (ra[:, None] + rb[None, :]) ** 2)
-    inter = _intersection_areas(
-        footprint_points(a, CORNER_SIGNS)[i], footprint_points(b, CORNER_SIGNS)[j]
-    )
-    area_a = np.array([r.area for r in a], dtype=np.float64)
-    area_b = np.array([r.area for r in b], dtype=np.float64)
-    union = (area_a[i] + area_b[j]) - inter
+    inter = _intersection_areas(_row_points(fa, CORNER_SIGNS)[i], _row_points(fb, CORNER_SIGNS)[j])
+    union = ((fa[:, 2] * fa[:, 3])[i] + (fb[:, 2] * fb[:, 3])[j]) - inter
     iou = np.zeros(len(i))
     np.divide(inter, union, out=iou, where=union > 0.0)
     return i, j, np.minimum(iou, 1.0, out=iou)

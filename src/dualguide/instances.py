@@ -1,10 +1,10 @@
 """Instance-level feature extraction from BEV grids.
 
-Each surviving proposal is projected to its ground-plane footprint, a set of
-key points is read off the footprint, every point is bilinear-sampled from
-the grid, and the samples are concatenated into one flat feature vector.
-All survivors' key points come from one `footprint_points` call and are
-sampled with one `bilinear_sample` call.
+A set of key points is read off each surviving proposal's ground-plane
+footprint, every point is bilinear-sampled from the grid, and the samples
+are concatenated into one flat feature vector. All survivors' key points
+come from one `footprint_points` call on their boxes and are sampled with
+one `bilinear_sample` call.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ContractError
-from .geometry import KEY_POINT_SIGNS, Box3D, footprint_points, project_to_bev
+from .geometry import KEY_POINT_SIGNS, Box3D, footprint_points
 from .grid import BevGrid, GridSpec, bilinear_sample, world_to_grid
 from .taxonomy import NUM_CLASSES
 
@@ -79,9 +79,10 @@ def key_point_coords(
     """The proposals `build_instances` keeps and skips, and the kept key points' coordinates.
 
     The coordinates are (row, col) grid arrays of shape (len(kept), K), K
-    the strategy's key-point count. A survivor of the score filter whose
-    box center falls outside the grid window is skipped: a clamped sample
-    there would read unrelated border cells.
+    the strategy's key-point count, from one `footprint_points` call on the
+    kept proposals' boxes. A survivor of the score filter whose box center
+    falls outside the grid window is skipped: a clamped sample there would
+    read unrelated border cells.
     """
     if strategy not in STRATEGY_KEY_POINTS:
         raise ConfigurationError(
@@ -94,7 +95,7 @@ def key_point_coords(
             raise ConfigurationError("proposals for one grid must share a modality")
         (kept if spec.contains(p.box.center[0], p.box.center[1]) else skipped).append(p)
     signs = KEY_POINT_SIGNS[list(STRATEGY_KEY_POINTS[strategy])]
-    points = footprint_points([project_to_bev(p.box) for p in kept], signs)
+    points = footprint_points([p.box for p in kept], signs)
     return kept, skipped, world_to_grid((points[..., 0], points[..., 1]), spec)
 
 

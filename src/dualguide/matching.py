@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import RotatedRect, overlap_ious, project_to_bev
+from .geometry import overlap_ious
 from .instances import InstanceFeature
 from .taxonomy import same_group
 
@@ -51,10 +51,6 @@ class PairSets:
     unmatched_camera: int = 0
 
 
-def _footprints(instances: list[InstanceFeature]) -> list[RotatedRect]:
-    return [project_to_bev(inst.proposal.box) for inst in instances]
-
-
 def match_by_overlap(
     lidar: list[InstanceFeature],
     camera: list[InstanceFeature],
@@ -68,11 +64,13 @@ def match_by_overlap(
 ]:
     """Stage 1: one-to-one easy pairs by greedy descending footprint IoU.
 
-    Returns (easy_pairs, unmatched_lidar, unmatched_camera, matched_lidar,
-    matched_camera); the matched lists are index-aligned with the pair list,
-    and every element carries its original instance-list index.
+    The IoUs come from one `overlap_ious` call on the instances' proposal
+    boxes. Returns (easy_pairs, unmatched_lidar, unmatched_camera,
+    matched_lidar, matched_camera); the matched lists are index-aligned with
+    the pair list, and every element carries its original instance-list
+    index.
     """
-    li, cj, ious = overlap_ious(_footprints(lidar), _footprints(camera))
+    li, cj, ious = overlap_ious([x.proposal.box for x in lidar], [x.proposal.box for x in camera])
     candidates = [
         (iou, i, j)
         for iou, i, j in zip(ious.tolist(), li.tolist(), cj.tolist())

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ContractError
-from .geometry import Box3D, overlap_ious, points_in_box, project_to_bev, volume
+from .geometry import Box3D, overlap_ious, points_in_box, volume
 from .taxonomy import NUM_CLASSES
 
 DIST_THRESHOLDS = (0.5, 1.0, 2.0, 4.0)
@@ -259,8 +259,7 @@ class _PairTables:
     @cached_property
     def iou(self) -> tuple:
         # Pairs the circumradius prune leaves out have IoU 0, below every threshold.
-        rects = ([project_to_bev(x.box) for x in xs] for xs in (self.dets, self.gts))
-        rows, cols, iou = overlap_ious(*rects)
+        rows, cols, iou = overlap_ious([d.box for d in self.dets], [g.box for g in self.gts])
         keep = iou >= min(self.iou_thresholds, default=math.inf)
         return _sorted_candidates(rows[keep], cols[keep], iou[keep])
 

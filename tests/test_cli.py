@@ -87,11 +87,17 @@ class TestExitCodes:
         ("gen", {"lambdas": [-1, 0, 0, 0]}, "loss weights must be finite and >= 0"),
         ("gen", [0.5], "config must be a JSON object, got [0.5]"),
         ("match", {"height_cells": 1.5}, "height_cells must be an integer, got 1.5"),
+        ("gen", {"height_cells": 0}, "grid dimensions must be positive"),
+        ("gen", {"camera_channels": -3}, "grid dimensions must be positive"),
+        ("gen", {"x_range": [54, -54]}, "grid window must have positive extent"),
+        ("fuse", {"height_cells": 0}, "grid dimensions must be positive"),
+        ("fuse", {"camera_channels": -3}, "grid dimensions must be positive"),
+        ("fuse", {"x_range": [54, -54]}, "grid window must have positive extent"),
     ])
     def test_config_value_of_the_wrong_type_is_config_error(
         self, workdir, capsys, command, values, message
     ):
-        if command == "match":  # a scene the command would otherwise run on
+        if command in ("match", "fuse"):  # a scene the command would otherwise run on
             assert main(["gen", "--seed", "1", "--objects", "4",
                          "--config", small_config(workdir)]) == 0
         (workdir / "c.json").write_text(json.dumps(values))
@@ -438,6 +444,60 @@ class TestManifestShape:
         data = json.loads(manifest.read_text())
         manifest.write_text(json.dumps({**data, "files": without(data["files"], "points")}))
         assert main(["stats"]) == 0
+
+
+def snapshot(root):
+    """Every path under root, with the bytes of each file (None for a directory)."""
+    return {p: p.read_bytes() if p.is_file() else None for p in sorted(root.rglob("*"))}
+
+
+class TestWrongKindPath:
+    """A path of the wrong kind exits 2 with one line naming it, and writes nothing.
+
+    The wrong kind is a directory where a file is read, or a file where
+    `--out` makes a directory.
+    """
+
+    @pytest.fixture()
+    def root(self, workdir):
+        assert main(["gen", "--seed", "2", "--objects", "6"]) == 0
+        (workdir / "s1").mkdir()
+        (workdir / "taken.txt").write_text("kept\n")
+        return workdir
+
+    def fails_in_one_line(self, capsys, root, argv, named):
+        before = snapshot(root)
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("dualguide: error: ") and err.count("\n") == 1, err
+        assert f"'{named}'" in err and "Traceback" not in err, err
+        assert snapshot(root) == before
+
+    @pytest.mark.parametrize("argv, named", [
+        (["fuse", "--scene", "s1"], "s1"),
+        (["match", "--scene", "s1"], "s1"),
+        (["eval", "--scene", "s1"], "s1"),
+        (["stats", "--scene", "s1"], "s1"),
+        (["loss", "--components", "s1"], "s1"),
+        (["eval", "--dets", "s1"], "s1"),
+        (["eval", "--peaks-from", "s1"], "s1"),
+        (["fuse", "--config", "s1"], "s1"),
+        (["gen", "--config", "s1", "--out", "new"], "s1"),
+        (["fuse", "--out", "taken.txt"], "taken.txt"),
+        (["gen", "--out", "taken.txt"], "taken.txt"),
+    ], ids=["fuse-scene", "match-scene", "eval-scene", "stats-scene", "loss-components",
+            "eval-dets", "eval-peaks-from", "fuse-config", "gen-config", "fuse-out", "gen-out"])
+    def test_path_of_the_wrong_kind(self, root, capsys, argv, named):
+        self.fails_in_one_line(capsys, root, argv, named)
+
+    @pytest.mark.parametrize("command, key", [("fuse", "camera_grid"), ("eval", "annotations")])
+    def test_manifest_entry_naming_a_directory(self, root, capsys, command, key):
+        manifest = root / "scene" / "manifest.json"
+        data = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps({**data, "files": {**data["files"], key: "sub"}}))
+        (root / "scene" / "sub").mkdir()
+        self.fails_in_one_line(capsys, root, [command], "scene/sub")
 
 
 class TestMaxPeaks:

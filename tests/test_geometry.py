@@ -12,25 +12,33 @@ from dualguide.geometry import (
     CORNER_SIGNS,
     KEY_POINT_SIGNS,
     Box3D,
-    RotatedRect,
     center_distance_bev,
     footprint_points,
     normalize_yaw,
     overlap_ious,
     points_in_box,
-    project_to_bev,
     volume,
 )
 from dualguide.instances import STRATEGY_KEY_POINTS
 
 
-def rotated_iou_2d(a: RotatedRect, b: RotatedRect) -> float:
+def flat_box(center: tuple, extent: tuple, yaw: float) -> Box3D:
+    """A 1 m tall box on the ground whose footprint has this center, (w, l) extent and yaw."""
+    return Box3D((*center, 0.0), (*extent, 1.0), yaw)
+
+
+def area(box: Box3D) -> float:
+    """Footprint area w * l."""
+    return box.size[0] * box.size[1]
+
+
+def rotated_iou_2d(a: Box3D, b: Box3D) -> float:
     """IoU of one footprint pair through `overlap_ious`; 0 when the prune drops it."""
     iou = overlap_ious([a], [b])[2]
     return float(iou[0]) if len(iou) else 0.0
 
 
-def aligned_ious(first: list[RotatedRect], second: list[RotatedRect]) -> np.ndarray:
+def aligned_ious(first: list[Box3D], second: list[Box3D]) -> np.ndarray:
     """IoU of each pair (first[k], second[k]) through `overlap_ious`, 0 where it prunes the pair.
 
     Each block of 32 pairs is scored as one cross product, of which the diagonal is kept.
@@ -43,12 +51,12 @@ def aligned_ious(first: list[RotatedRect], second: list[RotatedRect]) -> np.ndar
     return out
 
 
-def oracle_corners(rect: RotatedRect) -> np.ndarray:
+def oracle_corners(rect: Box3D) -> np.ndarray:
     """Scalar footprint corners: the reference the batched kernel must equal."""
     u = np.array([math.cos(rect.yaw), math.sin(rect.yaw)])
     v = np.array([-math.sin(rect.yaw), math.cos(rect.yaw)])
-    hw, hl = rect.extent[0] / 2.0, rect.extent[1] / 2.0
-    c = np.array(rect.center)
+    hw, hl = rect.size[0] / 2.0, rect.size[1] / 2.0
+    c = np.array(rect.center[:2])
     return np.array(
         [
             c + hw * u + hl * v,
@@ -59,12 +67,12 @@ def oracle_corners(rect: RotatedRect) -> np.ndarray:
     )
 
 
-def oracle_key_samples(rect: RotatedRect) -> dict[str, tuple[float, float]]:
+def oracle_key_samples(rect: Box3D) -> dict[str, tuple[float, float]]:
     """Scalar footprint center and boundary-line midpoints, one coordinate at a time."""
-    cx, cy = rect.center
+    cx, cy = rect.center[:2]
     u = np.array([math.cos(rect.yaw), math.sin(rect.yaw)])
     v = np.array([-math.sin(rect.yaw), math.cos(rect.yaw)])
-    hw, hl = rect.extent[0] / 2.0, rect.extent[1] / 2.0
+    hw, hl = rect.size[0] / 2.0, rect.size[1] / 2.0
     return {
         "center": (cx, cy),
         "top": (cx + hl * v[0], cy + hl * v[1]),
@@ -74,7 +82,7 @@ def oracle_key_samples(rect: RotatedRect) -> dict[str, tuple[float, float]]:
     }
 
 
-def oracle_strategy_points(rect: RotatedRect, strategy: str) -> np.ndarray:
+def oracle_strategy_points(rect: Box3D, strategy: str) -> np.ndarray:
     """(K, 2) scalar key points of a footprint in a strategy's concatenation order.
 
     Center, then the four corners when the strategy includes vertices, then
@@ -122,7 +130,7 @@ def oracle_clip_polygon(
     return out
 
 
-def oracle_iou(a: RotatedRect, b: RotatedRect) -> float:
+def oracle_iou(a: Box3D, b: Box3D) -> float:
     """Scalar Sutherland-Hodgman rotated IoU, one pair at a time."""
     poly = [tuple(p) for p in oracle_corners(a)]
     clip = [tuple(p) for p in oracle_corners(b)]
@@ -134,7 +142,7 @@ def oracle_iou(a: RotatedRect, b: RotatedRect) -> float:
     else:
         if len(poly) >= 3:
             inter = abs(oracle_polygon_area(poly))
-    union = a.area + b.area - inter
+    union = area(a) + area(b) - inter
     if union <= 0.0:
         return 0.0
     return inter / union
@@ -145,7 +153,7 @@ def oracle_iou(a: RotatedRect, b: RotatedRect) -> float:
 MC_BLOCK = 1 << 16
 
 
-def mc_iou(a: RotatedRect, b: RotatedRect, n: int, rng: np.random.Generator) -> float:
+def mc_iou(a: Box3D, b: Box3D, n: int, rng: np.random.Generator) -> float:
     """Monte-Carlo IoU: uniform samples over the bounding box of both rects.
 
     The samples are drawn and tested in blocks of MC_BLOCK rows; the blocks
@@ -154,12 +162,12 @@ def mc_iou(a: RotatedRect, b: RotatedRect, n: int, rng: np.random.Generator) -> 
     corners = np.vstack([oracle_corners(a), oracle_corners(b)])
     lo, hi = corners.min(axis=0), corners.max(axis=0)
 
-    def inside(x: np.ndarray, y: np.ndarray, rect: RotatedRect) -> np.ndarray:
+    def inside(x: np.ndarray, y: np.ndarray, rect: Box3D) -> np.ndarray:
         rel_x, rel_y = x - rect.center[0], y - rect.center[1]
         cos_y, sin_y = math.cos(rect.yaw), math.sin(rect.yaw)
         du = rel_x * cos_y + rel_y * sin_y
         dv = -rel_x * sin_y + rel_y * cos_y
-        return (np.abs(du) <= rect.extent[0] / 2.0) & (np.abs(dv) <= rect.extent[1] / 2.0)
+        return (np.abs(du) <= rect.size[0] / 2.0) & (np.abs(dv) <= rect.size[1] / 2.0)
 
     hits = 0
     for start in range(0, n, MC_BLOCK):
@@ -169,32 +177,32 @@ def mc_iou(a: RotatedRect, b: RotatedRect, n: int, rng: np.random.Generator) -> 
         hits += int(np.count_nonzero(inside(x[in_a], y[in_a], b)))
     box_area = float(np.prod(hi - lo))
     inter = box_area * (hits / n)  # the mean of the inside-both mask
-    union = a.area + b.area - inter
+    union = area(a) + area(b) - inter
     return inter / union if union > 0 else 0.0
 
 
-def aa_iou(a: RotatedRect, b: RotatedRect) -> float:
+def aa_iou(a: Box3D, b: Box3D) -> float:
     """Closed-form IoU for two yaw-0 rects."""
-    ax0 = a.center[0] - a.extent[0] / 2
-    ax1 = a.center[0] + a.extent[0] / 2
-    ay0 = a.center[1] - a.extent[1] / 2
-    ay1 = a.center[1] + a.extent[1] / 2
-    bx0 = b.center[0] - b.extent[0] / 2
-    bx1 = b.center[0] + b.extent[0] / 2
-    by0 = b.center[1] - b.extent[1] / 2
-    by1 = b.center[1] + b.extent[1] / 2
+    ax0 = a.center[0] - a.size[0] / 2
+    ax1 = a.center[0] + a.size[0] / 2
+    ay0 = a.center[1] - a.size[1] / 2
+    ay1 = a.center[1] + a.size[1] / 2
+    bx0 = b.center[0] - b.size[0] / 2
+    bx1 = b.center[0] + b.size[0] / 2
+    by0 = b.center[1] - b.size[1] / 2
+    by1 = b.center[1] + b.size[1] / 2
     iw = max(0.0, min(ax1, bx1) - max(ax0, bx0))
     ih = max(0.0, min(ay1, by1) - max(ay0, by0))
     inter = iw * ih
-    union = a.area + b.area - inter
+    union = area(a) + area(b) - inter
     return inter / union if union > 0 else 0.0
 
 
-def random_rect(rng: np.random.Generator, yaw_zero: bool = False) -> RotatedRect:
-    return RotatedRect(
-        center=(rng.uniform(-3, 3), rng.uniform(-3, 3)),
-        extent=(rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0)),
-        yaw=0.0 if yaw_zero else rng.uniform(-math.pi, math.pi),
+def random_rect(rng: np.random.Generator, yaw_zero: bool = False) -> Box3D:
+    return flat_box(
+        (rng.uniform(-3, 3), rng.uniform(-3, 3)),
+        (rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0)),
+        0.0 if yaw_zero else rng.uniform(-math.pi, math.pi),
     )
 
 
@@ -220,34 +228,14 @@ class TestBox3D:
         assert normalize_yaw(-math.pi) == pytest.approx(math.pi)
 
 
-class TestProjectToBev:
-    def test_drops_vertical_attributes(self):
-        box = Box3D((1, 2, 3), (2, 4, 1.5), 0.0)
-        rect = project_to_bev(box)
-        assert rect.center == (1, 2)
-        assert rect.extent == (2, 4)
-        assert rect.yaw == 0.0
-
-    def test_quarter_turn_preserved(self):
-        box = Box3D((0, 0, 0), (2, 4, 1.5), math.pi / 2)
-        assert project_to_bev(box).yaw == pytest.approx(math.pi / 2)
-
-    def test_area_is_footprint(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            w, l, h = rng.uniform(0.2, 5.0, size=3)
-            box = Box3D((0, 0, 0), (w, l, h), rng.uniform(-3, 3))
-            assert project_to_bev(box).area == pytest.approx(w * l)
-
-
-def key_points(rect: RotatedRect) -> np.ndarray:
+def key_points(rect: Box3D) -> np.ndarray:
     """All nine key points of one footprint, in KEY_POINT_SIGNS row order."""
     return footprint_points([rect], KEY_POINT_SIGNS)[0]
 
 
 class TestKeyPoints:
     def test_axis_aligned_positions(self):
-        pts = key_points(RotatedRect((0, 0), (2, 4), 0.0))
+        pts = key_points(flat_box((0, 0), (2, 4), 0.0))
         center, top, bottom, left, right = pts[0], pts[5], pts[6], pts[7], pts[8]
         assert tuple(center) == (0, 0)
         assert tuple(left) == pytest.approx((-1, 0))
@@ -256,7 +244,7 @@ class TestKeyPoints:
         assert tuple(top) == pytest.approx((0, 2))
 
     def test_quarter_turn_rotates_points(self):
-        pts = key_points(RotatedRect((0, 0), (2, 4), math.pi / 2))
+        pts = key_points(flat_box((0, 0), (2, 4), math.pi / 2))
         assert tuple(pts[8]) == pytest.approx((0, 1))
         assert tuple(pts[5]) == pytest.approx((-2, 0))
 
@@ -273,12 +261,12 @@ class TestKeyPoints:
         for _ in range(100):
             rect = random_rect(rng)
             pts = key_points(rect)
-            dist = np.linalg.norm(pts[5:] - np.array(rect.center), axis=1)
-            half_w, half_l = rect.extent[0] / 2, rect.extent[1] / 2
+            dist = np.linalg.norm(pts[5:] - np.array(rect.center[:2]), axis=1)
+            half_w, half_l = rect.size[0] / 2, rect.size[1] / 2
             assert dist == pytest.approx([half_l, half_l, half_w, half_w], abs=1e-9)
 
     def test_deterministic(self):
-        rect = RotatedRect((1.3, -0.7), (1.9, 4.6), 0.83)
+        rect = flat_box((1.3, -0.7), (1.9, 4.6), 0.83)
         assert np.array_equal(key_points(rect), key_points(rect))
 
     @pytest.mark.parametrize("strategy", list(STRATEGY_KEY_POINTS))
@@ -288,7 +276,7 @@ class TestKeyPoints:
         rects += [random_rect(rng, yaw_zero=True) for _ in range(50)]
         # Window-scale centers, where c +/- h*u rounds at a coarser step.
         rects += [
-            RotatedRect((rng.uniform(-54, 54), rng.uniform(-54, 54)), r.extent, r.yaw)
+            flat_box((rng.uniform(-54, 54), rng.uniform(-54, 54)), r.size[:2], r.yaw)
             for r in rects[:100]
         ]
         signs = KEY_POINT_SIGNS[list(STRATEGY_KEY_POINTS[strategy])]
@@ -298,22 +286,22 @@ class TestKeyPoints:
 
 class TestRotatedIou:
     def test_identical_rects(self):
-        rect = RotatedRect((1, 2), (2, 3), 0.4)
+        rect = flat_box((1, 2), (2, 3), 0.4)
         assert rotated_iou_2d(rect, rect) == pytest.approx(1.0, abs=1e-12)
 
     def test_shifted_unit_squares(self):
-        a = RotatedRect((0, 0), (1, 1), 0.0)
-        b = RotatedRect((0.5, 0), (1, 1), 0.0)
+        a = flat_box((0, 0), (1, 1), 0.0)
+        b = flat_box((0.5, 0), (1, 1), 0.0)
         assert rotated_iou_2d(a, b) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_disjoint_rects(self):
-        a = RotatedRect((0, 0), (1, 1), 0.0)
-        b = RotatedRect((5, 5), (1, 1), 0.7)
+        a = flat_box((0, 0), (1, 1), 0.0)
+        b = flat_box((5, 5), (1, 1), 0.7)
         assert rotated_iou_2d(a, b) == 0.0
 
     def test_square_vs_rotated_square_against_monte_carlo(self):
-        a = RotatedRect((0, 0), (1, 1), 0.0)
-        b = RotatedRect((0, 0), (1, 1), math.pi / 4)
+        a = flat_box((0, 0), (1, 1), 0.0)
+        b = flat_box((0, 0), (1, 1), math.pi / 4)
         rng = np.random.default_rng(3)
         assert rotated_iou_2d(a, b) == pytest.approx(mc_iou(a, b, 10**6, rng), abs=2e-3)
         # Closed form: intersection is a regular octagon, area 8*(sqrt(2)-1)/2.
@@ -344,11 +332,11 @@ class TestRotatedIou:
             tx, ty = rng.uniform(-10, 10, size=2)
             cos_t, sin_t = math.cos(theta), math.sin(theta)
 
-            def moved(r: RotatedRect) -> RotatedRect:
-                x, y = r.center
-                return RotatedRect(
+            def moved(r: Box3D) -> Box3D:
+                x, y = r.center[:2]
+                return flat_box(
                     (x * cos_t - y * sin_t + tx, x * sin_t + y * cos_t + ty),
-                    r.extent,
+                    r.size[:2],
                     r.yaw + theta,
                 )
 
@@ -357,15 +345,15 @@ class TestRotatedIou:
             )
 
 
-def touching_rect(rng: np.random.Generator, a: RotatedRect, corner: bool) -> RotatedRect:
+def touching_rect(rng: np.random.Generator, a: Box3D, corner: bool) -> Box3D:
     """A footprint with a's heading placed against a's +w edge, or its (+w, +l) corner."""
     w, l = rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0)
     u = np.array([math.cos(a.yaw), math.sin(a.yaw)])
     v = np.array([-math.sin(a.yaw), math.cos(a.yaw)])
-    along = (a.extent[0] + w) / 2.0
-    across = (a.extent[1] + l) / 2.0 if corner else rng.uniform(-0.5, 0.5)
-    center = np.array(a.center) + along * u + across * v
-    return RotatedRect((float(center[0]), float(center[1])), (w, l), a.yaw)
+    along = (a.size[0] + w) / 2.0
+    across = (a.size[1] + l) / 2.0 if corner else rng.uniform(-0.5, 0.5)
+    center = np.array(a.center[:2]) + along * u + across * v
+    return flat_box((float(center[0]), float(center[1])), (w, l), a.yaw)
 
 
 def oracle_pair_set(rng: np.random.Generator, kind: str, n: int):
@@ -377,7 +365,7 @@ def oracle_pair_set(rng: np.random.Generator, kind: str, n: int):
             b = random_rect(rng)
         elif kind == "near_coincident":
             jx, jy = rng.normal(0.0, 0.05, size=2)
-            b = RotatedRect((a.center[0] + jx, a.center[1] + jy), a.extent, a.yaw)
+            b = flat_box((a.center[0] + jx, a.center[1] + jy), a.size[:2], a.yaw)
         elif kind == "identical":
             b = a
         elif kind.startswith("edge_touching"):
@@ -386,7 +374,7 @@ def oracle_pair_set(rng: np.random.Generator, kind: str, n: int):
             b = touching_rect(rng, a, corner=True)
         else:  # disjoint
             shift = 10.0 + rng.uniform(0.0, 5.0)
-            b = RotatedRect((a.center[0] + shift, a.center[1] - shift), a.extent, rng.uniform(-3, 3))
+            b = flat_box((a.center[0] + shift, a.center[1] - shift), a.size[:2], rng.uniform(-3, 3))
         first.append(a)
         second.append(b)
     return first, second
@@ -443,12 +431,12 @@ class TestBatchedKernel:
 
     def test_identical_footprints_never_exceed_one(self):
         # The scalar oracle reads 1.0000000000000013 here.
-        rect = RotatedRect((0.0, 1.0), (0.1, 0.1), 0.0)
+        rect = flat_box((0.0, 1.0), (0.1, 0.1), 0.0)
         assert oracle_iou(rect, rect) > 1.0
         assert rotated_iou_2d(rect, rect) == 1.0
 
 
-def assert_matches_oracle(a: list[RotatedRect], b: list[RotatedRect]) -> int:
+def assert_matches_oracle(a: list[Box3D], b: list[Box3D]) -> int:
     """Check `overlap_ious(a, b)` against the scalar oracle; returns how many pairs it kept.
 
     The pairs come in row-major order, each IoU equals the capped oracle's bit
@@ -465,7 +453,7 @@ def assert_matches_oracle(a: list[RotatedRect], b: list[RotatedRect]) -> int:
 
 
 finite_rects = st.builds(
-    RotatedRect,
+    flat_box,
     center=st.tuples(st.floats(-20, 20), st.floats(-20, 20)),
     extent=st.tuples(st.floats(0.1, 10), st.floats(0.1, 10)),
     yaw=st.floats(-math.pi, math.pi),
@@ -484,15 +472,24 @@ class TestOverlapIous:
     def test_random_footprint_sets_match_capped_oracle(self, a, b):
         assert_matches_oracle(a, b)
 
+    def test_boxes_of_any_height_score_their_footprints(self):
+        rng = np.random.default_rng(0)
+        boxes = []
+        for _ in range(20):
+            w, l, h = rng.uniform(0.2, 5.0, size=3)
+            boxes.append(Box3D((*rng.uniform(-3, 3, size=2), rng.uniform(-2, 2)), (w, l, h),
+                               rng.uniform(-3, 3)))
+        assert assert_matches_oracle(boxes, boxes) >= len(boxes)
+
     def test_empty_side(self):
-        rect = RotatedRect((0, 0), (1, 1), 0.0)
+        rect = flat_box((0, 0), (1, 1), 0.0)
         for a, b in (([], [rect]), ([rect], []), ([], [])):
             ia, ib, iou = overlap_ious(a, b)
             assert ia.shape == ib.shape == iou.shape == (0,)
             assert ia.dtype == ib.dtype == np.intp
 
 
-def shoelace_tolerance(*rects: RotatedRect) -> float:
+def shoelace_tolerance(*rects: Box3D) -> float:
     """Rounding bound of an IoU whose shoelace sums absolute coordinates.
 
     Each cross term carries an error of about eps * (|center| + radius)^2,
@@ -500,7 +497,8 @@ def shoelace_tolerance(*rects: RotatedRect) -> float:
     """
     eps = np.finfo(np.float64).eps
     return max(
-        64 * eps * (math.hypot(*r.center) + math.hypot(*r.extent)) ** 2 / r.area for r in rects
+        64 * eps * (math.hypot(*r.center[:2]) + math.hypot(*r.size[:2])) ** 2 / area(r)
+        for r in rects
     )
 
 
@@ -517,6 +515,34 @@ class TestIouProperties:
     @given(finite_rects)
     def test_identical_footprints_have_unit_iou(self, rect):
         assert rotated_iou_2d(rect, rect) == pytest.approx(1.0, abs=shoelace_tolerance(rect))
+
+
+footprint_fields = st.tuples(
+    st.floats(-20, 20), st.floats(-20, 20), st.floats(0.1, 10), st.floats(0.1, 10),
+    st.floats(-math.pi, math.pi),
+)
+# z, h, vx and vy: the attributes plane geometry must not read.
+vertical_fields = st.tuples(
+    st.floats(-5, 5), st.floats(0.1, 5), st.floats(-30, 30), st.floats(-30, 30)
+)
+
+
+def lifted(footprint: tuple, vertical: tuple) -> Box3D:
+    x, y, w, l, yaw = footprint
+    z, h, vx, vy = vertical
+    return Box3D((x, y, z), (w, l, h), yaw, (vx, vy))
+
+
+class TestVerticalAttributes:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(footprint_fields, vertical_fields, vertical_fields), max_size=8))
+    def test_geometry_ignores_them(self, rows):
+        first = [lifted(f, v) for f, v, _ in rows]
+        second = [lifted(f, v) for f, _, v in rows]
+        points = (footprint_points(boxes, KEY_POINT_SIGNS) for boxes in (first, second))
+        assert len(set(p.tobytes() for p in points)) == 1
+        ious = [overlap_ious(first, first), overlap_ious(second, second)]
+        assert [x.tobytes() for x in ious[0]] == [x.tobytes() for x in ious[1]]
 
 
 class TestCenterDistance:

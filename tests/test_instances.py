@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dualguide.errors import ConfigurationError
-from dualguide.geometry import Box3D, project_to_bev
+from dualguide.geometry import Box3D
 from dualguide.grid import BevGrid, GridSpec, bilinear_sample, world_to_grid
 from dualguide.instances import (
     SAMPLES_PER_STRATEGY,
@@ -112,7 +112,7 @@ class TestExtractInstance:
         insts = build_instances(grid, proposals, 0.0, strategy)
         assert len(insts) == len(proposals)
         for inst, prop in zip(insts, proposals):
-            points = oracle_strategy_points(project_to_bev(prop.box), strategy)
+            points = oracle_strategy_points(prop.box, strategy)
             expected = np.concatenate([reference_sample(grid, p) for p in points])
             assert np.array_equal(inst.raw, expected)
 

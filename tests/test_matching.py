@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualguide.errors import ConfigurationError
-from dualguide.geometry import Box3D, project_to_bev
+from dualguide.geometry import Box3D
 from dualguide.instances import InstanceFeature, Proposal
 from dualguide.matching import (
     PAIR_CAMERA_HARD,
@@ -54,9 +54,7 @@ def random_scene(rng, n_lidar, n_camera, span=12.0):
 
 def overlap_oracle(lidar, camera, eta):
     """Repeated global argmax with removal; no sorting shared with the matcher."""
-    lrects = [project_to_bev(i.proposal.box) for i in lidar]
-    crects = [project_to_bev(i.proposal.box) for i in camera]
-    iou = [[rotated_iou_2d(a, b) for b in crects] for a in lrects]
+    iou = [[rotated_iou_2d(a.proposal.box, b.proposal.box) for b in camera] for a in lidar]
     taken_l, taken_c = set(), set()
     result = []
     while True:
@@ -379,8 +377,7 @@ class TestMatchingProperties:
         assert len(set(anchors)) == len(anchors) and len(set(guides)) == len(guides)
         for p in sets.easy:
             assert p.anchor is lidar[p.anchor_idx] and p.guide is camera[p.guide_idx]
-            iou = rotated_iou_2d(project_to_bev(p.anchor.proposal.box),
-                                 project_to_bev(p.guide.proposal.box))
+            iou = rotated_iou_2d(p.anchor.proposal.box, p.guide.proposal.box)
             assert p.similarity == iou >= eta
         assert len(sets.easy) + sets.unmatched_lidar == len(lidar)
         assert len(sets.easy) + sets.unmatched_camera == len(camera)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualguide.errors import ContractError
-from dualguide.geometry import Box3D, center_distance_bev, overlap_ious, project_to_bev
+from dualguide.geometry import Box3D, center_distance_bev, overlap_ious
 from dualguide.metrics import (
     AXES,
     AXIS_BINS,
@@ -279,9 +279,7 @@ class TestApOracle:
 
 def dense_oracle_recall(dets, gts, thresholds):
     """Class-agnostic greedy recall over the full scalar-oracle IoU matrix."""
-    iou = [
-        [oracle_iou(project_to_bev(d.box), project_to_bev(g.box)) for g in gts] for d in dets
-    ]
+    iou = [[oracle_iou(d.box, g.box) for g in gts] for d in dets]
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
     recalls = {}
     for threshold in thresholds:
@@ -489,8 +487,7 @@ def oracle_evaluate(dets, gts, label="all"):
                 for t in DIST_THRESHOLDS
             }
     if gts:
-        di, gj, pair_iou = overlap_ious([project_to_bev(d.box) for d in dets],
-                                        [project_to_bev(g.box) for g in gts])
+        di, gj, pair_iou = overlap_ious([d.box for d in dets], [g.box for g in gts])
         iou = np.zeros((len(dets), len(gts)))
         iou[di, gj] = pair_iou
         order = score_order(dets)

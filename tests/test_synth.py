@@ -17,7 +17,7 @@ from dualguide.enhance import fuse_grids
 from dualguide import formats
 from dualguide.errors import ConfigurationError, ContractError, DataFormatError
 from dualguide.formats import load_grid, save_grid
-from dualguide.geometry import Box3D, points_in_box, project_to_bev
+from dualguide.geometry import Box3D, points_in_box
 from dualguide.grid import BevGrid, GridSpec, grid_to_world
 from dualguide.matching import match_pairs
 from dualguide.instances import build_instances
@@ -108,10 +108,10 @@ class TestGenerateScene:
 
     def test_ground_truth_footprints_disjoint(self):
         scene = generate_scene(SMALL, seed=6, n_objects=12)
-        rects = [project_to_bev(a.box) for a in scene.annotations]
-        for i in range(len(rects)):
-            for j in range(i + 1, len(rects)):
-                assert rotated_iou_2d(rects[i], rects[j]) == 0.0
+        boxes = [a.box for a in scene.annotations]
+        for i in range(len(boxes)):
+            for j in range(i + 1, len(boxes)):
+                assert rotated_iou_2d(boxes[i], boxes[j]) == 0.0
 
     @pytest.mark.parametrize("seed, placed", [
         (1, "placed 2 of 4 objects"),
@@ -304,9 +304,7 @@ class TestEnergyPeakDetector:
         scene = generate_scene(SMALL, seed=12, n_objects=1, gap_profile="easy")
         dets = readout(scene.camera_grid)
         ann = scene.annotations[0]
-        best = max(
-            rotated_iou_2d(project_to_bev(d.box), project_to_bev(ann.box)) for d in dets
-        )
+        best = max(rotated_iou_2d(d.box, ann.box) for d in dets)
         assert best >= 0.3
         assert dets[0].score == 1.0
 
