@@ -184,10 +184,10 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
     out = Path(args.out) if args.out else Path(args.scene).parent
     parsed = _check_outputs(args.scene, [out / name for name in FUSE_OUTPUTS])
     with open_scene(args.scene, config, parsed) as scene:
-        out.mkdir(parents=True, exist_ok=True)
         camera, lidar = scene.camera_grid, scene.lidar_grid
         run = run_matching if args.no_enhance else run_fusion
         pairs = run(camera, lidar, scene.camera_proposals, scene.lidar_proposals, config)
+        out.mkdir(parents=True, exist_ok=True)
         formats.save_grid([
             (camera, out / "enhanced_camera.bevg"),
             (lidar, out / "enhanced_lidar.bevg"),
@@ -306,12 +306,9 @@ def _cmd_loss(args: argparse.Namespace) -> int:
         with open_scene(args.scene, config, parsed) as scene:
             pairs = run_matching(scene.camera_grid, scene.lidar_grid,
                                  scene.camera_proposals, scene.lidar_proposals, config)
-        projections = build_projections(
-            config, scene.camera_grid.spec.channels, scene.lidar_grid.spec.channels
-        )
-        cosine = pair_cosine_loss(
-            pairs.easy, projections.lidar_squeeze, projections.camera_squeeze
-        )
+        cosine = pair_cosine_loss(pairs.easy, *build_projections(
+            config, scene.camera_grid.spec.channels, scene.lidar_grid.spec.channels,
+            "lidar_squeeze", "camera_squeeze"))
     total, history = composite_loss(
         l_head, l_lidar, l_camera, cosine,
         config.loss_weights(), RunningMax(args.history),

@@ -27,8 +27,8 @@ class PipelineConfig:
     # Grid depths `gen` writes; the pipeline reads depths from its grids.
     camera_channels: int = 16
     lidar_channels: int = 24
-    # Optional weight files; seeded initializers (`pipeline.PROJECTION_SEED`)
-    # are used when unset.
+    # Optional weight files, read by the commands that apply them
+    # (`pipeline.PROJECTIONS`); each is seeded when unset.
     camera_squeeze_path: str | None = None
     lidar_squeeze_path: str | None = None
     excitation_path: str | None = None

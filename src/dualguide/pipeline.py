@@ -4,8 +4,11 @@
 shares (DIPM). The refine yields one context vector, not a grid: camera
 instances are sampled with it as an offset. `run_fusion` runs that stage
 and then the dual-guided modules, which enhance both grids in place; it
-makes no copy. Weight shapes follow the channel counts of the grids given,
-not the config's generator depths.
+makes no copy. Each caller builds only the projections it applies
+(`build_projections`): `run_fusion` the LiDAR squeeze and the excitation,
+`loss --scene` the two squeezes. Their shapes follow the channel counts of
+the grids given, not the config's generator depths, and a weight file of
+another shape is refused when it is loaded.
 
 The CLI never loads the LiDAR grid. `open_scene` loads the scene as
 `synth.load_scene` checks it, but gathers only the LiDAR cells the front
@@ -20,7 +23,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from typing import BinaryIO
@@ -29,6 +31,7 @@ import numpy as np
 
 from .config import PipelineConfig
 from .enhance import Projection, enhance_camera_grid, enhance_lidar_grid
+from .errors import ConfigurationError
 from .formats import grid_blocks, load_projection, read_grid_rows
 from .grid import BevGrid, ContextWeights, GatheredCells, bilinear_corners, global_context_refine
 from .instances import SAMPLES_PER_STRATEGY, Proposal, build_instances, key_point_coords
@@ -37,43 +40,36 @@ from .synth import Scene, load_scene
 
 # Seed of the global-context weights; unlike the projections they have no file.
 CONTEXT_WEIGHTS_SEED = 1
-# Seed of the seeded projections: lidar_squeeze takes it, camera_squeeze
-# PROJECTION_SEED + 1 and excitation PROJECTION_SEED + 2.
-PROJECTION_SEED = 0
+# Each projection's config path key, source and target modality, and seed.
+PROJECTIONS = {
+    "lidar_squeeze": ("lidar_squeeze_path", "lidar", "camera", 0),    # Point-guide-Image
+    "camera_squeeze": ("camera_squeeze_path", "camera", "camera", 1),  # the cosine loss
+    "excitation": ("excitation_path", "camera", "lidar", 2),           # Image-guide-Point
+}
 
 
-@dataclass
-class FusionProjections:
-    """The three affine maps the enhancement stages and cosine loss use."""
+def build_projections(config: PipelineConfig, camera_channels: int, lidar_channels: int,
+                      *names: str) -> tuple[Projection, ...]:
+    """The projections named, in order, each loaded from its config path or seeded.
 
-    lidar_squeeze: Projection   # lidar instance features -> camera channels
-    camera_squeeze: Projection  # camera instance features -> camera channels
-    excitation: Projection      # camera instance features -> lidar channels
-
-
-def build_projections(
-    config: PipelineConfig, camera_channels: int, lidar_channels: int
-) -> FusionProjections:
-    """Load projection weights from configured paths or seed them."""
+    A projection maps the K key-point features of its source modality
+    (K x source channels values) onto its target modality's channels. A
+    loaded file of another shape raises ConfigurationError naming the file
+    and its key; a path resolves against the working directory.
+    """
     k = SAMPLES_PER_STRATEGY[config.sampling_strategy]
-
-    def load_or_seed(path: str | None, source: int, target: int, seed: int) -> Projection:
-        if path:
-            return load_projection(Path(path))
-        return Projection.seeded(source, target, seed)
-
-    c_cam, c_lid = camera_channels, lidar_channels
-    return FusionProjections(
-        lidar_squeeze=load_or_seed(
-            config.lidar_squeeze_path, k * c_lid, c_cam, PROJECTION_SEED
-        ),
-        camera_squeeze=load_or_seed(
-            config.camera_squeeze_path, k * c_cam, c_cam, PROJECTION_SEED + 1
-        ),
-        excitation=load_or_seed(
-            config.excitation_path, k * c_cam, c_lid, PROJECTION_SEED + 2
-        ),
-    )
+    channels = {"camera": camera_channels, "lidar": lidar_channels}
+    projections = []
+    for name in names:
+        key, source, target, seed = PROJECTIONS[name]
+        n_in, n_out, path = k * channels[source], channels[target], getattr(config, key)
+        projection = load_projection(path) if path else Projection.seeded(n_in, n_out, seed)
+        if projection.matrix.shape != (n_out, n_in):
+            raise ConfigurationError(
+                f"{path}: {key} maps {projection.source_length} values to "
+                f"{projection.target_channels}, the scene needs {n_in} to {n_out}")
+        projections.append(projection)
+    return tuple(projections)
 
 
 def build_context_weights(channels: int) -> ContextWeights:
@@ -129,12 +125,11 @@ def run_fusion(
     the fused grid.
     """
     pairs = run_matching(camera_grid, lidar_grid, camera_proposals, lidar_proposals, config)
-    projections = build_projections(
-        config, camera_grid.spec.channels, lidar_grid.spec.channels
+    lidar_squeeze, excitation = build_projections(
+        config, camera_grid.spec.channels, lidar_grid.spec.channels, "lidar_squeeze", "excitation"
     )
-    enhance_camera_grid(camera_grid, pairs.easy, pairs.camera_hard,
-                        projections.lidar_squeeze)
-    enhance_lidar_grid(lidar_grid, pairs.lidar_hard, projections.excitation)
+    enhance_camera_grid(camera_grid, pairs.easy, pairs.camera_hard, lidar_squeeze)
+    enhance_lidar_grid(lidar_grid, pairs.lidar_hard, excitation)
     return pairs
 
 

@@ -508,6 +508,7 @@ def load_scene(
     that disagrees. Each grid is then read into its own contiguous array,
     or the LiDAR grid by `read_lidar(path, lidar_proposals)` when given
     (`pipeline.open_scene` gathers only the cells the pipeline samples).
+    Each proposal must be of the modality its file's manifest entry names.
     `parsed` is `scene_paths(manifest_path, SCENE_FILES)` when the caller has
     read it already.
     """
@@ -528,8 +529,13 @@ def load_scene(
                 f"grid header of {manifest['files'][key]!r} "
                 "does not match the manifest's grid spec"
             )
-    camera_proposals = load_proposals(paths["camera_proposals"])
-    lidar_proposals = load_proposals(paths["lidar_proposals"])
+    proposals = {m: load_proposals(paths[f"{m}_proposals"]) for m in ("camera", "lidar")}
+    for modality, records in proposals.items():
+        for i, p in enumerate(records):
+            if p.modality != modality:
+                raise DataFormatError(f"{paths[f'{modality}_proposals']}: record {i}: modality "
+                                      f"must be {modality!r}, got {p.modality!r}")
+    camera_proposals, lidar_proposals = proposals["camera"], proposals["lidar"]
     camera_grid = load_grid(paths["camera_grid"])
     if read_lidar is None:
         lidar_grid = load_grid(paths["lidar_grid"])

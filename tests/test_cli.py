@@ -500,6 +500,126 @@ class TestWrongKindPath:
         self.fails_in_one_line(capsys, root, [command], "scene/sub")
 
 
+def swap_entry(scene):
+    """The manifest's camera_proposals entry names the LiDAR proposals file."""
+    manifest = scene / "manifest.json"
+    data = json.loads(manifest.read_text())
+    data["files"]["camera_proposals"] = data["files"]["lidar_proposals"]
+    manifest.write_text(json.dumps(data))
+
+
+def flip_record(scene):
+    """One camera proposal says it is a LiDAR one."""
+    edit_records(scene / "camera_proposals.jsonl", lambda r: r[2].update(modality="lidar"))
+
+
+class TestProposalSlots:
+    """Each proposals file holds its manifest slot's modality, or the command exits 2.
+
+    A camera slot naming the LiDAR file, or one record of the wrong modality,
+    would otherwise match LiDAR proposals against themselves.
+    """
+
+    @pytest.fixture()
+    def root(self, workdir):
+        assert main(["gen", "--seed", "3", "--objects", "12"]) == 0
+        comp = {branch: {"cls_pred": [0.9], "cls_target": [1]}
+                for branch in ("head", "lidar", "camera")}
+        (workdir / "loss.json").write_text(json.dumps(comp))
+        return workdir
+
+    @pytest.mark.parametrize("argv", [
+        ["fuse", "--out", "out"],
+        ["match", "--out", "pairs.json"],
+        ["loss", "--components", "loss.json", "--scene", "scene/manifest.json",
+         "--out", "report.json"],
+    ], ids=["fuse", "match", "loss"])
+    @pytest.mark.parametrize("damage, expected", [
+        (swap_entry, "lidar_proposals.jsonl: record 0: modality must be 'camera', got 'lidar'"),
+        (flip_record, "camera_proposals.jsonl: record 2: modality must be 'camera', got 'lidar'"),
+    ], ids=["swapped-entry", "flipped-record"])
+    def test_wrong_modality_fails_before_writing(self, root, capsys, argv, damage, expected):
+        damage(root / "scene")
+        before = snapshot(root)
+        assert main(argv) == 2
+        assert expected in capsys.readouterr().err
+        assert snapshot(root) == before
+
+
+# Each projection's (rows, cols) on `small_config` scenes: 5 key points
+# (center+boundary_mid) of 5 camera or 7 LiDAR channels.
+SMALL_SHAPES = {"lidar_squeeze": (5, 35), "camera_squeeze": (5, 25), "excitation": (7, 25)}
+
+
+def write_projection(path, rows, cols):
+    """A zero-weight projection file of the given shape."""
+    weights = np.zeros(rows * cols + rows, dtype="<f4")
+    path.write_bytes(struct.pack("<4sII", b"PROJ", rows, cols) + weights.tobytes())
+
+
+class TestWeightFiles:
+    """Each command reads the weight files of the projections it applies, and no other.
+
+    A file of another shape exits 2 naming the file and its config key.
+    """
+
+    LOSS = ["loss", "--components", "loss.json", "--scene", "scene/manifest.json"]
+
+    @pytest.fixture()
+    def root(self, workdir):
+        assert main(["gen", "--seed", "8", "--objects", "8", "--config",
+                     small_config(workdir)]) == 0
+        comp = {branch: {"cls_pred": [0.9], "cls_target": [1]}
+                for branch in ("head", "lidar", "camera")}
+        (workdir / "loss.json").write_text(json.dumps(comp))
+        return workdir
+
+    @staticmethod
+    def config(root, **paths):
+        """`small_config` with the weight paths given; its file name."""
+        data = json.loads((root / "config.json").read_text())
+        (root / "weights.json").write_text(json.dumps({**data, **paths}))
+        return "weights.json"
+
+    @pytest.mark.parametrize("argv, name", [
+        (["fuse", "--out", "out"], "lidar_squeeze"),
+        (["fuse", "--out", "out"], "excitation"),
+        ([*LOSS, "--out", "report.json"], "lidar_squeeze"),
+        ([*LOSS, "--out", "report.json"], "camera_squeeze"),
+    ], ids=["fuse-lidar_squeeze", "fuse-excitation", "loss-lidar_squeeze",
+            "loss-camera_squeeze"])
+    @pytest.mark.parametrize("wrong", ["rows", "cols"])
+    def test_a_file_of_another_shape_fails_before_writing(self, root, capsys, argv, name,
+                                                          wrong):
+        rows, cols = SMALL_SHAPES[name]
+        rows, cols = rows + (wrong == "rows"), cols + (wrong == "cols")
+        write_projection(root / "bad.proj", rows, cols)
+        config = self.config(root, **{f"{name}_path": "bad.proj"})
+        before = snapshot(root)
+        assert main([*argv, "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert f"bad.proj: {name}_path maps {cols} values to {rows}, the scene needs" in err, err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert snapshot(root) == before
+
+    @pytest.mark.parametrize("argv, out, unread", [
+        (["fuse"], "{}", ("camera_squeeze",)),
+        (["fuse", "--no-enhance"], "{}", tuple(SMALL_SHAPES)),
+        (["match"], "{}/pairs.json", tuple(SMALL_SHAPES)),
+        (LOSS, "{}/report.json", ("excitation",)),
+    ], ids=["fuse", "fuse-no-enhance", "match", "loss"])
+    def test_a_path_the_command_does_not_apply_is_not_read(self, root, capsys, argv, out,
+                                                           unread):
+        config = self.config(root, **{f"{name}_path": "missing.proj" for name in unread})
+        for run, cfg in (("base", "config.json"), ("out", config)):
+            (root / run).mkdir()
+            assert main([*argv, "--out", out.format(run), "--config", cfg]) == 0
+        written = sorted(p.name for p in (root / "out").iterdir())
+        assert written and written == sorted(p.name for p in (root / "base").iterdir())
+        for name in written:
+            assert (root / "out" / name).read_bytes() == (root / "base" / name).read_bytes()
+
+
 class TestMaxPeaks:
     def test_negative_cap_is_config_error(self, workdir, capsys):
         assert main(["gen", "--seed", "2", "--objects", "6"]) == 0
@@ -709,9 +829,8 @@ class TestLossCommand:
         config = load_config(cfg)
         pairs = run_fusion(scene.camera_grid, scene.lidar_grid, scene.camera_proposals,
                            scene.lidar_proposals, config)
-        projections = build_projections(config, 5, 7)
         cosine = pair_cosine_loss(
-            pairs.easy, projections.lidar_squeeze, projections.camera_squeeze
+            pairs.easy, *build_projections(config, 5, 7, "lidar_squeeze", "camera_squeeze")
         )
         assert cosine is not None
         assert report["cosine"] == cosine

@@ -10,6 +10,7 @@ handle. Every artifact must equal the dense library path's: `load_scene`
 import json
 import os
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,13 @@ from dualguide.grid import (
     surrounding_cells,
     world_to_grid,
 )
-from dualguide.instances import STRATEGY_KEY_POINTS, Proposal, key_point_coords
+from dualguide.enhance import Projection
+from dualguide.instances import (
+    SAMPLES_PER_STRATEGY,
+    STRATEGY_KEY_POINTS,
+    Proposal,
+    key_point_coords,
+)
 from dualguide.pipeline import run_fusion, run_matching
 from dualguide.synth import Scene, load_scene, write_scene
 
@@ -131,16 +138,72 @@ def test_handmade_scene_matches_the_dense_path(handmade, tmp_path):
     assert np.count_nonzero(fused == 0x80000000) > 0
 
 
-@pytest.mark.parametrize("flags, config", [
-    (("--no-enhance",), PipelineConfig()),
+def save_weight_files(root, names):
+    """Weight files for the handmade grids (3 camera, 5 LiDAR channels) under `names`.
+
+    Each is seeded, with a seed other than the pipeline's, and saved; the
+    config paths naming them are returned.
+    """
+    k = SAMPLES_PER_STRATEGY[PipelineConfig().sampling_strategy]
+    channels, paths = {"camera": 3, "lidar": 5}, {}
+    for seed, name in enumerate(names, start=10):
+        _, source, target, _ = pipeline.PROJECTIONS[name]
+        path = root / f"{name}.proj"
+        formats.save_projection(
+            Projection.seeded(k * channels[source], channels[target], seed), path)
+        paths[f"{name}_path"] = str(path)
+    return paths
+
+
+@pytest.mark.parametrize("flags, config, weights", [
+    (("--no-enhance",), PipelineConfig(), ()),
     (("--sampling-strategy", "center+vertices+boundary_mid"),
-     PipelineConfig(sampling_strategy="center+vertices+boundary_mid")),
-    (("--gamma", "0.95"), PipelineConfig(gamma=0.95)),
-], ids=["no-enhance", "all-key-points", "no-lidar-survivor"])
-def test_handmade_variants_match_the_dense_path(handmade, tmp_path, flags, config):
+     PipelineConfig(sampling_strategy="center+vertices+boundary_mid"), ()),
+    (("--gamma", "0.95"), PipelineConfig(gamma=0.95), ()),
+    ((), PipelineConfig(), ("lidar_squeeze", "excitation")),
+    ((), PipelineConfig(), ("lidar_squeeze", "camera_squeeze", "excitation")),
+], ids=["no-enhance", "all-key-points", "no-lidar-survivor", "fusion-weight-files",
+        "all-weight-files"])
+def test_handmade_variants_match_the_dense_path(handmade, tmp_path, flags, config, weights):
+    if weights:
+        paths = save_weight_files(tmp_path, weights)
+        (tmp_path / "weights.json").write_text(json.dumps(paths))
+        flags, config = ("--config", str(tmp_path / "weights.json")), replace(config, **paths)
     pairs = assert_cli_matches_dense(handmade, tmp_path, flags, config)
     if config.gamma == 0.95:
         assert pairs.unmatched_lidar == 0 and pairs.unmatched_camera == 4
+    if weights:  # the files are applied: both grids differ from the seeded weights' run
+        assert main(["fuse", "--scene", str(handmade), "--out", str(tmp_path / "seeded")]) == 0
+        for name in ("enhanced_camera.bevg", "enhanced_lidar.bevg"):
+            seeded = (tmp_path / "seeded" / name).read_bytes()
+            assert (tmp_path / "cli" / name).read_bytes() != seeded, name
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["fuse"], ["excitation.proj", "lidar_squeeze.proj"]),
+    (["fuse", "--no-enhance"], []),
+    (["match"], []),
+    (["loss", "--components", "loss.json"], ["camera_squeeze.proj", "lidar_squeeze.proj"]),
+], ids=["fuse", "fuse-no-enhance", "match", "loss"])
+def test_each_command_loads_only_the_weight_files_it_applies(
+    handmade, tmp_path, monkeypatch, capsys, argv, loaded
+):
+    paths = save_weight_files(tmp_path, pipeline.PROJECTIONS)
+    (tmp_path / "weights.json").write_text(json.dumps(paths))
+    (tmp_path / "loss.json").write_text(json.dumps(
+        {branch: {"cls_pred": [0.9], "cls_target": [1]} for branch in ("head", "lidar", "camera")}
+    ))
+    calls, load_projection = [], formats.load_projection
+
+    def counted(path):
+        calls.append(Path(path).name)
+        return load_projection(path)
+
+    monkeypatch.setattr(pipeline, "load_projection", counted)
+    monkeypatch.chdir(tmp_path)
+    out = "out.json" if argv[0] != "fuse" else "out"
+    assert main([*argv, "--scene", str(handmade), "--config", "weights.json", "--out", out]) == 0
+    assert sorted(calls) == loaded
 
 
 def test_symlinked_output_does_not_feed_back_into_the_lidar_read(handmade, tmp_path, capsys):

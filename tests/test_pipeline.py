@@ -1,6 +1,7 @@
 """End-to-end fusion pipeline wiring."""
 
 import gc
+import itertools
 import tracemalloc
 from dataclasses import replace
 
@@ -8,8 +9,9 @@ import numpy as np
 import pytest
 
 from dualguide.config import PipelineConfig
-from dualguide.enhance import fuse_grids
-from dualguide.formats import pair_sets_to_dict
+from dualguide.enhance import Projection, fuse_grids
+from dualguide.errors import ConfigurationError
+from dualguide.formats import pair_sets_to_dict, save_projection
 from dualguide.grid import BevGrid, GridSpec, global_context_refine
 from dualguide.instances import build_instances
 from dualguide.matching import match_pairs
@@ -185,23 +187,83 @@ class TestRunFusionOnFusedViews:
 
 class TestProjectionWiring:
     def test_shapes_follow_strategy_and_channels(self):
-        projections = build_projections(SMALL, 5, 7)
+        lidar_squeeze, camera_squeeze, excitation = build_projections(
+            SMALL, 5, 7, "lidar_squeeze", "camera_squeeze", "excitation"
+        )
         k = 5  # center+boundary_mid
-        assert projections.lidar_squeeze.matrix.shape == (5, k * 7)
-        assert projections.camera_squeeze.matrix.shape == (5, k * 5)
-        assert projections.excitation.matrix.shape == (7, k * 5)
+        assert lidar_squeeze.matrix.shape == (5, k * 7)
+        assert camera_squeeze.matrix.shape == (5, k * 5)
+        assert excitation.matrix.shape == (7, k * 5)
 
     def test_weight_files_override_seeding(self, tmp_path):
-        from dualguide.enhance import Projection
-        from dualguide.formats import save_projection
-
         proj = Projection(np.zeros((5, 35)), np.zeros(5))
         path = tmp_path / "squeeze.proj"
         save_projection(proj, path)
         cfg = replace(SMALL, lidar_squeeze_path=str(path))
-        projections = build_projections(cfg, 5, 7)
-        assert np.array_equal(projections.lidar_squeeze.matrix, proj.matrix)
-        assert np.array_equal(
-            projections.camera_squeeze.matrix,
-            build_projections(SMALL, 5, 7).camera_squeeze.matrix,
+        lidar_squeeze, camera_squeeze = build_projections(
+            cfg, 5, 7, "lidar_squeeze", "camera_squeeze"
         )
+        assert np.array_equal(lidar_squeeze.matrix, proj.matrix)
+        assert np.array_equal(
+            camera_squeeze.matrix,
+            build_projections(SMALL, 5, 7, "camera_squeeze")[0].matrix,
+        )
+
+
+# Key points per sampling strategy, and each projection's seed, source and
+# target modality: the seeded weights every artifact is pinned to.
+KEY_POINTS = {"center": 1, "center+vertices": 5, "center+boundary_mid": 5,
+              "center+vertices+boundary_mid": 9}
+SEEDED = {"lidar_squeeze": (0, "lidar", "camera"), "camera_squeeze": (1, "camera", "camera"),
+          "excitation": (2, "camera", "lidar")}
+# Every order of every subset of the three names, the empty one included.
+NAME_ORDERS = [order for n in range(4) for order in itertools.permutations(SEEDED, n)]
+
+
+def reference_projection(name, strategy, camera_channels, lidar_channels):
+    """uniform(-s, s) matrix then bias, s = 1/sqrt(fan-in), from the name's seed."""
+    seed, source, target = SEEDED[name]
+    channels = {"camera": camera_channels, "lidar": lidar_channels}
+    n_in, n_out = KEY_POINTS[strategy] * channels[source], channels[target]
+    rng = np.random.default_rng(seed)
+    s = 1.0 / np.sqrt(n_in)
+    return rng.uniform(-s, s, size=(n_out, n_in)), rng.uniform(-s, s, size=n_out)
+
+
+class TestBuildProjections:
+    @pytest.mark.parametrize("names", NAME_ORDERS, ids=lambda names: ",".join(names) or "none")
+    @pytest.mark.parametrize("strategy", list(KEY_POINTS))
+    def test_seeded_weights_are_the_pinned_ones(self, strategy, names):
+        config = PipelineConfig(sampling_strategy=strategy)
+        for camera_channels, lidar_channels in ((5, 7), (16, 24), (80, 128), (3, 1)):
+            built = build_projections(config, camera_channels, lidar_channels, *names)
+            assert len(built) == len(names)
+            for name, projection in zip(names, built):
+                matrix, bias = reference_projection(name, strategy, camera_channels,
+                                                    lidar_channels)
+                assert projection.matrix.tobytes() == matrix.tobytes(), name
+                assert projection.bias.tobytes() == bias.tobytes(), name
+
+    @pytest.mark.parametrize("name", list(SEEDED))
+    @pytest.mark.parametrize("wrong", ["rows", "cols"])
+    def test_a_weight_file_of_another_shape_names_the_file_and_key(self, tmp_path, name, wrong):
+        matrix, bias = reference_projection(name, SMALL.sampling_strategy, 5, 7)
+        rows, cols = matrix.shape[0] + (wrong == "rows"), matrix.shape[1] + (wrong == "cols")
+        path = tmp_path / "bad.proj"
+        save_projection(Projection(np.zeros((rows, cols)), np.zeros(rows)), path)
+        config = replace(SMALL, **{f"{name}_path": str(path)})
+        with pytest.raises(ConfigurationError) as refused:
+            build_projections(config, 5, 7, name)
+        assert str(refused.value) == (
+            f"{path}: {name}_path maps {cols} values to {rows}, "
+            f"the scene needs {matrix.shape[1]} to {matrix.shape[0]}"
+        )
+
+    def test_a_path_of_a_projection_not_named_is_not_read(self, tmp_path):
+        missing = str(tmp_path / "missing.proj")
+        config = replace(SMALL, camera_squeeze_path=missing, excitation_path=missing)
+        (lidar_squeeze,) = build_projections(config, 5, 7, "lidar_squeeze")
+        assert lidar_squeeze.matrix.tobytes() == reference_projection(
+            "lidar_squeeze", SMALL.sampling_strategy, 5, 7)[0].tobytes()
+        with pytest.raises(FileNotFoundError):
+            build_projections(config, 5, 7, "lidar_squeeze", "excitation")
