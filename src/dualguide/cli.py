@@ -20,8 +20,8 @@ stays open.
 `--no-enhance`). It then writes `enhanced_camera.bevg`,
 `enhanced_lidar.bevg` and `fused.bevg` in one pass over row blocks
 (`formats.save_grid`): each block's camera rows are cast once, and its LiDAR
-rows read once through the same handle, with the written cells rounded in
-and their values checked. So it holds the camera grid and no LiDAR grid or
+rows read once through the same handle, checked, with the gathered cells
+rounded in. So it holds the camera grid and no LiDAR grid or
 concatenation, and reads `lidar.bevg` twice. Every command that takes a
 scene parses its manifest once, and every command refuses, before writing
 anything, an output that is one of its inputs (a scene file, `eval`'s

@@ -4,7 +4,7 @@ The camera grid is enhanced at each pair's camera-instance center: the grid
 feature sampled there is element-wise scaled by the projected LiDAR guide
 feature and added at the nearest cell. Easy pairs write against the original
 grid (overlaps do not compound); camera-hard pairs then accumulate on top.
-The LiDAR grid is enhanced at the four cells around each hard LiDAR
+The LiDAR grid is enhanced at the (up to) four cells around each hard LiDAR
 instance center with the projected camera guide feature, weighted by the
 pair's normalized center distance; every write reads the original grid, so
 overlapping pairs are last-write-wins. Cells no pair addresses are untouched.
@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .geometry import center_distance_bev
-from .grid import BevGrid, GridSpec, bilinear_sample, concat_spec, surrounding_cells, world_to_grid
+from .grid import BevGrid, GridSpec, bilinear_sample, concat_spec, world_to_grid
 from .instances import InstanceFeature
 from .matching import PAIR_CAMERA_HARD, InstancePair
 
@@ -148,24 +148,28 @@ def enhance_lidar_grid(
     """Image-guided enhancement of the LiDAR grid, in place.
 
     Each pair adds its distance-weighted projected camera guide feature to
-    the four cells surrounding the hard LiDAR instance center. Writes read
-    the original grid, so pairs sharing a cell do not stack: a cell ends as
-    its original plus the last update addressed to it, written once.
-    Returns `lidar_grid`, updated.
+    the floor cell of the hard LiDAR instance center and the next row and
+    column, each clamped into the grid: up to four cells, all four at an
+    exact-integer center. Writes read the original grid, so pairs sharing
+    a cell do not stack: a cell ends as its original plus the last update
+    addressed to it, written once. Returns `lidar_grid`, updated.
     """
     spec = lidar_grid.spec
     _check_projection(spec, proj)
     weights = pair_distance_weights(lidar_hard_pairs)
-    last_update = {}
-    for pair, w in zip(lidar_hard_pairs, weights):
-        coord = world_to_grid(member_of(pair, "lidar").bev_center, spec)
-        update = proj.apply(member_of(pair, "camera").raw) * w
-        for cell in surrounding_cells(coord, spec):
-            last_update[cell] = update
-    cells = tuple(np.array(list(last_update), dtype=np.intp).reshape(-1, 2).T)
-    updates = np.array(list(last_update.values())).reshape(-1, spec.channels)
+    updates = np.array([proj.apply(member_of(p, "camera").raw) * w
+                        for p, w in zip(lidar_hard_pairs, weights)]).reshape(-1, spec.channels)
+    centers = np.array([member_of(p, "lidar").bev_center for p in lidar_hard_pairs]).reshape(-1, 2)
+    rows, cols = world_to_grid((centers[:, 0], centers[:, 1]), spec)
+    r0, c0 = np.floor(rows).astype(np.intp), np.floor(cols).astype(np.intp)
+    r = np.clip(np.stack([r0, r0, r0 + 1, r0 + 1], axis=1), 0, spec.height_cells - 1)
+    c = np.clip(np.stack([c0, c0 + 1, c0, c0 + 1], axis=1), 0, spec.width_cells - 1)
+    flat = np.ravel_multi_index((r.ravel(), c.ravel()), (spec.height_cells, spec.width_cells))
+    # Each cell's last update is its first in the reversed order of the (pair, cell) writes.
+    cells, first = np.unique(flat[::-1], return_index=True)
+    cell_rows, cell_cols = np.divmod(cells, spec.width_cells)
     data = lidar_grid.data
-    data[cells] = data[cells] + updates
+    data[cell_rows, cell_cols] = data[cell_rows, cell_cols] + updates[(len(flat) - 1 - first) // 4]
     return lidar_grid
 
 

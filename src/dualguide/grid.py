@@ -87,16 +87,15 @@ class GatheredCells:
     `cells[rows, cols] = values` writes them. Reading or writing a cell that
     was not gathered raises ContractError. As a `BevGrid`'s data it is a row
     source: `read_into` reads whole rows in float32 through
-    `read_rows(first_row, out)`, with the written cells rounded in, and
-    `formats.save_grid` makes the grid's f32 rows so, once per block.
+    `read_rows(first_row, out)`, with the gathered cells rounded in (an
+    unwritten one rounds back to its file bits), and `formats.save_grid`
+    makes the grid's f32 rows so, once per block.
     """
 
     shape: tuple[int, int, int]
     slots: np.ndarray = field(repr=False)   # (H, W): row of `values`, -1 if not gathered
     values: np.ndarray = field(repr=False)  # (N, C) float64
     read_rows: Callable[[int, np.ndarray], None] = field(repr=False)
-    # Flat (row-major) indices of the written cells, ascending.
-    written: np.ndarray = field(default_factory=lambda: np.empty(0, np.intp), repr=False)
 
     @classmethod
     def gather(cls, spec: GridSpec, rows: np.ndarray, cols: np.ndarray, blocks,
@@ -124,18 +123,16 @@ class GatheredCells:
 
     def __setitem__(self, index, values) -> None:
         self.values[self._slots(index)] = values
-        self.written = np.union1d(self.written, np.ravel_multi_index(index, self.shape[:2]))
 
     def read_into(self, first_row: int, out: np.ndarray) -> None:
         """Read rows first_row onwards into `out`, a contiguous f32 (rows, W, C) array.
 
-        The rows come through `read_rows`, with the written cells rounded in.
+        The rows come through `read_rows`, with the gathered cells rounded in.
         """
         self.read_rows(first_row, out)
-        width = self.shape[1]
-        i, j = np.searchsorted(self.written, (first_row * width, (first_row + len(out)) * width))
-        rows, cols = np.divmod(self.written[i:j], width)
-        out[rows - first_row, cols] = self.values[self.slots[rows, cols]]
+        slots = self.slots[first_row:first_row + len(out)]
+        gathered = slots >= 0
+        out[gathered] = self.values[slots[gathered]]
 
 
 @dataclass
@@ -269,28 +266,6 @@ def bilinear_sample(
         term *= weight[..., None]
         out += term
     return out.reshape(*shape, grid.spec.channels)
-
-
-def surrounding_cells(
-    coord: tuple[float, float], spec: GridSpec
-) -> list[tuple[int, int]]:
-    """Integer cells around a fractional (row, col): the floor/floor+1 quadruple.
-
-    Each cell is clamped into grid bounds, duplicates removed, and the result
-    ordered row-major ascending. Exact-integer input still yields the full
-    quadruple (before clamping), not a single cell.
-    """
-    h, w = spec.height_cells, spec.width_cells
-    r0 = int(np.floor(coord[0]))
-    c0 = int(np.floor(coord[1]))
-    cells = []
-    for r in (r0, r0 + 1):
-        for c in (c0, c0 + 1):
-            rc = (min(max(r, 0), h - 1), min(max(c, 0), w - 1))
-            if rc not in cells:
-                cells.append(rc)
-    cells.sort()
-    return cells
 
 
 def global_context_refine(grid: BevGrid, weights: ContextWeights) -> np.ndarray:

@@ -16,7 +16,7 @@ stage samples (`gather_lidar`: the bilinear corners of the key points of
 the score-filtered, in-window LiDAR proposals) in one checked f32 pass
 through a handle it keeps open. The LiDAR enhancement writes those cells,
 and `fuse` reads the LiDAR rows once more through that handle, with the
-written cells rounded in, in the one pass that writes its grid files.
+gathered cells rounded in, in the one pass that writes its grid files.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 
 from .config import PipelineConfig
 from .enhance import Projection, enhance_camera_grid, enhance_lidar_grid
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DataFormatError
 from .formats import grid_blocks, load_projection, read_grid_rows
 from .grid import BevGrid, ContextWeights, GatheredCells, bilinear_corners, global_context_refine
 from .instances import SAMPLES_PER_STRATEGY, Proposal, build_instances, key_point_coords
@@ -54,8 +54,8 @@ def build_projections(config: PipelineConfig, camera_channels: int, lidar_channe
 
     A projection maps the K key-point features of its source modality
     (K x source channels values) onto its target modality's channels. A
-    loaded file of another shape raises ConfigurationError naming the file
-    and its key; a path resolves against the working directory.
+    file that cannot be read, or of another shape, raises ConfigurationError
+    naming the file and its key; a path resolves against the working directory.
     """
     k = SAMPLES_PER_STRATEGY[config.sampling_strategy]
     channels = {"camera": camera_channels, "lidar": lidar_channels}
@@ -63,7 +63,11 @@ def build_projections(config: PipelineConfig, camera_channels: int, lidar_channe
     for name in names:
         key, source, target, seed = PROJECTIONS[name]
         n_in, n_out, path = k * channels[source], channels[target], getattr(config, key)
-        projection = load_projection(path) if path else Projection.seeded(n_in, n_out, seed)
+        try:
+            projection = load_projection(path) if path else Projection.seeded(n_in, n_out, seed)
+        except (OSError, DataFormatError) as exc:
+            reason = getattr(exc, "strerror", None) or str(exc).removeprefix(f"{Path(path)}: ")
+            raise ConfigurationError(f"{path}: {key}: {reason}") from exc
         if projection.matrix.shape != (n_out, n_in):
             raise ConfigurationError(
                 f"{path}: {key} maps {projection.source_length} values to "
@@ -141,8 +145,8 @@ def gather_lidar(
     One f32 pass over the file (`formats.grid_blocks`, with its size and
     non-finite checks) gathers the bilinear corners of the key points of
     the proposals `build_instances` keeps under `config`. Rows read later
-    (`data.read_into`) come through the same handle, with the cells written
-    since (`enhance_lidar_grid`) rounded in.
+    (`data.read_into`) come through the same handle, with the gathered
+    cells, as `enhance_lidar_grid` has since left them, rounded in.
     """
     blocks = grid_blocks(lidar_file)
     spec = next(blocks)

@@ -93,6 +93,9 @@ class TestExitCodes:
         ("fuse", {"height_cells": 0}, "grid dimensions must be positive"),
         ("fuse", {"camera_channels": -3}, "grid dimensions must be positive"),
         ("fuse", {"x_range": [54, -54]}, "grid window must have positive extent"),
+        # A size the u32 fields of a grid file header cannot hold.
+        ("gen", {"height_cells": 1e20}, "height_cells 100000000000000000000 exceeds 4294967295"),
+        ("fuse", {"height_cells": 1e20}, "height_cells 100000000000000000000 exceeds 4294967295"),
     ])
     def test_config_value_of_the_wrong_type_is_config_error(
         self, workdir, capsys, command, values, message
@@ -193,7 +196,8 @@ class TestExitCodes:
         config["lidar_squeeze_path"] = "squeeze.proj"
         (workdir / "config.json").write_text(json.dumps(config))
         assert main(["fuse", "--config", cfg]) == 2
-        assert "squeeze.proj: 1 non-finite projection values" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "squeeze.proj: lidar_squeeze_path: 1 non-finite projection values" in err
         assert not (workdir / "scene" / "fused.bevg").exists()
 
     def test_mismatched_grid_window_is_data_error(self, workdir, capsys):
@@ -600,6 +604,29 @@ class TestWeightFiles:
         err = capsys.readouterr().err
         assert f"bad.proj: {name}_path maps {cols} values to {rows}, the scene needs" in err, err
         assert "Traceback" not in err and err.count("\n") == 1
+        assert snapshot(root) == before
+
+    @pytest.mark.parametrize("argv, name", [
+        (["fuse", "--out", "out"], "lidar_squeeze"),
+        (["fuse", "--out", "out"], "excitation"),
+        ([*LOSS, "--out", "report.json"], "lidar_squeeze"),
+        ([*LOSS, "--out", "report.json"], "camera_squeeze"),
+    ], ids=["fuse-lidar_squeeze", "fuse-excitation", "loss-lidar_squeeze",
+            "loss-camera_squeeze"])
+    @pytest.mark.parametrize("path, reason", [
+        ("missing.proj", "No such file or directory"),
+        ("dirw", "Is a directory"),
+        ("short.proj", "truncated projection header"),
+    ], ids=["missing", "directory", "truncated"])
+    def test_a_file_that_cannot_be_read_names_its_key(self, root, capsys, argv, name, path,
+                                                      reason):
+        (root / "dirw").mkdir()
+        (root / "short.proj").write_bytes(b"PROJ\x01\x00\x00")
+        config = self.config(root, **{f"{name}_path": path})
+        before = snapshot(root)
+        assert main([*argv, "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert err == f"dualguide: error: {path}: {name}_path: {reason}\n"
         assert snapshot(root) == before
 
     @pytest.mark.parametrize("argv, out, unread", [

@@ -7,12 +7,15 @@ output, covering the read-original vs read-enhanced distinction.
 """
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualguide.config import PipelineConfig
 from dualguide.enhance import (
     Projection,
     enhance_camera_grid,
@@ -23,6 +26,7 @@ from dualguide.enhance import (
     pair_distance_weights,
 )
 from dualguide.errors import ConfigurationError
+from dualguide.formats import save_grid
 from dualguide.geometry import Box3D, center_distance_bev
 from dualguide.grid import BevGrid, GridSpec
 from dualguide.instances import InstanceFeature, Proposal
@@ -32,6 +36,7 @@ from dualguide.matching import (
     PAIR_LIDAR_HARD,
     InstancePair,
 )
+from dualguide.pipeline import gather_lidar
 
 
 def make_instance(x, y, modality, raw, w=1.5, l=1.5):
@@ -169,6 +174,11 @@ def ref_lidar_enhance(grid, pairs, proj):
 
 def identity(n):
     return Projection(np.eye(n), np.zeros(n))
+
+
+def changed_cells(data, base):
+    """The (row, col) cells at which `data` differs from `base` in any channel."""
+    return set(zip(*np.nonzero((data != base).any(axis=2))))
 
 
 def lidar_enhanced(grid, pairs, proj):
@@ -426,6 +436,51 @@ class TestLidarEnhancement:
         b = lidar_enhanced(grid, pairs, proj)
         assert np.array_equal(a.data, b.data)
 
+    # The cells a pair writes: the floor cell of its center in grid coordinates
+    # and the next row and column, each clamped into the grid.
+    @pytest.mark.parametrize("shape, coord, cells", [
+        ((6, 8), (2.25, 5.75), {(2, 5), (2, 6), (3, 5), (3, 6)}),
+        ((8, 8), (4.0, 4.0), {(4, 4), (4, 5), (5, 4), (5, 5)}),
+        ((6, 8), (-0.25, 3.25), {(0, 3), (0, 4)}),
+        ((6, 8), (2.5, -0.5), {(2, 0), (3, 0)}),
+        ((6, 8), (-0.5, -0.25), {(0, 0)}),
+        ((6, 8), (5.375, 0.25), {(5, 0), (5, 1)}),
+        ((6, 8), (1.5, 7.0), {(1, 7), (2, 7)}),
+        ((6, 8), (5.5, 7.5), {(5, 7)}),
+        ((1, 5), (0.0, 1.5), {(0, 1), (0, 2)}),
+        ((1, 5), (-0.5, 4.5), {(0, 4)}),
+        ((4, 1), (2.25, 0.0), {(2, 0), (3, 0)}),
+        ((1, 1), (0.25, -0.25), {(0, 0)}),
+    ], ids=["interior", "exact-integer", "below-row-0", "left-of-col-0", "low-corner",
+            "top-edge", "right-edge", "top-right-corner", "one-row", "one-row-end",
+            "one-column", "one-cell"])
+    def test_a_pair_writes_the_clamped_floor_cells_of_its_center(self, shape, coord, cells):
+        h, w = shape
+        grid = BevGrid(GridSpec(h, w, 3, (0.0, float(w)), (0.0, float(h))),
+                       np.random.default_rng(18).normal(size=(h, w, 3)))
+        assert ref_world_to_grid((coord[1] + 0.5, coord[0] + 0.5), grid.spec) == coord
+        assert set(ref_surrounding(coord, grid.spec)) == cells
+        pair = lidar_hard_pair((coord[1] + 0.5, coord[0] + 0.5), (0.0, 0.0), np.zeros(3),
+                               np.ones(3))
+        out = lidar_enhanced(grid, [pair], identity(3))
+        assert np.array_equal(out.data, ref_lidar_enhance(grid, [pair], identity(3)))
+        assert changed_cells(out.data, grid.data) == cells
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["in-order", "reversed"])
+    def test_a_shared_cell_takes_the_later_pair_in_either_order(self, order):
+        grid = small_grid(np.random.default_rng(19))
+        proj = Projection(np.diag([1.0, 2.0, 3.0]), np.zeros(3))
+        # Grid centers (2.6, 2.6) and (3.4, 3.4): (3, 3) is the one cell both write.
+        both = [lidar_hard_pair((3.1, 3.1), (0.0, 0.0), np.zeros(3), np.full(3, 5.0)),
+                lidar_hard_pair((3.9, 3.9), (7.0, 7.0), np.zeros(3), np.full(3, 11.0))]
+        pairs = [both[i] for i in order]
+        out = lidar_enhanced(grid, pairs, proj)
+        assert np.array_equal(out.data, ref_lidar_enhance(grid, pairs, proj))
+        assert changed_cells(out.data, grid.data) == {
+            (r, c) for r in (2, 3, 4) for c in (2, 3, 4)} - {(2, 4), (4, 2)}
+        later = proj.apply(pairs[1].guide.raw) * pair_distance_weights(pairs)[1]
+        assert np.array_equal(out.data[3, 3], grid.data[3, 3] + later)
+
 
 def random_pairs(rng, make, n):
     return [
@@ -491,9 +546,6 @@ def test_in_place_enhancement_equals_references_and_touches_only_addressed_cells
     hard = [camera_hard_pair(*args) for args in hard]
     lidar_hard = [lidar_hard_pair(*args) for args in lidar_hard]
 
-    def changed(data):
-        return set(zip(*np.nonzero((data != grid.data).any(axis=2))))
-
     def center(pair, modality):
         return ref_world_to_grid(member_of(pair, modality).bev_center, grid.spec)
 
@@ -501,7 +553,7 @@ def test_in_place_enhancement_equals_references_and_touches_only_addressed_cells
     assert enhance_camera_grid(camera, easy, hard, proj) is camera
     assert np.array_equal(camera.data, ref_camera_enhance(grid, easy, hard, proj))
     addressed = {ref_round_cell(center(p, "camera"), grid.spec) for p in easy + hard}
-    assert changed(camera.data) <= addressed
+    assert changed_cells(camera.data, grid.data) <= addressed
 
     lidar = grid.copy()
     assert enhance_lidar_grid(lidar, lidar_hard, proj) is lidar
@@ -509,7 +561,54 @@ def test_in_place_enhancement_equals_references_and_touches_only_addressed_cells
     addressed = {
         cell for p in lidar_hard for cell in ref_surrounding(center(p, "lidar"), grid.spec)
     }
-    assert changed(lidar.data) <= addressed
+    assert changed_cells(lidar.data, grid.data) <= addressed
+
+
+@st.composite
+def lidar_hard_scenes(draw):
+    """A grid of 1 to 6 one-meter cells a side from the origin, 0 to 8 pairs and a seed.
+
+    Each pair's LiDAR and camera centers lie in the window: on a quarter-cell
+    lattice (cell centers, cell borders and the window edges), or anywhere.
+    """
+    h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+
+    def position(n):
+        return st.one_of(st.integers(0, 4 * n).map(lambda k: k / 4), st.floats(0.0, float(n)))
+
+    points = st.tuples(position(w), position(h))
+    pairs = draw(st.lists(st.tuples(points, points), max_size=8))
+    return h, w, pairs, draw(st.integers(0, 2**32 - 1))
+
+
+@pytest.mark.parametrize("gathered", [False, True], ids=["dense", "gathered"])
+@given(scene=lidar_hard_scenes())
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+def test_lidar_enhancement_equals_the_reference_on_dense_and_gathered_grids(gathered, scene):
+    h, w, centers, seed = scene
+    rng = np.random.default_rng(seed)
+    # f32 values, which a grid file holds exactly.
+    grid = BevGrid(GridSpec(h, w, 3, (0.0, float(w)), (0.0, float(h))),
+                   rng.normal(size=(h, w, 3)).astype(np.float32))
+    proj = Projection(rng.normal(size=(3, 3)), rng.normal(size=3))
+    pairs = [lidar_hard_pair(lidar, camera, rng.normal(size=3), rng.normal(size=3))
+             for lidar, camera in centers]
+    expected = ref_lidar_enhance(grid, pairs, proj)
+    if not gathered:
+        assert np.array_equal(lidar_enhanced(grid, pairs, proj).data, expected)
+        return
+    # The grid as `fuse` holds it: the cells `gather_lidar` reads from the file,
+    # and every row read back through `read_into`.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "lidar.bevg"
+        save_grid([(grid, path)])
+        with path.open("rb") as f:
+            lidar = gather_lidar(f, [p.anchor.proposal for p in pairs], PipelineConfig())
+            assert enhance_lidar_grid(lidar, pairs, proj) is lidar
+            rows = np.empty((h, w, 3), "<f4")
+            for r in range(h):
+                lidar.data.read_into(r, rows[r:r + 1])
+    assert rows.tobytes() == expected.astype("<f4").tobytes()
 
 
 class TestFuse:

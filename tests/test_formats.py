@@ -664,6 +664,14 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             config_from_dict({"gamme": 0.5})
 
+    @pytest.mark.parametrize("key", ["height_cells", "width_cells", "camera_channels",
+                                     "lidar_channels"])
+    def test_a_grid_size_a_grid_file_header_cannot_hold_is_refused(self, key):
+        # The header holds H, W and C as u32.
+        assert getattr(config_from_dict({key: 2**32 - 1}), key) == 2**32 - 1
+        with pytest.raises(ConfigurationError, match=f"^{key} 4294967296 exceeds 4294967295$"):
+            config_from_dict({key: 2**32})
+
     def test_file_plus_overrides(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"gamma": 0.4, "eta": 0.6}))

@@ -14,7 +14,6 @@ from dualguide.grid import (
     bilinear_sample,
     global_context_refine,
     grid_to_world,
-    surrounding_cells,
     world_to_grid,
 )
 
@@ -175,34 +174,6 @@ class TestBilinearSample:
         grid = BevGrid(spec, rng.normal(size=(6, 8, 3)))
         assert np.array_equal(bilinear_sample(grid, (-5.0, -5.0)), grid.data[0, 0])
         assert np.array_equal(bilinear_sample(grid, (50.0, 50.0)), grid.data[5, 7])
-
-
-class TestSurroundingCells:
-    def test_interior_fractional(self):
-        assert surrounding_cells((2.3, 5.7), small_spec()) == [(2, 5), (2, 6), (3, 5), (3, 6)]
-
-    def test_exact_integer_returns_full_quadruple(self):
-        spec = GridSpec(8, 8, 1, (0.0, 8.0), (0.0, 8.0))
-        assert surrounding_cells((4.0, 4.0), spec) == [(4, 4), (4, 5), (5, 4), (5, 5)]
-
-    def test_border_clamp_and_dedup(self):
-        spec = small_spec()
-        h = spec.height_cells
-        assert surrounding_cells((h - 1 + 0.4, 0.2), spec) == [(h - 1, 0), (h - 1, 1)]
-
-    def test_always_one_to_four_cells_in_bounds(self):
-        spec = small_spec()
-        rng = np.random.default_rng(4)
-        for _ in range(500):
-            r = rng.uniform(-2, spec.height_cells + 1)
-            c = rng.uniform(-2, spec.width_cells + 1)
-            cells = surrounding_cells((r, c), spec)
-            assert 1 <= len(cells) <= 4
-            for rr, cc in cells:
-                assert 0 <= rr < spec.height_cells and 0 <= cc < spec.width_cells
-            if np.floor(r) >= 0 and np.floor(c) >= 0 and \
-                    np.floor(r) + 1 <= spec.height_cells - 1 and np.floor(c) + 1 <= spec.width_cells - 1:
-                assert len(cells) == 4
 
 
 class TestGlobalContextRefine:

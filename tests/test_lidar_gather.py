@@ -2,7 +2,7 @@
 
 The CLI never loads `lidar.bevg`: it gathers the cells the front stage
 samples in one checked pass, writes the LiDAR enhancement into them, and
-streams the rows, with the written cells rounded in, through the same
+streams the rows, with the gathered cells rounded in, through the same
 handle. Every artifact must equal the dense library path's: `load_scene`
 -> `run_fusion` (or `run_matching`) -> `save_grid` x3 -> `save_pair_sets`.
 """
@@ -29,7 +29,6 @@ from dualguide.grid import (
     GatheredCells,
     GridSpec,
     bilinear_corners,
-    surrounding_cells,
     world_to_grid,
 )
 from dualguide.enhance import Projection
@@ -43,6 +42,7 @@ from dualguide.pipeline import run_fusion, run_matching
 from dualguide.synth import Scene, load_scene, write_scene
 
 from test_cli import traced_peak
+from test_enhance import ref_surrounding
 
 HEADER_BYTES = struct.calcsize("<4sIIIIdddd")
 FUSE_ARTIFACTS = ("enhanced_camera.bevg", "enhanced_lidar.bevg", "fused.bevg", "pairs.json")
@@ -126,7 +126,7 @@ def test_handmade_scene_matches_the_dense_path(handmade, tmp_path):
     pairs = assert_cli_matches_dense(handmade, tmp_path)
     spec = SMALL.lidar_spec()
     cells = [
-        set(surrounding_cells(world_to_grid(p.anchor.bev_center, spec), spec))
+        set(ref_surrounding(world_to_grid(p.anchor.bev_center, spec), spec))
         for p in pairs.lidar_hard
     ]
     centers = {p.anchor.bev_center for p in pairs.lidar_hard}
@@ -385,6 +385,45 @@ def test_a_lidar_value_made_non_finite_before_the_write_pass_fails(
     assert f"dualguide: error: {loaded.value}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value, code", [(1234.5, 0), (float("nan"), 2)],
+                         ids=["finite", "nan"])
+def test_a_gathered_cell_rewritten_before_the_write_pass_keeps_what_matching_read(
+    handmade, tmp_path, monkeypatch, capsys, value, code
+):
+    # The write pass rounds in every gathered cell, so a cell no pair writes
+    # keeps the value read at the gather; a NaN in its row still fails.
+    assert main(["fuse", "--scene", str(handmade), "--out", str(tmp_path / "before")]) == 0
+    spec = SMALL.lidar_spec()
+    scene = load_scene(handmade)
+    pairs = run_fusion(scene.camera_grid, scene.lidar_grid, scene.camera_proposals,
+                       scene.lidar_proposals, SMALL)
+    written = {cell for p in pairs.lidar_hard
+               for cell in ref_surrounding(world_to_grid(p.anchor.bev_center, spec), spec)}
+    path = handmade.parent / "lidar.bevg"
+    with open(path, "rb") as f:
+        slots = pipeline.gather_lidar(f, scene.lidar_proposals, SMALL).data.slots
+    gathered = set(zip(*np.nonzero(slots >= 0)))
+    assert written < gathered
+    row, col = min(gathered - written)
+
+    def fuse_then_rewrite(*args):
+        pairs = run_fusion(*args)
+        with open(path, "r+b") as f:
+            f.seek(HEADER_BYTES + ((row * 16 + col) * 5 + 2) * 4)
+            f.write(np.float32(value).tobytes())
+        return pairs
+
+    monkeypatch.setattr(cli, "run_fusion", fuse_then_rewrite)
+    assert main(["fuse", "--scene", str(handmade), "--out", str(tmp_path / "after")]) == code
+    if code == 2:
+        assert "lidar.bevg: 1 non-finite grid values" in capsys.readouterr().err
+        return
+    assert load_grid(path).data[row, col, 2] == value
+    for name in FUSE_ARTIFACTS:
+        after = (tmp_path / "after" / name).read_bytes()
+        assert after == (tmp_path / "before" / name).read_bytes(), name
+
+
 class TestPeakMemory:
     """Neither command holds the LiDAR grid: a deep one costs them little."""
 
@@ -419,6 +458,26 @@ def test_reading_a_cell_that_was_not_gathered_raises():
     with pytest.raises(ContractError):
         cells[np.array([1, 1]), np.array([3, 2])] = np.zeros((2, 2))
     assert np.array_equal(cells[np.array([1]), np.array([3])], data[[1], [3]])
+
+
+def test_a_gathered_grid_without_writes_reads_back_the_file_rows_bit_for_bit():
+    rng = np.random.default_rng(21)
+    grid = rng.normal(size=(5, 4, 3)).astype("<f4")
+    # -0.0, the smallest subnormal of either sign and the largest subnormal.
+    special = np.array([-0.0, 1e-45, -1e-45, 1.1754942e-38], "<f4")
+    assert special[1] != 0.0 and special[3] < np.finfo("<f4").tiny
+    grid.flat[rng.choice(grid.size, 40, replace=False)] = np.resize(special, 40)
+    spec = GridSpec(5, 4, 3, (0.0, 4.0), (0.0, 5.0))
+    rows, cols = np.divmod(rng.choice(20, 15, replace=False), 4)
+
+    def read_rows(first, out):
+        out[...] = grid[first:first + len(out)]
+
+    cells = GatheredCells.gather(spec, rows, cols, [(0, grid)], read_rows)
+    out = np.empty_like(grid)
+    for first in range(0, 5, 2):
+        cells.read_into(first, out[first:first + 2])
+    assert out.tobytes() == grid.tobytes()
 
 
 def test_copying_a_gathered_grid_is_a_contract_error(handmade):
@@ -490,4 +549,4 @@ def test_every_lidar_write_cell_is_a_gathered_corner(window, u, v, strategy, yaw
     r0, c0, r1, c1, _, _ = bilinear_corners(coords, spec)
     corners = set(zip(np.concatenate([r0, r0, r1, r1]).tolist(),
                       np.concatenate([c0, c1, c0, c1]).tolist()))
-    assert set(surrounding_cells(center, spec)) <= corners
+    assert set(ref_surrounding(center, spec)) <= corners

@@ -265,5 +265,7 @@ class TestBuildProjections:
         (lidar_squeeze,) = build_projections(config, 5, 7, "lidar_squeeze")
         assert lidar_squeeze.matrix.tobytes() == reference_projection(
             "lidar_squeeze", SMALL.sampling_strategy, 5, 7)[0].tobytes()
-        with pytest.raises(FileNotFoundError):
+        with pytest.raises(ConfigurationError) as raised:
             build_projections(config, 5, 7, "lidar_squeeze", "excitation")
+        assert str(raised.value) == f"{missing}: excitation_path: No such file or directory"
+        assert isinstance(raised.value.__cause__, FileNotFoundError)
