@@ -12,9 +12,9 @@ read, a file where `--out` names a directory, or a failed write.
 library's one scene writer, `synth.write_scene`: `formats.save_grid` renders
 each grid file in row blocks while writing it, so `gen` never holds a grid.
 `fuse`, `match` and `loss` open their scene with `pipeline.open_scene`: the
-camera grid in one contiguous array, and of the LiDAR grid only the cells
-the front stage samples, gathered in one checked pass through a handle that
-stays open.
+camera grid in one contiguous array, of the LiDAR grid only the cells the
+front stage samples, gathered in one checked pass through a handle that
+stays open, and the annotations and manifest objects checked but not built.
 `fuse` enhances the camera grid and the gathered LiDAR cells in place
 (`pipeline.run_fusion`, or `pipeline.run_matching` alone under
 `--no-enhance`). It then writes `enhanced_camera.bevg`,

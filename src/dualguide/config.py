@@ -49,8 +49,11 @@ class PipelineConfig:
         except ContractError as exc:
             raise ConfigurationError(str(exc)) from exc
         for key in ("height_cells", "width_cells", "camera_channels", "lidar_channels"):
-            if getattr(self, key) > 2**32 - 1:  # a grid file header holds them as u32
-                raise ConfigurationError(f"{key} {getattr(self, key)} exceeds {2**32 - 1}")
+            value = getattr(self, key)
+            if value < 1:
+                raise ConfigurationError(f"{key} {value} must be at least 1")
+            if value > 2**32 - 1:  # a grid file header holds them as u32
+                raise ConfigurationError(f"{key} {value} exceeds {2**32 - 1}")
         self.camera_spec(), self.lidar_spec()  # GridSpec checks the grid fields
 
     def camera_spec(self) -> GridSpec:

@@ -20,11 +20,23 @@ truncates it in place, so a hard link to the old file keeps the old bytes; a
 symlinked path is written at its target, and the sidecar beside the target.
 Projection files are magic "PROJ", u32 rows, u32 cols, the f32 matrix
 row-major, then the f32 bias. A point cloud is an .npy file of finite floats
-of shape (N, 3), read by `load_points`. Proposals, annotations and
-detections are JSON-lines, one object per line, and a scene manifest lists
-its objects: each record is a box (x, y, z, w, l, h, yaw, vx, vy; an object
-has no vx, vy), then its kind's `*_FIELDS` table. `read_records` is the one
-reader of all four kinds, `to_records` the one writer.
+of shape (N, 3), read by `load_points` and written by `save_points`.
+Proposals, annotations and detections are JSON-lines, one object per line,
+and a scene manifest lists its objects: each record is a box (x, y, z, w, l,
+h, yaw, vx, vy; an object has no vx, vy), then its kind's `*_FIELDS` table,
+which gives each field's check and the values its kind allows.
+`read_records` is the one reader of all four kinds, `to_records` the one
+writer. The reader parses each line with the json module's C scanner, then
+checks all records at once, one column per field: the number columns in one
+float64 array (finiteness, a positive box size, each field's range), the
+string columns by allowed value, and every column by type (a bool is not a
+number, and an integer field takes only JSON integers). Only when a column
+check fails does it run the per-record loop, whose first failing check
+gives the message. With `check_only` it checks alike and builds no item.
+`save_json` writes exactly the text of `json.dumps(obj, sort_keys=True,
+indent=2)`, re-indenting the C encoder's compact text rather than running
+the pure-Python indent encoder. A failed write raises an OSError naming its
+file.
 """
 
 from __future__ import annotations
@@ -32,9 +44,12 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import struct
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import ExitStack, nullcontext
+from itertools import chain
+from operator import itemgetter, methodcaller
 from pathlib import Path
 from tokenize import TokenError
 from typing import BinaryIO
@@ -45,9 +60,10 @@ from .enhance import Projection
 from .errors import ConfigurationError, DataFormatError
 from .geometry import Box3D
 from .grid import BevGrid, GridSpec, concat_spec
-from .instances import Proposal
+from .instances import MODALITIES, Proposal
 from .matching import InstancePair, PairSets
 from .metrics import Annotation, Detection
+from .taxonomy import NUM_CLASSES
 
 GRID_MAGIC = b"BEVG"
 GRID_VERSION = 1
@@ -61,6 +77,23 @@ _GRID_BLOCK_BYTES = 1 << 20
 _PROJ_HEADER = struct.Struct("<4sII")
 _BOX_KEYS = ("x", "y", "z", "w", "l", "h", "yaw", "vx", "vy")
 _BOX_NAMES = tuple(f"box field {key!r}" for key in _BOX_KEYS)
+# The json module's C scanner: `_scan(line, 0)` is `(value, end)`, or raises
+# StopIteration or ValueError.
+_scan = json.JSONDecoder().scan_once
+
+
+class _Naming:
+    """A context that gives an OSError raised in it, if it names no file, `path`."""
+
+    def __init__(self, path: str | Path) -> None:
+        self.path = path
+
+    def __enter__(self) -> _Naming:
+        return self
+
+    def __exit__(self, kind, exc, traceback) -> None:
+        if isinstance(exc, OSError) and exc.filename is None:
+            exc.filename = str(self.path)
 
 
 def save_grid(outputs: Sequence[tuple]) -> None:
@@ -101,11 +134,13 @@ def save_grid(outputs: Sequence[tuple]) -> None:
             # it waits for that writeback. Unlinking also leaves a hard link to
             # the old file, or a reader partway through it, with the old bytes.
             target = os.path.realpath(path)
+            naming = files.enter_context(_Naming(path))  # names a failed close, and each write
             Path(target).unlink(missing_ok=True)
             f = files.enter_context(open(target, "wb"))
-            f.write(_GRID_HEADER.pack(GRID_MAGIC, GRID_VERSION, h, spec.width_cells,
-                                      spec.channels, *spec.x_range, *spec.y_range))
-            targets.append((target, f))
+            with naming:
+                f.write(_GRID_HEADER.pack(GRID_MAGIC, GRID_VERSION, h, spec.width_cells,
+                                          spec.channels, *spec.x_range, *spec.y_range))
+            targets.append((target, f, naming))
         for r in range(0, h, rows_per_block):
             n = min(rows_per_block, h - r)
             for g in grids:
@@ -113,13 +148,14 @@ def save_grid(outputs: Sequence[tuple]) -> None:
                     blocks[id(g)][:n] = g.data[r : r + n]
                 else:
                     g.data.read_into(r, blocks[id(g)][:n])
-            for (gs, _), (_, f), out in zip(layouts, targets, joined):
+            for (gs, _), (_, f, naming), out in zip(layouts, targets, joined):
                 parts = [blocks[id(g)][:n] for g in gs]
-                f.write(parts[0] if out is None else np.concatenate(parts, axis=2, out=out[:n]))
-    for k, (spec, (target, _)) in enumerate(zip(specs, targets)):
+                with naming:
+                    f.write(parts[0] if out is None else np.concatenate(parts, axis=2, out=out[:n]))
+    for k, (spec, (target, _, _)) in enumerate(zip(specs, targets)):
         sidecar = f"{target}.json"
         # Written apart, a later output would replace a sidecar at its target.
-        if os.path.realpath(sidecar) in [t for t, _ in targets[k + 1 :]]:
+        if os.path.realpath(sidecar) in [t for t, _, _ in targets[k + 1 :]]:
             continue
         save_json({"magic": GRID_MAGIC.decode(), "version": GRID_VERSION, "height_cells": h,
                    "width_cells": spec.width_cells, "channels": spec.channels,
@@ -212,9 +248,10 @@ def load_grid(path: str | Path) -> BevGrid:
 def save_projection(proj: Projection, path: str | Path) -> None:
     rows, cols = proj.matrix.shape
     header = _PROJ_HEADER.pack(PROJ_MAGIC, rows, cols)
-    Path(path).write_bytes(
-        header + proj.matrix.astype("<f4").tobytes() + proj.bias.astype("<f4").tobytes()
-    )
+    with _Naming(path):
+        Path(path).write_bytes(
+            header + proj.matrix.astype("<f4").tobytes() + proj.bias.astype("<f4").tobytes()
+        )
 
 
 def load_projection(path: str | Path) -> Projection:
@@ -274,6 +311,12 @@ def load_points(path: str | Path) -> np.ndarray:
     return points
 
 
+def save_points(points: np.ndarray, path: str | Path) -> None:
+    """Write a point cloud as an .npy file at `path`."""
+    with _Naming(path):
+        np.save(path, points)
+
+
 def _finite(name: str, value):
     """`value` when it is a finite JSON number (a bool is not one), else ValueError."""
     if type(value) is float and value - value == 0.0:  # the common case, at half the cost
@@ -297,7 +340,8 @@ def _integral(name: str, value) -> int:
 
 def _write_jsonl(records: list[dict], path: str | Path) -> None:
     lines = [json.dumps(rec, sort_keys=True) for rec in records]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+    with _Naming(path):
+        Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
 def _read_text(path: str | Path) -> str:
@@ -315,37 +359,100 @@ def _string(name: str, value) -> str:
 
 
 # Each record kind's fields after its box, in the order of its dataclass's
-# fields (the reader builds items positionally), each with its check.
-PROPOSAL_FIELDS = (("score", _finite), ("class_id", _integral), ("modality", _string))
+# fields (the reader builds items positionally): each field's name, its
+# check, and the values its kind's dataclass allows, a closed interval for
+# a number or the names for a string.
+_UNIT = (0.0, 1.0)
+_CLASS_IDS = (0, NUM_CLASSES - 1)
+_TOKENS = (1, 4)
+_COUNTS = (0, math.inf)
+# The gap profiles a manifest object may carry (`gen --profile mixed` draws among them).
+OBJECT_PROFILES = ("easy", "lidar-hole", "occluded")
+PROPOSAL_FIELDS = (
+    ("score", _finite, _UNIT), ("class_id", _integral, _CLASS_IDS),
+    ("modality", _string, MODALITIES))
 ANNOTATION_FIELDS = (
-    ("class_id", _integral), ("visibility_token", _integral), ("num_lidar_pts", _integral))
-DETECTION_FIELDS = (("class_id", _integral), ("score", _finite))
+    ("class_id", _integral, _CLASS_IDS), ("visibility_token", _integral, _TOKENS),
+    ("num_lidar_pts", _integral, _COUNTS))
+DETECTION_FIELDS = (("class_id", _integral, _CLASS_IDS), ("score", _finite, _UNIT))
 # A manifest object (`synth.SceneObject`); its box is written without vx and vy.
 OBJECT_FIELDS = (
-    ("class_id", _integral), ("profile", _string), ("lidar_strength", _finite),
-    ("camera_strength", _finite), ("visibility_token", _integral), ("num_lidar_pts", _integral))
+    ("class_id", _integral, _CLASS_IDS), ("profile", _string, OBJECT_PROFILES),
+    ("lidar_strength", _finite, _UNIT), ("camera_strength", _finite, _UNIT),
+    ("visibility_token", _integral, _TOKENS), ("num_lidar_pts", _integral, _COUNTS))
+# The JSON types each check returns unchanged (a bool is not a number, and
+# 3.0 in an integer field is left to the loop, which makes it 3).
+_COLUMN_TYPES = {_finite: {float, int}, _integral: {int}, _string: {str}}
 
 
-def read_records(build: Callable, fields: tuple, path: str | Path,
-                 objects: list | None = None) -> list:
-    """`build(box, *values)` for each record of the JSON-lines file at `path`, in order.
+def _json_lines(path: str | Path) -> list:
+    """The JSON value of each non-blank line of the file at `path`, in order.
 
-    Given `objects`, the records are those manifest objects, parsed from the
-    manifest at `path`. Box fields must be finite numbers (vx and vy default
-    to 0), and `fields` checks the rest. Every check (JSON syntax, an object,
-    each field, then `build`'s own) fails with a DataFormatError naming the
-    file and the line, or the `record` or `object` and its index.
+    A line the C scanner reads whole is taken as it reads it, which is what
+    `json.loads` returns for it; any other line goes to `json.loads`, which
+    skips a blank line, takes a spaced one, and names a bad one.
     """
-    if objects is None:
-        label, records = "record", []
-        for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
-            try:
-                if line.strip():
-                    records.append(json.loads(line))
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
-    else:
-        label, records = "object", objects
+    records = []
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
+        try:
+            value, end = _scan(line, 0)
+            if end == len(line):
+                records.append(value)
+                continue
+        except (StopIteration, ValueError):
+            pass
+        try:
+            if line.strip():
+                records.append(json.loads(line))
+        except ValueError as exc:
+            raise DataFormatError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
+    return records
+
+
+def _column_checked(records: list, fields: tuple) -> list | None:
+    """The records' columns, x, y, z, w, l, h, yaw, vx, vy, then `fields`, if all pass.
+
+    The checks are the per-record loop's, one column at a time: each record
+    is an object holding every field, each column holds only the JSON types
+    its check returns unchanged, the number columns (one float64 array) are
+    finite, with a positive box size and each field in its range, and each
+    string column holds only allowed names. None means that the loop must
+    decide, and name what it refuses. The columns are lists, so no record
+    gets a row object of its own.
+    """
+    names = (*_BOX_KEYS[:7], *(name for name, _, _ in fields))
+    try:
+        columns = [list(map(itemgetter(name), records)) for name in names]
+        columns[7:7] = [list(map(methodcaller("get", key, 0.0), records)) for key in ("vx", "vy")]
+    except (KeyError, TypeError, AttributeError):  # a missing field, or a record not an object
+        return None
+    numbers = columns[:9]
+    if not set(map(type, chain.from_iterable(numbers))) <= {float, int}:
+        return None
+    bounds = [(-math.inf, math.inf)] * 9
+    for column, (_, check, allowed) in zip(columns[9:], fields):
+        if not set(map(type, column)) <= _COLUMN_TYPES[check]:
+            return None
+        if check is _string:
+            if not set(column) <= set(allowed):
+                return None
+        else:
+            numbers.append(column)
+            bounds.append(allowed)
+    try:
+        values = np.array(numbers, dtype=np.float64)
+    except OverflowError:  # an integer beyond float64
+        return None
+    low, high = np.array(bounds).T[:, :, None]
+    if not (np.isfinite(values).all() and (values[3:6] > 0.0).all()
+            and ((low <= values) & (values <= high)).all()):
+        return None
+    return columns
+
+
+def _record_loop(build: Callable, fields: tuple, records: list, path: str | Path,
+                 label: str) -> list:
+    """`build(box, *values)` of each record, checked field by field; the first failure raises."""
     items = []
     for i, rec in enumerate(records):
         try:
@@ -354,7 +461,7 @@ def read_records(build: Callable, fields: tuple, path: str | Path,
             box = [rec[key] for key in _BOX_KEYS[:7]] + [rec.get("vx", 0.0), rec.get("vy", 0.0)]
             x, y, z, w, l, h, yaw, vx, vy = map(_finite, _BOX_NAMES, box)
             items.append(build(Box3D((x, y, z), (w, l, h), yaw, (vx, vy)),
-                               *[check(name, rec[name]) for name, check in fields]))
+                               *[check(name, rec[name]) for name, check, _ in fields]))
         except KeyError as exc:
             raise DataFormatError(f"{path}: {label} {i} has no field {exc}") from exc
         except ValueError as exc:
@@ -362,12 +469,39 @@ def read_records(build: Callable, fields: tuple, path: str | Path,
     return items
 
 
+def read_records(build: Callable, fields: tuple, path: str | Path,
+                 objects: list | None = None, check_only: bool = False) -> list | None:
+    """`build(box, *values)` for each record of the JSON-lines file at `path`, in order.
+
+    Given `objects`, the records are those manifest objects, parsed from the
+    manifest at `path`. Box fields must be finite numbers (vx and vy default
+    to 0), and `fields` checks the rest. The records are checked a column at
+    a time, and only when a column fails by the per-record loop: every check
+    (JSON syntax, an object, each field, then `build`'s own) fails with a
+    DataFormatError naming the file and the line, or the `record` or
+    `object` and its index. With `check_only`, the records are checked alike
+    but no item is built (unless the loop runs), and None is returned.
+    """
+    if objects is None:
+        label, records = "record", _json_lines(path)
+    else:
+        label, records = "object", objects
+    columns = _column_checked(records, fields)
+    if columns is None:
+        items = _record_loop(build, fields, records, path, label)
+        return None if check_only else items
+    if check_only:
+        return None
+    return [build(Box3D((x, y, z), (w, l, h), yaw, (vx, vy)), *values)
+            for x, y, z, w, l, h, yaw, vx, vy, *values in zip(*columns)]
+
+
 def to_records(items: list, fields: tuple) -> list[dict]:
     """The record of each item: its box's keys, then `fields`."""
     keys = _BOX_KEYS[:7] if fields is OBJECT_FIELDS else _BOX_KEYS
     return [
         {**dict(zip(keys, (*item.box.center, *item.box.size, item.box.yaw, *item.box.velocity))),
-         **{name: getattr(item, name) for name, _ in fields}}
+         **{name: getattr(item, name) for name, _, _ in fields}}
         for item in items
     ]
 
@@ -420,8 +554,45 @@ def save_pair_sets(sets: PairSets, path: str | Path) -> None:
     save_json(pair_sets_to_dict(sets), path)
 
 
+# `_indented` splits compact JSON at these, and refuses strings holding any of `_UNSAFE`.
+_BRACKETS = re.compile(r"([\[\]{}])")
+_UNSAFE = frozenset("[]{},\\")
+
+
+def _indented(obj) -> str:
+    """`json.dumps(obj, sort_keys=True, indent=2)`, re-indented from the C encoder's text.
+
+    `json.dumps` indents with its pure-Python encoder; the compact text
+    comes from the C one. The pass below splits it at brackets: an opening
+    one goes a level deeper, a closing one a level back, and each comma
+    between them starts a line at the current depth. An empty container
+    stays on one line (held as \\x01 or \\x02 through the pass). That reading
+    holds while no string holds a bracket, a comma or a backslash.
+    `ensure_ascii` writes a quote, a control or a non-ASCII character as an
+    escape, so up to the first backslash every quote delimits a string, and
+    the odd parts of the text split at quotes are its strings. Any other
+    text goes to `json.dumps`.
+    """
+    text = json.dumps(obj, sort_keys=True, separators=(",", ": "))
+    if not _UNSAFE.isdisjoint("".join(text.split('"')[1::2])):
+        return json.dumps(obj, sort_keys=True, indent=2)
+    parts = iter(_BRACKETS.split(text.replace("[]", "\x01").replace("{}", "\x02")))
+    pad, out = "\n", [next(parts)]
+    for bracket, run in zip(parts, parts):
+        if bracket in "[{":
+            pad += "  "
+            out.append(bracket + pad)
+        else:
+            pad = pad[:-2]
+            out.append(pad + bracket)
+        out.append(run.replace(",", "," + pad))
+    return "".join(out).replace("\x01", "[]").replace("\x02", "{}")
+
+
 def save_json(obj: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    """Write `obj` as the text of `json.dumps(obj, sort_keys=True, indent=2)` and a newline."""
+    with _Naming(path):
+        Path(path).write_text(_indented(obj) + "\n")
 
 
 def load_json(path: str | Path) -> dict:

@@ -11,10 +11,11 @@ the grids given, not the config's generator depths, and a weight file of
 another shape is refused when it is loaded.
 
 The CLI never loads the LiDAR grid. `open_scene` loads the scene as
-`synth.load_scene` checks it, but gathers only the LiDAR cells the front
-stage samples (`gather_lidar`: the bilinear corners of the key points of
-the score-filtered, in-window LiDAR proposals) in one checked f32 pass
-through a handle it keeps open. The LiDAR enhancement writes those cells,
+`synth.load_scene` checks it, but builds no annotation or manifest object,
+which no stage reads (it checks them all the same), and gathers only the
+LiDAR cells the front stage samples (`gather_lidar`: the bilinear corners
+of the key points of the score-filtered, in-window LiDAR proposals) in one
+checked f32 pass through a handle it keeps open. The LiDAR enhancement writes those cells,
 and `fuse` reads the LiDAR rows once more through that handle, with the
 gathered cells rounded in, in the one pass that writes its grid files.
 """
@@ -162,12 +163,14 @@ def open_scene(manifest_path: str | Path, config: PipelineConfig,
                parsed: tuple[dict, dict[str, Path]] | None = None) -> Iterator[Scene]:
     """The scene `synth.load_scene` reads, with its LiDAR grid gathered for `config`.
 
-    Every check of `load_scene` is made, on its `parsed` manifest if given.
-    The LiDAR file is read through one handle (`gather_lidar`), which stays
-    open until the block exits.
+    Every check of `load_scene` is made, on its `parsed` manifest if given,
+    with the same messages; the annotations and manifest objects are checked
+    but not built (the scene holds None for them). The LiDAR file is read
+    through one handle (`gather_lidar`), which stays open until the block
+    exits.
     """
     with ExitStack() as files:
         def read_lidar(path: Path, proposals: list[Proposal]) -> BevGrid:
             return gather_lidar(files.enter_context(path.open("rb")), proposals, config)
 
-        yield load_scene(manifest_path, read_lidar, parsed)
+        yield load_scene(manifest_path, read_lidar, parsed, truth=False)

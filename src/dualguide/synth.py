@@ -59,9 +59,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .config import PipelineConfig
 from .errors import ConfigurationError, ContractError, DataFormatError
 from .formats import (
+    ANNOTATION_FIELDS,
     OBJECT_FIELDS,
+    OBJECT_PROFILES,
     grid_blocks,
-    load_annotations,
     load_grid,
     load_json,
     load_points,
@@ -70,6 +71,7 @@ from .formats import (
     save_annotations,
     save_grid,
     save_json,
+    save_points,
     save_proposals,
     to_records,
 )
@@ -79,7 +81,7 @@ from .instances import Proposal
 from .metrics import Annotation, Detection
 from .taxonomy import NUM_CLASSES
 
-GAP_PROFILES = ("easy", "lidar-hole", "occluded", "mixed")
+GAP_PROFILES = (*OBJECT_PROFILES, "mixed")
 # The one class the readout detector gives every detection.
 READOUT_CLASS = 0
 # A readout peak has residual energy >= MIN_PEAK_ENERGY. Its support region is
@@ -125,8 +127,8 @@ class SceneObject:
     def __post_init__(self) -> None:
         # Its annotation checks the class id, visibility token and point count.
         Annotation(self.box, self.class_id, self.visibility_token, self.num_lidar_pts)
-        if self.profile not in GAP_PROFILES[:3]:
-            raise ContractError(f"profile {self.profile!r} not in {GAP_PROFILES[:3]}")
+        if self.profile not in OBJECT_PROFILES:
+            raise ContractError(f"profile {self.profile!r} not in {OBJECT_PROFILES}")
         for name in ("lidar_strength", "camera_strength"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ContractError(f"{name} {getattr(self, name)} outside [0, 1]")
@@ -138,8 +140,9 @@ class Scene:
     lidar_grid: BevGrid
     camera_proposals: list[Proposal]
     lidar_proposals: list[Proposal]
-    annotations: list[Annotation]
-    objects: list[SceneObject]
+    # None when loaded without them (`load_scene(..., truth=False)`).
+    annotations: list[Annotation] | None
+    objects: list[SceneObject] | None
     points: np.ndarray | None = None
 
 
@@ -438,7 +441,7 @@ def write_scene(scene: Scene, out_dir: str | Path, config: PipelineConfig, seed:
         "points": None,
     }
     if scene.points is not None:
-        np.save(out / "points.npy", scene.points)
+        save_points(scene.points, out / "points.npy")
         files["points"] = "points.npy"
     manifest = {
         "seed": seed,
@@ -500,6 +503,7 @@ def load_scene(
     manifest_path: str | Path,
     read_lidar: Callable[[Path, list[Proposal]], BevGrid] | None = None,
     parsed: tuple[dict, dict[str, Path]] | None = None,
+    truth: bool = True,
 ) -> Scene:
     """Load a scene from its manifest, checking its files against the manifest.
 
@@ -510,7 +514,9 @@ def load_scene(
     (`pipeline.open_scene` gathers only the cells the pipeline samples).
     Each proposal must be of the modality its file's manifest entry names.
     `parsed` is `scene_paths(manifest_path, SCENE_FILES)` when the caller has
-    read it already.
+    read it already. Without `truth`, the annotations and the manifest
+    objects are checked alike, with the same messages, but no `Annotation`
+    or `SceneObject` is built, and the scene holds None for them.
     """
     manifest, paths = parsed or scene_paths(manifest_path, SCENE_FILES)
     echo = manifest.get("grid")
@@ -546,16 +552,12 @@ def load_scene(
     if not isinstance(records, list):
         raise DataFormatError(f"{manifest_path}: 'objects' must be a list, "
                               f"got {type(records).__name__}")
-    objects = read_records(SceneObject, OBJECT_FIELDS, manifest_path, records)
-    return Scene(
-        camera_grid,
-        lidar_grid,
-        camera_proposals,
-        lidar_proposals,
-        load_annotations(paths["annotations"]),
-        objects,
-        points,
-    )
+    objects = read_records(SceneObject, OBJECT_FIELDS, manifest_path, records,
+                           check_only=not truth)
+    annotations = read_records(Annotation, ANNOTATION_FIELDS, paths["annotations"],
+                               check_only=not truth)
+    return Scene(camera_grid, lidar_grid, camera_proposals, lidar_proposals, annotations,
+                 objects, points)
 
 
 def _cell_energy(spec: GridSpec, blocks) -> np.ndarray:

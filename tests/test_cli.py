@@ -2,7 +2,11 @@
 
 import gc
 import json
+import os
+import resource
 import struct
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -10,7 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dualguide.cli import main
+import dualguide
+from dualguide.cli import FUSE_OUTPUTS, main
 from dualguide.config import load_config
 from dualguide.errors import DataFormatError
 from dualguide.formats import load_grid, save_grid
@@ -87,11 +92,11 @@ class TestExitCodes:
         ("gen", {"lambdas": [-1, 0, 0, 0]}, "loss weights must be finite and >= 0"),
         ("gen", [0.5], "config must be a JSON object, got [0.5]"),
         ("match", {"height_cells": 1.5}, "height_cells must be an integer, got 1.5"),
-        ("gen", {"height_cells": 0}, "grid dimensions must be positive"),
-        ("gen", {"camera_channels": -3}, "grid dimensions must be positive"),
+        ("gen", {"height_cells": 0}, "height_cells 0 must be at least 1"),
+        ("gen", {"camera_channels": -3}, "camera_channels -3 must be at least 1"),
         ("gen", {"x_range": [54, -54]}, "grid window must have positive extent"),
-        ("fuse", {"height_cells": 0}, "grid dimensions must be positive"),
-        ("fuse", {"camera_channels": -3}, "grid dimensions must be positive"),
+        ("fuse", {"height_cells": 0}, "height_cells 0 must be at least 1"),
+        ("fuse", {"camera_channels": -3}, "camera_channels -3 must be at least 1"),
         ("fuse", {"x_range": [54, -54]}, "grid window must have positive extent"),
         # A size the u32 fields of a grid file header cannot hold.
         ("gen", {"height_cells": 1e20}, "height_cells 100000000000000000000 exceeds 4294967295"),
@@ -448,6 +453,32 @@ class TestManifestShape:
         data = json.loads(manifest.read_text())
         manifest.write_text(json.dumps({**data, "files": without(data["files"], "points")}))
         assert main(["stats"]) == 0
+
+
+class TestFailedWrite:
+    """A write that fails (here: a file-size limit, as a full disk would) names its file."""
+
+    @pytest.mark.parametrize("command, limit, names", [
+        ("gen", 400_000, ("camera.bevg",)),
+        ("fuse", 400_000, FUSE_OUTPUTS),
+        ("match", 1_000, ("pairs.json",)),
+    ])
+    def test_exit_2_names_the_file(self, workdir, command, limit, names):
+        if command != "gen":
+            assert main(["gen", "--seed", "7", "--objects", "12"]) == 0
+
+        def limit_file_size():  # in the child only
+            resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+
+        src = str(Path(dualguide.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-m", "dualguide.cli", command], cwd=workdir,
+                              env=env, capture_output=True, text=True,
+                              preexec_fn=limit_file_size)
+        assert done.returncode == 2, done.stderr
+        (line,) = done.stderr.splitlines()
+        assert line.startswith("dualguide: error: [Errno 27] File too large: "), line
+        assert any(f"scene/{name}'" in line for name in names), line
 
 
 def snapshot(root):

@@ -504,6 +504,156 @@ class TestRoundTripProperties:
         assert load(root / "records") == records
 
 
+# Values a corrupted record field may take: non-numbers, non-finite numbers,
+# floats in integer fields (3.0 is read as 3), ints in float fields (kept as
+# ints), out-of-range numbers, integers beyond float64, and unknown names.
+CORRUPT_VALUES = (float("nan"), float("inf"), -float("inf"), None, [], {}, True, False, "x",
+                  "easy", "camera", "foggy", 3, 3.0, 3.5, 0, 0.0, -0.0, -1, 5, 10, 1.5, 2**70,
+                  -(2**70), 10**400, 1e308)
+KINDS = {
+    "proposals": (Proposal, PROPOSAL_FIELDS, proposals),
+    "annotations": (Annotation, ANNOTATION_FIELDS, annotations),
+    "detections": (Detection, DETECTION_FIELDS, detections),
+    "objects": (SceneObject, OBJECT_FIELDS, scene_objects),
+}
+BOX = Box3D((0.5, 1.0, 0.5), (1.0, 2.0, 1.5), 0.1, (0.5, -0.5))
+VALID_ITEMS = {
+    "proposals": Proposal(BOX, 0.5, 3, "lidar"),
+    "annotations": Annotation(BOX, 3, 2, 17),
+    "detections": Detection(BOX, 3, 0.75),
+    "objects": SceneObject(replace(BOX, velocity=(0.0, 0.0)), 3, "occluded", 0.9, 0.05, 2, 17),
+}
+
+
+@st.composite
+def record_lists(draw, fields, items):
+    """Records of valid items, then some corrupted: a field's value, a field, or the object."""
+    records = to_records(draw(st.lists(items, min_size=1, max_size=4)), fields)
+    keys = st.sampled_from(formats._BOX_KEYS) | st.sampled_from([name for name, _, _ in fields])
+    values = st.sampled_from([float("nan"), float("inf"), -float("inf")]) | st.sampled_from(
+        CORRUPT_VALUES)
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(records) - 1))
+        edit = draw(st.sampled_from(["value", "value", "value", "drop", "not-an-object"]))
+        key = draw(keys)
+        if not isinstance(records[i], dict):
+            continue
+        if edit == "value":
+            records[i] = {**records[i], key: draw(values)}
+        elif edit == "drop":
+            records[i] = {k: v for k, v in records[i].items() if k != key}
+        else:
+            records[i] = draw(st.sampled_from([[1.0], 5, "record", None]))
+    return records
+
+
+def outcome(read):
+    """`("ok", repr(result))`, or `("error", message)` of a DataFormatError."""
+    try:
+        return "ok", repr(read())
+    except DataFormatError as exc:
+        return "error", str(exc)
+
+
+class TestColumnCheck:
+    """The column check accepts only what the per-record loop accepts, and reads the same items."""
+
+    @pytest.mark.parametrize("kind", list(KINDS))
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_column_path_agrees_with_the_loop(self, kind, data):
+        build, fields, items = KINDS[kind]
+        records = data.draw(record_lists(fields, items))
+        loop = outcome(lambda: formats._record_loop(build, fields, records, "r.jsonl", "object"))
+        if formats._column_checked(records, fields) is not None:
+            assert loop[0] == "ok"
+        assert outcome(lambda: read_records(build, fields, "r.jsonl", records)) == loop
+        checked = outcome(lambda: read_records(build, fields, "r.jsonl", records,
+                                               check_only=True))
+        assert checked == (("ok", "None") if loop[0] == "ok" else loop)
+
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_each_field_holding_each_value_agrees_with_the_loop(self, kind):
+        build, fields, _ = KINDS[kind]
+        valid = to_records([VALID_ITEMS[kind]] * 2, fields)
+        for key in [*formats._BOX_KEYS, *(name for name, _, _ in fields)]:
+            for value in CORRUPT_VALUES:
+                records = [valid[0], {**valid[1], key: value}]
+                loop = outcome(lambda: formats._record_loop(build, fields, records, "r", "object"))
+                if formats._column_checked(records, fields) is not None:
+                    assert loop[0] == "ok", (key, value)
+                assert outcome(lambda: read_records(build, fields, "r", records)) == loop
+
+    @pytest.mark.parametrize("kind", list(KINDS))
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_valid_records_pass_the_column_check(self, kind, data):
+        _, fields, items = KINDS[kind]
+        records = to_records(data.draw(st.lists(items, min_size=1, max_size=4)), fields)
+        assert formats._column_checked(records, fields) is not None
+
+    def test_an_integral_float_goes_to_the_loop_and_reads_as_an_int(self):
+        records = to_records([Detection(Box3D((0, 1, 0.5), (1, 2, 1), 0.1), 3, 0.75)],
+                             DETECTION_FIELDS)
+        assert formats._column_checked(records, DETECTION_FIELDS) is not None
+        records[0]["class_id"] = 3.0
+        assert formats._column_checked(records, DETECTION_FIELDS) is None
+        value = read_records(Detection, DETECTION_FIELDS, "d.jsonl", records)[0].class_id
+        assert value == 3 and type(value) is int
+
+    def test_a_json_int_box_field_stays_an_int(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        path.write_text(json.dumps({"x": 1, "y": 2.0, "z": 0, "w": 2, "l": 1.5, "h": 1, "yaw": 0,
+                                    "score": 1, "class_id": 4, "modality": "lidar"}) + "\n")
+        (p,) = load_proposals(path)
+        assert repr(p) == repr(Proposal(Box3D((1, 2.0, 0), (2, 1.5, 1), 0), 1, 4, "lidar"))
+        assert type(p.box.center[0]) is int and type(p.score) is int
+
+    @pytest.mark.parametrize("line", ['  {"x": 1}', "", "   ", '{"x": 1} ', "\ufeff{}",
+                                      '{"x": 1} {"y": 2}', "[1, 2", "NaN"])
+    def test_a_line_the_scanner_does_not_read_whole_gets_the_loads_outcome(self, tmp_path, line):
+        path = tmp_path / "r.jsonl"
+        path.write_text(line + "\n")
+        try:
+            expected = ("ok", repr([json.loads(line)] if line.strip() else []))
+        except ValueError as exc:
+            expected = ("error", f"{path}:1: invalid JSON ({exc})")
+        assert outcome(lambda: formats._json_lines(path)) == expected
+
+
+# JSON leaves: escaped, non-ASCII and bracket-holding strings, huge ints,
+# signed zeros, extreme and non-finite floats, bools, None, empty containers.
+json_leaves = st.one_of(
+    st.text("xyz -_.:/=+0", max_size=6),
+    st.text(max_size=4),
+    st.sampled_from(["é", 'a"b', "back\\slash", "tab\t", "[x]", "{,}", "\u2028", "\x00", "a: b"]),
+    st.integers(-(10**40), 10**40),
+    st.sampled_from([-0.0, 1e-300, 1e308, 5e-324, float("nan"), float("inf"), [], {}]),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+)
+json_values = st.recursive(json_leaves, lambda children: st.one_of(
+    st.lists(children, max_size=4),
+    st.dictionaries(st.one_of(st.text("xyz -_.:", max_size=4),
+                              st.sampled_from(["a", "[", ",", "é", "\\"])),
+                    children, max_size=4),
+), max_leaves=24)
+
+
+class TestJsonWriter:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(json_values)
+    def test_text_is_the_indent_encoder_text(self, value):
+        assert formats._indented(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    def test_save_json_writes_the_text_and_a_newline(self, tmp_path):
+        value = {"b": [1, {"c": []}, -0.0], "a": {}, "é": "x, [y]"}
+        save_json(value, tmp_path / "v.json")
+        assert (tmp_path / "v.json").read_text() == json.dumps(value, sort_keys=True,
+                                                               indent=2) + "\n"
+
+
 class TestProjectionFormat:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(6)
@@ -592,7 +742,7 @@ class TestJsonLines:
     ])
     def test_field_table_names_the_dataclass_fields_after_the_box(self, table, cls):
         # The reader builds each item positionally from its table.
-        assert [f.name for f in fields(cls)] == ["box", *(name for name, _ in table)]
+        assert [f.name for f in fields(cls)] == ["box", *(name for name, _, _ in table)]
 
     @pytest.mark.parametrize("key, value", [("x", float("nan")), ("yaw", float("inf")),
                                             ("vy", float("-inf")), ("w", "2.0")])

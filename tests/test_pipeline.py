@@ -2,15 +2,18 @@
 
 import gc
 import itertools
+import json
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualguide.config import PipelineConfig
 from dualguide.enhance import Projection, fuse_grids
-from dualguide.errors import ConfigurationError
+from dualguide.errors import ConfigurationError, DataFormatError
 from dualguide.formats import pair_sets_to_dict, save_projection
 from dualguide.grid import BevGrid, GridSpec, global_context_refine
 from dualguide.instances import build_instances
@@ -18,10 +21,11 @@ from dualguide.matching import match_pairs
 from dualguide.pipeline import (
     build_context_weights,
     build_projections,
+    open_scene,
     run_fusion,
     run_matching,
 )
-from dualguide.synth import generate_scene
+from dualguide.synth import generate_scene, load_scene, write_scene
 
 SMALL = PipelineConfig(
     height_cells=64,
@@ -269,3 +273,49 @@ class TestBuildProjections:
             build_projections(config, 5, 7, "lidar_squeeze", "excitation")
         assert str(raised.value) == f"{missing}: excitation_path: No such file or directory"
         assert isinstance(raised.value.__cause__, FileNotFoundError)
+
+
+# Values a corrupted annotation or manifest object field may take.
+BAD_VALUES = (float("nan"), float("inf"), None, [], True, "x", "foggy", "mixed", 3.0, 3.5, -1, 0,
+              5, 10, 1.5, 2**70, 10**400)
+
+
+class TestOpenScene:
+    """`open_scene` checks what `load_scene` checks, building no annotation or object."""
+
+    @pytest.fixture(scope="class")
+    def written(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("open")
+        manifest = write_scene(generate_scene(SMALL, seed=5, n_objects=4), root, SMALL, 5, "mixed")
+        return manifest, manifest.read_text(), (root / "annotations.jsonl").read_text()
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_a_corrupt_annotation_or_object_gets_the_same_message(self, written, data):
+        manifest, manifest_text, annotations_text = written
+        doc, records = json.loads(manifest_text), [
+            json.loads(line) for line in annotations_text.splitlines()]
+        target = data.draw(st.sampled_from([doc["objects"], records]))
+        i = data.draw(st.integers(0, len(target) - 1))
+        key = data.draw(st.sampled_from(sorted(target[i])))
+        target[i] = {**target[i], key: data.draw(st.sampled_from(BAD_VALUES))}
+        manifest.write_text(json.dumps(doc))
+        (manifest.parent / "annotations.jsonl").write_text(
+            "".join(json.dumps(r) + "\n" for r in records))
+
+        def outcome(load):
+            try:
+                return load()
+            except DataFormatError as exc:
+                return str(exc)
+
+        def open_it():
+            with open_scene(manifest, SMALL) as scene:
+                assert scene.annotations is None and scene.objects is None
+                return scene
+
+        loaded, opened = outcome(lambda: load_scene(manifest)), outcome(open_it)
+        if isinstance(loaded, str):
+            assert opened == loaded
+        else:
+            assert not isinstance(opened, str), opened
