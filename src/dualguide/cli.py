@@ -25,8 +25,8 @@ rounded in. So it holds the camera grid and no LiDAR grid or
 concatenation, and reads `lidar.bevg` twice. Every command that takes a
 scene parses its manifest once, and every command refuses, before writing
 anything, an output that is one of its inputs (a scene file, `eval`'s
-detections or grid, `loss`'s components). `eval`'s energy readout reads the
-energy map from the grid file in row blocks and never holds the grid.
+detections or grid, `loss`'s components, the config or a weight file read).
+`eval`'s readout reads the grid's energy map in row blocks, never the grid.
 """
 
 from __future__ import annotations
@@ -155,23 +155,24 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_outputs(manifest: str | None, outputs: list[Path], inputs: tuple[Path, ...] = (),
+def _check_outputs(manifest: str | None, outputs: list[Path], inputs: tuple = (),
                    keys: tuple[str, ...] = SCENE_FILES) -> tuple[dict, dict[str, Path]] | None:
     """`scene_paths(manifest, keys)` (None without a manifest), once no output is an input.
 
-    The inputs are `inputs`, the manifest and the files it lists. An output
-    that is the same file as one raises ConfigurationError. A grid output's
-    sidecar, written beside the grid's realpath, counts too.
+    The inputs are the paths of `inputs` (None, an unset path, is skipped),
+    the manifest and the files it lists. An output that is the same file as
+    one raises ConfigurationError. A grid output's sidecar, written beside
+    the grid's realpath, counts too.
     """
-    def file_id(path: Path) -> tuple[int, int]:
-        st = path.stat()
+    def file_id(path: str | Path) -> tuple[int, int]:
+        st = os.stat(path)
         return st.st_dev, st.st_ino
 
     parsed = scene_paths(manifest, keys) if manifest else None
     if parsed:
         names = [name for name in parsed[0]["files"].values() if isinstance(name, str)]
         inputs += (Path(manifest), *(Path(manifest).parent / name for name in names))
-    inputs = {file_id(p): p for p in inputs if p.exists()}
+    inputs = {file_id(p): Path(p) for p in inputs if p and os.path.exists(p)}
     sidecars = [Path(f"{os.path.realpath(p)}.json") for p in outputs if p.suffix == ".bevg"]
     for path in outputs + sidecars:
         if path.exists() and file_id(path) in inputs:
@@ -182,7 +183,10 @@ def _check_outputs(manifest: str | None, outputs: list[Path], inputs: tuple[Path
 def _cmd_fuse(args: argparse.Namespace) -> int:
     config = _config_from_args(args)  # checked before the scene loads
     out = Path(args.out) if args.out else Path(args.scene).parent
-    parsed = _check_outputs(args.scene, [out / name for name in FUSE_OUTPUTS])
+    # The config, and the weight files run_fusion reads.
+    weights = [] if args.no_enhance else [config.lidar_squeeze_path, config.excitation_path]
+    parsed = _check_outputs(args.scene, [out / name for name in FUSE_OUTPUTS],
+                            (args.config, *weights))
     with open_scene(args.scene, config, parsed) as scene:
         camera, lidar = scene.camera_grid, scene.lidar_grid
         run = run_matching if args.no_enhance else run_fusion
@@ -205,7 +209,7 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
 def _cmd_match(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     out = Path(args.out) if args.out else Path(args.scene).parent / "pairs.json"
-    parsed = _check_outputs(args.scene, [out])
+    parsed = _check_outputs(args.scene, [out], (args.config,))
     with open_scene(args.scene, config, parsed) as scene:
         pairs = run_matching(scene.camera_grid, scene.lidar_grid,
                              scene.camera_proposals, scene.lidar_proposals, config)
@@ -287,7 +291,8 @@ def _cmd_loss(args: argparse.Namespace) -> int:
         raise ConfigurationError(f"--history must be a finite number >= 0, got {args.history}")
     config = _config_from_args(args)
     outputs = [Path(args.out)] if args.out else []
-    parsed = _check_outputs(args.scene, outputs, (Path(args.components),))
+    weights = [config.lidar_squeeze_path, config.camera_squeeze_path] if args.scene else []
+    parsed = _check_outputs(args.scene, outputs, (args.components, args.config, *weights))
     components = formats.load_json(args.components)
     try:
         if not isinstance(components, dict):

@@ -33,10 +33,8 @@ string columns by allowed value, and every column by type (a bool is not a
 number, and an integer field takes only JSON integers). Only when a column
 check fails does it run the per-record loop, whose first failing check
 gives the message. With `check_only` it checks alike and builds no item.
-`save_json` writes exactly the text of `json.dumps(obj, sort_keys=True,
-indent=2)`, re-indenting the C encoder's compact text rather than running
-the pure-Python indent encoder. A failed write raises an OSError naming its
-file.
+`save_json` writes `json.dumps(obj, sort_keys=True, indent=2)` and a
+newline. A failed write raises an OSError naming its file.
 """
 
 from __future__ import annotations
@@ -44,7 +42,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import re
 import struct
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import ExitStack, nullcontext
@@ -319,8 +316,6 @@ def save_points(points: np.ndarray, path: str | Path) -> None:
 
 def _finite(name: str, value):
     """`value` when it is a finite JSON number (a bool is not one), else ValueError."""
-    if type(value) is float and value - value == 0.0:  # the common case, at half the cost
-        return value
     ok = isinstance(value, (int, float)) and not isinstance(value, bool)
     try:
         ok = ok and math.isfinite(value)
@@ -390,7 +385,7 @@ def _json_lines(path: str | Path) -> list:
 
     A line the C scanner reads whole is taken as it reads it, which is what
     `json.loads` returns for it; any other line goes to `json.loads`, which
-    skips a blank line, takes a spaced one, and names a bad one.
+    skips a blank line, takes a spaced one, and names a bad or too deep one.
     """
     records = []
     for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
@@ -399,12 +394,12 @@ def _json_lines(path: str | Path) -> list:
             if end == len(line):
                 records.append(value)
                 continue
-        except (StopIteration, ValueError):
+        except (StopIteration, ValueError, RecursionError):
             pass
         try:
             if line.strip():
                 records.append(json.loads(line))
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
             raise DataFormatError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
     return records
 
@@ -554,50 +549,15 @@ def save_pair_sets(sets: PairSets, path: str | Path) -> None:
     save_json(pair_sets_to_dict(sets), path)
 
 
-# `_indented` splits compact JSON at these, and refuses strings holding any of `_UNSAFE`.
-_BRACKETS = re.compile(r"([\[\]{}])")
-_UNSAFE = frozenset("[]{},\\")
-
-
-def _indented(obj) -> str:
-    """`json.dumps(obj, sort_keys=True, indent=2)`, re-indented from the C encoder's text.
-
-    `json.dumps` indents with its pure-Python encoder; the compact text
-    comes from the C one. The pass below splits it at brackets: an opening
-    one goes a level deeper, a closing one a level back, and each comma
-    between them starts a line at the current depth. An empty container
-    stays on one line (held as \\x01 or \\x02 through the pass). That reading
-    holds while no string holds a bracket, a comma or a backslash.
-    `ensure_ascii` writes a quote, a control or a non-ASCII character as an
-    escape, so up to the first backslash every quote delimits a string, and
-    the odd parts of the text split at quotes are its strings. Any other
-    text goes to `json.dumps`.
-    """
-    text = json.dumps(obj, sort_keys=True, separators=(",", ": "))
-    if not _UNSAFE.isdisjoint("".join(text.split('"')[1::2])):
-        return json.dumps(obj, sort_keys=True, indent=2)
-    parts = iter(_BRACKETS.split(text.replace("[]", "\x01").replace("{}", "\x02")))
-    pad, out = "\n", [next(parts)]
-    for bracket, run in zip(parts, parts):
-        if bracket in "[{":
-            pad += "  "
-            out.append(bracket + pad)
-        else:
-            pad = pad[:-2]
-            out.append(pad + bracket)
-        out.append(run.replace(",", "," + pad))
-    return "".join(out).replace("\x01", "[]").replace("\x02", "{}")
-
-
 def save_json(obj: dict, path: str | Path) -> None:
     """Write `obj` as the text of `json.dumps(obj, sort_keys=True, indent=2)` and a newline."""
     with _Naming(path):
-        Path(path).write_text(_indented(obj) + "\n")
+        Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def load_json(path: str | Path) -> dict:
     path = Path(path)
     try:
         return json.loads(_read_text(path))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise DataFormatError(f"{path}: invalid JSON ({exc})") from exc

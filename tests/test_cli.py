@@ -277,6 +277,21 @@ class TestInputBoundary:
             capsys, scene, "annotations.jsonl: record 6: expected a JSON object, got list"
         )
 
+    @pytest.mark.parametrize("argv, name", [
+        (["eval", "--dets", "dets.jsonl"], "dets.jsonl:1"),
+        (["match"], "scene/manifest.json"),
+        (["gen", "--config", "deep.json", "--out", "new"], "deep.json"),
+        (["match", "--config", "deep.json"], "deep.json"),
+    ], ids=["json-lines", "manifest", "gen-config", "match-config"])
+    def test_nesting_too_deep_is_invalid_json(self, scene, capsys, argv, name):
+        (scene.parent / name.removesuffix(":1")).write_text("[" * 100_000 + "\n")
+        before = snapshot(scene.parent)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"dualguide: error: {name}: invalid JSON (maximum recursion"), err
+        assert err.count("\n") == 1
+        assert snapshot(scene.parent) == before
+
     @pytest.mark.parametrize("name", ["annotations.jsonl", "manifest.json"])
     def test_bytes_not_utf8(self, scene, capsys, name):
         path = scene / name
@@ -658,6 +673,29 @@ class TestWeightFiles:
         assert main([*argv, "--config", config]) == 2
         err = capsys.readouterr().err
         assert err == f"dualguide: error: {path}: {name}_path: {reason}\n"
+        assert snapshot(root) == before
+
+    @pytest.mark.parametrize("argv, name, output", [
+        (["match", "--out", "weights.json"], None, "weights.json"),
+        (["loss", "--components", "loss.json", "--out", "weights.json"], None, "weights.json"),
+        (["fuse", "--out", "out"], "lidar_squeeze", "out/pairs.json"),
+        (["fuse", "--out", "out"], "excitation", "out/fused.bevg"),
+        ([*LOSS, "--out", "w.proj"], "lidar_squeeze", "w.proj"),
+        ([*LOSS, "--out", "w.proj"], "camera_squeeze", "w.proj"),
+    ], ids=["match-config", "loss-config", "fuse-lidar_squeeze", "fuse-excitation",
+            "loss-lidar_squeeze", "loss-camera_squeeze"])
+    def test_an_output_that_is_the_config_or_a_weight_file_fails_before_writing(
+        self, root, capsys, argv, name, output
+    ):
+        # Each weight file is of the shape the command applies, so only the check refuses it.
+        (root / "out").mkdir()
+        if name:
+            write_projection(root / output, *SMALL_SHAPES[name])
+        config = self.config(root, **({f"{name}_path": output} if name else {}))
+        before = snapshot(root)
+        assert main([*argv, "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert err == f"dualguide: error: output {output} is the input {output}\n"
         assert snapshot(root) == before
 
     @pytest.mark.parametrize("argv, out, unread", [

@@ -29,7 +29,9 @@ INPUTS = (*JSON_LINES, "manifest.json", "camera.bevg", "lidar.bevg", "points.npy
 TOKENS = ("NaN", "1e309", "null", "[]", "true", '"x"')
 INTEGER_FIELDS = ("class_id", "visibility_token", "num_lidar_pts")
 # (file, field, token) swaps made whatever the seed picks: a NaN score in each
-# file that has one, and an integral and a fractional float in integer fields.
+# file that has one, an integral and a fractional float in integer fields, and
+# nesting too deep for the JSON parser in a JSON-lines file and a manifest.
+DEEP = "[" * 100_000
 PINNED_SWAPS = (
     ("lidar_proposals.jsonl", "score", "NaN"),
     ("dets.jsonl", "score", "NaN"),
@@ -37,6 +39,8 @@ PINNED_SWAPS = (
     ("annotations.jsonl", "visibility_token", "3.5"),
     ("manifest.json", "lidar_strength", "NaN"),
     ("manifest.json", "num_lidar_pts", "3.0"),
+    ("dets.jsonl", "score", DEEP),
+    ("manifest.json", "camera_strength", DEEP),
 )
 SEED = 14
 N_RANDOM = 22
@@ -71,7 +75,7 @@ def _mutations():
     field when `fields` is None.
     """
     rng = random.Random(SEED)
-    listed = [(f"{field} := {token}", name, ("swap", (field,), token))
+    listed = [(f"{field} := {token[:12]}", name, ("swap", (field,), token))
               for name, field, token in PINNED_SWAPS]
     for i in range(N_RANDOM):
         kind = ("flip", "truncate", "duplicate", "swap", "swap")[i % 5]
