@@ -14,7 +14,7 @@ from .errors import ConfigurationError, ContractError, DataFormatError
 from .geometry import Box3D
 from .grid import BevGrid, GridSpec
 from .instances import Proposal
-from .pipeline import run_fusion
+from .pipeline import camera_instances, run_fusion
 from .synth import generate_scene, write_scene
 
 __version__ = "0.1.0"

@@ -11,21 +11,24 @@ read, a file where `--out` names a directory, or a failed write.
 `gen` places its scene (`synth.place_scene`) and writes it with the
 library's one scene writer, `synth.write_scene`: `formats.save_grid` renders
 each grid file in row blocks while writing it, so `gen` never holds a grid.
-`fuse`, `match` and `loss` open their scene with `pipeline.open_scene`: the
-camera grid in one contiguous array, of the LiDAR grid only the cells the
-front stage samples, gathered in one checked pass through a handle that
-stays open, and the annotations and manifest objects checked but not built.
-`fuse` enhances the camera grid and the gathered LiDAR cells in place
-(`pipeline.run_fusion`, or `pipeline.run_matching` alone under
-`--no-enhance`). It then writes `enhanced_camera.bevg`,
+`fuse`, `match` and `loss` open their scene with `pipeline.open_scene`,
+which reads each grid file through one handle that stays open. It reads
+the camera grid whole only for the refine and the camera extraction, keeps
+the camera cells the enhancement reads and writes, and drops the array
+before it gathers, in one checked pass, the LiDAR cells the front stage
+samples; the annotations and manifest objects are checked but not built.
+Past the camera extraction, `match` and `loss` hold only gathered cells.
+`fuse` enhances the gathered cells of both
+grids in place (`pipeline.run_fusion`, or `pipeline.run_matching` alone
+under `--no-enhance`). It then writes `enhanced_camera.bevg`,
 `enhanced_lidar.bevg` and `fused.bevg` in one pass over row blocks
-(`formats.save_grid`): each block's camera rows are cast once, and its LiDAR
-rows read once through the same handle, checked, with the gathered cells
-rounded in. So it holds the camera grid and no LiDAR grid or
-concatenation, and reads `lidar.bevg` twice. Every command that takes a
-scene parses its manifest once, and every command refuses, before writing
-anything, an output that is one of its inputs (a scene file, `eval`'s
-detections or grid, `loss`'s components, the config or a weight file read).
+(`formats.save_grid`): each block's camera and LiDAR rows are read once
+through their handles, checked, with the gathered cells rounded in. So it
+holds no grid or concatenation while it writes, and reads `camera.bevg` and
+`lidar.bevg` twice each. Every command that takes a scene parses its
+manifest once, and every command refuses, before writing anything, an
+output that is one of its inputs (a scene file, `eval`'s detections or
+grid, `loss`'s components, the config or a weight file read).
 `eval`'s readout reads the grid's energy map in row blocks, never the grid.
 """
 
@@ -146,10 +149,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 # The files `fuse` writes into its output directory.
 FUSE_OUTPUTS = ("enhanced_camera.bevg", "enhanced_lidar.bevg", "fused.bevg", "pairs.json")
+# The files `gen` writes into its output directory, points.npy only under --points.
+GEN_OUTPUTS = ("manifest.json", "camera.bevg", "lidar.bevg", "camera_proposals.jsonl",
+               "lidar_proposals.jsonl", "annotations.jsonl", "points.npy")
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     config = load_config(args.config)
+    names = GEN_OUTPUTS if args.points else GEN_OUTPUTS[:-1]
+    _check_outputs(None, [Path(args.out) / name for name in names], (args.config,))
     scene = place_scene(config, args.seed, args.objects, args.profile, args.points)
     print(write_scene(scene, args.out, config, args.seed, args.profile))
     return 0
@@ -187,10 +195,10 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
     weights = [] if args.no_enhance else [config.lidar_squeeze_path, config.excitation_path]
     parsed = _check_outputs(args.scene, [out / name for name in FUSE_OUTPUTS],
                             (args.config, *weights))
-    with open_scene(args.scene, config, parsed) as scene:
+    with open_scene(args.scene, config, parsed) as (scene, instances):
         camera, lidar = scene.camera_grid, scene.lidar_grid
-        run = run_matching if args.no_enhance else run_fusion
-        pairs = run(camera, lidar, scene.camera_proposals, scene.lidar_proposals, config)
+        pairs = (run_matching(instances, lidar, scene.lidar_proposals, config) if args.no_enhance
+                 else run_fusion(camera, lidar, instances, scene.lidar_proposals, config))
         out.mkdir(parents=True, exist_ok=True)
         formats.save_grid([
             (camera, out / "enhanced_camera.bevg"),
@@ -210,9 +218,8 @@ def _cmd_match(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     out = Path(args.out) if args.out else Path(args.scene).parent / "pairs.json"
     parsed = _check_outputs(args.scene, [out], (args.config,))
-    with open_scene(args.scene, config, parsed) as scene:
-        pairs = run_matching(scene.camera_grid, scene.lidar_grid,
-                             scene.camera_proposals, scene.lidar_proposals, config)
+    with open_scene(args.scene, config, parsed) as (scene, instances):
+        pairs = run_matching(instances, scene.lidar_grid, scene.lidar_proposals, config)
     formats.save_pair_sets(pairs, out)
     print(out)
     return 0
@@ -308,9 +315,8 @@ def _cmd_loss(args: argparse.Namespace) -> int:
     except (ContractError, ValueError) as exc:  # ContractError: pred and target shapes differ
         raise DataFormatError(f"{args.components}: {exc}") from exc
     if args.scene:
-        with open_scene(args.scene, config, parsed) as scene:
-            pairs = run_matching(scene.camera_grid, scene.lidar_grid,
-                                 scene.camera_proposals, scene.lidar_proposals, config)
+        with open_scene(args.scene, config, parsed) as (scene, instances):
+            pairs = run_matching(instances, scene.lidar_grid, scene.lidar_proposals, config)
         cosine = pair_cosine_loss(pairs.easy, *build_projections(
             config, scene.camera_grid.spec.channels, scene.lidar_grid.spec.channels,
             "lidar_squeeze", "camera_squeeze"))

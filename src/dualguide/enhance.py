@@ -11,9 +11,11 @@ overlapping pairs are last-write-wins. Cells no pair addresses are untouched.
 
 Both enhancers update the grid they are given, which may be a channel view
 of a fused grid, and return it; copy the grid first to keep the input.
-Each reads an original value before any write changes it. The LiDAR grid
-may also be `pipeline.gather_lidar`'s gathered cells: the cells around a
-LiDAR instance center are among the corners its center key point samples.
+Each reads an original value before any write changes it. Either grid
+may also be gathered cells (`pipeline.gather_camera`, `gather_lidar`): the
+nearest cell of a camera instance center is one of the center's bilinear
+corners, and the cells around a LiDAR instance center are among the
+corners its center key point samples.
 """
 
 from __future__ import annotations
@@ -132,11 +134,14 @@ def enhance_camera_grid(
     data = camera_grid.data
     # The original values every write reads, gathered before the first write.
     sampled = bilinear_sample(camera_grid, (rows, cols))
-    easy_base = data[cell_rows[:n_easy], cell_cols[:n_easy]]
-    for k, pair in enumerate(pairs):
-        cell = (cell_rows[k], cell_cols[k])
-        base = easy_base[k] if k < n_easy else data[cell]
-        data[cell] = base + sampled[k] * proj.apply(member_of(pair, "lidar").raw)
+    original = data[cell_rows, cell_cols]
+    written = {}  # each written cell's running value, stored once at the end
+    for k, cell in enumerate(zip(cell_rows.tolist(), cell_cols.tolist())):
+        base = original[k] if k < n_easy else written.get(cell, original[k])
+        written[cell] = base + sampled[k] * proj.apply(member_of(pairs[k], "lidar").raw)
+    if written:
+        cells = np.array(list(written))
+        data[cells[:, 0], cells[:, 1]] = np.array(list(written.values()))
     return camera_grid
 
 

@@ -222,14 +222,15 @@ def read_grid_rows(f: BinaryIO, spec: GridSpec, first_row: int, out: np.ndarray)
     f.seek(_GRID_HEADER.size + first_row * spec.width_cells * spec.channels * 4)
     if f.readinto(out) != out.nbytes:
         raise DataFormatError(f"{Path(f.name)}: payload ends before row {first_row + len(out)}")
-    bad = out.size - int(np.count_nonzero(np.isfinite(out)))
-    if bad:
+    if not np.isfinite(out).all():
+        bad = out.size - int(np.count_nonzero(np.isfinite(out)))
         raise DataFormatError(f"{Path(f.name)}: {bad} non-finite grid values")
 
 
-def load_grid(path: str | Path) -> BevGrid:
+def load_grid(path: str | Path | BinaryIO) -> BevGrid:
     """Read a grid file into a new float64 array, checking its header, size and values.
 
+    `path` may also be a grid file open for binary reading (`grid_blocks`).
     The file size is checked against the header before anything is
     allocated, and the payload is read in blocks of rows straight into the
     new array.

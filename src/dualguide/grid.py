@@ -102,14 +102,15 @@ class GatheredCells:
                read_rows: Callable[[int, np.ndarray], None]) -> "GatheredCells":
         """Gather cells (rows[k], cols[k]) from every `(first_row, values)` row block."""
         shape = (spec.height_cells, spec.width_cells, spec.channels)
-        flat = np.unique(np.ravel_multi_index((rows, cols), shape[:2]))
+        w = spec.width_cells
         slots = np.full(shape[:2], -1, dtype=np.int32)
+        slots.flat[np.ravel_multi_index((rows, cols), shape[:2])] = 0
+        flat = np.flatnonzero(slots == 0)  # the gathered cells, ascending
         slots.flat[flat] = np.arange(len(flat))
         values = np.empty((len(flat), spec.channels))
-        cell_rows, cell_cols = np.divmod(flat, spec.width_cells)
         for first, block in blocks:
-            i, j = np.searchsorted(cell_rows, (first, first + len(block)))
-            values[i:j] = block[cell_rows[i:j] - first, cell_cols[i:j]]
+            i, j = np.searchsorted(flat, (first * w, (first + len(block)) * w))
+            values[i:j] = block.reshape(-1, spec.channels)[flat[i:j] - first * w]
         return cls(shape, slots, values, read_rows)
 
     def _slots(self, index) -> np.ndarray:
@@ -130,9 +131,9 @@ class GatheredCells:
         The rows come through `read_rows`, with the gathered cells rounded in.
         """
         self.read_rows(first_row, out)
-        slots = self.slots[first_row:first_row + len(out)]
-        gathered = slots >= 0
-        out[gathered] = self.values[slots[gathered]]
+        slots = self.slots[first_row:first_row + len(out)].reshape(-1)
+        cells = np.flatnonzero(slots >= 0)
+        out.reshape(-1, self.shape[2])[cells] = self.values[slots[cells]]  # a view: contiguous
 
 
 @dataclass

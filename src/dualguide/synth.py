@@ -42,8 +42,10 @@ READOUT_CLASS.
 
 `load_scene` is the one scene loader. It checks both grid headers against
 the manifest's grid echo before any grid is allocated, then reads each grid
-into its own contiguous array, or the LiDAR grid as its caller asks: the
-CLI gathers only the cells the pipeline samples (`pipeline.open_scene`).
+into its own contiguous array, or as its caller asks: the CLI keeps of each
+grid only the cells the pipeline reads and writes, and holds the camera grid
+whole only through the refine and the camera extraction
+(`pipeline.open_scene`).
 """
 
 from __future__ import annotations
@@ -501,7 +503,7 @@ def scene_paths(
 
 def load_scene(
     manifest_path: str | Path,
-    read_lidar: Callable[[Path, list[Proposal]], BevGrid] | None = None,
+    read_grid: Callable[[str, Path, list[Proposal]], BevGrid] | None = None,
     parsed: tuple[dict, dict[str, Path]] | None = None,
     truth: bool = True,
 ) -> Scene:
@@ -510,9 +512,12 @@ def load_scene(
     Both grid headers are checked against the manifest's grid echo before
     any payload is read or any grid allocated; a mismatch names the file
     that disagrees. Each grid is then read into its own contiguous array,
-    or the LiDAR grid by `read_lidar(path, lidar_proposals)` when given
-    (`pipeline.open_scene` gathers only the cells the pipeline samples).
-    Each proposal must be of the modality its file's manifest entry names.
+    or, when `read_grid` is given, returned by `read_grid(modality, path,
+    proposals)`, camera first. `pipeline.open_scene`'s hook holds the dense
+    camera grid only through the refine and the camera extraction, and keeps
+    of each grid only the cells the pipeline reads and writes, so `fuse`,
+    `match` and `loss` never hold both grids. Each proposal must be of the
+    modality its file's manifest entry names.
     `parsed` is `scene_paths(manifest_path, SCENE_FILES)` when the caller has
     read it already. Without `truth`, the annotations and the manifest
     objects are checked alike, with the same messages, but no `Annotation`
@@ -541,12 +546,9 @@ def load_scene(
             if p.modality != modality:
                 raise DataFormatError(f"{paths[f'{modality}_proposals']}: record {i}: modality "
                                       f"must be {modality!r}, got {p.modality!r}")
-    camera_proposals, lidar_proposals = proposals["camera"], proposals["lidar"]
-    camera_grid = load_grid(paths["camera_grid"])
-    if read_lidar is None:
-        lidar_grid = load_grid(paths["lidar_grid"])
-    else:
-        lidar_grid = read_lidar(paths["lidar_grid"], lidar_proposals)
+    read_grid = read_grid or (lambda modality, path, records: load_grid(path))
+    camera_grid, lidar_grid = (read_grid(m, paths[f"{m}_grid"], proposals[m])
+                               for m in ("camera", "lidar"))
     points = load_points(paths["points"]) if "points" in paths else None
     records = manifest.get("objects", [])
     if not isinstance(records, list):
@@ -556,7 +558,7 @@ def load_scene(
                            check_only=not truth)
     annotations = read_records(Annotation, ANNOTATION_FIELDS, paths["annotations"],
                                check_only=not truth)
-    return Scene(camera_grid, lidar_grid, camera_proposals, lidar_proposals, annotations,
+    return Scene(camera_grid, lidar_grid, proposals["camera"], proposals["lidar"], annotations,
                  objects, points)
 
 

@@ -32,7 +32,7 @@ from dualguide.metrics import (
     recall_at_iou,
     visibility_histogram,
 )
-from dualguide.pipeline import run_fusion
+from dualguide.pipeline import camera_instances, run_fusion
 from dualguide.synth import generate_scene
 
 from test_enhance import (
@@ -276,7 +276,8 @@ def test_criterion_7_enhancement_benefit():
         baseline = fuse_grids(scene.camera_grid, scene.lidar_grid)
         run_fusion(
             scene.camera_grid, scene.lidar_grid,
-            scene.camera_proposals, scene.lidar_proposals, config,
+            camera_instances(scene.camera_grid, scene.camera_proposals, config),
+            scene.lidar_proposals, config,
         )
         enhanced = fuse_grids(scene.camera_grid, scene.lidar_grid)
         cap = len(scene.annotations)

@@ -21,7 +21,7 @@ from dualguide.errors import DataFormatError
 from dualguide.formats import load_grid, save_grid
 from dualguide.grid import BevGrid, GridSpec
 from dualguide.losses import pair_cosine_loss
-from dualguide.pipeline import build_projections, run_fusion
+from dualguide.pipeline import build_projections, camera_instances, run_fusion
 from dualguide.synth import load_scene
 
 
@@ -607,6 +607,35 @@ def write_projection(path, rows, cols):
     path.write_bytes(struct.pack("<4sII", b"PROJ", rows, cols) + weights.tobytes())
 
 
+class TestGenConfig:
+    """`gen` reads its config before writing, and refuses to write over it."""
+
+    @pytest.fixture()
+    def root(self, workdir):
+        assert main(["gen", "--seed", "2", "--objects", "4", "--out", "scene"]) == 0
+        return workdir
+
+    @pytest.mark.parametrize("config, flags", [
+        ("scene/manifest.json", []),
+        ("scene/camera_proposals.jsonl", []),
+        ("scene/points.npy", ["--points"]),
+    ], ids=["manifest", "proposals", "points"])
+    def test_gen_refuses_to_overwrite_its_config(self, root, capsys, config, flags):
+        # Any valid config, at the path of a file gen writes: gen reads it, then refuses.
+        (root / config).write_text(json.dumps({"camera_channels": 4}))
+        before = snapshot(root)
+        assert main(["gen", "--config", config, "--out", "scene", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err == f"dualguide: error: output {config} is the input {config}\n"
+        assert snapshot(root) == before
+
+    def test_gen_writes_over_a_config_named_points_without_points(self, root, capsys):
+        # Without --points, gen writes no points.npy: a config there is no output.
+        (root / "scene" / "points.npy").write_text(json.dumps({"camera_channels": 4}))
+        assert main(["gen", "--config", "scene/points.npy", "--out", "scene"]) == 0
+        assert json.loads((root / "scene" / "points.npy").read_text()) == {"camera_channels": 4}
+
+
 class TestWeightFiles:
     """Each command reads the weight files of the projections it applies, and no other.
 
@@ -923,7 +952,8 @@ class TestLossCommand:
         report = json.loads((workdir / "out.json").read_text())
         scene = load_scene(workdir / "scene" / "manifest.json")
         config = load_config(cfg)
-        pairs = run_fusion(scene.camera_grid, scene.lidar_grid, scene.camera_proposals,
+        instances = camera_instances(scene.camera_grid, scene.camera_proposals, config)
+        pairs = run_fusion(scene.camera_grid, scene.lidar_grid, instances,
                            scene.lidar_proposals, config)
         cosine = pair_cosine_loss(
             pairs.easy, *build_projections(config, 5, 7, "lidar_squeeze", "camera_squeeze")

@@ -38,7 +38,7 @@ from dualguide.instances import (
     Proposal,
     key_point_coords,
 )
-from dualguide.pipeline import run_fusion, run_matching
+from dualguide.pipeline import camera_instances, run_fusion, run_matching
 from dualguide.synth import Scene, load_scene, write_scene
 
 from test_cli import traced_peak
@@ -52,9 +52,12 @@ DEEP = {"camera_channels": 80, "lidar_channels": 128}
 def dense_artifacts(manifest, out, config, enhance=True):
     """The dense library path: both grids loaded whole, enhanced, saved."""
     scene = load_scene(manifest)
-    run = run_fusion if enhance else run_matching
-    pairs = run(scene.camera_grid, scene.lidar_grid, scene.camera_proposals,
-                scene.lidar_proposals, config)
+    instances = camera_instances(scene.camera_grid, scene.camera_proposals, config)
+    if enhance:
+        pairs = run_fusion(scene.camera_grid, scene.lidar_grid, instances,
+                           scene.lidar_proposals, config)
+    else:
+        pairs = run_matching(instances, scene.lidar_grid, scene.lidar_proposals, config)
     out.mkdir(parents=True)
     save_grid([(scene.camera_grid, out / "enhanced_camera.bevg")])
     save_grid([(scene.lidar_grid, out / "enhanced_lidar.bevg")])
@@ -395,7 +398,8 @@ def test_a_gathered_cell_rewritten_before_the_write_pass_keeps_what_matching_rea
     assert main(["fuse", "--scene", str(handmade), "--out", str(tmp_path / "before")]) == 0
     spec = SMALL.lidar_spec()
     scene = load_scene(handmade)
-    pairs = run_fusion(scene.camera_grid, scene.lidar_grid, scene.camera_proposals,
+    pairs = run_fusion(scene.camera_grid, scene.lidar_grid,
+                       camera_instances(scene.camera_grid, scene.camera_proposals, SMALL),
                        scene.lidar_proposals, SMALL)
     written = {cell for p in pairs.lidar_hard
                for cell in ref_surrounding(world_to_grid(p.anchor.bev_center, spec), spec)}

@@ -21,6 +21,7 @@ from dualguide.matching import match_pairs
 from dualguide.pipeline import (
     build_context_weights,
     build_projections,
+    camera_instances,
     open_scene,
     run_fusion,
     run_matching,
@@ -45,15 +46,16 @@ def scene():
 def run(scene, config=SMALL):
     """`run_fusion` on copies of the scene's grids: the pairs and the two enhanced grids."""
     camera, lidar = scene.camera_grid.copy(), scene.lidar_grid.copy()
-    pairs = run_fusion(camera, lidar, scene.camera_proposals, scene.lidar_proposals, config)
+    instances = camera_instances(camera, scene.camera_proposals, config)
+    pairs = run_fusion(camera, lidar, instances, scene.lidar_proposals, config)
     return pairs, camera, lidar
 
 
 class TestRunFusion:
     def test_matching_alone_keeps_the_grids_and_gives_the_same_pairs(self, scene):
         camera, lidar = scene.camera_grid.data.copy(), scene.lidar_grid.data.copy()
-        pairs = run_matching(scene.camera_grid, scene.lidar_grid, scene.camera_proposals,
-                             scene.lidar_proposals, SMALL)
+        instances = camera_instances(scene.camera_grid, scene.camera_proposals, SMALL)
+        pairs = run_matching(instances, scene.lidar_grid, scene.lidar_proposals, SMALL)
         assert np.array_equal(scene.camera_grid.data, camera)
         assert np.array_equal(scene.lidar_grid.data, lidar)
         assert pair_sets_to_dict(pairs) == pair_sets_to_dict(run(scene)[0])
@@ -100,12 +102,16 @@ class TestRunFusion:
 
     def test_allocates_no_grid(self, scene):
         camera, lidar = scene.camera_grid.copy(), scene.lidar_grid.copy()
-        args = (scene.camera_proposals, scene.lidar_proposals, SMALL)
-        run_fusion(camera, lidar, *args)  # first call pays one-off allocations (imports, caches)
+
+        def fusion():
+            instances = camera_instances(camera, scene.camera_proposals, SMALL)
+            run_fusion(camera, lidar, instances, scene.lidar_proposals, SMALL)
+
+        fusion()  # first call pays one-off allocations (imports, caches)
         gc.collect()
         tracemalloc.start()
         try:
-            run_fusion(camera, lidar, *args)
+            fusion()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -177,13 +183,17 @@ class TestRunFusionOnFusedViews:
     def test_equals_the_contiguous_run(self, seed):
         config = case_config(seed)
         scene = generate_scene(config, seed, 10, "mixed")
-        args = (scene.camera_proposals, scene.lidar_proposals, config)
         c_l = config.lidar_channels
         fused = fuse_grids(scene.camera_grid, scene.lidar_grid)
         raw = fused.data.copy()
-        got = run_fusion(BevGrid(scene.camera_grid.spec, fused.data[:, :, c_l:]),
-                         BevGrid(scene.lidar_grid.spec, fused.data[:, :, :c_l]), *args)
-        want = run_fusion(scene.camera_grid, scene.lidar_grid, *args)
+
+        def fusion(camera, lidar):
+            instances = camera_instances(camera, scene.camera_proposals, config)
+            return run_fusion(camera, lidar, instances, scene.lidar_proposals, config)
+
+        got = fusion(BevGrid(scene.camera_grid.spec, fused.data[:, :, c_l:]),
+                     BevGrid(scene.lidar_grid.spec, fused.data[:, :, :c_l]))
+        want = fusion(scene.camera_grid, scene.lidar_grid)
         assert pair_sets_to_dict(got) == pair_sets_to_dict(want)
         assert fused.data.tobytes() == fuse_grids(scene.camera_grid, scene.lidar_grid).data.tobytes()
         assert not np.array_equal(fused.data, raw), "the scene should enhance some cell"
@@ -310,7 +320,7 @@ class TestOpenScene:
                 return str(exc)
 
         def open_it():
-            with open_scene(manifest, SMALL) as scene:
+            with open_scene(manifest, SMALL) as (scene, _):
                 assert scene.annotations is None and scene.objects is None
                 return scene
 
