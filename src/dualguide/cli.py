@@ -59,7 +59,9 @@ from .metrics import (
 from .pipeline import build_projections, open_scene, run_fusion, run_matching
 from .synth import (
     GAP_PROFILES,
+    MANIFEST_NAME,
     READOUT_CLASS,
+    SCENE_FILE_NAMES,
     SCENE_FILES,
     energy_peak_detections,
     place_scene,
@@ -149,14 +151,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 # The files `fuse` writes into its output directory.
 FUSE_OUTPUTS = ("enhanced_camera.bevg", "enhanced_lidar.bevg", "fused.bevg", "pairs.json")
-# The files `gen` writes into its output directory, points.npy only under --points.
-GEN_OUTPUTS = ("manifest.json", "camera.bevg", "lidar.bevg", "camera_proposals.jsonl",
-               "lidar_proposals.jsonl", "annotations.jsonl", "points.npy")
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    names = GEN_OUTPUTS if args.points else GEN_OUTPUTS[:-1]
+    names = [MANIFEST_NAME] + [name for key, name in SCENE_FILE_NAMES.items()
+                               if args.points or key != "points"]
     _check_outputs(None, [Path(args.out) / name for name in names], (args.config,))
     scene = place_scene(config, args.seed, args.objects, args.profile, args.points)
     print(write_scene(scene, args.out, config, args.seed, args.profile))

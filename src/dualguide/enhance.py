@@ -134,14 +134,11 @@ def enhance_camera_grid(
     data = camera_grid.data
     # The original values every write reads, gathered before the first write.
     sampled = bilinear_sample(camera_grid, (rows, cols))
-    original = data[cell_rows, cell_cols]
-    written = {}  # each written cell's running value, stored once at the end
-    for k, cell in enumerate(zip(cell_rows.tolist(), cell_cols.tolist())):
-        base = original[k] if k < n_easy else written.get(cell, original[k])
-        written[cell] = base + sampled[k] * proj.apply(member_of(pairs[k], "lidar").raw)
-    if written:
-        cells = np.array(list(written))
-        data[cells[:, 0], cells[:, 1]] = np.array(list(written.values()))
+    easy_base = data[cell_rows[:n_easy], cell_cols[:n_easy]]
+    for k, pair in enumerate(pairs):
+        cell = (cell_rows[k], cell_cols[k])
+        base = easy_base[k] if k < n_easy else data[cell]
+        data[cell] = base + sampled[k] * proj.apply(member_of(pair, "lidar").raw)
     return camera_grid
 
 

@@ -222,8 +222,8 @@ def read_grid_rows(f: BinaryIO, spec: GridSpec, first_row: int, out: np.ndarray)
     f.seek(_GRID_HEADER.size + first_row * spec.width_cells * spec.channels * 4)
     if f.readinto(out) != out.nbytes:
         raise DataFormatError(f"{Path(f.name)}: payload ends before row {first_row + len(out)}")
-    if not np.isfinite(out).all():
-        bad = out.size - int(np.count_nonzero(np.isfinite(out)))
+    bad = out.size - int(np.count_nonzero(np.isfinite(out)))
+    if bad:
         raise DataFormatError(f"{Path(f.name)}: {bad} non-finite grid values")
 
 

@@ -413,6 +413,21 @@ def generate_scene(
                    lidar_grid=whole(scene.lidar_grid))
 
 
+# The file `write_scene` writes for each `files` entry of a scene manifest,
+# points.npy only for a scene with a point cloud, and the manifest's own name.
+SCENE_FILE_NAMES = {
+    "camera_grid": "camera.bevg",
+    "lidar_grid": "lidar.bevg",
+    "camera_proposals": "camera_proposals.jsonl",
+    "lidar_proposals": "lidar_proposals.jsonl",
+    "annotations": "annotations.jsonl",
+    "points": "points.npy",
+}
+MANIFEST_NAME = "manifest.json"
+# The `files` entries of a scene manifest that `load_scene` reads.
+SCENE_FILES = tuple(SCENE_FILE_NAMES)
+
+
 def write_scene(scene: Scene, out_dir: str | Path, config: PipelineConfig, seed: int,
                 gap_profile: str) -> Path:
     """Persist a scene and return the manifest path.
@@ -429,22 +444,15 @@ def write_scene(scene: Scene, out_dir: str | Path, config: PipelineConfig, seed:
         )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    save_grid([(scene.camera_grid, out / "camera.bevg")])
-    save_grid([(scene.lidar_grid, out / "lidar.bevg")])
-    save_proposals(scene.camera_proposals, out / "camera_proposals.jsonl")
-    save_proposals(scene.lidar_proposals, out / "lidar_proposals.jsonl")
-    save_annotations(scene.annotations, out / "annotations.jsonl")
-    files = {
-        "camera_grid": "camera.bevg",
-        "lidar_grid": "lidar.bevg",
-        "camera_proposals": "camera_proposals.jsonl",
-        "lidar_proposals": "lidar_proposals.jsonl",
-        "annotations": "annotations.jsonl",
-        "points": None,
-    }
+    files = dict(SCENE_FILE_NAMES, points=None)
+    save_grid([(scene.camera_grid, out / files["camera_grid"])])
+    save_grid([(scene.lidar_grid, out / files["lidar_grid"])])
+    save_proposals(scene.camera_proposals, out / files["camera_proposals"])
+    save_proposals(scene.lidar_proposals, out / files["lidar_proposals"])
+    save_annotations(scene.annotations, out / files["annotations"])
     if scene.points is not None:
-        save_points(scene.points, out / "points.npy")
-        files["points"] = "points.npy"
+        files["points"] = SCENE_FILE_NAMES["points"]
+        save_points(scene.points, out / files["points"])
     manifest = {
         "seed": seed,
         "gap_profile": gap_profile,
@@ -460,14 +468,9 @@ def write_scene(scene: Scene, out_dir: str | Path, config: PipelineConfig, seed:
         "files": files,
         "objects": to_records(scene.objects, OBJECT_FIELDS),
     }
-    manifest_path = out / "manifest.json"
+    manifest_path = out / MANIFEST_NAME
     save_json(manifest, manifest_path)
     return manifest_path
-
-
-# The `files` entries of a scene manifest that `load_scene` reads.
-SCENE_FILES = ("camera_grid", "lidar_grid", "camera_proposals", "lidar_proposals",
-               "annotations", "points")
 
 
 def scene_paths(
