@@ -3,38 +3,39 @@
 Subcommands: gen (synthesize a scene), fuse (run the full pipeline and write
 enhanced/fused grids plus the pair dump), match (pair matching only), eval
 (stratified metrics), stats (visibility/point-count histogram), loss (loss
-components from supplied arrays and an optional scene). Exit codes: 0 on
-success, 1 on usage errors, 2 in one line on data/configuration errors and
-on any failed file operation: a missing path, a directory where a file is
-read, a file where `--out` names a directory, or a failed write.
+components from supplied arrays and an optional scene).
 
-`gen` places its scene (`synth.place_scene`) and writes it with the
-library's one scene writer, `synth.write_scene`: `formats.save_grid` renders
-each grid file in row blocks while writing it, so `gen` never holds a grid.
-`fuse`, `match` and `loss` open their scene with `pipeline.open_scene`,
-which reads each grid file through one handle that stays open. It reads
-the camera grid whole only for the refine and the camera extraction, keeps
-the camera cells the enhancement reads and writes, and drops the array
-before it gathers, in one checked pass, the LiDAR cells the front stage
-samples; the annotations and manifest objects are checked but not built.
-Past the camera extraction, `match` and `loss` hold only gathered cells.
-`fuse` enhances the gathered cells of both
-grids in place (`pipeline.run_fusion`, or `pipeline.run_matching` alone
-under `--no-enhance`). It then writes `enhanced_camera.bevg`,
-`enhanced_lidar.bevg` and `fused.bevg` in one pass over row blocks
-(`formats.save_grid`): each block's camera and LiDAR rows are read once
-through their handles, checked, with the gathered cells rounded in. So it
-holds no grid or concatenation while it writes, and reads `camera.bevg` and
-`lidar.bevg` twice each. Every command that takes a scene parses its
-manifest once, and every command refuses, before writing anything, an
-output that is one of its inputs (a scene file, `eval`'s detections or
-grid, `loss`'s components, the config or a weight file read).
+`main` parses, dispatches and reports data errors. The parser is built on
+the first call only (`build_parser` is cached); each subparser sets its
+command's handler as `run`. Exit codes: 0 on success and `--help`, 1 on
+usage errors (argparse's 2), 2 in one line on a `DataFormatError`, a
+`ConfigurationError` or a failed file operation (`OSError`): a missing
+path, a directory where a file is read, a file where `--out` names a
+directory, a grid output that is neither a regular file nor absent, or a
+failed write. Data is checked where it enters, so any other exception is a
+bug and propagates. `DUALGUIDE_LOG` is read on every call.
+
+`gen` places its scene (`synth.place_scene`) and writes it with
+`synth.write_scene`, which renders each grid file in row blocks, so `gen`
+never holds a grid. `fuse`, `match` and `loss` open their scene with
+`pipeline.open_scene`: it holds the dense camera grid only through the
+refine and the camera extraction, then gathers the LiDAR cells the front
+stage samples. `fuse` enhances the gathered cells of both grids in place
+(`pipeline.run_fusion`, or `pipeline.run_matching` alone under
+`--no-enhance`), then writes `enhanced_camera.bevg`, `enhanced_lidar.bevg`
+and `fused.bevg` in one pass over row blocks (`formats.save_grid`), reading
+each block's camera and LiDAR rows again through their handles. So it holds
+no grid or concatenation while it writes. Every command that takes a scene
+parses its manifest once, and every command refuses, before writing
+anything, an output that is one of its inputs (a scene file, `eval`'s
+detections or grid, `loss`'s components, the config or a weight file read).
 `eval`'s readout reads the grid's energy map in row blocks, never the grid.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -73,14 +74,6 @@ from .synth import (
 log = logging.getLogger("dualguide")
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage problems; this project reserves 2 for data
-    # errors, so remap usage failures to 1.
-    def error(self, message: str):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     """--config plus the four pipeline flags, for the commands that read them."""
     p.add_argument("--config", help="JSON config file; flags override its values")
@@ -98,8 +91,10 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
     return load_config(args.config, **{d: getattr(args, d) for d in _PIPELINE_DESTS})
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="dualguide", description=__doc__)
+    """The one parser of a process; each subparser sets `run`, its command's handler."""
+    parser = argparse.ArgumentParser(prog="dualguide", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="synthesize a scene")
@@ -109,6 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--profile", default="mixed", choices=GAP_PROFILES)
     p_gen.add_argument("--points", action="store_true", help="also write a point cloud")
     p_gen.add_argument("--config", help="JSON config file; gen reads its grid size and depths")
+    p_gen.set_defaults(run=_cmd_gen)
 
     p_fuse = sub.add_parser("fuse", help="run the fusion pipeline on a scene")
     p_fuse.add_argument("--scene", default="scene/manifest.json")
@@ -116,11 +112,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuse.add_argument("--no-enhance", action="store_true",
                         help="fuse the raw grids (baseline), skipping enhancement")
     _add_config_flags(p_fuse)
+    p_fuse.set_defaults(run=_cmd_fuse)
 
     p_match = sub.add_parser("match", help="instance pair matching only")
     p_match.add_argument("--scene", default="scene/manifest.json")
     p_match.add_argument("--out", default=None, help="defaults to pairs.json next to the scene")
     _add_config_flags(p_match)
+    p_match.set_defaults(run=_cmd_match)
 
     p_eval = sub.add_parser("eval", help="stratified detection metrics")
     p_eval.add_argument("--scene", default="scene/manifest.json")
@@ -131,10 +129,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--max-peaks", dest="max_peaks", type=int, default=None)
     p_eval.add_argument("--axis", default="none", choices=("none",) + AXES)
     p_eval.add_argument("--out", default=None, help="report JSON path")
+    p_eval.set_defaults(run=_cmd_eval)
 
     p_stats = sub.add_parser("stats", help="visibility/point-count histogram")
     p_stats.add_argument("--scene", default="scene/manifest.json")
     p_stats.add_argument("--out", default=None)
+    p_stats.set_defaults(run=_cmd_stats)
 
     p_loss = sub.add_parser("loss", help="loss components and total")
     p_loss.add_argument("--components", required=True,
@@ -145,6 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="running maximum of the cosine loss so far")
     p_loss.add_argument("--out", default=None)
     _add_config_flags(p_loss)
+    p_loss.set_defaults(run=_cmd_loss)
 
     return parser
 
@@ -153,14 +154,13 @@ def build_parser() -> argparse.ArgumentParser:
 FUSE_OUTPUTS = ("enhanced_camera.bevg", "enhanced_lidar.bevg", "fused.bevg", "pairs.json")
 
 
-def _cmd_gen(args: argparse.Namespace) -> int:
+def _cmd_gen(args: argparse.Namespace) -> None:
     config = load_config(args.config)
     names = [MANIFEST_NAME] + [name for key, name in SCENE_FILE_NAMES.items()
                                if args.points or key != "points"]
     _check_outputs(None, [Path(args.out) / name for name in names], (args.config,))
     scene = place_scene(config, args.seed, args.objects, args.profile, args.points)
     print(write_scene(scene, args.out, config, args.seed, args.profile))
-    return 0
 
 
 def _check_outputs(manifest: str | None, outputs: list[Path], inputs: tuple = (),
@@ -188,7 +188,7 @@ def _check_outputs(manifest: str | None, outputs: list[Path], inputs: tuple = ()
     return parsed
 
 
-def _cmd_fuse(args: argparse.Namespace) -> int:
+def _cmd_fuse(args: argparse.Namespace) -> None:
     config = _config_from_args(args)  # checked before the scene loads
     out = Path(args.out) if args.out else Path(args.scene).parent
     # The config, and the weight files run_fusion reads.
@@ -211,10 +211,9 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
         len(pairs.easy), len(pairs.camera_hard), len(pairs.lidar_hard),
     )
     print(out / "fused.bevg")
-    return 0
 
 
-def _cmd_match(args: argparse.Namespace) -> int:
+def _cmd_match(args: argparse.Namespace) -> None:
     config = _config_from_args(args)
     out = Path(args.out) if args.out else Path(args.scene).parent / "pairs.json"
     parsed = _check_outputs(args.scene, [out], (args.config,))
@@ -222,10 +221,9 @@ def _cmd_match(args: argparse.Namespace) -> int:
         pairs = run_matching(instances, scene.lidar_grid, scene.lidar_proposals, config)
     formats.save_pair_sets(pairs, out)
     print(out)
-    return 0
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
+def _cmd_eval(args: argparse.Namespace) -> None:
     out = Path(args.out) if args.out else Path(args.scene).parent / "report.json"
     source = Path(args.dets or args.peaks_from or Path(args.scene).parent / "fused.bevg")
     _, paths = _check_outputs(args.scene, [out], (source,), ("annotations",))
@@ -253,10 +251,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         text += "\nmAP is class-agnostic: readout detections carry no class"
     print(text)
     formats.save_json({**strat.to_dict(), "class_agnostic": class_agnostic}, out)
-    return 0
 
 
-def _cmd_stats(args: argparse.Namespace) -> int:
+def _cmd_stats(args: argparse.Namespace) -> None:
     out = Path(args.out) if args.out else Path(args.scene).parent / "stats.json"
     _, paths = _check_outputs(args.scene, [out], keys=("annotations", "points"))
     points = formats.load_points(paths["points"]) if "points" in paths else None
@@ -268,7 +265,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         {"buckets": list(POINT_BUCKETS), "counts": {str(t): table[t] for t in table}},
         out,
     )
-    return 0
 
 
 def _loss_array(key: str, value) -> np.ndarray:
@@ -293,7 +289,7 @@ def _branch_loss(name: str, branch) -> float:
     return value
 
 
-def _cmd_loss(args: argparse.Namespace) -> int:
+def _cmd_loss(args: argparse.Namespace) -> None:
     if not (np.isfinite(args.history) and args.history >= 0):  # the cosine loss is in [0, 2]
         raise ConfigurationError(f"--history must be a finite number >= 0, got {args.history}")
     config = _config_from_args(args)
@@ -343,42 +339,32 @@ def _cmd_loss(args: argparse.Namespace) -> int:
     print(json.dumps(report, sort_keys=True))
     if args.out:
         formats.save_json(report, args.out)
-    return 0
-
-
-_COMMANDS = {
-    "gen": _cmd_gen,
-    "fuse": _cmd_fuse,
-    "match": _cmd_match,
-    "eval": _cmd_eval,
-    "stats": _cmd_stats,
-    "loss": _cmd_loss,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
-    level = os.environ.get("DUALGUIDE_LOG", "error").lower()
-    logging.basicConfig(
-        level={"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}.get(
-            level, logging.ERROR
-        ),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "loss" and not args.scene:
-            for dest in _PIPELINE_DESTS:
-                if getattr(args, dest) is not None:
-                    parser.error(f"loss: --{dest.replace('_', '-')} needs --scene")
+        given = [dest for dest in _PIPELINE_DESTS if getattr(args, dest, None) is not None]
+        if args.command == "loss" and not args.scene and given:
+            parser.error(f"loss: --{given[0].replace('_', '-')} needs --scene")
         if args.command == "eval" and args.dets and args.max_peaks is not None:
             parser.error("eval: --max-peaks caps the readout, which --dets replaces")
-        return _COMMANDS[args.command](args)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    except (DataFormatError, ConfigurationError, ContractError, OSError, KeyError) as exc:
+    except SystemExit as exc:  # argparse exits 2 on a usage error, which is 1 here
+        return 1 if exc.code else 0
+    # basicConfig acts once per process, so the level is set for each command.
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    level = os.environ.get("DUALGUIDE_LOG", "error").lower()
+    outer = log.level
+    log.setLevel({"info": logging.INFO, "debug": logging.DEBUG}.get(level, logging.ERROR))
+    try:
+        args.run(args)
+    except (DataFormatError, ConfigurationError, OSError) as exc:
         print(f"dualguide: error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        log.setLevel(outer)
+    return 0
 
 
 if __name__ == "__main__":

@@ -39,11 +39,12 @@ newline. A failed write raises an OSError naming its file.
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
 import struct
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import ExitStack, nullcontext
 from itertools import chain
 from operator import itemgetter, methodcaller
@@ -93,6 +94,14 @@ class _Naming:
             exc.filename = str(self.path)
 
 
+def check_replaceable(paths: Iterable[str | Path]) -> None:
+    """Raise OSError naming a grid path, or its sidecar, whose target is not a file or nothing."""
+    for path in paths:
+        for name in (path, f"{os.path.realpath(path)}.json"):
+            if os.path.exists(name) and not os.path.isfile(name):
+                raise OSError(errno.EEXIST, "not a regular file, so not replaced", str(name))
+
+
 def save_grid(outputs: Sequence[tuple]) -> None:
     """Write grid files of one window and their JSON sidecars in one pass over row blocks.
 
@@ -107,11 +116,13 @@ def save_grid(outputs: Sequence[tuple]) -> None:
     existing grid file is replaced by a new file, never truncated in place:
     a hard link to the old file keeps its bytes. A symlinked path is written
     at the link's target, and the sidecar (`<target>.json`) beside the
-    target. The outputs are created in order and their sidecars written in
-    order after the pass, so every file ends as separate saves in that order
-    would leave it.
+    target. An output that is not a regular file or nothing is refused
+    before any is opened. The outputs are created in order and their
+    sidecars written in order after the pass, so every file ends as separate
+    saves in that order would leave it.
     """
     layouts = [(output[:-1], output[-1]) for output in outputs]
+    check_replaceable(path for _, path in layouts)
     grids = list({id(g): g for gs, _ in layouts for g in gs}.values())
     window = concat_spec([g.spec for g in grids])  # every output covers one window
     specs = [concat_spec([g.spec for g in gs]) for gs, _ in layouts]

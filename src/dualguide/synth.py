@@ -64,6 +64,7 @@ from .formats import (
     ANNOTATION_FIELDS,
     OBJECT_FIELDS,
     OBJECT_PROFILES,
+    check_replaceable,
     grid_blocks,
     load_grid,
     load_json,
@@ -445,6 +446,7 @@ def write_scene(scene: Scene, out_dir: str | Path, config: PipelineConfig, seed:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     files = dict(SCENE_FILE_NAMES, points=None)
+    check_replaceable(out / files[key] for key in ("camera_grid", "lidar_grid"))  # before writing
     save_grid([(scene.camera_grid, out / files["camera_grid"])])
     save_grid([(scene.lidar_grid, out / files["lidar_grid"])])
     save_proposals(scene.camera_proposals, out / files["camera_proposals"])

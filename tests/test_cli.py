@@ -1,9 +1,11 @@
 """CLI subcommands, exit codes, and the documented command chain."""
 
+import argparse
 import gc
 import json
 import os
 import resource
+import stat
 import struct
 import subprocess
 import sys
@@ -17,7 +19,7 @@ import pytest
 import dualguide
 from dualguide.cli import FUSE_OUTPUTS, main
 from dualguide.config import load_config
-from dualguide.errors import DataFormatError
+from dualguide.errors import ContractError, DataFormatError
 from dualguide.formats import load_grid, save_grid
 from dualguide.grid import BevGrid, GridSpec
 from dualguide.losses import pair_cosine_loss
@@ -470,6 +472,15 @@ class TestManifestShape:
         assert main(["stats"]) == 0
 
 
+def fresh_process(workdir, args, env=(), **kwargs):
+    """`python *args` in a new process in workdir, importing this checkout's dualguide."""
+    src = str(Path(dualguide.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+           **dict(env)}
+    return subprocess.run([sys.executable, *args], cwd=workdir, env=env, capture_output=True,
+                          text=True, **kwargs)
+
+
 class TestFailedWrite:
     """A write that fails (here: a file-size limit, as a full disk would) names its file."""
 
@@ -485,11 +496,8 @@ class TestFailedWrite:
         def limit_file_size():  # in the child only
             resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
 
-        src = str(Path(dualguide.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        done = subprocess.run([sys.executable, "-m", "dualguide.cli", command], cwd=workdir,
-                              env=env, capture_output=True, text=True,
-                              preexec_fn=limit_file_size)
+        done = fresh_process(workdir, ["-m", "dualguide.cli", command],
+                             preexec_fn=limit_file_size)
         assert done.returncode == 2, done.stderr
         (line,) = done.stderr.splitlines()
         assert line.startswith("dualguide: error: [Errno 27] File too large: "), line
@@ -1121,3 +1129,133 @@ class TestDeterminism:
         assert gen_fuse() == first
         assert (scene / "fused.bevg").stat().st_ino != (workdir / "first_fused.bevg").stat().st_ino
         assert (workdir / "first_fused.bevg").read_bytes() == first["fused.bevg"]
+
+
+class TestOneParser:
+    """`main` builds its parser once per process, and each call parses afresh."""
+
+    def test_a_later_call_builds_no_parser(self, workdir, capsys, monkeypatch):
+        main(["gen", "--bogus"])  # the process's first call, if no test made one before
+        built = []
+        init = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda self, *a, **kw: built.append(self) or init(self, *a, **kw))
+        cfg = small_config(workdir)
+        assert main(["gen", "--seed", "2", "--objects", "5", "--config", cfg]) == 0
+        assert main(["eval", "--bogus"]) == 1
+        assert main(["match", "--help"]) == 0
+        assert built == []
+
+    def test_flags_do_not_leak_between_calls(self, workdir, capsys):
+        cfg = small_config(workdir)
+        assert main(["gen", "--seed", "9", "--objects", "10", "--config", cfg]) == 0
+        assert main(["fuse", "--no-enhance", "--config", cfg]) == 0
+        raw = (workdir / "scene" / "fused.bevg").read_bytes()
+        assert main(["fuse", "--config", cfg]) == 0
+        assert fresh_process(workdir, ["-m", "dualguide.cli", "fuse", "--config", cfg,
+                                       "--out", "fresh"]).returncode == 0
+        for name in FUSE_OUTPUTS:
+            fresh = (workdir / "fresh" / name).read_bytes()
+            assert (workdir / "scene" / name).read_bytes() == fresh, name
+        assert (workdir / "fresh" / "fused.bevg").read_bytes() != raw  # the flag mattered
+
+        assert main(["eval", "--max-peaks", "3", "--out", "capped.json"]) == 0
+        assert main(["eval"]) == 0
+        assert fresh_process(workdir, ["-m", "dualguide.cli", "eval",
+                                       "--out", "fresh.json"]).returncode == 0
+        report = (workdir / "scene" / "report.json").read_bytes()
+        assert report == (workdir / "fresh.json").read_bytes()
+        assert report != (workdir / "capped.json").read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--bogus"],
+        ["frobnicate"],
+        ["gen", "--profile", "foggy"],
+        ["eval", "--dets", "d.jsonl", "--peaks-from", "g.bevg"],
+        ["eval", "--dets", "d.jsonl", "--max-peaks", "3"],
+        ["loss", "--components", "c.json", "--gamma", "0.5"],
+    ])
+    def test_a_usage_error_reads_the_same_on_every_call(self, workdir, capsys, monkeypatch,
+                                                        argv):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
+        first = fresh_process(workdir, ["-m", "dualguide.cli", *argv])
+        assert first.returncode == 1 and "usage: dualguide" in first.stderr
+        for _ in range(2):
+            assert main(argv) == 1
+            assert capsys.readouterr().err == first.stderr
+
+    @pytest.mark.parametrize("argv", [["--help"], ["fuse", "--help"]])
+    def test_help_exits_0(self, workdir, capsys, argv):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("usage: dualguide")
+
+    @pytest.mark.parametrize("error", [KeyError("files"), ContractError("shapes differ")])
+    def test_an_error_raised_inside_a_command_propagates(self, workdir, capsys, monkeypatch,
+                                                         error):
+        cfg = small_config(workdir)
+        assert main(["gen", "--seed", "2", "--objects", "5", "--config", cfg]) == 0
+
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr("dualguide.cli.run_matching", fail)
+        with pytest.raises(type(error)):
+            main(["match", "--config", cfg])
+
+
+def test_dualguide_log_is_read_on_every_call(workdir):
+    cfg = small_config(workdir)
+    script = f"""import os
+from dualguide.cli import main
+main(["gen", "--seed", "9", "--objects", "10", "--config", {cfg!r}])
+os.environ["DUALGUIDE_LOG"] = "info"
+main(["fuse", "--config", {cfg!r}])
+os.environ["DUALGUIDE_LOG"] = "error"
+main(["fuse", "--config", {cfg!r}])
+"""
+    calls = fresh_process(workdir, ["-c", script], {"DUALGUIDE_LOG": "error"})
+    alone = fresh_process(workdir, ["-m", "dualguide.cli", "fuse", "--config", cfg],
+                          {"DUALGUIDE_LOG": "info"})
+    assert calls.returncode == alone.returncode == 0
+    assert alone.stderr.startswith("INFO dualguide: fused "), alone.stderr
+    assert calls.stderr == alone.stderr
+
+
+class TestOutputKind:
+    """A grid output whose target is not a regular file exits 2 and is not replaced."""
+
+    @pytest.fixture()
+    def root(self, workdir):
+        assert main(["gen", "--seed", "2", "--objects", "6"]) == 0
+        os.mkfifo(workdir / "pipe")
+        return workdir
+
+    @pytest.mark.parametrize("command, name", [
+        ("gen", "camera.bevg"), ("gen", "lidar.bevg"),
+        ("fuse", "enhanced_lidar.bevg"), ("fuse", "fused.bevg"),
+    ])
+    @pytest.mark.parametrize("linked", [False, True], ids=["fifo", "link-to-fifo"])
+    def test_a_fifo_is_refused_before_anything_is_written(self, root, capsys, command, name,
+                                                          linked):
+        path = root / "scene" / name
+        path.unlink(missing_ok=True)
+        if linked:
+            path.symlink_to(root / "pipe")
+        else:
+            os.mkfifo(path)
+        before = snapshot(root)
+        capsys.readouterr()
+        # gen writes another seed's scene, so a grid it rewrote would show.
+        assert main([command] + (["--seed", "3"] if command == "gen" else [])) == 2
+        assert capsys.readouterr().err == (
+            f"dualguide: error: [Errno 17] not a regular file, so not replaced: 'scene/{name}'\n")
+        assert snapshot(root) == before
+        assert all(stat.S_ISFIFO(os.stat(p).st_mode) for p in (path, root / "pipe"))
+
+    def test_a_directory_at_a_sidecar_path_is_refused_before_any_grid_is_written(
+            self, root, capsys):
+        (root / "scene" / "fused.bevg.json").mkdir()
+        before = snapshot(root)
+        assert main(["fuse"]) == 2
+        assert "fused.bevg.json'" in capsys.readouterr().err
+        assert snapshot(root) == before
