@@ -34,7 +34,9 @@ number, and an integer field takes only JSON integers). Only when a column
 check fails does it run the per-record loop, whose first failing check
 gives the message. With `check_only` it checks alike and builds no item.
 `save_json` writes `json.dumps(obj, sort_keys=True, indent=2)` and a
-newline. A failed write raises an OSError naming its file.
+newline. A failed write raises an OSError naming its file, and a JSON or
+JSON-lines output that is a FIFO with no reader fails at once (ENXIO)
+instead of blocking.
 """
 
 from __future__ import annotations
@@ -345,10 +347,18 @@ def _integral(name: str, value) -> int:
     return int(value)
 
 
+def _write_text(text: str, path: str | Path) -> None:
+    # A non-blocking open fails with ENXIO on a FIFO that no process reads,
+    # where a blocking one would wait for a reader forever.
+    flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_NONBLOCK
+    with _Naming(path), open(os.open(path, flags, 0o666), "w", encoding="utf-8") as f:
+        os.set_blocking(f.fileno(), True)
+        f.write(text)
+
+
 def _write_jsonl(records: list[dict], path: str | Path) -> None:
     lines = [json.dumps(rec, sort_keys=True) for rec in records]
-    with _Naming(path):
-        Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+    _write_text("\n".join(lines) + ("\n" if lines else ""), path)
 
 
 def _read_text(path: str | Path) -> str:
@@ -563,8 +573,7 @@ def save_pair_sets(sets: PairSets, path: str | Path) -> None:
 
 def save_json(obj: dict, path: str | Path) -> None:
     """Write `obj` as the text of `json.dumps(obj, sort_keys=True, indent=2)` and a newline."""
-    with _Naming(path):
-        Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    _write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", path)
 
 
 def load_json(path: str | Path) -> dict:

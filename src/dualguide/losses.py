@@ -77,18 +77,16 @@ def l1_loss(pred: np.ndarray, target: np.ndarray) -> float:
 def pair_cosine_loss(
     pairs: list[InstancePair],
     lidar_proj: Projection,
-    camera_proj: Projection | None = None,
+    camera_proj: Projection,
 ) -> float | None:
     """Mean (1 - cosine similarity) over easy pairs, in [0, 2].
 
-    Both members are projected to the common channel dimension first (the
-    camera projection defaults to the LiDAR one when feature lengths agree).
+    Both members are projected to the common channel dimension first, each
+    by its modality's projection.
     Zero-norm projected vectors are excluded with a warning. Returns None for
     an empty pair list so the composite loss can substitute its running
     maximum.
     """
-    if camera_proj is None:
-        camera_proj = lidar_proj
     if not pairs:
         return None
     total = 0.0

@@ -182,9 +182,9 @@ def test_criterion_4_distance_weight_formula():
 
 def test_criterion_5_loss_suite():
     proj = identity(2)
-    identical = pair_cosine_loss([cosine_pair([1.0, 2.0], [1.0, 2.0])], proj)
-    orthogonal = pair_cosine_loss([cosine_pair([1.0, 0.0], [0.0, 1.0])], proj)
-    antiparallel = pair_cosine_loss([cosine_pair([1.0, 1.0], [-1.0, -1.0])], proj)
+    identical = pair_cosine_loss([cosine_pair([1.0, 2.0], [1.0, 2.0])], proj, proj)
+    orthogonal = pair_cosine_loss([cosine_pair([1.0, 0.0], [0.0, 1.0])], proj, proj)
+    antiparallel = pair_cosine_loss([cosine_pair([1.0, 1.0], [-1.0, -1.0])], proj, proj)
     cos_ok = (
         abs(identical - 0.0) <= 1e-12
         and abs(orthogonal - 1.0) <= 1e-12

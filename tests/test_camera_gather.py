@@ -67,7 +67,8 @@ def assert_all_commands_match_dense(manifest, root):
 def test_generated_scenes_match_the_dense_path(tmp_path, capsys, seed):
     argv = ["gen", "--seed", str(seed), "--objects", "60", "--out", str(tmp_path / "scene")]
     assert main(argv + ["--points"] * (seed % 2)) == 0
-    assert_all_commands_match_dense(tmp_path / "scene" / "manifest.json", tmp_path)
+    pairs = assert_all_commands_match_dense(tmp_path / "scene" / "manifest.json", tmp_path)
+    assert pairs.lidar_hard  # so fuse runs the Image-guide-Point write path
 
 
 def c8_shaped_scene(out_dir, seed, camera_channels, lidar_channels):

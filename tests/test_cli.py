@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes, and the documented command chain."""
 
 import argparse
+import bisect
 import gc
 import json
 import os
@@ -41,6 +42,21 @@ def small_config(tmp_path):
         "camera_channels": 5, "lidar_channels": 7,
     }))
     return str(path)
+
+
+def exits_2(argv, capsys):
+    """The stderr of `main(argv)`, which must exit 2 with one line and no warning.
+
+    Warnings are errors here, so a warning raised in `main` escapes it, as
+    an exception that would print a traceback does, and fails the test.
+    """
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("dualguide: error: ") and err.count("\n") == 1, err
+    return err
 
 
 class TestExitCodes:
@@ -111,8 +127,9 @@ class TestExitCodes:
             assert main(["gen", "--seed", "1", "--objects", "4",
                          "--config", small_config(workdir)]) == 0
         (workdir / "c.json").write_text(json.dumps(values))
-        assert main([command, "--config", "c.json"]) == 2
-        assert f"c.json: {message}" in capsys.readouterr().err
+        before = snapshot(workdir)
+        assert f"c.json: {message}" in exits_2([command, "--config", "c.json"], capsys)
+        assert snapshot(workdir) == before
 
     def test_dets_and_peaks_from_together_is_usage_error(self, workdir, capsys):
         assert main(["eval", "--dets", "dets.jsonl", "--peaks-from", "fused.bevg"]) == 1
@@ -125,8 +142,7 @@ class TestExitCodes:
         assert not (workdir / "scene").exists()
 
     def test_negative_seed_is_config_error(self, workdir, capsys):
-        assert main(["gen", "--seed", "-1"]) == 2
-        assert "seed must be >= 0, got 12 and -1" in capsys.readouterr().err
+        assert "seed must be >= 0, got 12 and -1" in exits_2(["gen", "--seed", "-1"], capsys)
         assert not (workdir / "scene").exists()
 
     def test_non_finite_grid_is_data_error(self, workdir, capsys):
@@ -288,10 +304,8 @@ class TestInputBoundary:
     def test_nesting_too_deep_is_invalid_json(self, scene, capsys, argv, name):
         (scene.parent / name.removesuffix(":1")).write_text("[" * 100_000 + "\n")
         before = snapshot(scene.parent)
-        assert main(argv) == 2
-        err = capsys.readouterr().err
+        err = exits_2(argv, capsys)
         assert err.startswith(f"dualguide: error: {name}: invalid JSON (maximum recursion"), err
-        assert err.count("\n") == 1
         assert snapshot(scene.parent) == before
 
     @pytest.mark.parametrize("name", ["annotations.jsonl", "manifest.json"])
@@ -442,8 +456,7 @@ class TestManifestShape:
             "object-negative-point-count"])
     def test_bad_shape_is_data_error(self, manifest, capsys, command, edit, expected):
         manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
-        assert main([command]) == 2
-        err = capsys.readouterr().err
+        err = exits_2([command], capsys)
         assert f"scene/manifest.json: {expected}" in err, err
         assert not (manifest.parent / "report.json").exists()
         assert not (manifest.parent / "fused.bevg").exists()
@@ -525,11 +538,7 @@ class TestWrongKindPath:
 
     def fails_in_one_line(self, capsys, root, argv, named):
         before = snapshot(root)
-        capsys.readouterr()
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("dualguide: error: ") and err.count("\n") == 1, err
-        assert f"'{named}'" in err and "Traceback" not in err, err
+        assert f"'{named}'" in exits_2(argv, capsys)
         assert snapshot(root) == before
 
     @pytest.mark.parametrize("argv, named", [
@@ -599,8 +608,7 @@ class TestProposalSlots:
     def test_wrong_modality_fails_before_writing(self, root, capsys, argv, damage, expected):
         damage(root / "scene")
         before = snapshot(root)
-        assert main(argv) == 2
-        assert expected in capsys.readouterr().err
+        assert expected in exits_2(argv, capsys)
         assert snapshot(root) == before
 
 
@@ -683,10 +691,8 @@ class TestWeightFiles:
         write_projection(root / "bad.proj", rows, cols)
         config = self.config(root, **{f"{name}_path": "bad.proj"})
         before = snapshot(root)
-        assert main([*argv, "--config", config]) == 2
-        err = capsys.readouterr().err
+        err = exits_2([*argv, "--config", config], capsys)
         assert f"bad.proj: {name}_path maps {cols} values to {rows}, the scene needs" in err, err
-        assert "Traceback" not in err and err.count("\n") == 1
         assert snapshot(root) == before
 
     @pytest.mark.parametrize("argv, name", [
@@ -707,8 +713,7 @@ class TestWeightFiles:
         (root / "short.proj").write_bytes(b"PROJ\x01\x00\x00")
         config = self.config(root, **{f"{name}_path": path})
         before = snapshot(root)
-        assert main([*argv, "--config", config]) == 2
-        err = capsys.readouterr().err
+        err = exits_2([*argv, "--config", config], capsys)
         assert err == f"dualguide: error: {path}: {name}_path: {reason}\n"
         assert snapshot(root) == before
 
@@ -730,8 +735,7 @@ class TestWeightFiles:
             write_projection(root / output, *SMALL_SHAPES[name])
         config = self.config(root, **({f"{name}_path": output} if name else {}))
         before = snapshot(root)
-        assert main([*argv, "--config", config]) == 2
-        err = capsys.readouterr().err
+        err = exits_2([*argv, "--config", config], capsys)
         assert err == f"dualguide: error: output {output} is the input {output}\n"
         assert snapshot(root) == before
 
@@ -835,8 +839,13 @@ class TestCommandChain:
         assert main(["stats"]) == 0
         stats = json.loads((workdir / "scene" / "stats.json").read_text())
         assert stats["buckets"] == ["0", "1", "2-4", "5-9", "10-49", "50+"]
-        total = sum(sum(row) for row in stats["counts"].values())
-        assert total == 8
+        # The counts stats measures in the point cloud are the ones the annotations store.
+        counts = {str(token): [0] * 6 for token in (1, 2, 3, 4)}
+        for line in (workdir / "scene" / "annotations.jsonl").read_text().splitlines():
+            record = json.loads(line)
+            bucket = bisect.bisect_right((0, 1, 2, 5, 10, 50), record["num_lidar_pts"]) - 1
+            counts[str(record["visibility_token"])][bucket] += 1
+        assert stats["counts"] == counts and sum(map(sum, counts.values())) == 8
 
     def test_eval_accepts_detection_file(self, workdir):
         cfg = small_config(workdir)
@@ -1010,12 +1019,8 @@ class TestLossCommand:
         comp = {branch: {"cls_pred": [0.9], "cls_target": [1]}
                 for branch in ("head", "lidar", "camera")}
         (workdir / "loss.json").write_text(json.dumps(edit(comp)))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # numpy's overflow warning fails the case
-            assert main(["loss", "--components", "loss.json", "--out", "out.json"]) == 2
-        err = capsys.readouterr().err
+        err = exits_2(["loss", "--components", "loss.json", "--out", "out.json"], capsys)
         assert err.startswith("dualguide: error: loss.json: ") and key in err
-        assert len(err.splitlines()) == 1
         assert not (workdir / "out.json").exists()
 
     def test_overflowing_lambdas_are_config_errors(self, workdir, capsys):
@@ -1025,12 +1030,9 @@ class TestLossCommand:
         (workdir / "loss.json").write_text(json.dumps(comp))
         (workdir / "config.json").write_text(json.dumps({"lambdas": [1e308, 1e308, 1, 1]}))
         argv = ["loss", "--components", "loss.json", "--config", "config.json", "--out", "out.json"]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(argv) == 2
-        err = capsys.readouterr().err
+        err = exits_2(argv, capsys)
         assert err.startswith("dualguide: error: config.json: lambdas [1e+308, 1e+308, 1, 1]")
-        assert "overflow the total to inf" in err and len(err.splitlines()) == 1
+        assert "overflow the total to inf" in err
         assert not (workdir / "out.json").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
@@ -1039,8 +1041,7 @@ class TestLossCommand:
                 for branch in ("head", "lidar", "camera")}
         (workdir / "loss.json").write_text(json.dumps(comp))
         argv = ["loss", "--components", "loss.json", f"--history={value}", "--out", "out.json"]
-        assert main(argv) == 2
-        assert "--history must be a finite number >= 0" in capsys.readouterr().err
+        assert "--history must be a finite number >= 0" in exits_2(argv, capsys)
         assert not (workdir / "out.json").exists()
 
 
@@ -1251,6 +1252,27 @@ class TestOutputKind:
             f"dualguide: error: [Errno 17] not a regular file, so not replaced: 'scene/{name}'\n")
         assert snapshot(root) == before
         assert all(stat.S_ISFIFO(os.stat(p).st_mode) for p in (path, root / "pipe"))
+
+    # In a child process: a blocking open would wait for a reader forever, and
+    # the timeout fails the test instead of hanging the suite.
+    @pytest.mark.parametrize("argv, name", [
+        (["match", "--out", "pipe"], "pipe"),
+        (["gen", "--seed", "3"], "scene/annotations.jsonl"),
+    ], ids=["match-out", "gen-jsonl"])
+    def test_a_fifo_at_a_json_output_exits_2_naming_it(self, root, argv, name):
+        if not (root / name).is_fifo():
+            (root / name).unlink()
+            os.mkfifo(root / name)
+        done = fresh_process(root, ["-m", "dualguide.cli", *argv], timeout=20)
+        assert done.returncode == 2 and f"'{name}'" in done.stderr, done.stderr
+
+    def test_a_piped_dev_stdout_takes_the_pair_dump(self, root):
+        assert main(["match"]) == 0
+        done = fresh_process(root, ["-m", "dualguide.cli", "match", "--out", "/dev/stdout"],
+                             timeout=20)
+        # The pair dump, then the line naming the output that match prints.
+        pairs = (root / "scene" / "pairs.json").read_text()
+        assert done.returncode == 0 and done.stdout == pairs + "/dev/stdout\n"
 
     def test_a_directory_at_a_sidecar_path_is_refused_before_any_grid_is_written(
             self, root, capsys):

@@ -41,7 +41,7 @@ from dualguide.instances import (
 from dualguide.pipeline import camera_instances, run_fusion, run_matching
 from dualguide.synth import Scene, load_scene, write_scene
 
-from test_cli import traced_peak
+from test_cli import exits_2, traced_peak
 from test_enhance import ref_surrounding
 
 HEADER_BYTES = struct.calcsize("<4sIIIIdddd")
@@ -318,9 +318,7 @@ def test_an_output_that_is_a_command_input_fails_before_writing(handmade, tmp_pa
         argv += ["--scene", str(handmade)]
     files = [*handmade.parent.iterdir(), tmp_path / "dets.jsonl", tmp_path / "loss.json"]
     before = {p: p.read_bytes() for p in files}
-    capsys.readouterr()
-    assert main(argv) == 2
-    assert f"output {output} is the input {output}" in capsys.readouterr().err
+    assert f"output {output} is the input {output}" in exits_2(argv, capsys)
     assert {p: p.read_bytes() for p in files} == before
 
 

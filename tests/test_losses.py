@@ -90,28 +90,28 @@ class TestPairCosineLoss:
     def test_identical_vectors_zero(self):
         pairs = [easy_pair([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) for _ in range(4)]
         proj = identity(3)
-        assert pair_cosine_loss(pairs, proj) == pytest.approx(0.0, abs=1e-12)
+        assert pair_cosine_loss(pairs, proj, proj) == pytest.approx(0.0, abs=1e-12)
 
     def test_orthogonal_vectors_one(self):
         pairs = [easy_pair([1.0, 0.0], [0.0, 1.0]), easy_pair([0.0, 2.0], [3.0, 0.0])]
         proj = identity(2)
-        assert pair_cosine_loss(pairs, proj) == pytest.approx(1.0, abs=1e-12)
+        assert pair_cosine_loss(pairs, proj, proj) == pytest.approx(1.0, abs=1e-12)
 
     def test_antiparallel_vectors_two(self):
         pairs = [easy_pair([1.0, 1.0], [-2.0, -2.0])]
         proj = identity(2)
-        assert pair_cosine_loss(pairs, proj) == pytest.approx(2.0, abs=1e-12)
+        assert pair_cosine_loss(pairs, proj, proj) == pytest.approx(2.0, abs=1e-12)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(3)
         base = [easy_pair(rng.normal(size=3), rng.normal(size=3)) for _ in range(5)]
         proj = identity(3)
-        reference = pair_cosine_loss(base, proj)
+        reference = pair_cosine_loss(base, proj, proj)
         scaled = [
             easy_pair(np.asarray(p.anchor.raw) * 7.3, np.asarray(p.guide.raw) * 0.2)
             for p in base
         ]
-        assert pair_cosine_loss(scaled, proj) == pytest.approx(reference, abs=1e-9)
+        assert pair_cosine_loss(scaled, proj, proj) == pytest.approx(reference, abs=1e-9)
 
     def test_range(self):
         rng = np.random.default_rng(4)
@@ -120,7 +120,7 @@ class TestPairCosineLoss:
             pairs = [
                 easy_pair(rng.normal(size=4), rng.normal(size=4)) for _ in range(3)
             ]
-            value = pair_cosine_loss(pairs, proj)
+            value = pair_cosine_loss(pairs, proj, proj)
             assert 0.0 <= value <= 2.0
 
     def test_distinct_projections_per_modality(self):
@@ -131,13 +131,13 @@ class TestPairCosineLoss:
         assert pair_cosine_loss([pair], lidar_proj, camera_proj) == pytest.approx(0.0, abs=1e-12)
 
     def test_empty_returns_none(self):
-        assert pair_cosine_loss([], identity(2)) is None
+        assert pair_cosine_loss([], identity(2), identity(2)) is None
 
     def test_zero_norm_excluded(self, caplog):
         proj = identity(2)
         pairs = [easy_pair([0.0, 0.0], [1.0, 0.0]), easy_pair([1.0, 0.0], [1.0, 0.0])]
         with caplog.at_level("WARNING"):
-            value = pair_cosine_loss(pairs, proj)
+            value = pair_cosine_loss(pairs, proj, proj)
         assert value == pytest.approx(0.0, abs=1e-12)
         assert any("zero-norm" in r.message for r in caplog.records)
 

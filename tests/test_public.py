@@ -1,6 +1,8 @@
-"""The package root exports exactly what the README example and the benchmark use."""
+"""The package root exports exactly what the README example and the benchmark use; the
+installed `dualguide` script runs `dualguide.cli.main`."""
 
 import ast
+import importlib
 import re
 import types
 from pathlib import Path
@@ -8,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import dualguide
+from dualguide.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 ERRORS = {"ConfigurationError", "ContractError", "DataFormatError"}
@@ -53,3 +56,12 @@ def test_root_exports_only_what_is_used():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert exported == used | ERRORS
+
+
+def test_the_dualguide_script_runs_cli_main():
+    # Read with a pattern, not tomllib, which Python 3.10 lacks.
+    toml = (ROOT / "pyproject.toml").read_text()
+    (scripts,) = re.findall(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", toml, re.S | re.M)
+    (target,) = re.findall(r'^dualguide = "(.+)"$', scripts, re.M)
+    module, name = target.split(":")
+    assert getattr(importlib.import_module(module), name) is main
