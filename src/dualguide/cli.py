@@ -49,14 +49,7 @@ from . import formats
 from .config import PipelineConfig, load_config
 from .errors import ConfigurationError, ContractError, DataFormatError
 from .losses import RunningMax, composite_loss, focal_loss, l1_loss, pair_cosine_loss
-from .metrics import (
-    AXES,
-    POINT_BUCKETS,
-    StratifiedReport,
-    evaluate,
-    stratified_eval,
-    visibility_histogram,
-)
+from .metrics import AXES, POINT_BUCKETS, stratified_eval, visibility_histogram
 from .pipeline import build_projections, open_scene, run_fusion, run_matching
 from .synth import (
     GAP_PROFILES,
@@ -127,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--peaks-from", dest="peaks_from",
                         help="grid file to read detections from via energy peaks")
     p_eval.add_argument("--max-peaks", dest="max_peaks", type=int, default=None)
-    p_eval.add_argument("--axis", default="none", choices=("none",) + AXES)
+    p_eval.add_argument("--axis", default="none", choices=AXES)
     p_eval.add_argument("--out", default=None, help="report JSON path")
     p_eval.set_defaults(run=_cmd_eval)
 
@@ -241,12 +234,9 @@ def _cmd_eval(args: argparse.Namespace) -> None:
         annotations = [replace(a, class_id=READOUT_CLASS) for a in annotations]
     class_agnostic = not args.dets
 
-    if args.axis == "none":
-        strat = StratifiedReport("none", [evaluate(dets, annotations)])
-        text = f"n_gt={len(annotations)} n_det={len(dets)} mAP={strat.bins[0].mean_ap}"
-    else:
-        strat = stratified_eval(dets, annotations, args.axis)
-        text = strat.to_text()
+    strat = stratified_eval(dets, annotations, args.axis)
+    text = (f"n_gt={len(annotations)} n_det={len(dets)} mAP={strat.bins[0].mean_ap}"
+            if args.axis == "none" else strat.to_text())
     if class_agnostic:
         text += "\nmAP is class-agnostic: readout detections carry no class"
     print(text)
@@ -289,9 +279,14 @@ def _branch_loss(name: str, branch) -> float:
     return value
 
 
+# The cosine loss lies in [0, _COSINE_MAX]: `--history` and a components `cosine` are held to it.
+_COSINE_MAX = 2.0
+
+
 def _cmd_loss(args: argparse.Namespace) -> None:
-    if not (np.isfinite(args.history) and args.history >= 0):  # the cosine loss is in [0, 2]
-        raise ConfigurationError(f"--history must be a finite number >= 0, got {args.history}")
+    if not 0 <= args.history <= _COSINE_MAX:  # False for nan
+        raise ConfigurationError(f"--history must be in [0, {_COSINE_MAX:g}], the cosine loss's "
+                                 f"range, got {args.history}")
     config = _config_from_args(args)
     outputs = [Path(args.out)] if args.out else []
     weights = [config.lidar_squeeze_path, config.camera_squeeze_path] if args.scene else []
@@ -304,8 +299,9 @@ def _cmd_loss(args: argparse.Namespace) -> None:
             l_head, l_lidar, l_camera = (_branch_loss(name, components[name])
                                          for name in ("head", "lidar", "camera"))
         cosine = components.get("cosine")
-        if cosine is not None and not 0 <= formats._finite("cosine", cosine) <= 2:
-            raise ValueError(f"cosine must be in [0, 2], the cosine loss's range, got {cosine}")
+        if cosine is not None and not 0 <= formats._finite("cosine", cosine) <= _COSINE_MAX:
+            raise ValueError(f"cosine must be in [0, {_COSINE_MAX:g}], the cosine loss's range, "
+                             f"got {cosine}")
     except KeyError as exc:
         raise DataFormatError(f"{args.components}: missing section {exc}") from exc
     except (ContractError, ValueError) as exc:  # ContractError: pred and target shapes differ

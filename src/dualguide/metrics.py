@@ -5,8 +5,10 @@ One greedy matcher walks a table's candidates by detection score, then
 descending affinity, then ground-truth index: each detection claims its
 first unclaimed candidate that clears the floor. AP pairs same-class items
 by BEV center distance (affinity -d, floor -t) with 101-point interpolation;
-recall pairs items of any class by rotated IoU. The visibility axis masks
-only the ground truth; distance and size mask both sides.
+recall pairs items of any class by rotated IoU. `stratified_eval` is the
+one entry: `none` is an axis of one bin, "all", so the unstratified report
+is a report like the others. The visibility axis masks only the ground
+truth; the other axes mask both sides.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ DIST_THRESHOLDS = (0.5, 1.0, 2.0, 4.0)
 IOU_THRESHOLDS = (0.3, 0.5, 0.7)
 
 # Per axis: the bin labels, each bin's lower edge, and the measure binned
-# (ego distance in m, 4 - visibility token, volume in m^3).
+# (none, ego distance in m, 4 - visibility token, volume in m^3).
 AXIS_BINS = {
+    "none": (("all",), (0,), lambda item: 0),
     "distance": (
         ("0-20m", "20-40m", "40m+"), (0.0, 20.0, 40.0),
         lambda item: float(np.hypot(item.box.center[0], item.box.center[1])),
@@ -104,28 +107,6 @@ def _interpolated_ap(hits: np.ndarray, n_gt: int) -> float:
     return float(np.cumsum(best)[-1]) / 101.0
 
 
-def average_precision(
-    dets: list[Detection],
-    gts: list[Annotation],
-    class_id: int,
-    dist_threshold: float,
-) -> float | None:
-    """101-point interpolated AP for one class at one center-distance threshold.
-
-    Returns None when neither detections nor ground truth of the class exist
-    (the class is skipped from means); 0.0 when ground truth is missing but
-    detections exist, or no detection matches.
-    """
-    tables = _PairTables(dets, gts, dist_thresholds=(dist_threshold,))
-    return tables.class_aps(tables.all_dets, tables.all_gts)[class_id][dist_threshold]
-
-
-def ap_table(dets: list[Detection], gts: list[Annotation]) -> dict[int, dict[float, float | None]]:
-    """Per-class, per-threshold AP values (None marks skipped classes)."""
-    tables = _PairTables(dets, gts)
-    return tables.class_aps(tables.all_dets, tables.all_gts)
-
-
 def _mean_of_table(table: dict[int, dict[float, float | None]]) -> float:
     per_class = []
     for row in table.values():
@@ -135,23 +116,6 @@ def _mean_of_table(table: dict[int, dict[float, float | None]]) -> float:
     if not per_class:
         return 0.0
     return sum(per_class) / len(per_class)
-
-
-def recall_at_iou(
-    dets: list[Detection],
-    gts: list[Annotation],
-    iou_thresholds: tuple[float, ...] = IOU_THRESHOLDS,
-) -> dict[float, float | None]:
-    """Class-agnostic recall per rotated-IoU threshold.
-
-    Detections are consumed in descending score; each takes the unmatched
-    ground truth of highest IoU when that IoU clears the threshold. None is
-    reported when there is no ground truth at all. Thresholds must be > 0.
-    """
-    if not all(t > 0.0 for t in iou_thresholds):
-        raise ContractError(f"IoU thresholds must be > 0, got {iou_thresholds}")
-    tables = _PairTables(dets, gts, iou_thresholds=iou_thresholds)
-    return tables.recalls(tables.all_dets, tables.all_gts)
 
 
 def _axis_bins(axis: str) -> tuple:
@@ -167,14 +131,6 @@ def bin_index(item: Annotation | Detection, axis: str) -> int:
         raise ContractError("visibility bins apply to annotations only")
     # lo=1: a value below the first edge still lands in the first bin.
     return bisect_right(edges, measure(item), 1) - 1
-
-
-def partition_items(items: list, axis: str) -> list[list]:
-    """Split items into the axis's bins; the bins partition the input exactly."""
-    bins: list[list] = [[] for _ in _axis_bins(axis)[0]]
-    for item in items:
-        bins[bin_index(item, axis)].append(item)
-    return bins
 
 
 @dataclass
@@ -235,13 +191,10 @@ class _PairTables:
     the ground truths; each table keeps the pairs that can clear its floors.
     """
 
-    def __init__(self, dets: list[Detection], gts: list[Annotation],
-                 dist_thresholds: tuple = DIST_THRESHOLDS, iou_thresholds: tuple = IOU_THRESHOLDS):
-        self.dets = sorted(dets, key=lambda d: -d.score)  # stable: index breaks ties
-        self.gts, self.dist_thresholds, self.iou_thresholds = gts, dist_thresholds, iou_thresholds
+    def __init__(self, dets: list[Detection], gts: list[Annotation]):
+        self.dets, self.gts = sorted(dets, key=lambda d: -d.score), gts  # stable: index breaks ties
         self.det_class = np.array([d.class_id for d in self.dets])
         self.gt_class = np.array([g.class_id for g in gts])
-        self.all_dets, self.all_gts = np.ones(len(dets), dtype=bool), np.ones(len(gts), dtype=bool)
 
     @cached_property
     def dist(self) -> tuple:
@@ -249,7 +202,7 @@ class _PairTables:
         gt_xy = np.array([g.box.center[:2] for g in self.gts], dtype=np.float64).reshape(-1, 2)
         dx, dy = (np.subtract.outer(det_xy[:, k], gt_xy[:, k]) for k in (0, 1))
         # No distance is below a coordinate difference, so this box keeps every pair in reach.
-        reach = max(self.dist_thresholds)
+        reach = max(DIST_THRESHOLDS)
         same = np.equal.outer(self.det_class, self.gt_class)
         rows, cols = np.nonzero(same & (abs(dx) <= reach) & (abs(dy) <= reach))
         # math.hypot as in center_distance_bev; np.hypot's bits are not guaranteed to match.
@@ -260,7 +213,7 @@ class _PairTables:
     def iou(self) -> tuple:
         # Pairs the circumradius prune leaves out have IoU 0, below every threshold.
         rows, cols, iou = overlap_ious([d.box for d in self.dets], [g.box for g in self.gts])
-        keep = iou >= min(self.iou_thresholds, default=math.inf)
+        keep = iou >= min(IOU_THRESHOLDS)
         return _sorted_candidates(rows[keep], cols[keep], iou[keep])
 
     def class_aps(self, det_in: np.ndarray, gt_in: np.ndarray) -> dict:
@@ -269,7 +222,7 @@ class _PairTables:
         Only same-class pairs are candidates, so one walk per threshold serves
         every class; -d >= -t is exactly d <= t.
         """
-        hits = {t: _greedy_hits(self.dist, det_in, gt_in, -t) for t in self.dist_thresholds}
+        hits = {t: _greedy_hits(self.dist, det_in, gt_in, -t) for t in DIST_THRESHOLDS}
         table = {}
         for c in range(NUM_CLASSES):
             det_c = det_in & (self.det_class == c)
@@ -283,8 +236,8 @@ class _PairTables:
     def recalls(self, det_in: np.ndarray, gt_in: np.ndarray) -> dict:
         """Recall per IoU threshold over the masked rows and columns; None without ground truth."""
         n_gt = int(np.count_nonzero(gt_in))
-        hits = {t: _greedy_hits(self.iou, det_in, gt_in, t) for t in self.iou_thresholds if n_gt}
-        return {t: int(hits[t].sum()) / n_gt if n_gt else None for t in self.iou_thresholds}
+        hits = {t: _greedy_hits(self.iou, det_in, gt_in, t) for t in IOU_THRESHOLDS if n_gt}
+        return {t: int(hits[t].sum()) / n_gt if n_gt else None for t in IOU_THRESHOLDS}
 
     def bin_metrics(self, det_in: np.ndarray, gt_in: np.ndarray, label: str) -> BinMetrics:
         n_det, n_gt = int(np.count_nonzero(det_in)), int(np.count_nonzero(gt_in))
@@ -293,24 +246,19 @@ class _PairTables:
         return BinMetrics(label, n_gt, n_det, table, mean_ap, self.recalls(det_in, gt_in))
 
 
-def evaluate(dets: list[Detection], gts: list[Annotation], label: str = "all") -> BinMetrics:
-    """Metrics over one detection/ground-truth set, as one bin."""
-    tables = _PairTables(dets, gts)
-    return tables.bin_metrics(tables.all_dets, tables.all_gts, label)
-
-
 def stratified_eval(dets: list[Detection], gts: list[Annotation], axis: str) -> StratifiedReport:
     """Per-bin metrics along one axis, each bin masked out of one set of tables.
 
     The visibility axis evaluates the full detection set against each ground
-    truth subset; distance and size place detections into matching bins too.
+    truth subset; the other axes place detections into matching bins too.
     """
     labels = _axis_bins(axis)[0]
     tables = _PairTables(dets, gts)
     gt_bin = np.array([bin_index(g, axis) for g in gts])
     det_bin = None if axis == "visibility" else np.array([bin_index(d, axis) for d in tables.dets])
+    every_det = np.ones(len(dets), dtype=bool)
     return StratifiedReport(axis, [
-        tables.bin_metrics(tables.all_dets if det_bin is None else det_bin == k, gt_bin == k, label)
+        tables.bin_metrics(every_det if det_bin is None else det_bin == k, gt_bin == k, label)
         for k, label in enumerate(labels)
     ])
 

@@ -15,10 +15,12 @@ another shape is refused when it is loaded.
 The CLI holds neither grid past the front stage. `open_scene` loads the
 scene as `synth.load_scene` checks it, but builds no annotation or manifest
 object, which no stage reads (it checks them all the same). It opens each
-grid file once and keeps the handle open. The camera grid is read whole,
-only for the refine and the camera extraction, and of it only the bilinear
-corners of the camera instance centers are kept (`gather_camera`): the
-cells the Point-guide-Image enhancement reads and writes. The array is
+grid file twice: `load_scene`'s header check reads the header alone, before
+anything is allocated, and then one handle is opened and kept open for every
+later read. The camera grid is read whole, only for the refine and the
+camera extraction, and of it only the bilinear corners of the camera
+instance centers are kept (`gather_camera`): the cells the
+Point-guide-Image enhancement reads and writes. The array is
 dropped before the LiDAR file is read. Of the LiDAR grid only the cells the
 front stage samples are gathered (`gather_lidar`: the bilinear corners of
 the key points of the score-filtered, in-window LiDAR proposals), in one

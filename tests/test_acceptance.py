@@ -25,11 +25,11 @@ from dualguide.instances import Proposal, build_instances
 from dualguide.losses import LossWeights, RunningMax, composite_loss, pair_cosine_loss
 from dualguide.matching import match_by_overlap, match_by_similarity, match_pairs
 from dualguide.metrics import (
+    AXES,
     Annotation,
     Detection,
-    average_precision,
-    partition_items,
-    recall_at_iou,
+    point_count_bucket,
+    stratified_eval,
     visibility_histogram,
 )
 from dualguide.pipeline import camera_instances, run_fusion
@@ -210,7 +210,7 @@ def test_criterion_5_loss_suite():
 
 
 def test_criterion_6_metric_oracles():
-    ap = average_precision(MIXED_DETS, MIXED_GTS, 0, 2.0)
+    ap = stratified_eval(MIXED_DETS, MIXED_GTS, "none").bins[0].ap[0][2.0]
     ap_ok = (
         ap == pytest.approx(MIXED_AP_AT_2M, abs=1e-12)
         and ap == pytest.approx(derive_ap_101([1, 0, 1, 0], 3), abs=1e-12)
@@ -226,7 +226,7 @@ def test_criterion_6_metric_oracles():
         Detection(Box3D((10.5, 0.0, 0.5), (2, 2, 1), 0.0), 0, 0.8),
         Detection(Box3D((20.45, 0.0, 0.5), (1, 1, 1), 0.0), 0, 0.7),
     ]
-    recalls = recall_at_iou(dets, gts, (0.3, 0.5, 0.7))
+    recalls = stratified_eval(dets, gts, "none").bins[0].recall
     recall_ok = (
         recalls[0.3] == pytest.approx(1.0)
         and recalls[0.5] == pytest.approx(2.0 / 3.0)
@@ -241,13 +241,13 @@ def test_criterion_6_metric_oracles():
     histogram_ok = True
     for seed in (51, 52, 53):
         scene = generate_scene(config, seed, 15, "mixed", with_points=True)
-        for axis in ("distance", "visibility", "size"):
-            bins = partition_items(scene.annotations, axis)
-            if sorted(id(a) for b in bins for a in b) != sorted(id(a) for a in scene.annotations):
-                partition_ok = False
+        gts = scene.annotations
+        dets = [Detection(a.box, a.class_id, 0.5) for a in gts]
+        for axis in AXES:
+            bins = stratified_eval(dets, gts, axis).bins
+            partition_ok &= sum(b.n_gt for b in bins) == len(gts)
+            partition_ok &= axis == "visibility" or sum(b.n_det for b in bins) == len(dets)
         expected = {token: [0] * 6 for token in (1, 2, 3, 4)}
-        from dualguide.metrics import point_count_bucket
-
         for obj in scene.objects:
             expected[obj.visibility_token][point_count_bucket(obj.num_lidar_pts)] += 1
         if visibility_histogram(scene.annotations, scene.points) != expected:
@@ -281,12 +281,11 @@ def test_criterion_7_enhancement_benefit():
         )
         enhanced = fuse_grids(scene.camera_grid, scene.lidar_grid)
         cap = len(scene.annotations)
-        r_enh = recall_at_iou(
-            readout(enhanced, max_peaks=cap), scene.annotations, (0.3,)
-        )[0.3]
-        r_base = recall_at_iou(
-            readout(baseline, max_peaks=cap), scene.annotations, (0.3,)
-        )[0.3]
+        r_enh, r_base = (
+            stratified_eval(readout(grid, max_peaks=cap), scene.annotations, "none")
+            .bins[0].recall[0.3]
+            for grid in (enhanced, baseline)
+        )
         deltas.append(r_enh - r_base)
         non_regressions += r_enh >= r_base
     mean_delta = float(np.mean(deltas))

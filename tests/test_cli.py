@@ -1035,13 +1035,13 @@ class TestLossCommand:
         assert "overflow the total to inf" in err
         assert not (workdir / "out.json").exists()
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5", "2.5"])
     def test_history_must_be_finite_and_non_negative(self, workdir, capsys, value):
         comp = {branch: {"cls_pred": [0.9], "cls_target": [1]}
                 for branch in ("head", "lidar", "camera")}
         (workdir / "loss.json").write_text(json.dumps(comp))
         argv = ["loss", "--components", "loss.json", f"--history={value}", "--out", "out.json"]
-        assert "--history must be a finite number >= 0" in exits_2(argv, capsys)
+        assert "--history must be in [0, 2], the cosine loss's range" in exits_2(argv, capsys)
         assert not (workdir / "out.json").exists()
 
 
