@@ -48,7 +48,7 @@ import numpy as np
 from . import formats
 from .config import PipelineConfig, load_config
 from .errors import ConfigurationError, ContractError, DataFormatError
-from .losses import RunningMax, composite_loss, focal_loss, l1_loss, pair_cosine_loss
+from .losses import composite_loss, focal_loss, l1_loss, pair_cosine_loss
 from .metrics import AXES, POINT_BUCKETS, stratified_eval, visibility_histogram
 from .pipeline import build_projections, open_scene, run_fusion, run_matching
 from .synth import (
@@ -235,8 +235,7 @@ def _cmd_eval(args: argparse.Namespace) -> None:
     class_agnostic = not args.dets
 
     strat = stratified_eval(dets, annotations, args.axis)
-    text = (f"n_gt={len(annotations)} n_det={len(dets)} mAP={strat.bins[0].mean_ap}"
-            if args.axis == "none" else strat.to_text())
+    text = strat.to_text()
     if class_agnostic:
         text += "\nmAP is class-agnostic: readout detections carry no class"
     print(text)
@@ -312,17 +311,16 @@ def _cmd_loss(args: argparse.Namespace) -> None:
         cosine = pair_cosine_loss(pairs.easy, *build_projections(
             config, scene.camera_grid.spec.channels, scene.lidar_grid.spec.channels,
             "lidar_squeeze", "camera_squeeze"))
-    total, history = composite_loss(
-        l_head, l_lidar, l_camera, cosine,
-        config.loss_weights(), RunningMax(args.history),
+    total, history_max = composite_loss(
+        l_head, l_lidar, l_camera, cosine, config.lambdas, args.history
     )
     report = {
         "head": l_head,
         "lidar": l_lidar,
         "camera": l_camera,
         "cosine": cosine,
-        "cosine_used": cosine if cosine is not None else history.max_seen,
-        "history_max": history.max_seen,
+        "cosine_used": cosine if cosine is not None else history_max,
+        "history_max": history_max,
         "lambdas": list(config.lambdas),
         "total": total,
     }

@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, replace
+import math
+from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .errors import ConfigurationError, ContractError
+from .errors import ConfigurationError
 from .formats import _finite, _integral, load_json
 from .grid import GridSpec
 from .instances import DEFAULT_STRATEGY, SAMPLING_STRATEGIES
-from .losses import LossWeights
 from .taxonomy import GROUPING_STRATEGIES
 
 
@@ -17,7 +17,8 @@ from .taxonomy import GROUPING_STRATEGIES
 class PipelineConfig:
     gamma: float = 0.7
     eta: float = 0.7
-    lambdas: tuple[float, float, float, float] = astuple(LossWeights())
+    # Loss weights: head, LiDAR branch, camera branch, cosine.
+    lambdas: tuple[float, float, float, float] = (0.99, 1e-4, 1e-4, 1e-2)
     sampling_strategy: str = DEFAULT_STRATEGY
     grouping_strategy: str = "cbgs_groups"
     height_cells: int = 180
@@ -44,10 +45,8 @@ class PipelineConfig:
             raise ConfigurationError(f"unknown sampling strategy {self.sampling_strategy!r}")
         if len(self.lambdas) != 4:
             raise ConfigurationError("lambdas must have exactly four entries")
-        try:
-            self.loss_weights()
-        except ContractError as exc:
-            raise ConfigurationError(str(exc)) from exc
+        if not all(math.isfinite(v) and v >= 0 for v in self.lambdas):
+            raise ConfigurationError(f"loss weights must be finite and >= 0, got {self.lambdas}")
         for key in ("height_cells", "width_cells", "camera_channels", "lidar_channels"):
             value = getattr(self, key)
             if value < 1:
@@ -67,9 +66,6 @@ class PipelineConfig:
             self.height_cells, self.width_cells, self.lidar_channels,
             tuple(self.x_range), tuple(self.y_range),
         )
-
-    def loss_weights(self) -> LossWeights:
-        return LossWeights(*self.lambdas)
 
 
 def _checked(key: str, value):

@@ -168,28 +168,6 @@ class BevGrid:
         return BevGrid(self.spec, self.data.copy())
 
 
-@dataclass(frozen=True)
-class ContextWeights:
-    """Weights of the global-context refinement block.
-
-    value_proj is a C x C matrix applied per position; key_proj is a C vector
-    producing the scalar attention logit of each position.
-    """
-
-    value_proj: np.ndarray
-    key_proj: np.ndarray
-
-    def validate(self, channels: int) -> None:
-        if self.value_proj.shape != (channels, channels):
-            raise ConfigurationError(
-                f"value_proj shape {self.value_proj.shape} != ({channels}, {channels})"
-            )
-        if self.key_proj.shape != (channels,):
-            raise ConfigurationError(
-                f"key_proj shape {self.key_proj.shape} != ({channels},)"
-            )
-
-
 def world_to_grid(point: tuple[float, float], spec: GridSpec) -> tuple[float, float]:
     """Map world (x, y) meters to fractional (row, col) grid coordinates.
 
@@ -269,21 +247,27 @@ def bilinear_sample(
     return out.reshape(*shape, grid.spec.channels)
 
 
-def global_context_refine(grid: BevGrid, weights: ContextWeights) -> np.ndarray:
+def global_context_refine(
+    grid: BevGrid, value_proj: np.ndarray, key_proj: np.ndarray
+) -> np.ndarray:
     """The softmax-attended global context C-vector of a grid.
 
     Each position contributes a scalar attention logit (key_proj . feature);
-    the softmax-weighted sum of value-projected features forms one context
-    vector. The refined grid, `grid.data + context`, is never built: callers
-    add the vector where a value needs it (`bilinear_sample`'s `offset`).
+    the softmax-weighted sum of features, projected by the C x C value_proj,
+    forms one context vector. The refined grid, `grid.data + context`, is
+    never built: callers add the vector where a value needs it
+    (`bilinear_sample`'s `offset`).
     """
-    weights.validate(grid.spec.channels)
-    flat = grid.data.reshape(-1, grid.spec.channels)
+    c = grid.spec.channels
+    if np.shape(value_proj) != (c, c) or np.shape(key_proj) != (c,):
+        raise ConfigurationError(f"context weights of shapes {np.shape(value_proj)} and "
+                                 f"{np.shape(key_proj)} do not fit {c} channels")
+    flat = grid.data.reshape(-1, c)
     # The attention is computed in place in one H*W vector: a caller may
     # hold little more than its grid.
-    attn = flat @ np.asarray(weights.key_proj, dtype=np.float64)
+    attn = flat @ np.asarray(key_proj, dtype=np.float64)
     attn -= attn.max()
     np.exp(attn, out=attn)
     attn /= attn.sum()
     pooled = attn @ flat
-    return np.asarray(weights.value_proj, dtype=np.float64) @ pooled
+    return np.asarray(value_proj, dtype=np.float64) @ pooled

@@ -9,7 +9,6 @@ of silently contributing zero.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,29 +19,6 @@ from .matching import InstancePair
 log = logging.getLogger(__name__)
 
 PROB_CLAMP = 1e-7
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    head: float = 0.99
-    lidar_branch: float = 1e-4
-    camera_branch: float = 1e-4
-    cosine: float = 1e-2
-
-    def __post_init__(self) -> None:
-        values = (self.head, self.lidar_branch, self.camera_branch, self.cosine)
-        if any(not np.isfinite(v) or v < 0 for v in values):
-            raise ContractError(f"loss weights must be finite and >= 0, got {values}")
-
-
-@dataclass(frozen=True)
-class RunningMax:
-    """Historical maximum of the cosine loss, starting at 0."""
-
-    max_seen: float = 0.0
-
-    def updated(self, value: float) -> "RunningMax":
-        return RunningMax(max(self.max_seen, value))
 
 
 def focal_loss(
@@ -111,25 +87,16 @@ def composite_loss(
     l_lidar: float,
     l_camera: float,
     cos_result: float | None,
-    weights: LossWeights = LossWeights(),
-    history: RunningMax = RunningMax(),
-) -> tuple[float, RunningMax]:
-    """Weighted sum of the four components, with empty-pair substitution.
+    lambdas: tuple[float, float, float, float],
+    history_max: float = 0.0,
+) -> tuple[float, float]:
+    """Weighted sum of the four components and the new running maximum.
 
-    When cos_result is a value, it is used directly and the running maximum
-    is updated; when it is None (no easy pairs this batch), the running
-    maximum stands in and is left unchanged.
+    `lambdas` weighs (head, lidar, camera, cosine). When cos_result is a
+    value, it is used directly and raises the running maximum; when it is
+    None (no easy pairs this batch), `history_max` stands in and is kept.
     """
-    if cos_result is None:
-        l_cos = history.max_seen
-        new_history = history
-    else:
-        l_cos = cos_result
-        new_history = history.updated(cos_result)
-    total = (
-        weights.head * l_head
-        + weights.lidar_branch * l_lidar
-        + weights.camera_branch * l_camera
-        + weights.cosine * l_cos
-    )
-    return total, new_history
+    l_cos = history_max if cos_result is None else cos_result
+    head, lidar, camera, cosine = lambdas
+    total = head * l_head + lidar * l_lidar + camera * l_camera + cosine * l_cos
+    return total, max(history_max, l_cos)

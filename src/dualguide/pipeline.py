@@ -45,7 +45,6 @@ from .errors import ConfigurationError, DataFormatError
 from .formats import grid_blocks, load_grid, load_projection, read_grid_rows
 from .grid import (
     BevGrid,
-    ContextWeights,
     GatheredCells,
     GridSpec,
     bilinear_corners,
@@ -100,14 +99,11 @@ def build_projections(config: PipelineConfig, camera_channels: int, lidar_channe
     return tuple(projections)
 
 
-def build_context_weights(channels: int) -> ContextWeights:
-    """Seeded uniform(-s, s) context weights with s = 1/sqrt(channels)."""
+def build_context_weights(channels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded uniform(-s, s) (value_proj, key_proj) with s = 1/sqrt(channels)."""
     rng = np.random.default_rng(CONTEXT_WEIGHTS_SEED)
     s = 1.0 / np.sqrt(channels)
-    return ContextWeights(
-        value_proj=rng.uniform(-s, s, size=(channels, channels)),
-        key_proj=rng.uniform(-s, s, size=channels),
-    )
+    return rng.uniform(-s, s, size=(channels, channels)), rng.uniform(-s, s, size=channels)
 
 
 def camera_instances(
@@ -119,7 +115,7 @@ def camera_instances(
     refine reads every cell, so the grid must be dense here.
     """
     context = global_context_refine(
-        camera_grid, build_context_weights(camera_grid.spec.channels)
+        camera_grid, *build_context_weights(camera_grid.spec.channels)
     )
     return build_instances(
         camera_grid, camera_proposals, config.gamma, config.sampling_strategy, context

@@ -22,7 +22,7 @@ from dualguide.enhance import (
 from dualguide.geometry import Box3D, center_distance_bev
 from dualguide.grid import BevGrid, GridSpec
 from dualguide.instances import Proposal, build_instances
-from dualguide.losses import LossWeights, RunningMax, composite_loss, pair_cosine_loss
+from dualguide.losses import composite_loss, pair_cosine_loss
 from dualguide.matching import match_by_overlap, match_by_similarity, match_pairs
 from dualguide.metrics import (
     AXES,
@@ -191,16 +191,15 @@ def test_criterion_5_loss_suite():
         and abs(antiparallel - 2.0) <= 1e-12
     )
 
-    total, _ = composite_loss(1.0, 1.0, 1.0, 1.0, LossWeights(), RunningMax())
+    total, _ = composite_loss(1.0, 1.0, 1.0, 1.0, PipelineConfig().lambdas)
     total_ok = total == 1.0002
 
-    weights = LossWeights(0.0, 0.0, 0.0, 1.0)
-    history = RunningMax()
+    history_max = 0.0
     used = []
     for cos in (0.4, None, 0.1):
-        value, history = composite_loss(0, 0, 0, cos, weights, history)
+        value, history_max = composite_loss(0, 0, 0, cos, (0.0, 0.0, 0.0, 1.0), history_max)
         used.append(value)
-    sequence_ok = used == [0.4, 0.4, 0.1] and history.max_seen == 0.4
+    sequence_ok = used == [0.4, 0.4, 0.1] and history_max == 0.4
 
     report(
         "criterion 5: cosine extremes, weighted total, empty-batch fallback",

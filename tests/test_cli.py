@@ -765,7 +765,7 @@ class TestMaxPeaks:
         assert "max_peaks must be >= 0, got -1" in capsys.readouterr().err
         assert not (workdir / "scene" / "report.json").exists()
         assert main(["eval", "--max-peaks", "0"]) == 0
-        assert "n_det=0" in capsys.readouterr().out
+        assert capsys.readouterr().out.splitlines()[2].split()[:3] == ["all", "6", "0"]
 
     def test_cap_with_detection_file_is_usage_error(self, workdir, capsys):
         assert main(["gen", "--seed", "2", "--objects", "6"]) == 0
@@ -859,6 +859,22 @@ class TestCommandChain:
         assert main(["eval", "--dets", "dets.jsonl", "--axis", "size", "--out", "r.json"]) == 0
         report = json.loads((workdir / "r.json").read_text())
         assert report["axis"] == "size"
+
+    def test_eval_prints_the_none_axis_as_a_table(self, workdir, capsys):
+        # Each axis prints the same table: no `mAP=None` for an empty bin,
+        # and a scored bin's mAP rounded to four places like the others.
+        main(["gen", "--seed", "2", "--objects", "0"])
+        (workdir / "dets.jsonl").write_text("")
+        capsys.readouterr()
+        for axis in ("none", "distance"):
+            assert main(["eval", "--dets", "dets.jsonl", "--axis", axis]) == 0
+            assert capsys.readouterr().out.splitlines()[2].split()[-1] == "no-data"
+        main(["gen", "--seed", "2", "--objects", "6"])
+        main(["fuse"])
+        capsys.readouterr()
+        assert main(["eval", "--axis", "none"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "axis: none" and lines[2].split()[:4] == ["all", "6", "12", "0.8000"]
 
     def test_eval_and_stats_read_only_what_they_use(self, workdir, capsys):
         cfg = small_config(workdir)
@@ -1092,6 +1108,55 @@ class TestPeakMemory:
     def test_eval_readout_holds_no_grid(self, manifest, capsys):
         assert main(["fuse", "--scene", manifest]) == 0
         assert traced_peak(["eval", "--scene", manifest]) <= 0.25 * self.FUSED_BYTES
+
+
+class TestPeakGate:
+    """Each command's peak, per grid shape, stays within half an f32 LiDAR grid of today's.
+
+    A command that holds a grid whole again (a `gen` that renders one, a
+    `fuse` or `match` that loads `lidar.bevg`) holds at least that much more.
+    """
+
+    # (cells a side, camera channels, LiDAR channels): the measured peaks in bytes of
+    # `gen`, of `fuse` and `match`, and of `eval`, on the default window.
+    PEAKS = {
+        (96, 16, 24): (2_360_000, 2_010_000, 1_440_000),
+        (192, 16, 24): (3_040_000, 6_120_000, 1_660_000),
+        (96, 80, 128): (2_960_000, 7_300_000, 1_430_000),
+    }
+
+    @pytest.fixture(scope="class", params=list(PEAKS),
+                    ids=lambda s: f"{s[0]}x{s[0]}-{s[1]}-{s[2]}")
+    def case(self, request, tmp_path_factory):
+        """The gen argv and the manifest of a fused scene of the shape, and its bounds."""
+        cells, camera_channels, lidar_channels = request.param
+        root = tmp_path_factory.mktemp("gate")
+        (root / "config.json").write_text(json.dumps({
+            "height_cells": cells, "width_cells": cells,
+            "camera_channels": camera_channels, "lidar_channels": lidar_channels,
+        }))
+        gen = ["gen", "--seed", "3", "--objects", "30", "--config", str(root / "config.json"),
+               "--out", str(root / "scene")]
+        manifest = str(root / "scene" / "manifest.json")
+        assert main(gen) == 0 and main(["fuse", "--scene", manifest]) == 0
+        margin = cells * cells * lidar_channels * 4 // 2
+        gen_peak, fuse_peak, eval_peak = self.PEAKS[request.param]
+        bounds = {"gen": gen_peak + margin, "fuse": fuse_peak + margin,
+                  "match": fuse_peak + margin, "eval": eval_peak + margin}
+        return gen, manifest, bounds
+
+    def test_gen(self, case, capsys):
+        gen, _, bounds = case
+        assert traced_peak(gen) <= bounds["gen"]
+
+    @pytest.mark.parametrize("command", ["fuse", "match"])
+    def test_fuse_and_match(self, case, capsys, command):
+        _, manifest, bounds = case
+        assert traced_peak([command, "--scene", manifest]) <= bounds[command]
+
+    def test_eval(self, case, capsys):
+        _, manifest, bounds = case
+        assert traced_peak(["eval", "--scene", manifest, "--axis", "distance"]) <= bounds["eval"]
 
 
 class TestDeterminism:

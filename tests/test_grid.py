@@ -9,7 +9,6 @@ from hypothesis.extra import numpy as hnp
 from dualguide.errors import ConfigurationError
 from dualguide.grid import (
     BevGrid,
-    ContextWeights,
     GridSpec,
     bilinear_sample,
     global_context_refine,
@@ -181,42 +180,40 @@ class TestGlobalContextRefine:
         spec = small_spec()
         rng = np.random.default_rng(5)
         grid = BevGrid(spec, rng.normal(size=(6, 8, 3)))
-        weights = ContextWeights(np.zeros((3, 3)), rng.normal(size=3))
-        context = global_context_refine(grid, weights)
+        context = global_context_refine(grid, np.zeros((3, 3)), rng.normal(size=3))
         assert np.array_equal(grid.data + context, grid.data)
 
     def test_single_position_identity_value_doubles(self):
         spec = GridSpec(1, 1, 3, (0.0, 1.0), (0.0, 1.0))
         grid = BevGrid(spec, np.array([[[1.0, -2.0, 0.5]]]))
-        weights = ContextWeights(np.eye(3), np.array([0.3, -0.1, 2.0]))
-        context = global_context_refine(grid, weights)
+        context = global_context_refine(grid, np.eye(3), np.array([0.3, -0.1, 2.0]))
         assert np.allclose(grid.data + context, 2.0 * grid.data, atol=1e-12)
 
     def test_matches_explicit_loop_reference(self):
         spec = GridSpec(2, 2, 3, (0.0, 2.0), (0.0, 2.0))
         rng = np.random.default_rng(6)
         grid = BevGrid(spec, rng.normal(size=(2, 2, 3)))
-        weights = ContextWeights(rng.normal(size=(3, 3)), rng.normal(size=3))
+        value_proj, key_proj = rng.normal(size=(3, 3)), rng.normal(size=3)
 
         # Independent reference: explicit loops over every position.
         logits = []
         for r in range(2):
             for c in range(2):
-                logits.append(float(np.dot(weights.key_proj, grid.data[r, c])))
+                logits.append(float(np.dot(key_proj, grid.data[r, c])))
         exp = np.exp(np.array(logits) - max(logits))
         attn = exp / exp.sum()
         context = np.zeros(3)
         for p, (r, c) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
-            context += attn[p] * (weights.value_proj @ grid.data[r, c])
+            context += attn[p] * (value_proj @ grid.data[r, c])
         expected = grid.data + context
 
-        context = global_context_refine(grid, weights)
+        context = global_context_refine(grid, value_proj, key_proj)
         assert np.allclose(grid.data + context, expected, atol=1e-10)
         assert context.shape == (3,)
 
     def test_dimension_mismatch_rejected(self):
         spec = small_spec()
         grid = BevGrid.zeros(spec)
-        with pytest.raises(ConfigurationError):
-            global_context_refine(grid, ContextWeights(np.eye(4), np.zeros(4)))
+        with pytest.raises(ConfigurationError, match=r"\(4, 4\) and \(4,\) do not fit 3 channels"):
+            global_context_refine(grid, np.eye(4), np.zeros(4))
 

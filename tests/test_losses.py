@@ -5,13 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from dualguide.config import PipelineConfig
 from dualguide.enhance import Projection
-from dualguide.errors import ContractError
+from dualguide.errors import ConfigurationError, ContractError
 from dualguide.geometry import Box3D
 from dualguide.instances import InstanceFeature, Proposal
 from dualguide.losses import (
-    LossWeights,
-    RunningMax,
     composite_loss,
     focal_loss,
     l1_loss,
@@ -144,43 +143,43 @@ class TestPairCosineLoss:
 
 class TestCompositeLoss:
     def test_unit_components_with_default_weights(self):
-        total, _ = composite_loss(1.0, 1.0, 1.0, 1.0)
+        total, _ = composite_loss(1.0, 1.0, 1.0, 1.0, PipelineConfig().lambdas)
         assert total == 1.0002
 
     def test_empty_with_fresh_history_drops_cosine(self):
-        weights = LossWeights()
-        total, history = composite_loss(1.0, 1.0, 1.0, None, weights, RunningMax())
-        assert total == weights.head + weights.lidar_branch + weights.camera_branch
-        assert history.max_seen == 0.0
+        lambdas = PipelineConfig().lambdas
+        total, history_max = composite_loss(1.0, 1.0, 1.0, None, lambdas)
+        assert total == lambdas[0] + lambdas[1] + lambdas[2]
+        assert history_max == 0.0
 
     def test_three_batch_running_maximum(self):
-        weights = LossWeights(0.0, 0.0, 0.0, 1.0)  # isolate the cosine term
-        history = RunningMax()
+        lambdas = (0.0, 0.0, 0.0, 1.0)  # isolate the cosine term
+        history_max = 0.0
         used = []
         for cos in (0.4, None, 0.1):
-            total, history = composite_loss(0, 0, 0, cos, weights, history)
+            total, history_max = composite_loss(0, 0, 0, cos, lambdas, history_max)
             used.append(total)
         assert used == pytest.approx([0.4, 0.4, 0.1])
-        assert history.max_seen == pytest.approx(0.4)
+        assert history_max == pytest.approx(0.4)
 
     def test_linear_in_each_component(self):
-        weights = LossWeights(0.7, 0.2, 0.05, 0.01)
-        base, _ = composite_loss(1.0, 2.0, 3.0, 4.0, weights, RunningMax())
-        bumped, _ = composite_loss(2.0, 2.0, 3.0, 4.0, weights, RunningMax())
-        assert bumped - base == pytest.approx(weights.head, abs=1e-15)
-        bumped, _ = composite_loss(1.0, 3.0, 3.0, 4.0, weights, RunningMax())
-        assert bumped - base == pytest.approx(weights.lidar_branch, abs=1e-15)
+        lambdas = (0.7, 0.2, 0.05, 0.01)
+        base, _ = composite_loss(1.0, 2.0, 3.0, 4.0, lambdas)
+        bumped, _ = composite_loss(2.0, 2.0, 3.0, 4.0, lambdas)
+        assert bumped - base == pytest.approx(lambdas[0], abs=1e-15)
+        bumped, _ = composite_loss(1.0, 3.0, 3.0, 4.0, lambdas)
+        assert bumped - base == pytest.approx(lambdas[1], abs=1e-15)
 
     def test_history_never_decreases(self):
         rng = np.random.default_rng(5)
-        history = RunningMax()
+        history_max = 0.0
         prev = 0.0
         for _ in range(100):
             cos = float(rng.uniform(0, 2)) if rng.uniform() > 0.3 else None
-            _, history = composite_loss(0, 0, 0, cos, LossWeights(), history)
-            assert history.max_seen >= prev
-            prev = history.max_seen
+            _, history_max = composite_loss(0, 0, 0, cos, PipelineConfig().lambdas, history_max)
+            assert history_max >= prev
+            prev = history_max
 
     def test_negative_weights_rejected(self):
-        with pytest.raises(ContractError):
-            LossWeights(head=-0.1)
+        with pytest.raises(ConfigurationError, match="loss weights must be finite and >= 0"):
+            PipelineConfig(lambdas=(-0.1, 0, 0, 0))

@@ -63,7 +63,7 @@ class TestRunFusion:
     def test_camera_instances_come_from_refined_grid(self, scene):
         pairs = run(scene)[0]
         context = global_context_refine(
-            scene.camera_grid, build_context_weights(SMALL.camera_channels)
+            scene.camera_grid, *build_context_weights(SMALL.camera_channels)
         )
         refined = BevGrid(scene.camera_grid.spec, scene.camera_grid.data + context)
         camera = build_instances(
@@ -122,7 +122,7 @@ class TestRunFusion:
     def test_all_finite(self, scene):
         _, camera, lidar = run(scene)
         context = global_context_refine(
-            scene.camera_grid, build_context_weights(SMALL.camera_channels)
+            scene.camera_grid, *build_context_weights(SMALL.camera_channels)
         )
         assert np.isfinite(context).all()
         for grid in (camera, lidar):
@@ -159,8 +159,8 @@ class TestRefineOnFusedSlice:
         camera, lidar = refine_case(seed)
         view = BevGrid(camera.spec, fuse_grids(camera, lidar).data[:, :, lidar.spec.channels:])
         weights = build_context_weights(camera.spec.channels)
-        assert np.array_equal(global_context_refine(view, weights),
-                              global_context_refine(camera, weights))
+        assert np.array_equal(global_context_refine(view, *weights),
+                              global_context_refine(camera, *weights))
 
     def test_copies_nothing(self):
         camera, lidar = refine_case(0)  # 80 camera channels of 208
@@ -168,7 +168,7 @@ class TestRefineOnFusedSlice:
         weights = build_context_weights(80)
         tracemalloc.start()
         try:
-            global_context_refine(view, weights)
+            global_context_refine(view, *weights)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
