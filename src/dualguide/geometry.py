@@ -176,7 +176,9 @@ def overlap_ious(
         return empty, empty, np.zeros(0)
     fa, fb = _plane_rows(a), _plane_rows(b)
     ra, rb = (np.array([math.hypot(w, l) / 2.0 for w, l in f[:, 2:4].tolist()]) for f in (fa, fb))
-    dist2 = ((fa[:, None, 0:2] - fb[None, :, 0:2]) ** 2).sum(axis=2)
+    dx, dy = (np.subtract.outer(fa[:, k], fb[:, k]) for k in (0, 1))
+    # Elementwise: a sum reduce over an axis of length 2 costs several times more.
+    dist2 = dx * dx + dy * dy
     i, j = np.nonzero(dist2 <= (ra[:, None] + rb[None, :]) ** 2)
     inter = _intersection_areas(_row_points(fa, CORNER_SIGNS)[i], _row_points(fb, CORNER_SIGNS)[j])
     union = ((fa[:, 2] * fa[:, 3])[i] + (fb[:, 2] * fb[:, 3])[j]) - inter

@@ -27,16 +27,24 @@ from .taxonomy import NUM_CLASSES
 DIST_THRESHOLDS = (0.5, 1.0, 2.0, 4.0)
 IOU_THRESHOLDS = (0.3, 0.5, 0.7)
 
-# Per axis: the bin labels, each bin's lower edge, and the measure binned
-# (none, ego distance in m, 4 - visibility token, volume in m^3).
+# Per axis: the bin labels, each bin's lower edge, and the measure binned, one
+# array value per item of a list (none, ego distance in m, 4 - visibility
+# token, volume in m^3).
 AXIS_BINS = {
-    "none": (("all",), (0,), lambda item: 0),
+    "none": (("all",), (0,), lambda items: np.zeros(len(items))),
     "distance": (
         ("0-20m", "20-40m", "40m+"), (0.0, 20.0, 40.0),
-        lambda item: float(np.hypot(item.box.center[0], item.box.center[1])),
+        lambda items: np.hypot(*np.array([i.box.center[:2] for i in items], dtype=np.float64)
+                               .reshape(-1, 2).T),
     ),
-    "visibility": (("token=4", "token=1/2/3"), (0, 1), lambda item: 4 - item.visibility_token),
-    "size": (("0-10m3", "10-30m3", "30m3+"), (0.0, 10.0, 30.0), lambda item: volume(item.box)),
+    "visibility": (
+        ("token=4", "token=1/2/3"), (0, 1),
+        lambda items: 4 - np.array([i.visibility_token for i in items], dtype=np.intp),
+    ),
+    "size": (
+        ("0-10m3", "10-30m3", "30m3+"), (0.0, 10.0, 30.0),
+        lambda items: np.array([volume(i.box) for i in items], dtype=np.float64),
+    ),
 }
 AXES = tuple(AXIS_BINS)
 
@@ -124,13 +132,18 @@ def _axis_bins(axis: str) -> tuple:
     return AXIS_BINS[axis]
 
 
-def bin_index(item: Annotation | Detection, axis: str) -> int:
-    """Which bin of the axis an item falls in: the last whose lower edge it reaches."""
+def bin_indices(items: list[Annotation] | list[Detection], axis: str) -> np.ndarray:
+    """Which bin of the axis each item falls in: the last whose lower edge it reaches."""
     _, edges, measure = _axis_bins(axis)
-    if axis == "visibility" and not isinstance(item, Annotation):
+    if axis == "visibility" and not all(isinstance(item, Annotation) for item in items):
         raise ContractError("visibility bins apply to annotations only")
-    # lo=1: a value below the first edge still lands in the first bin.
-    return bisect_right(edges, measure(item), 1) - 1
+    # Past the first edge only: a value below it still lands in the first bin.
+    return np.searchsorted(edges[1:], measure(items), side="right")
+
+
+def bin_index(item: Annotation | Detection, axis: str) -> int:
+    """`bin_indices` of one item."""
+    return int(bin_indices([item], axis)[0])
 
 
 @dataclass
@@ -254,8 +267,8 @@ def stratified_eval(dets: list[Detection], gts: list[Annotation], axis: str) -> 
     """
     labels = _axis_bins(axis)[0]
     tables = _PairTables(dets, gts)
-    gt_bin = np.array([bin_index(g, axis) for g in gts])
-    det_bin = None if axis == "visibility" else np.array([bin_index(d, axis) for d in tables.dets])
+    gt_bin = bin_indices(gts, axis)
+    det_bin = None if axis == "visibility" else bin_indices(tables.dets, axis)
     every_det = np.ones(len(dets), dtype=bool)
     return StratifiedReport(axis, [
         tables.bin_metrics(every_det if det_bin is None else det_bin == k, gt_bin == k, label)

@@ -12,6 +12,7 @@ from dualguide.geometry import (
     CORNER_SIGNS,
     KEY_POINT_SIGNS,
     Box3D,
+    _plane_rows,
     center_distance_bev,
     footprint_points,
     normalize_yaw,
@@ -459,6 +460,26 @@ finite_rects = st.builds(
     yaw=st.floats(-math.pi, math.pi),
 )
 
+# Integer centers and 3-4-5 extents: many pairs lie exactly the sum of their
+# circumradii apart, where the prune keeps them.
+tied_rects = st.builds(
+    flat_box,
+    center=st.tuples(*[st.integers(-8, 8).map(float)] * 2),
+    extent=st.sampled_from(((3.0, 4.0), (4.0, 3.0), (6.0, 8.0), (0.6, 0.8))),
+    yaw=st.sampled_from((0.0, 1.0, -2.5)),
+)
+
+
+def broadcast_sum_prune(a: list[Box3D], b: list[Box3D]) -> tuple[np.ndarray, np.ndarray]:
+    """The (i, j) that `overlap_ious`' circumradius prune keeps, with its squared
+    center distances summed over a broadcast axis of length 2."""
+    if not a or not b:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    fa, fb = _plane_rows(a), _plane_rows(b)
+    ra, rb = (np.array([math.hypot(w, l) / 2.0 for w, l in f[:, 2:4].tolist()]) for f in (fa, fb))
+    dist2 = ((fa[:, None, 0:2] - fb[None, :, 0:2]) ** 2).sum(axis=2)
+    return np.nonzero(dist2 <= (ra[:, None] + rb[None, :]) ** 2)
+
 
 class TestOverlapIous:
     def test_keeps_every_overlapping_pair_in_row_major_order(self):
@@ -480,6 +501,15 @@ class TestOverlapIous:
             boxes.append(Box3D((*rng.uniform(-3, 3, size=2), rng.uniform(-2, 2)), (w, l, h),
                                rng.uniform(-3, 3)))
         assert assert_matches_oracle(boxes, boxes) >= len(boxes)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(*[st.lists(st.one_of(finite_rects, tied_rects), max_size=10)] * 2)
+    def test_prune_keeps_the_pairs_of_the_broadcast_sum_form(self, a, b):
+        ia, ib, iou = overlap_ious(a, b)
+        ja, jb = broadcast_sum_prune(a, b)
+        assert ia.tolist() == ja.tolist() and ib.tolist() == jb.tolist()
+        expected = [min(oracle_iou(a[i], b[j]), 1.0) for i, j in zip(ja.tolist(), jb.tolist())]
+        assert iou.tobytes() == np.array(expected, dtype=np.float64).tobytes()
 
     def test_empty_side(self):
         rect = flat_box((0, 0), (1, 1), 0.0)

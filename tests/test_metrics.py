@@ -1,11 +1,14 @@
 """Detection metrics: AP/recall values, stratified reports, histograms."""
 
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualguide.geometry import Box3D, center_distance_bev, overlap_ious
+from dualguide.errors import ContractError
+from dualguide.geometry import Box3D, center_distance_bev, overlap_ious, volume
 from dualguide.metrics import (
     AXES,
     AXIS_BINS,
@@ -20,6 +23,7 @@ from dualguide.metrics import (
     _mean_of_table,
     _sorted_candidates,
     bin_index,
+    bin_indices,
     point_count_bucket,
     stratified_eval,
     visibility_histogram,
@@ -418,6 +422,27 @@ class TestRecallAtIou:
         assert base == doubled
 
 
+# Centers exactly on the 20 m and 40 m distance edges, and just inside them;
+# (w, l, h) exactly on the 10 m^3 and 30 m^3 size edges.
+EDGE_CENTERS = ((20.0, 0.0), (0.0, -40.0), (12.0, 16.0), (-24.0, 32.0), (19.999999999999996, 0.0),
+                (0.0, 0.0))
+EDGE_SIZES = ((1.0, 2.5, 4.0), (2.0, 5.0, 1.0), (2.0, 5.0, 3.0), (3.0, 2.0, 5.0), (0.5, 4.0, 15.0))
+
+
+def scalar_measure(item, axis):
+    """The measure each axis bins, for one item with scalar arithmetic."""
+    if axis == "distance":
+        return float(np.hypot(item.box.center[0], item.box.center[1]))
+    if axis == "visibility":
+        return 4 - item.visibility_token
+    return volume(item.box) if axis == "size" else 0
+
+
+def scalar_bin(item, axis):
+    """The last bin whose lower edge the item's scalar measure reaches; the first below that."""
+    return bisect_right(AXIS_BINS[axis][1], scalar_measure(item, axis), 1) - 1
+
+
 class TestPartitioning:
     def test_none_is_one_bin_of_everything(self):
         assert AXES == ("none", "distance", "visibility", "size")
@@ -437,6 +462,8 @@ class TestPartitioning:
     def test_visibility_bins(self):
         assert bin_index(gt(0, 0, token=4), "visibility") == 0
         assert bin_index(gt(0, 0, token=2), "visibility") == 1
+        with pytest.raises(ContractError, match="visibility bins apply to annotations only"):
+            bin_indices([gt(0, 0), det(0, 0, 0.5)], "visibility")
 
     def test_bins_partition_input_exactly(self):
         rng = np.random.default_rng(3)
@@ -452,6 +479,31 @@ class TestPartitioning:
             assert sum(b.n_gt for b in bins) == len(items)
             # Every visibility bin scores the full detection set.
             assert sum(b.n_det for b in bins) == len(dets) * (len(bins) if axis == "visibility" else 1)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(
+        st.one_of(st.sampled_from(EDGE_CENTERS), st.tuples(st.floats(-60, 60), st.floats(-60, 60))),
+        st.one_of(st.sampled_from(EDGE_SIZES), st.tuples(*[st.floats(0.1, 6)] * 3)),
+        st.integers(1, 4),
+    ), max_size=12))
+    def test_array_bins_equal_scalar_bins(self, fields):
+        gts = [gt(x, y, w=w, l=l, h=h, token=token) for (x, y), (w, l, h), token in fields]
+        dets = [Detection(g.box, g.class_id, 0.5) for g in gts]
+        distances = AXIS_BINS["distance"][2](gts)
+        assert distances.tobytes() == np.array(
+            [scalar_measure(g, "distance") for g in gts], dtype=np.float64).tobytes()
+        for axis in AXES:
+            for items in (gts, [] if axis == "visibility" else dets):
+                want = [scalar_bin(item, axis) for item in items]
+                assert bin_indices(items, axis).tolist() == want
+                assert [bin_index(item, axis) for item in items] == want
+
+    def test_array_distance_equals_the_scalar_ufunc_bit_for_bit(self):
+        # math.hypot rounds differently from np.hypot on about 0.6% of such points.
+        xy = np.random.default_rng(11).uniform(-60.0, 60.0, size=(5000, 2))
+        gts = [gt(x, y) for x, y in xy.tolist()]
+        want = np.array([scalar_measure(g, "distance") for g in gts], dtype=np.float64)
+        assert AXIS_BINS["distance"][2](gts).tobytes() == want.tobytes()
 
 
 def oracle_greedy_hits(affinity, order, floor):

@@ -28,6 +28,7 @@ from dualguide.synth import (
     POINTS_PER_STRENGTH,
     READOUT_CLASS,
     Bump,
+    _cell_energy,
     _grow_support,
     cell_energy,
     energy_peak_detections,
@@ -293,6 +294,27 @@ class TestGenFiles:
                        or b.col_lo + b.g.shape[1] == w for b in bumps)
 
 
+def row_energy(spec: GridSpec, blocks) -> np.ndarray:
+    """`_cell_energy` one row at a time: the reference for its steps of several rows."""
+    energy = np.empty((spec.height_cells, spec.width_cells))
+    for r, block in blocks:
+        for i, row in enumerate(block):
+            energy[r + i] = np.sqrt(np.square(row, dtype=np.float64).sum(axis=1))
+    return energy
+
+
+@st.composite
+def energy_blocks(draw):
+    """A grid's spec and its rows cut into `(first_row, rows)` blocks, f32 as read or f64."""
+    h, w = draw(st.integers(1, 12)), draw(st.sampled_from((1, 2, 3, 5)))
+    c = draw(st.sampled_from((1, 2, 9, 16, 33)))
+    dtype = draw(st.sampled_from((np.float32, np.float64)))
+    data = draw(hnp.arrays(dtype, (h, w, c), elements=st.floats(-1e6, 1e6, width=32)))
+    cuts = sorted(draw(st.sets(st.integers(1, h - 1)))) if h > 1 else []
+    bounds = [0, *cuts, h]
+    return GridSpec(h, w, c), [(lo, data[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
+
 class TestEnergyPeakDetector:
     def test_empty_grid_yields_nothing(self):
         grid = BevGrid.zeros(SMALL.camera_spec())
@@ -360,6 +382,17 @@ class TestEnergyPeakDetector:
         assert np.array_equal(energy, np.full((180, 180), math.sqrt(104)))
         assert peak <= 0.1 * 180 * 180 * 104 * 8
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(energy_blocks(), st.one_of(st.none(), st.integers(1, 200)))
+    def test_multi_row_steps_equal_the_row_loop(self, case, budget):
+        spec, blocks = case
+        if budget is None:
+            energy = _cell_energy(spec, blocks)
+        else:
+            with mock.patch("dualguide.synth._ENERGY_STEP_VALUES", budget):
+                energy = _cell_energy(spec, blocks)
+        assert energy.tobytes() == row_energy(spec, blocks).tobytes()
+
 
 def oracle_support_region(residual: np.ndarray, peak: tuple[int, int], level: float,
                           half_width: int = 8) -> list[tuple[int, int]]:
@@ -385,6 +418,76 @@ def oracle_support_region(residual: np.ndarray, peak: tuple[int, int], level: fl
                 seen.add((nr, nc))
                 stack.append((nr, nc))
     return cells
+
+
+def boolean_grow_support(windows: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Masked 4-neighbour dilation of (P, 17, 17) booleans from each window's center
+    until nothing changes: the reference for `_grow_support`'s packed rows."""
+    inside = windows >= levels[:, None, None]
+    region = np.zeros_like(inside)
+    region[:, 8, 8] = True
+    while True:
+        grown = region.copy()
+        grown[:, 1:] |= region[:, :-1]
+        grown[:, :-1] |= region[:, 1:]
+        grown[:, :, 1:] |= region[:, :, :-1]
+        grown[:, :, :-1] |= region[:, :, 1:]
+        grown &= inside
+        if np.array_equal(grown, region):
+            return region
+        region = grown
+
+
+def serpentine(mirror: bool, transpose: bool) -> np.ndarray:
+    """A 17 x 17 snake through the center: the even rows, linked at alternating ends.
+
+    Its 161 cells reach about 80 steps from the center, so growing the
+    region takes far more passes than the window is wide.
+    """
+    mask = np.zeros((17, 17), dtype=bool)
+    mask[::2] = True
+    mask[1::4, -1 if mirror else 0] = True
+    mask[3::4, 0 if mirror else -1] = True
+    return mask.T if transpose else mask
+
+
+@st.composite
+def support_windows(draw):
+    """Windows and levels: seeded random cells (integer levels make plateaus), -inf
+    padding beyond up to two grid edges as the readout pads, or serpentine masks."""
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        windows, levels = (rng.integers(0, 5, size=shape).astype(float) for shape in ((n, 17, 17), n))
+    else:
+        windows, levels = (rng.uniform(0.0, 10.0, size=shape) for shape in ((n, 17, 17), n))
+    for window in windows:
+        kind = draw(st.sampled_from(("random", "padded", "serpentine")))
+        if kind == "padded":
+            rows, cols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+            window[slice(0, rows) if draw(st.booleans()) else slice(17 - rows, 17)] = -np.inf
+            window[:, slice(0, cols) if draw(st.booleans()) else slice(17 - cols, 17)] = -np.inf
+        elif kind == "serpentine":
+            snake = serpentine(draw(st.booleans()), draw(st.booleans()))
+            window[:] = np.where(snake, 11.0, -np.inf if draw(st.booleans()) else -1.0)
+    return windows, levels
+
+
+class TestPackedGrowth:
+    """`_grow_support` on packed window rows against the boolean dilation."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(support_windows())
+    def test_packed_growth_equals_boolean_dilation(self, case):
+        windows, levels = case
+        region = _grow_support(windows, levels)
+        assert region.dtype == bool and region.shape == windows.shape
+        assert np.array_equal(region, boolean_grow_support(windows, levels))
+
+    def test_serpentine_regions_grow_to_every_cell(self):
+        snakes = np.stack([serpentine(m, t) for m in (False, True) for t in (False, True)])
+        region = _grow_support(np.where(snakes, 1.0, 0.0), np.full(4, 0.5))
+        assert np.array_equal(region, snakes)
 
 
 def oracle_peaks(grid, max_peaks=None, min_energy=1e-6):
