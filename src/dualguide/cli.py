@@ -18,17 +18,18 @@ bug and propagates. `DUALGUIDE_LOG` is read on every call.
 `gen` places its scene (`synth.place_scene`) and writes it with
 `synth.write_scene`, which renders each grid file in row blocks, so `gen`
 never holds a grid. `fuse`, `match` and `loss` open their scene with
-`pipeline.open_scene`: it holds the dense camera grid only through the
-refine and the camera extraction, then gathers the LiDAR cells the front
-stage samples. `fuse` enhances the gathered cells of both grids in place
-(`pipeline.run_fusion`, or `pipeline.run_matching` alone under
-`--no-enhance`), then writes `enhanced_camera.bevg`, `enhanced_lidar.bevg`
-and `fused.bevg` in one pass over row blocks (`formats.save_grid`), reading
-each block's camera and LiDAR rows again through their handles. So it holds
-no grid or concatenation while it writes. Every command that takes a scene
-parses its manifest once, and every command refuses, before writing
-anything, an output that is one of its inputs (a scene file, `eval`'s
-detections or grid, `loss`'s components, the config or a weight file read).
+`pipeline.open_scene`, which opens each grid file once: it holds the dense
+camera grid only through the refine and the camera extraction, then
+gathers the LiDAR cells the front stage samples. `fuse` enhances the
+gathered cells of both grids in place (`pipeline.run_fusion`, or
+`pipeline.run_matching` alone under `--no-enhance`), then writes
+`enhanced_camera.bevg`, `enhanced_lidar.bevg` and `fused.bevg` in one pass
+over row blocks (`formats.save_grid`), reading each block's camera and
+LiDAR rows again from the open files. So it holds no grid or concatenation
+while it writes. Every command that takes a scene parses its manifest once,
+and every command refuses, before writing anything, an output that is one
+of its inputs (a scene file, `eval`'s detections or grid, `loss`'s
+components, the config or a weight file read).
 `eval`'s readout reads the grid's energy map in row blocks, never the grid.
 """
 

@@ -3,21 +3,22 @@
 Grid files are little-endian: magic "BEVG", u32 version=1, u32 H, u32 W,
 u32 C, x_range and y_range as f64 pairs, then H*W*C f32 values row-major
 by (row, col, channel). A JSON sidecar (the grid file's path + ".json")
-mirrors the header for inspection. `grid_blocks` is the one grid reader: it
-checks the header and the file size before anything is allocated, then
-yields the payload in f32 blocks of rows, from a path or an open handle;
-`load_grid` fills a new f64 array from it, and `read_grid_rows` reads rows
-again through an open handle, checking their values. `save_grid` is the one
-grid writer: it writes one or more files of one window in a single pass over
-row blocks, so no full-grid copy is held. Each file holds one grid or the
-channel concatenation of several, which is never built whole. A grid is a
-dense array or a row source with `read_into` (gathered LiDAR cells, or
-rendered bumps), and each grid's rows are made once per block, into an f32
-block of its own (cast, or read from the source); a file of one grid writes
-that block, and a file of several their concatenation, joined into one more
-block. The writer replaces an existing file with a new one and never
-truncates it in place, so a hard link to the old file keeps the old bytes; a
-symlinked path is written at its target, and the sidecar beside the target.
+mirrors the header for inspection. `GridFile` is the one grid reader: it
+wraps an open file, checks the header and the file size before anything is
+allocated, and reads the payload as f32 rows, in blocks in one pass
+(`blocks`) or any rows again (`read_into`, as a row source), checking their
+values; `load_grid` opens one and fills a new f64 array from it. `save_grid`
+is the one grid writer: it writes one or more files of one window in a
+single pass over row blocks, so no full-grid copy is held. Each file holds
+one grid or the channel concatenation of several, which is never built
+whole. A grid is a dense array or a row source with `read_into` (gathered
+cells, rendered bumps, or a `GridFile`), and each grid's rows are made once
+per block, into an f32 block of its own (cast, or read from the source); a
+file of one grid writes that block, and a file of several their
+concatenation, joined into one more block. The writer replaces an existing
+file with a new one and never truncates it in place, so a hard link to the
+old file keeps the old bytes; a symlinked path is written at its target, and
+the sidecar beside the target.
 Projection files are magic "PROJ", u32 rows, u32 cols, the f32 matrix
 row-major, then the f32 bias. A point cloud is an .npy file of finite floats
 of shape (N, 3), read by `load_points` and written by `save_points`.
@@ -47,7 +48,7 @@ import math
 import os
 import struct
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from contextlib import ExitStack, nullcontext
+from contextlib import ExitStack
 from itertools import chain
 from operator import itemgetter, methodcaller
 from pathlib import Path
@@ -70,9 +71,9 @@ GRID_VERSION = 1
 PROJ_MAGIC = b"PROJ"
 
 _GRID_HEADER = struct.Struct("<4sIIIIdddd")
-# save_grid and grid_blocks stream the payload in blocks of rows holding about
-# this many bytes of f32 (across all of save_grid's files), so no full-grid
-# f32 copy is ever held.
+# save_grid and GridFile.blocks stream the payload in blocks of rows holding
+# about this many bytes of f32 (across all of save_grid's files), so no
+# full-grid f32 copy is ever held.
 _GRID_BLOCK_BYTES = 1 << 20
 _PROJ_HEADER = struct.Struct("<4sII")
 _BOX_KEYS = ("x", "y", "z", "w", "l", "h", "yaw", "vx", "vy")
@@ -110,9 +111,9 @@ def save_grid(outputs: Sequence[tuple]) -> None:
     Each output is `(*grids, path)`: its file holds the channel concatenation
     of its grids, with values rounded to f32. A grid's data is a dense array
     or a row source with `read_into` (`grid.GatheredCells`,
-    `synth.RenderedRows`). Each grid's rows are made once per block into an
-    f32 block of its own: a dense array is cast, and a row source reads into
-    it. An output of one grid writes that block, and an output of several
+    `synth.RenderedRows`, `GridFile`). Each grid's rows are made once per
+    block into an f32 block of its own: a dense array is cast, and a row
+    source reads into it. An output of one grid writes that block, and an output of several
     their concatenation, joined into one more block. The blocks hold about
     `_GRID_BLOCK_BYTES` together, so no full-grid f32 copy is held. An
     existing grid file is replaced by a new file, never truncated in place:
@@ -177,21 +178,20 @@ def _rows_per_block(*specs: GridSpec) -> int:
     return max(1, _GRID_BLOCK_BYTES // sum(s.width_cells * s.channels * 4 for s in specs))
 
 
-def grid_blocks(source: str | Path | BinaryIO) -> Iterator:
-    """Yield a grid file's spec, then its payload in blocks of rows.
+class GridFile:
+    """An open grid file, its header and size checked: a row source (`grid.RowSource`).
 
-    `source` is a path, or a grid file open for binary reading, which is
-    read from its start and left open. The header (magic, version, values)
-    and the file size it implies are checked before the spec is yielded,
-    so taking only the spec reads only the header. Each block is
-    `(first_row, values)`, `values` an f32 array of shape (rows, W, C) that
-    the next block overwrites. Non-finite values raise a DataFormatError
-    after the last block, so what a caller builds from the blocks is valid
-    only once the iteration has finished.
+    `f` is open for binary reading, and the caller closes it; reads are of
+    whole rows, so it may be unbuffered (the package opens it so, and holds
+    no read buffer). The header (magic, version, values) and the file size
+    it implies are checked on construction, before anything is allocated.
+    A read that finds the file shorter since, or non-finite values, raises
+    DataFormatError.
     """
-    opened = nullcontext(source) if hasattr(source, "readinto") else open(source, "rb")
-    with opened as f:
-        path = Path(f.name)
+
+    def __init__(self, f: BinaryIO) -> None:
+        self.f = f
+        self.path = path = Path(f.name)
         f.seek(0)
         head = f.read(_GRID_HEADER.size)
         if len(head) < _GRID_HEADER.size:
@@ -204,56 +204,59 @@ def grid_blocks(source: str | Path | BinaryIO) -> Iterator:
                 f"{path}: unsupported grid version {version}, expected {GRID_VERSION}"
             )
         try:
-            spec = GridSpec(h, w, c, (x0, x1), (y0, y1))
+            self.spec = GridSpec(h, w, c, (x0, x1), (y0, y1))
         except ConfigurationError as exc:
             raise DataFormatError(f"{path}: bad grid header: {exc}") from exc
         size = os.fstat(f.fileno()).st_size
         expected = _GRID_HEADER.size + h * w * c * 4
         if size != expected:
             raise DataFormatError(f"{path}: payload is {size} bytes, header implies {expected}")
-        yield spec
-        bad = 0
-        rows_per_block = _rows_per_block(spec)
+        self.shape = (h, w, c)
+
+    def _read(self, first_row: int, out: np.ndarray) -> int:
+        """Read rows first_row onwards into `out`; the count of non-finite values read."""
+        _, w, c = self.shape
+        self.f.seek(_GRID_HEADER.size + first_row * w * c * 4)
+        if self.f.readinto(out) != out.nbytes:  # the file shrank since the size check
+            raise DataFormatError(f"{self.path}: payload ends before row {first_row + len(out)}")
+        return out.size - int(np.count_nonzero(np.isfinite(out)))
+
+    def read_into(self, first_row: int, out: np.ndarray) -> None:
+        """Read rows first_row onwards into `out`, a contiguous f32 (rows, W, C) array."""
+        bad = self._read(first_row, out)
+        if bad:
+            raise DataFormatError(f"{self.path}: {bad} non-finite grid values")
+
+    def blocks(self) -> Iterator[tuple[int, np.ndarray]]:
+        """The payload in one pass of `(first_row, values)` blocks, `values` f32 (rows, W, C).
+
+        The next block overwrites `values`. Non-finite values are counted
+        over the whole file and raised after the last block, so what a
+        caller builds from the blocks is valid only once they are all read.
+        """
+        h, w, c = self.shape
+        rows_per_block = _rows_per_block(self.spec)
         buffer = np.empty((min(rows_per_block, h), w, c), dtype="<f4")
+        bad = 0
         for r in range(0, h, rows_per_block):
             values = buffer[: min(rows_per_block, h - r)]
-            if f.readinto(values) != values.nbytes:  # the file shrank since the size check
-                raise DataFormatError(f"{path}: payload ends before row {r + len(values)}")
-            bad += values.size - int(np.count_nonzero(np.isfinite(values)))
+            bad += self._read(r, values)
             yield r, values
-    if bad:
-        raise DataFormatError(f"{path}: {bad} non-finite grid values")
+        if bad:
+            raise DataFormatError(f"{self.path}: {bad} non-finite grid values")
+
+    def load(self) -> BevGrid:
+        """The grid in a new float64 array, read block by block."""
+        data = np.empty(self.shape)
+        for r, values in self.blocks():
+            data[r : r + len(values)] = values
+        return BevGrid(self.spec, data)
 
 
-def read_grid_rows(f: BinaryIO, spec: GridSpec, first_row: int, out: np.ndarray) -> None:
-    """Read rows first_row onwards of an open grid file of `spec` into `out`.
-
-    `out` is a contiguous f32 array of shape (rows, W, C). A file that ends
-    before them, or non-finite values among them, raise DataFormatError, the
-    latter with `load_grid`'s message for the rows read.
-    """
-    f.seek(_GRID_HEADER.size + first_row * spec.width_cells * spec.channels * 4)
-    if f.readinto(out) != out.nbytes:
-        raise DataFormatError(f"{Path(f.name)}: payload ends before row {first_row + len(out)}")
-    bad = out.size - int(np.count_nonzero(np.isfinite(out)))
-    if bad:
-        raise DataFormatError(f"{Path(f.name)}: {bad} non-finite grid values")
-
-
-def load_grid(path: str | Path | BinaryIO) -> BevGrid:
-    """Read a grid file into a new float64 array, checking its header, size and values.
-
-    `path` may also be a grid file open for binary reading (`grid_blocks`).
-    The file size is checked against the header before anything is
-    allocated, and the payload is read in blocks of rows straight into the
-    new array.
-    """
-    blocks = grid_blocks(path)
-    spec = next(blocks)
-    data = np.empty((spec.height_cells, spec.width_cells, spec.channels))
-    for r, values in blocks:
-        data[r : r + len(values)] = values
-    return BevGrid(spec, data)
+def load_grid(path: str | Path) -> BevGrid:
+    """Read a grid file into a new float64 array, checking its header, size and values."""
+    with open(path, "rb", buffering=0) as f:
+        return GridFile(f).load()
 
 
 def save_projection(proj: Projection, path: str | Path) -> None:
@@ -279,7 +282,7 @@ def load_projection(path: str | Path) -> Projection:
             f"{path}: payload is {len(blob)} bytes, header implies {expected}"
         )
     values = np.frombuffer(blob, dtype="<f4", offset=_PROJ_HEADER.size)
-    # Checked on the f32 view, as in grid_blocks, so the message names the file.
+    # Checked on the f32 view, as in GridFile, so the message names the file.
     bad = int(np.count_nonzero(~np.isfinite(values)))
     if bad:
         raise DataFormatError(f"{path}: {bad} non-finite projection values")
@@ -291,7 +294,7 @@ def load_points(path: str | Path) -> np.ndarray:
     """Read a point cloud: an .npy file holding finite floats of shape (N, 3).
 
     The header's dtype and shape, and the file size they imply, are checked
-    before the payload is allocated, as `grid_blocks` does for grids.
+    before the payload is allocated, as `GridFile` does for grids.
     """
     try:
         # The .npy reader alone: no .npz archive and no pickled objects.
@@ -408,9 +411,11 @@ def _json_lines(path: str | Path) -> list:
     A line the C scanner reads whole is taken as it reads it, which is what
     `json.loads` returns for it; any other line goes to `json.loads`, which
     skips a blank line, takes a spaced one, and names a bad or too deep one.
+    Lines end at "\\n" alone: JSON allows U+2028, U+2029 and U+0085 raw in a
+    string, where `str.splitlines` would break; a CRLF line's "\\r" is space.
     """
     records = []
-    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
         try:
             value, end = _scan(line, 0)
             if end == len(line):

@@ -71,7 +71,7 @@ def concat_spec(specs: Sequence[GridSpec]) -> GridSpec:
 
 
 class RowSource(Protocol):
-    """A grid read only in float32 rows: `GatheredCells` or `synth.RenderedRows`."""
+    """A grid read in float32 rows: `GatheredCells`, `synth.RenderedRows`, `formats.GridFile`."""
 
     shape: tuple[int, int, int]
 
@@ -143,7 +143,8 @@ class BevGrid:
     `data` is a dense float64 array (file storage rounds to float32, see
     formats), or a `RowSource` of that shape, read only in float32 rows
     through `read_into(first_row, out)`: `GatheredCells` for a grid read
-    only at some cells, or `synth.RenderedRows` for bumps not yet rendered.
+    only at some cells, `synth.RenderedRows` for bumps not yet rendered, or
+    `formats.GridFile` for a grid file not yet read.
     """
 
     spec: GridSpec

@@ -12,41 +12,38 @@ makes no copy. Each caller builds only the projections it applies
 the grids given, not the config's generator depths, and a weight file of
 another shape is refused when it is loaded.
 
-The CLI holds neither grid past the front stage. `open_scene` loads the
-scene as `synth.load_scene` checks it, but builds no annotation or manifest
-object, which no stage reads (it checks them all the same). It opens each
-grid file twice: `load_scene`'s header check reads the header alone, before
-anything is allocated, and then one handle is opened and kept open for every
-later read. The camera grid is read whole, only for the refine and the
-camera extraction, and of it only the bilinear corners of the camera
-instance centers are kept (`gather_camera`): the cells the
-Point-guide-Image enhancement reads and writes. The array is
-dropped before the LiDAR file is read. Of the LiDAR grid only the cells the
-front stage samples are gathered (`gather_lidar`: the bilinear corners of
-the key points of the score-filtered, in-window LiDAR proposals), in one
-checked f32 pass. The enhancements write the kept cells, and `fuse` reads
-the rows of both grids once more through their handles, with the kept
-cells rounded in, in the one pass that writes its grid files.
+The CLI holds neither grid past the front stage. `open_scene` opens the
+scene with `synth.open_scene_files`, which opens each grid file once and
+makes every check of `load_scene` on those handles, but builds no
+annotation or manifest object, which no stage reads. The camera grid is
+read whole, only for the refine and the camera extraction, and of it only
+the bilinear corners of the camera instance centers are kept
+(`gather_camera`): the cells the Point-guide-Image enhancement reads and
+writes. The array is dropped before the LiDAR file is read. Of the LiDAR
+grid only the cells the front stage samples are gathered (`gather_lidar`:
+the bilinear corners of the key points of the score-filtered, in-window
+LiDAR proposals), in one checked f32 pass. The enhancements write the kept
+cells, and `fuse` reads the rows of both grid files once more
+(`GridFile.read_into`), with the kept cells rounded in, in the one pass
+that writes its grid files.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from contextlib import ExitStack, contextmanager
-from functools import partial
+from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
-from typing import BinaryIO
 
 import numpy as np
 
 from .config import PipelineConfig
 from .enhance import Projection, enhance_camera_grid, enhance_lidar_grid
 from .errors import ConfigurationError, DataFormatError
-from .formats import grid_blocks, load_grid, load_projection, read_grid_rows
+from .formats import GridFile, load_projection
 from .grid import (
     BevGrid,
     GatheredCells,
-    GridSpec,
     bilinear_corners,
     global_context_refine,
     world_to_grid,
@@ -59,7 +56,7 @@ from .instances import (
     key_point_coords,
 )
 from .matching import PairSets, match_pairs
-from .synth import Scene, load_scene
+from .synth import Scene, open_scene_files
 
 # Seed of the global-context weights; unlike the projections they have no file.
 CONTEXT_WEIGHTS_SEED = 1
@@ -162,71 +159,62 @@ def run_fusion(
     return pairs
 
 
-def _gather(f: BinaryIO, spec: GridSpec, coords, blocks) -> BevGrid:
-    """The grid of open file `f` holding the bilinear corners of `coords`, from `blocks`."""
+def _gather(grid_file: GridFile, coords, blocks) -> BevGrid:
+    """The grid of `grid_file` holding the bilinear corners of `coords`, from `blocks`."""
+    spec = grid_file.spec
     r0, c0, r1, c1, _, _ = bilinear_corners(coords, spec)
     rows, cols = np.concatenate([r0, r0, r1, r1]), np.concatenate([c0, c1, c0, c1])
-    read_rows = partial(read_grid_rows, f, spec)
-    return BevGrid(spec, GatheredCells.gather(spec, rows, cols, blocks, read_rows))
+    return BevGrid(spec, GatheredCells.gather(spec, rows, cols, blocks, grid_file.read_into))
 
 
 def gather_camera(
-    camera_file: BinaryIO, camera_proposals: list[Proposal], config: PipelineConfig
+    camera_file: GridFile, camera_proposals: list[Proposal], config: PipelineConfig
 ) -> tuple[BevGrid, list[InstanceFeature]]:
-    """The camera instances of an open grid file, and its grid holding the cells enhanced.
+    """The camera instances of a grid file, and its grid holding the cells enhanced.
 
-    The grid is read whole (`load_grid`'s checks) for `camera_instances`
-    alone. Only the bilinear corners of each instance center are kept:
+    The grid is read whole (`GridFile.load`) for `camera_instances` alone.
+    Only the bilinear corners of each instance center are kept:
     `enhance_camera_grid` samples there and writes the nearest cell, one of
-    them. Rows read later (`data.read_into`) come through the same handle,
-    with the kept cells, as `enhance_camera_grid` has since left them,
-    rounded in.
+    them. Rows read later (`data.read_into`) come from the file again, with
+    the kept cells, as `enhance_camera_grid` has since left them, rounded in.
     """
-    dense = load_grid(camera_file)
+    dense = camera_file.load()
     instances = camera_instances(dense, camera_proposals, config)
     centers = np.array([i.proposal.box.center for i in instances]).reshape(-1, 3)
     coords = world_to_grid((centers[:, 0], centers[:, 1]), dense.spec)
-    return _gather(camera_file, dense.spec, coords, [(0, dense.data)]), instances
+    return _gather(camera_file, coords, [(0, dense.data)]), instances
 
 
 def gather_lidar(
-    lidar_file: BinaryIO, lidar_proposals: list[Proposal], config: PipelineConfig
+    lidar_file: GridFile, lidar_proposals: list[Proposal], config: PipelineConfig
 ) -> BevGrid:
-    """The LiDAR grid of an open grid file, holding the cells `run_matching` reads.
+    """The LiDAR grid of a grid file, holding the cells `run_matching` reads.
 
-    One f32 pass over the file (`formats.grid_blocks`, with its size and
-    non-finite checks) gathers the bilinear corners of the key points of
-    the proposals `build_instances` keeps under `config`. Rows read later
-    (`data.read_into`) come through the same handle, with the gathered
-    cells, as `enhance_lidar_grid` has since left them, rounded in.
+    One f32 pass over the file (`GridFile.blocks`, with its non-finite
+    check) gathers the bilinear corners of the key points of the proposals
+    `build_instances` keeps under `config`. Rows read later
+    (`data.read_into`) come from the file again, with the gathered cells,
+    as `enhance_lidar_grid` has since left them, rounded in.
     """
-    blocks = grid_blocks(lidar_file)
-    spec = next(blocks)
-    *_, coords = key_point_coords(spec, lidar_proposals, config.gamma, config.sampling_strategy)
-    return _gather(lidar_file, spec, coords, blocks)
+    *_, coords = key_point_coords(lidar_file.spec, lidar_proposals, config.gamma,
+                                  config.sampling_strategy)
+    return _gather(lidar_file, coords, lidar_file.blocks())
 
 
 @contextmanager
 def open_scene(manifest_path: str | Path, config: PipelineConfig,
                parsed: tuple[dict, dict[str, Path]] | None = None
                ) -> Iterator[tuple[Scene, list[InstanceFeature]]]:
-    """`synth.load_scene`'s scene, its grids gathered for `config`, and its camera instances.
+    """`synth.open_scene_files`' scene, its grids gathered for `config`, and its camera instances.
 
-    Every check of `load_scene` is made, on its `parsed` manifest if given,
-    with the same messages; the annotations and manifest objects are checked
-    but not built (the scene holds None for them). Each grid file is read
-    through one handle, which stays open until the block exits: the camera
-    file by `gather_camera`, whose dense array is gone when it returns, and
-    then the LiDAR file by `gather_lidar`.
+    Every check of `open_scene_files` is made, on its `parsed` manifest if
+    given, with the same messages; the annotations and manifest objects are
+    checked but not built (the scene holds None for them). Each grid file
+    stays open until the block exits: the camera file is gathered by
+    `gather_camera`, whose dense array is gone when it returns, and then the
+    LiDAR file by `gather_lidar`.
     """
-    camera: list[InstanceFeature] = []
-    with ExitStack() as files:
-        def read_grid(modality: str, path: Path, proposals: list[Proposal]) -> BevGrid:
-            f = files.enter_context(path.open("rb"))
-            if modality == "lidar":
-                return gather_lidar(f, proposals, config)
-            grid, instances = gather_camera(f, proposals, config)
-            camera.extend(instances)
-            return grid
-
-        yield load_scene(manifest_path, read_grid, parsed, truth=False), camera
+    with open_scene_files(manifest_path, parsed, truth=False) as scene:
+        camera, instances = gather_camera(scene.camera_grid.data, scene.camera_proposals, config)
+        lidar = gather_lidar(scene.lidar_grid.data, scene.lidar_proposals, config)
+        yield replace(scene, camera_grid=camera, lidar_grid=lidar), instances

@@ -41,18 +41,20 @@ extent = 2.4 * sqrt(eigenvalue) inverts the quarter-max cut of a Gaussian
 bump whose std is the half extent. It has no class head: every detection is
 READOUT_CLASS.
 
-`load_scene` is the one scene loader. It checks both grid headers against
-the manifest's grid echo before any grid is allocated, then reads each grid
-into its own contiguous array, or as its caller asks: the CLI keeps of each
-grid only the cells the pipeline reads and writes, and holds the camera grid
-whole only through the refine and the camera extraction
+`open_scene_files` is the one scene opener: it opens each grid file once,
+checks its header against the manifest's grid echo, and checks every other
+scene file before any grid payload is read; the scene's grids are the open
+files (`formats.GridFile`). `load_scene` reads both grids whole. The CLI
+keeps of each grid only the cells the pipeline reads and writes, and holds
+the camera grid whole only through the refine and the camera extraction
 (`pipeline.open_scene`).
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Iterator
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -65,9 +67,8 @@ from .formats import (
     ANNOTATION_FIELDS,
     OBJECT_FIELDS,
     OBJECT_PROFILES,
+    GridFile,
     check_replaceable,
-    grid_blocks,
-    load_grid,
     load_json,
     load_points,
     load_proposals,
@@ -147,7 +148,7 @@ class Scene:
     lidar_grid: BevGrid
     camera_proposals: list[Proposal]
     lidar_proposals: list[Proposal]
-    # None when loaded without them (`load_scene(..., truth=False)`).
+    # None when opened without them (`open_scene_files(..., truth=False)`).
     annotations: list[Annotation] | None
     objects: list[SceneObject] | None
     points: np.ndarray | None = None
@@ -510,65 +511,63 @@ def scene_paths(
     return manifest, paths
 
 
-def load_scene(
-    manifest_path: str | Path,
-    read_grid: Callable[[str, Path, list[Proposal]], BevGrid] | None = None,
-    parsed: tuple[dict, dict[str, Path]] | None = None,
-    truth: bool = True,
-) -> Scene:
-    """Load a scene from its manifest, checking its files against the manifest.
+@contextmanager
+def open_scene_files(manifest_path: str | Path,
+                     parsed: tuple[dict, dict[str, Path]] | None = None,
+                     truth: bool = True) -> Iterator[Scene]:
+    """The scene of a manifest, its grids the grid files, open while the block runs.
 
-    Both grid headers are checked against the manifest's grid echo before
-    any payload is read or any grid allocated; a mismatch names the file
-    that disagrees. Each grid is then read into its own contiguous array,
-    or, when `read_grid` is given, returned by `read_grid(modality, path,
-    proposals)`, camera first. `pipeline.open_scene`'s hook holds the dense
-    camera grid only through the refine and the camera extraction, and keeps
-    of each grid only the cells the pipeline reads and writes, so `fuse`,
-    `match` and `loss` never hold both grids. Each proposal must be of the
-    modality its file's manifest entry names.
-    `parsed` is `scene_paths(manifest_path, SCENE_FILES)` when the caller has
-    read it already. Without `truth`, the annotations and the manifest
-    objects are checked alike, with the same messages, but no `Annotation`
-    or `SceneObject` is built, and the scene holds None for them.
+    Each grid file is opened once, and its header checked on that handle
+    against the manifest's grid echo; a mismatch names the file that
+    disagrees. The proposals (each of the modality its file's manifest entry
+    names), the points, the manifest objects and the annotations are then
+    checked, all before any grid payload is read. The grids are
+    `BevGrid(spec, GridFile)`, read as the caller asks. `parsed` is
+    `scene_paths(manifest_path, SCENE_FILES)` when the caller has read it
+    already. Without `truth`, the annotations and the manifest objects are
+    checked alike, with the same messages, but no `Annotation` or
+    `SceneObject` is built, and the scene holds None for them.
     """
     manifest, paths = parsed or scene_paths(manifest_path, SCENE_FILES)
     echo = manifest.get("grid")
     if not isinstance(echo, dict):
         raise DataFormatError(f"{manifest_path}: no 'grid' object")
-    for key, channels_key in (("camera_grid", "camera_channels"), ("lidar_grid", "lidar_channels")):
-        spec = next(grid_blocks(paths[key]))  # the header alone
-        if (
-            spec.height_cells != echo.get("height_cells")
-            or spec.width_cells != echo.get("width_cells")
-            or list(spec.x_range) != echo.get("x_range")
-            or list(spec.y_range) != echo.get("y_range")
-            or spec.channels != echo.get(channels_key)
-        ):
-            raise DataFormatError(
-                f"grid header of {manifest['files'][key]!r} "
-                "does not match the manifest's grid spec"
-            )
-    proposals = {m: load_proposals(paths[f"{m}_proposals"]) for m in ("camera", "lidar")}
-    for modality, records in proposals.items():
-        for i, p in enumerate(records):
-            if p.modality != modality:
-                raise DataFormatError(f"{paths[f'{modality}_proposals']}: record {i}: modality "
-                                      f"must be {modality!r}, got {p.modality!r}")
-    read_grid = read_grid or (lambda modality, path, records: load_grid(path))
-    camera_grid, lidar_grid = (read_grid(m, paths[f"{m}_grid"], proposals[m])
-                               for m in ("camera", "lidar"))
-    points = load_points(paths["points"]) if "points" in paths else None
-    records = manifest.get("objects", [])
-    if not isinstance(records, list):
-        raise DataFormatError(f"{manifest_path}: 'objects' must be a list, "
-                              f"got {type(records).__name__}")
-    objects = read_records(SceneObject, OBJECT_FIELDS, manifest_path, records,
-                           check_only=not truth)
-    annotations = read_records(Annotation, ANNOTATION_FIELDS, paths["annotations"],
+    with ExitStack() as files:
+        grids = []
+        for m in ("camera", "lidar"):
+            grid_file = GridFile(files.enter_context(open(paths[f"{m}_grid"], "rb", buffering=0)))
+            spec = grid_file.spec
+            header = (spec.height_cells, spec.width_cells, list(spec.x_range),
+                      list(spec.y_range), spec.channels)
+            keys = ("height_cells", "width_cells", "x_range", "y_range", f"{m}_channels")
+            if header != tuple(map(echo.get, keys)):
+                raise DataFormatError(f"grid header of {manifest['files'][f'{m}_grid']!r} "
+                                      "does not match the manifest's grid spec")
+            grids.append(BevGrid(spec, grid_file))
+        proposals = {m: load_proposals(paths[f"{m}_proposals"]) for m in ("camera", "lidar")}
+        for modality, records in proposals.items():
+            for i, p in enumerate(records):
+                if p.modality != modality:
+                    raise DataFormatError(f"{paths[f'{modality}_proposals']}: record {i}: "
+                                          f"modality must be {modality!r}, got {p.modality!r}")
+        points = load_points(paths["points"]) if "points" in paths else None
+        records = manifest.get("objects", [])
+        if not isinstance(records, list):
+            raise DataFormatError(f"{manifest_path}: 'objects' must be a list, "
+                                  f"got {type(records).__name__}")
+        objects = read_records(SceneObject, OBJECT_FIELDS, manifest_path, records,
                                check_only=not truth)
-    return Scene(camera_grid, lidar_grid, proposals["camera"], proposals["lidar"], annotations,
-                 objects, points)
+        annotations = read_records(Annotation, ANNOTATION_FIELDS, paths["annotations"],
+                                   check_only=not truth)
+        yield Scene(*grids, proposals["camera"], proposals["lidar"], annotations, objects,
+                    points)
+
+
+def load_scene(manifest_path: str | Path) -> Scene:
+    """The scene of a manifest (`open_scene_files`), each grid read into its own f64 array."""
+    with open_scene_files(manifest_path) as scene:
+        return replace(scene, camera_grid=scene.camera_grid.data.load(),
+                       lidar_grid=scene.lidar_grid.data.load())
 
 
 def _cell_energy(spec: GridSpec, blocks) -> np.ndarray:
@@ -603,9 +602,9 @@ def read_cell_energy(path: str | Path) -> tuple[np.ndarray, GridSpec]:
     The payload is read in f32 blocks of rows with `load_grid`'s checks and
     messages; the energy equals `cell_energy(load_grid(path))` bit for bit.
     """
-    blocks = grid_blocks(path)
-    spec = next(blocks)
-    return _cell_energy(spec, blocks), spec
+    with open(path, "rb", buffering=0) as f:
+        grid_file = GridFile(f)
+        return _cell_energy(grid_file.spec, grid_file.blocks()), grid_file.spec
 
 
 def _grow_support(windows: np.ndarray, levels: np.ndarray) -> np.ndarray:

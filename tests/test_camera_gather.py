@@ -12,7 +12,10 @@ Every artifact must equal the dense library path's: `load_scene` ->
 
 import json
 import math
+import os
+import sys
 import weakref
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -115,10 +118,10 @@ def test_a_c8_shaped_scene_with_camera_hard_pairs_matches_the_dense_path(tmp_pat
 
 def test_open_scene_drops_the_dense_camera_array_before_the_lidar_gather(handmade,
                                                                          monkeypatch):
-    arrays, load_grid, gather_lidar = [], pipeline.load_grid, pipeline.gather_lidar
+    arrays, load, gather_lidar = [], formats.GridFile.load, pipeline.gather_lidar
 
-    def recorded(source):
-        grid = load_grid(source)
+    def recorded(self):
+        grid = load(self)
         arrays.append(weakref.ref(grid.data))
         return grid
 
@@ -126,7 +129,7 @@ def test_open_scene_drops_the_dense_camera_array_before_the_lidar_gather(handmad
         assert len(arrays) == 1 and arrays[0]() is None
         return gather_lidar(*args)
 
-    monkeypatch.setattr(pipeline, "load_grid", recorded)
+    monkeypatch.setattr(formats.GridFile, "load", recorded)
     monkeypatch.setattr(pipeline, "gather_lidar", gather_after_the_drop)
     with pipeline.open_scene(handmade, SMALL) as (scene, instances):
         assert isinstance(scene.camera_grid.data, GatheredCells)
@@ -157,30 +160,67 @@ def test_camera_payload_is_read_once_per_pass_through_one_handle(
     # The refine reads the whole grid; fuse reads its rows again while writing.
     camera = handmade.parent / "camera.bevg"
     rows, handles = [], set()
+    blocks, read_into = formats.GridFile.blocks, formats.GridFile.read_into
 
-    def counted_blocks(grid_blocks):
-        def blocks(source):
-            it = grid_blocks(source)
-            yield next(it)
-            for first, values in it:
-                if Path(getattr(source, "name", source)) == camera:
-                    rows.append(len(values))
-                    handles.add(id(source) if hasattr(source, "read") else None)
-                yield first, values
-        return blocks
+    def counted_blocks(self):
+        for first, values in blocks(self):
+            if self.path == camera:
+                rows.append(len(values))
+                handles.add((id(self), id(self.f)))
+            yield first, values
 
-    def counted_rows(f, spec, first_row, out):
-        formats.read_grid_rows(f, spec, first_row, out)
-        if Path(f.name) == camera:
+    def counted_rows(self, first_row, out):
+        read_into(self, first_row, out)
+        if self.path == camera:
             rows.append(len(out))
-            handles.add(id(f))
+            handles.add((id(self), id(self.f)))
 
-    monkeypatch.setattr(formats, "grid_blocks", counted_blocks(formats.grid_blocks))
-    monkeypatch.setattr(pipeline, "grid_blocks", counted_blocks(pipeline.grid_blocks))
-    monkeypatch.setattr(pipeline, "read_grid_rows", counted_rows)
+    monkeypatch.setattr(formats.GridFile, "blocks", counted_blocks)
+    monkeypatch.setattr(formats.GridFile, "read_into", counted_rows)
     assert main([command, "--scene", str(handmade), "--out", str(tmp_path / "out")]) == 0
     assert sum(rows) == passes * SMALL.height_cells
-    assert len(handles) == 1 and None not in handles
+    # One GridFile over one handle made every read.
+    assert len(handles) == 1
+
+
+# The path lists that `open` audit events are counted into; a hook cannot be
+# removed, so the one `opened_paths` adds counts only while a list is here.
+_COUNTING: list[list[Path]] = []
+_HOOKED = False
+
+
+def _count_open(event, args):
+    if event == "open" and _COUNTING and not isinstance(args[0], int):  # an int is an fd
+        _COUNTING[-1].append(Path(os.fsdecode(args[0])))
+
+
+@contextmanager
+def opened_paths():
+    """The path of every `open` audit event raised while the block runs."""
+    global _HOOKED
+    if not _HOOKED:
+        sys.addaudithook(_count_open)
+        _HOOKED = True
+    paths = []
+    _COUNTING.append(paths)
+    try:
+        yield paths
+    finally:
+        _COUNTING.remove(paths)
+
+
+@pytest.mark.parametrize("command", ["fuse", "match", "loss"])
+def test_each_input_grid_file_is_opened_once(handmade, tmp_path, capsys, command):
+    argv = [command, "--scene", str(handmade), "--out", str(tmp_path / "out")]
+    if command == "loss":
+        components = tmp_path / "loss.json"
+        components.write_text(json.dumps(
+            {b: {"cls_pred": [0.9], "cls_target": [1]} for b in ("head", "lidar", "camera")}))
+        argv += ["--components", str(components)]
+    with opened_paths() as paths:
+        assert main(argv) == 0
+    for name in ("camera.bevg", "lidar.bevg"):
+        assert paths.count(handmade.parent / name) == 1, name
 
 
 @pytest.mark.parametrize("value, code", [(1234.5, 0), (float("nan"), 2)],

@@ -26,7 +26,7 @@ from dualguide.enhance import (
     pair_distance_weights,
 )
 from dualguide.errors import ConfigurationError
-from dualguide.formats import save_grid
+from dualguide.formats import GridFile, save_grid
 from dualguide.geometry import Box3D, center_distance_bev
 from dualguide.grid import BevGrid, GridSpec
 from dualguide.instances import InstanceFeature, Proposal
@@ -603,7 +603,8 @@ def test_lidar_enhancement_equals_the_reference_on_dense_and_gathered_grids(gath
         path = Path(tmp) / "lidar.bevg"
         save_grid([(grid, path)])
         with path.open("rb") as f:
-            lidar = gather_lidar(f, [p.anchor.proposal for p in pairs], PipelineConfig())
+            lidar = gather_lidar(GridFile(f), [p.anchor.proposal for p in pairs],
+                                 PipelineConfig())
             assert enhance_lidar_grid(lidar, pairs, proj) is lidar
             rows = np.empty((h, w, 3), "<f4")
             for r in range(h):

@@ -5,7 +5,6 @@ import os
 import struct
 import tracemalloc
 from dataclasses import fields, replace
-from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -103,12 +102,13 @@ class TestGridFormat:
         path = tmp_path / "g.bevg"
         save_grid([(grid, path)])
         with mock.patch.object(formats, "_GRID_BLOCK_BYTES", 2 * 7 * 30 * 4):  # 2 rows a block
-            blocks = formats.grid_blocks(path)
-            next(blocks)
-            with path.open("r+b") as f:
-                f.truncate(path.stat().st_size - 10)
-            with pytest.raises(DataFormatError, match=r"g\.bevg: payload ends before row 240"):
-                list(blocks)
+            with path.open("rb") as f:
+                blocks = formats.GridFile(f).blocks()
+                with path.open("r+b") as g:
+                    g.truncate(path.stat().st_size - 10)
+                with pytest.raises(DataFormatError,
+                                   match=r"g\.bevg: payload ends before row 240"):
+                    list(blocks)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_rejected(self, tmp_path, value):
@@ -305,11 +305,11 @@ class TestGridFormatProperties:
         source = root / "source.bevg"
         save_grid([(BevGrid(replace(window, channels=3), values(3)), source)])
         with open(source, "rb") as f:
-            blocks = formats.grid_blocks(f)
-            spec = next(blocks)
+            source_file = formats.GridFile(f)
+            spec = source_file.spec
             cells = np.unique(rng.integers(0, [h, w], size=(6, 2)), axis=0)
-            gathered = GatheredCells.gather(spec, *cells.T, blocks,
-                                            partial(formats.read_grid_rows, f, spec))
+            gathered = GatheredCells.gather(spec, *cells.T, source_file.blocks(),
+                                            source_file.read_into)
             twin = load_grid(source)  # the dense grid the gathered one stands for
             rows, cols = cells[rng.random(len(cells)) < 0.5].T
             updates = rng.normal(size=(len(rows), 3))
@@ -350,6 +350,70 @@ class TestGridFormatProperties:
         assert written["one"] == written["apart"]
         holds = any(g is grids[-1] for gs, _ in outputs for g in gs)
         assert sum(rows_read) == (h if holds else 0)
+
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_grid_file_reads_agree_and_fail_alike(self, tmp_path_factory, data):
+        """`GridFile.read_into` over any rows, `blocks` and `load` read the same values.
+
+        At any block height. A non-finite value fails each read with the
+        count it read (`read_into` its rows', `blocks` and `load` the whole
+        file's), and a payload cut short after the file was opened fails each
+        read that reaches the cut with the row its read would have ended at.
+        """
+        h, w, c = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6)), data.draw(
+            st.integers(1, 4))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        values = (rng.normal(size=(h, w, c)) * 10.0 ** rng.integers(-3, 4)).astype("<f4")
+        values[rng.random(size=values.shape) < 0.2] = -0.0
+        spec = GridSpec(h, w, c, (-2.0, 5.0), (0.0, 10.0))
+        row_bytes = w * c * 4
+        block_bytes = data.draw(st.integers(1, 2 * h * row_bytes))
+        rows_per_block = max(1, block_bytes // row_bytes)
+        first = data.draw(st.integers(0, h - 1))
+        n = data.draw(st.integers(1, h - first))
+        fault = data.draw(st.sampled_from(["none", "non-finite", "truncated"]))
+        if fault == "non-finite":
+            cells = data.draw(st.lists(st.integers(0, values.size - 1), min_size=1, unique=True))
+            values.flat[cells] = rng.choice([np.nan, np.inf, -np.inf], size=len(cells))
+        path = tmp_path_factory.mktemp("grid") / "g.bevg"
+        save_grid([(BevGrid(spec, values), path)])
+
+        def whole(read):
+            out = np.empty_like(values)
+            for r, block in read():
+                out[r : r + len(block)] = block
+            return out.tobytes()
+
+        # Unbuffered, so that a read sees a cut made after the file was opened.
+        with mock.patch.object(formats, "_GRID_BLOCK_BYTES", block_bytes), \
+                open(path, "rb", buffering=0) as f:
+            grid_file = formats.GridFile(f)
+            assert grid_file.spec == spec and grid_file.shape == (h, w, c)
+            if fault == "truncated":
+                kept = data.draw(st.integers(0, h * row_bytes - 1))
+                os.truncate(path, formats._GRID_HEADER.size + kept)
+            rows = np.empty((n, w, c), "<f4")
+            got_rows = outcome(lambda: grid_file.read_into(first, rows) or rows.tobytes())
+            got_blocks = outcome(lambda: whole(grid_file.blocks))
+            got_load = outcome(lambda: whole(lambda: [(0, grid_file.load().data.astype("<f4"))]))
+            assert outcome(lambda: grid_file.read_into(first, rows) or rows.tobytes()) == got_rows
+
+        if fault == "truncated":
+            ends = [min(r + rows_per_block, h) for r in range(0, h, rows_per_block)]
+            cut = next(end for end in ends if end * row_bytes > kept)
+            want_whole = ("error", f"{path}: payload ends before row {cut}")
+            want_rows = (("error", f"{path}: payload ends before row {first + n}")
+                         if (first + n) * row_bytes > kept else None)
+        else:
+            bad = int(np.count_nonzero(~np.isfinite(values)))
+            in_rows = int(np.count_nonzero(~np.isfinite(values[first : first + n])))
+            want_whole = ("error", f"{path}: {bad} non-finite grid values") if bad else None
+            want_rows = (("error", f"{path}: {in_rows} non-finite grid values")
+                         if in_rows else None)
+        assert got_rows == (want_rows or ("ok", repr(values[first : first + n].tobytes())))
+        assert got_blocks == got_load == (want_whole or ("ok", repr(values.tobytes())))
 
 
 def valid_input_files(out):
@@ -708,6 +772,24 @@ class TestJsonLines:
         path.write_text('{"x": 1}\nnot json\n')
         with pytest.raises(DataFormatError, match="bad.jsonl:2"):
             load_proposals(path)
+
+    def test_lines_end_at_newline_alone(self, tmp_path):
+        # JSON allows U+2028, U+2029 and U+0085 raw in a string, where
+        # str.splitlines would cut its line in two.
+        anns = [Annotation(Box3D((float(i), 2, 0.5), (2, 3, 1), 0.3), 4, 2, 17)
+                for i in range(6)]
+        records = to_records(anns, ANNOTATION_FIELDS)
+        for record, note in zip(records, ("a\u2028b", "\u2029", "c\u0085")):
+            record["note"] = note
+        lines = [json.dumps(r, ensure_ascii=False) for r in records]
+        path = tmp_path / "a.jsonl"
+        path.write_bytes("".join(line + "\r\n" for line in lines).encode("utf-8"))
+        assert "\u2028" in path.read_text(encoding="utf-8")
+        assert load_annotations(path) == anns
+        lines[4] = "not json"
+        path.write_bytes("".join(line + "\r\n" for line in lines).encode("utf-8"))
+        with pytest.raises(DataFormatError, match=r"a\.jsonl:5: invalid JSON"):
+            load_annotations(path)
 
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"

@@ -328,25 +328,21 @@ def test_lidar_payload_is_read_once_per_pass(handmade, tmp_path, monkeypatch, ca
     # fuse gathers and then writes its three grid files in one pass.
     lidar = handmade.parent / "lidar.bevg"
     rows = []
+    blocks, read_into = formats.GridFile.blocks, formats.GridFile.read_into
 
-    def counted_blocks(grid_blocks):
-        def blocks(source):
-            it = grid_blocks(source)
-            yield next(it)
-            for first, values in it:
-                if Path(getattr(source, "name", source)) == lidar:
-                    rows.append(len(values))
-                yield first, values
-        return blocks
+    def counted_blocks(self):
+        for first, values in blocks(self):
+            if self.path == lidar:
+                rows.append(len(values))
+            yield first, values
 
-    def counted_rows(f, spec, first_row, out):
-        formats.read_grid_rows(f, spec, first_row, out)
-        if Path(f.name) == lidar:
+    def counted_rows(self, first_row, out):
+        read_into(self, first_row, out)
+        if self.path == lidar:
             rows.append(len(out))
 
-    for module in (formats, pipeline, synth):
-        monkeypatch.setattr(module, "grid_blocks", counted_blocks(module.grid_blocks))
-    monkeypatch.setattr(pipeline, "read_grid_rows", counted_rows)
+    monkeypatch.setattr(formats.GridFile, "blocks", counted_blocks)
+    monkeypatch.setattr(formats.GridFile, "read_into", counted_rows)
     assert main([command, "--scene", str(handmade), "--out", str(tmp_path / "out")]) == 0
     assert sum(rows) == passes * SMALL.height_cells
 
@@ -403,7 +399,7 @@ def test_a_gathered_cell_rewritten_before_the_write_pass_keeps_what_matching_rea
                for cell in ref_surrounding(world_to_grid(p.anchor.bev_center, spec), spec)}
     path = handmade.parent / "lidar.bevg"
     with open(path, "rb") as f:
-        slots = pipeline.gather_lidar(f, scene.lidar_proposals, SMALL).data.slots
+        slots = pipeline.gather_lidar(formats.GridFile(f), scene.lidar_proposals, SMALL).data.slots
     gathered = set(zip(*np.nonzero(slots >= 0)))
     assert written < gathered
     row, col = min(gathered - written)
@@ -486,7 +482,7 @@ def test_copying_a_gathered_grid_is_a_contract_error(handmade):
     scene = load_scene(handmade)
     assert np.array_equal(scene.lidar_grid.copy().data, scene.lidar_grid.data)
     with open(handmade.parent / "lidar.bevg", "rb") as f:
-        gathered = pipeline.gather_lidar(f, scene.lidar_proposals, SMALL)
+        gathered = pipeline.gather_lidar(formats.GridFile(f), scene.lidar_proposals, SMALL)
         with pytest.raises(ContractError, match="only a dense grid copies"):
             gathered.copy()
 

@@ -181,6 +181,26 @@ class TestSceneIo:
             load_scene(manifest_path)
         assert str(err.value) == f"grid header of {name!r} does not match the manifest's grid spec"
 
+    @pytest.mark.parametrize("command", ["load_scene", "fuse"])
+    def test_a_record_fault_is_found_before_a_grid_payload_fault(self, tmp_path, capsys,
+                                                                command):
+        # Every record is checked before any grid payload is read.
+        scene = generate_scene(SMALL, seed=12, n_objects=3)
+        manifest_path = write_scene(scene, tmp_path, SMALL, 12, "mixed")
+        scene.camera_grid.data[0, 0, 0] = np.nan
+        save_grid([(scene.camera_grid, tmp_path / "camera.bevg")])
+        with pytest.raises(DataFormatError, match=r"camera\.bevg: 1 non-finite grid values"):
+            load_scene(manifest_path)
+        (tmp_path / "annotations.jsonl").write_text("not json\n")
+        want = f"{tmp_path / 'annotations.jsonl'}:1: invalid JSON"
+        if command == "fuse":
+            assert main(["fuse", "--scene", str(manifest_path),
+                         "--out", str(tmp_path / "out")]) == 2
+            assert want in capsys.readouterr().err
+        else:
+            with pytest.raises(DataFormatError, match=r"annotations\.jsonl:1: invalid JSON"):
+                load_scene(manifest_path)
+
     def test_huge_manifest_grid_fails_before_any_grid_is_allocated(self, tmp_path):
         scene = generate_scene(SMALL, seed=11, n_objects=3)
         manifest_path = write_scene(scene, tmp_path, SMALL, 11, "mixed")
